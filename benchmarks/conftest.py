@@ -59,6 +59,16 @@ SEED_BASELINE_MEANS = {
     # full ghost builds + process setup; it wins only with real cores).
     "test_perf_sharded_scenario": 8.6317,
     "test_perf_sharded_scenario_single": 2.8309,
+    # PR-13 bench: 1-4-entry DSDV updates into a 50-route table.
+    # POST-REGRESSION baseline: this is the row's own mean at the
+    # commit that introduced the column-array table, not the mean of
+    # the per-entry loop it replaced, which read 63e-6 here (0.33x).
+    # A vector merge pays ~4.5 us of fixed cost per receive where the
+    # loop paid ~1.5 us, and wins end to end only because such adverts
+    # are 4-6 % of receives at 30-50 nodes (DESIGN.md, "The
+    # small-advert trap"). The row exists so that fixed cost cannot
+    # grow unnoticed; its speedup_vs_seed says nothing about the loop.
+    "test_perf_dsdv_short_updates": 190.0e-6,
 }
 
 #: Benchmark files whose results land in BENCH_kernel.json.

@@ -102,18 +102,20 @@ class SpatialIndex:
         kx1 = math.floor((x + radius) / c)
         ky0 = math.floor((y - radius) / c)
         ky1 = math.floor((y + radius) / c)
-        pos = self._positions
-        r2 = radius * radius
-        out: List[int] = []
+        # Gather candidates bucket by bucket, then verify them in one
+        # array pass. Mask selection keeps bucket order, which feeds the
+        # channel's (time, seq) tie-breaks and so is part of the contract.
+        candidates: List[int] = []
         cells = self._cells
         for kx in range(kx0, kx1 + 1):
             for ky in range(ky0, ky1 + 1):
                 bucket = cells.get((kx, ky))
-                if not bucket:
-                    continue
-                for i in bucket:
-                    dx = pos[i, 0] - x
-                    dy = pos[i, 1] - y
-                    if dx * dx + dy * dy <= r2:
-                        out.append(i)
-        return out
+                if bucket:
+                    candidates += bucket
+        if not candidates:
+            return candidates
+        idx = np.array(candidates, dtype=np.intp)
+        near = self._positions[idx]
+        dx = near[:, 0] - x
+        dy = near[:, 1] - y
+        return idx[dx * dx + dy * dy <= radius * radius].tolist()

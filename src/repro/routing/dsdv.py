@@ -19,12 +19,19 @@ Why DSDV collapses under mobility (the paper's headline): between a
 link break and the arrival of the repaired route's next update, data
 keeps flowing into the stale/invalidated route and is dropped — there
 is no discovery to fall back on.
+
+The table is four NumPy columns indexed by destination id (layout,
+sentinels and the own-row rule are in DESIGN.md, "DSDV table layout"):
+an advert names each destination once, so merging it is independent per
+destination and runs as one gather, a few mask operations and one
+scatter. The per-entry statement of the same rules lives in
+``tests/routing/dsdv_reference.py`` and is compared step by step.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,77 +49,105 @@ ENTRY_SIZE = 12
 HEADER_SIZE = 8
 
 
-class DsdvRoute:
-    """One routing-table entry.
+class DsdvRoute(NamedTuple):
+    """One routing-table row, as read or written through ``Dsdv.table``."""
 
-    A ``__slots__`` class rather than a dataclass: route fields are read
-    per advert entry on the hottest control-plane path, and slot access
-    is measurably cheaper than dataclass instance-dict access.
-    """
-
-    __slots__ = ("dst", "next_hop", "metric", "seq", "changed")
-
-    def __init__(
-        self,
-        dst: int,
-        next_hop: int,
-        metric: float,
-        seq: int,
-        changed: bool = False,
-    ):
-        self.dst = dst
-        self.next_hop = next_hop
-        self.metric = metric
-        self.seq = seq
-        self.changed = changed
+    dst: int
+    next_hop: int
+    metric: float
+    seq: int
+    changed: bool = False
 
     @property
     def valid(self) -> bool:
         return self.metric < INFINITY
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DsdvRoute):
-            return NotImplemented
-        return (
-            self.dst == other.dst
-            and self.next_hop == other.next_hop
-            and self.metric == other.metric
-            and self.seq == other.seq
-            and self.changed == other.changed
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DsdvRoute(dst={self.dst}, next_hop={self.next_hop}, "
-            f"metric={self.metric}, seq={self.seq}, changed={self.changed})"
-        )
-
 
 class _Advert:
-    """Payload of a DSDV update packet: (dst, metric, seq) triples."""
+    """Payload of a DSDV update packet: (dst, metric, seq) columns.
 
-    __slots__ = ("entries", "_np")
+    Built once by the sender and read by every receiver of the
+    broadcast, so everything a receiver needs that depends only on the
+    advert (``metric + 1``, the highest destination id, whether any
+    metric is infinite) is computed here.
+    """
 
-    def __init__(self, entries: List[Tuple[int, float, int]]):
-        self.entries = entries
-        # Column arrays for the vectorized stale-entry prefilter, built
-        # lazily by the first receiver and shared by every other radio
-        # that decodes this same broadcast.
-        self._np = None
+    __slots__ = ("dst", "metric", "seq", "metric1", "max_dst", "finite")
 
-    def arrays(self):
-        """``(dst, metric+1, seq, max_dst)`` column views of ``entries``."""
-        arrs = self._np
-        if arrs is None:
-            e = self.entries
-            n = len(e)
-            dst = np.fromiter((t[0] for t in e), dtype=np.intp, count=n)
-            met1 = np.fromiter((t[1] for t in e), dtype=np.float64, count=n)
-            met1 += 1.0
-            seq = np.fromiter((t[2] for t in e), dtype=np.int64, count=n)
-            arrs = (dst, met1, seq, int(dst.max()) if n else -1)
-            self._np = arrs
-        return arrs
+    def __init__(self, entries: Sequence[Tuple[int, float, int]]):
+        dst, metric, seq = zip(*entries) if entries else ((), (), ())
+        self._set(
+            np.array(dst, dtype=np.intp),
+            np.array(metric, dtype=np.float64),
+            np.array(seq, dtype=np.int64),
+        )
+
+    @classmethod
+    def from_columns(cls, dst, metric, seq) -> "_Advert":
+        advert = cls.__new__(cls)
+        advert._set(dst, metric, seq)
+        return advert
+
+    def _set(self, dst, metric, seq) -> None:
+        self.dst = dst
+        self.metric = metric
+        self.seq = seq
+        self.metric1 = metric + 1.0
+        self.max_dst = int(dst.max()) if len(dst) else -1
+        finite = metric < INFINITY
+        #: Mask of finite-metric entries, or None when all of them are.
+        self.finite = None if finite.all() else finite
+
+
+class _TableView:
+    """Mapping view of a :class:`Dsdv` agent's columns, minus its own row.
+
+    For tests and telemetry, not for the protocol: reads build a
+    :class:`DsdvRoute` snapshot, item assignment writes the row.
+    """
+
+    __slots__ = ("_agent",)
+
+    def __init__(self, agent: "Dsdv"):
+        self._agent = agent
+
+    def __contains__(self, dst: int) -> bool:
+        agent = self._agent
+        return dst != agent.addr and 0 <= dst < len(agent._seq) and agent._seq[dst] >= 0
+
+    def __iter__(self) -> Iterator[int]:
+        agent = self._agent
+        return (d for d in np.flatnonzero(agent._seq >= 0).tolist() if d != agent.addr)
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._agent._seq >= 0)) - 1
+
+    def __getitem__(self, dst: int) -> DsdvRoute:
+        if dst not in self:
+            raise KeyError(dst)
+        agent = self._agent
+        return DsdvRoute(
+            dst,
+            int(agent._next_hop[dst]),
+            float(agent._metric[dst]),
+            int(agent._seq[dst]),
+            bool(agent._changed[dst]),
+        )
+
+    def get(self, dst: int, default=None) -> Optional[DsdvRoute]:
+        return self[dst] if dst in self else default
+
+    def values(self) -> List[DsdvRoute]:
+        return [self[dst] for dst in self]
+
+    def __setitem__(self, dst: int, route: DsdvRoute) -> None:
+        agent = self._agent
+        if dst >= len(agent._seq):
+            agent._grow(dst + 1)
+        agent._next_hop[dst] = route.next_hop
+        agent._metric[dst] = route.metric
+        agent._seq[dst] = route.seq
+        agent._changed[dst] = route.changed
 
 
 class Dsdv(RoutingProtocol):
@@ -140,40 +175,38 @@ class Dsdv(RoutingProtocol):
         super().__init__(sim, node_id, mac, rng)
         self.update_interval = update_interval
         self.trigger_delay = trigger_delay
-        self.table: Dict[int, DsdvRoute] = {}
         #: Own even sequence number, bumped at every advertisement.
         self.seq = 0
         self._trigger_pending = False
-        # Fast-path mirrors of the table: the serialized advert triples
-        # in table (insertion) order, a dst -> index map into them, and
-        # the set of dsts with a pending changed flag. Dumps then reuse
-        # the serialized list instead of re-walking the route objects.
-        self._entries: List[Tuple[int, float, int]] = []
-        self._epos: Dict[int, int] = {}
-        self._changed: Set[int] = set()
-        # Flat per-destination arrays indexed by node id (-1 = no
-        # route). Advert processing is dominated by stale entries, and
-        # rejecting them on a C-level list index beats a dict probe
-        # plus route-object attribute loads.
-        self._seq_by_dst: List[int] = []
-        self._metric_by_dst: List[float] = []
-        # Numpy twins of the flat arrays (sentinel-padded to capacity)
-        # so a whole advert can be pre-rejected in one vector pass.
-        # They may lag the lists only in the harmless direction (older
-        # seq => false keep); survivors re-run the scalar prefilter.
-        self._seq_np = np.full(0, -1, dtype=np.int64)
-        self._met_np = np.full(0, INFINITY, dtype=np.float64)
+        # Table columns indexed by destination id; ``seq == -1`` marks
+        # a destination never heard of. The node's own row is an
+        # ordinary one (next hop itself, metric 0, seq mirroring
+        # ``self.seq``, never flagged changed at rest). ``empty`` +
+        # ``fill`` rather than ``np.full``: a 1000-node build runs this
+        # a thousand times.
+        rows = node_id + 1
+        self._next_hop = np.empty(rows, dtype=np.int64)
+        self._next_hop.fill(-1)
+        self._metric = np.empty(rows, dtype=np.float64)
+        self._metric.fill(INFINITY)
+        self._seq = self._next_hop.copy()
+        self._changed = np.zeros(rows, dtype=np.bool_)
+        self._next_hop[node_id] = node_id
+        self._metric[node_id] = 0.0
+        self._seq[node_id] = 0
+        self.table = _TableView(self)
 
-    def _grow_np(self, need: int) -> None:
-        """Grow the numpy prefilter twins to at least *need* slots."""
-        cap = max(need, 2 * len(self._seq_np), 64)
-        seq_np = np.full(cap, -1, dtype=np.int64)
-        met_np = np.full(cap, INFINITY, dtype=np.float64)
-        n = len(self._seq_np)
-        seq_np[:n] = self._seq_np
-        met_np[:n] = self._met_np
-        self._seq_np = seq_np
-        self._met_np = met_np
+    def _grow(self, need: int) -> None:
+        """Extend the columns to at least *need* rows (geometric)."""
+        old = len(self._seq)
+        cap = max(need, 2 * old)
+        for name, fill in (
+            ("_next_hop", -1), ("_metric", INFINITY), ("_seq", -1), ("_changed", False),
+        ):
+            column = getattr(self, name)
+            grown = np.full(cap, fill, dtype=column.dtype)
+            grown[:old] = column
+            setattr(self, name, grown)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -199,298 +232,97 @@ class Dsdv(RoutingProtocol):
         self._trigger_pending = False
         self._broadcast_update(full=False)
 
-    def _resync(self) -> None:
-        """Rebuild the serialized mirrors from ``table`` (tests poke it)."""
-        entries: List[Tuple[int, float, int]] = []
-        epos: Dict[int, int] = {}
-        changed: Set[int] = set()
-        size = max(self.table, default=-1) + 1
-        seq_l = [-1] * size
-        met_l = [INFINITY] * size
-        for dst, route in self.table.items():
-            epos[dst] = len(entries)
-            entries.append((dst, route.metric, route.seq))
-            seq_l[dst] = route.seq
-            met_l[dst] = route.metric
-            if route.changed:
-                changed.add(dst)
-        self._entries = entries
-        self._epos = epos
-        self._changed = changed
-        self._seq_by_dst = seq_l
-        self._metric_by_dst = met_l
-        if size > len(self._seq_np):
-            self._grow_np(size)
-        self._seq_np[:] = -1
-        self._met_np[:] = INFINITY
-        if size:
-            self._seq_np[:size] = seq_l
-            self._met_np[:size] = met_l
-
-    def _clear_changed(self) -> None:
-        table = self.table
-        for dst in self._changed:
-            table[dst].changed = False
-        self._changed.clear()
-
     def _broadcast_update(self, full: bool) -> None:
-        if not self._fast:
-            self._broadcast_update_legacy(full)
-            return
-        if len(self._entries) != len(self.table):
-            self._resync()
         self.seq += 2
+        seq = self._seq
+        changed = self._changed
+        seq[self.addr] = self.seq
         if full:
-            entries = [(self.addr, 0.0, self.seq)]
-            entries += self._entries
-            if self._changed:
-                self._clear_changed()
+            rows = np.flatnonzero(seq >= 0)
+            changed[:] = False
         else:
-            if not self._changed:
-                if self.sim.now > 0:
-                    # Nothing actually changed; suppress a pure
-                    # self-advert trigger (the periodic dump carries it).
-                    return
-                entries = [(self.addr, 0.0, self.seq)]
-            else:
-                entries = [(self.addr, 0.0, self.seq)]
-                all_entries = self._entries
-                epos = self._epos
-                for i in sorted(epos[d] for d in self._changed):
-                    entries.append(all_entries[i])
-                self._clear_changed()
-        size = HEADER_SIZE + ENTRY_SIZE * len(entries)
-        pkt = self.make_control(_Advert(entries), size)
-        self.send_control(pkt, BROADCAST)
-
-    def _broadcast_update_legacy(self, full: bool) -> None:
-        """Reference implementation (MANETSIM_LEGACY_ROUTING=1)."""
-        self.seq += 2
-        entries: List[Tuple[int, float, int]] = [(self.addr, 0.0, self.seq)]
-        for route in self.table.values():
-            if full or route.changed:
-                entries.append((route.dst, route.metric, route.seq))
-            route.changed = False
-        if not full and len(entries) == 1 and self.sim.now > 0:
-            # Nothing actually changed; suppress a pure self-advert
-            # trigger (the periodic dump will carry it).
-            return
-        size = HEADER_SIZE + ENTRY_SIZE * len(entries)
-        pkt = self.make_control(_Advert(entries), size)
-        self.send_control(pkt, BROADCAST)
+            if not changed.any() and self.sim.now > 0:
+                # Nothing actually changed; suppress a pure self-advert
+                # trigger (the periodic dump carries it).
+                return
+            changed[self.addr] = True
+            rows = np.flatnonzero(changed)
+            changed[rows] = False
+        advert = _Advert.from_columns(rows, self._metric[rows], seq[rows])
+        size = HEADER_SIZE + ENTRY_SIZE * len(rows)
+        self.send_control(self.make_control(advert, size), BROADCAST)
 
     # -------------------------------------------------------------- receive
 
     def on_control(self, packet: Packet, prev_hop: int, rx_power: float) -> None:
-        if not self._fast:
-            self._on_control_legacy(packet, prev_hop, rx_power)
+        advert: _Advert = packet.payload
+        if advert.max_dst >= len(self._seq):
+            self._grow(advert.max_dst + 1)
+        dst = advert.dst
+        new_seq = advert.seq
+        new_metric = advert.metric1
+        cur_seq = self._seq[dst]
+        # Newer sequence wins; an equal one only with a shorter metric.
+        adopt = new_seq > cur_seq
+        adopt |= (new_seq == cur_seq) & (new_metric < self._metric[dst])
+        if advert.finite is not None:
+            # A destination never heard of is not learned from a break.
+            adopt &= advert.finite | (cur_seq >= 0)
+        rows = dst[adopt]
+        adopted = len(rows)
+        if not adopted:
             return
-        # Hot path: a 100-node run processes tens of thousands of
-        # adverts with ~N entries each. Local bindings and slot access
-        # keep the per-entry cost down; the serialized mirrors are
-        # updated in place so dumps need not re-walk the table.
-        advert: _Advert = packet.payload
-        table = self.table
-        if len(self._entries) != len(table):
-            self._resync()
-        table_get = table.get
-        entries_l = self._entries
-        epos = self._epos
-        epos_get = epos.get
-        changed_set = self._changed
-        seq_l = self._seq_by_dst
-        met_l = self._metric_by_dst
-        n_flat = len(seq_l)
+        self._next_hop[rows] = prev_hop
+        self._metric[rows] = new_metric[adopt]
+        self._seq[rows] = new_seq[adopt]
+        self._changed[rows] = True
         addr = self.addr
-        changed_any = False
-        todo = advert.entries
-        if len(todo) >= 16:
-            # Vector pre-reject: one numpy pass drops the (dominant)
-            # stale entries before the Python loop. The column arrays
-            # are cached on the advert, so every receiver of the same
-            # broadcast shares one build. Sentinel slots (-1/inf) make
-            # missing routes keep, exactly like the scalar fall-through,
-            # and survivors still hit the scalar prefilter below — the
-            # vector pass can only shrink the loop, never change it.
-            dst_a, met1_a, seq_a, max_dst = advert.arrays()
-            seq_np = self._seq_np
-            if max_dst >= len(seq_np):
-                self._grow_np(max_dst + 1)
-                seq_np = self._seq_np
-            cs = seq_np[dst_a]
-            keep = seq_a > cs
-            eq = seq_a == cs
-            if eq.any():
-                keep |= eq & (met1_a < self._met_np[dst_a])
-            if not keep.all():
-                if not keep.any():
-                    return
-                ent = todo
-                todo = [ent[j] for j in np.nonzero(keep)[0]]
-        for dst, metric, seq in todo:
-            # Flat-array pre-filter: stale entries (seq older than ours,
-            # or equal seq without a better metric) are the dominant
-            # outcome and never mutate state, so reject them on two
-            # C-level list indexes before touching the route objects.
-            # Slots hold -1/inf until a route exists (entries about a
-            # missing route — including our own address — fall through).
-            if dst < n_flat:
-                cur_seq = seq_l[dst]
-                if seq < cur_seq or (seq == cur_seq and metric + 1 >= met_l[dst]):
-                    continue
-            if dst == addr:
-                # Odd (broken) sequence about us: answer with a fresh
-                # even one so the network relearns the route quickly.
-                if seq % 2 == 1 and seq > self.seq:
-                    self.seq = seq + 1
-                    changed_any = True
-                continue
-            cur = table_get(dst)
-            if cur is None:
-                if metric < INFINITY:
-                    new_metric = metric + 1
-                    table[dst] = DsdvRoute(dst, prev_hop, new_metric, seq, True)
-                    epos[dst] = len(entries_l)
-                    entries_l.append((dst, new_metric, seq))
-                    if dst >= n_flat:
-                        seq_l.extend([-1] * (dst + 1 - n_flat))
-                        met_l.extend([INFINITY] * (dst + 1 - n_flat))
-                        n_flat = dst + 1
-                    seq_l[dst] = seq
-                    met_l[dst] = new_metric
-                    if dst >= len(self._seq_np):
-                        self._grow_np(dst + 1)
-                    self._seq_np[dst] = seq
-                    self._met_np[dst] = new_metric
-                    changed_set.add(dst)
-                    changed_any = True
-                continue
-            cur_seq = cur.seq
-            if seq < cur_seq:
-                continue  # stale (flat arrays were behind a test poke)
-            new_metric = metric + 1 if metric < INFINITY else INFINITY
-            if seq > cur_seq or new_metric < cur.metric:
-                # Adoption always changes a field (a newer seq differs
-                # from cur.seq; an equal seq requires a better metric),
-                # so the changed flag is set unconditionally.
-                cur.next_hop = prev_hop
-                cur.metric = new_metric
-                cur.seq = seq
-                cur.changed = True
-                i = epos_get(dst)
-                if i is None:
-                    epos[dst] = len(entries_l)
-                    entries_l.append((dst, new_metric, seq))
-                else:
-                    entries_l[i] = (dst, new_metric, seq)
-                if dst >= n_flat:
-                    seq_l.extend([-1] * (dst + 1 - n_flat))
-                    met_l.extend([INFINITY] * (dst + 1 - n_flat))
-                    n_flat = dst + 1
-                seq_l[dst] = seq
-                met_l[dst] = new_metric
-                if dst >= len(self._seq_np):
-                    self._grow_np(dst + 1)
-                self._seq_np[dst] = seq
-                self._met_np[dst] = new_metric
-                changed_set.add(dst)
-                changed_any = True
-        if changed_any:
-            self._schedule_trigger()
-
-    def _on_control_legacy(self, packet: Packet, prev_hop: int, rx_power: float) -> None:
-        """Reference implementation (MANETSIM_LEGACY_ROUTING=1)."""
-        advert: _Advert = packet.payload
-        changed_any = False
-        for dst, metric, seq in advert.entries:
-            if dst == self.addr:
-                # Someone advertises a route to us. If it carries an odd
-                # (broken) sequence, answer with a fresh even one so the
-                # network relearns the route quickly.
-                if seq % 2 == 1 and seq > self.seq:
-                    self.seq = seq + 1
-                    changed_any = True
-                continue
-            new_metric = metric + 1 if metric < INFINITY else INFINITY
-            cur = self.table.get(dst)
-            if cur is None:
-                if new_metric < INFINITY:
-                    self.table[dst] = DsdvRoute(dst, prev_hop, new_metric, seq, True)
-                    changed_any = True
-                continue
-            adopt = False
-            if seq > cur.seq:
-                # Newer information always wins — even a break (odd seq),
-                # but only believe breaks reported by our own next hop or
-                # carrying a newer sequence than our route.
-                adopt = True
-            elif seq == cur.seq and new_metric < cur.metric:
-                adopt = True
-            if adopt:
-                if not (
-                    cur.next_hop == prev_hop
-                    and cur.metric == new_metric
-                    and cur.seq == seq
-                ):
-                    changed_any = True
-                    cur.changed = True
-                cur.next_hop = prev_hop
-                cur.metric = new_metric
-                cur.seq = seq
-        if changed_any:
+        if self._changed[addr]:
+            # The adoption touched our own row: someone advertises a
+            # sequence about us newer than our own. If it is an odd
+            # (broken) one, answer with a fresh even one so the network
+            # relearns the route quickly; either way the row is ours.
+            heard = int(self._seq[addr])
+            adopted -= 1
+            if heard % 2 == 1 and heard > self.seq:
+                self.seq = heard + 1
+                adopted += 1
+            self._next_hop[addr] = addr
+            self._metric[addr] = 0.0
+            self._seq[addr] = self.seq
+            self._changed[addr] = False
+        if adopted:
             self._schedule_trigger()
 
     # ------------------------------------------------------------ data path
 
-    def _lookup(self, dst: int) -> Optional[DsdvRoute]:
-        route = self.table.get(dst)
-        if route is not None and route.valid:
-            return route
-        return None
+    def _route(self, packet: Packet, forwarded: bool) -> None:
+        dst = packet.dst
+        metric = self._metric
+        if 0 <= dst < len(metric) and metric[dst] < INFINITY and dst != self.addr:
+            self.send_data(packet, int(self._next_hop[dst]), forwarded=forwarded)
+            return
+        self.stats.drops_no_route += 1
+        if self._flight is not None:
+            self._flight.drop(packet, DropReason.NO_ROUTE, self.addr)
 
     def originate(self, packet: Packet) -> None:
-        route = self._lookup(packet.dst)
-        if route is None:
-            self.stats.drops_no_route += 1
-            if self._flight is not None:
-                self._flight.drop(packet, DropReason.NO_ROUTE, self.addr)
-            return
-        self.send_data(packet, route.next_hop, forwarded=False)
+        self._route(packet, forwarded=False)
 
     def on_data_to_forward(self, packet: Packet, prev_hop: int, rx_power: float) -> None:
-        route = self._lookup(packet.dst)
-        if route is None:
-            self.stats.drops_no_route += 1
-            if self._flight is not None:
-                self._flight.drop(packet, DropReason.NO_ROUTE, self.addr)
-            return
-        self.send_data(packet, route.next_hop, forwarded=True)
+        self._route(packet, forwarded=True)
 
     # --------------------------------------------------------- link failure
 
     def link_failed(self, packet: Packet, next_hop: int) -> None:
         """Mark every route through *next_hop* broken (metric ∞, odd seq)."""
-        fast = self._fast
-        if fast and len(self._entries) != len(self.table):
-            self._resync()
-        broke = False
-        for route in self.table.values():
-            if route.next_hop == next_hop and route.valid:
-                route.metric = INFINITY
-                route.seq += 1  # odd: flagged by the destination's owner rule
-                route.changed = True
-                broke = True
-                if fast:
-                    i = self._epos.get(route.dst)
-                    if i is not None:
-                        self._entries[i] = (route.dst, INFINITY, route.seq)
-                    if route.dst < len(self._seq_by_dst):
-                        self._seq_by_dst[route.dst] = route.seq
-                        self._metric_by_dst[route.dst] = INFINITY
-                    if route.dst < len(self._seq_np):
-                        self._seq_np[route.dst] = route.seq
-                        self._met_np[route.dst] = INFINITY
-                    self._changed.add(route.dst)
+        broken = np.flatnonzero(
+            (self._next_hop == next_hop) & (self._metric < INFINITY)
+        )
+        if len(broken):
+            self._metric[broken] = INFINITY
+            self._seq[broken] += 1  # odd: flagged by the destination's owner rule
+            self._changed[broken] = True
         # Purge queued packets toward the dead neighbor: without a valid
         # route they would only burn retries. DSDV has no discovery to
         # fall back on, so the failed packet and every purged data
@@ -502,5 +334,5 @@ class Dsdv(RoutingProtocol):
                 self.stats.drops_link += 1
                 if self._flight is not None:
                     self._flight.drop(pkt, DropReason.LINK_LOST, self.addr)
-        if broke:
+        if len(broken):
             self._schedule_trigger()

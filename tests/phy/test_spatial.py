@@ -1,5 +1,7 @@
 """Spatial index correctness against brute force."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,3 +69,44 @@ def test_property_matches_brute_force(seed, n, radius, cell):
     idx = SpatialIndex(cell_size=cell)
     idx.rebuild(pos)
     assert set(idx.query_radius(qx, qy, radius)) == brute(pos, qx, qy, radius)
+
+
+def per_point_reference(idx, x, y, radius):
+    """The scalar statement of ``query_radius``: walk the touched cells
+    in ``(kx, ky)`` order and each bucket in its own order, testing one
+    point at a time. Its result *list* is the contract, not just the set:
+    fan-out order feeds the channel's ``(time, seq)`` tie-breaks."""
+    c = idx.cell_size
+    pos = idx._positions
+    out = []
+    for kx in range(math.floor((x - radius) / c), math.floor((x + radius) / c) + 1):
+        for ky in range(math.floor((y - radius) / c), math.floor((y + radius) / c) + 1):
+            for i in idx._cells.get((kx, ky), ()):
+                dx = pos[i, 0] - x
+                dy = pos[i, 1] - y
+                if dx * dx + dy * dy <= radius * radius:
+                    out.append(i)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 200),
+    radius=st.floats(min_value=1.0, max_value=600.0),
+    cell=st.floats(min_value=10.0, max_value=500.0),
+)
+def test_result_order_matches_per_point_reference(seed, n, radius, cell):
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, 1500.0, size=(n, 2))
+    idx = SpatialIndex(cell_size=cell)
+    idx.rebuild(pos)
+    # Several updates that carry points across cell borders, so buckets
+    # are no longer in ascending-id order.
+    for _ in range(4):
+        x, y = pos[rng.integers(n)]
+        assert idx.query_radius(x, y, radius) == per_point_reference(idx, x, y, radius)
+        pos = np.clip(pos + rng.normal(0.0, cell / 2, size=(n, 2)), 0.0, 1500.0)
+        idx.update(pos)
+    x, y = rng.uniform(0.0, 1500.0, size=2)
+    assert idx.query_radius(x, y, radius) == per_point_reference(idx, x, y, radius)

@@ -12,6 +12,11 @@ and the batched PHY arrival engine (``MANETSIM_LEGACY_PHY=1`` selects
 the per-pair reference reception path).
 """
 
+import dataclasses
+import hashlib
+import json
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,9 +82,11 @@ def test_vectorized_matches_legacy_end_to_end(protocol, monkeypatch):
 def test_routing_fast_path_matches_legacy(protocol, monkeypatch):
     """Full-scenario A/B: routing fast path vs legacy, same seed.
 
-    The control-plane fast path (incremental DSDV dumps, LinkCache
-    memoization, seen-set dedup, packet pooling) must be invisible in
-    the results: only perf counters may differ between the two runs.
+    The control-plane fast path (LinkCache memoization, seen-set dedup,
+    packet pooling) must be invisible in the results: only perf
+    counters may differ between the two runs. DSDV has a single
+    implementation, so its case only proves the packet pool is
+    invisible; its behaviour is pinned by ``test_dsdv_golden_digest``.
     """
     cfg = ScenarioConfig(protocol=protocol, seed=7, **SMALL)
 
@@ -630,3 +637,65 @@ def test_sharded_property_random_topologies(n_nodes, seed, protocol, n_shards):
     assert sharded == single
     for fid, flow in sharded.flows.items():
         assert flow.delays == single.flows[fid].delays
+
+
+# ---------------------------------------------------------------------
+# DSDV golden digests
+# ---------------------------------------------------------------------
+# DSDV has one implementation (column-array table, no legacy twin), so
+# its behaviour is pinned by digests recorded at the last commit that
+# still had the per-entry twin (242138d) instead of by an A/B run.
+
+_DSDV_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden_dsdv.json").read_text()
+)
+
+
+def _summary_digest(summary) -> str:
+    """sha256 of the canonical summary: results and per-flow delays,
+    engine-side fields (perf counters, profile, flight report) left out."""
+    fields = dataclasses.asdict(summary)
+    for engine_side in ("perf", "profile", "flight"):
+        fields.pop(engine_side, None)
+    return hashlib.sha256(
+        json.dumps(fields, sort_keys=True).encode()
+    ).hexdigest()
+
+
+def _dsdv_golden_run(case: str):
+    from repro.faults.plan import FaultPlanConfig
+    from repro.shard import run_sharded
+
+    if case == "small_plain":
+        return run_scenario(ScenarioConfig(protocol="dsdv", seed=7, **SMALL))
+    if case == "small_faulted":
+        return run_scenario(ScenarioConfig(
+            protocol="dsdv", seed=11,
+            faults=FaultPlanConfig(churn_rate=0.04, mean_downtime=3.0,
+                                   link_loss=0.08),
+            **SMALL,
+        ))
+    if case == "islands_2_shards":
+        return run_sharded(
+            _island_cfg("dsdv", n_nodes=120, seed=13), 2, exec_mode="inline"
+        )
+    if case == "field_300":
+        # 300 mobile nodes: above the channel's grid threshold, and low
+        # node ids keep learning higher ones, so the columns regrow.
+        return run_scenario(ScenarioConfig(
+            protocol="dsdv", seed=5, n_nodes=300,
+            field_size=(3000.0, 1000.0), duration=2.0, n_connections=10,
+            traffic_start_window=(0.0, 1.0),
+        ))
+    raise KeyError(case)
+
+
+@pytest.mark.parametrize("case", sorted(_DSDV_GOLDEN))
+def test_dsdv_golden_digest(case, monkeypatch):
+    if case == "islands_2_shards":
+        monkeypatch.setenv("MANETSIM_SHARD_STRICT", "1")
+        # The shard mask hooks into the batched PHY engine.
+        monkeypatch.delenv("MANETSIM_LEGACY_PHY", raising=False)
+    summary = _dsdv_golden_run(case)
+    assert summary.data_sent > 0
+    assert _summary_digest(summary) == _DSDV_GOLDEN[case]
