@@ -10,12 +10,21 @@ Topology: 150 static nodes on a dense grid, every node within carrier
 sense of dozens of others, sources striding across the field so both
 the quiet-channel fast path and the interference ledger's general path
 are exercised.
+
+The two ``test_perf_fanout_miss_*`` rows time what happens *before* that
+pipeline when the memo misses: one ``Channel._build_targets_batched``
+call on a moving field, 25 sources per 5 ms position epoch (the miss
+density of a 1000-node AODV flood), so the snapshot and the grid update
+are paid once per 25 calls as they are in a run.
 """
 
+import itertools
+
 from repro.core import Simulator
+from repro.core.rng import RngStreams
 from repro.mac.base import MacLayer
 from repro.mac.frames import Frame, FrameType
-from repro.mobility import Field, MobilityManager
+from repro.mobility import Field, MobilityManager, RandomWaypoint
 from repro.mobility.static import grid_placement
 from repro.net.packet import BROADCAST
 from repro.phy import WAVELAN_914MHZ, Channel, Radio, TwoRayGround
@@ -84,3 +93,35 @@ def test_perf_phy_arrivals_legacy(benchmark):
     # and property tests; here we only require the same non-trivial
     # workload ran.
     assert received == _run(True)
+
+
+def _miss_bench(benchmark, n_nodes: int, field: Field) -> None:
+    sim = Simulator(seed=3)
+    streams = RngStreams(3)
+    mobility = MobilityManager([
+        RandomWaypoint(field, streams.stream(f"m{i}"), max_speed=20.0)
+        for i in range(n_nodes)
+    ])
+    channel = Channel(sim, mobility, TwoRayGround(), WAVELAN_914MHZ,
+                      position_quantum=0.005)
+    for nid in range(n_nodes):
+        channel.attach(Radio(sim, nid, WAVELAN_914MHZ))
+    calls = itertools.count(1)
+
+    def miss():
+        k = next(calls)
+        return channel._build_targets_batched(
+            (k * 37) % n_nodes, 1.0 + (k // 25) * 0.005
+        )
+
+    assert len(benchmark(miss).ids_list) > 0
+
+
+def test_perf_fanout_miss_dense(benchmark):
+    """Memo miss on the paper's field: 50 nodes, every node a candidate."""
+    _miss_bench(benchmark, 50, Field(1500.0, 300.0))
+
+
+def test_perf_fanout_miss_grid(benchmark):
+    """Memo miss behind the spatial grid: 1000 nodes on 44 cells."""
+    _miss_bench(benchmark, 1000, Field(6000.0, 2000.0))

@@ -74,6 +74,15 @@ class MobilityManager:
         self._linear = np.ones(n, dtype=bool)
         self._scalar_idx: List[int] = []
         self._frac = np.empty(n, dtype=np.float64)
+        #: Time until which no position can change: the earliest
+        #: ``seg_t1`` while every published segment is a pause
+        #: (``dp == 0``), else -inf. Pinned and scalar rows publish
+        #: ``seg_t1 = -inf`` and the legacy loop publishes nothing, so
+        #: both read -inf here. Inside ``[snapshot time, static_until)``
+        #: the fused expression is ``p0 + frac * 0 == p0`` for every row
+        #: and every ``frac``, so ``positions`` returns its snapshot and
+        #: the channel keeps fan-out memo entries built from it.
+        self.static_until = -math.inf
 
     def __len__(self) -> int:
         return len(self.models)
@@ -84,9 +93,12 @@ class MobilityManager:
         """``(N, 2)`` array of node positions at time *t*.
 
         The returned array is the internal cache — callers must not
-        mutate it.
+        mutate it. It is re-evaluated for every new *t* except inside
+        the :attr:`static_until` window, where it cannot have changed.
         """
-        if self._cache_valid and t == self._cache_t:
+        if self._cache_valid and (
+            t == self._cache_t or self._cache_t < t < self.static_until
+        ):
             return self._cache
         prof = self.profiler
         if prof is not None:
@@ -181,6 +193,9 @@ class MobilityManager:
             seg_p0[i, 1] = y0
             seg_dp[i, 0] = x1 - x0
             seg_dp[i, 1] = y1 - y0
+        self.static_until = (
+            -math.inf if seg_dp.any() else float(seg_t1.min())
+        )
         if self.perf is not None:
             self.perf.segment_refreshes += refreshed
 
@@ -209,6 +224,7 @@ class MobilityManager:
         timestamp; every row is re-fetched on the next ``positions()``.
         """
         self._cache_valid = False
+        self.static_until = -math.inf
         self._seg_t1.fill(-math.inf)
         self._linear.fill(True)
         self._scalar_idx.clear()

@@ -113,11 +113,13 @@ class Channel:
         Node count above which the spatial grid is used for candidate
         pruning instead of brute-force vectorized distances.
     fanout_cache:
-        Memoize the eligible-receiver set and power vector per
-        ``(src, sample time)``, so the RTS/CTS/DATA/ACK burst of one
-        exchange computes geometry once. Positions are pure functions
-        of time (analytic trajectories), so the memo is exact — results
-        are bit-identical with the cache on or off.
+        Memoize the eligible-receiver set and power vector per source,
+        so the RTS/CTS/DATA/ACK burst of one exchange computes geometry
+        once. An entry serves its own sample time, and later ones for
+        as long as the mobility manager vouches that nothing moves
+        (``MobilityManager.static_until``). Positions are pure
+        functions of time (analytic trajectories), so the memo is
+        exact — results are bit-identical with the cache on or off.
     position_quantum:
         Geometry sample period (s). Transmissions sample node positions
         at ``floor(now / q) * q`` — the *position epoch* — instead of
@@ -163,6 +165,9 @@ class Channel:
         #: survivors, so results cannot change — the prefilter only
         #: shrinks the vectors the model math runs on.
         self._prefilter_d2 = (self._max_range * 1.001) ** 2
+        #: The grid path's radius test, ``d2 <= r * r`` (what
+        #: ``SpatialIndex.query_radius`` applies on the per-pair path).
+        self._range_d2 = self._max_range * self._max_range
         #: Below this node count, fan-out uses the scalar power loop.
         self._scalar_threshold = 32
         self._pts_time = -1.0
@@ -170,7 +175,13 @@ class Channel:
         self._pts_y: Optional[list] = None
         self._fanout_cache = fanout_cache
         self._quantum = position_quantum
-        #: src id -> (sample time, eligible ids, powers aligned with them).
+        #: src id -> ``(sample time, targets, valid until)``: *targets*
+        #: is the engine's fan-out (a ``_BatchTargets``, or the per-pair
+        #: ``[(radio, power)]`` list) built from the position snapshot
+        #: at *sample time*; *valid until* is the mobility manager's
+        #: ``static_until`` read right after that snapshot. The entry is
+        #: a hit at its own epoch and at any later one before
+        #: *valid until* (-inf while anything moves).
         self._memo: dict = {}
         #: Batched arrival engine (see :meth:`enable_batched`). Off by
         #: default: direct ``build_network`` users (unit tests that
@@ -318,25 +329,7 @@ class Channel:
         channel transmit counters and the sender's ``_transmit_done``
         belong there, so neither happens here.
         """
-        q = self._quantum
-        now = self.sim._now
-        tq = now if q <= 0.0 else int(now / q) * q
-        perf = self.perf
-        if self._fanout_cache:
-            hit = self._memo.get(src_id)
-            if hit is not None and hit[0] == tq:
-                targets = hit[1]
-                if perf is not None:
-                    perf.fanout_cache_hits += 1
-            else:
-                targets = self._build_targets_batched(src_id, tq)
-                self._memo[src_id] = (tq, targets)
-                if perf is not None:
-                    perf.fanout_cache_misses += 1
-        else:
-            targets = self._build_targets_batched(src_id, tq)
-            if perf is not None:
-                perf.fanout_cache_misses += 1
+        targets = self._targets(src_id, self._build_targets_batched)
         self._fan_out_batched(None, frame, duration, targets)
 
     def flush_phy_stats(self) -> None:
@@ -352,36 +345,41 @@ class Channel:
 
     def transmit(self, src: Radio, frame: Frame, duration: float) -> None:
         """Fan *frame* out from *src* to every detectable receiver."""
+        self.stats.transmissions += 1
+        self.stats.airtime += duration
+        batched = self._batched
+        targets = self._targets(
+            src.node_id,
+            self._build_targets_batched if batched else self._build_targets,
+        )
+        if batched:
+            self._fan_out_batched(src, frame, duration, targets)
+        else:
+            self._fan_out(src, frame, duration, targets)
+
+    def _targets(self, src_id: int, build):
+        """Memoized fan-out of *src_id* at the current position epoch."""
         q = self._quantum
         now = self.sim._now
         # Position epoch: geometry is sampled on a quantized clock so
         # consecutive frames of one exchange share a snapshot.
         tq = now if q <= 0.0 else int(now / q) * q
-        self.stats.transmissions += 1
-        self.stats.airtime += duration
-        src_id = src.node_id
         perf = self.perf
-        batched = self._batched
-        build = self._build_targets_batched if batched else self._build_targets
         if self._fanout_cache:
             hit = self._memo.get(src_id)
-            if hit is not None and hit[0] == tq:
-                targets = hit[1]
+            # Simulation time never runs backwards, so an entry is only
+            # ever asked about its own epoch or a later one.
+            if hit is not None and (hit[0] == tq or tq < hit[2]):
                 if perf is not None:
                     perf.fanout_cache_hits += 1
-            else:
-                targets = build(src_id, tq)
-                self._memo[src_id] = (tq, targets)
-                if perf is not None:
-                    perf.fanout_cache_misses += 1
+                return hit[1]
+            targets = build(src_id, tq)
+            self._memo[src_id] = (tq, targets, self.mobility.static_until)
         else:
             targets = build(src_id, tq)
-            if perf is not None:
-                perf.fanout_cache_misses += 1
-        if batched:
-            self._fan_out_batched(src, frame, duration, targets)
-        else:
-            self._fan_out(src, frame, duration, targets)
+        if perf is not None:
+            perf.fanout_cache_misses += 1
+        return targets
 
     def _build_targets(self, src_id: int, tq: float) -> list:
         """Fan-out list for *src_id* at sample time *tq*.
@@ -413,14 +411,19 @@ class Channel:
             append((radio, p))
         return targets
 
-    def _build_targets_batched(self, src_id: int, tq: float):
+    def _build_targets_batched(self, src_id: int, tq: float) -> _BatchTargets:
         """Array-form fan-out memo entry for the batched engine.
 
-        Returns ``(ids, powers, dec)``: receiver node ids (the source
-        excluded), their receive powers, and the precomputed
-        decode-sensitivity mask ``powers >= rx_threshold``. Same
-        geometry, same float64 expressions as :meth:`_build_targets` —
-        only the container differs.
+        One pass from the position snapshot to the entry: candidate ids
+        (every node, or above ``grid_threshold`` the grid's cached cell
+        block in bucket order), one squared-distance vector, the radius
+        mask with the source struck out, the path-loss model on the
+        survivors, and the exact ``power >= cs_threshold`` mask. At or
+        below ``_scalar_threshold`` nodes the scalar loop feeds the
+        entry instead. Every mask and float64 expression is the one
+        :meth:`_build_targets` evaluates for the same pair, so ids (in
+        order) and powers are bit-equal to the per-pair list — only
+        the container differs.
         """
         prof = self.profiler
         if prof is not None:
@@ -432,21 +435,51 @@ class Channel:
         return self._build_targets_batched_inner(src_id, tq)
 
     def _build_targets_batched_inner(self, src_id: int, tq: float):
-        eligible, powers = self._compute_fanout(src_id, tq)
-        ids = np.asarray(eligible, dtype=np.intp)
-        pw = np.asarray(powers, dtype=np.float64)
-        keep = ids != src_id
+        positions = self.mobility.positions(tq)
+        n = len(positions)
+        if n <= self._scalar_threshold:
+            eligible, powers = self._scalar_fanout(positions, src_id, tq)
+            if src_id in eligible:
+                at = eligible.index(src_id)
+                del eligible[at], powers[at]
+            return self._batch_targets(
+                np.array(eligible, dtype=np.intp),
+                np.array(powers, dtype=np.float64),
+            )
+        sx = positions[src_id, 0]
+        sy = positions[src_id, 1]
+        if n > self._grid_threshold:
+            self._sync_grid(positions, tq)
+            cand = self._grid.candidates(sx, sy, self._max_range)
+            dx = positions[cand, 0] - sx
+            dy = positions[cand, 1] - sy
+            d2 = dx * dx + dy * dy
+            near = d2 <= self._range_d2
+            near &= cand != src_id
+            ids = cand[near]
+        else:
+            dx = positions[:, 0] - sx
+            dy = positions[:, 1] - sy
+            d2 = dx * dx + dy * dy
+            near = d2 <= self._prefilter_d2
+            near[src_id] = False
+            ids = np.flatnonzero(near)
+        params = self.params
+        pw = self.propagation.rx_power_d2_vec(params.tx_power, d2[near])
+        keep = pw >= params.cs_threshold
+        return self._batch_targets(ids[keep], pw[keep])
+
+    def _batch_targets(self, ids, pw) -> _BatchTargets:
+        params = self.params
         owned = self._shard_owned
         if owned is None:
-            return _BatchTargets(ids[keep], pw[keep], self.params.rx_threshold)
+            return _BatchTargets(ids, pw, params.rx_threshold)
         # Sharded: deliver locally only to owned receivers; remember
         # which shards own the rest so the driver can forward border
         # transmissions. The split happens at memo build time, so a
-        # static field pays it once per (src, epoch).
-        ids = ids[keep]
-        pw = pw[keep]
+        # static field pays it once per source.
         local = owned[ids]
-        bt = _BatchTargets(ids[local], pw[local], self.params.rx_threshold)
+        bt = _BatchTargets(ids[local], pw[local], params.rx_threshold)
         foreign = ids[~local]
         if foreign.shape[0]:
             bt.remote_shards = tuple(
@@ -457,40 +490,20 @@ class Channel:
     def _compute_fanout(self, src_id: int, tq: float):
         """Eligible receiver ids and their rx powers at sample time *tq*.
 
-        Returns two parallel Python lists. Below ``_scalar_threshold``
-        nodes a plain loop over :meth:`rx_power_d2` runs — NumPy
-        dispatch costs more than the arithmetic at that size. Both
-        forms evaluate identical float64 expressions, so the choice of
-        path never changes results.
+        Returns two parallel Python lists, the source included. This is
+        the per-pair engine's geometry (list in, list out, the grid's
+        own ``query_radius``), and the reference the batched engine's
+        single array pass is tested against.
         """
         positions = self.mobility.positions(tq)
         n = len(positions)
         if n <= self._scalar_threshold:
-            if self._pts_time != tq:
-                self._pts_x = positions[:, 0].tolist()
-                self._pts_y = positions[:, 1].tolist()
-                self._pts_time = tq
-            xs = self._pts_x
-            ys = self._pts_y
-            sx = xs[src_id]
-            sy = ys[src_id]
-            tx_power = self.params.tx_power
-            cs = self.params.cs_threshold
-            rxp = self.propagation.rx_power_d2
-            eligible = []
-            powers = []
-            for i in range(n):
-                dx = xs[i] - sx
-                dy = ys[i] - sy
-                p = rxp(tx_power, dx * dx + dy * dy)
-                if p >= cs:
-                    eligible.append(i)
-                    powers.append(p)
-            return eligible, powers
+            return self._scalar_fanout(positions, src_id, tq)
         sx = positions[src_id, 0]
         sy = positions[src_id, 1]
         if n > self._grid_threshold:
-            candidates = self._grid_candidates(positions, tq, sx, sy)
+            self._sync_grid(positions, tq)
+            candidates = self._grid.query_radius(sx, sy, self._max_range)
             idx = np.asarray(candidates, dtype=np.intp)
             dx = positions[idx, 0] - sx
             dy = positions[idx, 1] - sy
@@ -512,7 +525,38 @@ class Channel:
         keep = powers >= self.params.cs_threshold
         return near[keep].tolist(), powers[keep].tolist()
 
-    def _grid_candidates(self, positions, tq, sx, sy):
+    def _scalar_fanout(self, positions, src_id: int, tq: float):
+        """:meth:`_compute_fanout` as a plain loop over :meth:`rx_power_d2`.
+
+        Both engines use it at or below ``_scalar_threshold`` nodes,
+        where NumPy dispatch costs more than the arithmetic. It
+        evaluates the same float64 expressions as the array forms, so
+        the choice of path never changes results.
+        """
+        if self._pts_time != tq:
+            self._pts_x = positions[:, 0].tolist()
+            self._pts_y = positions[:, 1].tolist()
+            self._pts_time = tq
+        xs = self._pts_x
+        ys = self._pts_y
+        sx = xs[src_id]
+        sy = ys[src_id]
+        tx_power = self.params.tx_power
+        cs = self.params.cs_threshold
+        rxp = self.propagation.rx_power_d2
+        eligible = []
+        powers = []
+        for i in range(len(xs)):
+            dx = xs[i] - sx
+            dy = ys[i] - sy
+            p = rxp(tx_power, dx * dx + dy * dy)
+            if p >= cs:
+                eligible.append(i)
+                powers.append(p)
+        return eligible, powers
+
+    def _sync_grid(self, positions, tq) -> None:
+        """Bring the spatial grid to the snapshot of epoch *tq*."""
         perf = self.perf
         if self._grid is None:
             self._grid = SpatialIndex(cell_size=self._max_range)
@@ -525,7 +569,6 @@ class Channel:
             self._grid_time = tq
             if perf is not None:
                 perf.grid_incremental_updates += 1
-        return self._grid.query_radius(sx, sy, self._max_range)
 
     def _fan_out(
         self, src: Radio, frame: Frame, duration: float, targets: list

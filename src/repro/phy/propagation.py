@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..core.errors import ConfigurationError
 from ..core.units import SPEED_OF_LIGHT
 
@@ -35,22 +37,20 @@ class PropagationModel:
         """Received power (W) at *distance* meters for *tx_power* watts."""
         raise NotImplementedError
 
-    def rx_power_vec(self, tx_power: float, distances) -> "np.ndarray":
+    def rx_power_vec(self, tx_power: float, distances) -> np.ndarray:
         """Vectorized :meth:`rx_power` over a NumPy array of distances.
 
         The base implementation loops; hot models override it with
         closed-form NumPy expressions (the channel calls this once per
         transmission).
         """
-        import numpy as np
-
         d = np.asarray(distances, dtype=np.float64)
         out = np.empty_like(d)
         for i, di in enumerate(d.ravel()):
             out.flat[i] = self.rx_power(tx_power, float(di))
         return out
 
-    def rx_power_d2_vec(self, tx_power: float, d2) -> "np.ndarray":
+    def rx_power_d2_vec(self, tx_power: float, d2) -> np.ndarray:
         """Vectorized received power from *squared* distances.
 
         The channel's fan-out works from ``dx² + dy²`` directly; models
@@ -59,8 +59,6 @@ class PropagationModel:
         root entirely. The base implementation takes the root and
         defers to :meth:`rx_power_vec`.
         """
-        import numpy as np
-
         return self.rx_power_vec(tx_power, np.sqrt(np.asarray(d2, dtype=np.float64)))
 
     def rx_power_d2(self, tx_power: float, d2: float) -> float:
@@ -134,8 +132,6 @@ class FreeSpace(PropagationModel):
         )
 
     def rx_power_d2_vec(self, tx_power: float, d2):
-        import numpy as np
-
         d2 = np.asarray(d2, dtype=np.float64)
         safe = np.where(d2 > 0.0, d2, 1.0)
         out = (tx_power * self._d2_coeff) / safe
@@ -192,15 +188,20 @@ class TwoRayGround(PropagationModel):
         )
 
     def rx_power_vec(self, tx_power: float, distances):
-        import numpy as np
-
         d = np.asarray(distances, dtype=np.float64)
         return self.rx_power_d2_vec(tx_power, d * d)
 
     def rx_power_d2_vec(self, tx_power: float, d2):
-        import numpy as np
-
         d2 = np.asarray(d2, dtype=np.float64)
+        if d2.size and d2.min() > 0.0:
+            # No co-located pair (the channel excludes the source
+            # before calling): the d2 <= 0 guard below selects nothing,
+            # so the same two quotients go through one ``where``.
+            return np.where(
+                d2 < self._cross2,
+                (tx_power * self._friis._d2_coeff) / d2,
+                (tx_power * self._d4_coeff) / (d2 * d2),
+            )
         safe = np.where(d2 > 0.0, d2, 1.0)
         friis = (tx_power * self._friis._d2_coeff) / safe
         tworay = (tx_power * self._d4_coeff) / (safe * safe)
@@ -260,14 +261,10 @@ class UnitDisk(PropagationModel):
         return tx_power if distance <= self.radius else 0.0
 
     def rx_power_vec(self, tx_power: float, distances):
-        import numpy as np
-
         d = np.asarray(distances, dtype=np.float64)
         return np.where(d <= self.radius, tx_power, 0.0)
 
     def rx_power_d2_vec(self, tx_power: float, d2):
-        import numpy as np
-
         d2 = np.asarray(d2, dtype=np.float64)
         return np.where(d2 <= self.radius * self.radius, tx_power, 0.0)
 

@@ -38,6 +38,9 @@ class SpatialIndex:
         self._positions: np.ndarray | None = None
         self._keys_x: np.ndarray | None = None
         self._keys_y: np.ndarray | None = None
+        #: ``candidates`` results keyed by touched cell block; dropped
+        #: whenever a bucket changes.
+        self._blocks: Dict[Tuple[int, int, int, int], np.ndarray] = {}
 
     def _key(self, x: float, y: float) -> Tuple[int, int]:
         c = self.cell_size
@@ -46,6 +49,7 @@ class SpatialIndex:
     def rebuild(self, positions: np.ndarray) -> None:
         """Re-bin every point; *positions* is an ``(N, 2)`` array."""
         self._cells.clear()
+        self._blocks.clear()
         self._positions = positions
         c = self.cell_size
         keys_x = np.floor(positions[:, 0] / c).astype(np.int64)
@@ -74,6 +78,8 @@ class SpatialIndex:
         changed = np.nonzero((keys_x != self._keys_x) | (keys_y != self._keys_y))[0]
         cells = self._cells
         old_x, old_y = self._keys_x, self._keys_y
+        if changed.size:
+            self._blocks.clear()
         for i in changed.tolist():
             old_key = (int(old_x[i]), int(old_y[i]))
             bucket = cells.get(old_key)
@@ -87,34 +93,58 @@ class SpatialIndex:
         self._positions = positions
         return int(changed.size)
 
-    def query_radius(self, x: float, y: float, radius: float) -> List[int]:
-        """Indices of points within *radius* of ``(x, y)``.
-
-        Exact (not candidate) result: distances are verified against the
-        stored positions.
-        """
+    def _block(self, x: float, y: float, radius: float):
+        """The cell range ``(kx0, kx1, ky0, ky1)`` a *radius* query
+        around ``(x, y)`` touches."""
         if self._positions is None:
             raise ConfigurationError("query before rebuild()")
         if radius < 0:
             raise ConfigurationError(f"radius must be >= 0, got {radius}")
         c = self.cell_size
-        kx0 = math.floor((x - radius) / c)
-        kx1 = math.floor((x + radius) / c)
-        ky0 = math.floor((y - radius) / c)
-        ky1 = math.floor((y + radius) / c)
-        # Gather candidates bucket by bucket, then verify them in one
-        # array pass. Mask selection keeps bucket order, which feeds the
-        # channel's (time, seq) tie-breaks and so is part of the contract.
-        candidates: List[int] = []
+        return (
+            math.floor((x - radius) / c),
+            math.floor((x + radius) / c),
+            math.floor((y - radius) / c),
+            math.floor((y + radius) / c),
+        )
+
+    def _walk(self, block) -> List[int]:
+        """Ids in *block*, in bucket order: cells in ``(kx, ky)`` order,
+        each bucket in its own order. That order feeds the channel's
+        ``(time, seq)`` tie-breaks and so is part of the contract."""
+        kx0, kx1, ky0, ky1 = block
+        ids: List[int] = []
         cells = self._cells
         for kx in range(kx0, kx1 + 1):
             for ky in range(ky0, ky1 + 1):
                 bucket = cells.get((kx, ky))
                 if bucket:
-                    candidates += bucket
-        if not candidates:
-            return candidates
-        idx = np.array(candidates, dtype=np.intp)
+                    ids += bucket
+        return ids
+
+    def candidates(self, x: float, y: float, radius: float) -> np.ndarray:
+        """Ids in the cells a *radius* query around ``(x, y)`` touches.
+
+        An ``intp`` array in bucket order, unverified against the
+        radius. It is cached per touched cell block (3 x 3 when
+        *radius* is the cell size) until a point changes cell; callers
+        must not mutate it.
+        """
+        block = self._block(x, y, radius)
+        hit = self._blocks.get(block)
+        if hit is None:
+            hit = self._blocks[block] = np.array(self._walk(block), dtype=np.intp)
+        return hit
+
+    def query_radius(self, x: float, y: float, radius: float) -> List[int]:
+        """Indices of points within *radius* of ``(x, y)``, in bucket order.
+
+        Exact (not candidate) result: the touched buckets are walked
+        afresh (never answered from the ``candidates`` cache, which
+        tests check against this) and distances verified against the
+        stored positions in one array pass.
+        """
+        idx = np.array(self._walk(self._block(x, y, radius)), dtype=np.intp)
         near = self._positions[idx]
         dx = near[:, 0] - x
         dy = near[:, 1] - y

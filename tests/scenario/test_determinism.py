@@ -18,7 +18,7 @@ import json
 import pathlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.rng import RngStreams
@@ -383,14 +383,48 @@ class TestObservabilityDeterminism:
         )
 
 
+#: Node counts for the two engine-equivalence properties below: small
+#: fields (the channel's scalar fan-out loop), plus one count above
+#: ``Channel._scalar_threshold`` and one above ``grid_threshold`` so
+#: the vector and grid miss paths are compared end to end as well.
+_AB_NODE_COUNTS = st.one_of(
+    st.integers(min_value=5, max_value=14), st.sampled_from([40, 140])
+)
+
+
+def _ab_cfg(n_nodes, seed, protocol):
+    small = n_nodes <= 14
+    return ScenarioConfig(
+        protocol=protocol,
+        n_nodes=n_nodes,
+        field_size=(500.0, 300.0) if small else (17.0 * n_nodes, 4.0 * n_nodes),
+        duration=8.0 if small else 2.0,
+        n_connections=min(3, n_nodes - 1),
+        traffic_start_window=(0.0, 2.0 if small else 0.5),
+        seed=seed,
+    )
+
+
+def _assume_on_air(summary):
+    """Reject draws that never transmit: a DSDV field whose first dumps
+    (uniform over the 15 s update interval) all fall after the run has
+    no routes, so nothing reaches the channel and there is nothing for
+    the engines to agree on (n_nodes=5 seed=5 is one, pinned below)."""
+    perf = summary.perf
+    assume(perf["fanout_cache_hits"] + perf["fanout_cache_misses"] > 0)
+
+
 @given(
-    n_nodes=st.integers(min_value=5, max_value=14),
+    n_nodes=_AB_NODE_COUNTS,
     seed=st.integers(min_value=0, max_value=2**20),
     protocol=st.sampled_from(["aodv", "dsdv", "dsr"]),
 )
+@example(n_nodes=5, seed=5, protocol="dsdv")
+@example(n_nodes=40, seed=1, protocol="aodv")
+@example(n_nodes=140, seed=1, protocol="dsdv")
 @settings(max_examples=10, deadline=None)
 def test_batched_phy_property_random_topologies(n_nodes, seed, protocol):
-    """Property: batched ≡ legacy PHY on arbitrary small topologies.
+    """Property: batched ≡ legacy PHY on arbitrary topologies.
 
     Hypothesis drives node count, seed, and protocol; every example
     must produce bit-identical summaries and per-flow delay lists
@@ -399,15 +433,7 @@ def test_batched_phy_property_random_topologies(n_nodes, seed, protocol):
     """
     import os
 
-    cfg = ScenarioConfig(
-        protocol=protocol,
-        n_nodes=n_nodes,
-        field_size=(500.0, 300.0),
-        duration=8.0,
-        n_connections=min(3, n_nodes - 1),
-        traffic_start_window=(0.0, 2.0),
-        seed=seed,
-    )
+    cfg = _ab_cfg(n_nodes, seed, protocol)
     saved = os.environ.pop("MANETSIM_LEGACY_PHY", None)
     try:
         fast = run_scenario(cfg)
@@ -419,6 +445,7 @@ def test_batched_phy_property_random_topologies(n_nodes, seed, protocol):
         else:
             os.environ["MANETSIM_LEGACY_PHY"] = saved
 
+    _assume_on_air(fast)
     assert fast.perf["phy_batch_arrivals"] > 0
     assert legacy.perf["phy_batch_arrivals"] == 0
     assert fast == legacy
@@ -428,13 +455,16 @@ def test_batched_phy_property_random_topologies(n_nodes, seed, protocol):
 
 
 @given(
-    n_nodes=st.integers(min_value=5, max_value=14),
+    n_nodes=_AB_NODE_COUNTS,
     seed=st.integers(min_value=0, max_value=2**20),
     protocol=st.sampled_from(["aodv", "dsdv", "dsr"]),
 )
+@example(n_nodes=5, seed=5, protocol="dsdv")
+@example(n_nodes=40, seed=1, protocol="dsr")
+@example(n_nodes=140, seed=1, protocol="aodv")
 @settings(max_examples=10, deadline=None)
 def test_dcf_arena_property_random_topologies(n_nodes, seed, protocol):
-    """Property: arena ≡ legacy DCF on arbitrary small topologies.
+    """Property: arena ≡ legacy DCF on arbitrary topologies.
 
     Hypothesis drives node count, seed, and protocol; every example
     must produce bit-identical summaries and per-flow delay lists
@@ -443,15 +473,7 @@ def test_dcf_arena_property_random_topologies(n_nodes, seed, protocol):
     """
     import os
 
-    cfg = ScenarioConfig(
-        protocol=protocol,
-        n_nodes=n_nodes,
-        field_size=(500.0, 300.0),
-        duration=8.0,
-        n_connections=min(3, n_nodes - 1),
-        traffic_start_window=(0.0, 2.0),
-        seed=seed,
-    )
+    cfg = _ab_cfg(n_nodes, seed, protocol)
     saved = os.environ.pop("MANETSIM_LEGACY_DCF", None)
     saved_phy = os.environ.pop("MANETSIM_LEGACY_PHY", None)
     try:
@@ -466,6 +488,7 @@ def test_dcf_arena_property_random_topologies(n_nodes, seed, protocol):
         if saved_phy is not None:
             os.environ["MANETSIM_LEGACY_PHY"] = saved_phy
 
+    _assume_on_air(fast)
     assert fast.perf["mac_timer_events"] > 0
     assert legacy.perf["mac_timer_events"] == 0
     assert fast == legacy
