@@ -663,14 +663,20 @@ def test_sharded_property_random_topologies(n_nodes, seed, protocol, n_shards):
 
 
 # ---------------------------------------------------------------------
-# DSDV golden digests
+# Golden digests
 # ---------------------------------------------------------------------
-# DSDV has one implementation (column-array table, no legacy twin), so
-# its behaviour is pinned by digests recorded at the last commit that
-# still had the per-entry twin (242138d) instead of by an A/B run.
+# One implementation per layer means no in-process twin to compare
+# against, so behaviour is pinned by committed digests instead:
+# golden.json holds, for each of the paper's five protocols, a plain
+# run, a faulted run, a 2-shard island run and a ``flight_trace`` run
+# (the per-pair PHY + per-node DCF engine), plus DSDV's 300-node field.
+# DSDV's first four were recorded at 242138d (the last commit with its
+# per-entry twin); everything else at d7c9e92, the last commit that
+# still had the MANETSIM_LEGACY_* engines, with every knob combination
+# agreeing.
 
-_DSDV_GOLDEN = json.loads(
-    (pathlib.Path(__file__).parent / "golden_dsdv.json").read_text()
+_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden.json").read_text()
 )
 
 
@@ -685,40 +691,56 @@ def _summary_digest(summary) -> str:
     ).hexdigest()
 
 
-def _dsdv_golden_run(case: str):
+def _golden_run(protocol: str, case: str):
     from repro.faults.plan import FaultPlanConfig
     from repro.shard import run_sharded
 
     if case == "small_plain":
-        return run_scenario(ScenarioConfig(protocol="dsdv", seed=7, **SMALL))
+        return run_scenario(ScenarioConfig(protocol=protocol, seed=7, **SMALL))
     if case == "small_faulted":
         return run_scenario(ScenarioConfig(
-            protocol="dsdv", seed=11,
+            protocol=protocol, seed=11,
             faults=FaultPlanConfig(churn_rate=0.04, mean_downtime=3.0,
                                    link_loss=0.08),
             **SMALL,
         ))
     if case == "islands_2_shards":
         return run_sharded(
-            _island_cfg("dsdv", n_nodes=120, seed=13), 2, exec_mode="inline"
+            _island_cfg(protocol, n_nodes=120, seed=13), 2, exec_mode="inline"
         )
+    if case == "flight_trace":
+        return run_scenario(ScenarioConfig(
+            protocol=protocol, seed=7, flight_trace=True, **SMALL
+        ))
     if case == "field_300":
         # 300 mobile nodes: above the channel's grid threshold, and low
         # node ids keep learning higher ones, so the columns regrow.
         return run_scenario(ScenarioConfig(
-            protocol="dsdv", seed=5, n_nodes=300,
+            protocol=protocol, seed=5, n_nodes=300,
             field_size=(3000.0, 1000.0), duration=2.0, n_connections=10,
             traffic_start_window=(0.0, 1.0),
         ))
     raise KeyError(case)
 
 
-@pytest.mark.parametrize("case", sorted(_DSDV_GOLDEN))
-def test_dsdv_golden_digest(case, monkeypatch):
-    if case == "islands_2_shards":
-        monkeypatch.setenv("MANETSIM_SHARD_STRICT", "1")
-        # The shard mask hooks into the batched PHY engine.
-        monkeypatch.delenv("MANETSIM_LEGACY_PHY", raising=False)
-    summary = _dsdv_golden_run(case)
+def _check_golden(protocol: str, case: str) -> None:
+    summary = _golden_run(protocol, case)
     assert summary.data_sent > 0
-    assert _summary_digest(summary) == _DSDV_GOLDEN[case]
+    if case == "flight_trace":
+        # The run really took the per-pair engine, and observing it
+        # changed nothing: same digest as the batched plain run.
+        assert summary.perf["phy_legacy_arrivals"] > 0
+        assert summary.perf["phy_batch_arrivals"] == 0
+        assert _GOLDEN[protocol][case] == _GOLDEN[protocol]["small_plain"]
+    assert _summary_digest(summary) == _GOLDEN[protocol][case]
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN["dsdv"]))
+def test_dsdv_golden_digest(case):
+    _check_golden("dsdv", case)
+
+
+@pytest.mark.parametrize("protocol", ["dsr", "aodv", "paodv", "cbrp"])
+@pytest.mark.parametrize("case", sorted(_GOLDEN["dsr"]))
+def test_golden_digest(protocol, case):
+    _check_golden(protocol, case)
