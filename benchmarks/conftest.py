@@ -38,18 +38,14 @@ SEED_BASELINE_MEANS = {
     "test_perf_linkcache_get": 5.8616e-3,
     "test_perf_large_scenario": 2.4331,
     # PR-6 benches: means measured at the introducing commit on the
-    # same machine (the batched engine and its per-pair twin are
-    # within noise of each other at these scales; the baseline is the
-    # measured mean, not an aspirational one).
+    # same machine (the baseline is the measured mean, not an
+    # aspirational one).
     "test_perf_phy_arrivals": 104.5e-3,
-    "test_perf_phy_arrivals_legacy": 106.7e-3,
     "test_perf_xlarge_scenario": 3.3628,
-    # PR-7 benches: the baseline for both contention benches is the
-    # legacy engine's mean at the introducing commit (the pre-PR
-    # contention machine), so the arena bench's speedup_vs_seed reads
-    # directly as arena-vs-legacy.
+    # PR-7 bench: the baseline is the per-node DCF engine's mean at
+    # the introducing commit (the pre-PR contention machine), so
+    # speedup_vs_seed reads directly as arena-vs-per-node.
     "test_perf_dcf_contention": 1.2393,
-    "test_perf_dcf_contention_legacy": 1.2393,
     # PR-8 benches: the same 10k-node island field through 4 shard
     # processes and through the single loop, each baselined on its own
     # mean at the introducing commit on the (single-core) reference
@@ -194,24 +190,13 @@ def pytest_sessionfinish(session, exitstatus):
             entry["seed_mean"] = seed_mean
             entry["speedup_vs_seed"] = round(seed_mean / stats.mean, 2)
         payload["benchmarks"][bench.name] = entry
-    # The legacy engines disable the caches/batching entirely; ratios
-    # of 0 there are expected, not a regression, so only the fast
-    # engine records.
-    import os as _os
-
-    if (
-        _os.environ.get("MANETSIM_LEGACY_KINEMATICS") != "1"
-        and _os.environ.get("MANETSIM_LEGACY_PHY") != "1"
-        and _os.environ.get("MANETSIM_LEGACY_DCF") != "1"
-    ):
-        ratios = _measure_hit_ratios()
-        payload["hit_ratios"] = {
-            name: {
-                "ratio": round(value, 4),
-                "baseline": HIT_RATIO_BASELINE[name],
-            }
-            for name, value in ratios.items()
+    payload["hit_ratios"] = {
+        name: {
+            "ratio": round(value, 4),
+            "baseline": HIT_RATIO_BASELINE[name],
         }
+        for name, value in _measure_hit_ratios().items()
+    }
     out = pathlib.Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
 

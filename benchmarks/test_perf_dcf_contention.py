@@ -9,12 +9,8 @@ timers, DIFS/backoff resumes, and end-of-frame medium resolution.
 Topology: ~20 nodes inside a single 200 m × 200 m cell (everyone
 carrier-senses everyone), CBR load well past the cell's capacity so
 the interface queues never drain and every frame end is a resume
-storm. Both engines run the identical scenario; the legacy twin pins
-the per-node ``medium_changed`` path via ``MANETSIM_LEGACY_DCF=1``.
+storm.
 """
-
-import dataclasses
-import os
 
 from repro.scenario import ScenarioConfig, run_scenario
 
@@ -32,42 +28,14 @@ _CFG = dict(
 )
 
 
-def _run(legacy: bool):
-    """One saturated-cell run on the chosen engine (knob restored)."""
-    old = os.environ.get("MANETSIM_LEGACY_DCF")
-    if legacy:
-        os.environ["MANETSIM_LEGACY_DCF"] = "1"
-    else:
-        os.environ.pop("MANETSIM_LEGACY_DCF", None)
-    try:
-        return run_scenario(ScenarioConfig(**_CFG))
-    finally:
-        if old is None:
-            os.environ.pop("MANETSIM_LEGACY_DCF", None)
-        else:
-            os.environ["MANETSIM_LEGACY_DCF"] = old
-
-
-def _comparable(summary) -> dict:
-    d = dataclasses.asdict(summary)
-    d.pop("perf", None)
-    d.pop("profile", None)
-    return d
+def _run():
+    return run_scenario(ScenarioConfig(**_CFG))
 
 
 def test_perf_dcf_contention(benchmark):
     """Arena engine: wheel timers + batched medium-edge resolution."""
-    summary = benchmark.pedantic(_run, args=(False,), rounds=3, iterations=1)
+    summary = benchmark.pedantic(_run, rounds=3, iterations=1)
     assert summary.data_sent > 0
     # The cell is overloaded by construction; if delivery were clean
     # the bench would no longer be measuring contention.
     assert summary.pdr < 0.9
-
-
-def test_perf_dcf_contention_legacy(benchmark):
-    """Per-node reference path on the identical saturated cell."""
-    summary = benchmark.pedantic(_run, args=(True,), rounds=3, iterations=1)
-    assert summary.data_sent > 0
-    # Bit-identity with the arena engine (the determinism suite pins
-    # this across protocols; asserting here keeps the bench honest).
-    assert _comparable(summary) == _comparable(_run(False))

@@ -3,8 +3,7 @@
 ``test_perf_large_scenario`` pays the whole stack; this bench strips
 the MAC and routing layers down to a no-op batch-safe stub so the
 timed region is almost entirely the channel's fan-out resolution and
-end-of-frame batch resolve — the code the batched arrival engine
-(and its ``MANETSIM_LEGACY_PHY=1`` twin) replaces.
+end-of-frame batch resolve — the batched arrival engine.
 
 Topology: 150 static nodes on a dense grid, every node within carrier
 sense of dozens of others, sources striding across the field so both
@@ -50,7 +49,7 @@ class _SinkMac(MacLayer):
         pass
 
 
-def _build(batched: bool):
+def _build():
     sim = Simulator(seed=3)
     field = Field(1200.0, 900.0)
     mobility = MobilityManager(grid_placement(field, N_NODES))
@@ -61,13 +60,12 @@ def _build(batched: bool):
         channel.attach(radio)
         _SinkMac(sim, radio)
         radios.append(radio)
-    if batched:
-        assert channel.enable_batched()
+    assert channel.enable_batched()
     return sim, channel, radios
 
 
-def _run(batched: bool) -> int:
-    sim, channel, radios = _build(batched)
+def _run() -> int:
+    sim, channel, radios = _build()
     # Overlapping broadcasts from striding sources: consecutive frames
     # come from far-apart nodes, so transmissions routinely overlap in
     # time at shared receivers and the interference ledger has work.
@@ -82,17 +80,8 @@ def _run(batched: bool) -> int:
 
 def test_perf_phy_arrivals(benchmark):
     """Batched engine: fan-out + ledger resolve for 400 broadcasts."""
-    received = benchmark(_run, True)
+    received = benchmark(_run)
     assert received > 0
-
-
-def test_perf_phy_arrivals_legacy(benchmark):
-    """Per-pair reference path on the identical workload."""
-    received = benchmark(_run, False)
-    # Outcome parity with the batched engine is asserted in the unit
-    # and property tests; here we only require the same non-trivial
-    # workload ran.
-    assert received == _run(True)
 
 
 def _miss_bench(benchmark, n_nodes: int, field: Field) -> None:

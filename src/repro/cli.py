@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -23,6 +23,7 @@ from .faults.plan import FaultPlanConfig
 from .scenario import PROTOCOLS, ScenarioConfig, run_scenario, run_sweep
 from .scenario.build import build_scenario
 from .scenario.io import load_config, save_config, sweep_to_csv
+from .scenario.options import EngineOptions
 
 __all__ = ["main", "build_parser"]
 
@@ -160,17 +161,17 @@ def cmd_run(args) -> int:
         cfg = cfg.with_(flight=True, flight_trace=bool(args.flight_trace))
     if args.telemetry:
         cfg = cfg.with_(telemetry_interval=args.telemetry_interval)
-    n_shards = args.shards
-    if n_shards is None:
-        n_shards = int(os.environ.get("MANETSIM_SHARDS", "1") or "1")
+    options = EngineOptions.from_env()
+    if args.shards is not None:
+        options = replace(options, shards=args.shards)
     scenario = None
     # Telemetry export needs the scenario object, and the sharded
     # engine rejects telemetry configs anyway — keep those runs on the
     # single loop even when MANETSIM_SHARDS asks for shards.
-    if n_shards > 1 and not args.telemetry:
-        summary = run_scenario(cfg, shards=n_shards)
+    if options.shards > 1 and not args.telemetry:
+        summary = run_scenario(cfg, options=options)
     else:
-        scenario = build_scenario(cfg)
+        scenario = build_scenario(cfg, options)
         summary = scenario.run()
     print(render_kv_table(f"{args.protocol.upper()} results", _summary_pairs(summary)))
     if args.perf and summary.perf:

@@ -26,11 +26,11 @@ authoritative; every mutation site mirrors into this array, so the
 vector passes always read current state. Verdicts are *computed*
 vectorially but *applied* in the channel's existing per-receiver loop
 order, so wheel/heap insertion order — and therefore every ``(time,
-seq)`` tie-break downstream — is identical to the legacy path. The
+seq)`` tie-break downstream — is identical to the per-node path. The
 suppressed calls are exactly the ones ``medium_changed`` would have
 no-opped (see each verdict's derivation below); bit-identical metrics
-across ``MANETSIM_LEGACY_DCF`` are pinned by
-``tests/scenario/test_determinism.py``.
+against per-node DCF timers (the engine of ``flight_trace`` runs) are
+pinned by ``tests/scenario/test_determinism.py``.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 A *manifest* is the provenance record of one sweep execution: what was
 run (a content hash over every job key), on what toolchain (git SHA,
-python/numpy versions, platform), under which knobs (``MANETSIM_*``
-environment), and how it went (per-job wall times, retry/timeout/
-broken-pool counts, worker utilization, cache/resume accounting). The
+python/numpy versions, platform), under which resolved
+:class:`~repro.scenario.options.EngineOptions`, and how it went
+(per-job wall times, retry/timeout/broken-pool counts, worker
+utilization, cache/resume accounting). The
 executor writes it as ``manifest.json`` next to the sweep journal, so a
 campaign directory is self-describing and two sweeps are diffable.
 
@@ -93,6 +94,7 @@ def build_manifest(
     job_wall_times_s: Dict[int, float],
     resume: bool,
     cache_salt: str,
+    engine_options: dict,
     fabric: Optional[dict] = None,
 ) -> dict:
     """Assemble the manifest dict for one executor run."""
@@ -104,9 +106,6 @@ def build_manifest(
         if wall_time_s > 0 and workers
         else 0.0
     )
-    env = {
-        k: v for k, v in sorted(os.environ.items()) if k.startswith("MANETSIM_")
-    }
     sweep_key = hashlib.sha256(
         "\n".join(sorted(k or "" for k in job_keys)).encode()
     ).hexdigest()
@@ -135,7 +134,7 @@ def build_manifest(
         "python": sys.version.split()[0],
         "numpy": _numpy_version(),
         "platform": platform.platform(),
-        "env": env,
+        "engine_options": dict(engine_options),
     }
 
 

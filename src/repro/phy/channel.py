@@ -112,14 +112,6 @@ class Channel:
     grid_threshold:
         Node count above which the spatial grid is used for candidate
         pruning instead of brute-force vectorized distances.
-    fanout_cache:
-        Memoize the eligible-receiver set and power vector per source,
-        so the RTS/CTS/DATA/ACK burst of one exchange computes geometry
-        once. An entry serves its own sample time, and later ones for
-        as long as the mobility manager vouches that nothing moves
-        (``MobilityManager.static_until``). Positions are pure
-        functions of time (analytic trajectories), so the memo is
-        exact — results are bit-identical with the cache on or off.
     position_quantum:
         Geometry sample period (s). Transmissions sample node positions
         at ``floor(now / q) * q`` — the *position epoch* — instead of
@@ -136,7 +128,6 @@ class Channel:
         propagation: PropagationModel,
         params: RadioParams,
         grid_threshold: int = 128,
-        fanout_cache: bool = True,
         position_quantum: float = 0.0,
     ):
         if position_quantum < 0:
@@ -173,15 +164,17 @@ class Channel:
         self._pts_time = -1.0
         self._pts_x: Optional[list] = None
         self._pts_y: Optional[list] = None
-        self._fanout_cache = fanout_cache
         self._quantum = position_quantum
-        #: src id -> ``(sample time, targets, valid until)``: *targets*
-        #: is the engine's fan-out (a ``_BatchTargets``, or the per-pair
-        #: ``[(radio, power)]`` list) built from the position snapshot
-        #: at *sample time*; *valid until* is the mobility manager's
-        #: ``static_until`` read right after that snapshot. The entry is
-        #: a hit at its own epoch and at any later one before
-        #: *valid until* (-inf while anything moves).
+        #: The fan-out memo, so the RTS/CTS/DATA/ACK burst of one
+        #: exchange computes geometry once. src id -> ``(sample time,
+        #: targets, valid until)``: *targets* is the engine's fan-out (a
+        #: ``_BatchTargets``, or the per-pair ``[(radio, power)]`` list)
+        #: built from the position snapshot at *sample time*; *valid
+        #: until* is the mobility manager's ``static_until`` read right
+        #: after that snapshot. The entry is a hit at its own epoch and
+        #: at any later one before *valid until* (-inf while anything
+        #: moves). Positions are pure functions of time (analytic
+        #: trajectories), so the memo is exact.
         self._memo: dict = {}
         #: Batched arrival engine (see :meth:`enable_batched`). Off by
         #: default: direct ``build_network`` users (unit tests that
@@ -304,11 +297,11 @@ class Channel:
         as ``(time, src_id, frame, duration, remote_shards)``. After
         this, every fan-out memo splits its target set: owned receivers
         are delivered locally through the normal batched paths, and the
-        set of foreign shards owning the remainder is recorded so the
-        shard driver can forward the transmission (the owning shard
-        recomputes the identical geometry and delivers via
-        :meth:`inject_remote`). Requires the batched engine — the
-        legacy per-pair path has no mask hook.
+        set of foreign shards owning the remainder is recorded. The
+        sharded engine only runs plans in which that set is always
+        empty; anything that lands in the outbox is its tripwire.
+        Requires the batched engine — the per-pair path has no mask
+        hook.
         """
         if not self._batched:
             raise ConfigurationError(
@@ -319,24 +312,11 @@ class Channel:
         self._shard_outbox = outbox
         self._memo.clear()
 
-    def inject_remote(self, src_id: int, frame: Frame, duration: float) -> None:
-        """Deliver a foreign shard's transmission to local receivers.
-
-        Runs the identical memoized geometry for *src_id* (positions
-        are pure functions of time, so every shard computes the same
-        fan-out) and feeds the locally-owned slice through the batched
-        delivery path. The transmitting radio lives in another shard:
-        channel transmit counters and the sender's ``_transmit_done``
-        belong there, so neither happens here.
-        """
-        targets = self._targets(src_id, self._build_targets_batched)
-        self._fan_out_batched(None, frame, duration, targets)
-
     def flush_phy_stats(self) -> None:
         """Fold batched-mode stat deltas into per-radio RadioStats.
 
         Must run before radio counters are read for metrics; a no-op
-        on the legacy path (stats are updated in place there).
+        on the per-pair path (stats are updated in place there).
         """
         if self._ledger is not None:
             self._ledger.flush(self.radios)
@@ -365,18 +345,15 @@ class Channel:
         # consecutive frames of one exchange share a snapshot.
         tq = now if q <= 0.0 else int(now / q) * q
         perf = self.perf
-        if self._fanout_cache:
-            hit = self._memo.get(src_id)
-            # Simulation time never runs backwards, so an entry is only
-            # ever asked about its own epoch or a later one.
-            if hit is not None and (hit[0] == tq or tq < hit[2]):
-                if perf is not None:
-                    perf.fanout_cache_hits += 1
-                return hit[1]
-            targets = build(src_id, tq)
-            self._memo[src_id] = (tq, targets, self.mobility.static_until)
-        else:
-            targets = build(src_id, tq)
+        hit = self._memo.get(src_id)
+        # Simulation time never runs backwards, so an entry is only
+        # ever asked about its own epoch or a later one.
+        if hit is not None and (hit[0] == tq or tq < hit[2]):
+            if perf is not None:
+                perf.fanout_cache_hits += 1
+            return hit[1]
+        targets = build(src_id, tq)
+        self._memo[src_id] = (tq, targets, self.mobility.static_until)
         if perf is not None:
             perf.fanout_cache_misses += 1
         return targets
@@ -614,12 +591,9 @@ class Channel:
         radios = self.radios
         now = self.sim._now
         out = self._shard_outbox
-        if out is not None and src is not None and mb.remote_shards:
+        if out is not None and mb.remote_shards:
             # Border transmission: foreign receivers were masked out of
-            # the memo; hand the frame to the shard driver for the
-            # owning shards to deliver. Injections (src None) never
-            # re-forward — the originating shard already reached every
-            # foreign shard directly.
+            # the memo. The shard worker raises on a non-empty outbox.
             out.append((now, src.node_id, frame, duration, mb.remote_shards))
         hook = self.fault_hook
         keep = None
@@ -633,17 +607,10 @@ class Channel:
             self.stats.deliveries_attempted += n
             if perf is not None:
                 perf.phy_batch_arrivals += n
-            if (
-                not led.active
-                and led.n_txing == (1 if src is not None else 0)
-                and led.n_down == 0
-            ):
+            if not led.active and led.n_txing == 1 and led.n_down == 0:
                 # Quiet channel — the common case at the paper's
                 # densities: nothing else is on the air (the only
-                # transmitter is the source itself — which, for an
-                # injected remote transmission, lives in another shard
-                # and so contributes nothing to the local count),
-                # nobody is down,
+                # transmitter is the source itself), nobody is down,
                 # so every receiver is idle and every reception-rule
                 # mask collapses: all arrivals are added, and exactly
                 # the above-sensitivity ones decode.
@@ -932,8 +899,7 @@ class Channel:
             if perf is not None:
                 perf.mac_edges_dispatched += n_disp
                 perf.mac_edges_suppressed += n_supp
-            if src is not None:  # injected remote tx: sender is foreign
-                src._transmit_done(frame)
+            src._transmit_done(frame)
             return
         counts_l = led.counts[added].tolist() if active else None
         txing_l = led.txing[added].tolist()
@@ -975,5 +941,4 @@ class Channel:
                 mac = r.mac
                 if mac is not None:
                     mac.medium_changed()
-        if src is not None:  # injected remote tx: sender is foreign
-            src._transmit_done(frame)
+        src._transmit_done(frame)

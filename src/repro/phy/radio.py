@@ -81,7 +81,7 @@ class ArrivalLedger:
     and resolves a whole transmission fan-out with NumPy gathers and
     scatters. The per-receiver reception *rules* are unchanged; only
     their evaluation is batched, so outcomes are bit-identical with the
-    legacy per-pair path (``MANETSIM_LEGACY_PHY=1``).
+    per-pair path (the engine of ``mac="ideal"`` and PHY-traced runs).
 
     Stat deltas (collisions, capture, half-duplex, down-rx) accumulate
     in int arrays and are folded into each radio's :class:`RadioStats`
@@ -189,7 +189,7 @@ class Radio:
         self._rx: Optional[_Arrival] = None
         self._tx_end: Optional[float] = None
         #: Shared ArrivalLedger when the channel runs the batched
-        #: arrival engine; None selects the legacy per-pair path.
+        #: arrival engine; None selects the per-pair path.
         self._led: Optional[ArrivalLedger] = None
         #: Batched-mode decode state (the ledger's object-free analogue
         #: of ``_rx``): the frame being decoded and whether interference
@@ -200,8 +200,8 @@ class Radio:
         # the per-arrival `enabled("phy")` check collapses to a bool.
         self._trace_phy = sim.tracer.enabled("phy")
         # Flight recorder with PHY verdicts requested: frozen here like
-        # the tracer gate. Only the legacy per-pair arrival path emits
-        # verdicts (the builder forces it when trace_phy is on).
+        # the tracer gate. Only the per-pair arrival path emits
+        # verdicts (the builder selects it when trace_phy is on).
         flight = sim.flight
         self._flight_phy = (
             flight if flight is not None and flight.trace_phy else None

@@ -6,7 +6,7 @@ already?", answered from a cache that cannot grow without bound over a
 long run. Before this module each protocol carried its own inline copy
 of the pattern; the shared implementations here are drop-in ports with
 identical observable behavior (same capacity trigger, same age cutoff,
-same eviction order), so they need no legacy A/B knob.
+same eviction order).
 
 Two shapes:
 

@@ -42,6 +42,7 @@ from ..routing import (
 from ..stats.metrics import MetricsCollector
 from ..traffic import CbrSource, OnOffSource, generate_connections
 from .config import ScenarioConfig
+from .options import EngineOptions
 
 __all__ = ["Scenario", "build_scenario"]
 
@@ -239,11 +240,21 @@ def _mac_factory(cfg: ScenarioConfig):
 
 def build_scenario(
     cfg: ScenarioConfig,
+    options: Optional[EngineOptions] = None,
     uid_base: int = 0,
     record_times: bool = False,
     flight_phy: bool = True,
 ) -> Scenario:
     """Wire up every layer for *cfg* (deterministic in ``cfg.run_seed``).
+
+    The engine is a function of the config: the batched PHY with the
+    DCF contention arena whenever ``cfg.mac == "dcf"`` and no PHY
+    tracing is asked for (``trace=("phy",)`` or ``flight_trace``), the
+    per-pair PHY with per-node DCF timers otherwise. Both produce
+    bit-identical results.
+
+    *options* (default: resolved from the environment) can attach the
+    flight recorder and thin its trace; it never changes results.
 
     ``uid_base`` offsets the packet/frame uid counters (the sharded
     engine gives each shard a disjoint block); ``record_times``
@@ -251,37 +262,22 @@ def build_scenario(
     partials can be merged in single-loop delivery order.
 
     ``flight_phy`` allows a ``cfg.flight_trace`` run to record PHY
-    arrival verdicts, which forces the legacy per-pair arrival engine;
+    arrival verdicts, which only the per-pair arrival engine emits;
     the sharded engine passes False (it requires the batched engine)
     and records the routing/MAC/queue legs of each flight only.
-
-    Setting ``MANETSIM_LEGACY_KINEMATICS=1`` selects the legacy per-node
-    position loop and disables the channel fan-out cache — the A/B
-    reference paths, which must produce bit-identical metrics.
-    ``MANETSIM_LEGACY_PHY=1`` likewise selects the per-pair arrival
-    path instead of the batched arrival engine (which is otherwise on
-    whenever the MAC is batch-safe, i.e. ``cfg.mac == "dcf"``).
-    ``MANETSIM_LEGACY_DCF=1`` keeps per-node DCF contention (heap
-    timers, per-MAC ``medium_changed`` callbacks) instead of the shared
-    contention arena that otherwise rides on the batched engine.
     """
-    import os
-
     from ..core.trace import Tracer
     from ..mac.frames import reset_frame_uids
     from ..net.packet import PACKET_POOL, reset_packet_uids
-    from ..routing.base import legacy_routing_enabled
 
-    legacy = os.environ.get("MANETSIM_LEGACY_KINEMATICS") == "1"
-    legacy_phy = os.environ.get("MANETSIM_LEGACY_PHY") == "1"
-    legacy_dcf = os.environ.get("MANETSIM_LEGACY_DCF") == "1"
+    if options is None:
+        options = EngineOptions.from_env()
     # Persistent sweep workers reuse one process for many runs: rewind
     # the uid sources so cached and fresh runs see identical sequences,
-    # and re-arm the packet pool for this run (no cross-run sharing).
+    # and empty the packet pool (no cross-run sharing).
     reset_packet_uids(uid_base)
     reset_frame_uids(uid_base)
     PACKET_POOL.clear()
-    PACKET_POOL.enabled = not legacy_routing_enabled()
     tracer = Tracer(cfg.trace) if cfg.trace else None
     sim = Simulator(seed=cfg.run_seed, tracer=tracer)
     if cfg.profile:
@@ -291,7 +287,7 @@ def build_scenario(
 
         sim.profiler = Profiler()
     PACKET_POOL.perf = sim.perf
-    if cfg.flight or cfg.flight_trace or os.environ.get("MANETSIM_FLIGHT") == "1":
+    if cfg.flight or cfg.flight_trace or options.flight:
         # Attached before the stack builds: radios freeze their PHY
         # trace hook at construction, and the batched-engine decision
         # below consults trace_phy.
@@ -301,7 +297,7 @@ def build_scenario(
             sim,
             trace=cfg.flight_trace,
             trace_phy=flight_phy,
-            sample=int(os.environ.get("MANETSIM_TRACE_SAMPLE", "1") or "1"),
+            sample=options.trace_sample,
         )
     propagation = _make_propagation(cfg)
     params = WAVELAN_914MHZ
@@ -313,15 +309,11 @@ def build_scenario(
         mac_factory=_mac_factory(cfg),
         propagation=propagation,
         radio_params=params,
-        batch_kinematics=not legacy,
-        fanout_cache=not legacy,
         position_quantum=cfg.position_quantum,
         batched_phy=(
-            not legacy_phy
-            and cfg.mac == "dcf"
+            cfg.mac == "dcf"
             and not (sim.flight is not None and sim.flight.trace_phy)
         ),
-        dcf_arena=not legacy_dcf,
     )
     if cfg.protocol == "oracle":
         for node in network.nodes:
@@ -340,7 +332,7 @@ def build_scenario(
         cfg.protocol,
         measure_from=cfg.measure_from,
         record_times=record_times,
-        stream=os.environ.get("MANETSIM_STREAM_STATS") == "1",
+        stream=cfg.stream_stats,
     )
     collector.flight = sim.flight
     collector.attach(network)

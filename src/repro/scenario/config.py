@@ -121,9 +121,13 @@ class ScenarioConfig:
     #: Off by default: ``sim.flight`` stays None and no hook fires.
     flight: bool = False
     #: Additionally record the per-packet causal event trace (implies
-    #: ``flight``); PHY arrival verdicts force the legacy per-pair
-    #: arrival engine in single-process runs.
+    #: ``flight``); PHY arrival verdicts select the per-pair arrival
+    #: engine in single-process runs.
     flight_trace: bool = False
+    #: Bounded-memory metrics: running sums, a log-histogram p95
+    #: (≈ 2 %) and no per-flow delay lists. It changes what the summary
+    #: holds, so it is part of the config (and of its cache key).
+    stream_stats: bool = False
 
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:

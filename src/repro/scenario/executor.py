@@ -30,7 +30,7 @@ hash, and ``run(..., resume=True)`` re-executes only keys without an
 
 Observability: every cached run additionally publishes a
 ``<cache>/manifest.json`` (see :mod:`repro.obs.manifest`) recording the
-sweep's content hash, toolchain versions, environment knobs, per-job
+sweep's content hash, toolchain versions, resolved engine options, per-job
 wall times, and the failure taxonomy; ``run(..., progress=True)`` emits
 a single-line in-place progress display (done/total, failures, jobs/s,
 ETA) in which cache- and journal-restored points count as already done
@@ -78,7 +78,7 @@ import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -88,6 +88,7 @@ from ..fabric.store import ResultStore
 from ..obs.manifest import ProgressLine, build_manifest, write_manifest
 from ..stats.metrics import MetricsSummary
 from .config import ScenarioConfig
+from .options import EngineOptions
 from .run import run_scenario
 
 __all__ = [
@@ -112,7 +113,10 @@ __all__ = [
 #: v7: flight-recorder fields (flight/flight_trace) entered the
 #: canonical config dict and MetricsSummary grew drops_by_reason/
 #: flight — pre-taxonomy pickles lack the per-reason breakdown.
-_CACHE_SALT = "manetsim-sweep-v7"
+#: v8: ``stream_stats`` entered the canonical config dict; while it
+#: was an environment switch, a store could hold histogram-approximated
+#: summaries under the exact config's key.
+_CACHE_SALT = "manetsim-sweep-v8"
 
 #: Default cache root, resolved against the working directory.
 _CACHE_DIR = ".manetsim-cache"
@@ -156,15 +160,6 @@ class FailedRun:
     @property
     def failed(self) -> bool:
         return True
-
-
-#: The on-disk cache *is* the fabric's content-addressed result store:
-#: same layout, same atomic-publish discipline (uniquely named tmp +
-#: fsync + rename, so concurrent writers — even across hosts sharing
-#: the directory — can never publish a torn entry or collide on a tmp
-#: name), same self-healing reads. Kept under its historical private
-#: name for the executor's own use.
-_DiskCache = ResultStore
 
 
 class _Journal:
@@ -317,7 +312,7 @@ class SweepExecutor:
             use_cache = os.environ.get("MANETSIM_NO_SWEEP_CACHE") != "1"
         self.use_cache = use_cache
         self._cache_root = Path(cache_dir or _CACHE_DIR)
-        self._cache = _DiskCache(self._cache_root)
+        self._cache = ResultStore(self._cache_root)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.job_timeout = _resolve_timeout(job_timeout)
         self.max_retries = _resolve_retries(max_retries)
@@ -353,7 +348,7 @@ class SweepExecutor:
 
     def _set_cache_dir(self, cache_dir: str) -> None:
         self._cache_root = Path(cache_dir)
-        self._cache = _DiskCache(self._cache_root)
+        self._cache = ResultStore(self._cache_root)
 
     @property
     def journal_path(self) -> Path:
@@ -538,6 +533,7 @@ class SweepExecutor:
             job_wall_times_s=self.last_job_walls,
             resume=resume,
             cache_salt=_CACHE_SALT,
+            engine_options=asdict(EngineOptions.from_env()),
             fabric=self.last_fabric,
         )
         self.last_manifest = manifest

@@ -1,0 +1,64 @@
+"""Run switches that are not part of the scenario: resolved once, here.
+
+A :class:`~repro.scenario.config.ScenarioConfig` says *what* is
+simulated, and the engine that runs it is a function of that config
+alone (see :func:`~repro.scenario.build.build_scenario`).
+:class:`EngineOptions` holds the few switches that say how a run is
+dispatched and observed without changing its results. The four
+``MANETSIM_*`` variables below are read in this module and nowhere
+else; everything downstream takes the resolved object as an argument.
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass
+from typing import Mapping, Optional
+
+from ..core.errors import ConfigurationError
+
+__all__ = ["EngineOptions"]
+
+
+def _int(environ: Mapping[str, str], name: str, default: int) -> int:
+    raw = environ.get(name, "")
+    if raw == "":
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigurationError(
+            f"{name} must be an integer, got {raw!r}"
+        ) from None
+
+
+@dataclass(frozen=True)
+class EngineOptions:
+    """How to dispatch and observe a run (never what it computes)."""
+
+    #: ``MANETSIM_SHARDS``: spatial shards for :func:`run_scenario`
+    #: (1 = the single event loop).
+    shards: int = 1
+    #: ``MANETSIM_SHARD_STRICT=1``: raise ``ShardUnsupported`` instead
+    #: of falling back to the single loop.
+    shard_strict: bool = False
+    #: ``MANETSIM_FLIGHT=1``: attach the packet flight recorder to
+    #: every run, as ``ScenarioConfig(flight=True)`` does for one.
+    flight: bool = False
+    #: ``MANETSIM_TRACE_SAMPLE=N``: keep one origin uid in N in a
+    #: ``flight_trace`` event trace.
+    trace_sample: int = 1
+
+    @classmethod
+    def from_env(
+        cls, environ: Optional[Mapping[str, str]] = None
+    ) -> "EngineOptions":
+        """Resolve the options from *environ* (default ``os.environ``)."""
+        if environ is None:
+            environ = os.environ
+        return cls(
+            shards=_int(environ, "MANETSIM_SHARDS", 1),
+            shard_strict=environ.get("MANETSIM_SHARD_STRICT") == "1",
+            flight=environ.get("MANETSIM_FLIGHT") == "1",
+            trace_sample=_int(environ, "MANETSIM_TRACE_SAMPLE", 1),
+        )

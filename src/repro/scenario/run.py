@@ -2,40 +2,46 @@
 
 from __future__ import annotations
 
-import os
+from dataclasses import replace
 from typing import List, Optional
 
 from ..stats.aggregate import aggregate_summaries
 from ..stats.metrics import MetricsSummary
 from .build import build_scenario
 from .config import ScenarioConfig
+from .options import EngineOptions
 
 __all__ = ["run_scenario", "run_replications"]
 
 
 def run_scenario(
-    cfg: ScenarioConfig, shards: Optional[int] = None
+    cfg: ScenarioConfig,
+    shards: Optional[int] = None,
+    options: Optional[EngineOptions] = None,
 ) -> MetricsSummary:
     """Build and execute one simulation; returns its metrics.
 
-    *shards* (default: the ``MANETSIM_SHARDS`` env var, then 1) > 1
-    routes through the spatially sharded engine; results are
-    bit-identical for any shard count. Configs the sharded engine
-    cannot split (non-static mobility, faults, tracing, ...) fall back
-    to the single loop silently — set ``MANETSIM_SHARD_STRICT=1`` to
-    raise instead (the CI determinism leg does).
+    *options* defaults to :meth:`EngineOptions.from_env`; *shards*
+    overrides its shard count. More than one shard routes through the
+    spatially sharded engine, whose results are bit-identical for any
+    shard count. Configs it cannot split (non-static mobility, a field
+    with no radio-disjoint cut, faults, tracing, ...) fall back to the
+    single loop silently, or raise under ``options.shard_strict`` (the
+    CI determinism leg sets it).
     """
-    if shards is None:
-        shards = int(os.environ.get("MANETSIM_SHARDS", "1") or "1")
-    if shards > 1:
+    if options is None:
+        options = EngineOptions.from_env()
+    if shards is not None:
+        options = replace(options, shards=shards)
+    if options.shards > 1:
         from ..shard import ShardUnsupported, run_sharded
 
         try:
-            return run_sharded(cfg, shards)
+            return run_sharded(cfg, options.shards, options=options)
         except ShardUnsupported:
-            if os.environ.get("MANETSIM_SHARD_STRICT") == "1":
+            if options.shard_strict:
                 raise
-    return build_scenario(cfg).run()
+    return build_scenario(cfg, options).run()
 
 
 def run_replications(cfg: ScenarioConfig, replications: int) -> List[MetricsSummary]:

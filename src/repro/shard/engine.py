@@ -1,4 +1,4 @@
-"""The sharded run drivers: build-and-mute workers, conservative sync.
+"""The sharded run driver: build-and-mute workers over island plans.
 
 Every shard builds the *full* scenario from the shared seed — identical
 RNG draws, identical geometry, every node object present — then
@@ -9,88 +9,53 @@ at fan-out build time keeps them out of every delivery set), and their
 stats stay zero, but their positions feed the channel geometry so
 every shard computes bit-identical fan-outs.
 
-Synchronization is conservative and centrally scheduled:
+There is no synchronization, because only **island** plans run: when
+the plan proves the strips radio-disjoint (:attr:`ShardPlan.island`),
+no transmission can ever cross a cut and each shard free-runs the
+whole duration independently — one worker process per shard. The merged
+summary is **bit-identical** to the single event loop (pinned in
+``tests/scenario/test_determinism.py``): per-shard uid blocks keep
+packet/frame uids globally unique, and delivery records merge back
+into single-loop order (see :mod:`repro.stats.metrics`). An armed
+border outbox stays attached as a tripwire — any transmission that
+reaches a foreign shard is a partitioner bug and raises
+:class:`ShardError`.
 
-* **Island mode** — when the plan proves the strips radio-disjoint
-  (:attr:`ShardPlan.island`), no transmission can ever cross a cut and
-  each shard free-runs the whole duration independently. This is the
-  embarrassingly-parallel case (one worker process per shard), and the
-  only mode whose merged summary is **bit-identical** to the single
-  event loop (pinned in ``tests/scenario/test_determinism.py``):
-  per-shard uid blocks keep packet/frame uids globally unique, and
-  delivery records merge back into single-loop order (see
-  :mod:`repro.stats.metrics`). An armed border outbox stays attached
-  as a tripwire — any transmission that reaches a foreign shard in
-  island mode is a partitioner bug and raises :class:`ShardError`.
-* **Coupled mode** (opt-in: ``MANETSIM_SHARD_COUPLED=1``) — when cuts
-  cross a radio-connected region, the driver advances the shard with
-  the globally earliest event up to (exclusively) the next other
-  shard's event time, collecting border transmissions. A shard that
-  emits one is parked at the emission timestamp: receivers react no
-  earlier than the frame edges that follow (the MAC-turnaround
-  lookahead — SIFS at minimum; propagation inside the carrier-sense
-  range is synchronous), so injecting at the stamped time into shards
-  whose clocks have not passed it preserves causality. Ties (several
-  shards sharing the minimum) run one timestamp in lockstep. Messages
-  are injected in ``(time, src node id)`` order — unique per
-  transmission and independent of the shard count — so a given shard
-  count is **deterministic**, but the result is *not* bit-identical to
-  the single loop: 802.11 backoffs are slot-quantized, so independent
-  nodes' timers expire at exactly equal timestamps, and whether a
-  transmission at *t* freezes a rival's backoff expiring at the same
-  *t* depends on global event-seq order — state that lives only in the
-  single loop's one queue. Cross-shard ties therefore resolve both
-  contenders as transmitting (both counted down on an idle medium),
-  a valid 802.11 outcome but not always the single loop's pick.
-  Without the opt-in, coupled plans raise :class:`ShardUnsupported`
-  and ``run_scenario`` falls back to the single loop.
+A field with no radio-disjoint split raises :class:`ShardUnsupported`
+and ``run_scenario`` runs it on the single loop. Cutting through a
+radio-connected region cannot be made exact: 802.11 backoffs are
+slot-quantized, so independent nodes' timers expire at exactly equal
+timestamps, and whether a transmission at *t* freezes a rival's
+backoff expiring at the same *t* depends on global event-seq order —
+state that lives only in the single loop's one queue (DESIGN.md,
+"Sharded engine").
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
-import os
 import traceback
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..core.errors import ConfigurationError, SimulationError
 from ..core.rng import RngStreams
-from ..mac.frames import Dot11
 from ..phy.propagation import WAVELAN_914MHZ
+from ..scenario.options import EngineOptions
 from ..stats.metrics import MetricsSummary, merge_shard_partials
 from .partition import ShardPlan, make_plan
 
-__all__ = [
-    "ShardError",
-    "ShardUnsupported",
-    "run_sharded",
-    "shard_lookahead",
-]
+__all__ = ["ShardError", "ShardUnsupported", "run_sharded"]
 
 
 class ShardError(SimulationError):
-    """A sharded run failed (worker crash, protocol violation)."""
+    """A sharded run failed (worker crash, partition violated)."""
 
 
 class ShardUnsupported(ShardError):
     """The config cannot run sharded; callers may fall back to the
-    single loop (``run_scenario`` does unless ``MANETSIM_SHARD_STRICT=1``)."""
-
-
-def shard_lookahead() -> float:
-    """Conservative cross-shard lookahead (s).
-
-    Minimum propagation delay (0: arrivals inside the carrier-sense
-    range are synchronous — < 2 µs is not modelled) plus the MAC
-    turnaround (SIFS): no shard can *react* to a border transmission
-    sooner than this after its stamped start, and no new transmission
-    can begin within the same instant (batch-safe MACs never transmit
-    from a delivery or carrier-edge callback).
-    """
-    return Dot11.SIFS
+    single loop (``run_scenario`` does unless told to be strict)."""
 
 
 def _check_config(cfg) -> None:
@@ -98,13 +63,10 @@ def _check_config(cfg) -> None:
     if cfg.mobility != "static":
         raise ShardUnsupported(
             "sharded runs require mobility='static' (node migration is "
-            "behind a follow-up knob)"
+            "not implemented)"
         )
     if cfg.mac != "dcf":
         raise ShardUnsupported("sharded runs require mac='dcf' (batched PHY)")
-    if os.environ.get("MANETSIM_LEGACY_PHY") == "1":
-        raise ShardUnsupported("MANETSIM_LEGACY_PHY=1 disables the batched "
-                               "engine the shard mask hooks into")
     if cfg.faults is not None:
         raise ShardUnsupported("fault plans are not shard-aware yet")
     if cfg.trace:
@@ -143,253 +105,62 @@ def _interaction_reach(cfg) -> float:
 # ----------------------------------------------------------------- worker
 
 
-class _ShardWorker:
-    """One shard: a fully built scenario with only owned nodes active."""
+def _run_shard(cfg, plan: ShardPlan, shard_id: int, options: EngineOptions):
+    """One shard, start to finish: ``(metrics partial, perf counters)``.
 
-    def __init__(self, cfg, plan: ShardPlan, shard_id: int):
-        import repro.mac.frames as frames_mod
-        import repro.net.packet as packet_mod
-
-        self._frames_mod = frames_mod
-        self._packet_mod = packet_mod
-        self.cfg = cfg
-        self.plan = plan
-        self.shard_id = shard_id
-        stream = os.environ.get("MANETSIM_STREAM_STATS") == "1"
-        from ..scenario.build import build_scenario
-
-        # Disjoint uid blocks per shard: delivery dedup keys on
-        # origin_uid, and cross-shard packet copies preserve it.
-        # flight_phy=False: PHY verdict tracing forces the legacy
-        # arrival engine, which shards cannot use; drop accounting and
-        # routing/MAC trace events still work per shard.
-        self.scenario = build_scenario(
-            cfg, uid_base=shard_id << 48, record_times=not stream,
-            flight_phy=False,
-        )
-        # Capture this shard's uid counters so the inline driver can
-        # swap them in when interleaving shards within one process.
-        self._pkt_counter = packet_mod.packet_uid_counter
-        self._frm_counter = frames_mod._frame_uid
-        channel = self.scenario.network.channel
-        if not channel._batched:
-            raise ShardUnsupported(
-                "batched arrival engine inactive (tracing or a "
-                "non-batch-safe MAC)"
-            )
-        mask = np.zeros(cfg.n_nodes, dtype=bool)
-        mask[plan.owned[shard_id]] = True
-        self.owned_mask = mask
-        self.outbox: list = []
-        channel.configure_shard(mask, plan.owner, self.outbox)
-        self.channel = channel
-        self.sim = self.scenario.sim
-        self.duration = cfg.duration
-
-    def activate(self) -> None:
-        """Swap this shard's uid counters into the shared modules."""
-        self._packet_mod.packet_uid_counter = self._pkt_counter
-        self._frames_mod._frame_uid = self._frm_counter
-
-    def start(self) -> None:
-        """Start routing agents and traffic sources of owned nodes only."""
-        self.activate()
-        mask = self.owned_mask
-        for node in self.scenario.network.nodes:
-            if mask[node.node_id]:
-                start = getattr(node.routing, "start", None)
-                if start is not None:
-                    start()
-        for src in self.scenario.sources:
-            if mask[src.node.node_id]:
-                src.begin()
-
-    def next_time(self) -> Optional[float]:
-        return self.sim._queue.peek_time()
-
-    def run_at(self, t: float) -> list:
-        """Process every event at time <= *t*; drain border messages."""
-        self.activate()
-        self.sim.run(until=t)
-        return self._drain()
-
-    def run_window(self, hi: float) -> list:
-        """Process events strictly before *hi*, parking early at the
-        first timestamp that emits a border transmission (receivers
-        must be injected before this shard outruns their reactions)."""
-        self.activate()
-        sim = self.sim
-        queue = sim._queue
-        duration = self.duration
-        outbox = self.outbox
-        while True:
-            nt = queue.peek_time()
-            if nt is None or nt >= hi or nt > duration:
-                break
-            sim.run(until=nt)
-            if outbox:
-                break
-        return self._drain()
-
-    def _drain(self) -> list:
-        if not self.outbox:
-            return []
-        msgs = self.outbox[:]
-        self.outbox.clear()
-        return msgs
-
-    def inject(self, t: float, src_id: int, frame, duration: float) -> None:
-        """Queue a foreign border transmission for delivery at *t*."""
-        self.sim.schedule_at(t, self.channel.inject_remote, src_id, frame,
-                             duration)
-
-    def run_full(self) -> None:
-        """Island mode: free-run the whole duration, no synchronization."""
-        self.activate()
-        self.sim.run(until=self.duration)
-
-    def finish(self):
-        """Advance to the duration mark and export (partial, perf)."""
-        self.activate()
-        self.sim.run(until=self.duration)
-        if self.outbox:
-            # Every border message is drained by the coupled driver and
-            # island plans must never produce one: anything left here
-            # means a transmission escaped its shard unobserved.
-            raise ShardError(
-                f"shard {self.shard_id}: {len(self.outbox)} undelivered "
-                f"border message(s) at finish — partition violated "
-                f"(first at t={self.outbox[0][0]:.6f} from node "
-                f"{self.outbox[0][1]})"
-            )
-        sc = self.scenario
-        self.channel.flush_phy_stats()
-        if self.sim.flight is not None:
-            # Residual scan before export so the shard's conservation
-            # partial accounts for still-queued packets.
-            self.sim.flight.scan_residuals(sc.network.nodes)
-        return sc.collector.partial(sc.network), self.sim.perf.as_dict()
-
-
-# ---------------------------------------------------------------- drivers
-
-
-class _InlineHandle:
-    """Driver-facing adapter over an in-process worker."""
-
-    def __init__(self, worker: _ShardWorker):
-        self.worker = worker
-
-    def poll(self) -> Optional[float]:
-        return self.worker.next_time()
-
-    def run_at(self, t: float) -> list:
-        return self.worker.run_at(t)
-
-    def run_window(self, hi: float) -> list:
-        return self.worker.run_window(hi)
-
-    def inject(self, t, src_id, frame, duration) -> None:
-        self.worker.inject(t, src_id, frame, duration)
-
-    def finish(self):
-        return self.worker.finish()
-
-
-def _drive(handles: list, duration: float) -> None:
-    """The conservative scheduler (see the module docstring).
-
-    Loop invariant: every handle has processed all events strictly
-    before the global minimum pending time, and no shard's clock is
-    ahead of any message it might still receive.
+    A fully built scenario in which only the nodes of strip *shard_id*
+    are started, free-run for the whole duration.
     """
-    hi_cap = math.nextafter(duration, math.inf)
-    while True:
-        times = [h.poll() for h in handles]
-        live = [
-            (t, i) for i, t in enumerate(times)
-            if t is not None and t <= duration
-        ]
-        if not live:
-            return
-        m1 = min(t for t, _ in live)
-        actives = [i for t, i in live if t == m1]
-        rest = [t for t, _ in live if t > m1]
-        m2 = min(rest) if rest else math.inf
-        if len(actives) == 1 and m2 > m1:
-            # Single-front fast path: the leading shard may run up to
-            # (exclusively) the next other shard's event time — parked
-            # shards cannot act before m2, and the worker parks itself
-            # at any border emission so receivers are injected before
-            # it outruns their reactions.
-            msgs = handles[actives[0]].run_window(min(m2, hi_cap))
-        else:
-            # Timestamp tie: run exactly this instant everywhere, then
-            # exchange (injected events land behind the local ones at
-            # the same instant, matching barrier injection semantics).
-            msgs = []
-            for i in actives:
-                msgs.extend(handles[i].run_at(m1))
-        if msgs:
-            # (time, src node id) is unique per transmission and
-            # independent of the shard count — the deterministic
-            # injection order.
-            msgs.sort(key=lambda m: (m[0], m[1]))
-            for t, src_id, frame, dur, shards in msgs:
-                for s in shards:
-                    handles[s].inject(t, src_id, frame, dur)
+    from ..scenario.build import build_scenario
+
+    # Disjoint uid blocks per shard: delivery dedup keys on origin_uid.
+    # flight_phy=False: PHY verdict tracing selects the per-pair
+    # arrival engine, which shards cannot use; drop accounting and
+    # routing/MAC trace events still work per shard.
+    scenario = build_scenario(
+        cfg, options, uid_base=shard_id << 48,
+        record_times=not cfg.stream_stats, flight_phy=False,
+    )
+    channel = scenario.network.channel
+    if not channel._batched:
+        raise ShardUnsupported(
+            "batched arrival engine inactive (tracing or a "
+            "non-batch-safe MAC)"
+        )
+    owned = np.zeros(cfg.n_nodes, dtype=bool)
+    owned[plan.owned[shard_id]] = True
+    outbox: list = []
+    channel.configure_shard(owned, plan.owner, outbox)
+    for node in scenario.network.nodes:
+        if owned[node.node_id]:
+            start = getattr(node.routing, "start", None)
+            if start is not None:
+                start()
+    for src in scenario.sources:
+        if owned[src.node.node_id]:
+            src.begin()
+    sim = scenario.sim
+    sim.run(until=cfg.duration)
+    if outbox:
+        # Island plans must never produce a border message: anything
+        # here means a transmission escaped its shard unobserved.
+        raise ShardError(
+            f"shard {shard_id}: {len(outbox)} border transmission(s) — "
+            f"partition violated (first at t={outbox[0][0]:.6f} from "
+            f"node {outbox[0][1]})"
+        )
+    channel.flush_phy_stats()
+    if sim.flight is not None:
+        # Residual scan before export so the shard's conservation
+        # partial accounts for still-queued packets.
+        sim.flight.scan_residuals(scenario.network.nodes)
+    return scenario.collector.partial(scenario.network), sim.perf.as_dict()
 
 
-def _run_inline(cfg, plan: ShardPlan) -> list:
-    if plan.island:
-        # Radio-disjoint strips, one process: run shards one at a time
-        # to completion — bounds peak memory at a single build.
-        results = []
-        for s in range(plan.n_shards):
-            worker = _ShardWorker(cfg, plan, s)
-            worker.start()
-            worker.run_full()
-            results.append(worker.finish())
-            del worker
-        return results
-    workers = [_ShardWorker(cfg, plan, s) for s in range(plan.n_shards)]
-    for w in workers:
-        w.start()
-    handles = [_InlineHandle(w) for w in workers]
-    _drive(handles, cfg.duration)
-    return [h.finish() for h in handles]
-
-
-# ------------------------------------------------------------- processes
-
-
-def _shard_child(conn, cfg, plan, shard_id) -> None:
-    """Worker-process main loop: build, then serve driver commands."""
+def _shard_child(conn, cfg, plan, shard_id, options) -> None:
+    """Worker-process main: run the shard, send the result or the error."""
     try:
-        worker = _ShardWorker(cfg, plan, shard_id)
-        worker.start()
-        conn.send(("ok", worker.next_time()))
-        while True:
-            cmd = conn.recv()
-            op = cmd[0]
-            if op == "run_at":
-                msgs = worker.run_at(cmd[1])
-                conn.send(("ok", (worker.next_time(), msgs)))
-            elif op == "run_window":
-                msgs = worker.run_window(cmd[1])
-                conn.send(("ok", (worker.next_time(), msgs)))
-            elif op == "inject":
-                worker.inject(*cmd[1:])
-                conn.send(("ok", worker.next_time()))
-            elif op == "run_full":
-                worker.run_full()
-                conn.send(("ok", worker.finish()))
-                return
-            elif op == "finish":
-                conn.send(("ok", worker.finish()))
-                return
-            else:  # pragma: no cover - driver bug
-                raise ShardError(f"unknown shard command {op!r}")
+        conn.send(("ok", _run_shard(cfg, plan, shard_id, options)))
     except BaseException:
         try:
             conn.send(("err", traceback.format_exc()))
@@ -399,114 +170,73 @@ def _shard_child(conn, cfg, plan, shard_id) -> None:
         conn.close()
 
 
-class _ProcessHandle:
-    """Driver-facing adapter over a worker process (Pipe RPC).
-
-    Caches the child's next-event time from each response so the
-    driver's poll loop costs no IPC.
-    """
-
-    def __init__(self, ctx, cfg, plan, shard_id):
-        self.shard_id = shard_id
-        self.conn, child_conn = ctx.Pipe()
-        self.proc = ctx.Process(
-            target=_shard_child, args=(child_conn, cfg, plan, shard_id),
-            daemon=True,
-        )
-        self.proc.start()
-        child_conn.close()
-        self._next = self._recv()  # build handshake
-
-    def _recv(self):
-        try:
-            status, payload = self.conn.recv()
-        except EOFError:
-            raise ShardError(
-                f"shard {self.shard_id} worker died "
-                f"(exitcode {self.proc.exitcode})"
-            )
-        if status != "ok":
-            raise ShardError(f"shard {self.shard_id} failed:\n{payload}")
-        return payload
-
-    def poll(self) -> Optional[float]:
-        return self._next
-
-    def run_at(self, t: float) -> list:
-        self.conn.send(("run_at", t))
-        self._next, msgs = self._recv()
-        return msgs
-
-    def run_window(self, hi: float) -> list:
-        self.conn.send(("run_window", hi))
-        self._next, msgs = self._recv()
-        return msgs
-
-    def inject(self, t, src_id, frame, duration) -> None:
-        self.conn.send(("inject", t, src_id, frame, duration))
-        self._next = self._recv()
-
-    def start_full(self) -> None:
-        self.conn.send(("run_full",))
-
-    def finish_request(self) -> None:
-        self.conn.send(("finish",))
-
-    def collect(self):
-        result = self._recv()
-        self.proc.join()
-        self.conn.close()
-        return result
-
-    def kill(self) -> None:
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join()
-
-
-def _run_process(cfg, plan: ShardPlan) -> list:
+def _run_process(cfg, plan: ShardPlan, options: EngineOptions) -> list:
+    """Free-run every shard concurrently — the parallel payoff."""
     ctx = mp.get_context()
-    handles = [
-        _ProcessHandle(ctx, cfg, plan, s) for s in range(plan.n_shards)
-    ]
+    workers = []
     try:
-        if plan.island:
-            # Free-run every shard concurrently — the parallel payoff.
-            for h in handles:
-                h.start_full()
-        else:
-            _drive(handles, cfg.duration)
-            for h in handles:
-                h.finish_request()
-        return [h.collect() for h in handles]
+        for s in range(plan.n_shards):
+            conn, child_conn = ctx.Pipe(duplex=False)
+            proc = ctx.Process(
+                target=_shard_child,
+                args=(child_conn, cfg, plan, s, options),
+                daemon=True,
+            )
+            proc.start()
+            child_conn.close()
+            workers.append((proc, conn))
+        results = []
+        for s, (proc, conn) in enumerate(workers):
+            try:
+                status, payload = conn.recv()
+            except EOFError:
+                proc.join()
+                raise ShardError(
+                    f"shard {s} worker died (exitcode {proc.exitcode})"
+                ) from None
+            if status != "ok":
+                raise ShardError(f"shard {s} failed:\n{payload}")
+            proc.join()
+            results.append(payload)
+        return results
     finally:
-        for h in handles:
-            h.kill()
+        for proc, conn in workers:
+            conn.close()
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
 
 
 # -------------------------------------------------------------- frontend
 
 
 def run_sharded(
-    cfg, n_shards: int, exec_mode: Optional[str] = None
+    cfg,
+    n_shards: int,
+    exec_mode: str = "process",
+    options: Optional[EngineOptions] = None,
 ) -> MetricsSummary:
-    """Run *cfg* split across *n_shards* spatial shards.
+    """Run *cfg* split across *n_shards* radio-disjoint spatial shards.
 
-    ``exec_mode`` (default from ``MANETSIM_SHARD_EXEC``, then "auto"):
+    ``exec_mode``:
 
-    * ``"process"`` — one worker process per shard.
-    * ``"inline"`` — all shards multiplexed in this process (no
-      parallelism; useful for determinism testing and as the coupled-
-      field default, where per-event synchronization would drown a
-      process pool in IPC).
-    * ``"auto"`` — "process" for island plans, "inline" otherwise.
+    * ``"process"`` — one worker process per shard, all concurrent.
+    * ``"inline"`` — the shards one after another in this process (no
+      parallelism, peak memory of a single build; what the
+      determinism tests use).
 
     Raises :class:`ShardUnsupported` for configs the engine cannot
-    split (non-static mobility, faults, tracing, profiling, telemetry,
-    non-DCF MACs, legacy PHY).
+    split: non-static mobility, faults, tracing, profiling, telemetry,
+    non-DCF MACs, and fields with no *n_shards*-way radio-disjoint cut.
     """
     if n_shards < 2:
         raise ShardError(f"run_sharded needs n_shards >= 2, got {n_shards}")
+    if exec_mode not in ("inline", "process"):
+        raise ShardError(
+            f"exec_mode must be inline|process, got {exec_mode!r}"
+        )
+    if options is None:
+        options = EngineOptions.from_env()
     _check_config(cfg)
     positions = _static_positions(cfg)
     reach = _interaction_reach(cfg)
@@ -514,26 +244,19 @@ def run_sharded(
         plan = make_plan(positions, n_shards, reach, cfg.field_size)
     except ConfigurationError as exc:
         raise ShardUnsupported(str(exc)) from exc
-    if not plan.island and os.environ.get("MANETSIM_SHARD_COUPLED") != "1":
+    if not plan.island:
         raise ShardUnsupported(
             f"no {n_shards}-way radio-disjoint split exists (closest "
             f"cross-shard pair {plan.min_cross_gap:.1f} m <= reach "
             f"{plan.reach:.1f} m): cross-shard backoff-slot ties would "
-            f"resolve differently from the single loop; set "
-            f"MANETSIM_SHARD_COUPLED=1 for the conservative coupled mode "
-            f"(deterministic, but not bit-identical)"
+            f"resolve differently from the single loop"
         )
-    mode = exec_mode or os.environ.get("MANETSIM_SHARD_EXEC") or "auto"
-    if mode not in ("auto", "inline", "process"):
-        raise ShardError(
-            f"MANETSIM_SHARD_EXEC must be auto|inline|process, got {mode!r}"
-        )
-    if mode == "auto":
-        mode = "process" if plan.island else "inline"
-    results = (
-        _run_process(cfg, plan) if mode == "process" else
-        _run_inline(cfg, plan)
-    )
+    if exec_mode == "process":
+        results = _run_process(cfg, plan, options)
+    else:
+        results = [
+            _run_shard(cfg, plan, s, options) for s in range(plan.n_shards)
+        ]
     partials = [r[0] for r in results]
     summary = merge_shard_partials(cfg.protocol, cfg.duration, partials)
     # Fleet-wide perf totals: sum the per-shard counter snapshots so

@@ -12,14 +12,13 @@ only partitioning for which the sharded engine is bit-identical to the
 single event loop (see ``repro.shard.engine`` for why coupled cuts
 cannot be). When there are not enough island gaps, the partitioner
 falls back to equal-count cuts at coordinate midpoints, producing a
-*coupled* plan the engine only accepts under its explicit opt-in knob.
+*coupled* plan, which the engine refuses to run.
 
-Two derived facts drive the shard driver:
+Two derived facts describe a plan:
 
 * **Border bands** — per shard, the owned nodes lying within *reach*
   of a cut. Only these nodes can ever appear in a cross-shard
-  fan-out, so the band width is exactly the lookahead radius the
-  conservative coupled protocol needs.
+  fan-out, so only they need checking.
 * **Island verification** — the minimum distance between any
   cross-shard node pair, computed honestly from positions (never
   assumed from cut placement). When it exceeds *reach*, the plan is an

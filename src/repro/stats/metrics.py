@@ -19,7 +19,7 @@ Two collection modes beyond the default per-packet record lists:
 * ``record_times=True`` additionally stamps each delivery with its
   arrival time — the sharded engine merges per-shard records back into
   single-loop delivery order so ``np.mean`` reproduces the exact bits.
-* ``stream=True`` (``MANETSIM_STREAM_STATS=1``) keeps *no* per-packet
+* ``stream=True`` (``ScenarioConfig.stream_stats``) keeps *no* per-packet
   state at all: running sums plus a fixed log-spaced delay histogram,
   so collector memory stays flat in simulated time (10k-node runs).
   The p95 then comes from the histogram (≤ ~2% relative bin error) and

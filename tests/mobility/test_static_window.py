@@ -38,8 +38,8 @@ class PauseThenWalk(LegBasedModel):
         return Leg(prev.t1, prev.t1 + 50.0, prev.x1, prev.y1, prev.x1 + 50.0, prev.y1)
 
 
-def counted(models, **kw):
-    mgr = MobilityManager(models, **kw)
+def counted(models):
+    mgr = MobilityManager(models)
     mgr.perf = PerfCounters()
     return mgr
 
@@ -97,19 +97,13 @@ def test_all_paused_window_ends_at_earliest_segment_end():
     assert evals(mgr2) == 2
 
 
-def test_scalar_rows_legacy_loop_and_invalidate_read_minus_inf():
+def test_scalar_rows_and_invalidate_read_minus_inf():
     groups = make_groups(FIELD, RngStreams(3).stream, 6, n_groups=2,
                          max_speed=5.0, pause_time=1e6, radius=40.0)
     rpgm = counted(groups)
     rpgm.positions(1.0)
     assert rpgm._scalar_idx  # group members have no linear segment
     assert rpgm.static_until == -math.inf
-
-    legacy = counted(line_placement(100.0, 4), batch=False)
-    legacy.positions(1.0)
-    legacy.positions(2.0)
-    assert legacy.static_until == -math.inf
-    assert evals(legacy) == 8
 
     mgr = counted(line_placement(100.0, 4))
     mgr.positions(1.0)

@@ -49,6 +49,7 @@ def _manifest(**over):
         job_wall_times_s={0: 0.4, 1: 0.6},
         resume=True,
         cache_salt="test-salt",
+        engine_options={"shards": 2},
     )
     base.update(over)
     return build_manifest(**base)
@@ -60,8 +61,9 @@ def test_manifest_records_provenance():
     assert m["cache_salt"] == "test-salt"
     assert len(m["sweep_key"]) == 64
     assert m["python"] and m["platform"]
-    # Only MANETSIM_* knobs are captured, never the whole environment.
-    assert all(k.startswith("MANETSIM_") for k in m["env"])
+    # The resolved options are recorded, never the raw environment.
+    assert m["engine_options"] == {"shards": 2}
+    assert "env" not in m
 
 
 def test_sweep_key_is_order_insensitive():

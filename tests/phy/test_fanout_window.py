@@ -24,10 +24,8 @@ from .test_fanout_fused import make_channel
 
 @pytest.fixture(autouse=True)
 def fast_single_loop(monkeypatch):
-    # The counts below are those of one event loop with the fan-out
-    # memo on; the legacy-kinematics CI leg switches the memo off and
-    # the sharded leg splits the counters across workers.
-    monkeypatch.delenv("MANETSIM_LEGACY_KINEMATICS", raising=False)
+    # The counts below are those of one event loop; the sharded CI
+    # leg splits the counters across workers.
     monkeypatch.delenv("MANETSIM_SHARDS", raising=False)
 
 

@@ -1,6 +1,8 @@
 """DSR link cache variant."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.routing.dsr import Dsr
 from repro.routing.dsr_cache import LinkCache
@@ -58,6 +60,15 @@ class TestLinkCacheUnit:
         c.add((0, 1), now=8.0)
         assert c.get(1, 15.0) == (0, 1)
 
+    def test_relearned_expired_link_is_usable_again(self):
+        """A lookup after expiry memoizes "no route"; re-learning the
+        same link must not be mistaken for a refresh of a live one."""
+        c = LinkCache(owner=0, lifetime=10.0)
+        c.add((0, 1), now=0.0)
+        assert c.get(1, 10.0) is None
+        c.add((0, 1), now=10.0)
+        assert c.get(1, 10.0) == (0, 1)
+
     def test_owner_self_query(self):
         c = LinkCache(owner=0)
         c.add((0, 1), now=0.0)
@@ -94,6 +105,71 @@ class TestLinkCacheUnit:
         c.add((0, 2), now=10.0)
         c.purge_expired(now=7.0)
         assert len(c) == 1
+
+
+def per_query_bfs(cache: LinkCache, dst: int, now: float):
+    """What ``LinkCache.get`` means, with no memo: one BFS per lookup
+    over the links alive at *now*, neighbours in sorted order."""
+    if dst == cache.owner:
+        return None
+    adj = {}
+    for (a, b), expiry in cache._links.items():
+        if expiry > now:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+    if cache.owner not in adj or dst not in adj:
+        return None
+    prev = {}
+    frontier = [cache.owner]
+    seen = {cache.owner}
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in sorted(adj[u]):
+                if v not in seen:
+                    seen.add(v)
+                    prev[v] = u
+                    nxt.append(v)
+        frontier = nxt
+    if dst not in prev:
+        return None
+    path = [dst]
+    while path[-1] != cache.owner:
+        path.append(prev[path[-1]])
+    return tuple(reversed(path))
+
+
+_NODE = st.integers(min_value=0, max_value=7)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.lists(_NODE, min_size=2, max_size=4)),
+        st.tuples(st.just("remove"), st.tuples(_NODE, _NODE)),
+        st.tuples(st.just("purge"), st.none()),
+        st.tuples(st.just("get"), _NODE),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+@given(ops=_OPS, steps=st.lists(st.floats(0.0, 4.0), min_size=40, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_memoized_tree_matches_per_query_bfs(ops, steps):
+    """The shared BFS tree and its invalidation rules (structural
+    epoch, expiry window, lazy purge) never change an answer."""
+    cache = LinkCache(owner=0, lifetime=10.0, max_links=6)
+    now = 0.0
+    for (op, arg), dt in zip(ops, steps):
+        now += dt
+        if op == "add":
+            cache.add(arg, now)
+        elif op == "remove":
+            cache.remove_link(*arg)
+        elif op == "purge":
+            cache.purge_expired(now)
+        else:
+            assert cache.get(arg, now) == per_query_bfs(cache, arg, now)
+    for dst in range(8):
+        assert cache.get(dst, now) == per_query_bfs(cache, dst, now)
 
 
 class TestDsrOverLinkCache:

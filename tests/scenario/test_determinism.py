@@ -1,15 +1,15 @@
-"""Determinism guarantees of the vectorized hot-path engine.
+"""Determinism guarantees of the hot-path engine.
 
-The batch kinematics / fan-out cache machinery is an *optimization*,
-never a model change: with the same seed, the vectorized engine and the
-legacy per-node paths (``MANETSIM_LEGACY_KINEMATICS=1``) must produce
-bit-identical metrics, and the batch ``positions(t)`` evaluation must
-match every mobility model's scalar ``position(t)``.
-
-The same discipline covers the routing control-plane fast path
-(``MANETSIM_LEGACY_ROUTING=1`` selects the reference implementations)
-and the batched PHY arrival engine (``MANETSIM_LEGACY_PHY=1`` selects
-the per-pair reference reception path).
+The engine that runs a config is a function of the config: the batched
+PHY with the DCF contention arena whenever the MAC is DCF and no PHY
+tracing is asked for, the per-pair PHY with per-node DCF timers
+otherwise. Both are *evaluation strategies*, never model changes:
+``cfg.with_(flight_trace=True)`` selects the per-pair engine for the
+same simulation, and the two must produce bit-identical metrics for
+every protocol, faulted or not, on arbitrary topologies. The batch
+``positions(t)`` evaluation must likewise match every mobility model's
+scalar ``position(t)``, and committed golden digests (bottom of this
+file) pin what both engines compute.
 """
 
 import dataclasses
@@ -54,119 +54,118 @@ MODEL_KINDS = [
 ]
 
 
+def _run_both_engines(cfg):
+    """*cfg* on the batched engine and on the per-pair one.
+
+    ``flight_trace`` records PHY arrival verdicts, which only the
+    per-pair path emits, so the builder selects per-pair PHY + per-node
+    DCF for it; the recorder itself is read-only. ``shards=1`` keeps
+    both runs on the single loop (the sharded engine never traces PHY).
+    Perf counters are excluded from summary equality, so they prove
+    which engine each side really ran.
+    """
+    fast = run_scenario(cfg, shards=1)
+    per_pair = run_scenario(cfg.with_(flight_trace=True), shards=1)
+    return fast, per_pair
+
+
+def _assert_bit_identical(fast, per_pair):
+    """Whole summary and every per-flow delay list."""
+    assert fast == per_pair
+    assert set(fast.flows) == set(per_pair.flows)
+    for fid, flow in fast.flows.items():
+        assert flow.delays == per_pair.flows[fid].delays
+
+
 @pytest.mark.parametrize("protocol", ["aodv", "dsr"])
 def test_vectorized_matches_legacy_end_to_end(protocol, monkeypatch):
-    """Full-scenario A/B: vectorized vs legacy engine, same seed."""
+    """Full-scenario A/B: segment-array kinematics vs a per-node loop.
+
+    The reference is the loop the manager used to carry: ask every
+    model for ``position(t)`` on each new *t* and never vouch for a
+    static window, so the channel's fan-out memo only ever hits inside
+    one position epoch.
+    """
     cfg = ScenarioConfig(protocol=protocol, seed=7, **SMALL)
+    fast = run_scenario(cfg, shards=1)
 
-    monkeypatch.delenv("MANETSIM_LEGACY_KINEMATICS", raising=False)
-    fast = run_scenario(cfg)
-    monkeypatch.setenv("MANETSIM_LEGACY_KINEMATICS", "1")
-    legacy = run_scenario(cfg)
+    def per_node_loop(self, t):
+        for i, model in enumerate(self.models):
+            self._cache[i] = model.position(t)
+        self.perf.scalar_position_evals += len(self.models)
+        self._cache_t = t
+        self._cache_valid = True
+        return self._cache
 
-    # The knob actually flipped the engine (perf counters are excluded
-    # from summary equality, so this distinguishes the two runs).
+    monkeypatch.setattr(MobilityManager, "_positions_compute", per_node_loop)
+    reference = run_scenario(cfg, shards=1)
+
     assert fast.perf["batch_position_evals"] > 0
-    assert legacy.perf["batch_position_evals"] == 0
-    assert fast.perf["fanout_cache_hits"] > 0
-    assert legacy.perf["fanout_cache_hits"] == 0
-
-    # Bit-identical results: whole summary and every per-flow delay.
-    assert fast == legacy
-    assert set(fast.flows) == set(legacy.flows)
-    for fid, flow in fast.flows.items():
-        assert flow.delays == legacy.flows[fid].delays
+    assert reference.perf["batch_position_evals"] == 0
+    assert reference.perf["scalar_position_evals"] > 0
+    _assert_bit_identical(fast, reference)
 
 
 @pytest.mark.parametrize("protocol", ["aodv", "dsr", "dsdv", "cbrp"])
 def test_routing_fast_path_matches_legacy(protocol, monkeypatch):
-    """Full-scenario A/B: routing fast path vs legacy, same seed.
+    """Full-scenario A/B: packet pooling on vs off, same seed.
 
-    The control-plane fast path (LinkCache memoization, seen-set dedup,
-    packet pooling) must be invisible in the results: only perf
-    counters may differ between the two runs. DSDV has a single
-    implementation, so its case only proves the packet pool is
-    invisible; its behaviour is pinned by ``test_dsdv_golden_digest``.
+    A recycled shell draws its uid exactly where a fresh ``Packet``
+    would, so the pool must be invisible in the results; the reference
+    side never gets a shell back, so every control packet is fresh.
+    (The LinkCache memo has its own per-query oracle in
+    ``tests/routing/test_dsr_linkcache.py``.)
     """
+    from repro.net.packet import PacketPool
+
     cfg = ScenarioConfig(protocol=protocol, seed=7, **SMALL)
+    fast = run_scenario(cfg, shards=1)
+    monkeypatch.setattr(PacketPool, "release", lambda self, packet: None)
+    reference = run_scenario(cfg, shards=1)
 
-    monkeypatch.delenv("MANETSIM_LEGACY_ROUTING", raising=False)
-    fast = run_scenario(cfg)
-    monkeypatch.setenv("MANETSIM_LEGACY_ROUTING", "1")
-    legacy = run_scenario(cfg)
-
-    # The knob actually flipped the path: the pool only reclaims
-    # broadcast control packets on the fast path.
     assert fast.perf["packets_pooled"] > 0
-    assert legacy.perf["packets_pooled"] == 0
-
-    # Bit-identical results: whole summary and every per-flow delay.
-    assert fast == legacy
-    assert set(fast.flows) == set(legacy.flows)
-    for fid, flow in fast.flows.items():
-        assert flow.delays == legacy.flows[fid].delays
+    assert reference.perf["packets_pooled"] == 0
+    _assert_bit_identical(fast, reference)
 
 
 @pytest.mark.parametrize("protocol", ["aodv", "dsr", "dsdv", "cbrp", "paodv"])
-def test_batched_phy_matches_legacy(protocol, monkeypatch):
+def test_batched_phy_matches_legacy(protocol):
     """Full-scenario A/B: batched arrival engine vs per-pair, same seed.
 
     The batched engine resolves a transmission's whole fan-out in one
     vector pass and defers interference bookkeeping to frame end; the
-    legacy path walks ``begin_arrival``/``end_arrival`` per receiver.
+    per-pair path walks ``begin_arrival``/``end_arrival`` per receiver.
     Identical physics, different evaluation order — results must be
     bit-identical for every protocol.
     """
-    cfg = ScenarioConfig(protocol=protocol, seed=7, **SMALL)
-
-    monkeypatch.delenv("MANETSIM_LEGACY_PHY", raising=False)
-    fast = run_scenario(cfg)
-    monkeypatch.setenv("MANETSIM_LEGACY_PHY", "1")
-    legacy = run_scenario(cfg)
-
-    # The knob actually flipped the engine.
+    fast, per_pair = _run_both_engines(
+        ScenarioConfig(protocol=protocol, seed=7, **SMALL)
+    )
     assert fast.perf["phy_batch_arrivals"] > 0
     assert fast.perf["phy_legacy_arrivals"] == 0
-    assert legacy.perf["phy_batch_arrivals"] == 0
-    assert legacy.perf["phy_legacy_arrivals"] > 0
-
-    # Bit-identical results: whole summary and every per-flow delay.
-    assert fast == legacy
-    assert set(fast.flows) == set(legacy.flows)
-    for fid, flow in fast.flows.items():
-        assert flow.delays == legacy.flows[fid].delays
+    assert per_pair.perf["phy_batch_arrivals"] == 0
+    assert per_pair.perf["phy_legacy_arrivals"] > 0
+    _assert_bit_identical(fast, per_pair)
 
 
 @pytest.mark.parametrize("protocol", ["aodv", "dsr", "dsdv", "cbrp", "paodv"])
-def test_dcf_arena_matches_legacy(protocol, monkeypatch):
+def test_dcf_arena_matches_legacy(protocol):
     """Full-scenario A/B: contention arena vs per-node DCF, same seed.
 
     The arena moves DCF's waiting-state machine onto shared arrays, a
     coalescing timer wheel, and batched medium-edge verdicts; the
-    legacy path (``MANETSIM_LEGACY_DCF=1``) keeps per-node timers and
-    ``medium_changed`` callbacks. Identical protocol, different
-    dispatch machinery — results must be bit-identical everywhere.
+    per-node path keeps heap timers and ``medium_changed`` callbacks.
+    Identical protocol, different dispatch machinery — results must be
+    bit-identical everywhere. A seed of its own, so this is not the
+    PHY test's run again.
     """
-    cfg = ScenarioConfig(protocol=protocol, seed=7, **SMALL)
-
-    # The arena rides the batched PHY engine, so both sides of this
-    # A/B must run it even on the all-legacy CI leg.
-    monkeypatch.delenv("MANETSIM_LEGACY_PHY", raising=False)
-    monkeypatch.delenv("MANETSIM_LEGACY_DCF", raising=False)
-    fast = run_scenario(cfg)
-    monkeypatch.setenv("MANETSIM_LEGACY_DCF", "1")
-    legacy = run_scenario(cfg)
-
-    # The knob actually flipped the engine: only the arena routes DCF
-    # timers through the shared wheel.
+    fast, per_pair = _run_both_engines(
+        ScenarioConfig(protocol=protocol, seed=8, **SMALL)
+    )
+    # Only the arena routes DCF timers through the shared wheel.
     assert fast.perf["mac_timer_events"] > 0
-    assert legacy.perf["mac_timer_events"] == 0
-
-    # Bit-identical results: whole summary and every per-flow delay.
-    assert fast == legacy
-    assert set(fast.flows) == set(legacy.flows)
-    for fid, flow in fast.flows.items():
-        assert flow.delays == legacy.flows[fid].delays
+    assert per_pair.perf["mac_timer_events"] == 0
+    _assert_bit_identical(fast, per_pair)
 
 
 def test_dcf_arena_vector_paths_match_legacy(monkeypatch):
@@ -178,72 +177,53 @@ def test_dcf_arena_vector_paths_match_legacy(monkeypatch):
     from repro.mac.arena import ContentionArena
 
     cfg = ScenarioConfig(protocol="aodv", seed=7, **SMALL)
-
-    monkeypatch.delenv("MANETSIM_LEGACY_PHY", raising=False)
-    monkeypatch.setenv("MANETSIM_LEGACY_DCF", "1")
-    legacy = run_scenario(cfg)
-    monkeypatch.delenv("MANETSIM_LEGACY_DCF", raising=False)
+    per_pair = run_scenario(cfg.with_(flight_trace=True), shards=1)
     monkeypatch.setattr(arena_mod, "_SCALAR_CUTOFF", 0)
     monkeypatch.setattr(ContentionArena, "scalar_cutoff", 0)
-    vector = run_scenario(cfg)
+    vector = run_scenario(cfg, shards=1)
 
     assert vector.perf["mac_timer_events"] > 0
-    assert vector == legacy
-    for fid, flow in vector.flows.items():
-        assert flow.delays == legacy.flows[fid].delays
+    assert per_pair.perf["mac_timer_events"] == 0
+    _assert_bit_identical(vector, per_pair)
 
 
 class TestFaultDeterminism:
     """Fault injection must not disturb the determinism contract."""
 
-    def test_faulted_dcf_arena_matches_legacy(self, monkeypatch):
+    def test_faulted_dcf_arena_matches_legacy(self):
         # Node crashes tear radios out of the air mid-reservation and
         # the fault hook filters fan-outs — the arena's wheel timers
         # and shared arrays must shrug all of it off bit-identically.
         from repro.faults.plan import FaultPlanConfig
 
-        cfg = ScenarioConfig(
-            seed=11,
+        fast, per_pair = _run_both_engines(ScenarioConfig(
+            seed=12,
             faults=FaultPlanConfig(churn_rate=0.04, mean_downtime=3.0,
                                    link_loss=0.08),
             **SMALL,
-        )
-        monkeypatch.delenv("MANETSIM_LEGACY_PHY", raising=False)
-        monkeypatch.delenv("MANETSIM_LEGACY_DCF", raising=False)
-        fast = run_scenario(cfg)
-        monkeypatch.setenv("MANETSIM_LEGACY_DCF", "1")
-        legacy = run_scenario(cfg)
-
+        ))
         assert fast.fault_crashes > 0
         assert fast.perf["mac_timer_events"] > 0
-        assert legacy.perf["mac_timer_events"] == 0
-        assert fast == legacy
-        for fid, flow in fast.flows.items():
-            assert flow.delays == legacy.flows[fid].delays
+        assert per_pair.perf["mac_timer_events"] == 0
+        _assert_bit_identical(fast, per_pair)
 
-    def test_faulted_batched_phy_matches_legacy(self, monkeypatch):
+    def test_faulted_batched_phy_matches_legacy(self):
         # The fault hook filters a fan-out *after* the geometry memo,
         # in deterministic target order, on both engines — so a faulted
-        # run must stay bit-identical across the PHY A/B knob too.
+        # run must stay bit-identical across the two PHY engines too.
         from repro.faults.plan import FaultPlanConfig
 
-        cfg = ScenarioConfig(
+        fast, per_pair = _run_both_engines(ScenarioConfig(
             seed=11,
             faults=FaultPlanConfig(churn_rate=0.04, mean_downtime=3.0,
                                    link_loss=0.08),
             **SMALL,
-        )
-        monkeypatch.delenv("MANETSIM_LEGACY_PHY", raising=False)
-        fast = run_scenario(cfg)
-        monkeypatch.setenv("MANETSIM_LEGACY_PHY", "1")
-        legacy = run_scenario(cfg)
-
+        ))
         assert fast.fault_crashes > 0
         assert fast.perf["phy_batch_arrivals"] > 0
-        assert legacy.perf["phy_batch_arrivals"] == 0
-        assert fast == legacy
-        for fid, flow in fast.flows.items():
-            assert flow.delays == legacy.flows[fid].delays
+        assert per_pair.perf["phy_batch_arrivals"] == 0
+        assert per_pair.perf["phy_legacy_arrivals"] > 0
+        _assert_bit_identical(fast, per_pair)
 
     def test_no_fault_config_is_bit_identical_with_zero_fault_fields(self):
         cfg = ScenarioConfig(seed=7, **SMALL)
@@ -424,34 +404,19 @@ def _assume_on_air(summary):
 @example(n_nodes=140, seed=1, protocol="dsdv")
 @settings(max_examples=10, deadline=None)
 def test_batched_phy_property_random_topologies(n_nodes, seed, protocol):
-    """Property: batched ≡ legacy PHY on arbitrary topologies.
+    """Property: batched ≡ per-pair PHY on arbitrary topologies.
 
     Hypothesis drives node count, seed, and protocol; every example
-    must produce bit-identical summaries and per-flow delay lists
-    across the engine knob. ``os.environ`` is restored in a finally so
-    a failing example cannot leak the legacy knob into later tests.
+    runs both engines in this process (the engine is chosen by the
+    config, nothing global is touched) and must produce bit-identical
+    summaries and per-flow delay lists.
     """
-    import os
-
-    cfg = _ab_cfg(n_nodes, seed, protocol)
-    saved = os.environ.pop("MANETSIM_LEGACY_PHY", None)
-    try:
-        fast = run_scenario(cfg)
-        os.environ["MANETSIM_LEGACY_PHY"] = "1"
-        legacy = run_scenario(cfg)
-    finally:
-        if saved is None:
-            os.environ.pop("MANETSIM_LEGACY_PHY", None)
-        else:
-            os.environ["MANETSIM_LEGACY_PHY"] = saved
-
+    fast, per_pair = _run_both_engines(_ab_cfg(n_nodes, seed, protocol))
     _assume_on_air(fast)
     assert fast.perf["phy_batch_arrivals"] > 0
-    assert legacy.perf["phy_batch_arrivals"] == 0
-    assert fast == legacy
-    assert set(fast.flows) == set(legacy.flows)
-    for fid, flow in fast.flows.items():
-        assert flow.delays == legacy.flows[fid].delays
+    assert per_pair.perf["phy_batch_arrivals"] == 0
+    assert per_pair.perf["phy_legacy_arrivals"] > 0
+    _assert_bit_identical(fast, per_pair)
 
 
 @given(
@@ -464,37 +429,16 @@ def test_batched_phy_property_random_topologies(n_nodes, seed, protocol):
 @example(n_nodes=140, seed=1, protocol="aodv")
 @settings(max_examples=10, deadline=None)
 def test_dcf_arena_property_random_topologies(n_nodes, seed, protocol):
-    """Property: arena ≡ legacy DCF on arbitrary topologies.
+    """Property: arena ≡ per-node DCF on arbitrary topologies.
 
-    Hypothesis drives node count, seed, and protocol; every example
-    must produce bit-identical summaries and per-flow delay lists
-    across the contention-engine knob. ``os.environ`` is restored in a
-    finally so a failing example cannot leak the knob into later tests.
+    Same construction as the PHY property, with its own pinned examples
+    and the contention-engine counters as the proof of which side ran.
     """
-    import os
-
-    cfg = _ab_cfg(n_nodes, seed, protocol)
-    saved = os.environ.pop("MANETSIM_LEGACY_DCF", None)
-    saved_phy = os.environ.pop("MANETSIM_LEGACY_PHY", None)
-    try:
-        fast = run_scenario(cfg)
-        os.environ["MANETSIM_LEGACY_DCF"] = "1"
-        legacy = run_scenario(cfg)
-    finally:
-        if saved is None:
-            os.environ.pop("MANETSIM_LEGACY_DCF", None)
-        else:
-            os.environ["MANETSIM_LEGACY_DCF"] = saved
-        if saved_phy is not None:
-            os.environ["MANETSIM_LEGACY_PHY"] = saved_phy
-
+    fast, per_pair = _run_both_engines(_ab_cfg(n_nodes, seed, protocol))
     _assume_on_air(fast)
     assert fast.perf["mac_timer_events"] > 0
-    assert legacy.perf["mac_timer_events"] == 0
-    assert fast == legacy
-    assert set(fast.flows) == set(legacy.flows)
-    for fid, flow in fast.flows.items():
-        assert flow.delays == legacy.flows[fid].delays
+    assert per_pair.perf["mac_timer_events"] == 0
+    _assert_bit_identical(fast, per_pair)
 
 
 def _build_models(kind: str, seed: int):
@@ -535,7 +479,7 @@ def test_batch_positions_match_scalar(kind, ts):
     """Batch ``positions(t)`` ≡ per-model ``position(t)`` (≤ 1e-12)."""
     # Two identically-seeded model sets: one driven through the batch
     # manager, one queried directly, so RNG draw order stays aligned.
-    mgr = MobilityManager(_build_models(kind, 11), batch=True)
+    mgr = MobilityManager(_build_models(kind, 11))
     ref = _build_models(kind, 11)
     for t in sorted(ts):
         pos = mgr.positions(t)
@@ -578,11 +522,10 @@ def _island_cfg(protocol, n_nodes, seed, n_clusters=4, **over):
 @pytest.mark.parametrize(
     "protocol", ["dsdv", "dsr", "aodv", "paodv", "cbrp"]
 )
-def test_sharded_matches_single_loop(protocol, monkeypatch):
+def test_sharded_matches_single_loop(protocol):
     """4-shard island run ≡ single loop, all five paper protocols."""
     from repro.shard import run_sharded
 
-    monkeypatch.setenv("MANETSIM_SHARD_STRICT", "1")
     cfg = _island_cfg(protocol, n_nodes=120, seed=13)
     single = run_scenario(cfg, shards=1)
     sharded = run_sharded(cfg, 4, exec_mode="inline")
@@ -592,7 +535,7 @@ def test_sharded_matches_single_loop(protocol, monkeypatch):
         assert flow.delays == single.flows[fid].delays
 
 
-def test_sharded_matches_single_loop_10k(monkeypatch):
+def test_sharded_matches_single_loop_10k():
     """The tentpole pin: a 10 000-node static field, 4 shards, bit-
     identical to the single event loop (process workers, merged
     records, per-shard uid blocks all exercised at full scale).
@@ -602,9 +545,10 @@ def test_sharded_matches_single_loop_10k(monkeypatch):
     """
     import os
 
-    from repro.shard import run_sharded
+    from repro.scenario.options import EngineOptions
 
-    monkeypatch.setenv("MANETSIM_SHARD_STRICT", "1")
+    # Strict: a field that cannot be split must fail, not fall back.
+    strict = EngineOptions(shard_strict=True)
     protocols = (
         ["dsdv", "dsr", "aodv", "paodv", "cbrp"]
         if os.environ.get("MANETSIM_FULL")
@@ -617,7 +561,7 @@ def test_sharded_matches_single_loop_10k(monkeypatch):
             traffic_start_window=(0.0, 1.0),
         )
         single = run_scenario(cfg, shards=1)
-        sharded = run_scenario(cfg, shards=4)
+        sharded = run_scenario(cfg, shards=4, options=strict)
         assert sharded == single, protocol
         for fid, flow in sharded.flows.items():
             assert flow.delays == single.flows[fid].delays
@@ -634,28 +578,16 @@ def test_sharded_property_random_topologies(n_nodes, seed, protocol, n_shards):
     """Property: shard-count invariance on random clustered topologies.
 
     Hypothesis drives node count, seed, protocol, and shard count;
-    every example must match the single loop bit-for-bit. The env knob
-    is restored in a finally so a failing example cannot leak strict
-    mode into later tests.
+    every example must match the single loop bit-for-bit.
     """
-    import os
-
     from repro.shard import run_sharded
 
     cfg = _island_cfg(
         protocol, n_nodes=n_nodes, seed=seed,
         duration=8.0, n_connections=3, traffic_start_window=(0.0, 2.0),
     )
-    saved = os.environ.get("MANETSIM_SHARD_STRICT")
-    os.environ["MANETSIM_SHARD_STRICT"] = "1"
-    try:
-        single = run_scenario(cfg, shards=1)
-        sharded = run_sharded(cfg, n_shards, exec_mode="inline")
-    finally:
-        if saved is None:
-            os.environ.pop("MANETSIM_SHARD_STRICT", None)
-        else:
-            os.environ["MANETSIM_SHARD_STRICT"] = saved
+    single = run_scenario(cfg, shards=1)
+    sharded = run_sharded(cfg, n_shards, exec_mode="inline")
 
     assert sharded == single
     for fid, flow in sharded.flows.items():
@@ -671,9 +603,9 @@ def test_sharded_property_random_topologies(n_nodes, seed, protocol, n_shards):
 # run, a faulted run, a 2-shard island run and a ``flight_trace`` run
 # (the per-pair PHY + per-node DCF engine), plus DSDV's 300-node field.
 # DSDV's first four were recorded at 242138d (the last commit with its
-# per-entry twin); everything else at d7c9e92, the last commit that
-# still had the MANETSIM_LEGACY_* engines, with every knob combination
-# agreeing.
+# per-entry twin); everything else at d7c9e92, the last commit whose
+# four layers still had environment-selected twins, with every
+# combination of them agreeing.
 
 _GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden.json").read_text()

@@ -51,6 +51,32 @@ class TestDiskCache:
         assert (again.cache_hits, again.cache_misses) == (0, 1)
         assert again.raw == first.raw
 
+    def test_streamed_summaries_never_answer_the_exact_config(self, tmp_path):
+        """Streaming stats change what a summary holds (histogram p95,
+        no per-flow delay lists), so a store filled by a streaming sweep
+        must miss — not hit — for the same scenario measured exactly."""
+        exact_cfg = ScenarioConfig(
+            protocol="aodv", seed=3, n_nodes=15, field_size=(600.0, 300.0),
+            duration=20.0, n_connections=4, traffic_start_window=(0.0, 2.0),
+        )
+        stream_cfg = exact_cfg.with_(stream_stats=True)
+        assert config_cache_key(exact_cfg) != config_cache_key(stream_cfg)
+
+        ex = SweepExecutor(processes=1, cache_dir=str(tmp_path), use_cache=True)
+        try:
+            (streamed,) = ex.run([stream_cfg])
+            (exact,) = ex.run([exact_cfg])
+            assert ex.last_cache_hits == 0
+            (again,) = ex.run([exact_cfg])
+            assert ex.last_cache_hits == 1
+        finally:
+            ex.close()
+        assert streamed.data_received == exact.data_received > 0
+        assert all(f.delays == [] for f in streamed.flows.values())
+        assert any(f.delays for f in exact.flows.values())
+        assert again == exact
+        assert again.p95_delay == exact.p95_delay
+
     def test_env_disables_cache(self, tmp_path, monkeypatch):
         # conftest sets MANETSIM_NO_SWEEP_CACHE=1; cache=None follows it.
         base = ScenarioConfig(seed=5, **SMALL)

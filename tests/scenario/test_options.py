@@ -1,0 +1,83 @@
+"""EngineOptions: the one place run switches are read from the environment."""
+
+import pathlib
+import re
+
+import pytest
+
+import repro
+from repro.core import ConfigurationError
+from repro.scenario.options import EngineOptions
+
+
+def test_defaults_when_nothing_is_set():
+    assert EngineOptions.from_env({}) == EngineOptions()
+    assert EngineOptions() == EngineOptions(
+        shards=1, shard_strict=False, flight=False, trace_sample=1
+    )
+
+
+def test_reads_the_four_switches():
+    options = EngineOptions.from_env({
+        "MANETSIM_SHARDS": "4",
+        "MANETSIM_SHARD_STRICT": "1",
+        "MANETSIM_FLIGHT": "1",
+        "MANETSIM_TRACE_SAMPLE": "8",
+        "MANETSIM_PROCESSES": "3",  # not an engine option: ignored here
+    })
+    assert options == EngineOptions(
+        shards=4, shard_strict=True, flight=True, trace_sample=8
+    )
+
+
+def test_empty_string_means_unset():
+    # The CI matrix sets unused switches to "".
+    assert EngineOptions.from_env(
+        {"MANETSIM_SHARDS": "", "MANETSIM_FLIGHT": ""}
+    ) == EngineOptions()
+
+
+def test_default_source_is_the_process_environment(monkeypatch):
+    monkeypatch.setenv("MANETSIM_SHARDS", "3")
+    assert EngineOptions.from_env().shards == 3
+
+
+@pytest.mark.parametrize("name, value", [
+    ("MANETSIM_SHARDS", "two"),
+    ("MANETSIM_SHARDS", "2.5"),
+    ("MANETSIM_TRACE_SAMPLE", "x"),
+])
+def test_malformed_integer_is_a_typed_error(monkeypatch, name, value):
+    with pytest.raises(ConfigurationError) as err:
+        EngineOptions.from_env({name: value})
+    assert name in str(err.value) and repr(value) in str(err.value)
+    # ... and that is what every entry point sees, not a bare ValueError.
+    from repro.scenario import ScenarioConfig, run_scenario
+
+    monkeypatch.setenv(name, value)
+    with pytest.raises(ConfigurationError, match=name):
+        run_scenario(ScenarioConfig(duration=1.0, traffic_start_window=(0.0, 0.5)))
+
+
+#: Modules allowed to read the process environment, and why.
+_ENV_READERS = {
+    "scenario/options.py",      # the four run switches, resolved once
+    "scenario/executor.py",     # pool/deployment settings
+    "analysis/experiments.py",  # bench scale selectors + results dir
+}
+
+
+def test_environment_is_read_in_three_modules_only():
+    """Nothing below ``scenario/`` may take configuration from the
+    environment: an engine that consults ``os.environ`` has an input
+    the config, the cache key and the manifest do not record."""
+    root = pathlib.Path(repro.__file__).parent
+    pattern = re.compile(r"\bos\.environ\b|\bos\.getenv\b|\bfrom os import\b")
+    offenders = sorted(
+        f"{path.relative_to(root).as_posix()}:{n}"
+        for path in root.rglob("*.py")
+        if path.relative_to(root).as_posix() not in _ENV_READERS
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    )
+    assert offenders == []

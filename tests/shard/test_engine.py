@@ -1,7 +1,5 @@
 """Sharded-engine behaviour: guards, modes, merging, fallback."""
 
-import os
-
 import pytest
 
 from repro.scenario import ScenarioConfig, run_scenario
@@ -45,17 +43,11 @@ class TestGuards:
         with pytest.raises(ShardUnsupported, match="dcf"):
             run_sharded(cfg, 2)
 
-    def test_rejects_legacy_phy(self, monkeypatch):
-        monkeypatch.setenv("MANETSIM_LEGACY_PHY", "1")
-        with pytest.raises(ShardUnsupported, match="LEGACY_PHY"):
-            run_sharded(_clustered(), 2)
-
     def test_rejects_profiling(self):
         with pytest.raises(ShardUnsupported, match="profil"):
             run_sharded(_clustered(profile=True), 2)
 
-    def test_rejects_coupled_field_by_default(self, monkeypatch):
-        monkeypatch.delenv("MANETSIM_SHARD_COUPLED", raising=False)
+    def test_rejects_coupled_field_by_default(self):
         cfg = ScenarioConfig(
             protocol="aodv", n_nodes=30, mobility="static", duration=10.0,
             traffic_start_window=(0.0, 2.0), seed=7,
@@ -128,58 +120,52 @@ class TestIslandIdentity:
         )
 
 
-class TestCoupledMode:
-    """The opt-in conservative driver for radio-connected fields."""
+class TestTripwire:
+    @pytest.mark.parametrize("exec_mode", ["inline", "process"])
+    def test_border_transmission_raises(self, monkeypatch, exec_mode):
+        """A transmission that crosses a cut is a ShardError, never a
+        silently wrong answer: hand the engine a coupled plan dressed
+        up as an island plan."""
+        import dataclasses
+        import math
 
-    def _coupled_cfg(self, seed=7):
-        return ScenarioConfig(
+        from repro.shard import engine as engine_mod
+
+        make_plan = engine_mod.make_plan
+
+        def lying_plan(*args):
+            plan = make_plan(*args)
+            assert not plan.island
+            return dataclasses.replace(plan, min_cross_gap=math.inf)
+
+        monkeypatch.setattr(engine_mod, "make_plan", lying_plan)
+        cfg = ScenarioConfig(
             protocol="aodv", n_nodes=30, mobility="static", duration=10.0,
-            n_connections=4, traffic_start_window=(0.0, 3.0), seed=seed,
+            n_connections=4, traffic_start_window=(0.0, 3.0), seed=7,
         )
-
-    def test_coupled_is_deterministic(self, monkeypatch):
-        monkeypatch.setenv("MANETSIM_SHARD_COUPLED", "1")
-        cfg = self._coupled_cfg()
-        a = run_sharded(cfg, 2, exec_mode="inline")
-        b = run_sharded(cfg, 2, exec_mode="inline")
-        assert a == b
-        for fid, flow in a.flows.items():
-            assert flow.delays == b.flows[fid].delays
-
-    def test_coupled_delivers_across_the_border(self, monkeypatch):
-        """Border exchange works end-to-end: cross-shard flows deliver
-        (timing is conservative; only same-instant backoff ties may
-        resolve differently from the single loop)."""
-        monkeypatch.setenv("MANETSIM_SHARD_COUPLED", "1")
-        cfg = self._coupled_cfg()
-        single = run_scenario(cfg, shards=1)
-        coupled = run_sharded(cfg, 2, exec_mode="inline")
-        assert coupled.data_sent == single.data_sent
-        assert coupled.data_received > 0
+        with pytest.raises(ShardError, match="partition violated"):
+            run_sharded(cfg, 2, exec_mode=exec_mode)
 
 
 class TestStreamingStats:
-    def test_stream_mode_matches_record_mode(self, monkeypatch):
+    def test_stream_mode_matches_record_mode(self):
         cfg = _clustered()
         exact = run_scenario(cfg, shards=1)
-        monkeypatch.setenv("MANETSIM_STREAM_STATS", "1")
-        stream = run_scenario(cfg, shards=1)
+        stream = run_scenario(cfg.with_(stream_stats=True), shards=1)
         assert stream.data_received == exact.data_received
         assert stream.avg_delay == pytest.approx(exact.avg_delay, rel=1e-12)
         assert stream.avg_hops == pytest.approx(exact.avg_hops, rel=1e-12)
         # p95 comes from a log-histogram: bounded relative error.
         assert stream.p95_delay == pytest.approx(exact.p95_delay, rel=0.05)
 
-    def test_stream_mode_is_shard_invariant(self, monkeypatch):
-        monkeypatch.setenv("MANETSIM_STREAM_STATS", "1")
-        cfg = _clustered()
+    def test_stream_mode_is_shard_invariant(self):
+        cfg = _clustered(stream_stats=True)
         assert run_sharded(cfg, 4, exec_mode="inline") == run_scenario(
             cfg, shards=1
         )
 
-    def test_stream_mode_keeps_no_delay_lists(self, monkeypatch):
-        monkeypatch.setenv("MANETSIM_STREAM_STATS", "1")
-        summary = run_scenario(_clustered(), shards=1)
+    def test_stream_mode_keeps_no_delay_lists(self):
+        summary = run_scenario(_clustered(stream_stats=True), shards=1)
         assert summary.data_received > 0
         for flow in summary.flows.values():
             assert flow.delays == []

@@ -182,7 +182,7 @@ class TestWarmupCut:
 
 
 class TestStreamingMode:
-    """Bounded-memory collection (MANETSIM_STREAM_STATS=1)."""
+    """Bounded-memory collection (``ScenarioConfig.stream_stats``)."""
 
     def test_recent_set_dedups_and_bounds(self):
         from repro.stats.metrics import _RecentSet
@@ -222,15 +222,9 @@ class TestStreamingMode:
 
         sc = build_scenario(cfg)
         assert sc.collector.stream is False
-        import os
-
-        os.environ["MANETSIM_STREAM_STATS"] = "1"
-        try:
-            sc = build_scenario(cfg)
-            assert sc.collector.stream is True
-            summary = sc.run()
-        finally:
-            del os.environ["MANETSIM_STREAM_STATS"]
+        sc = build_scenario(cfg.with_(stream_stats=True))
+        assert sc.collector.stream is True
+        summary = sc.run()
         assert summary.data_received > 0
         assert sc.collector._delays == []
         assert sc.collector._records == []
@@ -243,14 +237,8 @@ class TestStreamingMode:
             duration=40.0, n_connections=4,
             traffic_start_window=(0.0, 5.0), seed=2,
         )
-        import os
-
         exact = run_scenario(cfg)
-        os.environ["MANETSIM_STREAM_STATS"] = "1"
-        try:
-            stream = run_scenario(cfg)
-        finally:
-            del os.environ["MANETSIM_STREAM_STATS"]
+        stream = run_scenario(cfg.with_(stream_stats=True))
         assert stream.data_received == exact.data_received
         assert stream.avg_delay == pytest.approx(exact.avg_delay, rel=1e-12)
         assert stream.p95_delay == pytest.approx(exact.p95_delay, rel=0.05)
