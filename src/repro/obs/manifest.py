@@ -134,7 +134,7 @@ def build_manifest(
         "python": sys.version.split()[0],
         "numpy": _numpy_version(),
         "platform": platform.platform(),
-        "engine_options": dict(engine_options),
+        "engine_options": engine_options,
     }
 
 
