@@ -68,8 +68,6 @@ register_counter("grid_incremental_updates",
                  "spatial grid refreshed by re-binning only moved nodes")
 register_counter("heap_compactions", "lazy-cancel heap dead-entry purges")
 register_counter("events_pooled", "event objects recycled through the freelist")
-register_counter("packets_pooled",
-                 "broadcast control packets recycled through the packet pool")
 register_counter("arrivals_pooled",
                  "radio arrival records recycled through the per-radio freelist")
 register_counter("sweep_cache_hits",

@@ -278,51 +278,15 @@ class FaultManager:
                 return x_split
         return None
 
-    def filter_targets(self, src_id: int, targets: list, now: float) -> list:
-        """Channel callback: drop fan-out entries eaten by active faults.
-
-        Called once per transmission with the prebuilt ``(radio, power)``
-        target list; returns the (possibly reduced) list the channel
-        should actually deliver. Order is preserved, so enabling a
-        no-op plan cannot perturb arrival ordering.
-        """
-        stats = self.stats
-        plan = self.plan
-        if plan.blackouts and self._in_window(plan.blackouts, now):
-            stats.blackout_drops += len(targets)
-            return []
-        x_split = self._active_partition(now) if plan.partitions else None
-        loss = plan.link_loss
-        down = self._down
-        if x_split is None and loss == 0.0 and not any(down):
-            return targets
-        if x_split is not None:
-            positions = self.network.mobility.positions(now)
-            src_side = positions[src_id, 0] < x_split
-        rng = self._link_rng
-        out = []
-        for entry in targets:
-            nid = entry[0].node_id
-            if down[nid]:
-                stats.down_rx_drops += 1
-                continue
-            if x_split is not None and (positions[nid, 0] < x_split) != src_side:
-                stats.partition_drops += 1
-                continue
-            if loss > 0.0 and rng.random() < loss:
-                stats.link_drops += 1
-                continue
-            out.append(entry)
-        return out
-
     def filter_targets_array(self, src_id: int, ids, now: float):
-        """Array twin of :meth:`filter_targets` for the batched engine.
+        """Channel callback: mask fan-out entries eaten by active faults.
 
-        Takes the fan-out's receiver-id array; returns a keep-mask, or
-        ``None`` when no fault is active (keep everything). The checks
-        run in receiver order and the link-loss RNG is drawn once per
-        surviving candidate — exactly the sequence the list variant
-        consumes — so a plan is bit-reproducible across both engines.
+        Called once per transmission with the fan-out's receiver-id
+        array; returns a keep-mask, or ``None`` when no fault is active
+        (keep everything, so a no-op plan cannot perturb arrival
+        ordering). The checks run in receiver order and the link-loss
+        RNG is drawn once per surviving candidate; both arrival engines
+        call this one filter, so a plan is bit-reproducible across them.
         """
         stats = self.stats
         plan = self.plan

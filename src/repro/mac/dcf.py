@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 
 from ..core.drops import DropReason
 from ..core.simulator import Simulator
-from ..net.packet import BROADCAST, PACKET_POOL, Packet
+from ..net.packet import BROADCAST, Packet
 from ..phy.radio import Radio
 from .base import MacLayer
 from .frames import Dot11, Frame, FrameType
@@ -73,7 +73,7 @@ class DcfMac(MacLayer):
     #: timer-driven, never synchronous from a radio callback.
     batch_safe = True
 
-    #: Eligible for the shared contention arena (vectorized medium-edge
+    #: Eligible for the shared contention arena (inlined busy-edge
     #: resolution + coalesced timer wheel; see ``repro.mac.arena``).
     arena_safe = True
 
@@ -112,22 +112,14 @@ class DcfMac(MacLayer):
         self._responses: set[int] = set()  # uids of CTS/ACK/DATA responses
         self._pending_data: Optional[Frame] = None  # DATA awaiting CTS grant
         self._seen: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
-        #: Shared contention arena (None on the per-node path).
-        #: When attached, the scalar waiting-state fields above remain
-        #: authoritative for scalar code, and every mutation is mirrored
-        #: into the arena's per-node arrays so its vectorized edge
-        #: passes see current state.
+        #: Shared contention arena (None on the per-node path): its
+        #: wheel takes this MAC's contention timers, and its busy-edge
+        #: loop reads and writes the waiting-state fields above.
         self._arena = None
-        self._nid = radio.node_id
 
     def attach_arena(self, arena) -> None:
-        """Join the shared contention arena, seeding its array row."""
+        """Join the shared contention arena."""
         self._arena = arena
-        arena.state[self._nid] = self._state
-        arena.nav[self._nid] = self._nav
-        arena.nav_wake[self._nid] = self._nav_wake
-        arena.backoff_slots[self._nid] = self._backoff_slots
-        arena.backoff_start[self._nid] = self._backoff_start
 
     def _sched(self, delay: float, fn, *args):
         """Schedule a contention-plane timer (DIFS/backoff/NAV/SIFS).
@@ -155,8 +147,6 @@ class DcfMac(MacLayer):
             self.stats.drops_ifq_full += 1
             if self._flight is not None:
                 self._flight.drop(packet, DropReason.IFQ_FULL, self.address)
-            # Never transmitted, so no receiver holds a reference.
-            PACKET_POOL.release(packet)
             return
         if self._state == _IDLE:
             self._service()
@@ -172,7 +162,7 @@ class DcfMac(MacLayer):
         self._current = entry
         self._retries = 0
         self._cw = Dot11.CW_MIN
-        self._set_backoff(int(self.rng.integers(0, self._cw + 1)))
+        self._backoff_slots = int(self.rng.integers(0, self._cw + 1))
         self._begin_contention()
 
     def _set_state(self, state: int) -> None:
@@ -184,31 +174,25 @@ class DcfMac(MacLayer):
         gate and this mirror encode the same condition).
         """
         self._state = state
-        arena = self._arena
-        if arena is not None:
-            arena.state[self._nid] = state
         waiting = _WAIT_MEDIUM <= state <= _BACKOFF
         if waiting != self._waiting:
             self._waiting = waiting
             self.radio.set_mac_waiting(waiting)
 
-    def _set_backoff(self, slots: int) -> None:
-        """Set the pending backoff draw, mirroring the arena row."""
-        self._backoff_slots = slots
-        arena = self._arena
-        if arena is not None:
-            arena.backoff_slots[self._nid] = slots
-
-    def _medium_busy(self) -> bool:
-        # carrier_busy() already covers our own transmission (_tx_end);
-        # inlined here because medium_changed fires on every arrival edge.
+    def _phys_busy(self) -> bool:
+        """Physical carrier sense: own transmission or any arrival."""
+        # carrier_busy() inlined: medium_changed fires on every arrival
+        # edge.
         radio = self.radio
-        if radio._tx_end is not None or self.sim._now < self._nav:
+        if radio._tx_end is not None:
             return True
         led = radio._led
         if led is not None:
             return led.counts[radio.node_id] > 0
         return bool(radio._arrivals)
+
+    def _medium_busy(self) -> bool:
+        return self.sim._now < self._nav or self._phys_busy()
 
     def _begin_contention(self) -> None:
         if self._medium_busy():
@@ -219,44 +203,23 @@ class DcfMac(MacLayer):
         self._timer = self._sched(Dot11.DIFS, self._difs_done)
 
     def _resume_contention(self) -> None:
-        """Arena RESUME verdict: the medium is provably idle.
+        """End-of-frame resume of a parked bystander: the medium is
+        provably idle.
 
-        The arena's end-of-frame pass already established ``not busy``
-        for this node (ledger count 0, not transmitting, NAV expired —
-        all frozen for bystanders during the resolve pass), so this is
-        exactly :meth:`_begin_contention`'s idle branch without
-        re-deriving busy-ness per node. Only called with an arena
-        attached; inlined stores because resume storms (every parked
-        node, every reservation end) are a saturated cell's hot loop.
-        _WAIT_MEDIUM -> _DIFS stays inside the waiting band, so the
-        radio wants_medium flag is untouched.
+        The channel's arena resolve loop already established ``not
+        busy`` for this node (ledger count 0, not transmitting, NAV
+        expired — all frozen for bystanders during the resolve pass),
+        so this is exactly :meth:`_begin_contention`'s idle branch
+        without re-deriving busy-ness per node. Only called with an
+        arena attached; inlined stores because resume storms (every
+        parked node, every reservation end) are a saturated cell's hot
+        loop. _WAIT_MEDIUM -> _DIFS stays inside the waiting band, so
+        the radio wants_medium flag is untouched.
         """
-        arena = self._arena
         self._state = _DIFS
-        arena.state[self._nid] = _DIFS
-        self._timer = arena.wheel.schedule(
+        self._timer = self._arena.wheel.schedule(
             self.sim._now + Dot11.DIFS, self._difs_done
         )
-
-    def _arena_freeze_difs(self) -> None:
-        """Arena busy-edge verdict for ``_DIFS`` (medium just went busy)."""
-        self.sim.cancel(self._timer)
-        self._timer = None
-        self._set_state(_WAIT_MEDIUM)
-        self._ensure_nav_wake()
-
-    def _arena_freeze_backoff(self, consumed: int) -> None:
-        """Arena busy-edge verdict for ``_BACKOFF``: freeze and credit.
-
-        *consumed* is ``floor(elapsed / SLOT)`` computed by the arena as
-        an array op — bit-equal to the scalar credit in
-        :meth:`medium_changed`.
-        """
-        self.sim.cancel(self._timer)
-        self._timer = None
-        self._set_backoff(max(0, self._backoff_slots - consumed))
-        self._set_state(_WAIT_MEDIUM)
-        self._ensure_nav_wake()
 
     def _ensure_nav_wake(self) -> None:
         """Schedule a wake-up at NAV expiry while we wait on the medium.
@@ -271,9 +234,6 @@ class DcfMac(MacLayer):
         now = self.sim.now
         if now < nav and self._nav_wake < nav:
             self._nav_wake = nav
-            arena = self._arena
-            if arena is not None:
-                arena.nav_wake[self._nid] = nav
             self._sched(nav - now, self._nav_wake_fired)
 
     def _nav_wake_fired(self) -> None:
@@ -282,9 +242,6 @@ class DcfMac(MacLayer):
         # dedup marker first lets medium_changed re-arm a wake for the
         # residual ulp (the fixpoint converges in one step).
         self._nav_wake = 0.0
-        arena = self._arena
-        if arena is not None:
-            arena.nav_wake[self._nid] = 0.0
         self.medium_changed()
 
     def medium_changed(self) -> None:
@@ -293,35 +250,16 @@ class DcfMac(MacLayer):
         state = self._state
         if state < _WAIT_MEDIUM or state > _BACKOFF:
             return
-        busy = self._medium_busy()
-        if state == _WAIT_MEDIUM:
-            if not busy:
-                self._begin_contention()
-            else:
-                self._ensure_nav_wake()
-        elif state == _DIFS and busy:
-            self.sim.cancel(self._timer)
-            self._timer = None
-            self._set_state(_WAIT_MEDIUM)
-            self._ensure_nav_wake()
-        elif state == _BACKOFF and busy:
-            self.sim.cancel(self._timer)
-            self._timer = None
-            elapsed = self.sim.now - self._backoff_start
-            consumed = int(math.floor(elapsed / Dot11.SLOT + 1e-9))
-            self._set_backoff(max(0, self._backoff_slots - consumed))
-            self._set_state(_WAIT_MEDIUM)
-            self._ensure_nav_wake()
+        self.medium_edge(self._phys_busy())
 
     def medium_edge(self, phys_busy: bool) -> None:
-        """Arena fallback dispatch: :meth:`medium_changed` with the
-        ledger half of busy-ness precomputed.
+        """DCF's reaction to a carrier edge, physical busy-ness given.
 
-        *phys_busy* covers the overlap count and own-transmission terms
-        of :meth:`_medium_busy` (frozen for the duration of a resolve
-        pass); the NAV term is re-read from the live scalar because a
-        delivery earlier in the same pass may have raised it. Must stay
-        in lockstep with :meth:`medium_changed`'s branch logic.
+        *phys_busy* is :meth:`_phys_busy` (:meth:`medium_changed` reads
+        it per call; the batched channel gathers it once per resolve
+        pass, during which it is frozen); the NAV term is re-read from
+        the live scalar because a delivery earlier in the same pass may
+        have raised it.
         """
         state = self._state
         if state < _WAIT_MEDIUM or state > _BACKOFF:
@@ -342,7 +280,7 @@ class DcfMac(MacLayer):
             self._timer = None
             elapsed = self.sim.now - self._backoff_start
             consumed = int(math.floor(elapsed / Dot11.SLOT + 1e-9))
-            self._set_backoff(max(0, self._backoff_slots - consumed))
+            self._backoff_slots = max(0, self._backoff_slots - consumed)
             self._set_state(_WAIT_MEDIUM)
             self._ensure_nav_wake()
 
@@ -359,8 +297,6 @@ class DcfMac(MacLayer):
         self._backoff_start = now
         arena = self._arena
         if arena is not None:
-            arena.state[self._nid] = _BACKOFF
-            arena.backoff_start[self._nid] = now
             self._timer = arena.wheel.schedule(
                 now + self._backoff_slots * Dot11.SLOT, self._backoff_done
             )
@@ -371,7 +307,7 @@ class DcfMac(MacLayer):
 
     def _backoff_done(self) -> None:
         self._timer = None
-        self._set_backoff(0)
+        self._backoff_slots = 0
         self._transmit_current()
 
     # ------------------------------------------------------------- transmit
@@ -382,7 +318,7 @@ class DcfMac(MacLayer):
         if self.radio.is_transmitting:
             # A SIFS response frame grabbed the radio; re-contend when
             # it completes (medium_changed will fire).
-            self._set_backoff(max(1, self._backoff_slots))
+            self._backoff_slots = max(1, self._backoff_slots)
             self._set_state(_WAIT_MEDIUM)
             return
         flight = self._flight
@@ -557,21 +493,15 @@ class DcfMac(MacLayer):
                 self._service()
             return
         self._cw = min(2 * self._cw + 1, Dot11.CW_MAX)
-        self._set_backoff(int(self.rng.integers(0, self._cw + 1)))
+        self._backoff_slots = int(self.rng.integers(0, self._cw + 1))
         self._begin_contention()
 
     # ----------------------------------------------------------- completion
 
     def _complete_success(self) -> None:
-        current = self._current
         self._current = None
         self._set_state(_IDLE)
         self._cw = Dot11.CW_MIN
-        if current is not None:
-            # A completed broadcast control packet is dead: receivers
-            # consumed it synchronously during the fan-out and never
-            # keep the sender's object (release is a no-op otherwise).
-            PACKET_POOL.release(current[0])
         self._service()
 
     # ------------------------------------------------------------------ nav
@@ -579,9 +509,6 @@ class DcfMac(MacLayer):
     def _set_nav(self, until: float) -> None:
         if until > self._nav:
             self._nav = until
-            arena = self._arena
-            if arena is not None:
-                arena.nav[self._nid] = until
             # The immediate notification lets _DIFS/_BACKOFF freeze; the
             # expiry wake-up is scheduled lazily (see _ensure_nav_wake)
             # so reservations that nobody waits on cost no events.

@@ -15,7 +15,7 @@ beacons (they all support it) when running over :class:`IdealMac`.
 from __future__ import annotations
 
 from ..core.drops import DropReason
-from ..net.packet import BROADCAST, PACKET_POOL, Packet
+from ..net.packet import BROADCAST, Packet
 from .base import MacLayer
 from .frames import Frame, FrameType
 
@@ -39,9 +39,6 @@ class IdealMac(MacLayer):
     def __init__(self, sim, radio, ifq_capacity: int = 50):
         super().__init__(sim, radio, ifq_capacity)
         self._busy = False
-        # Duplicate suppression for retransmitted/overheard frames: the
-        # ideal MAC never retransmits, so a tiny cache suffices.
-        self._seen: dict[int, None] = {}
 
     # ----------------------------------------------------------- downward
 
@@ -50,8 +47,6 @@ class IdealMac(MacLayer):
             self.stats.drops_ifq_full += 1
             if self._flight is not None:
                 self._flight.drop(packet, DropReason.IFQ_FULL, self.address)
-            # Never transmitted, so no receiver holds a reference.
-            PACKET_POOL.release(packet)
             return
         self._try_next()
 
@@ -72,9 +67,7 @@ class IdealMac(MacLayer):
     # ------------------------------------------------------ radio callbacks
 
     def on_transmit_done(self, frame: Frame) -> None:
-        # No ACK/retry: completion is final, and receivers consumed the
-        # payload synchronously (release is a no-op for non-pooled packets).
-        PACKET_POOL.release(frame.payload)
+        # No ACK/retry: completion is final.
         self.sim.schedule(self.INTERFRAME_GAP, self._release)
 
     def _release(self) -> None:

@@ -20,8 +20,6 @@ from ..core.errors import PacketError
 __all__ = [
     "Packet",
     "PacketKind",
-    "PacketPool",
-    "PACKET_POOL",
     "BROADCAST",
     "packet_uid_counter",
     "reset_packet_uids",
@@ -102,7 +100,6 @@ class Packet:
         "payload",
         "route",
         "salvage",
-        "poolable",
     )
 
     def __init__(
@@ -135,8 +132,6 @@ class Packet:
         self.route = route
         #: DSR salvage counter (travels with the packet across hops).
         self.salvage = 0
-        #: True only while the packet is owned by :data:`PACKET_POOL`.
-        self.poolable = False
 
     # ------------------------------------------------------------------ api
 
@@ -177,7 +172,6 @@ class Packet:
         p.payload = self.payload
         p.route = list(self.route) if self.route is not None else None
         p.salvage = self.salvage
-        p.poolable = False
         return p
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -185,117 +179,3 @@ class Packet:
             f"<Packet uid={self.uid} {self.proto}/{self.kind} "
             f"{self.src}->{self.dst} size={self.size} ttl={self.ttl}>"
         )
-
-
-class PacketPool:
-    """Freelist for broadcast control packets (floods, adverts, hellos).
-
-    Flood-style control traffic is the dominant allocation churn at
-    100+ nodes: every rebroadcast is a short-lived :class:`Packet`
-    whose life ends when its own MAC transmission completes (broadcasts
-    are never retried, buffered, or retained by receivers — receivers
-    consume the shared *payload* synchronously and build fresh packets
-    for their own forwards). Such packets are acquired here and released
-    by the MAC at transmit completion instead of falling to the GC.
-
-    Determinism: an acquired shell draws ``next(packet_uid_counter)``
-    exactly where a fresh allocation would, so uid sequences — and
-    therefore every dedup cache and trace — are bit-identical with the
-    pool on or off.
-
-    Only packets flagged ``poolable`` are ever reclaimed; the flag is
-    set exclusively by :meth:`acquire` and cleared on release, so
-    double-release and foreign packets are safe no-ops.
-    """
-
-    #: Upper bound on retained shells (a network's worth of floods).
-    MAX_FREE = 512
-
-    __slots__ = ("perf", "_free")
-
-    def __init__(self) -> None:
-        #: Optional PerfCounters to credit reuses to (set per scenario).
-        self.perf = None
-        self._free: List[Packet] = []
-
-    def acquire(
-        self,
-        kind: str,
-        proto: str,
-        src: int,
-        dst: int,
-        size: int,
-        created: float,
-        ttl: int,
-        payload: Any,
-    ) -> Packet:
-        """A packet like ``Packet(...)`` but recycled when possible."""
-        if self._free:
-            p = self._free.pop()
-            p.uid = next(packet_uid_counter)
-            p.origin_uid = p.uid
-            p.kind = kind
-            p.proto = proto
-            p.src = src
-            p.dst = dst
-            p.size = size
-            p.ttl = ttl
-            p.hops = 0
-            p.created = created
-            p.payload = payload
-            p.route = None
-            p.salvage = 0
-            p.poolable = True
-            if self.perf is not None:
-                self.perf.packets_pooled += 1
-            return p
-        p = Packet(kind, proto, src, dst, size, created=created, ttl=ttl, payload=payload)
-        p.poolable = True
-        return p
-
-    def acquire_copy(self, packet: Packet) -> Packet:
-        """A forwarding copy like :meth:`Packet.copy`, pool-backed.
-
-        Used for broadcast rebroadcast copies (e.g. OLSR TC relays)
-        whose life also ends at their own transmit completion.
-        """
-        if self._free:
-            p = self._free.pop()
-            p.uid = next(packet_uid_counter)
-            p.origin_uid = packet.origin_uid
-            p.kind = packet.kind
-            p.proto = packet.proto
-            p.src = packet.src
-            p.dst = packet.dst
-            p.size = packet.size
-            p.ttl = packet.ttl
-            p.hops = packet.hops
-            p.created = packet.created
-            p.payload = packet.payload
-            p.route = list(packet.route) if packet.route is not None else None
-            p.salvage = packet.salvage
-            p.poolable = True
-            if self.perf is not None:
-                self.perf.packets_pooled += 1
-            return p
-        p = packet.copy()
-        p.poolable = True
-        return p
-
-    def release(self, packet: Packet) -> None:
-        """Reclaim *packet* if the pool owns it; otherwise a no-op."""
-        if not packet.poolable:
-            return
-        packet.poolable = False
-        packet.payload = None
-        packet.route = None
-        if len(self._free) < self.MAX_FREE:
-            self._free.append(packet)
-
-    def clear(self) -> None:
-        """Drop retained shells (scenario start: no cross-run sharing)."""
-        del self._free[:]
-
-
-#: Process-wide pool; ``build_scenario`` re-arms it per run.
-PACKET_POOL = PacketPool()

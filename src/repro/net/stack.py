@@ -72,7 +72,7 @@ def build_network(
     ``Radio.begin_arrival``) keep the per-pair reference path. The
     shared DCF contention arena
     (:meth:`~repro.phy.channel.Channel.enable_arena`: coalescing timer
-    wheel + vectorized medium-edge resolution) follows it: attached
+    wheel + inlined medium-edge resolution) follows it: attached
     whenever the batched engine is active and every MAC is
     ``arena_safe``. The scenario builder asks for both whenever the
     config allows them.

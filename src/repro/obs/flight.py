@@ -7,7 +7,7 @@ packet from traffic-source injection to its fate:
 
 * **Accounting** (always on when the recorder exists): a per-packet
   state machine keyed by ``origin_uid`` — the stable identity every
-  ``Packet.copy()`` and pool acquire preserves across hops and shards —
+  ``Packet.copy()`` preserves across hops and shards —
   holding exactly one of ``live``, ``delivered``, ``in_flight``, or a
   terminal :class:`~repro.core.drops.DropReason` value. Delivery wins
   over any drop (multi-copy protocols may lose copies of a packet that

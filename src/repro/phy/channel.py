@@ -157,7 +157,7 @@ class Channel:
         #: shrinks the vectors the model math runs on.
         self._prefilter_d2 = (self._max_range * 1.001) ** 2
         #: The grid path's radius test, ``d2 <= r * r`` (what
-        #: ``SpatialIndex.query_radius`` applies on the per-pair path).
+        #: ``SpatialIndex.query_radius`` applies).
         self._range_d2 = self._max_range * self._max_range
         #: Below this node count, fan-out uses the scalar power loop.
         self._scalar_threshold = 32
@@ -167,9 +167,9 @@ class Channel:
         self._quantum = position_quantum
         #: The fan-out memo, so the RTS/CTS/DATA/ACK burst of one
         #: exchange computes geometry once. src id -> ``(sample time,
-        #: targets, valid until)``: *targets* is the engine's fan-out (a
-        #: ``_BatchTargets``, or the per-pair ``[(radio, power)]`` list)
-        #: built from the position snapshot at *sample time*; *valid
+        #: targets, valid until)``: *targets* is the ``_BatchTargets``
+        #: both engines walk, built from the position snapshot at
+        #: *sample time*; *valid
         #: until* is the mobility manager's ``static_until`` read right
         #: after that snapshot. The entry is a hit at its own epoch and
         #: at any later one before *valid until* (-inf while anything
@@ -266,11 +266,11 @@ class Channel:
     def enable_arena(self) -> bool:
         """Attach the shared DCF contention arena (see repro.mac.arena).
 
-        Requires the batched arrival engine (the arena's busy masks
-        read the shared ledger) and that every MAC opted in via
-        ``arena_safe`` (the arena mirrors DCF-specific waiting state).
-        Carrier-edge resolution then runs through the arena's vector
-        passes and DCF contention timers through its coalescing wheel —
+        Requires the batched arrival engine (the arena's busy-edge loop
+        is gated on the shared ledger) and that every MAC opted in via
+        ``arena_safe`` (the loop works on DCF's waiting-state fields).
+        Carrier-edge resolution then runs through the arena's inlined
+        loops and DCF contention timers through its coalescing wheel —
         bit-identical outcomes, fewer Python dispatches.
 
         Returns whether the arena is now active.
@@ -327,17 +327,13 @@ class Channel:
         """Fan *frame* out from *src* to every detectable receiver."""
         self.stats.transmissions += 1
         self.stats.airtime += duration
-        batched = self._batched
-        targets = self._targets(
-            src.node_id,
-            self._build_targets_batched if batched else self._build_targets,
-        )
-        if batched:
+        targets = self._targets(src.node_id)
+        if self._batched:
             self._fan_out_batched(src, frame, duration, targets)
         else:
             self._fan_out(src, frame, duration, targets)
 
-    def _targets(self, src_id: int, build):
+    def _targets(self, src_id: int) -> _BatchTargets:
         """Memoized fan-out of *src_id* at the current position epoch."""
         q = self._quantum
         now = self.sim._now
@@ -352,44 +348,14 @@ class Channel:
             if perf is not None:
                 perf.fanout_cache_hits += 1
             return hit[1]
-        targets = build(src_id, tq)
+        targets = self._build_targets_batched(src_id, tq)
         self._memo[src_id] = (tq, targets, self.mobility.static_until)
         if perf is not None:
             perf.fanout_cache_misses += 1
         return targets
 
-    def _build_targets(self, src_id: int, tq: float) -> list:
-        """Fan-out list for *src_id* at sample time *tq*.
-
-        Each element is ``(radio, rx_power)`` for one detectable
-        receiver (the source itself excluded), prebuilt so a memo hit
-        skips every per-receiver index/id check.
-        """
-        prof = self.profiler
-        if prof is not None:
-            prof.begin("channel.fanout")
-            try:
-                return self._build_targets_inner(src_id, tq)
-            finally:
-                prof.end()
-        return self._build_targets_inner(src_id, tq)
-
-    def _build_targets_inner(self, src_id: int, tq: float) -> list:
-        eligible, powers = self._compute_fanout(src_id, tq)
-        radios = self.radios
-        targets = []
-        append = targets.append
-        for i, p in zip(eligible, powers):
-            if i == src_id:
-                continue
-            radio = radios[i]
-            if radio is None:
-                raise SimulationError(f"node {i} is in range but has no radio")
-            append((radio, p))
-        return targets
-
     def _build_targets_batched(self, src_id: int, tq: float) -> _BatchTargets:
-        """Array-form fan-out memo entry for the batched engine.
+        """Fan-out memo entry of *src_id* at sample time *tq*.
 
         One pass from the position snapshot to the entry: candidate ids
         (every node, or above ``grid_threshold`` the grid's cached cell
@@ -397,10 +363,9 @@ class Channel:
         mask with the source struck out, the path-loss model on the
         survivors, and the exact ``power >= cs_threshold`` mask. At or
         below ``_scalar_threshold`` nodes the scalar loop feeds the
-        entry instead. Every mask and float64 expression is the one
-        :meth:`_build_targets` evaluates for the same pair, so ids (in
-        order) and powers are bit-equal to the per-pair list — only
-        the container differs.
+        entry instead. Ids (in order) and powers are bit-equal to the
+        per-pair list form kept as ``reference_fanout`` in
+        ``tests/phy/test_fanout_fused.py``.
         """
         prof = self.profiler
         if prof is not None:
@@ -464,51 +429,14 @@ class Channel:
             )
         return bt
 
-    def _compute_fanout(self, src_id: int, tq: float):
-        """Eligible receiver ids and their rx powers at sample time *tq*.
-
-        Returns two parallel Python lists, the source included. This is
-        the per-pair engine's geometry (list in, list out, the grid's
-        own ``query_radius``), and the reference the batched engine's
-        single array pass is tested against.
-        """
-        positions = self.mobility.positions(tq)
-        n = len(positions)
-        if n <= self._scalar_threshold:
-            return self._scalar_fanout(positions, src_id, tq)
-        sx = positions[src_id, 0]
-        sy = positions[src_id, 1]
-        if n > self._grid_threshold:
-            self._sync_grid(positions, tq)
-            candidates = self._grid.query_radius(sx, sy, self._max_range)
-            idx = np.asarray(candidates, dtype=np.intp)
-            dx = positions[idx, 0] - sx
-            dy = positions[idx, 1] - sy
-            d2 = dx * dx + dy * dy
-            near = d2 <= self._prefilter_d2
-            idx = idx[near]
-            powers = self.propagation.rx_power_d2_vec(
-                self.params.tx_power, d2[near]
-            )
-            keep = powers >= self.params.cs_threshold
-            return idx[keep].tolist(), powers[keep].tolist()
-        dx = positions[:, 0] - sx
-        dy = positions[:, 1] - sy
-        d2 = dx * dx + dy * dy
-        near = np.nonzero(d2 <= self._prefilter_d2)[0]
-        powers = self.propagation.rx_power_d2_vec(
-            self.params.tx_power, d2[near]
-        )
-        keep = powers >= self.params.cs_threshold
-        return near[keep].tolist(), powers[keep].tolist()
-
     def _scalar_fanout(self, positions, src_id: int, tq: float):
-        """:meth:`_compute_fanout` as a plain loop over :meth:`rx_power_d2`.
+        """Eligible ids and rx powers (parallel lists, the source
+        included) as a plain loop over :meth:`rx_power_d2`.
 
-        Both engines use it at or below ``_scalar_threshold`` nodes,
-        where NumPy dispatch costs more than the arithmetic. It
-        evaluates the same float64 expressions as the array forms, so
-        the choice of path never changes results.
+        Used at or below ``_scalar_threshold`` nodes, where NumPy
+        dispatch costs more than the arithmetic. It evaluates the same
+        float64 expressions as the array form, so the choice of path
+        never changes results.
         """
         if self._pts_time != tq:
             self._pts_x = positions[:, 0].tolist()
@@ -548,7 +476,7 @@ class Channel:
                 perf.grid_incremental_updates += 1
 
     def _fan_out(
-        self, src: Radio, frame: Frame, duration: float, targets: list
+        self, src: Radio, frame: Frame, duration: float, mb: _BatchTargets
     ) -> None:
         # Arrivals begin synchronously: the speed-of-light delay inside
         # the carrier-sense range (< 2 µs) is far below every MAC timing
@@ -557,20 +485,30 @@ class Channel:
         # *transmission* ends every receiver's arrival and completes the
         # sender's transmit (receivers first, preserving the order the
         # two separate events used to fire in).
+        now = self.sim._now
+        ids = mb.ids_list
+        powers = mb.pw_list
         hook = self.fault_hook
         if hook is not None:
-            targets = hook.filter_targets(src.node_id, targets, self.sim._now)
+            keep = hook.filter_targets_array(src.node_id, mb.ids, now)
+            if keep is not None:
+                ids = mb.ids[keep].tolist()
+                powers = mb.powers[keep].tolist()
+        radios = self.radios
         ended: list = []
         append = ended.append
-        end = self.sim._now + duration
-        for radio, p in targets:
+        end = now + duration
+        for nid, p in zip(ids, powers):
+            radio = radios[nid]
+            if radio is None:
+                raise SimulationError(f"node {nid} is in range but has no radio")
             entry = radio.begin_arrival(frame, p, duration, end)
             if entry is not None:
                 append((radio, entry))
-        self.stats.deliveries_attempted += len(targets)
+        self.stats.deliveries_attempted += len(ids)
         perf = self.perf
         if perf is not None:
-            perf.phy_legacy_arrivals += len(targets)
+            perf.phy_legacy_arrivals += len(ids)
         self.sim.schedule(duration, self._end_transmission, src, frame, ended)
 
     def _end_transmission(self, src: Radio, frame: Frame, ended) -> None:
@@ -695,7 +633,7 @@ class Channel:
         # receiver order, and only where the MAC is parked in a
         # contention state (medium_changed provably no-ops otherwise).
         # With the arena attached the whole pass — waiting filter, busy
-        # verdicts, backoff credits — is one vectorized resolve.
+        # verdicts, backoff credits — is one inlined loop.
         arena = self._arena
         if arena is not None:
             arena.busy_edges(ids[was_idle])
@@ -754,31 +692,22 @@ class Channel:
         # provable no-ops.
         arena = self._arena
         if arena is not None:
-            # Arena mode: freeze/credit/resume verdicts are applied
-            # inside this same ordered loop (so heap/wheel insertion
-            # order — and every (time, seq) tie-break downstream — is
-            # untouched). Large fan-outs precompute the verdicts in
-            # one vector pass over the arena table; small ones derive
-            # each verdict inline from the authoritative MAC scalars
-            # (see ContentionArena.prepare_end_edges for the shared
-            # derivation). Lazy per-receiver evaluation is exact:
-            # deliveries only mutate their own node, the ledger half
-            # of busy-ness (counts/txing, gathered up front) is frozen
-            # for the pass, and a winner's own overhear_nav never
-            # changes its waiting-ness — while medium_edge re-reads
-            # the live scalars it depends on.
-            if len(batch.added_list) > arena.scalar_cutoff:
-                verdicts, phys_l, waiting_l = arena.prepare_end_edges(
-                    added, batch.added_list
-                )
-            else:
-                verdicts = None
-                txing_l = led.txing[added].tolist()
-                # With nothing else in flight every post-decrement
-                # count is provably zero — skip the gather.
-                counts_l = led.counts[added].tolist() if active else None
+            # Arena mode: freeze/credit/resume verdicts are derived
+            # from the MAC scalars and applied inside this same ordered
+            # loop (so heap/wheel insertion order — and every (time,
+            # seq) tie-break downstream — is untouched). Lazy
+            # per-receiver evaluation is exact: deliveries only mutate
+            # their own node, the ledger half of busy-ness
+            # (counts/txing, gathered up front) is frozen for the pass
+            # because DCF never transmits synchronously from a
+            # delivery, and a winner's own overhear_nav never changes
+            # its waiting-ness — while medium_edge re-reads the live
+            # scalars it depends on.
+            txing_l = led.txing[added].tolist()
+            # With nothing else in flight every post-decrement count is
+            # provably zero — skip the gather.
+            counts_l = led.counts[added].tolist() if active else None
             now = self.sim._now
-            a_nav = arena.nav
             n_disp = 0
             n_supp = 0
             for k, nid in enumerate(batch.added_list):
@@ -787,12 +716,9 @@ class Channel:
                     r._rx_frame = None
                     led.rx_power[nid] = 0.0
                     mac = r.mac
-                    if verdicts is None:
-                        phys = txing_l[k] or (
-                            counts_l is not None and counts_l[k] > 0
-                        )
-                    else:
-                        phys = phys_l[k]
+                    phys = txing_l[k] or (
+                        counts_l is not None and counts_l[k] > 0
+                    )
                     if not r._rx_corrupt:
                         r.stats.frames_received += 1
                         if bulk and nid != frame_dst and not (
@@ -814,13 +740,11 @@ class Channel:
                             if nav_t is not None and nav_t > mac._nav:
                                 if s == 1:  # _WAIT_MEDIUM
                                     mac._nav = nav_t
-                                    a_nav[nid] = nav_t
                                     if mac._nav_wake < nav_t:
                                         mac._ensure_nav_wake()
                                     n_disp += 1
                                 elif s == 0 or s > 3:  # not waiting
                                     mac._nav = nav_t
-                                    a_nav[nid] = nav_t
                                     n_supp += 1
                                 else:  # impossible; exact fallback
                                     mac.overhear_nav(nav_t)
@@ -854,10 +778,17 @@ class Channel:
                             mac.on_frame_received(frame, pw_l[k])
                     n_disp += 1
                     mac.medium_edge(phys)
-                elif verdicts is None:
-                    # Inline scalar verdict: the same case analysis as
-                    # prepare_end_edges, against live (= pre-pass)
-                    # bystander state.
+                else:
+                    # Bystander verdict against live (= pre-pass)
+                    # state, each branch what medium_changed would do:
+                    # not waiting or still physically busy -> nothing
+                    # (the legacy gate skipped these calls already);
+                    # NAV-busy -> arm a wake unless one covers nav
+                    # (NAV-busy implies _WAIT_MEDIUM, since raising a
+                    # NAV freezes immediately; medium_edge covers the
+                    # impossible remainder defensively); fully idle ->
+                    # _WAIT_MEDIUM begins DIFS, _DIFS/_BACKOFF only
+                    # react to *busy*.
                     mac = r.mac
                     s = mac._state
                     if (
@@ -882,19 +813,6 @@ class Channel:
                             mac._resume_contention()
                         else:
                             n_supp += 1
-                else:
-                    v = verdicts[k]
-                    if v == 0:  # SUPPRESS: proven medium_changed no-op
-                        n_supp += 1
-                    else:
-                        n_disp += 1
-                        mac = r.mac
-                        if v == 2:  # RESUME
-                            mac._resume_contention()
-                        elif v == 1:  # ARM_WAKE
-                            mac._ensure_nav_wake()
-                        else:  # DISPATCH (defensive remainder)
-                            mac.medium_edge(False)
             perf = self.perf
             if perf is not None:
                 perf.mac_edges_dispatched += n_disp

@@ -140,9 +140,10 @@ class SpatialIndex:
         """Indices of points within *radius* of ``(x, y)``, in bucket order.
 
         Exact (not candidate) result: the touched buckets are walked
-        afresh (never answered from the ``candidates`` cache, which
-        tests check against this) and distances verified against the
-        stored positions in one array pass.
+        afresh and distances verified against the stored positions in
+        one array pass. Nothing in ``src/`` calls it: it is the
+        reference the ``candidates`` block cache is tested against, so
+        it must never be answered from that cache.
         """
         idx = np.array(self._walk(self._block(x, y, radius)), dtype=np.intp)
         near = self._positions[idx]

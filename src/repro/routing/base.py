@@ -19,7 +19,7 @@ from ..core.drops import DropReason
 from ..core.errors import PacketError
 from ..core.simulator import Simulator
 from ..mac.base import MacLayer
-from ..net.packet import BROADCAST, PACKET_POOL, Packet, PacketKind
+from ..net.packet import BROADCAST, Packet, PacketKind
 
 __all__ = ["RoutingProtocol", "RoutingStats"]
 
@@ -198,23 +198,7 @@ class RoutingProtocol:
         dst: int = BROADCAST,
         ttl: int = 1,
     ) -> Packet:
-        """Build a control packet owned by this protocol.
-
-        Broadcast control (floods, adverts, hellos) comes from the
-        packet pool: such packets die at their own transmit completion,
-        so their shells are recyclable.
-        """
-        if dst == BROADCAST:
-            return PACKET_POOL.acquire(
-                PacketKind.CONTROL,
-                self.NAME,
-                self.addr,
-                dst,
-                size,
-                created=self.sim.now,
-                ttl=ttl,
-                payload=payload,
-            )
+        """Build a control packet owned by this protocol."""
         return Packet(
             PacketKind.CONTROL,
             self.NAME,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from ..core.drops import DropReason
-from ..net.packet import BROADCAST, PACKET_POOL, Packet
+from ..net.packet import BROADCAST, Packet
 from .base import RoutingProtocol
 from .neighbors import NeighborTable
 from .seen import SeenCache
@@ -209,7 +209,7 @@ class Olsr(RoutingProtocol):
             else self.neighbors.is_neighbor(prev_hop, now, bidirectional_only=True)
         )
         if relay:
-            fwd = PACKET_POOL.acquire_copy(packet)
+            fwd = packet.copy()
             fwd.ttl -= 1
             self.send_control(fwd, BROADCAST)
 

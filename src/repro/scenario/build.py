@@ -268,16 +268,14 @@ def build_scenario(
     """
     from ..core.trace import Tracer
     from ..mac.frames import reset_frame_uids
-    from ..net.packet import PACKET_POOL, reset_packet_uids
+    from ..net.packet import reset_packet_uids
 
     if options is None:
         options = EngineOptions.from_env()
     # Persistent sweep workers reuse one process for many runs: rewind
-    # the uid sources so cached and fresh runs see identical sequences,
-    # and empty the packet pool (no cross-run sharing).
+    # the uid sources so cached and fresh runs see identical sequences.
     reset_packet_uids(uid_base)
     reset_frame_uids(uid_base)
-    PACKET_POOL.clear()
     tracer = Tracer(cfg.trace) if cfg.trace else None
     sim = Simulator(seed=cfg.run_seed, tracer=tracer)
     if cfg.profile:
@@ -286,7 +284,6 @@ def build_scenario(
         from ..obs.profiler import Profiler
 
         sim.profiler = Profiler()
-    PACKET_POOL.perf = sim.perf
     if cfg.flight or cfg.flight_trace or options.flight:
         # Attached before the stack builds: radios freeze their PHY
         # trace hook at construction, and the batched-engine decision

@@ -11,7 +11,7 @@ from .build import build_scenario
 from .config import ScenarioConfig
 from .options import EngineOptions
 
-__all__ = ["run_scenario", "run_replications"]
+__all__ = ["run_scenario", "run_replications", "summarize"]
 
 
 def run_scenario(

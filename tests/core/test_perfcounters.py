@@ -19,7 +19,6 @@ KERNEL_ORDER = (
     "grid_incremental_updates",
     "heap_compactions",
     "events_pooled",
-    "packets_pooled",
     "arrivals_pooled",
     "sweep_cache_hits",
     "sweep_cache_misses",

@@ -1,5 +1,8 @@
 """FaultManager behaviour against real (small) scenarios."""
 
+import copy
+
+import numpy as np
 import pytest
 
 from repro.core.errors import ConfigurationError, FaultInjectionError
@@ -150,15 +153,19 @@ class TestLinkImpairment:
     def test_filter_preserves_target_order(self):
         scn = build_scenario(faulted(plan=FaultPlanConfig(link_loss=0.5)))
         mgr = scn.faults
-
-        class _R:  # minimal stand-in for a radio entry
-            def __init__(self, nid):
-                self.node_id = nid
-
-        targets = [(_R(i), 1.0) for i in range(1, 8)]
-        out = mgr.filter_targets(0, targets, 1.0)
-        kept = [e[0].node_id for e in out]
+        mgr._down[3] = True  # a crashed receiver consumes no draw
+        ids = np.arange(1, 8, dtype=np.intp)
+        draws = copy.deepcopy(mgr._link_rng)
+        keep = mgr.filter_targets_array(0, ids, 1.0)
+        kept = ids[keep].tolist()
         assert kept == sorted(kept)  # order preserved, only thinned
+        # One draw per surviving candidate, in receiver order.
+        expected = [
+            nid for nid in ids.tolist()
+            if nid != 3 and not draws.random() < 0.5
+        ]
+        assert kept == expected
+        assert mgr._link_rng.random() == draws.random()
 
 
 class TestEnergyAndOverload:

@@ -1,14 +1,14 @@
-"""The batched engine's fan-out miss path against the per-pair one.
+"""The fan-out miss path against its list-form reference.
 
 ``Channel._build_targets_batched`` goes from the position snapshot to a
 ``_BatchTargets`` in one array pass (grid candidates from the cached
 cell block, one squared-distance vector, source struck out before the
-path-loss model runs). ``Channel._build_targets`` is the per-pair
-engine's statement of the same geometry (``_compute_fanout`` lists,
-``SpatialIndex.query_radius``) and serves as the oracle: ids must agree
-in order and powers bit for bit. Each engine gets its own channel,
-mobility manager and grid, so a stale cache on one side cannot hide
-behind the other.
+path-loss model runs); both arrival engines walk that entry.
+``reference_fanout`` below is the geometry the per-pair engine used to
+carry (list in, list out, ``SpatialIndex.query_radius`` walking the
+buckets afresh) and serves as the oracle: ids must agree in order and
+powers bit for bit. Each side gets its own channel, mobility manager
+and grid, so a stale cache on one side cannot hide behind the other.
 """
 
 import math
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import RngStreams, Simulator
+from repro.core.errors import SimulationError
 from repro.mobility import Field, MobilityManager, RandomWaypoint
 from repro.mobility.static import StaticPosition
 from repro.phy import WAVELAN_914MHZ, Channel, Radio, TwoRayGround
@@ -41,9 +42,49 @@ def make_channel(models, quantum=0.005):
     return chan
 
 
+def reference_fanout(channel: Channel, src: int, tq: float):
+    """``[(radio, rx_power)]`` for every detectable receiver of *src*
+    at sample time *tq*, the source itself excluded."""
+    positions = channel.mobility.positions(tq)
+    n = len(positions)
+    params = channel.params
+    if n <= channel._scalar_threshold:
+        eligible, powers = channel._scalar_fanout(positions, src, tq)
+    else:
+        sx = positions[src, 0]
+        sy = positions[src, 1]
+        if n > channel._grid_threshold:
+            channel._sync_grid(positions, tq)
+            idx = np.asarray(
+                channel._grid.query_radius(sx, sy, channel.max_range),
+                dtype=np.intp,
+            )
+            dx = positions[idx, 0] - sx
+            dy = positions[idx, 1] - sy
+        else:
+            idx = np.arange(n)
+            dx = positions[:, 0] - sx
+            dy = positions[:, 1] - sy
+        d2 = dx * dx + dy * dy
+        near = d2 <= channel._prefilter_d2
+        idx = idx[near]
+        pw = channel.propagation.rx_power_d2_vec(params.tx_power, d2[near])
+        keep = pw >= params.cs_threshold
+        eligible, powers = idx[keep].tolist(), pw[keep].tolist()
+    targets = []
+    for i, p in zip(eligible, powers):
+        if i == src:
+            continue
+        radio = channel.radios[i]
+        if radio is None:
+            raise SimulationError(f"node {i} is in range but has no radio")
+        targets.append((radio, p))
+    return targets
+
+
 def assert_same_fanout(fused: Channel, oracle: Channel, src: int, tq: float):
     bt = fused._build_targets_batched(src, tq)
-    pairs = oracle._build_targets(src, tq)
+    pairs = reference_fanout(oracle, src, tq)
     assert bt.ids.dtype == np.intp
     assert bt.ids.tolist() == [radio.node_id for radio, _ in pairs]
     assert bt.powers.tolist() == [p for _, p in pairs]  # bit-equal

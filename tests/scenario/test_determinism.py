@@ -106,28 +106,6 @@ def test_vectorized_matches_legacy_end_to_end(protocol, monkeypatch):
     _assert_bit_identical(fast, reference)
 
 
-@pytest.mark.parametrize("protocol", ["aodv", "dsr", "dsdv", "cbrp"])
-def test_routing_fast_path_matches_legacy(protocol, monkeypatch):
-    """Full-scenario A/B: packet pooling on vs off, same seed.
-
-    A recycled shell draws its uid exactly where a fresh ``Packet``
-    would, so the pool must be invisible in the results; the reference
-    side never gets a shell back, so every control packet is fresh.
-    (The LinkCache memo has its own per-query oracle in
-    ``tests/routing/test_dsr_linkcache.py``.)
-    """
-    from repro.net.packet import PacketPool
-
-    cfg = ScenarioConfig(protocol=protocol, seed=7, **SMALL)
-    fast = run_scenario(cfg, shards=1)
-    monkeypatch.setattr(PacketPool, "release", lambda self, packet: None)
-    reference = run_scenario(cfg, shards=1)
-
-    assert fast.perf["packets_pooled"] > 0
-    assert reference.perf["packets_pooled"] == 0
-    _assert_bit_identical(fast, reference)
-
-
 @pytest.mark.parametrize("protocol", ["aodv", "dsr", "dsdv", "cbrp", "paodv"])
 def test_batched_phy_matches_legacy(protocol):
     """Full-scenario A/B: batched arrival engine vs per-pair, same seed.
@@ -148,43 +126,40 @@ def test_batched_phy_matches_legacy(protocol):
     _assert_bit_identical(fast, per_pair)
 
 
-@pytest.mark.parametrize("protocol", ["aodv", "dsr", "dsdv", "cbrp", "paodv"])
-def test_dcf_arena_matches_legacy(protocol):
+#: One collision domain wider than any array/scalar cutoff the engines
+#: have had (128 receivers): every frame fans out to all 149 others.
+LARGE_CELL = dict(
+    n_nodes=150,
+    field_size=(300.0, 300.0),
+    mobility="static",
+    duration=1.0,
+    n_connections=10,
+    traffic_start_window=(0.0, 0.2),
+)
+
+
+@pytest.mark.parametrize("protocol, scenario", [
+    *(pytest.param(p, SMALL, id=p)
+      for p in ["aodv", "dsr", "dsdv", "cbrp", "paodv"]),
+    pytest.param("aodv", LARGE_CELL, id="aodv-150-static"),
+])
+def test_dcf_arena_matches_legacy(protocol, scenario):
     """Full-scenario A/B: contention arena vs per-node DCF, same seed.
 
-    The arena moves DCF's waiting-state machine onto shared arrays, a
-    coalescing timer wheel, and batched medium-edge verdicts; the
+    The arena moves DCF's contention timers onto a coalescing wheel and
+    its carrier-edge reactions into two inlined per-fan-out loops; the
     per-node path keeps heap timers and ``medium_changed`` callbacks.
     Identical protocol, different dispatch machinery — results must be
-    bit-identical everywhere. A seed of its own, so this is not the
-    PHY test's run again.
+    bit-identical everywhere, large fan-outs included. A seed of its
+    own, so this is not the PHY test's run again.
     """
     fast, per_pair = _run_both_engines(
-        ScenarioConfig(protocol=protocol, seed=8, **SMALL)
+        ScenarioConfig(protocol=protocol, seed=8, **scenario)
     )
     # Only the arena routes DCF timers through the shared wheel.
     assert fast.perf["mac_timer_events"] > 0
     assert per_pair.perf["mac_timer_events"] == 0
     _assert_bit_identical(fast, per_pair)
-
-
-def test_dcf_arena_vector_paths_match_legacy(monkeypatch):
-    """The arena's NumPy paths (normally taken only above the scalar
-    cutoff) must be bit-identical too: force the cutoff to zero so a
-    10-node run exercises the vectorized busy-edge and end-of-frame
-    passes on every fan-out."""
-    from repro.mac import arena as arena_mod
-    from repro.mac.arena import ContentionArena
-
-    cfg = ScenarioConfig(protocol="aodv", seed=7, **SMALL)
-    per_pair = run_scenario(cfg.with_(flight_trace=True), shards=1)
-    monkeypatch.setattr(arena_mod, "_SCALAR_CUTOFF", 0)
-    monkeypatch.setattr(ContentionArena, "scalar_cutoff", 0)
-    vector = run_scenario(cfg, shards=1)
-
-    assert vector.perf["mac_timer_events"] > 0
-    assert per_pair.perf["mac_timer_events"] == 0
-    _assert_bit_identical(vector, per_pair)
 
 
 class TestFaultDeterminism:
@@ -193,7 +168,7 @@ class TestFaultDeterminism:
     def test_faulted_dcf_arena_matches_legacy(self):
         # Node crashes tear radios out of the air mid-reservation and
         # the fault hook filters fan-outs — the arena's wheel timers
-        # and shared arrays must shrug all of it off bit-identically.
+        # and edge loops must shrug all of it off bit-identically.
         from repro.faults.plan import FaultPlanConfig
 
         fast, per_pair = _run_both_engines(ScenarioConfig(
