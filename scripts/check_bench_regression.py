@@ -34,12 +34,15 @@ dispatch.
 With ``--manifest PATH`` the script instead validates a sweep
 ``manifest.json`` (local or fabric run) against the executor's
 accounting invariants: ``jobs_total == jobs_executed +
-jobs_from_cache``, ``jobs_resumed <= jobs_from_cache``, ``jobs_failed
-== len(failures)``, and — when the manifest records a fabric section —
-non-negative fleet counters with ``results_from_peer_cache <=
-jobs_from_cache``.  These must hold under lease reassignment and
-worker death; a violation means a sweep point was double-counted or
-silently lost, which is exactly what the fabric exists to prevent.
+jobs_from_cache``, ``jobs_failed == len(failures)``, and — when the
+manifest records a fabric section — non-negative fleet counters with
+``results_from_peer_cache <= jobs_from_cache``.  These must hold under
+lease reassignment and worker death; a violation means a sweep point
+was double-counted or silently lost, which is exactly what the fabric
+exists to prevent.  Adding ``--expect-cached`` additionally requires
+``jobs_executed == 0 and jobs_from_cache == jobs_total``: the manifest
+of a sweep run a second time over the same store, which is how "re-running
+is resuming" is gated.
 
 With ``--conservation PATH`` the script validates a flight-recorder
 report (``repro run --flight-report`` or ``repro obs why --json``)
@@ -54,6 +57,7 @@ Usage::
     python scripts/check_bench_regression.py [--floor 0.90]
         [--ratio-drop 0.20] [path]
     python scripts/check_bench_regression.py --manifest runs/manifest.json
+        [--expect-cached]
     python scripts/check_bench_regression.py --conservation flight.json
 """
 
@@ -133,7 +137,7 @@ def check(path: pathlib.Path, floor: float, ratio_drop: float) -> int:
     return 0
 
 
-def check_manifest(path: pathlib.Path) -> int:
+def check_manifest(path: pathlib.Path, expect_cached: bool = False) -> int:
     """Validate a sweep manifest's accounting invariants."""
     manifest = json.loads(path.read_text())
     problems = []
@@ -146,16 +150,17 @@ def check_manifest(path: pathlib.Path) -> int:
     total = manifest.get("jobs_total", -1)
     executed = manifest.get("jobs_executed", -1)
     cached = manifest.get("jobs_from_cache", -1)
-    resumed = manifest.get("jobs_resumed", -1)
     require(
         total == executed + cached,
         f"jobs_total == jobs_executed + jobs_from_cache "
         f"({total} == {executed} + {cached})",
     )
-    require(
-        0 <= resumed <= cached,
-        f"0 <= jobs_resumed <= jobs_from_cache ({resumed} <= {cached})",
-    )
+    if expect_cached:
+        require(
+            executed == 0 and cached == total,
+            f"re-run answered entirely from the store "
+            f"({executed} executed, {cached} of {total} cached)",
+        )
     require(
         manifest.get("jobs_failed", -1) == len(manifest.get("failures", ())),
         f"jobs_failed matches the failure list "
@@ -283,6 +288,12 @@ def main(argv=None) -> int:
              "instead of checking bench timings",
     )
     parser.add_argument(
+        "--expect-cached",
+        action="store_true",
+        help="with --manifest: also require jobs_executed == 0 and "
+             "jobs_from_cache == jobs_total (a re-run over a warm store)",
+    )
+    parser.add_argument(
         "--conservation",
         type=pathlib.Path,
         default=None,
@@ -300,7 +311,7 @@ def main(argv=None) -> int:
         if not args.manifest.exists():
             print(f"error: {args.manifest} not found", file=sys.stderr)
             return 2
-        return check_manifest(args.manifest)
+        return check_manifest(args.manifest, args.expect_cached)
     if not args.path.exists():
         print(f"error: {args.path} not found", file=sys.stderr)
         return 2

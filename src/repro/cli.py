@@ -248,7 +248,6 @@ def cmd_sweep(args) -> int:
         args.protocols,
         replications=args.replications,
         processes=args.processes,
-        resume=args.resume,
         job_timeout=args.timeout,
         max_retries=args.retries,
         progress=args.progress,
@@ -265,7 +264,7 @@ def cmd_sweep(args) -> int:
         )
     )
     print(
-        f"[executor: {result.workers} worker(s), chunksize {result.chunksize}, "
+        f"[executor: {result.manifest['workers']} worker(s), "
         f"cache {result.cache_hits} hit(s) / {result.cache_misses} miss(es)]"
     )
     if result.fabric:
@@ -281,8 +280,6 @@ def cmd_sweep(args) -> int:
             print(
                 f"[fabric {fab['broker']}: unreachable, ran on the local pool]"
             )
-    if args.resume and result.resumed:
-        print(f"[resumed {result.resumed} finished point(s) from the journal]")
     for failure in result.failures:
         print(
             f"[FAILED point #{failure.index} "
@@ -541,9 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "overhead_pkts", "throughput_bps", "avg_hops"])
     p_swp.add_argument("--csv", metavar="PATH",
                        help="also write every replication's metrics to CSV")
-    p_swp.add_argument("--resume", action="store_true",
-                       help="skip points already finished per the sweep "
-                            "journal (requires the cache)")
     p_swp.add_argument("--timeout", type=float, default=None, metavar="S",
                        help="per-job wall-clock timeout in seconds "
                             "(default: MANETSIM_JOB_TIMEOUT or none)")

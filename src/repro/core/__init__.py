@@ -1,8 +1,7 @@
-"""Simulation kernel: events, clock, RNG streams, tracing, units."""
+"""Simulation kernel: events, clock, RNG streams, units."""
 
 from .errors import (
     ConfigurationError,
-    ExecutorError,
     FaultInjectionError,
     PacketError,
     ProtocolError,
@@ -12,12 +11,10 @@ from .errors import (
 from .events import Event, EventQueue
 from .rng import RngStreams
 from .simulator import Simulator
-from .trace import NULL_TRACER, Tracer
 from . import units
 
 __all__ = [
     "ConfigurationError",
-    "ExecutorError",
     "FaultInjectionError",
     "PacketError",
     "ProtocolError",
@@ -27,7 +24,5 @@ __all__ = [
     "EventQueue",
     "RngStreams",
     "Simulator",
-    "Tracer",
-    "NULL_TRACER",
     "units",
 ]

@@ -14,7 +14,6 @@ __all__ = [
     "ProtocolError",
     "PacketError",
     "FaultInjectionError",
-    "ExecutorError",
     "FabricError",
 ]
 
@@ -41,10 +40,6 @@ class PacketError(SimulationError):
 
 class FaultInjectionError(SimulationError):
     """The fault-injection subsystem was misused or hit an impossible state."""
-
-
-class ExecutorError(SimulationError):
-    """The sweep executor was misconfigured or a dispatched run failed."""
 
 
 class FabricError(SimulationError):

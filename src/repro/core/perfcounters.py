@@ -76,7 +76,7 @@ register_counter("sweep_cache_misses", "sweep cells actually simulated")
 register_counter("phy_batch_arrivals",
                  "receiver arrivals resolved by the batched PHY engine")
 register_counter("phy_legacy_arrivals",
-                 "receiver arrivals resolved by the per-pair legacy path")
+                 "receiver arrivals resolved by the per-pair engine")
 register_counter("mac_timer_events",
                  "DCF timers routed through the contention arena's wheel")
 register_counter("mac_wheel_sentinels",

@@ -1,7 +1,7 @@
 """The simulation kernel: clock + event loop.
 
-A :class:`Simulator` owns the event queue, the simulation clock, the
-named RNG streams, and the tracer. Components hold a reference to it and
+A :class:`Simulator` owns the event queue, the simulation clock and the
+named RNG streams. Components hold a reference to it and
 interact exclusively through :meth:`schedule` / :meth:`schedule_at` and
 the ``now`` property — there is no global state, so multiple simulators
 can run side by side in one process (the sweep runner relies on this).
@@ -15,7 +15,6 @@ from .errors import SchedulingError
 from .events import Event, EventQueue
 from .perfcounters import PerfCounters
 from .rng import RngStreams
-from .trace import NULL_TRACER, Tracer
 
 __all__ = ["Simulator"]
 
@@ -27,8 +26,6 @@ class Simulator:
     ----------
     seed:
         Root seed for the scenario's :class:`RngStreams`.
-    tracer:
-        Optional :class:`Tracer`; defaults to the shared no-op tracer.
 
     Examples
     --------
@@ -40,13 +37,12 @@ class Simulator:
     (10.0, ['hello'])
     """
 
-    def __init__(self, seed: int = 0, tracer: Optional[Tracer] = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._queue = EventQueue()
         self._now = 0.0
         self._running = False
         self._stopped = False
         self.rng = RngStreams(seed)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Count of events actually fired; useful for performance reporting.
         self.events_processed = 0
         #: Hot-path instrumentation shared with every attached layer.

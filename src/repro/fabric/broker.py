@@ -5,8 +5,8 @@ deliberately reconstructible: finished results live in the
 content-addressed :class:`~repro.fabric.store.ResultStore` and every
 lifecycle event lands in the append-only journal, so a broker that is
 killed and restarted over the same cache directory answers previously
-computed sweeps entirely from the store — ``--resume`` works across
-broker restarts for free.
+computed sweeps entirely from the store — re-running a sweep resumes
+it across broker restarts for free.
 
 Scheduling model
 ----------------
@@ -208,8 +208,8 @@ class Broker:
         return self.cache_root / "journal.jsonl"
 
     def _journal(self, entry: dict) -> None:
-        """Append one record; fabric events use ``job`` (not ``key``) so
-        they can never shadow an executor-journal ``ok`` status."""
+        """Append one lifecycle record (diagnostic only: nothing reads
+        it back to decide what runs)."""
         try:
             self.journal_path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.journal_path, "a") as fh:

@@ -191,9 +191,6 @@ class FaultManager:
                     if flight is not None:
                         flight.drop(pkt, DropReason.CRASH_QUEUE, node_id)
         self.stats.crashes += 1
-        tracer = self.sim.tracer
-        if tracer.enabled("fault"):
-            tracer.log(self.sim.now, "fault", "crash", node_id, permanent)
 
     def _recover(self, node_id: int) -> None:
         if not self._down[node_id] or node_id in self._permanently_down:
@@ -209,9 +206,6 @@ class FaultManager:
         latency = self.sim.now - self._down_since[node_id]
         self.stats.recoveries += 1
         self.stats.recovery_latencies.append(latency)
-        tracer = self.sim.tracer
-        if tracer.enabled("fault"):
-            tracer.log(self.sim.now, "fault", "recover", node_id, latency)
 
     # --------------------------------------------------------------- energy
 

@@ -96,8 +96,8 @@ class MacLayer:
         #: Flight recorder, frozen at construction (None = no hooks).
         self._flight = sim.flight
         if sim.flight is not None:
-            # Frozen at construction, like the tracer gates: a disabled
-            # recorder leaves the class-attr None defaults untouched.
+            # A disabled recorder leaves the class-attr None defaults
+            # untouched.
             self.ifq.flight = sim.flight
             self.ifq.addr = radio.node_id
         self.stats = MacStats()
@@ -141,8 +141,5 @@ class MacLayer:
 
     def _link_failed(self, packet: Packet, next_hop: int) -> None:
         self.stats.drops_retry_limit += 1
-        tracer = self.sim.tracer
-        if tracer.enabled("mac"):
-            tracer.log(self.sim.now, "mac", "link-fail", self.address, next_hop)
         if self.upper is not None:
             self.upper.link_failed(packet, next_hop)

@@ -2,7 +2,7 @@
 
 A :class:`FlightRecorder` rides on the simulator (``sim.flight``; the
 default ``None`` keeps every hook dead, the same zero-overhead
-discipline as the tracer and profiler) and follows each *measured* data
+discipline as the profiler) and follows each *measured* data
 packet from traffic-source injection to its fate:
 
 * **Accounting** (always on when the recorder exists): a per-packet

@@ -5,18 +5,19 @@ run (a content hash over every job key), on what toolchain (git SHA,
 python/numpy versions, platform), under which resolved
 :class:`~repro.scenario.options.EngineOptions`, and how it went
 (per-job wall times, retry/timeout/broken-pool counts, worker
-utilization, cache/resume accounting). The
-executor writes it as ``manifest.json`` next to the sweep journal, so a
-campaign directory is self-describing and two sweeps are diffable.
+utilization, executed/cached accounting). The
+executor writes it as ``manifest.json`` at the root of the result
+store, so a campaign directory is self-describing and two sweeps are
+diffable.
 
 Job-count reconciliation invariant (tested, and gated in CI by
 ``scripts/check_bench_regression.py --manifest``):
-``jobs_total == jobs_executed + jobs_from_cache`` and
-``jobs_resumed <= jobs_from_cache`` — journal-replayed points count as
-already completed, never as fresh executions. The invariant holds
-under fabric dispatch too: points answered by a broker's shared store
-count as cache hits (``fabric.results_from_peer_cache``), points
-computed by fleet workers count as executions, and lease reassignments
+``jobs_total == jobs_executed + jobs_from_cache`` — points the store
+answered count as already completed, never as fresh executions. The
+invariant holds under fabric dispatch too: points answered by a
+broker's shared store count as cache hits
+(``fabric.results_from_peer_cache``), points computed by fleet
+workers count as executions, and lease reassignments
 (``fabric.leases_reassigned``, ``fabric.heartbeats_missed``) move work
 between workers without ever double-counting a job.
 """
@@ -83,16 +84,13 @@ def build_manifest(
     job_keys: Sequence[str],
     jobs_executed: int,
     jobs_from_cache: int,
-    jobs_resumed: int,
     failures: Sequence[dict],
     retries: int,
     timeouts: int,
     pool_restarts: int,
     workers: int,
-    chunksize: int,
     wall_time_s: float,
     job_wall_times_s: Dict[int, float],
-    resume: bool,
     cache_salt: str,
     engine_options: dict,
     fabric: Optional[dict] = None,
@@ -114,18 +112,15 @@ def build_manifest(
         "created_unix": time.time(),
         "sweep_key": sweep_key,
         "cache_salt": cache_salt,
-        "resume": bool(resume),
         "jobs_total": len(job_keys),
         "jobs_executed": jobs_executed,
         "jobs_from_cache": jobs_from_cache,
-        "jobs_resumed": jobs_resumed,
         "jobs_failed": len(failures),
         "failures": list(failures),
         "retries": retries,
         "timeouts": timeouts,
         "pool_restarts": pool_restarts,
         "workers": workers,
-        "chunksize": chunksize,
         "wall_time_s": wall_time_s,
         "job_wall_times_s": {str(k): v for k, v in job_wall_times_s.items()},
         "worker_utilization": utilization,
@@ -175,7 +170,6 @@ def manifest_summary_pairs(manifest: dict) -> dict:
         "jobs total": manifest.get("jobs_total", 0),
         "jobs executed": manifest.get("jobs_executed", 0),
         "jobs from cache": manifest.get("jobs_from_cache", 0),
-        "jobs resumed (journal)": manifest.get("jobs_resumed", 0),
         "jobs failed": manifest.get("jobs_failed", 0),
         "retries / timeouts / pool restarts": (
             f"{manifest.get('retries', 0)} / {manifest.get('timeouts', 0)} / "
@@ -216,7 +210,7 @@ def manifest_summary_pairs(manifest: dict) -> dict:
 class ProgressLine:
     """Opt-in single-line sweep progress: ``done/total, failures, ETA``.
 
-    Resume-aware: points restored from the cache/journal seed ``done``
+    Re-run aware: points the store already holds seed ``done``
     up front and are excluded from the jobs/s rate, so the ETA reflects
     only work that still has to execute. Rendered with a carriage
     return, so the line updates in place on a terminal; :meth:`finish`

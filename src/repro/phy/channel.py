@@ -234,14 +234,10 @@ class Channel:
         from a delivery callback (``batch_safe``) — reentrant MACs like
         :class:`~repro.mac.ideal.IdealMac` would interleave a new
         fan-out inside the batch resolve, so they keep the per-pair
-        path. PHY tracing also falls back: the batched pass reorders
-        trace *emission* (never outcomes), and trace runs are
-        debugging runs anyway.
+        path.
 
         Returns whether batched mode is now active.
         """
-        if self.sim.tracer.enabled("phy"):
-            return False
         for radio in self.radios:
             if radio is None:
                 return False
@@ -734,8 +730,9 @@ class Channel:
                             # A decoder can't sit in _DIFS/_BACKOFF at
                             # its own frame end (its arrival kept the
                             # medium busy, so it froze on the busy
-                            # edge); the defensive fallback keeps the
-                            # exact legacy chain if it ever happens.
+                            # edge); the defensive fallback runs the
+                            # un-inlined overhear_nav + medium_edge
+                            # chain if it ever happens.
                             s = mac._state
                             if nav_t is not None and nav_t > mac._nav:
                                 if s == 1:  # _WAIT_MEDIUM
@@ -782,7 +779,7 @@ class Channel:
                     # Bystander verdict against live (= pre-pass)
                     # state, each branch what medium_changed would do:
                     # not waiting or still physically busy -> nothing
-                    # (the legacy gate skipped these calls already);
+                    # (medium_changed returns early for these too);
                     # NAV-busy -> arm a wake unless one covers nav
                     # (NAV-busy implies _WAIT_MEDIUM, since raising a
                     # NAV freezes immediately; medium_edge covers the

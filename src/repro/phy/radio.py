@@ -196,12 +196,9 @@ class Radio:
         #: has already corrupted it.
         self._rx_frame: Optional[Frame] = None
         self._rx_corrupt = False
-        # Tracer categories are frozen at construction (core.trace), so
-        # the per-arrival `enabled("phy")` check collapses to a bool.
-        self._trace_phy = sim.tracer.enabled("phy")
-        # Flight recorder with PHY verdicts requested: frozen here like
-        # the tracer gate. Only the per-pair arrival path emits
-        # verdicts (the builder selects it when trace_phy is on).
+        # Flight recorder with PHY verdicts requested, frozen at
+        # construction. Only the per-pair arrival path emits verdicts
+        # (the builder selects it when trace_phy is on).
         flight = sim.flight
         self._flight_phy = (
             flight if flight is not None and flight.trace_phy else None
@@ -236,7 +233,7 @@ class Radio:
             if self._rx_frame is not None:
                 # The interference power of the dying decode stays in
                 # the ledger (the energy is still on the air); only the
-                # decode itself is lost, as in the legacy path.
+                # decode itself is lost, as in the per-pair path.
                 self._rx_frame = None
                 led.rx_power[self.node_id] = 0.0
 
@@ -425,12 +422,6 @@ class Radio:
                 if fp is not None:
                     self._fnote("phy_collision", frame)
                     self._fnote("phy_collision", rx.frame)
-                if self._trace_phy:
-                    sim = self.sim
-                    sim.tracer.log(
-                        sim._now, "phy", "collision", self.node_id,
-                        rx.frame.src, frame.src,
-                    )
         elif power >= self._rx_threshold:
             # Candidate decode; pre-existing interference may already
             # bury it.

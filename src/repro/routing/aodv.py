@@ -16,7 +16,7 @@ link-layer feedback (MAC retry exhaustion) by default; periodic HELLO
 beacons can be enabled for MACs without feedback (``hello_interval``).
 
 Simplifications (documented in DESIGN.md): no gratuitous RREPs, no
-local repair (the journal version of the study predates its wide use),
+local repair (the paper's extended version predates its wide use),
 no RREP-ACK/blacklists.
 """
 

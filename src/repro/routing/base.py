@@ -90,9 +90,6 @@ class RoutingProtocol:
         #: agent neither processes arrivals nor counts control overhead
         #: (its timers still fire, but every send is suppressed).
         self.alive = True
-        #: Tracer categories are frozen at construction, so the "route"
-        #: gate can be evaluated once instead of per packet.
-        self._trace_route = sim.tracer.enabled("route")
         #: Flight recorder, frozen at construction (None = no hooks).
         self._flight = sim.flight
         mac.upper = self
@@ -226,12 +223,6 @@ class RoutingProtocol:
             return
         self.stats.control_packets += 1
         self.stats.control_bytes += packet.size
-        if self._trace_route:
-            tracer = self.sim.tracer
-            tracer.log(
-                self.sim.now, "route", "ctl-tx", self.addr, self.NAME,
-                type(packet.payload).__name__, next_hop, packet.size,
-            )
         if jitter is None:
             jitter = self.BROADCAST_JITTER if next_hop == BROADCAST else 0.0
         if jitter > 0.0:
@@ -265,12 +256,6 @@ class RoutingProtocol:
             flight.note(
                 "forward" if forwarded else "route_tx",
                 packet.origin_uid, self.addr, next_hop=next_hop,
-            )
-        if self._trace_route:
-            tracer = self.sim.tracer
-            tracer.log(
-                self.sim.now, "route", "data-fwd" if forwarded else "data-tx",
-                self.addr, packet.src, packet.dst, next_hop, packet.uid,
             )
         self.mac.send(packet, next_hop)
         return True

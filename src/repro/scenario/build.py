@@ -266,7 +266,6 @@ def build_scenario(
     the sharded engine passes False (it requires the batched engine)
     and records the routing/MAC/queue legs of each flight only.
     """
-    from ..core.trace import Tracer
     from ..mac.frames import reset_frame_uids
     from ..net.packet import reset_packet_uids
 
@@ -276,8 +275,7 @@ def build_scenario(
     # the uid sources so cached and fresh runs see identical sequences.
     reset_packet_uids(uid_base)
     reset_frame_uids(uid_base)
-    tracer = Tracer(cfg.trace) if cfg.trace else None
-    sim = Simulator(seed=cfg.run_seed, tracer=tracer)
+    sim = Simulator(seed=cfg.run_seed)
     if cfg.profile:
         # Attached before the stack builds so every layer that caches
         # sim.profiler (channel, mobility manager) picks it up.
@@ -329,7 +327,6 @@ def build_scenario(
         cfg.protocol,
         measure_from=cfg.measure_from,
         record_times=record_times,
-        stream=cfg.stream_stats,
     )
     collector.flight = sim.flight
     collector.attach(network)

@@ -107,8 +107,6 @@ class ScenarioConfig:
     faults: Optional[FaultPlanConfig] = None
 
     # --- observability -----------------------------------------------------
-    #: Trace categories to record ("route", "mac", "phy") or "all".
-    trace: Tuple[str, ...] = ()
     #: Attach a span profiler to the run (per-layer wall-time profile on
     #: ``MetricsSummary.profile``). Off by default: the unprofiled event
     #: loop is a separate code path with zero added cost.
@@ -124,10 +122,6 @@ class ScenarioConfig:
     #: ``flight``); PHY arrival verdicts select the per-pair arrival
     #: engine in single-process runs.
     flight_trace: bool = False
-    #: Bounded-memory metrics: running sums, a log-histogram p95
-    #: (≈ 2 %) and no per-flow delay lists. It changes what the summary
-    #: holds, so it is part of the config (and of its cache key).
-    stream_stats: bool = False
 
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:

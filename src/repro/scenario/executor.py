@@ -1,4 +1,4 @@
-"""Resilient persistent sweep execution: pool + cache + journal.
+"""Resilient persistent sweep execution: pool + content-addressed store.
 
 Sweeps are embarrassingly parallel, but a production campaign has to
 survive more than parallelism: a worker segfaulting, a pathological
@@ -23,18 +23,19 @@ long-lived :class:`concurrent.futures.ProcessPoolExecutor`:
   quarantined after its retries), while innocent bystanders complete
   untouched.
 
-Interrupted sweeps resume from a journal: every finished job appends a
-JSONL record to ``<cache>/journal.jsonl`` keyed by the config's content
-hash, and ``run(..., resume=True)`` re-executes only keys without an
-``ok`` record (results for finished keys come from the disk cache).
+The store is the checkpoint: every finished point is published under
+its config's content hash the moment it completes, so re-running an
+interrupted sweep executes exactly the points the store lacks
+(re-running is resuming).
 
-Observability: every cached run additionally publishes a
-``<cache>/manifest.json`` (see :mod:`repro.obs.manifest`) recording the
-sweep's content hash, toolchain versions, resolved engine options, per-job
-wall times, and the failure taxonomy; ``run(..., progress=True)`` emits
-a single-line in-place progress display (done/total, failures, jobs/s,
-ETA) in which cache- and journal-restored points count as already done
-— never as fresh completions — so resumed sweeps report honest rates.
+Observability: every run builds a manifest (see
+:mod:`repro.obs.manifest`; written to ``<cache>/manifest.json`` when
+caching is on) recording the sweep's content hash, toolchain versions,
+resolved engine options, dispatch counts, per-job wall times, and the
+failure taxonomy; ``run(..., progress=True)`` emits a single-line
+in-place progress display (done/total, failures, jobs/s, ETA) in which
+cached points count as already done — never as fresh completions — so
+re-run sweeps report honest rates.
 
 The disk cache is exact: a :class:`~repro.scenario.config.ScenarioConfig`
 pins a simulation bit-for-bit (frozen primitives + deterministic
@@ -82,13 +83,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.errors import ExecutorError
-from ..core.trace import NULL_TRACER, Tracer
 from ..fabric.store import ResultStore
 from ..obs.manifest import ProgressLine, build_manifest, write_manifest
 from ..stats.metrics import MetricsSummary
 from .config import ScenarioConfig
-from .options import EngineOptions
+from .options import EngineOptions, env_number
 from .run import run_scenario
 
 __all__ = [
@@ -113,10 +112,8 @@ __all__ = [
 #: v7: flight-recorder fields (flight/flight_trace) entered the
 #: canonical config dict and MetricsSummary grew drops_by_reason/
 #: flight — pre-taxonomy pickles lack the per-reason breakdown.
-#: v8: ``stream_stats`` entered the canonical config dict; while it
-#: was an environment switch, a store could hold histogram-approximated
-#: summaries under the exact config's key.
-_CACHE_SALT = "manetsim-sweep-v8"
+#: v8, v9: fields entered, then left, the canonical config dict.
+_CACHE_SALT = "manetsim-sweep-v9"
 
 #: Default cache root, resolved against the working directory.
 _CACHE_DIR = ".manetsim-cache"
@@ -162,56 +159,6 @@ class FailedRun:
         return True
 
 
-class _Journal:
-    """Append-only JSONL progress log for checkpoint/resume.
-
-    One record per finished job: ``{"key", "index", "status", ...}``
-    with status ``"ok"`` or ``"failed"``. Keys are config content
-    hashes, so records from unrelated sweeps coexist harmlessly and a
-    resumed sweep recognizes its finished points regardless of order.
-    """
-
-    def __init__(self, path: Path):
-        self.path = path
-
-    def record(self, entry: dict) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            # ensure_ascii=False keeps non-ASCII error text readable;
-            # completed_keys() reads in binary, so a crash truncating
-            # the tail mid-character is survivable either way.
-            fh.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
-            fh.flush()
-
-    def completed_keys(self) -> Dict[str, str]:
-        """Latest recorded status per key (missing file = empty).
-
-        Reads in binary and decodes per line: a process killed
-        mid-append can truncate the tail at *any* byte offset —
-        including inside a multi-byte UTF-8 sequence, which would make
-        a text-mode read raise ``UnicodeDecodeError`` for the whole
-        file. Torn or undecodable lines are skipped, never fatal.
-        """
-        statuses: Dict[str, str] = {}
-        try:
-            raw = self.path.read_bytes()
-        except OSError:
-            return statuses
-        for line in raw.splitlines():
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                continue  # torn tail line from a killed process
-            if not isinstance(entry, dict):
-                continue
-            key = entry.get("key")
-            if key:
-                statuses[key] = entry.get("status", "")
-        return statuses
-
-
 def _worker(job: Tuple[int, ScenarioConfig]) -> Tuple[int, MetricsSummary]:
     index, cfg = job
     return index, run_scenario(cfg)
@@ -239,11 +186,9 @@ class _Job:
 
 def _resolve_processes(processes: Optional[int]) -> int:
     if processes is None:
-        env = os.environ.get("MANETSIM_PROCESSES")
-        if env:
-            processes = int(env)
-        else:
-            processes = os.cpu_count() or 1
+        processes = env_number(
+            os.environ, "MANETSIM_PROCESSES", os.cpu_count() or 1
+        )
     if processes < 1:
         raise ValueError(f"process count must be >= 1, got {processes}")
     return processes
@@ -251,9 +196,9 @@ def _resolve_processes(processes: Optional[int]) -> int:
 
 def _resolve_timeout(job_timeout: Optional[float]) -> Optional[float]:
     if job_timeout is None:
-        env = os.environ.get("MANETSIM_JOB_TIMEOUT")
-        if env:
-            job_timeout = float(env)
+        job_timeout = env_number(
+            os.environ, "MANETSIM_JOB_TIMEOUT", None, float
+        )
     if job_timeout is not None and job_timeout <= 0:
         return None
     return job_timeout
@@ -261,8 +206,7 @@ def _resolve_timeout(job_timeout: Optional[float]) -> Optional[float]:
 
 def _resolve_retries(max_retries: Optional[int]) -> int:
     if max_retries is None:
-        env = os.environ.get("MANETSIM_JOB_RETRIES")
-        max_retries = int(env) if env else 2
+        max_retries = env_number(os.environ, "MANETSIM_JOB_RETRIES", 2)
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     return max_retries
@@ -278,13 +222,10 @@ class SweepExecutor:
         ``os.cpu_count()``. ``1`` executes inline in this process (no
         pool), which is still logged — never a silent fallback.
     cache_dir:
-        Root of the on-disk result cache and journal; ``None`` uses
+        Root of the on-disk result store; ``None`` uses
         ``.manetsim-cache`` in the working directory.
     use_cache:
         ``None`` enables the cache unless ``MANETSIM_NO_SWEEP_CACHE=1``.
-    tracer:
-        Receives ``("sweep", ...)`` records describing dispatch, cache,
-        and failure-recovery behaviour.
     job_timeout:
         Wall-clock seconds allowed per dispatched job; ``None`` consults
         ``MANETSIM_JOB_TIMEOUT`` (unset/0 disables). Not enforced in
@@ -302,7 +243,6 @@ class SweepExecutor:
         processes: Optional[int] = None,
         cache_dir: Optional[str] = None,
         use_cache: Optional[bool] = None,
-        tracer: Optional[Tracer] = None,
         job_timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
         retry_backoff: float = 0.25,
@@ -311,9 +251,7 @@ class SweepExecutor:
         if use_cache is None:
             use_cache = os.environ.get("MANETSIM_NO_SWEEP_CACHE") != "1"
         self.use_cache = use_cache
-        self._cache_root = Path(cache_dir or _CACHE_DIR)
-        self._cache = ResultStore(self._cache_root)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self._set_cache_dir(cache_dir)
         self.job_timeout = _resolve_timeout(job_timeout)
         self.max_retries = _resolve_retries(max_retries)
         self.retry_backoff = retry_backoff
@@ -322,21 +260,18 @@ class SweepExecutor:
         #: busy (or hung), so capacity is presumed reduced until the
         #: pool is recycled.
         self._abandoned = 0
-        #: Dispatch stats for the most recent :meth:`run` call.
-        self.last_workers = 0
-        self.last_chunksize = 0
+        #: Store hits / misses and failed points of the most recent
+        #: :meth:`run`; everything else about it is in the manifest.
         self.last_cache_hits = 0
         self.last_cache_misses = 0
-        self.last_executed = 0
-        self.last_resumed = 0
         self.last_failures: List[FailedRun] = []
         #: Times the worker pool had to be rebuilt (crash/hang recovery).
         self.pool_restarts = 0
-        #: Per-job wall-clock seconds (index -> s) for the last run.
-        self.last_job_walls: Dict[int, float] = {}
-        #: Retry / timeout event counts for the last run.
-        self.last_retries = 0
-        self.last_timeouts = 0
+        #: The running sweep's per-job wall seconds (index -> s) and
+        #: retry / timeout counts, on their way into the manifest.
+        self._job_walls: Dict[int, float] = {}
+        self._retries = 0
+        self._timeouts = 0
         #: Manifest of the last run (written to disk when caching is on).
         self.last_manifest: Optional[dict] = None
         self.last_manifest_path: Optional[Path] = None
@@ -346,13 +281,9 @@ class SweepExecutor:
 
     # ------------------------------------------------------------ lifecycle
 
-    def _set_cache_dir(self, cache_dir: str) -> None:
-        self._cache_root = Path(cache_dir)
+    def _set_cache_dir(self, cache_dir: Optional[str]) -> None:
+        self._cache_root = Path(cache_dir or _CACHE_DIR)
         self._cache = ResultStore(self._cache_root)
-
-    @property
-    def journal_path(self) -> Path:
-        return self._cache_root / "journal.jsonl"
 
     @property
     def manifest_path(self) -> Path:
@@ -368,14 +299,14 @@ class SweepExecutor:
         self._abandoned = 0
         return self._pool
 
-    def _recycle_pool(self) -> None:
-        """Tear the pool down hard and forget it (rebuilt on demand)."""
+    def close(self) -> None:
+        """Tear the pool down hard and forget it (idempotent; the next
+        dispatch rebuilds it)."""
         pool = self._pool
         self._pool = None
         self._abandoned = 0
         if pool is None:
             return
-        self.pool_restarts += 1
         procs = list(getattr(pool, "_processes", {}).values())
         pool.shutdown(wait=False, cancel_futures=True)
         for p in procs:
@@ -384,25 +315,17 @@ class SweepExecutor:
         for p in procs:
             p.join(timeout=5.0)
 
-    def close(self) -> None:
-        """Tear down the pool (idempotent)."""
-        pool = self._pool
-        self._pool = None
-        if pool is not None:
-            procs = list(getattr(pool, "_processes", {}).values())
-            pool.shutdown(wait=False, cancel_futures=True)
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-            for p in procs:
-                p.join(timeout=5.0)
+    def _recycle_pool(self) -> None:
+        """Crash/hang recovery: :meth:`close`, counted as a restart."""
+        if self._pool is not None:
+            self.pool_restarts += 1
+            self.close()
 
     # ------------------------------------------------------------ execution
 
     def run(
         self,
         configs: Sequence[ScenarioConfig],
-        resume: bool = False,
         progress: bool = False,
         fabric: Optional[str] = None,
     ) -> List[Union[MetricsSummary, FailedRun]]:
@@ -412,15 +335,14 @@ class SweepExecutor:
         :class:`FailedRun` when the point exhausted its retries —
         worker exceptions never escape this method.
 
-        With ``resume=True``, points whose journal record says ``ok``
-        are served from the disk cache and only unfinished (or failed)
-        points execute; requires the cache to be enabled.
+        With the cache on, points the store already holds are served
+        from it and only the rest execute, so re-running an interrupted
+        sweep is resuming it.
 
         With ``progress=True``, a single stderr line tracks
-        done/total, failures, jobs/s and ETA; cache- and
-        journal-restored points seed the "done" count and are excluded
-        from the rate, so a resumed sweep's ETA covers only remaining
-        work.
+        done/total, failures, jobs/s and ETA; cached points seed the
+        "done" count and are excluded from the rate, so a re-run
+        sweep's ETA covers only remaining work.
 
         With ``fabric="host:port"``, cache-missing points are shipped
         to that broker's worker fleet; results the fleet (or its shared
@@ -428,23 +350,15 @@ class SweepExecutor:
         mid-sweep, fleet exhausted — degrade to the local pool with a
         warning. A fabric sweep can be slower than planned, never lost.
         """
-        if resume and not self.use_cache:
-            raise ExecutorError(
-                "resume requires the sweep cache (journal results are "
-                "stored there); enable the cache or drop resume"
-            )
         n = len(configs)
         run_t0 = time.monotonic()
         restarts_before = self.pool_restarts
-        self.last_job_walls = {}
-        self.last_retries = 0
-        self.last_timeouts = 0
+        self._job_walls = {}
+        self._retries = 0
+        self._timeouts = 0
         results: List[Optional[Union[MetricsSummary, FailedRun]]] = [None] * n
         keys: List[Optional[str]] = [None] * n
         hits = 0
-        resumed = 0
-        journal = _Journal(self.journal_path) if self.use_cache else None
-        done_keys = journal.completed_keys() if (journal and resume) else {}
         if self.use_cache:
             for i, cfg in enumerate(configs):
                 key = config_cache_key(cfg)
@@ -453,29 +367,12 @@ class SweepExecutor:
                 if cached is not None:
                     results[i] = cached
                     hits += 1
-                    if resume and done_keys.get(key) == "ok":
-                        resumed += 1
         pending = [
             _Job(i, configs[i], keys[i]) for i in range(n) if results[i] is None
         ]
         misses = len(pending)
-        self.last_cache_hits = hits
         self.last_cache_misses = misses
-        self.last_resumed = resumed
-        self.last_executed = misses
         self.last_failures = []
-
-        workers = min(self.processes, max(misses, 1))
-        # Reported batching factor (the futures pool dispatches per job;
-        # the figure still describes how results group per worker).
-        chunksize = max(1, misses // (workers * 4))
-        self.last_workers = workers
-        self.last_chunksize = chunksize
-        tracer = self.tracer
-        if tracer.enabled("sweep"):
-            tracer.log(
-                0.0, "sweep", "dispatch", n, misses, hits, workers, chunksize
-            )
 
         self._progress = ProgressLine(n, already_done=hits) if progress else None
         self.last_fabric = None
@@ -486,17 +383,15 @@ class SweepExecutor:
                     # Fleet first; whatever comes back unresolved
                     # (everything when unreachable, the tail when the
                     # stream died) runs locally.
-                    local = self._run_fabric(
-                        fabric, pending, results, journal, tracer
-                    )
+                    local = self._run_fabric(fabric, pending, results)
                 # Inline only when serial execution was *requested*. A
                 # one-job batch on a multi-process executor still goes
                 # through the pool: a crashing or hanging job must take
                 # a worker down, never this process.
                 if local and self.processes == 1:
-                    self._run_inline(local, results, journal, tracer)
+                    self._run_inline(local, results)
                 elif local:
-                    self._run_pool(local, results, journal, tracer)
+                    self._run_pool(local, results)
         finally:
             if self._progress is not None:
                 self._progress.finish()
@@ -508,13 +403,11 @@ class SweepExecutor:
         # honest under fabric dispatch.
         peer_hits = (self.last_fabric or {}).get("results_from_peer_cache", 0)
         self.last_cache_hits = hits + peer_hits
-        self.last_executed = misses - peer_hits
 
         manifest = build_manifest(
             job_keys=[k or "" for k in keys],
-            jobs_executed=self.last_executed,
+            jobs_executed=misses - peer_hits,
             jobs_from_cache=self.last_cache_hits,
-            jobs_resumed=resumed,
             failures=[
                 {
                     "index": f.index,
@@ -524,14 +417,12 @@ class SweepExecutor:
                 }
                 for f in self.last_failures
             ],
-            retries=self.last_retries,
-            timeouts=self.last_timeouts,
+            retries=self._retries,
+            timeouts=self._timeouts,
             pool_restarts=self.pool_restarts - restarts_before,
-            workers=workers,
-            chunksize=chunksize,
+            workers=min(self.processes, max(misses, 1)),
             wall_time_s=time.monotonic() - run_t0,
-            job_wall_times_s=self.last_job_walls,
-            resume=resume,
+            job_wall_times_s=self._job_walls,
             cache_salt=_CACHE_SALT,
             engine_options=asdict(EngineOptions.from_env()),
             fabric=self.last_fabric,
@@ -546,21 +437,15 @@ class SweepExecutor:
 
     # ------------------------------------------------------- inline dispatch
 
-    def _record_ok(self, job: _Job, summary, journal: Optional[_Journal]) -> None:
+    def _record_ok(self, job: _Job, summary) -> None:
         if job.last_start:
-            self.last_job_walls[job.index] = time.monotonic() - job.last_start
+            self._job_walls[job.index] = time.monotonic() - job.last_start
         if self.use_cache and job.key is not None:
             self._cache.put(job.key, summary)
-        if journal is not None and job.key is not None:
-            journal.record(
-                {"key": job.key, "index": job.index, "status": "ok"}
-            )
         if self._progress is not None:
             self._progress.update(ok=True)
 
-    def _record_failed(
-        self, job: _Job, journal: Optional[_Journal]
-    ) -> FailedRun:
+    def _record_failed(self, job: _Job) -> FailedRun:
         failed = FailedRun(
             index=job.index,
             config=job.config,
@@ -569,28 +454,15 @@ class SweepExecutor:
             attempts=job.attempts,
         )
         if job.last_start:
-            self.last_job_walls[job.index] = time.monotonic() - job.last_start
+            self._job_walls[job.index] = time.monotonic() - job.last_start
         if self._progress is not None:
             self._progress.update(ok=False)
-        if journal is not None and job.key is not None:
-            journal.record(
-                {
-                    "key": job.key,
-                    "index": job.index,
-                    "status": "failed",
-                    "kind": job.last_kind,
-                    "error": job.last_error[:500],
-                    "attempts": job.attempts,
-                }
-            )
         return failed
 
-    def _run_inline(self, pending, results, journal, tracer) -> None:
+    def _run_inline(self, pending, results) -> None:
         """Serial execution (requested, not a fallback): same code path
         as the workers, minus the IPC — and minus preemption, so jobs
         get a single attempt and no timeout."""
-        if tracer.enabled("sweep"):
-            tracer.log(0.0, "sweep", "serial", len(pending))
         for job in pending:
             job.last_start = time.monotonic()
             try:
@@ -599,19 +471,15 @@ class SweepExecutor:
                 job.attempts += 1
                 job.last_kind = "exception"
                 job.last_error = f"{type(exc).__name__}: {exc}"
-                results[job.index] = self._record_failed(job, journal)
-                if tracer.enabled("sweep"):
-                    tracer.log(
-                        0.0, "sweep", "job-failed", job.index, job.last_error
-                    )
+                results[job.index] = self._record_failed(job)
                 continue
             results[job.index] = summary
-            self._record_ok(job, summary, journal)
+            self._record_ok(job, summary)
 
     # ------------------------------------------------------- fabric dispatch
 
     def _run_fabric(
-        self, address: str, pending: List["_Job"], results, journal, tracer
+        self, address: str, pending: List["_Job"], results
     ) -> List["_Job"]:
         """Ship *pending* to the broker fleet at *address*.
 
@@ -629,7 +497,6 @@ class SweepExecutor:
         )
         from .io import config_to_dict
 
-        trace_on = tracer.enabled("sweep")
         fab: Dict[str, object] = {
             "broker": address,
             "connected": False,
@@ -656,8 +523,6 @@ class SweepExecutor:
                 RuntimeWarning,
                 stacklevel=2,
             )
-            if trace_on:
-                tracer.log(0.0, "sweep", "fabric-unreachable", str(exc))
             return pending
         fab["connected"] = True
 
@@ -683,8 +548,6 @@ class SweepExecutor:
                 "job_timeout": self.job_timeout,
                 "max_retries": self.max_retries,
             })
-            if trace_on:
-                tracer.log(0.0, "sweep", "fabric-submit", address, len(specs))
             for msg in client.events():
                 mtype = msg.get("type")
                 if mtype == "point":
@@ -697,7 +560,7 @@ class SweepExecutor:
                         fab["results_from_peer_cache"] += 1
                     else:
                         fab["points_executed"] += 1
-                    self._record_ok(job, summary, journal)
+                    self._record_ok(job, summary)
                 elif mtype == "point_failed":
                     job = unresolved.pop(msg["index"], None)
                     if job is None:
@@ -706,12 +569,7 @@ class SweepExecutor:
                     job.last_error = str(msg.get("error", ""))
                     job.attempts = int(msg.get("attempts", 1))
                     fab["points_failed"] += 1
-                    results[job.index] = self._record_failed(job, journal)
-                    if trace_on:
-                        tracer.log(
-                            0.0, "sweep", "fabric-job-failed", job.index,
-                            job.last_kind, job.last_error,
-                        )
+                    results[job.index] = self._record_failed(job)
                 elif mtype == "fleet-exhausted":
                     warnings.warn(
                         f"sweep fabric: no workers at {address}; running "
@@ -719,10 +577,6 @@ class SweepExecutor:
                         RuntimeWarning,
                         stacklevel=2,
                     )
-                    if trace_on:
-                        tracer.log(
-                            0.0, "sweep", "fabric-exhausted", len(unresolved)
-                        )
                 elif mtype == "done":
                     counters = msg.get("counters") or {}
                     for name in (
@@ -741,8 +595,6 @@ class SweepExecutor:
                 RuntimeWarning,
                 stacklevel=2,
             )
-            if trace_on:
-                tracer.log(0.0, "sweep", "fabric-lost", str(exc))
         finally:
             client.close()
         leftovers = [by_index[i] for i in sorted(unresolved)]
@@ -754,19 +606,10 @@ class SweepExecutor:
     def _backoff(self, attempts: int) -> float:
         return min(self.retry_backoff * (2.0 ** max(attempts - 1, 0)), _MAX_BACKOFF)
 
-    def _run_pool(self, pending, results, journal, tracer) -> None:
+    def _run_pool(self, pending, results) -> None:
         queue: List[_Job] = list(pending)
         inflight: Dict[Future, _Job] = {}
         deadlines: Dict[Future, float] = {}
-        trace_on = tracer.enabled("sweep")
-
-        def fail(job: _Job) -> None:
-            results[job.index] = self._record_failed(job, journal)
-            if trace_on:
-                tracer.log(
-                    0.0, "sweep", "job-failed", job.index,
-                    job.last_kind, job.last_error,
-                )
 
         def requeue(job: _Job, kind: str, error: str, *, penalize: bool) -> None:
             job.last_kind = kind
@@ -774,10 +617,10 @@ class SweepExecutor:
             if penalize:
                 job.attempts += 1
                 if job.attempts > self.max_retries:
-                    fail(job)
+                    results[job.index] = self._record_failed(job)
                     return
                 job.not_before = time.monotonic() + self._backoff(job.attempts)
-            self.last_retries += 1
+            self._retries += 1
             queue.append(job)
 
         while queue or inflight:
@@ -800,13 +643,9 @@ class SweepExecutor:
                     pool = self._ensure_pool()
                     try:
                         fut = pool.submit(_worker, (job.index, job.config))
-                    except Exception as exc:  # pool broken between batches
+                    except Exception:  # pool broken between batches
                         self._recycle_pool()
                         remaining.append(job)
-                        if trace_on:
-                            tracer.log(
-                                0.0, "sweep", "submit-retry", job.index, str(exc)
-                            )
                         continue
                     job.last_start = time.monotonic()
                     inflight[fut] = job
@@ -837,7 +676,7 @@ class SweepExecutor:
                 if exc is None:
                     _index, summary = fut.result()
                     results[job.index] = summary
-                    self._record_ok(job, summary, journal)
+                    self._record_ok(job, summary)
                 elif isinstance(exc, BrokenProcessPool):
                     broken = True
                     # Alone in the pool -> this config killed its
@@ -862,10 +701,6 @@ class SweepExecutor:
                 # no fault of its own: recycle the pool and re-run them
                 # in isolation without touching their retry budgets.
                 self._recycle_pool()
-                if trace_on:
-                    tracer.log(
-                        0.0, "sweep", "pool-broken", len(inflight)
-                    )
                 for fut, job in inflight.items():
                     job.isolate = True
                     requeue(
@@ -889,17 +724,13 @@ class SweepExecutor:
                     deadlines.pop(fut, None)
                     if not fut.cancel():
                         self._abandoned += 1
-                    self.last_timeouts += 1
+                    self._timeouts += 1
                     requeue(
                         job,
                         "timeout",
                         f"exceeded job timeout of {self.job_timeout}s",
                         penalize=True,
                     )
-                    if trace_on:
-                        tracer.log(
-                            0.0, "sweep", "job-timeout", job.index, self.job_timeout
-                        )
                 if self._abandoned >= self.processes:
                     # All workers presumed hung: survivors (if any) are
                     # casualties of the recycle, not failures.
@@ -922,7 +753,6 @@ _DEFAULT: Optional[SweepExecutor] = None
 def default_executor(
     processes: Optional[int] = None,
     use_cache: Optional[bool] = None,
-    tracer: Optional[Tracer] = None,
     cache_dir: Optional[str] = None,
     job_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
@@ -930,7 +760,7 @@ def default_executor(
     """The process-wide persistent executor, (re)built on demand.
 
     A new executor replaces the old one only when the requested worker
-    count changes; cache/tracer/resilience settings apply per call.
+    count changes; cache and resilience settings apply per call.
     """
     global _DEFAULT
     want = _resolve_processes(processes)
@@ -942,9 +772,7 @@ def default_executor(
         _DEFAULT.use_cache = use_cache
     else:
         _DEFAULT.use_cache = os.environ.get("MANETSIM_NO_SWEEP_CACHE") != "1"
-    if cache_dir is not None:
-        _DEFAULT._set_cache_dir(cache_dir)
-    _DEFAULT.tracer = tracer if tracer is not None else NULL_TRACER
+    _DEFAULT._set_cache_dir(cache_dir)
     _DEFAULT.job_timeout = _resolve_timeout(job_timeout)
     _DEFAULT.max_retries = _resolve_retries(max_retries)
     return _DEFAULT

@@ -17,18 +17,23 @@ from typing import Mapping, Optional
 
 from ..core.errors import ConfigurationError
 
-__all__ = ["EngineOptions"]
+__all__ = ["EngineOptions", "env_number"]
 
 
-def _int(environ: Mapping[str, str], name: str, default: int) -> int:
+def env_number(environ: Mapping[str, str], name: str, default, parse=int):
+    """``parse(environ[name])``; *default* when unset or empty.
+
+    A value *parse* rejects is a :class:`ConfigurationError` naming the
+    variable and the value, never a bare ``ValueError``.
+    """
     raw = environ.get(name, "")
     if raw == "":
         return default
     try:
-        return int(raw)
+        return parse(raw)
     except ValueError:
         raise ConfigurationError(
-            f"{name} must be an integer, got {raw!r}"
+            f"{name} must be {parse.__name__}-valued, got {raw!r}"
         ) from None
 
 
@@ -57,8 +62,8 @@ class EngineOptions:
         if environ is None:
             environ = os.environ
         return cls(
-            shards=_int(environ, "MANETSIM_SHARDS", 1),
+            shards=env_number(environ, "MANETSIM_SHARDS", 1),
             shard_strict=environ.get("MANETSIM_SHARD_STRICT") == "1",
             flight=environ.get("MANETSIM_FLIGHT") == "1",
-            trace_sample=_int(environ, "MANETSIM_TRACE_SAMPLE", 1),
+            trace_sample=env_number(environ, "MANETSIM_TRACE_SAMPLE", 1),
         )

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.trace import Tracer
 from ..stats.aggregate import PointEstimate, aggregate_summaries
 from ..stats.metrics import MetricsSummary
 from .config import ScenarioConfig
@@ -53,15 +52,11 @@ class SweepResult:
     raw: Dict[Tuple[str, Any], List[MetricsSummary]]
     #: Points that exhausted their retries (empty on a clean sweep).
     failures: List[FailedRun] = field(default_factory=list)
-    #: Dispatch metadata from the executor (not simulation results).
-    workers: int = 1
-    chunksize: int = 1
+    #: Store hits / misses at dispatch (not simulation results).
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Jobs actually executed / restored from the journal (resume mode).
-    executed: int = 0
-    resumed: int = 0
-    #: Run manifest from the executor (see repro.obs.manifest); the
+    #: Run manifest from the executor (see repro.obs.manifest): worker
+    #: count, executed/cached job counts, retries, wall times. The
     #: on-disk copy lives at ``manifest_path`` when caching was on.
     manifest: Optional[dict] = None
     manifest_path: Optional[str] = None
@@ -116,8 +111,6 @@ def run_sweep(
     processes: Optional[int] = None,
     cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
-    tracer: Optional[Tracer] = None,
-    resume: bool = False,
     job_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
     progress: bool = False,
@@ -134,15 +127,11 @@ def run_sweep(
     cache:
         On-disk result cache toggle; ``None`` follows
         ``MANETSIM_NO_SWEEP_CACHE``. Cached and fresh summaries are
-        bit-identical, so toggling this never changes results.
+        bit-identical, so toggling this never changes results. With
+        the cache on, re-running an interrupted sweep executes only
+        the points the store lacks.
     cache_dir:
         Cache root override (default ``.manetsim-cache/``).
-    tracer:
-        Receives ``("sweep", ...)`` dispatch records.
-    resume:
-        Re-execute only points without an ``ok`` record in the sweep
-        journal (requires the cache; see
-        :meth:`~repro.scenario.executor.SweepExecutor.run`).
     job_timeout / max_retries:
         Per-job resilience knobs, forwarded to the executor (``None``
         consults ``MANETSIM_JOB_TIMEOUT`` / ``MANETSIM_JOB_RETRIES``).
@@ -161,14 +150,11 @@ def run_sweep(
     executor = default_executor(
         processes=processes,
         use_cache=cache,
-        tracer=tracer,
         cache_dir=cache_dir,
         job_timeout=job_timeout,
         max_retries=max_retries,
     )
-    results = executor.run(
-        configs, resume=resume, progress=progress, fabric=fabric
-    )
+    results = executor.run(configs, progress=progress, fabric=fabric)
 
     raw: Dict[Tuple[str, Any], List[MetricsSummary]] = {}
     failures: List[FailedRun] = []
@@ -187,12 +173,8 @@ def run_sweep(
         cells=cells,
         raw=raw,
         failures=failures,
-        workers=executor.last_workers,
-        chunksize=executor.last_chunksize,
         cache_hits=executor.last_cache_hits,
         cache_misses=executor.last_cache_misses,
-        executed=executor.last_executed,
-        resumed=executor.last_resumed,
         manifest=executor.last_manifest,
         manifest_path=(
             str(executor.last_manifest_path)

@@ -69,8 +69,6 @@ def _check_config(cfg) -> None:
         raise ShardUnsupported("sharded runs require mac='dcf' (batched PHY)")
     if cfg.faults is not None:
         raise ShardUnsupported("fault plans are not shard-aware yet")
-    if cfg.trace:
-        raise ShardUnsupported("tracing is per-loop; run it unsharded")
     if cfg.profile:
         raise ShardUnsupported("profiling is per-loop; run it unsharded")
     if cfg.telemetry_interval > 0:
@@ -119,13 +117,12 @@ def _run_shard(cfg, plan: ShardPlan, shard_id: int, options: EngineOptions):
     # routing/MAC trace events still work per shard.
     scenario = build_scenario(
         cfg, options, uid_base=shard_id << 48,
-        record_times=not cfg.stream_stats, flight_phy=False,
+        record_times=True, flight_phy=False,
     )
     channel = scenario.network.channel
     if not channel._batched:
         raise ShardUnsupported(
-            "batched arrival engine inactive (tracing or a "
-            "non-batch-safe MAC)"
+            "batched arrival engine inactive (non-batch-safe MAC)"
         )
     owned = np.zeros(cfg.n_nodes, dtype=bool)
     owned[plan.owned[shard_id]] = True

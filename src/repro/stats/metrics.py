@@ -14,24 +14,14 @@ Plus: throughput, hop counts, per-flow breakdowns, and drop accounting.
 The collector hooks node receive callbacks and CBR ``on_send`` at build
 time; totals from layer stats objects are read once at :meth:`finish`.
 
-Two collection modes beyond the default per-packet record lists:
-
-* ``record_times=True`` additionally stamps each delivery with its
-  arrival time — the sharded engine merges per-shard records back into
-  single-loop delivery order so ``np.mean`` reproduces the exact bits.
-* ``stream=True`` (``ScenarioConfig.stream_stats``) keeps *no* per-packet
-  state at all: running sums plus a fixed log-spaced delay histogram,
-  so collector memory stays flat in simulated time (10k-node runs).
-  The p95 then comes from the histogram (≤ ~2% relative bin error) and
-  the mean from a running sum (bit-equal up to float association);
-  per-flow delay lists stay empty.
+``record_times=True`` additionally stamps each delivery with its
+arrival time — the sharded engine merges per-shard records back into
+single-loop delivery order so ``np.mean`` reproduces the exact bits.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -136,63 +126,6 @@ class MetricsSummary:
         }
 
 
-# ----------------------------------------------------------- streaming
-
-#: Log-spaced delay histogram: 1024 bins over [1 µs, 1000 s]. One bin
-#: spans a factor of 10^(9/1024) ≈ 1.02, bounding the histogram-p95's
-#: relative error at ~2%.
-_HIST_BINS = 1024
-_HIST_LO = -6.0  # log10 seconds
-_HIST_SPAN = 9.0
-_HIST_SCALE = _HIST_BINS / _HIST_SPAN
-
-
-def _hist_index(delay: float) -> int:
-    if delay <= 1e-6:
-        return 0
-    i = int((math.log10(delay) - _HIST_LO) * _HIST_SCALE)
-    return _HIST_BINS - 1 if i >= _HIST_BINS else i
-
-
-def _hist_p95(counts: np.ndarray, n: int) -> float:
-    """Upper edge of the bin holding the 95th-percentile delivery."""
-    target = math.ceil(0.95 * n)
-    cum = 0
-    for b, c in enumerate(counts.tolist()):
-        cum += c
-        if cum >= target:
-            return 10.0 ** (_HIST_LO + (b + 1) / _HIST_SCALE)
-    return 10.0 ** (_HIST_LO + _HIST_SPAN)
-
-
-class _RecentSet:
-    """Bounded insertion-order dedup set (streaming-mode deliveries).
-
-    Duplicate deliveries are near-simultaneous (MAC retransmit races),
-    so remembering the most recent *capacity* origin uids dedups them
-    exactly while keeping memory flat; the unbounded set the default
-    mode uses grows with every delivered packet.
-    """
-
-    __slots__ = ("_capacity", "_set", "_order")
-
-    def __init__(self, capacity: int = 4096):
-        self._capacity = capacity
-        self._set: set = set()
-        self._order: deque = deque()
-
-    def __contains__(self, key) -> bool:
-        return key in self._set
-
-    def add(self, key) -> None:
-        if key in self._set:
-            return
-        self._set.add(key)
-        self._order.append(key)
-        if len(self._order) > self._capacity:
-            self._set.discard(self._order.popleft())
-
-
 # ------------------------------------------------------------- shards
 
 
@@ -214,9 +147,6 @@ class ShardPartial:
     records: List[tuple]
     flows: Dict[int, FlowStats]
     layers: tuple
-    #: Streaming-mode aggregates ``(delay_sum, hops_sum, hist_counts)``
-    #: or None in record mode.
-    stream: Optional[tuple] = None
     #: FlightRecorder.partial() when the shard ran with the recorder
     #: attached (merged by uid across shards), else None.
     flight: Optional[dict] = None
@@ -327,15 +257,26 @@ def _compose_summary(
     )
 
 
+def _headline(delays: Sequence[float], hops: Sequence[int]) -> tuple:
+    """``(mean delay, p95 delay, mean hops)`` over the deliveries."""
+    if not delays:
+        return 0.0, 0.0, 0.0
+    delays = np.asarray(delays, dtype=np.float64)
+    hops = np.asarray(hops, dtype=np.float64)
+    return (
+        float(delays.mean()),
+        float(np.percentile(delays, 95)),
+        float(hops.mean()),
+    )
+
+
 def merge_shard_partials(
     protocol: str, duration: float, partials: Sequence[ShardPartial]
 ) -> MetricsSummary:
     """Fold per-shard partials into one summary.
 
-    Record mode reconstructs single-loop delivery order (see
-    :class:`ShardPartial`); stream mode adds the aggregates (histogram
-    counts merge exactly; the running delay sum re-associates, so
-    stream summaries match the single loop to ~1 ulp, not bit-exactly).
+    Deliveries are put back in single-loop order (see
+    :class:`ShardPartial`) before the mean and the percentile.
     """
     data_sent = sum(p.data_sent for p in partials)
     received = sum(p.data_received for p in partials)
@@ -366,24 +307,12 @@ def merge_shard_partials(
                 out.received += fs.received
                 out.delays.extend(fs.delays)
 
-    if partials and partials[0].stream is not None:
-        delay_sum = sum(p.stream[0] for p in partials)
-        hops_sum = sum(p.stream[1] for p in partials)
-        hist = np.zeros(_HIST_BINS, dtype=np.int64)
-        for p in partials:
-            hist += p.stream[2]
-        avg_delay = delay_sum / received if received else 0.0
-        p95 = _hist_p95(hist, received) if received else 0.0
-        avg_hops = hops_sum / received if received else 0.0
-    else:
-        merged = list(heapq.merge(
-            *(p.records for p in partials), key=lambda r: (r[0], r[1])
-        ))
-        delays = np.asarray([r[2] for r in merged], dtype=np.float64)
-        hops = np.asarray([r[3] for r in merged], dtype=np.float64)
-        avg_delay = float(delays.mean()) if received else 0.0
-        p95 = float(np.percentile(delays, 95)) if received else 0.0
-        avg_hops = float(hops.mean()) if received else 0.0
+    merged = list(heapq.merge(
+        *(p.records for p in partials), key=lambda r: (r[0], r[1])
+    ))
+    avg_delay, p95, avg_hops = _headline(
+        [r[2] for r in merged], [r[3] for r in merged]
+    )
 
     summary = _compose_summary(
         protocol, duration, data_sent, received, avg_delay, p95,
@@ -408,7 +337,6 @@ class MetricsCollector:
         protocol: str,
         measure_from: float = 0.0,
         record_times: bool = False,
-        stream: bool = False,
     ):
         self.protocol = protocol
         #: Packets created before this time are excluded (warm-up cut).
@@ -416,20 +344,13 @@ class MetricsCollector:
         self.flows: Dict[int, FlowStats] = {}
         self.data_sent = 0
         self.data_received = 0
-        self.stream = stream
         self.record_times = record_times
         self._delays: List[float] = []
         self._hops: List[int] = []
         #: (time, dst, delay, hops) per delivery when ``record_times``.
         self._records: List[tuple] = []
         self._bytes_received = 0
-        if stream:
-            self._seen_deliveries = _RecentSet()
-            self._delay_sum = 0.0
-            self._hops_sum = 0
-            self._hist = np.zeros(_HIST_BINS, dtype=np.int64)
-        else:
-            self._seen_deliveries = set()
+        self._seen_deliveries = set()
         self._sim = None
 
     # ------------------------------------------------------------ wiring
@@ -485,42 +406,22 @@ class MetricsCollector:
         now = self._sim.now
         delay = max(0.0, now - packet.created)
         self._bytes_received += packet.size
-        if self.stream:
-            self._delay_sum += delay
-            self._hops_sum += packet.hops
-            self._hist[_hist_index(delay)] += 1
-        else:
-            self._delays.append(delay)
-            self._hops.append(packet.hops)
-            if self.record_times:
-                self._records.append((now, packet.dst, delay, packet.hops))
+        self._delays.append(delay)
+        self._hops.append(packet.hops)
+        if self.record_times:
+            self._records.append((now, packet.dst, delay, packet.hops))
         payload = packet.payload
         if payload is not None and hasattr(payload, "flow_id"):
             fs = self.flows.get(payload.flow_id)
             if fs is not None:
                 fs.received += 1
-                if not self.stream:
-                    fs.delays.append(delay)
+                fs.delays.append(delay)
 
     # ------------------------------------------------------------- summary
 
-    def _headline(self):
-        received = self.data_received
-        if self.stream:
-            avg_delay = self._delay_sum / received if received else 0.0
-            p95 = _hist_p95(self._hist, received) if received else 0.0
-            avg_hops = self._hops_sum / received if received else 0.0
-            return avg_delay, p95, avg_hops
-        delays = np.asarray(self._delays, dtype=np.float64)
-        hops = np.asarray(self._hops, dtype=np.float64)
-        avg_delay = float(delays.mean()) if received else 0.0
-        p95 = float(np.percentile(delays, 95)) if received else 0.0
-        avg_hops = float(hops.mean()) if received else 0.0
-        return avg_delay, p95, avg_hops
-
     def finish(self, network: Network, duration: float) -> MetricsSummary:
         """Fold layer counters into the final summary."""
-        avg_delay, p95, avg_hops = self._headline()
+        avg_delay, p95, avg_hops = _headline(self._delays, self._hops)
         return _compose_summary(
             self.protocol, duration, self.data_sent, self.data_received,
             avg_delay, p95, avg_hops, self._bytes_received,
@@ -541,10 +442,6 @@ class MetricsCollector:
             records=self._records,
             flows=self.flows,
             layers=_layer_totals(network.nodes),
-            stream=(
-                (self._delay_sum, self._hops_sum, self._hist)
-                if self.stream else None
-            ),
             flight=(
                 self.flight.partial() if self.flight is not None else None
             ),

@@ -13,7 +13,7 @@ Format (whitespace-separated, one event per line)::
     s <time> <node> RTR <uid> <proto> <size>      # control transmission
 
 Only the events the metrics need are traced — this is a measurement
-format, not a debugger (use ``ScenarioConfig.trace`` categories for
+format, not a debugger (use ``ScenarioConfig.flight_trace`` for
 that).
 """
 

@@ -1,4 +1,4 @@
-"""Manifests and the progress line: provenance, reconciliation, resume."""
+"""Manifests and the progress line: provenance, reconciliation, re-runs."""
 
 import io
 import json
@@ -13,7 +13,7 @@ from repro.obs.manifest import (
     write_manifest,
 )
 from repro.scenario.config import ScenarioConfig
-from repro.scenario.executor import SweepExecutor
+from repro.scenario.executor import SweepExecutor, config_cache_key
 
 SMALL = dict(
     protocol="aodv",
@@ -38,16 +38,13 @@ def _manifest(**over):
         job_keys=["a", "b", "c"],
         jobs_executed=2,
         jobs_from_cache=1,
-        jobs_resumed=1,
         failures=[],
         retries=0,
         timeouts=0,
         pool_restarts=0,
         workers=2,
-        chunksize=1,
         wall_time_s=1.0,
         job_wall_times_s={0: 0.4, 1: 0.6},
-        resume=True,
         cache_salt="test-salt",
         engine_options={"shards": 2},
     )
@@ -208,7 +205,7 @@ class TestExecutorManifest:
             assert m["jobs_total"] == m["jobs_executed"] + m["jobs_from_cache"]
             assert m["jobs_executed"] == 3 and m["jobs_from_cache"] == 0
             assert m["jobs_failed"] == 0 and m["failures"] == []
-            # Written next to the journal.
+            # Written at the root of the result store.
             on_disk = json.loads(ex.manifest_path.read_text())
             assert on_disk["sweep_key"] == m["sweep_key"]
             assert len(m["job_wall_times_s"]) == 3
@@ -225,28 +222,22 @@ class TestExecutorManifest:
         finally:
             ex.close()
 
-    def test_resume_counts_journal_points_as_completed(self, tmp_path):
+    def test_rerun_counts_stored_points_as_completed(self, tmp_path):
         ex = SweepExecutor(processes=1, cache_dir=str(tmp_path), use_cache=True)
         try:
             configs = _configs(4)
-            ex.run(configs[:2])  # journal two points
-            ex.run(configs, resume=True)
+            ex.run(configs[:2])  # an interrupted sweep: two points stored
+            ex.run(configs)
             m = ex.last_manifest
-            assert m["resume"] is True
-            assert m["jobs_resumed"] == 2
             assert m["jobs_from_cache"] == 2
             assert m["jobs_executed"] == 2
-            assert m["jobs_resumed"] <= m["jobs_from_cache"]
             assert m["jobs_total"] == m["jobs_executed"] + m["jobs_from_cache"]
-            # Reconcile against the journal itself: every point of the
-            # resumed sweep now has an ok record, and the resumed count
-            # equals the points journaled before the second run.
-            ok_keys = {
-                json.loads(line)["key"]
-                for line in ex.journal_path.read_text().splitlines()
-                if json.loads(line).get("status") == "ok"
-            }
-            assert len(ok_keys) == m["jobs_total"]
+            # Reconcile against the store itself: every point of the
+            # re-run sweep is now an entry under its content key.
+            assert all(
+                ex._cache.get(config_cache_key(c)) is not None for c in configs
+            )
+            assert "resume" not in m and "jobs_resumed" not in m
         finally:
             ex.close()
 
@@ -287,7 +278,7 @@ class TestExecutorManifest:
             configs = _configs(3)
             ex.run(configs[:2])
             capsys.readouterr()
-            ex.run(configs, resume=True, progress=True)
+            ex.run(configs, progress=True)
             err = capsys.readouterr().err
             # Cached points are pre-counted, and the final state shows
             # every point done with the cached count called out.

@@ -81,14 +81,6 @@ def test_enable_batched_refuses_non_batch_safe_mac():
     assert len(macs[1].received) == 1
 
 
-def test_enable_batched_refuses_phy_tracing():
-    from repro.core.trace import Tracer
-
-    sim, chan, radios, macs = build(200.0, 2, batched=False)
-    sim.tracer = Tracer(categories={"phy"})
-    assert not chan.enable_batched()
-
-
 def test_enable_batched_refuses_missing_radio():
     sim = Simulator(seed=1)
     mob = MobilityManager(line_placement(200.0, 3))

@@ -99,18 +99,18 @@ class TestTraceIntegration:
             duration=20.0,
             n_connections=2,
             traffic_start_window=(0.0, 2.0),
-            trace=("route", "mac"),
+            flight_trace=True,
             seed=5,
         )
-        scen = build_scenario(cfg)
-        scen.run()
-        records = scen.sim.tracer.records
-        kinds = {r[2] for r in records}
-        assert "ctl-tx" in kinds
-        assert "data-tx" in kinds
+        summary = build_scenario(cfg).run()
+        kinds = {e["ev"] for e in summary.flight["events"]}
+        assert "route_tx" in kinds  # data leaving its source
+        assert "forward" in kinds  # ... and relayed by another node
+        assert summary.routing_overhead_packets > 0
 
     def test_no_trace_by_default(self):
         from repro.scenario import ScenarioConfig, build_scenario
+        from repro.scenario.options import EngineOptions
 
         cfg = ScenarioConfig(
             protocol="aodv",
@@ -121,6 +121,8 @@ class TestTraceIntegration:
             traffic_start_window=(0.0, 2.0),
             seed=5,
         )
-        scen = build_scenario(cfg)
-        scen.run()
-        assert scen.sim.tracer.records == []
+        # Explicit options: MANETSIM_FLIGHT=1 (a CI leg) attaches one.
+        scen = build_scenario(cfg, EngineOptions())
+        summary = scen.run()
+        assert scen.sim.flight is None
+        assert summary.flight is None

@@ -1,8 +1,7 @@
-"""The persistent sweep executor: chunked dispatch + on-disk cache."""
+"""The persistent sweep executor: dispatch + on-disk cache."""
 
 import pytest
 
-from repro.core.trace import Tracer
 from repro.scenario import ScenarioConfig, config_cache_key, run_sweep
 from repro.scenario.executor import SweepExecutor, _resolve_processes
 
@@ -51,31 +50,16 @@ class TestDiskCache:
         assert (again.cache_hits, again.cache_misses) == (0, 1)
         assert again.raw == first.raw
 
-    def test_streamed_summaries_never_answer_the_exact_config(self, tmp_path):
-        """Streaming stats change what a summary holds (histogram p95,
-        no per-flow delay lists), so a store filled by a streaming sweep
-        must miss — not hit — for the same scenario measured exactly."""
-        exact_cfg = ScenarioConfig(
-            protocol="aodv", seed=3, n_nodes=15, field_size=(600.0, 300.0),
-            duration=20.0, n_connections=4, traffic_start_window=(0.0, 2.0),
-        )
-        stream_cfg = exact_cfg.with_(stream_stats=True)
-        assert config_cache_key(exact_cfg) != config_cache_key(stream_cfg)
+    def test_default_executor_cache_dir_applies_per_call(self, tmp_path):
+        from pathlib import Path
 
-        ex = SweepExecutor(processes=1, cache_dir=str(tmp_path), use_cache=True)
-        try:
-            (streamed,) = ex.run([stream_cfg])
-            (exact,) = ex.run([exact_cfg])
-            assert ex.last_cache_hits == 0
-            (again,) = ex.run([exact_cfg])
-            assert ex.last_cache_hits == 1
-        finally:
-            ex.close()
-        assert streamed.data_received == exact.data_received > 0
-        assert all(f.delays == [] for f in streamed.flows.values())
-        assert any(f.delays for f in exact.flows.values())
-        assert again == exact
-        assert again.p95_delay == exact.p95_delay
+        from repro.scenario.executor import default_executor
+
+        first = default_executor(processes=1, cache_dir=str(tmp_path))
+        assert first.manifest_path == tmp_path / "manifest.json"
+        second = default_executor(processes=1)  # none passed: the default
+        assert second is first
+        assert second.manifest_path == Path(".manetsim-cache/manifest.json")
 
     def test_env_disables_cache(self, tmp_path, monkeypatch):
         # conftest sets MANETSIM_NO_SWEEP_CACHE=1; cache=None follows it.
@@ -104,16 +88,16 @@ class TestDispatch:
         monkeypatch.setattr(
             "repro.scenario.executor.run_scenario", lambda cfg: cfg.seed
         )
-        tracer = Tracer({"sweep"})
-        ex = SweepExecutor(processes=1, use_cache=False, tracer=tracer)
+        ex = SweepExecutor(processes=1, use_cache=False)
         configs = [ScenarioConfig(seed=s, **SMALL) for s in range(1, 10)]
         out = ex.run(configs)
         assert out == list(range(1, 10))  # input order preserved
-        kinds = [rec[2] for rec in tracer.filter("sweep")]
-        assert "dispatch" in kinds
-        assert "serial" in kinds  # processes=1 is explicit, never silent
-        assert ex.last_workers == 1
-        assert ex.last_chunksize == max(1, len(configs) // 4)
+        assert ex._pool is None  # processes=1 ran inline, no pool forked
+        # ... and the manifest says so: never a silent fallback.
+        manifest = ex.last_manifest
+        assert manifest["workers"] == 1
+        assert (manifest["jobs_total"], manifest["jobs_executed"]) == (9, 9)
+        assert manifest["jobs_from_cache"] == 0
 
     def test_pool_persists_across_sweeps(self):
         ex = SweepExecutor(processes=2, use_cache=False)

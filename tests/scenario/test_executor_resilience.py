@@ -1,4 +1,4 @@
-"""Executor resilience: worker crashes, timeouts, retries, resume.
+"""Executor resilience: worker crashes, timeouts, retries, re-runs.
 
 These tests stub ``repro.scenario.executor.run_scenario`` with cheap
 functions so they exercise pure dispatch mechanics. The stub reaches
@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from repro.core.errors import ExecutorError
 from repro.scenario import FailedRun, ScenarioConfig, SweepExecutor, run_sweep
 import repro.scenario.executor as exmod
 
@@ -183,32 +182,13 @@ class TestTimeout:
             SweepExecutor(processes=1, use_cache=False, max_retries=-1)
 
 
-class TestJournalAndResume:
-    def test_journal_records_every_outcome(
-        self, monkeypatch, executor_factory, tmp_path
-    ):
-        def stub(cfg):
-            if cfg.seed == 5:
-                raise RuntimeError("boom")
-            return cfg.seed
-
-        monkeypatch.setattr(exmod, "run_scenario", stub)
-        ex = executor_factory(
-            processes=1, use_cache=True, cache_dir=str(tmp_path), max_retries=0
-        )
-        ex.run(cfgs(1, 5, 2))
-        entries = [json.loads(l) for l in open(ex.journal_path)]
-        statuses = sorted(e["status"] for e in entries)
-        assert statuses == ["failed", "ok", "ok"]
-        (failed,) = [e for e in entries if e["status"] == "failed"]
-        assert failed["kind"] == "exception"
-        assert "boom" in failed["error"]
-
-    def test_resume_executes_only_unfinished_points(
+class TestRerun:
+    def test_rerun_executes_only_unfinished_points(
         self, monkeypatch, executor_factory, tmp_path
     ):
         # First pass: the killer config breaks its worker and fails.
-        # Second pass (killer now behaves): resume re-runs it alone.
+        # Second pass (killer now behaves), no flag: the store answers
+        # the finished points and the failed one re-runs alone.
         marker = tmp_path / "be-nice"
 
         def stub(cfg):
@@ -222,62 +202,16 @@ class TestJournalAndResume:
         )
         first = ex.run(cfgs(1, 2, KILLER, 3))
         assert isinstance(first[2], FailedRun)
+        assert ex.last_manifest["jobs_failed"] == 1
 
         marker.touch()
-        second = ex.run(cfgs(1, 2, KILLER, 3), resume=True)
+        second = ex.run(cfgs(1, 2, KILLER, 3))
         assert second == [1, 2, KILLER, 3]
-        assert ex.last_resumed == 3  # finished points came from the journal
-        assert ex.last_executed == 1  # only the failed point re-ran
-
-    def test_resume_without_cache_rejected(self, executor_factory):
-        ex = executor_factory(processes=1, use_cache=False)
-        with pytest.raises(ExecutorError):
-            ex.run(cfgs(1), resume=True)
-
-    def test_torn_journal_line_ignored(
-        self, monkeypatch, executor_factory, tmp_path
-    ):
-        monkeypatch.setattr(exmod, "run_scenario", lambda cfg: cfg.seed)
-        ex = executor_factory(
-            processes=1, use_cache=True, cache_dir=str(tmp_path)
-        )
-        ex.run(cfgs(1, 2))
-        # Simulate a kill -9 mid-append: a truncated trailing line.
-        with open(ex.journal_path, "a") as fh:
-            fh.write('{"key": "deadbeef", "sta')
-        out = ex.run(cfgs(1, 2), resume=True)
-        assert out == [1, 2]
-        assert ex.last_resumed == 2
-
-    def test_journal_truncated_at_any_byte_offset(
-        self, monkeypatch, executor_factory, tmp_path
-    ):
-        # kill -9 mid-append can cut the file at ANY byte — including
-        # inside a multi-byte UTF-8 sequence, which text-mode readers
-        # blow up on (UnicodeDecodeError) before json even gets a say.
-        def stub(cfg):
-            if cfg.seed == 5:
-                raise RuntimeError("ошибка: cursed point")  # non-ASCII
-            return cfg.seed
-
-        monkeypatch.setattr(exmod, "run_scenario", stub)
-        ex = executor_factory(
-            processes=1, use_cache=True, cache_dir=str(tmp_path), max_retries=0
-        )
-        ex.run(cfgs(1, 5, 2))
-        intact = ex.journal_path.read_bytes()
-        assert b"\xd0" in intact  # the Cyrillic error really is multi-byte
-        for cut in range(1, len(intact)):
-            ex.journal_path.write_bytes(intact[:cut])
-            statuses = exmod._Journal(ex.journal_path).completed_keys()
-            # Never raises, and never invents an ok that isn't fully
-            # present in the surviving prefix.
-            assert sum(1 for s in statuses.values() if s == "ok") <= 2
-        # Full file: both ok points resume, the failed one re-runs.
-        ex.journal_path.write_bytes(intact)
-        out = ex.run(cfgs(1, 5, 2), resume=True)
-        assert out[0] == 1 and out[2] == 2
-        assert ex.last_resumed == 2
+        assert ex.last_cache_hits == 3  # finished points came from the store
+        manifest = json.loads(ex.last_manifest_path.read_text())
+        assert manifest["jobs_executed"] == 1  # only the failed point re-ran
+        assert manifest["jobs_from_cache"] == 3
+        assert manifest["jobs_failed"] == 0
 
 
 class TestCacheCorruption:

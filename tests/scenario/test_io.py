@@ -23,7 +23,9 @@ SMALL = dict(
 
 class TestConfigRoundtrip:
     def test_dict_roundtrip_identity(self):
-        cfg = ScenarioConfig(protocol="dsr", pause_time=30.0, trace=("route",))
+        cfg = ScenarioConfig(
+            protocol="dsr", pause_time=30.0, traffic_start_window=(0.0, 30.0)
+        )
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_file_roundtrip(self, tmp_path):

@@ -145,27 +145,3 @@ class TestTripwire:
         )
         with pytest.raises(ShardError, match="partition violated"):
             run_sharded(cfg, 2, exec_mode=exec_mode)
-
-
-class TestStreamingStats:
-    def test_stream_mode_matches_record_mode(self):
-        cfg = _clustered()
-        exact = run_scenario(cfg, shards=1)
-        stream = run_scenario(cfg.with_(stream_stats=True), shards=1)
-        assert stream.data_received == exact.data_received
-        assert stream.avg_delay == pytest.approx(exact.avg_delay, rel=1e-12)
-        assert stream.avg_hops == pytest.approx(exact.avg_hops, rel=1e-12)
-        # p95 comes from a log-histogram: bounded relative error.
-        assert stream.p95_delay == pytest.approx(exact.p95_delay, rel=0.05)
-
-    def test_stream_mode_is_shard_invariant(self):
-        cfg = _clustered(stream_stats=True)
-        assert run_sharded(cfg, 4, exec_mode="inline") == run_scenario(
-            cfg, shards=1
-        )
-
-    def test_stream_mode_keeps_no_delay_lists(self):
-        summary = run_scenario(_clustered(stream_stats=True), shards=1)
-        assert summary.data_received > 0
-        for flow in summary.flows.values():
-            assert flow.delays == []

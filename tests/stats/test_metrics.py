@@ -181,69 +181,6 @@ class TestWarmupCut:
             ScenarioConfig(measure_from=-1.0)
 
 
-class TestStreamingMode:
-    """Bounded-memory collection (``ScenarioConfig.stream_stats``)."""
-
-    def test_recent_set_dedups_and_bounds(self):
-        from repro.stats.metrics import _RecentSet
-
-        rs = _RecentSet(capacity=4)
-        for uid in (1, 2, 3, 1, 2):
-            rs.add(uid)
-        assert 1 in rs and 3 in rs
-        rs.add(4)
-        rs.add(5)  # evicts 1 (oldest)
-        assert 1 not in rs
-        assert len(rs._set) == 4
-
-    def test_hist_p95_error_bound(self):
-        """Histogram p95 stays within one log-bin of the exact p95."""
-        from repro.stats.metrics import _HIST_BINS, _hist_index, _hist_p95
-
-        rng = np.random.default_rng(5)
-        delays = rng.lognormal(mean=-4.0, sigma=1.5, size=2000)
-        counts = np.zeros(_HIST_BINS, dtype=np.int64)
-        for d in delays:
-            counts[_hist_index(d)] += 1
-        exact = float(np.percentile(delays, 95))
-        approx = _hist_p95(counts, len(delays))
-        # Within one log-bin either way (np.percentile interpolates a
-        # hair above the order statistic the histogram brackets).
-        bin_factor = 10 ** (9.0 / 1024)
-        assert 1 / (bin_factor * 1.01) < approx / exact < bin_factor * 1.01
-
-    def test_stream_collector_keeps_no_per_packet_state(self):
-        cfg = ScenarioConfig(
-            protocol="aodv", n_nodes=12, field_size=(600.0, 300.0),
-            duration=40.0, n_connections=4,
-            traffic_start_window=(0.0, 5.0), seed=2,
-        )
-        from repro.scenario.build import build_scenario
-
-        sc = build_scenario(cfg)
-        assert sc.collector.stream is False
-        sc = build_scenario(cfg.with_(stream_stats=True))
-        assert sc.collector.stream is True
-        summary = sc.run()
-        assert summary.data_received > 0
-        assert sc.collector._delays == []
-        assert sc.collector._records == []
-        for flow in summary.flows.values():
-            assert flow.delays == []
-
-    def test_stream_headline_close_to_exact(self):
-        cfg = ScenarioConfig(
-            protocol="aodv", n_nodes=12, field_size=(600.0, 300.0),
-            duration=40.0, n_connections=4,
-            traffic_start_window=(0.0, 5.0), seed=2,
-        )
-        exact = run_scenario(cfg)
-        stream = run_scenario(cfg.with_(stream_stats=True))
-        assert stream.data_received == exact.data_received
-        assert stream.avg_delay == pytest.approx(exact.avg_delay, rel=1e-12)
-        assert stream.p95_delay == pytest.approx(exact.p95_delay, rel=0.05)
-
-
 class TestShardPartialMerge:
     """merge_shard_partials unit behaviour (engine-independent)."""
 

@@ -114,8 +114,8 @@ def test_run_telemetry_export(tmp_path, capsys):
 
 
 def test_sweep_progress_and_manifest(tmp_path, capsys, monkeypatch):
-    # The manifest is published next to the journal, so this test opts
-    # back into the cache (hermetic: cwd is a tmp dir).
+    # The manifest is published at the root of the result store, so
+    # this test opts back into the cache (hermetic: cwd is a tmp dir).
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("MANETSIM_NO_SWEEP_CACHE", "0")
     assert main([
