@@ -18,6 +18,11 @@ from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from .analysis.tables import render_kv_table, render_series_table
 from .faults.plan import FaultPlanConfig
 from .scenario import PROTOCOLS, ScenarioConfig, run_scenario, run_sweep
@@ -150,6 +155,11 @@ def _perf_pairs(perf: dict) -> dict:
     total = hits + misses
     pairs = dict(perf)
     pairs["fanout hit ratio"] = round(hits / total, 3) if total else 0.0
+    if resource is not None:
+        # ru_maxrss is in KiB on Linux, in bytes on macOS.
+        scale = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
+        pairs["peak RSS (MB)"] = round(peak, 1)
     return pairs
 
 

@@ -2,8 +2,8 @@
 
 Every optimisation layer added by the vectorized engine (batch mobility
 kinematics, the channel fan-out cache, spatial-grid incremental updates,
-event-heap compaction and pooling, the sweep result cache) increments a
-counter here, so a regression in any cache's hit ratio is visible in
+event-heap compaction and pooling) increments a counter here, so a
+regression in any cache's hit ratio is visible in
 ``MetricsSummary.perf``, the CLI, and ``BENCH_kernel.json`` without
 re-profiling.
 
@@ -70,9 +70,6 @@ register_counter("heap_compactions", "lazy-cancel heap dead-entry purges")
 register_counter("events_pooled", "event objects recycled through the freelist")
 register_counter("arrivals_pooled",
                  "radio arrival records recycled through the per-radio freelist")
-register_counter("sweep_cache_hits",
-                 "sweep cells served from the on-disk result cache")
-register_counter("sweep_cache_misses", "sweep cells actually simulated")
 register_counter("phy_batch_arrivals",
                  "receiver arrivals resolved by the batched PHY engine")
 register_counter("phy_legacy_arrivals",

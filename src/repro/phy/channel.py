@@ -14,6 +14,7 @@ prunes the candidate set first.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 import numpy as np
@@ -176,6 +177,11 @@ class Channel:
         #: moves). Positions are pure functions of time (analytic
         #: trajectories), so the memo is exact.
         self._memo: dict = {}
+        #: Epoch of the last memo miss, and a lower bound on the *valid
+        #: until* of every entry: the first miss of a new epoch at or
+        #: past the floor drops the entries that can never hit again.
+        self._memo_tq = -math.inf
+        self._memo_floor = math.inf
         #: Batched arrival engine (see :meth:`enable_batched`). Off by
         #: default: direct ``build_network`` users (unit tests that
         #: monkeypatch ``begin_arrival`` etc.) keep the per-pair path.
@@ -307,6 +313,7 @@ class Channel:
         self._shard_owner = owner
         self._shard_outbox = outbox
         self._memo.clear()
+        self._memo_floor = math.inf
 
     def flush_phy_stats(self) -> None:
         """Fold batched-mode stat deltas into per-radio RadioStats.
@@ -344,11 +351,30 @@ class Channel:
             if perf is not None:
                 perf.fanout_cache_hits += 1
             return hit[1]
+        if tq != self._memo_tq:
+            self._memo_tq = tq
+            if tq >= self._memo_floor:
+                self._evict(tq)
         targets = self._build_targets_batched(src_id, tq)
-        self._memo[src_id] = (tq, targets, self.mobility.static_until)
+        until = self.mobility.static_until
+        self._memo[src_id] = (tq, targets, until)
+        if until < self._memo_floor:
+            self._memo_floor = until
         if perf is not None:
             perf.fanout_cache_misses += 1
         return targets
+
+    def _evict(self, tq: float) -> None:
+        """Keep only the memo entries that still hit at epoch *tq*.
+
+        An entry that misses at *tq* is from an earlier epoch and *tq*
+        has reached its bound; every later epoch is later still, so it
+        can never hit again. A static field never gets here (its floor
+        is its one bound); a moving field empties in one pass.
+        """
+        live = {src: e for src, e in self._memo.items() if e[0] == tq or tq < e[2]}
+        self._memo = live
+        self._memo_floor = min([e[2] for e in live.values()]) if live else math.inf
 
     def _build_targets_batched(self, src_id: int, tq: float) -> _BatchTargets:
         """Fan-out memo entry of *src_id* at sample time *tq*.

@@ -48,6 +48,13 @@ ENTRY_SIZE = 12
 #: Fixed update-message header bytes.
 HEADER_SIZE = 8
 
+#: Column dtypes: 13 bytes a row. Hop counts and ∞ are exact in
+#: float32, node ids fit int32, and an int32 sequence number allows
+#: 2³⁰ own adverts (each adds 2) per destination.
+NEXT_HOP_DTYPE = np.int32
+METRIC_DTYPE = np.float32
+SEQ_DTYPE = np.int32
+
 
 class DsdvRoute(NamedTuple):
     """One routing-table row, as read or written through ``Dsdv.table``."""
@@ -78,8 +85,8 @@ class _Advert:
         dst, metric, seq = zip(*entries) if entries else ((), (), ())
         self._set(
             np.array(dst, dtype=np.intp),
-            np.array(metric, dtype=np.float64),
-            np.array(seq, dtype=np.int64),
+            np.array(metric, dtype=METRIC_DTYPE),
+            np.array(seq, dtype=SEQ_DTYPE),
         )
 
     @classmethod
@@ -185,11 +192,11 @@ class Dsdv(RoutingProtocol):
         # ``fill`` rather than ``np.full``: a 1000-node build runs this
         # a thousand times.
         rows = node_id + 1
-        self._next_hop = np.empty(rows, dtype=np.int64)
+        self._next_hop = np.empty(rows, dtype=NEXT_HOP_DTYPE)
         self._next_hop.fill(-1)
-        self._metric = np.empty(rows, dtype=np.float64)
+        self._metric = np.empty(rows, dtype=METRIC_DTYPE)
         self._metric.fill(INFINITY)
-        self._seq = self._next_hop.copy()
+        self._seq = self._next_hop.astype(SEQ_DTYPE)
         self._changed = np.zeros(rows, dtype=np.bool_)
         self._next_hop[node_id] = node_id
         self._metric[node_id] = 0.0

@@ -20,8 +20,6 @@ KERNEL_ORDER = (
     "heap_compactions",
     "events_pooled",
     "arrivals_pooled",
-    "sweep_cache_hits",
-    "sweep_cache_misses",
 )
 
 

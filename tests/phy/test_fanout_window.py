@@ -4,7 +4,8 @@ A memo entry records ``MobilityManager.static_until`` as read right
 after its snapshot and stays a hit until then, so a static field
 computes each source's geometry once per run instead of once per 5 ms
 position epoch. The window must be invisible in the results and must
-close the moment anything can move.
+close the moment anything can move. The memo holds only entries that
+can still hit: the rest are dropped, also invisibly.
 """
 
 import math
@@ -15,6 +16,7 @@ from repro.core import RngStreams
 from repro.mac.frames import Frame, FrameType
 from repro.mobility import Field, MobilityManager, RandomWaypoint, line_placement
 from repro.net.packet import BROADCAST
+from repro.phy.channel import Channel
 from repro.scenario import ScenarioConfig, run_scenario
 from repro.scenario.build import build_scenario
 
@@ -42,6 +44,16 @@ def window_off(monkeypatch):
 
 STATIC = dict(protocol="aodv", n_nodes=12, field_size=(600.0, 300.0),
               mobility="static", duration=6.0, n_connections=4,
+              traffic_start_window=(0.0, 1.0), seed=3)
+#: Pause >= run length: the few nodes that start mid-leg arrive and
+#: rest (this seed is at rest from 0.48 s to 4.65 s, then one node
+#: moves again).
+SETTLING = dict(protocol="dsr", n_nodes=34, field_size=(900.0, 300.0),
+                pause_time=60.0, min_speed=60.0, max_speed=120.0,
+                duration=6.0, n_connections=5,
+                traffic_start_window=(0.0, 1.0), seed=3)
+MOVING = dict(protocol="aodv", n_nodes=40, field_size=(800.0, 300.0),
+              pause_time=0.0, duration=4.0, n_connections=5,
               traffic_start_window=(0.0, 1.0), seed=3)
 
 
@@ -92,14 +104,7 @@ def test_one_moving_node_closes_the_window(batched):
 
 
 @pytest.mark.parametrize("cfg", [
-    ScenarioConfig(**STATIC),
-    # Pause >= run length: the few nodes that start mid-leg arrive and
-    # rest, and the field is static from then on (this seed moves for
-    # about a quarter of the run).
-    ScenarioConfig(protocol="dsr", n_nodes=34, field_size=(900.0, 300.0),
-                   pause_time=60.0, min_speed=60.0, max_speed=120.0,
-                   duration=6.0, n_connections=5,
-                   traffic_start_window=(0.0, 1.0), seed=3),
+    ScenarioConfig(**STATIC), ScenarioConfig(**SETTLING),
 ], ids=["static", "pause-ge-duration"])
 def test_results_identical_with_the_window_forced_off(cfg, monkeypatch):
     windowed = run_scenario(cfg)
@@ -112,3 +117,100 @@ def test_results_identical_with_the_window_forced_off(cfg, monkeypatch):
     assert set(windowed.flows) == set(plain.flows)
     for fid, flow in windowed.flows.items():
         assert flow.delays == plain.flows[fid].delays
+
+
+# --------------------------------------------------------- memo liveness
+#
+# The first miss of a new epoch drops every entry that can never hit
+# again (from an earlier epoch, bound reached). What is left must be
+# exactly what can still hit, and dropping the rest must be invisible.
+
+
+def record_misses(monkeypatch):
+    """Log ``(src, tq, valid until)`` of every memo miss, in order."""
+    build = Channel._build_targets_batched
+    misses = []
+
+    def logged(self, src_id, tq):
+        targets = build(self, src_id, tq)
+        misses.append((src_id, tq, self.mobility.static_until))
+        return targets
+
+    monkeypatch.setattr(Channel, "_build_targets_batched", logged)
+    return misses
+
+
+def test_moving_field_keeps_only_the_last_miss_epoch(monkeypatch):
+    misses = record_misses(monkeypatch)
+    scenario = build_scenario(ScenarioConfig(**MOVING))
+    scenario.run()
+    memo = scenario.network.channel._memo
+    last_tq = misses[-1][1]
+    assert len({tq for _src, tq, _until in misses}) > 100
+    assert all(until == -math.inf for _src, _tq, until in misses)
+    assert memo
+    assert {tq for tq, _targets, _until in memo.values()} == {last_tq}
+    assert sorted(memo) == sorted(src for src, tq, _until in misses if tq == last_tq)
+
+
+def test_settled_field_keeps_its_static_entries(monkeypatch):
+    misses = record_misses(monkeypatch)
+    evict = Channel._evict
+    sweeps = []
+
+    def logged(self, tq):
+        before = {src: entry[0] for src, entry in self._memo.items()}
+        evict(self, tq)
+        sweeps.append((tq, before, dict(self._memo)))
+
+    monkeypatch.setattr(Channel, "_evict", logged)
+    build_scenario(ScenarioConfig(**SETTLING)).run()
+    resting = [(src, tq, until) for src, tq, until in misses if until > tq]
+    assert resting
+    (until,) = {until for _src, _tq, until in resting}
+    start = resting[0][1]
+    # At rest each source misses once: its entry answers every later
+    # frame of the window, and no epoch scans the memo meanwhile.
+    assert len(resting) == len({src for src, _tq, _until in resting})
+    assert not [tq for tq, _before, _after in sweeps if start < tq < until]
+    # The first sweep past the window finds exactly the rest-era
+    # entries, and drops them all.
+    _tq, before, after = next(s for s in sweeps if s[0] >= until)
+    assert before == {src: tq for src, tq, _until in resting}
+    assert after == {}
+
+
+def test_sweep_drops_exactly_the_dead_entries():
+    _sim, chan, _radios = build_channel(line_placement(100.0, 2), batched=True)
+    chan._memo = {
+        0: (0.0, "moved", -math.inf),        # earlier epoch, window shut
+        1: (0.0, "resting", 0.02),           # earlier epoch, window open
+        2: (0.005, "this epoch", -math.inf),
+        3: (0.0, "bound reached", 0.005),
+    }
+    chan._evict(0.005)
+    assert sorted(chan._memo) == [1, 2]
+    assert chan._memo_floor == -math.inf
+    chan._memo.pop(2)
+    chan._evict(0.01)
+    assert sorted(chan._memo) == [1]
+    assert chan._memo_floor == 0.02
+    chan._evict(0.02)
+    assert chan._memo == {}
+    assert chan._memo_floor == math.inf
+
+
+@pytest.mark.parametrize("cfg", [
+    ScenarioConfig(**STATIC), ScenarioConfig(**SETTLING), ScenarioConfig(**MOVING),
+], ids=["static", "pause-ge-duration", "moving"])
+def test_results_identical_with_the_sweep_off(cfg, monkeypatch):
+    swept = run_scenario(cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(Channel, "_evict", lambda self, tq: None)
+        kept = run_scenario(cfg)
+    for counter in ("fanout_cache_hits", "fanout_cache_misses"):
+        assert swept.perf[counter] == kept.perf[counter]
+    assert swept == kept
+    assert set(swept.flows) == set(kept.flows)
+    for fid, flow in swept.flows.items():
+        assert flow.delays == kept.flows[fid].delays

@@ -2,7 +2,11 @@
 
 import math
 
+import numpy as np
+
 from repro.routing.dsdv import ENTRY_SIZE, HEADER_SIZE, Dsdv, DsdvRoute, _Advert
+from repro.scenario import ScenarioConfig
+from repro.scenario.build import build_scenario
 from tests.routing.conftest import make_static_network
 
 
@@ -92,3 +96,56 @@ class TestInvalidationDetails:
         pkt = agent.make_control(_Advert([(9, math.inf, 11)]), 20)
         agent.on_control(pkt, prev_hop=1, rx_power=1.0)
         assert 9 not in agent.table
+
+
+class TestNarrowLayout:
+    """The table is 13 bytes a row: int32, float32, int32, bool."""
+
+    COLUMNS = ("_next_hop", "_metric", "_seq", "_changed")
+    DTYPES = (np.int32, np.float32, np.int32, np.bool_)
+
+    def column_dtypes(self, agent):
+        return tuple(getattr(agent, name).dtype for name in self.COLUMNS)
+
+    def test_dtypes_after_init_and_grow(self):
+        sim, agent = make_agent()
+        assert self.column_dtypes(agent) == self.DTYPES
+        agent._grow(500)
+        assert len(agent._seq) == 500
+        assert self.column_dtypes(agent) == self.DTYPES
+        agent.on_control(
+            agent.make_control(_Advert([(2000, 3.0, 8)]), 20), prev_hop=1, rx_power=1.0
+        )
+        assert self.column_dtypes(agent) == self.DTYPES
+        assert agent.table[2000] == DsdvRoute(2000, 1, 4.0, 8, changed=True)
+
+    def test_advert_dtypes_match_across_constructors(self):
+        sim, agent = make_agent()
+        agent.table[5] = DsdvRoute(5, 1, 2, 10)
+        sent = []
+        agent.send_control = lambda packet, next_hop: sent.append(packet.payload)
+        agent._broadcast_update(full=True)
+        (dumped,) = sent
+        listed = _Advert([(0, 0.0, 2), (5, 2.0, 10)])
+        for advert in (dumped, listed):
+            assert (advert.dst.dtype, advert.metric.dtype, advert.seq.dtype) == (
+                np.intp, np.float32, np.int32,
+            )
+            assert advert.metric1.dtype == np.float32
+        assert dumped.dst.tolist() == listed.dst.tolist()
+        assert dumped.metric.tolist() == listed.metric.tolist()
+        assert dumped.seq.tolist() == listed.seq.tolist()
+
+    def test_columns_cost_13_bytes_a_row_in_a_300_node_run(self):
+        scenario = build_scenario(ScenarioConfig(
+            protocol="dsdv", n_nodes=300, field_size=(3000.0, 1000.0),
+            duration=1.0, n_connections=10, traffic_start_window=(0.0, 0.5),
+            seed=1,
+        ))
+        scenario.run()
+        agents = [node.routing for node in scenario.network.nodes]
+        assert sum(len(a._seq) > a.addr + 1 for a in agents) > 100  # regrown
+        for agent in agents:
+            nbytes = sum(getattr(agent, name).nbytes for name in self.COLUMNS)
+            assert nbytes == 13 * len(agent._seq)
+            assert self.column_dtypes(agent) == self.DTYPES

@@ -129,6 +129,27 @@ class TestCsvExport:
         header = path.read_text().splitlines()[0]
         assert "perf_fanout_cache_hits" in header
 
+    def test_perf_columns_render_retired_counters(self, tmp_path):
+        import dataclasses
+
+        # A summary stored before the sweep_cache_* counters were
+        # retired still carries them in ``perf``: they render as
+        # trailing columns, and rows without them read 0.
+        cfg = ScenarioConfig(protocol="aodv", seed=2, **SMALL)
+        (fresh,) = run_replications(cfg, 1)
+        stored = dataclasses.replace(
+            fresh, perf={**fresh.perf, "sweep_cache_hits": 4, "sweep_cache_misses": 1}
+        )
+        path = tmp_path / "old.csv"
+        summaries_to_csv([stored, fresh], path, include_perf=True)
+        header = path.read_text().splitlines()[0].split(",")
+        perf_cols = [c for c in header if c.startswith("perf_")]
+        assert perf_cols[-2:] == ["perf_sweep_cache_hits", "perf_sweep_cache_misses"]
+        assert perf_cols.index("perf_fanout_cache_hits") == 0
+        rows = list(csv.DictReader(open(path)))
+        assert [r["perf_sweep_cache_hits"] for r in rows] == ["4", "0"]
+        assert [r["perf_sweep_cache_misses"] for r in rows] == ["1", "0"]
+
     def test_drops_columns_off_by_default(self, tmp_path):
         cfg = ScenarioConfig(protocol="aodv", seed=2, **SMALL)
         summaries = run_replications(cfg, 1)

@@ -81,6 +81,22 @@ def test_sweep_csv_export(tmp_path, capsys):
     assert "pause_time" in csv_path.read_text().splitlines()[0]
 
 
+def test_run_perf_reports_peak_rss(capsys, monkeypatch):
+    assert main(["run", "--protocol", "aodv", "--perf", *FAST]) == 0
+    out = capsys.readouterr().out
+    assert "Engine counters" in out
+    (row,) = [line for line in out.splitlines() if line.startswith("peak RSS (MB)")]
+    assert float(row.split("|")[1]) > 1.0
+    # Where the platform has no ``resource`` module the row is left out.
+    import repro.cli as cli
+
+    monkeypatch.setattr(cli, "resource", None)
+    assert main(["run", "--protocol", "aodv", "--perf", *FAST]) == 0
+    out = capsys.readouterr().out
+    assert "fanout hit ratio" in out
+    assert "peak RSS" not in out
+
+
 def test_run_profile_flag(capsys):
     assert main(["run", "--protocol", "aodv", "--profile", *FAST]) == 0
     out = capsys.readouterr().out
