@@ -46,15 +46,6 @@ SEED_BASELINE_MEANS = {
     # the introducing commit (the pre-PR contention machine), so
     # speedup_vs_seed reads directly as arena-vs-per-node.
     "test_perf_dcf_contention": 1.2393,
-    # PR-8 benches: the same 10k-node island field through 4 shard
-    # processes and through the single loop, each baselined on its own
-    # mean at the introducing commit on the (single-core) reference
-    # machine — the regression gate then tracks each mode against
-    # itself, and the sharded-vs-single ratio is read off the two rows'
-    # means in BENCH_kernel.json (sharded is slower on one core: four
-    # full ghost builds + process setup; it wins only with real cores).
-    "test_perf_sharded_scenario": 8.6317,
-    "test_perf_sharded_scenario_single": 2.8309,
     # PR-13 bench: 1-4-entry DSDV updates into a 50-route table.
     # POST-REGRESSION baseline: this is the row's own mean at the
     # commit that introduced the column-array table, not the mean of
@@ -82,7 +73,6 @@ KERNEL_BENCH_FILES = (
     "test_perf_phy_arrivals",
     "test_perf_xlarge_scenario",
     "test_perf_dcf_contention",
-    "test_perf_sharded_scenario",
 )
 
 #: Expected cache hit ratios on the probe scenario below (deterministic:
@@ -171,8 +161,7 @@ def pytest_sessionfinish(session, exitstatus):
                   "benchmarks/test_perf_large_scenario.py, "
                   "benchmarks/test_perf_phy_arrivals.py, "
                   "benchmarks/test_perf_xlarge_scenario.py, "
-                  "benchmarks/test_perf_dcf_contention.py, "
-                  "benchmarks/test_perf_sharded_scenario.py",
+                  "benchmarks/test_perf_dcf_contention.py",
         "units": "seconds",
         "baseline": "pre-PR commit means on the reference machine",
         "benchmarks": {},

@@ -14,8 +14,7 @@ from repro.analysis import (
     save_result,
 )
 from repro.analysis.experiments import PROTOCOL_SET
-from repro.scenario import ScenarioConfig
-from repro.shard import run_sharded
+from repro.scenario import ScenarioConfig, run_scenario
 
 
 def test_f8_density_sweep(scale, bench_cell):
@@ -60,13 +59,13 @@ def test_f8_density_sweep(scale, bench_cell):
     bench_cell(n_nodes=counts[-1], field_size=(base_w * counts[-1] / base_nodes, base_h))
 
 
-#: Paper node density (50 nodes / 1500 m × 300 m) — the sharded tail
+#: Paper node density (50 nodes / 1500 m × 300 m) — the static tail
 #: keeps it constant like the mobile sweep above.
 _DENSITY = 50 / (1500.0 * 300.0)
 
 
 def _island_cfg(protocol, n_nodes, n_clusters=4):
-    """A static clustered field the partitioner resolves into islands."""
+    """A static field of four radio-disjoint clusters."""
     strip = n_nodes / n_clusters / _DENSITY / 300.0
     width = n_clusters * strip + (n_clusters - 1) * 700.0
     return ScenarioConfig(
@@ -84,14 +83,14 @@ def _island_cfg(protocol, n_nodes, n_clusters=4):
     )
 
 
-def test_f8_density_sweep_sharded_tail(scale):
-    """F8c — static tail of the size sweep on the sharded engine.
+def test_f8_density_static_tail(scale):
+    """F8c — static tail of the size sweep.
 
-    The mobile sweep above tops out where one event loop stays
+    The mobile sweep above tops out where a moving field stays
     affordable; this tail extends the size axis to 2 000 and 10 000
-    nodes by running static clustered fields through ``run_sharded``
-    (4 island shards, bit-identical to the single loop by the engine's
-    contract). Quick scale trims the tail to keep smoke runs fast.
+    nodes with static clustered fields, whose fan-out geometry is
+    computed once per source. Quick scale trims the tail to keep smoke
+    runs fast.
 
     The headline finding is the delivery collapse: at constant paper
     density the 10k field's intra-cluster paths average >100 radio
@@ -106,21 +105,21 @@ def test_f8_density_sweep_sharded_tail(scale):
     ovh = {p: [] for p in protocols}
     for p in protocols:
         for n in counts:
-            summary = run_sharded(_island_cfg(p, n), 4)
+            summary = run_scenario(_island_cfg(p, n))
             assert summary.data_sent > 0
             assert 0.0 <= summary.pdr <= 1.0
             pdr[p].append(summary.pdr)
             ovh[p].append(summary.routing_overhead_packets)
 
     text = render_series_table(
-        f"F8c: packet delivery ratio vs network size, sharded static tail "
-        f"(4 shards, constant density, scale={scale.name})",
+        f"F8c: packet delivery ratio vs network size, static tail "
+        f"(constant density, scale={scale.name})",
         "nodes",
         counts,
         pdr,
     )
     text += "\n\n" + render_series_table(
-        "F8d: routing overhead vs network size (sharded static tail)",
+        "F8d: routing overhead vs network size (static tail)",
         "nodes",
         counts,
         ovh,
@@ -130,7 +129,7 @@ def test_f8_density_sweep_sharded_tail(scale):
         "the protocols' net-diameter/TTL caps (~30 hops), so delivery "
         "collapses to ~0 while discovery overhead keeps growing."
     )
-    save_result("F8_density_sweep_sharded", text)
+    save_result("F8_density_sweep_static", text)
 
     # Overhead keeps growing with network size for both on-demand
     # protocols (more flows, bigger floods).

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -28,7 +27,6 @@ from .faults.plan import FaultPlanConfig
 from .scenario import PROTOCOLS, ScenarioConfig, run_scenario, run_sweep
 from .scenario.build import build_scenario
 from .scenario.io import load_config, save_config, sweep_to_csv
-from .scenario.options import EngineOptions
 
 __all__ = ["main", "build_parser"]
 
@@ -55,7 +53,7 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--placement", default="uniform", choices=["uniform", "clusters"],
         help="static node layout; 'clusters' packs nodes into "
-             "radio-disjoint groups the sharded engine can parallelize",
+             "radio-disjoint groups separated by --cluster-gap",
     )
     p.add_argument("--clusters", type=int, default=4,
                    help="cluster count for --placement clusters")
@@ -171,18 +169,8 @@ def cmd_run(args) -> int:
         cfg = cfg.with_(flight=True, flight_trace=bool(args.flight_trace))
     if args.telemetry:
         cfg = cfg.with_(telemetry_interval=args.telemetry_interval)
-    options = EngineOptions.from_env()
-    if args.shards is not None:
-        options = replace(options, shards=args.shards)
-    scenario = None
-    # Telemetry export needs the scenario object, and the sharded
-    # engine rejects telemetry configs anyway — keep those runs on the
-    # single loop even when MANETSIM_SHARDS asks for shards.
-    if options.shards > 1 and not args.telemetry:
-        summary = run_scenario(cfg, options=options)
-    else:
-        scenario = build_scenario(cfg, options)
-        summary = scenario.run()
+    scenario = build_scenario(cfg)
+    summary = scenario.run()
     print(render_kv_table(f"{args.protocol.upper()} results", _summary_pairs(summary)))
     if args.perf and summary.perf:
         print(render_kv_table("Engine counters", _perf_pairs(summary.perf)))
@@ -195,7 +183,7 @@ def cmd_run(args) -> int:
             json.dump(summary.profile, fh, indent=2)
             fh.write("\n")
         print(f"[wrote {args.profile_out}]")
-    if args.telemetry and scenario is not None and scenario.telemetry is not None:
+    if args.telemetry and scenario.telemetry is not None:
         scenario.telemetry.write_jsonl(args.telemetry)
         print(
             f"[wrote {len(scenario.telemetry.samples)} telemetry "
@@ -490,13 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one simulation")
     p_run.add_argument("--protocol", default="aodv", choices=PROTOCOLS)
-    p_run.add_argument(
-        "--shards", type=int, default=None,
-        help="split a static field across N spatial shards (radio-"
-             "disjoint islands run in parallel worker processes; "
-             "results are bit-identical to --shards 1; default: "
-             "the MANETSIM_SHARDS env var, then 1)",
-    )
     p_run.add_argument("--perf", action="store_true",
                        help="also print hot-path engine counters")
     p_run.add_argument("--profile", action="store_true",

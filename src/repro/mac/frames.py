@@ -51,17 +51,15 @@ class Dot11:
 _frame_uid = itertools.count()
 
 
-def reset_frame_uids(base: int = 0) -> None:
-    """Rewind the frame uid source to *base* (scenario start; see packet
+def reset_frame_uids() -> None:
+    """Rewind the frame uid source to 0 (scenario start; see packet
     module).
 
     The sweep executor reuses worker processes, so without a rewind a
-    cached-vs-fresh pair of runs would disagree on frame uids. The
-    sharded engine passes a per-shard *base* so frame uids stay unique
-    across shards.
+    cached-vs-fresh pair of runs would disagree on frame uids.
     """
     global _frame_uid
-    _frame_uid = itertools.count(base)
+    _frame_uid = itertools.count()
 
 
 class Frame:

@@ -38,15 +38,10 @@ DEFAULT_TTL = 32
 packet_uid_counter = itertools.count()
 
 
-def reset_packet_uids(base: int = 0) -> None:
-    """Rewind the uid source to *base* (called at scenario build time).
-
-    The sharded engine gives each shard a disjoint uid block (shard id
-    in the high bits): delivery dedup keys on ``origin_uid`` alone, so
-    shards allocating from a common zero base would collide.
-    """
+def reset_packet_uids() -> None:
+    """Rewind the uid source to 0 (called at scenario build time)."""
     global packet_uid_counter
-    packet_uid_counter = itertools.count(base)
+    packet_uid_counter = itertools.count()
 
 
 class PacketKind:

@@ -28,7 +28,6 @@ from .flight import (
     flight_jsonl_str,
     flight_to_chrome,
     load_flight_jsonl,
-    merge_flight_partials,
     report_from_state,
     write_flight_jsonl,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "flight_jsonl_str",
     "flight_to_chrome",
     "load_flight_jsonl",
-    "merge_flight_partials",
     "report_from_state",
     "write_flight_jsonl",
 ]

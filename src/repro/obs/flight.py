@@ -7,7 +7,7 @@ packet from traffic-source injection to its fate:
 
 * **Accounting** (always on when the recorder exists): a per-packet
   state machine keyed by ``origin_uid`` — the stable identity every
-  ``Packet.copy()`` preserves across hops and shards —
+  ``Packet.copy()`` preserves across hops —
   holding exactly one of ``live``, ``delivered``, ``in_flight``, or a
   terminal :class:`~repro.core.drops.DropReason` value. Delivery wins
   over any drop (multi-copy protocols may lose copies of a packet that
@@ -30,24 +30,19 @@ Drops may be observed *before* injection: a traffic source originates
 through the routing agent first and invokes the metrics ``on_send``
 hook after, so a synchronous no-route drop precedes ``inject``. Those
 verdicts are parked in a pre-drop buffer and claimed at injection.
-
-Sharding: each shard's recorder sees only its own island's packets
-(disjoint ``uid_base`` spaces), so partials merge by dict union plus a
-``(t, origin)`` sort of the event streams — the k-way stitching rule.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.drops import TERMINAL_VALUES, DropReason
 
 __all__ = [
     "FLIGHT_SCHEMA_VERSION",
     "FlightRecorder",
-    "merge_flight_partials",
     "report_from_state",
     "flight_jsonl_str",
     "write_flight_jsonl",
@@ -70,19 +65,15 @@ def _reason_value(reason) -> str:
 class FlightRecorder:
     """Per-packet lifecycle ledger (and optional causal event trace)."""
 
-    def __init__(
-        self,
-        sim=None,
-        trace: bool = False,
-        trace_phy: bool = False,
-        sample: int = 1,
-    ):
+    def __init__(self, sim=None, trace: bool = False, sample: int = 1):
+        if sample < 1:
+            raise ValueError(f"trace sample must be >= 1, got {sample}")
         self.sim = sim
         self.trace = trace
         #: Whether PHY arrival verdicts are traced (selects the
         #: per-pair arrival engine; see ``build_scenario``).
-        self.trace_phy = trace_phy and trace
-        self.sample = max(1, int(sample))
+        self.trace_phy = trace
+        self.sample = sample
         #: Measured data packets injected by traffic sources.
         self.offered = 0
         #: origin_uid -> live | delivered | in_flight | terminal reason.
@@ -209,14 +200,6 @@ class FlightRecorder:
         """The conservation ledger (see module docstring)."""
         return report_from_state(self.offered, self._state)
 
-    def partial(self) -> dict:
-        """Exportable per-shard slice for :func:`merge_flight_partials`."""
-        return {
-            "offered": self.offered,
-            "state": dict(self._state),
-            "events": list(self.events),
-        }
-
     def summary_dict(self) -> dict:
         """What ``MetricsSummary.flight`` carries: report (+ trace)."""
         out = self.report()
@@ -226,7 +209,7 @@ class FlightRecorder:
         return out
 
 
-# ---------------------------------------------------------------- merging
+# ----------------------------------------------------------------- report
 
 
 def report_from_state(offered: int, state: Dict[int, str]) -> dict:
@@ -248,31 +231,6 @@ def report_from_state(offered: int, state: Dict[int, str]) -> dict:
         "drops_by_reason": drops,
         "conserved": conserved,
     }
-
-
-def merge_flight_partials(partials) -> Optional[dict]:
-    """Stitch per-shard flight partials into one summary dict.
-
-    Shards own disjoint uid spaces (``shard_id << 48`` bases), so the
-    state maps union without collisions; event streams interleave by
-    ``(t, origin)`` — the same deterministic k-way rule the metrics
-    merge uses for delivery records.
-    """
-    parts = [p for p in partials if p]
-    if not parts:
-        return None
-    offered = sum(p["offered"] for p in parts)
-    state: Dict[int, str] = {}
-    for p in parts:
-        state.update(p["state"])
-    out = report_from_state(offered, state)
-    events: List[dict] = []
-    for p in parts:
-        events.extend(p.get("events", ()))
-    if events:
-        events.sort(key=lambda e: (e["t"], e["origin"]))
-        out["events"] = events
-    return out
 
 
 # ------------------------------------------------------------ JSONL + chrome

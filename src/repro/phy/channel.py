@@ -40,12 +40,9 @@ class _BatchTargets:
     """
 
     __slots__ = ("ids", "powers", "dec", "dec_idx", "dec_pw", "ids_list",
-                 "dec_ids_list", "dec_list", "pw_list", "remote_shards")
+                 "dec_ids_list", "dec_list", "pw_list")
 
     def __init__(self, ids, powers, rx_threshold):
-        #: Shard ids owning receivers masked out of this fan-out
-        #: (empty outside sharded mode — see Channel.configure_shard).
-        self.remote_shards = ()
         self.ids = ids
         self.powers = powers
         dec = powers >= rx_threshold
@@ -202,13 +199,6 @@ class Channel:
         #: memo stays exact. None (the default) leaves the fan-out path
         #: byte-for-byte identical to the fault-free engine.
         self.fault_hook = None
-        #: Sharded-engine state (see :meth:`configure_shard`): ownership
-        #: mask, node->shard owner table, and the border-transmission
-        #: outbox. All None outside sharded mode — the fan-out paths
-        #: stay untouched.
-        self._shard_owned = None
-        self._shard_owner = None
-        self._shard_outbox = None
 
     # ------------------------------------------------------------- topology
 
@@ -290,30 +280,6 @@ class Channel:
             radio.mac.attach_arena(arena)
         self._arena = arena
         return True
-
-    def configure_shard(self, owned, owner, outbox) -> None:
-        """Restrict delivery to shard-*owned* receivers (sharded engine).
-
-        *owned* is a bool mask over node ids, *owner* the node->shard
-        table, *outbox* the list border transmissions are appended to
-        as ``(time, src_id, frame, duration, remote_shards)``. After
-        this, every fan-out memo splits its target set: owned receivers
-        are delivered locally through the normal batched paths, and the
-        set of foreign shards owning the remainder is recorded. The
-        sharded engine only runs plans in which that set is always
-        empty; anything that lands in the outbox is its tripwire.
-        Requires the batched engine — the per-pair path has no mask
-        hook.
-        """
-        if not self._batched:
-            raise ConfigurationError(
-                "sharded delivery requires the batched arrival engine"
-            )
-        self._shard_owned = owned
-        self._shard_owner = owner
-        self._shard_outbox = outbox
-        self._memo.clear()
-        self._memo_floor = math.inf
 
     def flush_phy_stats(self) -> None:
         """Fold batched-mode stat deltas into per-radio RadioStats.
@@ -406,9 +372,10 @@ class Channel:
             if src_id in eligible:
                 at = eligible.index(src_id)
                 del eligible[at], powers[at]
-            return self._batch_targets(
+            return _BatchTargets(
                 np.array(eligible, dtype=np.intp),
                 np.array(powers, dtype=np.float64),
+                self.params.rx_threshold,
             )
         sx = positions[src_id, 0]
         sy = positions[src_id, 1]
@@ -431,25 +398,7 @@ class Channel:
         params = self.params
         pw = self.propagation.rx_power_d2_vec(params.tx_power, d2[near])
         keep = pw >= params.cs_threshold
-        return self._batch_targets(ids[keep], pw[keep])
-
-    def _batch_targets(self, ids, pw) -> _BatchTargets:
-        params = self.params
-        owned = self._shard_owned
-        if owned is None:
-            return _BatchTargets(ids, pw, params.rx_threshold)
-        # Sharded: deliver locally only to owned receivers; remember
-        # which shards own the rest so the driver can forward border
-        # transmissions. The split happens at memo build time, so a
-        # static field pays it once per source.
-        local = owned[ids]
-        bt = _BatchTargets(ids[local], pw[local], params.rx_threshold)
-        foreign = ids[~local]
-        if foreign.shape[0]:
-            bt.remote_shards = tuple(
-                sorted(set(self._shard_owner[foreign].tolist()))
-            )
-        return bt
+        return _BatchTargets(ids[keep], pw[keep], params.rx_threshold)
 
     def _scalar_fanout(self, positions, src_id: int, tq: float):
         """Eligible ids and rx powers (parallel lists, the source
@@ -550,11 +499,6 @@ class Channel:
         led = self._ledger
         radios = self.radios
         now = self.sim._now
-        out = self._shard_outbox
-        if out is not None and mb.remote_shards:
-            # Border transmission: foreign receivers were masked out of
-            # the memo. The shard worker raises on a non-empty outbox.
-            out.append((now, src.node_id, frame, duration, mb.remote_shards))
         hook = self.fault_hook
         keep = None
         if hook is not None:

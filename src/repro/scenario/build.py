@@ -103,10 +103,10 @@ def _make_propagation(cfg: ScenarioConfig):
 def _cluster_point(cfg: ScenarioConfig, field: Field, i: int, x: float, y: float):
     """Remap a uniform draw into node *i*'s cluster strip.
 
-    Pure function of the draw: the sharded engine recomputes placement
-    from the same per-node streams, so the mapping must not consume
-    extra randomness. Strips run along the longer field axis; node ids
-    are assigned to clusters in contiguous blocks.
+    Pure function of the draw (it consumes no extra randomness), so a
+    clustered field draws exactly the streams a uniform one does.
+    Strips run along the longer field axis; node ids are assigned to
+    clusters in contiguous blocks.
     """
     k = cfg.n_clusters
     gap = cfg.cluster_gap
@@ -125,12 +125,7 @@ def _cluster_point(cfg: ScenarioConfig, field: Field, i: int, x: float, y: float
 
 
 def _make_mobility(cfg: ScenarioConfig, streams: "RngStreams"):
-    """Per-node mobility models from named RNG streams.
-
-    *streams* is normally ``sim.rng``; the sharded engine passes a
-    fresh :class:`~repro.core.rng.RngStreams` with the same root seed
-    to recover node positions without building a simulator.
-    """
+    """Per-node mobility models from the named RNG *streams*."""
     field = Field(*cfg.field_size)
     if cfg.mobility == "rpgm":
         return make_groups(
@@ -241,30 +236,16 @@ def _mac_factory(cfg: ScenarioConfig):
 def build_scenario(
     cfg: ScenarioConfig,
     options: Optional[EngineOptions] = None,
-    uid_base: int = 0,
-    record_times: bool = False,
-    flight_phy: bool = True,
 ) -> Scenario:
     """Wire up every layer for *cfg* (deterministic in ``cfg.run_seed``).
 
     The engine is a function of the config: the batched PHY with the
     DCF contention arena whenever ``cfg.mac == "dcf"`` and no PHY
-    tracing is asked for (``trace=("phy",)`` or ``flight_trace``), the
-    per-pair PHY with per-node DCF timers otherwise. Both produce
-    bit-identical results.
+    tracing is asked for (``flight_trace``), the per-pair PHY with
+    per-node DCF timers otherwise. Both produce bit-identical results.
 
     *options* (default: resolved from the environment) can attach the
     flight recorder and thin its trace; it never changes results.
-
-    ``uid_base`` offsets the packet/frame uid counters (the sharded
-    engine gives each shard a disjoint block); ``record_times``
-    additionally records per-delivery arrival timestamps so shard
-    partials can be merged in single-loop delivery order.
-
-    ``flight_phy`` allows a ``cfg.flight_trace`` run to record PHY
-    arrival verdicts, which only the per-pair arrival engine emits;
-    the sharded engine passes False (it requires the batched engine)
-    and records the routing/MAC/queue legs of each flight only.
     """
     from ..mac.frames import reset_frame_uids
     from ..net.packet import reset_packet_uids
@@ -273,8 +254,8 @@ def build_scenario(
         options = EngineOptions.from_env()
     # Persistent sweep workers reuse one process for many runs: rewind
     # the uid sources so cached and fresh runs see identical sequences.
-    reset_packet_uids(uid_base)
-    reset_frame_uids(uid_base)
+    reset_packet_uids()
+    reset_frame_uids()
     sim = Simulator(seed=cfg.run_seed)
     if cfg.profile:
         # Attached before the stack builds so every layer that caches
@@ -289,10 +270,7 @@ def build_scenario(
         from ..obs.flight import FlightRecorder
 
         sim.flight = FlightRecorder(
-            sim,
-            trace=cfg.flight_trace,
-            trace_phy=flight_phy,
-            sample=options.trace_sample,
+            sim, trace=cfg.flight_trace, sample=options.trace_sample
         )
     propagation = _make_propagation(cfg)
     params = WAVELAN_914MHZ
@@ -323,11 +301,7 @@ def build_scenario(
                 buf.flight = sim.flight
                 buf.addr = node.node_id
 
-    collector = MetricsCollector(
-        cfg.protocol,
-        measure_from=cfg.measure_from,
-        record_times=record_times,
-    )
+    collector = MetricsCollector(cfg.protocol, measure_from=cfg.measure_from)
     collector.flight = sim.flight
     collector.attach(network)
 

@@ -48,9 +48,8 @@ class ScenarioConfig:
     #: field; "clusters" remaps the same per-node draws into
     #: ``n_clusters`` equal strips along the longer field axis separated
     #: by ``cluster_gap`` metres of empty space. With a gap wider than
-    #: the carrier-sense range the clusters are radio-disjoint — the
-    #: sharded engine detects that and free-runs one shard per island.
-    #: Only meaningful for ``mobility == "static"``.
+    #: the carrier-sense range the clusters are radio-disjoint islands
+    #: (F8's static tail). Only meaningful for ``mobility == "static"``.
     placement: str = "uniform"
     n_clusters: int = 4
     cluster_gap: float = 700.0

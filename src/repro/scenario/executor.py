@@ -187,7 +187,7 @@ class _Job:
 def _resolve_processes(processes: Optional[int]) -> int:
     if processes is None:
         processes = env_number(
-            os.environ, "MANETSIM_PROCESSES", os.cpu_count() or 1
+            os.environ, "MANETSIM_PROCESSES", os.cpu_count() or 1, minimum=1
         )
     if processes < 1:
         raise ValueError(f"process count must be >= 1, got {processes}")
@@ -206,7 +206,9 @@ def _resolve_timeout(job_timeout: Optional[float]) -> Optional[float]:
 
 def _resolve_retries(max_retries: Optional[int]) -> int:
     if max_retries is None:
-        max_retries = env_number(os.environ, "MANETSIM_JOB_RETRIES", 2)
+        max_retries = env_number(
+            os.environ, "MANETSIM_JOB_RETRIES", 2, minimum=0
+        )
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     return max_retries

@@ -4,9 +4,9 @@ A :class:`~repro.scenario.config.ScenarioConfig` says *what* is
 simulated, and the engine that runs it is a function of that config
 alone (see :func:`~repro.scenario.build.build_scenario`).
 :class:`EngineOptions` holds the few switches that say how a run is
-dispatched and observed without changing its results. The four
-``MANETSIM_*`` variables below are read in this module and nowhere
-else; everything downstream takes the resolved object as an argument.
+observed without changing its results. The two ``MANETSIM_*``
+variables below are read in this module and nowhere else; everything
+downstream takes the resolved object as an argument.
 """
 
 from __future__ import annotations
@@ -20,33 +20,33 @@ from ..core.errors import ConfigurationError
 __all__ = ["EngineOptions", "env_number"]
 
 
-def env_number(environ: Mapping[str, str], name: str, default, parse=int):
+def env_number(
+    environ: Mapping[str, str], name: str, default, parse=int, minimum=None
+):
     """``parse(environ[name])``; *default* when unset or empty.
 
-    A value *parse* rejects is a :class:`ConfigurationError` naming the
-    variable and the value, never a bare ``ValueError``.
+    A value *parse* rejects, or one below *minimum*, is a
+    :class:`ConfigurationError` naming the variable and the value,
+    never a bare ``ValueError``.
     """
     raw = environ.get(name, "")
     if raw == "":
         return default
     try:
-        return parse(raw)
+        value = parse(raw)
     except ValueError:
         raise ConfigurationError(
             f"{name} must be {parse.__name__}-valued, got {raw!r}"
         ) from None
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class EngineOptions:
-    """How to dispatch and observe a run (never what it computes)."""
+    """How to observe a run (never what it computes)."""
 
-    #: ``MANETSIM_SHARDS``: spatial shards for :func:`run_scenario`
-    #: (1 = the single event loop).
-    shards: int = 1
-    #: ``MANETSIM_SHARD_STRICT=1``: raise ``ShardUnsupported`` instead
-    #: of falling back to the single loop.
-    shard_strict: bool = False
     #: ``MANETSIM_FLIGHT=1``: attach the packet flight recorder to
     #: every run, as ``ScenarioConfig(flight=True)`` does for one.
     flight: bool = False
@@ -62,8 +62,8 @@ class EngineOptions:
         if environ is None:
             environ = os.environ
         return cls(
-            shards=env_number(environ, "MANETSIM_SHARDS", 1),
-            shard_strict=environ.get("MANETSIM_SHARD_STRICT") == "1",
             flight=environ.get("MANETSIM_FLIGHT") == "1",
-            trace_sample=env_number(environ, "MANETSIM_TRACE_SAMPLE", 1),
+            trace_sample=env_number(
+                environ, "MANETSIM_TRACE_SAMPLE", 1, minimum=1
+            ),
         )

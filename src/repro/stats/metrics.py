@@ -13,30 +13,19 @@
 Plus: throughput, hop counts, per-flow breakdowns, and drop accounting.
 The collector hooks node receive callbacks and CBR ``on_send`` at build
 time; totals from layer stats objects are read once at :meth:`finish`.
-
-``record_times=True`` additionally stamps each delivery with its
-arrival time — the sharded engine merges per-shard records back into
-single-loop delivery order so ``np.mean`` reproduces the exact bits.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..net.packet import Packet
 from ..net.stack import Network
 
-__all__ = [
-    "MetricsCollector",
-    "MetricsSummary",
-    "FlowStats",
-    "ShardPartial",
-    "merge_shard_partials",
-]
+__all__ = ["MetricsCollector", "MetricsSummary", "FlowStats"]
 
 # Prime NumPy's quantile machinery: its lazy first-call setup costs
 # ~20 ms, which would otherwise land inside the first measured run.
@@ -126,32 +115,6 @@ class MetricsSummary:
         }
 
 
-# ------------------------------------------------------------- shards
-
-
-@dataclass
-class ShardPartial:
-    """One shard's collector state, exported for cross-shard merging.
-
-    ``records`` holds ``(time, dst, delay, hops)`` per delivery in
-    local arrival order; the merge interleaves shards by ``(time,
-    dst)`` — deliveries are unique per (instant, receiver) — which
-    reconstructs the single-loop append order, so the merged
-    ``np.mean`` reproduces the single-loop bits. Layer totals and
-    byte/packet counts are integers and merge exactly by summation.
-    """
-
-    data_sent: int
-    data_received: int
-    bytes_received: int
-    records: List[tuple]
-    flows: Dict[int, FlowStats]
-    layers: tuple
-    #: FlightRecorder.partial() when the shard ran with the recorder
-    #: attached (merged by uid across shards), else None.
-    flight: Optional[dict] = None
-
-
 def _layer_totals(nodes) -> tuple:
     routing_pkts = 0
     routing_bytes = 0
@@ -210,121 +173,6 @@ def _layer_totals(nodes) -> tuple:
     )
 
 
-def _compose_summary(
-    protocol: str,
-    duration: float,
-    data_sent: int,
-    received: int,
-    avg_delay: float,
-    p95_delay: float,
-    avg_hops: float,
-    bytes_received: int,
-    layers: tuple,
-    flows: Dict[int, FlowStats],
-) -> MetricsSummary:
-    (routing_pkts, routing_bytes, drops_no_route, drops_buffer,
-     drops_ifq, drops_retry, mac_ctrl, collisions, drop_reasons) = layers
-    return MetricsSummary(
-        protocol=protocol,
-        duration=duration,
-        data_sent=data_sent,
-        data_received=received,
-        pdr=received / data_sent if data_sent else 0.0,
-        avg_delay=avg_delay,
-        p95_delay=p95_delay,
-        avg_hops=avg_hops,
-        throughput_bps=bytes_received * 8.0 / duration if duration else 0.0,
-        routing_overhead_packets=routing_pkts,
-        routing_overhead_bytes=routing_bytes,
-        normalized_routing_load=routing_pkts / received if received else float(
-            "inf"
-        )
-        if routing_pkts
-        else 0.0,
-        mac_overhead_frames=routing_pkts + mac_ctrl,
-        normalized_mac_load=(routing_pkts + mac_ctrl) / received
-        if received
-        else float("inf")
-        if (routing_pkts + mac_ctrl)
-        else 0.0,
-        drops_no_route=drops_no_route,
-        drops_buffer=drops_buffer,
-        drops_ifq=drops_ifq,
-        drops_retry=drops_retry,
-        mac_collisions=collisions,
-        flows=flows,
-        drops_by_reason=dict(drop_reasons),
-    )
-
-
-def _headline(delays: Sequence[float], hops: Sequence[int]) -> tuple:
-    """``(mean delay, p95 delay, mean hops)`` over the deliveries."""
-    if not delays:
-        return 0.0, 0.0, 0.0
-    delays = np.asarray(delays, dtype=np.float64)
-    hops = np.asarray(hops, dtype=np.float64)
-    return (
-        float(delays.mean()),
-        float(np.percentile(delays, 95)),
-        float(hops.mean()),
-    )
-
-
-def merge_shard_partials(
-    protocol: str, duration: float, partials: Sequence[ShardPartial]
-) -> MetricsSummary:
-    """Fold per-shard partials into one summary.
-
-    Deliveries are put back in single-loop order (see
-    :class:`ShardPartial`) before the mean and the percentile.
-    """
-    data_sent = sum(p.data_sent for p in partials)
-    received = sum(p.data_received for p in partials)
-    bytes_received = sum(p.bytes_received for p in partials)
-    # Layers: eight integer counters summed exactly, plus the
-    # drop-reason dict merged per key.
-    counters = tuple(
-        sum(vals) for vals in zip(*(p.layers[:8] for p in partials))
-    )
-    reasons: Dict[str, int] = {}
-    for p in partials:
-        if len(p.layers) > 8:
-            for k, v in p.layers[8].items():
-                reasons[k] = reasons.get(k, 0) + v
-    layers = counters + (reasons,)
-
-    flows: Dict[int, FlowStats] = {}
-    for p in partials:
-        for fid, fs in p.flows.items():
-            out = flows.get(fid)
-            if out is None:
-                flows[fid] = FlowStats(
-                    fs.flow_id, fs.src, fs.dst, fs.sent, fs.received,
-                    list(fs.delays),
-                )
-            else:
-                out.sent += fs.sent
-                out.received += fs.received
-                out.delays.extend(fs.delays)
-
-    merged = list(heapq.merge(
-        *(p.records for p in partials), key=lambda r: (r[0], r[1])
-    ))
-    avg_delay, p95, avg_hops = _headline(
-        [r[2] for r in merged], [r[3] for r in merged]
-    )
-
-    summary = _compose_summary(
-        protocol, duration, data_sent, received, avg_delay, p95,
-        avg_hops, bytes_received, layers, flows,
-    )
-    if any(p.flight for p in partials):
-        from ..obs.flight import merge_flight_partials
-
-        summary.flight = merge_flight_partials([p.flight for p in partials])
-    return summary
-
-
 class MetricsCollector:
     """Accumulates data-plane events during a run; summarizes at the end."""
 
@@ -332,23 +180,15 @@ class MetricsCollector:
     #: unless the scenario builder wires one).
     flight = None
 
-    def __init__(
-        self,
-        protocol: str,
-        measure_from: float = 0.0,
-        record_times: bool = False,
-    ):
+    def __init__(self, protocol: str, measure_from: float = 0.0):
         self.protocol = protocol
         #: Packets created before this time are excluded (warm-up cut).
         self.measure_from = measure_from
         self.flows: Dict[int, FlowStats] = {}
         self.data_sent = 0
         self.data_received = 0
-        self.record_times = record_times
         self._delays: List[float] = []
         self._hops: List[int] = []
-        #: (time, dst, delay, hops) per delivery when ``record_times``.
-        self._records: List[tuple] = []
         self._bytes_received = 0
         self._seen_deliveries = set()
         self._sim = None
@@ -408,8 +248,6 @@ class MetricsCollector:
         self._bytes_received += packet.size
         self._delays.append(delay)
         self._hops.append(packet.hops)
-        if self.record_times:
-            self._records.append((now, packet.dst, delay, packet.hops))
         payload = packet.payload
         if payload is not None and hasattr(payload, "flow_id"):
             fs = self.flows.get(payload.flow_id)
@@ -421,28 +259,47 @@ class MetricsCollector:
 
     def finish(self, network: Network, duration: float) -> MetricsSummary:
         """Fold layer counters into the final summary."""
-        avg_delay, p95, avg_hops = _headline(self._delays, self._hops)
-        return _compose_summary(
-            self.protocol, duration, self.data_sent, self.data_received,
-            avg_delay, p95, avg_hops, self._bytes_received,
-            _layer_totals(network.nodes), self.flows,
-        )
-
-    def partial(self, network: Network) -> ShardPartial:
-        """Export this shard's state for :func:`merge_shard_partials`.
-
-        Ghost (non-owned) nodes never start, transmit, or receive, so
-        their layer stats are all zero and summing over every node
-        equals summing over the owned subset.
-        """
-        return ShardPartial(
-            data_sent=self.data_sent,
-            data_received=self.data_received,
-            bytes_received=self._bytes_received,
-            records=self._records,
-            flows=self.flows,
-            layers=_layer_totals(network.nodes),
-            flight=(
-                self.flight.partial() if self.flight is not None else None
+        (routing_pkts, routing_bytes, drops_no_route, drops_buffer,
+         drops_ifq, drops_retry, mac_ctrl, collisions,
+         drop_reasons) = _layer_totals(network.nodes)
+        sent = self.data_sent
+        received = self.data_received
+        if self._delays:
+            delays = np.asarray(self._delays, dtype=np.float64)
+            avg_delay = float(delays.mean())
+            p95_delay = float(np.percentile(delays, 95))
+            avg_hops = float(np.asarray(self._hops, dtype=np.float64).mean())
+        else:
+            avg_delay = p95_delay = avg_hops = 0.0
+        mac_frames = routing_pkts + mac_ctrl
+        return MetricsSummary(
+            protocol=self.protocol,
+            duration=duration,
+            data_sent=sent,
+            data_received=received,
+            pdr=received / sent if sent else 0.0,
+            avg_delay=avg_delay,
+            p95_delay=p95_delay,
+            avg_hops=avg_hops,
+            throughput_bps=(
+                self._bytes_received * 8.0 / duration if duration else 0.0
             ),
+            routing_overhead_packets=routing_pkts,
+            routing_overhead_bytes=routing_bytes,
+            normalized_routing_load=(
+                routing_pkts / received if received
+                else float("inf") if routing_pkts else 0.0
+            ),
+            mac_overhead_frames=mac_frames,
+            normalized_mac_load=(
+                mac_frames / received if received
+                else float("inf") if mac_frames else 0.0
+            ),
+            drops_no_route=drops_no_route,
+            drops_buffer=drops_buffer,
+            drops_ifq=drops_ifq,
+            drops_retry=drops_retry,
+            mac_collisions=collisions,
+            flows=self.flows,
+            drops_by_reason=drop_reasons,
         )

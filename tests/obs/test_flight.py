@@ -1,4 +1,4 @@
-"""FlightRecorder unit contract: ledger rules, trace export, merging.
+"""FlightRecorder unit contract: ledger rules and trace export.
 
 The recorder's state machine is the foundation the conservation gate
 stands on, so its edge rules are pinned directly: delivery beats any
@@ -20,7 +20,6 @@ from repro.obs.flight import (
     flight_jsonl_str,
     flight_to_chrome,
     load_flight_jsonl,
-    merge_flight_partials,
     report_from_state,
     write_flight_jsonl,
 )
@@ -142,6 +141,11 @@ class TestSampling:
         assert rec.events == []
         assert not rec.sampled(p.origin_uid)
 
+    @pytest.mark.parametrize("sample", [0, -5])
+    def test_sample_below_one_is_rejected(self, sample):
+        with pytest.raises(ValueError, match="sample"):
+            FlightRecorder(trace=True, sample=sample)
+
 
 class TestReportMath:
     def test_report_from_state_identity(self):
@@ -166,40 +170,6 @@ class TestReportMath:
         # offered counted but state lost: the identity must fail loudly.
         report = report_from_state(3, {1: "delivered"})
         assert report["conserved"] is False
-
-
-class TestMerging:
-    def _shard(self, base, n, reason=None):
-        rec = FlightRecorder(trace=True)
-        for i in range(n):
-            p = _pkt(origin=base + i)
-            rec.inject(p)
-            if reason is None:
-                rec.deliver(p, node=1)
-            else:
-                rec.drop(p, reason, node=2)
-        return rec.partial()
-
-    def test_merge_unions_disjoint_uid_spaces(self):
-        a = self._shard(0 << 48, 3)
-        b = self._shard(1 << 48, 2, reason=DropReason.NO_ROUTE)
-        merged = merge_flight_partials([a, b])
-        assert merged["offered"] == 5
-        assert merged["delivered"] == 3
-        assert merged["drops_by_reason"] == {"no_route": 2}
-        assert merged["conserved"] is True
-
-    def test_merge_sorts_events_by_time_then_origin(self):
-        a = self._shard(0 << 48, 2)
-        b = self._shard(1 << 48, 2)
-        merged = merge_flight_partials([a, b])
-        keys = [(e["t"], e["origin"]) for e in merged["events"]]
-        assert keys == sorted(keys)
-
-    def test_merge_tolerates_missing_partials(self):
-        assert merge_flight_partials([None, None]) is None
-        only = merge_flight_partials([None, self._shard(0, 1)])
-        assert only["offered"] == 1
 
 
 class TestExport:

@@ -6,7 +6,7 @@ Two contracts, pinned across all five paper protocols:
   ends exactly one of delivered / dropped-for-a-reason / in-flight —
   ``offered == delivered + Σ drops_by_reason + in_flight`` with zero
   unaccounted — on clean runs, faulted runs, random topologies, and
-  sharded islands. A violated identity means a drop site is missing
+  clustered islands. A violated identity means a drop site is missing
   from the taxonomy.
 * **See-but-don't-touch**: a seeded run is bit-identical with the
   recorder on or off (``flight`` is excluded from summary equality;
@@ -215,14 +215,14 @@ def test_conservation_property_faulted(seed, churn, link_loss):
     _assert_conserved(run_scenario(cfg).flight)
 
 
-# --------------------------------------------------------------- sharding
+# --------------------------------------------------------------- islands
 
-#: Paper-density clustered field (same recipe as the shard engine pins).
-_SHARD_DENSITY = 50 / (1500.0 * 300.0)
+#: Paper-density clustered field (same recipe as the island goldens).
+_ISLAND_DENSITY = 50 / (1500.0 * 300.0)
 
 
 def _island_cfg(protocol, n_nodes, seed, n_clusters=4, **over):
-    strip = n_nodes / n_clusters / _SHARD_DENSITY / 300.0
+    strip = n_nodes / n_clusters / _ISLAND_DENSITY / 300.0
     width = n_clusters * strip + (n_clusters - 1) * 700.0
     merged = dict(
         n_nodes=n_nodes,
@@ -241,45 +241,21 @@ def _island_cfg(protocol, n_nodes, seed, n_clusters=4, **over):
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_sharded_conservation_and_stitching(protocol, monkeypatch):
-    """4-shard island run: the stitched ledger conserves, matches the
-    single loop's flight report, and the summary stays bit-identical."""
-    from repro.shard import run_sharded
-
-    monkeypatch.setenv("MANETSIM_SHARD_STRICT", "1")
-    cfg = _island_cfg(protocol, n_nodes=120, seed=13)
-    single = run_scenario(cfg, shards=1)
-    sharded = run_sharded(cfg, 4, exec_mode="inline")
-    _assert_conserved(single.flight)
-    _assert_conserved(sharded.flight)
-    assert sharded.flight == single.flight
-    assert sharded == single
+def test_island_conservation(protocol):
+    """120 static nodes in four radio-disjoint clusters: the ledger
+    closes and agrees with the summary's sent/received counters."""
+    summary = run_scenario(_island_cfg(protocol, n_nodes=120, seed=13))
+    _assert_conserved(summary.flight)
+    assert summary.flight["offered"] == summary.data_sent
+    assert summary.flight["delivered"] == summary.data_received
 
 
-def test_sharded_trace_stitching_sorts_by_time_then_origin(monkeypatch):
-    """Shards own disjoint uid blocks; their event streams must merge
-    into one globally ordered trace."""
-    from repro.shard import run_sharded
-
-    monkeypatch.setenv("MANETSIM_SHARD_STRICT", "1")
-    cfg = _island_cfg("aodv", n_nodes=80, seed=13, flight_trace=True)
-    sharded = run_sharded(cfg, 4, exec_mode="inline")
-    events = sharded.flight["events"]
-    assert events
-    keys = [(e["t"], e["origin"]) for e in events]
-    assert keys == sorted(keys)
-    # More than one shard's uid block contributed.
-    assert len({e["origin"] >> 48 for e in events}) > 1
-    _assert_conserved(sharded.flight)
-
-
-def test_sharded_conservation_10k(monkeypatch):
-    """The tentpole scale pin: 10 000 nodes, 4 shards (process
-    workers), ledger closed. MANETSIM_FULL=1 extends to all five
-    protocols (minutes-long; one protocol otherwise)."""
+def test_island_conservation_10k():
+    """The scale pin: 10 000 static clustered nodes, ledger closed.
+    MANETSIM_FULL=1 extends it to all five protocols (minutes-long;
+    one protocol otherwise)."""
     import os
 
-    monkeypatch.setenv("MANETSIM_SHARD_STRICT", "1")
     protocols = PROTOCOLS if os.environ.get("MANETSIM_FULL") else ["aodv"]
     for protocol in protocols:
         cfg = _island_cfg(
@@ -287,7 +263,7 @@ def test_sharded_conservation_10k(monkeypatch):
             duration=2.0, n_connections=40,
             traffic_start_window=(0.0, 1.0),
         )
-        summary = run_scenario(cfg, shards=4)
+        summary = run_scenario(cfg)
         _assert_conserved(summary.flight)
         assert summary.flight["offered"] == summary.data_sent, protocol
 

@@ -46,7 +46,7 @@ def _manifest(**over):
         wall_time_s=1.0,
         job_wall_times_s={0: 0.4, 1: 0.6},
         cache_salt="test-salt",
-        engine_options={"shards": 2},
+        engine_options={"trace_sample": 4},
     )
     base.update(over)
     return build_manifest(**base)
@@ -59,7 +59,7 @@ def test_manifest_records_provenance():
     assert len(m["sweep_key"]) == 64
     assert m["python"] and m["platform"]
     # The resolved options are recorded, never the raw environment.
-    assert m["engine_options"] == {"shards": 2}
+    assert m["engine_options"] == {"trace_sample": 4}
     assert "env" not in m
 
 

@@ -24,13 +24,6 @@ from .test_batched_arrivals import BatchFakeMac
 from .test_fanout_fused import make_channel
 
 
-@pytest.fixture(autouse=True)
-def fast_single_loop(monkeypatch):
-    # The counts below are those of one event loop; the sharded CI
-    # leg splits the counters across workers.
-    monkeypatch.delenv("MANETSIM_SHARDS", raising=False)
-
-
 def window_off(monkeypatch):
     """Make every snapshot vouch for its own instant only."""
     refresh = MobilityManager._refresh_segments

@@ -59,13 +59,12 @@ def _run_both_engines(cfg):
 
     ``flight_trace`` records PHY arrival verdicts, which only the
     per-pair path emits, so the builder selects per-pair PHY + per-node
-    DCF for it; the recorder itself is read-only. ``shards=1`` keeps
-    both runs on the single loop (the sharded engine never traces PHY).
-    Perf counters are excluded from summary equality, so they prove
-    which engine each side really ran.
+    DCF for it; the recorder itself is read-only. Perf counters are
+    excluded from summary equality, so they prove which engine each
+    side really ran.
     """
-    fast = run_scenario(cfg, shards=1)
-    per_pair = run_scenario(cfg.with_(flight_trace=True), shards=1)
+    fast = run_scenario(cfg)
+    per_pair = run_scenario(cfg.with_(flight_trace=True))
     return fast, per_pair
 
 
@@ -87,7 +86,7 @@ def test_vectorized_matches_legacy_end_to_end(protocol, monkeypatch):
     one position epoch.
     """
     cfg = ScenarioConfig(protocol=protocol, seed=7, **SMALL)
-    fast = run_scenario(cfg, shards=1)
+    fast = run_scenario(cfg)
 
     def per_node_loop(self, t):
         for i, model in enumerate(self.models):
@@ -98,7 +97,7 @@ def test_vectorized_matches_legacy_end_to_end(protocol, monkeypatch):
         return self._cache
 
     monkeypatch.setattr(MobilityManager, "_positions_compute", per_node_loop)
-    reference = run_scenario(cfg, shards=1)
+    reference = run_scenario(cfg)
 
     assert fast.perf["batch_position_evals"] > 0
     assert reference.perf["batch_position_evals"] == 0
@@ -464,19 +463,14 @@ def test_batch_positions_match_scalar(kind, ts):
             assert abs(pos[i, 1] - y) <= 1e-12
 
 
-# --------------------------------------------------------------- sharding
-#
-# The spatially sharded engine (repro.shard) must be invisible in the
-# results: for island partitions (radio-disjoint clusters), any shard
-# count produces a bit-identical MetricsSummary, including per-flow
-# delay lists. These pins cover all five of the paper's protocols.
+# ------------------------------------------------------------- islands
 
 #: Paper-density clustered field: 4 radio-disjoint islands.
-_SHARD_DENSITY = 50 / (1500.0 * 300.0)
+_ISLAND_DENSITY = 50 / (1500.0 * 300.0)
 
 
 def _island_cfg(protocol, n_nodes, seed, n_clusters=4, **over):
-    strip = n_nodes / n_clusters / _SHARD_DENSITY / 300.0
+    strip = n_nodes / n_clusters / _ISLAND_DENSITY / 300.0
     width = n_clusters * strip + (n_clusters - 1) * 700.0
     merged = dict(
         n_nodes=n_nodes,
@@ -494,93 +488,20 @@ def _island_cfg(protocol, n_nodes, seed, n_clusters=4, **over):
     return ScenarioConfig(protocol=protocol, **merged)
 
 
-@pytest.mark.parametrize(
-    "protocol", ["dsdv", "dsr", "aodv", "paodv", "cbrp"]
-)
-def test_sharded_matches_single_loop(protocol):
-    """4-shard island run ≡ single loop, all five paper protocols."""
-    from repro.shard import run_sharded
-
-    cfg = _island_cfg(protocol, n_nodes=120, seed=13)
-    single = run_scenario(cfg, shards=1)
-    sharded = run_sharded(cfg, 4, exec_mode="inline")
-    assert sharded == single
-    assert set(sharded.flows) == set(single.flows)
-    for fid, flow in sharded.flows.items():
-        assert flow.delays == single.flows[fid].delays
-
-
-def test_sharded_matches_single_loop_10k():
-    """The tentpole pin: a 10 000-node static field, 4 shards, bit-
-    identical to the single event loop (process workers, merged
-    records, per-shard uid blocks all exercised at full scale).
-
-    One protocol always runs; MANETSIM_FULL=1 extends the pin to all
-    five (DSDV's table broadcasts make the full matrix minutes-long).
-    """
-    import os
-
-    from repro.scenario.options import EngineOptions
-
-    # Strict: a field that cannot be split must fail, not fall back.
-    strict = EngineOptions(shard_strict=True)
-    protocols = (
-        ["dsdv", "dsr", "aodv", "paodv", "cbrp"]
-        if os.environ.get("MANETSIM_FULL")
-        else ["aodv"]
-    )
-    for protocol in protocols:
-        cfg = _island_cfg(
-            protocol, n_nodes=10_000, seed=11,
-            duration=2.0, n_connections=40,
-            traffic_start_window=(0.0, 1.0),
-        )
-        single = run_scenario(cfg, shards=1)
-        sharded = run_scenario(cfg, shards=4, options=strict)
-        assert sharded == single, protocol
-        for fid, flow in sharded.flows.items():
-            assert flow.delays == single.flows[fid].delays
-
-
-@given(
-    n_nodes=st.integers(min_value=24, max_value=48),
-    seed=st.integers(min_value=0, max_value=2**20),
-    protocol=st.sampled_from(["dsdv", "dsr", "aodv", "paodv", "cbrp"]),
-    n_shards=st.sampled_from([2, 4]),
-)
-@settings(max_examples=8, deadline=None)
-def test_sharded_property_random_topologies(n_nodes, seed, protocol, n_shards):
-    """Property: shard-count invariance on random clustered topologies.
-
-    Hypothesis drives node count, seed, protocol, and shard count;
-    every example must match the single loop bit-for-bit.
-    """
-    from repro.shard import run_sharded
-
-    cfg = _island_cfg(
-        protocol, n_nodes=n_nodes, seed=seed,
-        duration=8.0, n_connections=3, traffic_start_window=(0.0, 2.0),
-    )
-    single = run_scenario(cfg, shards=1)
-    sharded = run_sharded(cfg, n_shards, exec_mode="inline")
-
-    assert sharded == single
-    for fid, flow in sharded.flows.items():
-        assert flow.delays == single.flows[fid].delays
-
-
 # ---------------------------------------------------------------------
 # Golden digests
 # ---------------------------------------------------------------------
 # One implementation per layer means no in-process twin to compare
 # against, so behaviour is pinned by committed digests instead:
 # golden.json holds, for each of the paper's five protocols, a plain
-# run, a faulted run, a 2-shard island run and a ``flight_trace`` run
+# run, a faulted run, a 120-node island run and a ``flight_trace`` run
 # (the per-pair PHY + per-node DCF engine), plus DSDV's 300-node field.
 # DSDV's first four were recorded at 242138d (the last commit with its
 # per-entry twin); everything else at d7c9e92, the last commit whose
 # four layers still had environment-selected twins, with every
-# combination of them agreeing.
+# combination of them agreeing. The island digests were recorded
+# through a 2-shard engine since retired; the one event loop
+# reproduces them exactly.
 
 _GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden.json").read_text()
@@ -600,7 +521,6 @@ def _summary_digest(summary) -> str:
 
 def _golden_run(protocol: str, case: str):
     from repro.faults.plan import FaultPlanConfig
-    from repro.shard import run_sharded
 
     if case == "small_plain":
         return run_scenario(ScenarioConfig(protocol=protocol, seed=7, **SMALL))
@@ -611,10 +531,8 @@ def _golden_run(protocol: str, case: str):
                                    link_loss=0.08),
             **SMALL,
         ))
-    if case == "islands_2_shards":
-        return run_sharded(
-            _island_cfg(protocol, n_nodes=120, seed=13), 2, exec_mode="inline"
-        )
+    if case == "islands":
+        return run_scenario(_island_cfg(protocol, n_nodes=120, seed=13))
     if case == "flight_trace":
         return run_scenario(ScenarioConfig(
             protocol=protocol, seed=7, flight_trace=True, **SMALL

@@ -12,40 +12,35 @@ from repro.scenario.options import EngineOptions
 
 def test_defaults_when_nothing_is_set():
     assert EngineOptions.from_env({}) == EngineOptions()
-    assert EngineOptions() == EngineOptions(
-        shards=1, shard_strict=False, flight=False, trace_sample=1
-    )
+    assert EngineOptions() == EngineOptions(flight=False, trace_sample=1)
 
 
-def test_reads_the_four_switches():
+def test_reads_the_two_switches():
     options = EngineOptions.from_env({
-        "MANETSIM_SHARDS": "4",
-        "MANETSIM_SHARD_STRICT": "1",
         "MANETSIM_FLIGHT": "1",
         "MANETSIM_TRACE_SAMPLE": "8",
         "MANETSIM_PROCESSES": "3",  # not an engine option: ignored here
     })
-    assert options == EngineOptions(
-        shards=4, shard_strict=True, flight=True, trace_sample=8
-    )
+    assert options == EngineOptions(flight=True, trace_sample=8)
 
 
 def test_empty_string_means_unset():
     # The CI matrix sets unused switches to "".
     assert EngineOptions.from_env(
-        {"MANETSIM_SHARDS": "", "MANETSIM_FLIGHT": ""}
+        {"MANETSIM_TRACE_SAMPLE": "", "MANETSIM_FLIGHT": ""}
     ) == EngineOptions()
 
 
 def test_default_source_is_the_process_environment(monkeypatch):
-    monkeypatch.setenv("MANETSIM_SHARDS", "3")
-    assert EngineOptions.from_env().shards == 3
+    monkeypatch.setenv("MANETSIM_TRACE_SAMPLE", "3")
+    assert EngineOptions.from_env().trace_sample == 3
 
 
 @pytest.mark.parametrize("name, value", [
-    ("MANETSIM_SHARDS", "two"),
-    ("MANETSIM_SHARDS", "2.5"),
     ("MANETSIM_TRACE_SAMPLE", "x"),
+    ("MANETSIM_TRACE_SAMPLE", "2.5"),
+    ("MANETSIM_TRACE_SAMPLE", "0"),
+    ("MANETSIM_TRACE_SAMPLE", "-5"),
 ])
 def test_malformed_integer_is_a_typed_error(monkeypatch, name, value):
     with pytest.raises(ConfigurationError) as err:
@@ -61,8 +56,10 @@ def test_malformed_integer_is_a_typed_error(monkeypatch, name, value):
 
 @pytest.mark.parametrize("name, value", [
     ("MANETSIM_PROCESSES", "abc"),
+    ("MANETSIM_PROCESSES", "0"),
     ("MANETSIM_JOB_TIMEOUT", "soon"),
     ("MANETSIM_JOB_RETRIES", "x"),
+    ("MANETSIM_JOB_RETRIES", "-1"),
 ])
 def test_malformed_pool_setting_is_a_typed_error(monkeypatch, name, value):
     from repro.scenario import SweepExecutor
@@ -75,7 +72,7 @@ def test_malformed_pool_setting_is_a_typed_error(monkeypatch, name, value):
 
 #: Modules allowed to read the process environment, and why.
 _ENV_READERS = {
-    "scenario/options.py",      # the four run switches, resolved once
+    "scenario/options.py",      # the two run switches, resolved once
     "scenario/executor.py",     # pool/deployment settings
     "analysis/experiments.py",  # bench scale selectors + results dir
 }
@@ -102,8 +99,13 @@ def test_environment_is_read_in_three_modules_only():
         r"\bos\.environ\b|\bos\.getenv\b|\bfrom os import\b", _ENV_READERS
     ) == []
     # One trace (the flight recorder), one checkpoint (the result
-    # store), one stats collector: the retired twins stay retired. The
-    # broker keeps its own lifecycle log.
+    # store), one stats collector, one event loop: the retired twins
+    # stay retired. The broker keeps its own lifecycle log.
     assert _offenders(
         r"journal|stream_stats|core\.trace|\.trace import", {"fabric/broker.py"}
+    ) == []
+    assert _offenders(
+        r"repro\.shard|\.\.shard\b|run_sharded|configure_shard|MANETSIM_SHARD"
+        r"|uid_base|record_times|merge_\w+_partials",
+        set(),
     ) == []

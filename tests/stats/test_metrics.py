@@ -110,6 +110,16 @@ class TestCollectorUnit:
         c.on_receive(ctrl, prev_hop=0)
         assert c.data_received == 0
 
+    def test_finish_without_deliveries_is_zero(self):
+        from types import SimpleNamespace
+
+        s = MetricsCollector("test").finish(SimpleNamespace(nodes=[]), 10.0)
+        assert (s.data_sent, s.data_received) == (0, 0)
+        assert (s.pdr, s.avg_delay, s.p95_delay, s.avg_hops) == (0, 0, 0, 0)
+        assert s.normalized_routing_load == 0.0
+        assert s.normalized_mac_load == 0.0
+        assert s.drops_by_reason == {}
+
 
 class TestAggregation:
     def test_estimate_mean(self):
@@ -179,61 +189,3 @@ class TestWarmupCut:
             ScenarioConfig(duration=10.0, measure_from=10.0)
         with _pytest.raises(ConfigurationError):
             ScenarioConfig(measure_from=-1.0)
-
-
-class TestShardPartialMerge:
-    """merge_shard_partials unit behaviour (engine-independent)."""
-
-    def _partial(self, records, flows=None, sent=0):
-        from repro.stats.metrics import ShardPartial
-
-        return ShardPartial(
-            data_sent=sent,
-            data_received=len(records),
-            bytes_received=64 * len(records),
-            records=records,
-            flows=flows or {},
-            layers=(0,) * 8,
-        )
-
-    def test_records_interleave_by_time_then_dst(self):
-        from repro.stats.metrics import merge_shard_partials
-
-        a = self._partial([(1.0, 5, 0.010, 2), (3.0, 5, 0.030, 2)], sent=4)
-        b = self._partial([(2.0, 9, 0.020, 1)], sent=2)
-        merged = merge_shard_partials("aodv", 10.0, [a, b])
-        # Mean over the interleaved order == np.mean of [10, 20, 30] ms.
-        exact = float(np.mean(np.asarray([0.010, 0.020, 0.030])))
-        assert merged.avg_delay == exact
-        assert merged.data_sent == 6
-        assert merged.data_received == 3
-        assert merged.pdr == pytest.approx(0.5)
-
-    def test_flow_stats_merge_fieldwise(self):
-        from repro.stats.metrics import FlowStats, merge_shard_partials
-
-        a = self._partial(
-            [(1.0, 5, 0.01, 1)],
-            flows={0: FlowStats(0, 1, 5, sent=3, received=1, delays=[0.01]),
-                   1: FlowStats(1, 2, 9, sent=0, received=0)},
-            sent=3,
-        )
-        b = self._partial(
-            [(2.0, 9, 0.02, 1)],
-            flows={0: FlowStats(0, 1, 5),
-                   1: FlowStats(1, 2, 9, sent=2, received=1, delays=[0.02])},
-            sent=2,
-        )
-        merged = merge_shard_partials("aodv", 10.0, [a, b])
-        assert merged.flows[0].sent == 3
-        assert merged.flows[0].delays == [0.01]
-        assert merged.flows[1].received == 1
-        assert merged.flows[1].delays == [0.02]
-
-    def test_empty_merge(self):
-        from repro.stats.metrics import merge_shard_partials
-
-        merged = merge_shard_partials("aodv", 10.0, [self._partial([])])
-        assert merged.data_received == 0
-        assert merged.avg_delay == 0.0
-        assert merged.pdr == 0.0
