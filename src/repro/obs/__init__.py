@@ -1,7 +1,7 @@
 """Observability: spans/timers, telemetry probes, manifests, flights.
 
 Four pillars, all pay-for-what-you-use (zero hooks installed and zero
-hot-path cost when disabled, the same discipline as ``TraceWriter``):
+hot-path cost when disabled):
 
 * :class:`Profiler` — hierarchical monotonic-clock spans around the
   event loop and per-layer dispatch, aggregated into a wall-time +

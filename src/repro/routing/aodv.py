@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.drops import DropReason
 from ..net.packet import BROADCAST, Packet
 from ..net.sendbuffer import SendBuffer
 from .base import RoutingProtocol
@@ -155,7 +154,7 @@ class Aodv(RoutingProtocol):
         #: Local repairs attempted / succeeded (ablation metrics).
         self.repairs_attempted = 0
         self.repairs_succeeded = 0
-        self._neighbors = (
+        self.neighbors = (
             NeighborTable(ALLOWED_HELLO_LOSS * hello_interval)
             if hello_interval
             else None
@@ -183,9 +182,7 @@ class Aodv(RoutingProtocol):
         route = self._route(packet.dst)
         if route is None:
             # No route at an intermediate node: drop and tell upstream.
-            self.stats.drops_no_route += 1
-            if self._flight is not None:
-                self._flight.drop(packet, DropReason.NO_ROUTE, self.addr)
+            self.drop_no_route(packet)
             stale = self.table.get(packet.dst)
             seq = stale.dst_seq + 1 if stale else 0
             self._send_rerr([(packet.dst, seq)])
@@ -292,11 +289,7 @@ class Aodv(RoutingProtocol):
         pending.retries += 1
         if pending.retries > RREQ_RETRIES:
             del self._pending[dst]
-            dropped = self.buffer.drop_for(dst)
-            self.stats.drops_buffer += len(dropped)
-            if self._flight is not None:
-                for pkt in dropped:
-                    self._flight.drop(pkt, DropReason.SEND_BUFFER_GIVEUP, self.addr)
+            self.drop_buffered(dst)
             return
         # Expanding ring: widen, then go network-wide.
         if pending.ttl < TTL_THRESHOLD:
@@ -481,9 +474,7 @@ class Aodv(RoutingProtocol):
                 self._start_repair(pkt.dst, repair_hops.get(pkt.dst, 1))
                 repaired_dsts.add(pkt.dst)
             else:
-                self.stats.drops_no_route += 1
-                if self._flight is not None:
-                    self._flight.drop(pkt, DropReason.NO_ROUTE, self.addr)
+                self.drop_no_route(pkt)
 
         # Destinations under repair defer their RERR until the repair
         # verdict; everything else errors upstream now.
@@ -515,11 +506,7 @@ class Aodv(RoutingProtocol):
             self._flush_buffer(dst)
             return
         # Repair failed: drop the buffered transit data and error upstream.
-        dropped = self.buffer.drop_for(dst)
-        self.stats.drops_buffer += len(dropped)
-        if self._flight is not None:
-            for pkt in dropped:
-                self._flight.drop(pkt, DropReason.SEND_BUFFER_GIVEUP, self.addr)
+        self.drop_buffered(dst)
         stale = self.table.get(dst)
         seq = stale.dst_seq if stale is not None else 0
         self._send_rerr([(dst, seq)])
@@ -528,8 +515,8 @@ class Aodv(RoutingProtocol):
 
     def _hello_tick(self) -> None:
         now = self.sim.now
-        # HELLO is a RREP about ourselves with TTL 1 (RFC 3561 §6.9).
-        self.seq += 0  # hellos do not bump the sequence number
+        # HELLO is a RREP about ourselves with TTL 1 (RFC 3561 §6.9);
+        # it does not bump the sequence number.
         hello = Rrep(
             orig=BROADCAST,
             dst=self.addr,
@@ -539,15 +526,15 @@ class Aodv(RoutingProtocol):
         )
         pkt = self.make_control(hello, RREP_SIZE, ttl=1)
         self.send_control(pkt, BROADCAST)
-        self._neighbors.purge(now, self._neighbor_lost)
+        self.neighbors.purge(now, self._neighbor_lost)
         self.sim.schedule(self.hello_interval, self._hello_tick)
 
     def _neighbor_lost(self, addr: int) -> None:
         self.link_failed(None, addr)
 
     def deliver(self, packet: Packet, prev_hop: int, rx_power: float) -> None:
-        if self._neighbors is not None:
-            self._neighbors.heard(prev_hop, self.sim.now, bidirectional=True)
+        if self.neighbors is not None:
+            self.neighbors.heard(prev_hop, self.sim.now, bidirectional=True)
         if (
             packet.proto == self.NAME
             and isinstance(packet.payload, Rrep)

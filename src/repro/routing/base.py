@@ -166,7 +166,8 @@ class RoutingProtocol:
         """Sizes of this agent's routing state, for telemetry probes.
 
         Duck-typed over the conventional attribute names (``table``,
-        ``cache``, ``neighbors``, ``buffer``); protocols with
+        ``cache``, ``neighbors``, ``buffer``), so a protocol must keep
+        its state under exactly these names to be observed; protocols with
         differently shaped state can override. Read-only — must never
         mutate protocol state (the telemetry determinism test pins
         this).
@@ -187,6 +188,20 @@ class RoutingProtocol:
         return sizes
 
     # --------------------------------------------------------------- helpers
+
+    def drop_no_route(self, packet: Packet) -> None:
+        """Drop a data packet this node has no route for."""
+        self.stats.drops_no_route += 1
+        if self._flight is not None:
+            self._flight.drop(packet, DropReason.NO_ROUTE, self.addr)
+
+    def drop_buffered(self, dst: int) -> None:
+        """Give up on *dst*: drop every packet buffered for it."""
+        dropped = self.buffer.drop_for(dst)
+        self.stats.drops_buffer += len(dropped)
+        if self._flight is not None:
+            for pkt in dropped:
+                self._flight.drop(pkt, DropReason.SEND_BUFFER_GIVEUP, self.addr)
 
     def make_control(
         self,

@@ -4,7 +4,9 @@ The third reactive contender. Nodes organize into 2-hop-diameter
 clusters via the lowest-ID rule; route discovery floods are pruned to
 **cluster heads and gateways only**, which is CBRP's answer to the
 RREQ-storm problem (the A4 ablation quantifies the pruning). Data is
-source-routed like DSR, with two CBRP twists implemented here:
+source-routed like DSR — the shared machinery is
+:class:`~repro.routing.source_route.SourceRouting` — with two CBRP
+twists implemented here:
 
 * **route shortening** — a forwarder that can hear a node further down
   the route skips the intermediate hops;
@@ -21,17 +23,13 @@ timer is a fixed three HELLO periods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.drops import DropReason
 from ..net.packet import BROADCAST, Packet
-from ..net.sendbuffer import SendBuffer
-from .base import RoutingProtocol
-from .dsr import SEEN_RREQ_HORIZON, RouteCache
 from .neighbors import NeighborTable
-from .seen import SeenCache
+from .source_route import FLOOD_TTL, SourceRouting
 
-__all__ = ["Cbrp", "CbrpHello", "CbrpRreq", "CbrpRrep", "CbrpRerr", "UNDECIDED", "MEMBER", "HEAD"]
+__all__ = ["Cbrp", "CbrpHello", "UNDECIDED", "MEMBER", "HEAD"]
 
 HELLO_INTERVAL = 2.0
 NEIGHB_HOLD = 3 * HELLO_INTERVAL
@@ -40,14 +38,7 @@ CONTENTION_PERIOD = 3 * HELLO_INTERVAL
 
 HELLO_BASE_SIZE = 16
 NEIGH_ENTRY_SIZE = 6
-RREQ_BASE_SIZE = 16
-RREP_BASE_SIZE = 16
-RERR_SIZE = 16
-ADDR_SIZE = 4
 
-DISCOVERY_RETRIES = 3
-DISCOVERY_TIMEOUT = 0.5
-FLOOD_TTL = 32
 MAX_REPAIRS = 1
 
 UNDECIDED = "undecided"
@@ -64,33 +55,7 @@ class CbrpHello:
     neighbors: Dict[int, Tuple[str, int]]
 
 
-@dataclass
-class CbrpRreq:
-    orig: int
-    rreq_id: int
-    target: int
-    record: Tuple[int, ...]
-
-
-@dataclass
-class CbrpRrep:
-    route: Tuple[int, ...]
-
-
-@dataclass
-class CbrpRerr:
-    from_node: int
-    to_node: int
-    orig: int
-
-
-@dataclass
-class _Pending:
-    retries: int
-    timer: object
-
-
-class Cbrp(RoutingProtocol):
+class Cbrp(SourceRouting):
     """CBRP routing agent.
 
     Parameters
@@ -101,17 +66,16 @@ class Cbrp(RoutingProtocol):
     """
 
     NAME = "cbrp"
+    RREQ_BASE_SIZE = 16
+    RREP_BASE_SIZE = 16
+    #: Network-wide floods only, with doubling waits.
+    DISCOVERY_SCHEDULE = ((FLOOD_TTL, 0.5), (FLOOD_TTL, 1.0), (FLOOD_TTL, 2.0), (FLOOD_TTL, 4.0))
 
     def __init__(self, sim, node_id, mac, rng, prune_flood: bool = True):
         super().__init__(sim, node_id, mac, rng)
         self.prune_flood = prune_flood
         self.role = UNDECIDED
         self.neighbors = NeighborTable(NEIGHB_HOLD)
-        self.cache = RouteCache(owner=node_id)
-        self.buffer = SendBuffer()
-        self.rreq_id = 0
-        self._pending: Dict[int, _Pending] = {}
-        self._seen_rreq = SeenCache(horizon=SEEN_RREQ_HORIZON)
         #: When a lower-id competing head was first heard (contention).
         self._contend_since: Optional[float] = None
         #: Local repairs performed (ablation metric).
@@ -155,6 +119,10 @@ class Cbrp(RoutingProtocol):
             if their_head not in (-1, mine) and e.meta.get("role") != HEAD:
                 return True
         return False
+
+    def relays_rreq(self) -> bool:
+        """Cluster pruning: only heads and gateways relay the flood."""
+        return not self.prune_flood or self.role == HEAD or self.is_gateway()
 
     def _update_role(self) -> None:
         now = self.sim.now
@@ -216,212 +184,35 @@ class Cbrp(RoutingProtocol):
         entry.meta["neighbors"] = set(msg.neighbors)
         self._update_role()
 
+    def on_control(self, packet: Packet, prev_hop: int, rx_power: float) -> None:
+        if isinstance(packet.payload, CbrpHello):
+            self._on_hello(packet.payload, prev_hop)
+        else:
+            super().on_control(packet, prev_hop, rx_power)
+
     # ------------------------------------------------------------ data path
 
-    def originate(self, packet: Packet) -> None:
-        path = self.cache.get(packet.dst, self.sim.now)
-        if path is None and self.neighbors.is_neighbor(
-            packet.dst, self.sim.now, bidirectional_only=True
-        ):
-            path = (self.addr, packet.dst)  # one-hop shortcut, no discovery
-        if path is not None:
-            self._stamp_and_send(packet, path, forwarded=False)
-            return
-        self.buffer.add(packet, self.sim.now)
-        self._start_discovery(packet.dst)
-
-    def _stamp_and_send(self, packet: Packet, path, forwarded: bool) -> None:
-        packet.route = list(path)
-        packet.size += ADDR_SIZE * len(path)
-        self.send_data(packet, path[1], forwarded=forwarded)
-
-    def on_data_to_forward(self, packet: Packet, prev_hop: int, rx_power: float) -> None:
-        route = packet.route
-        if not route or self.addr not in route:
-            self.stats.drops_no_route += 1
-            if self._flight is not None:
-                self._flight.drop(packet, DropReason.NO_ROUTE, self.addr)
-            return
-        i = route.index(self.addr)
-        if i + 1 >= len(route):
-            self.stats.drops_no_route += 1
-            if self._flight is not None:
-                self._flight.drop(packet, DropReason.NO_ROUTE, self.addr)
-            return
-        # Route shortening: jump to the farthest downstream node we can
-        # hear directly.
+    def _path_to(self, dst: int) -> Optional[Sequence[int]]:
+        """Cached path, else the one-hop shortcut to a symmetric neighbor."""
         now = self.sim.now
-        nxt = i + 1
+        path = self.cache.get(dst, now)
+        if path is None and self.neighbors.is_neighbor(dst, now, bidirectional_only=True):
+            path = (self.addr, dst)  # no discovery needed
+        return path
+
+    def _shorten(self, route: List[int], i: int) -> None:
+        """Jump to the farthest downstream node we can hear directly."""
+        now = self.sim.now
         for j in range(len(route) - 1, i + 1, -1):
             if self.neighbors.is_neighbor(route[j], now, bidirectional_only=True):
-                nxt = j
-                break
-        if nxt > i + 1:
-            del route[i + 1 : nxt]  # splice out the skipped hops
-        self.cache.add(tuple(route[i:]), now)
-        self.cache.add(tuple(reversed(route[: i + 1])), now)
-        self.send_data(packet, route[i + 1], forwarded=True)
-
-    def on_data_arrived(self, packet: Packet, prev_hop: int, rx_power: float) -> None:
-        if packet.route and self.addr in packet.route:
-            i = packet.route.index(self.addr)
-            self.cache.add(tuple(reversed(packet.route[: i + 1])), self.sim.now)
-
-    # ----------------------------------------------------------- discovery
-
-    def _start_discovery(self, dst: int) -> None:
-        if dst in self._pending:
-            return
-        self.stats.discoveries += 1
-        self._send_rreq(dst)
-        timer = self.sim.schedule(DISCOVERY_TIMEOUT, self._discovery_timeout, dst)
-        self._pending[dst] = _Pending(retries=0, timer=timer)
-
-    def _send_rreq(self, dst: int) -> None:
-        self.rreq_id += 1
-        msg = CbrpRreq(self.addr, self.rreq_id, dst, record=(self.addr,))
-        self._seen_rreq.insert((self.addr, self.rreq_id), self.sim.now)
-        size = RREQ_BASE_SIZE + ADDR_SIZE
-        pkt = self.make_control(msg, size, ttl=FLOOD_TTL)
-        self.send_control(pkt, BROADCAST)
-
-    def _discovery_timeout(self, dst: int) -> None:
-        pending = self._pending.get(dst)
-        if pending is None:
-            return
-        if self.cache.get(dst, self.sim.now) is not None:
-            del self._pending[dst]
-            self._flush_buffer(dst)
-            return
-        pending.retries += 1
-        if pending.retries > DISCOVERY_RETRIES:
-            del self._pending[dst]
-            dropped = self.buffer.drop_for(dst)
-            self.stats.drops_buffer += len(dropped)
-            if self._flight is not None:
-                for pkt in dropped:
-                    self._flight.drop(pkt, DropReason.SEND_BUFFER_GIVEUP, self.addr)
-            return
-        self._send_rreq(dst)
-        wait = DISCOVERY_TIMEOUT * (2**pending.retries)
-        pending.timer = self.sim.schedule(wait, self._discovery_timeout, dst)
-
-    def _flush_buffer(self, dst: int) -> None:
-        path = self.cache.get(dst, self.sim.now)
-        if path is None:
-            return
-        for pkt in self.buffer.take_for(dst, self.sim.now):
-            self._stamp_and_send(pkt, path, forwarded=False)
-
-    # -------------------------------------------------------------- control
-
-    def on_control(self, packet: Packet, prev_hop: int, rx_power: float) -> None:
-        msg = packet.payload
-        if isinstance(msg, CbrpHello):
-            self._on_hello(msg, prev_hop)
-        elif isinstance(msg, CbrpRreq):
-            self._on_rreq(packet, msg)
-        elif isinstance(msg, CbrpRrep):
-            self._on_rrep(packet, msg)
-        elif isinstance(msg, CbrpRerr):
-            self._on_rerr(packet, msg)
-
-    # -- RREQ ---------------------------------------------------------------
-
-    def _on_rreq(self, packet: Packet, msg: CbrpRreq) -> None:
-        if self.addr in msg.record:
-            return
-        if not self._seen_rreq.mark((msg.orig, msg.rreq_id), self.sim.now):
-            return
-
-        self.cache.add((self.addr,) + tuple(reversed(msg.record)), self.sim.now)
-
-        if msg.target == self.addr:
-            route = msg.record + (self.addr,)
-            self._send_rrep(route)
-            return
-
-        # Cluster pruning: only heads and gateways relay the flood.
-        if self.prune_flood and not (self.role == HEAD or self.is_gateway()):
-            return
-        if packet.ttl > 1:
-            fwd_msg = CbrpRreq(msg.orig, msg.rreq_id, msg.target, msg.record + (self.addr,))
-            size = RREQ_BASE_SIZE + ADDR_SIZE * len(fwd_msg.record)
-            fwd = self.make_control(fwd_msg, size, ttl=packet.ttl - 1)
-            self.send_control(fwd, BROADCAST)
-
-    # -- RREP ---------------------------------------------------------------
-
-    def _send_rrep(self, route: Tuple[int, ...]) -> None:
-        back_path = tuple(reversed(route[: route.index(self.addr) + 1]))
-        if len(back_path) < 2:
-            return
-        msg = CbrpRrep(route=route)
-        size = RREP_BASE_SIZE + ADDR_SIZE * len(route)
-        pkt = self.make_control(msg, size, dst=route[0], ttl=FLOOD_TTL)
-        pkt.route = list(back_path)
-        self.send_control(pkt, back_path[1])
-
-    def _on_rrep(self, packet: Packet, msg: CbrpRrep) -> None:
-        if packet.dst == self.addr:
-            self.cache.add(msg.route, self.sim.now)
-            dst = msg.route[-1]
-            pending = self._pending.pop(dst, None)
-            if pending is not None:
-                self.sim.cancel(pending.timer)
-            self._flush_buffer(dst)
-            return
-        route = packet.route or []
-        if self.addr in route:
-            i = route.index(self.addr)
-            if i + 1 < len(route):
-                self.send_control(packet.copy(), route[i + 1])
-
-    # -- RERR ---------------------------------------------------------------
-
-    def _send_rerr(self, from_node: int, to_node: int, orig: int, back_path) -> None:
-        if len(back_path) < 2:
-            return
-        msg = CbrpRerr(from_node, to_node, orig)
-        pkt = self.make_control(msg, RERR_SIZE, dst=orig, ttl=FLOOD_TTL)
-        pkt.route = list(back_path)
-        self.send_control(pkt, back_path[1])
-
-    def _on_rerr(self, packet: Packet, msg: CbrpRerr) -> None:
-        self.cache.remove_link(msg.from_node, msg.to_node)
-        if packet.dst == self.addr:
-            return
-        route = packet.route or []
-        if self.addr in route:
-            i = route.index(self.addr)
-            if i + 1 < len(route):
-                self.send_control(packet.copy(), route[i + 1])
+                del route[i + 1 : j]  # splice out the skipped hops
+                return
 
     # --------------------------------------------------------- link failure
 
     def link_failed(self, packet: Packet, next_hop: int) -> None:
-        self.cache.remove_link(self.addr, next_hop)
         self.neighbors.remove(next_hop)
-        victims = [(packet, next_hop)] if packet is not None else []
-        victims.extend(self.mac.purge_next_hop(next_hop))
-        for pkt, _nh in victims:
-            if not pkt.is_data:
-                continue
-            if not self._local_repair(pkt, next_hop):
-                if pkt.src != self.addr and pkt.route and self.addr in pkt.route:
-                    i = pkt.route.index(self.addr)
-                    back = tuple(reversed(pkt.route[: i + 1]))
-                    self._send_rerr(self.addr, next_hop, pkt.src, back)
-                if pkt.src == self.addr:
-                    # Re-originate through a fresh discovery.
-                    if pkt.route:
-                        pkt.size = max(0, pkt.size - ADDR_SIZE * len(pkt.route))
-                        pkt.route = None
-                    self.originate(pkt)
-                else:
-                    self.stats.drops_no_route += 1
-                    if self._flight is not None:
-                        self._flight.drop(pkt, DropReason.NO_ROUTE, self.addr)
+        super().link_failed(packet, next_hop)
 
     def _local_repair(self, pkt: Packet, dead_hop: int) -> bool:
         """Bridge to *dead_hop* via a common neighbor (2-hop repair)."""
@@ -437,7 +228,7 @@ class Cbrp(RoutingProtocol):
                 continue
             if dead_hop in e.meta.get("neighbors", ()):
                 pkt.route.insert(i + 1, e.addr)
-                pkt.size += ADDR_SIZE
+                pkt.size += self.ADDR_SIZE
                 pkt.salvage += 1
                 self.repairs += 1
                 self.send_data(pkt, e.addr, forwarded=True)

@@ -309,9 +309,7 @@ class Dsdv(RoutingProtocol):
         if 0 <= dst < len(metric) and metric[dst] < INFINITY and dst != self.addr:
             self.send_data(packet, int(self._next_hop[dst]), forwarded=forwarded)
             return
-        self.stats.drops_no_route += 1
-        if self._flight is not None:
-            self._flight.drop(packet, DropReason.NO_ROUTE, self.addr)
+        self.drop_no_route(packet)
 
     def originate(self, packet: Packet) -> None:
         self._route(packet, forwarded=False)

@@ -8,11 +8,15 @@ forwarding, from overheard packets (promiscuous mode), and from route
 replies answered out of other nodes' caches — is why DSR posts the
 lowest routing overhead in the paper.
 
-Implemented here with a **path cache** (ns-2's default): full paths with
-expiry, prefix paths implied. Link removal truncates every cached path
-at the broken link. Salvaging: an intermediate node whose next hop died
-may re-route the packet over its own cached path (bounded by
-``MAX_SALVAGE`` to prevent ping-ponging).
+The discovery, forwarding and error machinery it shares with CBRP is
+:class:`~repro.routing.source_route.SourceRouting`; this module holds
+what is DSR's own: replies from cache, salvaging, snooping, and the
+choice of a **path cache** (ns-2's default: full paths with expiry,
+prefix paths implied, link removal truncates every cached path at the
+broken link) or a link cache (:mod:`repro.routing.dsr_cache`).
+Salvaging: an intermediate node whose next hop died may re-route the
+packet over its own cached path (bounded by ``MAX_SALVAGE`` to prevent
+ping-ponging).
 
 Simplifications (DESIGN.md): no gratuitous route shortening replies, no
 flow-state extension; the first discovery attempt is the standard
@@ -21,130 +25,18 @@ non-propagating (TTL 1) neighbor-cache query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
 from ..core.drops import DropReason
-from ..net.packet import BROADCAST, Packet
-from ..net.sendbuffer import SendBuffer
-from .base import RoutingProtocol
-from .seen import SeenCache
+from ..net.packet import Packet
+from .dsr_cache import LinkCache
+from .source_route import FLOOD_TTL, RouteRequest, SourceRouting
 
-__all__ = ["Dsr", "RouteCache", "DsrRreq", "DsrRrep", "DsrRerr"]
-
-RREQ_BASE_SIZE = 12
-RREP_BASE_SIZE = 12
-RERR_SIZE = 16
-ADDR_SIZE = 4
-
-#: Seconds a seen RREQ id stays relevant for duplicate suppression.
-SEEN_RREQ_HORIZON = 30.0
+__all__ = ["Dsr"]
 
 #: Maximum times one packet may be salvaged.
 MAX_SALVAGE = 2
-#: Network-wide discovery retries after the non-propagating query.
-DISCOVERY_RETRIES = 3
-#: Base wait after a network-wide RREQ before retrying (doubles each time).
-DISCOVERY_TIMEOUT = 0.5
-NONPROP_TIMEOUT = 0.03
-FLOOD_TTL = 32
 
 
-@dataclass
-class DsrRreq:
-    orig: int
-    rreq_id: int
-    target: int
-    #: Path accumulated so far, starting with the originator.
-    record: Tuple[int, ...]
-
-
-@dataclass
-class DsrRrep:
-    #: Complete discovered path orig -> ... -> target.
-    route: Tuple[int, ...]
-
-
-@dataclass
-class DsrRerr:
-    #: The broken link, reported toward *orig*.
-    from_node: int
-    to_node: int
-    orig: int
-
-
-class RouteCache:
-    """Path cache: full routes from this node, with expiry.
-
-    Adding a path implicitly provides routes to every intermediate node
-    (prefix paths). Lookup returns the shortest live path. When *owner*
-    is given, paths that do not start at the owner are rejected on add
-    and never returned — defense against miscached foreign routes.
-    """
-
-    def __init__(self, lifetime: float = 300.0, capacity: int = 64, owner=None):
-        self.lifetime = lifetime
-        self.capacity = capacity
-        self.owner = owner
-        self._paths: List[Tuple[Tuple[int, ...], float]] = []
-
-    def __len__(self) -> int:
-        return len(self._paths)
-
-    def add(self, path: Sequence[int], now: float) -> None:
-        """Cache *path* (``path[0]`` must be the owning node)."""
-        path = tuple(path)
-        if len(path) < 2 or len(set(path)) != len(path):
-            return  # trivial or looping paths are useless
-        if self.owner is not None and path[0] != self.owner:
-            return  # foreign route: unusable as a source route from here
-        expiry = now + self.lifetime
-        for stored, exp in self._paths:
-            if stored == path:
-                self._paths.remove((stored, exp))
-                break
-        self._paths.append((path, expiry))
-        if len(self._paths) > self.capacity:
-            self._paths.pop(0)
-
-    def get(self, dst: int, now: float) -> Optional[Tuple[int, ...]]:
-        """Shortest live path whose prefix reaches *dst*."""
-        best: Optional[Tuple[int, ...]] = None
-        for path, expiry in self._paths:
-            if expiry <= now:
-                continue
-            if dst in path:
-                prefix = path[: path.index(dst) + 1]
-                if len(prefix) >= 2 and (best is None or len(prefix) < len(best)):
-                    best = prefix
-        return best
-
-    def remove_link(self, a: int, b: int) -> None:
-        """Truncate every cached path at link *a*–*b* (either direction)."""
-        updated: List[Tuple[Tuple[int, ...], float]] = []
-        for path, expiry in self._paths:
-            cut = len(path)
-            for i in range(len(path) - 1):
-                if (path[i] == a and path[i + 1] == b) or (
-                    path[i] == b and path[i + 1] == a
-                ):
-                    cut = i + 1
-                    break
-            if cut >= 2:
-                updated.append((path[:cut], expiry))
-        self._paths = updated
-
-    def purge_expired(self, now: float) -> None:
-        self._paths = [(p, e) for p, e in self._paths if e > now]
-
-
-@dataclass
-class _Pending:
-    retries: int
-    timer: object
-
-
-class Dsr(RoutingProtocol):
+class Dsr(SourceRouting):
     """DSR routing agent.
 
     The MAC should run in promiscuous mode so :meth:`snoop` can learn
@@ -152,6 +44,11 @@ class Dsr(RoutingProtocol):
     """
 
     NAME = "dsr"
+    RREQ_BASE_SIZE = 12
+    RREP_BASE_SIZE = 12
+    #: A non-propagating query that neighbours answer from cache, then
+    #: network-wide floods with doubling waits.
+    DISCOVERY_SCHEDULE = ((1, 0.03), (FLOOD_TTL, 0.5), (FLOOD_TTL, 1.0), (FLOOD_TTL, 2.0))
 
     def __init__(
         self,
@@ -164,228 +61,27 @@ class Dsr(RoutingProtocol):
     ):
         super().__init__(sim, node_id, mac, rng)
         if cache_kind == "link":
-            from .dsr_cache import LinkCache
-
             self.cache = LinkCache(owner=node_id)
-        elif cache_kind == "path":
-            self.cache = RouteCache(owner=node_id)
-        else:
+        elif cache_kind != "path":
             raise ValueError(f"unknown DSR cache kind {cache_kind!r}")
-        self.buffer = SendBuffer()
         self.reply_from_cache = reply_from_cache
-        self.rreq_id = 0
-        self._pending: Dict[int, _Pending] = {}
-        self._seen_rreq = SeenCache(horizon=SEEN_RREQ_HORIZON)
         #: Successfully salvaged packets (metric for the cache ablation).
         self.salvages = 0
 
-    # ------------------------------------------------------------ data path
-
-    def originate(self, packet: Packet) -> None:
-        path = self.cache.get(packet.dst, self.sim.now)
-        if path is not None:
-            self._stamp_and_send(packet, path, forwarded=False)
-            return
-        self.buffer.add(packet, self.sim.now)
-        self._start_discovery(packet.dst)
-
-    def _stamp_and_send(self, packet: Packet, path: Sequence[int], forwarded: bool) -> None:
-        packet.route = list(path)
-        # Source-route header: one address per hop in the header.
-        packet.size += ADDR_SIZE * len(path)
-        self.send_data(packet, path[1], forwarded=forwarded)
-
-    def on_data_to_forward(self, packet: Packet, prev_hop: int, rx_power: float) -> None:
-        route = packet.route
-        if not route or self.addr not in route:
-            self.stats.drops_no_route += 1
-            if self._flight is not None:
-                self._flight.drop(packet, DropReason.NO_ROUTE, self.addr)
-            return
-        i = route.index(self.addr)
-        if i + 1 >= len(route):
-            self.stats.drops_no_route += 1
-            if self._flight is not None:
-                self._flight.drop(packet, DropReason.NO_ROUTE, self.addr)
-            return
-        # Learn from the carried route: onward suffix and reverse prefix.
-        self.cache.add(route[i:], self.sim.now)
-        self.cache.add(tuple(reversed(route[: i + 1])), self.sim.now)
-        self.send_data(packet, route[i + 1], forwarded=True)
-
-    def on_data_arrived(self, packet: Packet, prev_hop: int, rx_power: float) -> None:
-        if packet.route and self.addr in packet.route:
-            i = packet.route.index(self.addr)
-            self.cache.add(tuple(reversed(packet.route[: i + 1])), self.sim.now)
-
-    # ----------------------------------------------------------- discovery
-
-    def _start_discovery(self, dst: int) -> None:
-        if dst in self._pending:
-            return
-        self.stats.discoveries += 1
-        # Non-propagating query first: neighbors answer from cache.
-        self._send_rreq(dst, ttl=1)
-        timer = self.sim.schedule(NONPROP_TIMEOUT, self._discovery_timeout, dst)
-        self._pending[dst] = _Pending(retries=0, timer=timer)
-
-    def _send_rreq(self, dst: int, ttl: int) -> None:
-        self.rreq_id += 1
-        msg = DsrRreq(self.addr, self.rreq_id, dst, record=(self.addr,))
-        self._seen_rreq.insert((self.addr, self.rreq_id), self.sim.now)
-        size = RREQ_BASE_SIZE + ADDR_SIZE
-        pkt = self.make_control(msg, size, ttl=ttl)
-        self.send_control(pkt, BROADCAST)
-
-    def _discovery_timeout(self, dst: int) -> None:
-        pending = self._pending.get(dst)
-        if pending is None:
-            return
-        if self.cache.get(dst, self.sim.now) is not None:
-            del self._pending[dst]
-            self._flush_buffer(dst)
-            return
-        pending.retries += 1
-        if pending.retries > DISCOVERY_RETRIES:
-            del self._pending[dst]
-            dropped = self.buffer.drop_for(dst)
-            self.stats.drops_buffer += len(dropped)
-            if self._flight is not None:
-                for pkt in dropped:
-                    self._flight.drop(pkt, DropReason.SEND_BUFFER_GIVEUP, self.addr)
-            return
-        self._send_rreq(dst, ttl=FLOOD_TTL)
-        wait = DISCOVERY_TIMEOUT * (2 ** (pending.retries - 1))
-        pending.timer = self.sim.schedule(wait, self._discovery_timeout, dst)
-
-    def _flush_buffer(self, dst: int) -> None:
-        path = self.cache.get(dst, self.sim.now)
-        if path is None:
-            return
-        for pkt in self.buffer.take_for(dst, self.sim.now):
-            self._stamp_and_send(pkt, path, forwarded=False)
-
-    # -------------------------------------------------------------- control
-
-    def on_control(self, packet: Packet, prev_hop: int, rx_power: float) -> None:
-        msg = packet.payload
-        if isinstance(msg, DsrRreq):
-            self._on_rreq(packet, msg)
-        elif isinstance(msg, DsrRrep):
-            self._on_rrep(packet, msg)
-        elif isinstance(msg, DsrRerr):
-            self._on_rerr(packet, msg)
-
-    # -- RREQ ---------------------------------------------------------------
-
-    def _on_rreq(self, packet: Packet, msg: DsrRreq) -> None:
-        if self.addr in msg.record:
-            return
-        if not self._seen_rreq.mark((msg.orig, msg.rreq_id), self.sim.now):
-            return
-
-        # Learn the reverse path back to the originator.
-        back = (self.addr,) + tuple(reversed(msg.record))
-        self.cache.add(back, self.sim.now)
-
-        if msg.target == self.addr:
-            route = msg.record + (self.addr,)
-            self._send_rrep(route)
-            return
-
-        if self.reply_from_cache:
-            cached = self.cache.get(msg.target, self.sim.now)
-            if cached is not None:
-                route = msg.record + cached  # cached starts at self
-                if len(set(route)) == len(route):
-                    self._send_rrep(route)
-                    return
-
-        if packet.ttl > 1:
-            fwd_msg = DsrRreq(
-                msg.orig, msg.rreq_id, msg.target, msg.record + (self.addr,)
-            )
-            size = RREQ_BASE_SIZE + ADDR_SIZE * len(fwd_msg.record)
-            fwd = self.make_control(fwd_msg, size, ttl=packet.ttl - 1)
-            self.send_control(fwd, BROADCAST)
-
-    # -- RREP ---------------------------------------------------------------
-
-    def _send_rrep(self, route: Tuple[int, ...]) -> None:
-        """Unicast the discovered *route* back to its originator."""
-        back_path = tuple(reversed(route[: route.index(self.addr) + 1]))
-        msg = DsrRrep(route=route)
-        size = RREP_BASE_SIZE + ADDR_SIZE * len(route)
-        pkt = self.make_control(msg, size, dst=route[0], ttl=FLOOD_TTL)
-        pkt.route = list(back_path)
-        if len(back_path) < 2:
-            return  # we *are* the originator (degenerate self-query)
-        self.send_control(pkt, back_path[1])
-
-    def _on_rrep(self, packet: Packet, msg: DsrRrep) -> None:
-        route = packet.route or []
-        if packet.dst == self.addr:
-            # Originator: cache and release buffered data.
-            self.cache.add(msg.route, self.sim.now)
-            dst = msg.route[-1]
-            pending = self._pending.pop(dst, None)
-            if pending is not None:
-                self.sim.cancel(pending.timer)
-            self._flush_buffer(dst)
-            return
-        # Relay along the reply's source route.
-        if self.addr not in route:
-            return
-        i = route.index(self.addr)
-        if i + 1 < len(route):
-            fwd = packet.copy()
-            self.send_control(fwd, route[i + 1])
-
-    # -- RERR ---------------------------------------------------------------
-
-    def _send_rerr(self, from_node: int, to_node: int, orig: int, back_path) -> None:
-        msg = DsrRerr(from_node, to_node, orig)
-        pkt = self.make_control(msg, RERR_SIZE, dst=orig, ttl=FLOOD_TTL)
-        pkt.route = list(back_path)
-        if len(back_path) >= 2:
-            self.send_control(pkt, back_path[1])
-
-    def _on_rerr(self, packet: Packet, msg: DsrRerr) -> None:
-        self.cache.remove_link(msg.from_node, msg.to_node)
-        if packet.dst == self.addr:
-            return
-        route = packet.route or []
-        if self.addr in route:
-            i = route.index(self.addr)
-            if i + 1 < len(route):
-                fwd = packet.copy()
-                self.send_control(fwd, route[i + 1])
-
-    # --------------------------------------------------------- link failure
-
-    def link_failed(self, packet: Packet, next_hop: int) -> None:
-        self.cache.remove_link(self.addr, next_hop)
-        victims = [(packet, next_hop)] if packet is not None else []
-        victims.extend(self.mac.purge_next_hop(next_hop))
-        for pkt, _nh in victims:
-            if not pkt.is_data:
-                continue
-            # Tell the source about the broken link (unless it is us).
-            if pkt.src != self.addr and pkt.route and self.addr in pkt.route:
-                i = pkt.route.index(self.addr)
-                back = tuple(reversed(pkt.route[: i + 1]))
-                self._send_rerr(self.addr, next_hop, pkt.src, back)
-            self._salvage(pkt)
+    def _answer_from_cache(self, msg: RouteRequest) -> bool:
+        if not self.reply_from_cache:
+            return False
+        cached = self.cache.get(msg.target, self.sim.now)
+        if cached is None:
+            return False
+        route = msg.record + cached  # cached starts at self
+        if len(set(route)) != len(route):
+            return False
+        self._send_rrep(route)
+        return True
 
     def _salvage(self, pkt: Packet) -> None:
-        """Try to re-route a failed data packet over our own cache."""
-        if pkt.src == self.addr:
-            # Source: strip the dead route and go through normal origination.
-            if pkt.route:
-                pkt.size = max(0, pkt.size - ADDR_SIZE * len(pkt.route))
-                pkt.route = None
-            self.originate(pkt)
-            return
+        """Try to re-route a failed transit packet over our own cache."""
         if pkt.salvage >= MAX_SALVAGE:
             self.stats.drops_no_route += 1
             self.stats.drops_salvage += 1
@@ -394,24 +90,17 @@ class Dsr(RoutingProtocol):
             return
         alt = self.cache.get(pkt.dst, self.sim.now)
         if alt is None:
-            self.stats.drops_no_route += 1
-            if self._flight is not None:
-                self._flight.drop(pkt, DropReason.NO_ROUTE, self.addr)
+            self.drop_no_route(pkt)
             return
         pkt.salvage += 1
         self.salvages += 1
         old_len = len(pkt.route) if pkt.route else 0
-        pkt.size += ADDR_SIZE * (len(alt) - old_len)
+        pkt.size += self.ADDR_SIZE * (len(alt) - old_len)
         pkt.route = list(alt)
         self.send_data(pkt, alt[1], forwarded=True)
-
-    # ------------------------------------------------------------- snooping
 
     def snoop(self, packet: Packet, prev_hop: int, mac_dst: int) -> None:
         """Learn from overheard source-routed packets (promiscuous MAC)."""
         route = packet.route
-        if not route or self.addr not in route:
-            return
-        i = route.index(self.addr)
-        self.cache.add(route[i:], self.sim.now)
-        self.cache.add(tuple(reversed(route[: i + 1])), self.sim.now)
+        if route and self.addr in route:
+            self._learn(route, route.index(self.addr))

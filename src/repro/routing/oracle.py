@@ -14,7 +14,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.drops import DropReason
 from ..net.packet import Packet
 from .base import RoutingProtocol
 
@@ -93,18 +92,14 @@ class OracleRouting(RoutingProtocol):
     def originate(self, packet: Packet) -> None:
         nh = self._next_hop(packet.dst)
         if nh is None:
-            self.stats.drops_no_route += 1
-            if self._flight is not None:
-                self._flight.drop(packet, DropReason.NO_ROUTE, self.addr)
+            self.drop_no_route(packet)
             return
         self.send_data(packet, nh, forwarded=False)
 
     def on_data_to_forward(self, packet: Packet, prev_hop: int, rx_power: float) -> None:
         nh = self._next_hop(packet.dst)
         if nh is None:
-            self.stats.drops_no_route += 1
-            if self._flight is not None:
-                self._flight.drop(packet, DropReason.NO_ROUTE, self.addr)
+            self.drop_no_route(packet)
             return
         self.send_data(packet, nh, forwarded=True)
 

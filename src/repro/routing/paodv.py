@@ -22,7 +22,7 @@ from typing import Dict, Tuple
 
 from ..net.packet import Packet
 from ..phy.propagation import TwoRayGround, WAVELAN_914MHZ
-from .aodv import Aodv, ring_traversal_time
+from .aodv import Aodv, _Pending, ring_traversal_time
 
 __all__ = ["Paodv", "Pwarn", "default_preempt_threshold"]
 
@@ -156,8 +156,6 @@ class Paodv(Aodv):
         timer = self.sim.schedule(
             ring_traversal_time(ttl), self._preempt_timeout, dst
         )
-        from .aodv import _Pending
-
         self._pending[dst] = _Pending(retries=0, ttl=ttl, timer=timer)
 
     def _preempt_timeout(self, dst: int) -> None:

@@ -9,7 +9,6 @@ from .aggregate import (
 )
 from .energy import EnergyParams, EnergyReport, account_energy
 from .metrics import FlowStats, MetricsCollector, MetricsSummary
-from .tracefile import TraceAnalyzer, TraceWriter, analyze_trace
 
 __all__ = [
     "PointEstimate",
@@ -20,9 +19,6 @@ __all__ = [
     "EnergyParams",
     "EnergyReport",
     "account_energy",
-    "TraceAnalyzer",
-    "TraceWriter",
-    "analyze_trace",
     "FlowStats",
     "MetricsCollector",
     "MetricsSummary",

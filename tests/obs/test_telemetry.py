@@ -71,6 +71,24 @@ def test_samples_observe_live_state():
     assert last["nodes_faulted"] == 0
 
 
+@pytest.mark.parametrize(
+    "protocol, hello", [("aodv", 1.0), ("paodv", 1.0), ("cbrp", None)]
+)
+def test_samples_observe_neighbor_tables(protocol, hello):
+    # Every HELLO-keeping agent's neighbour table is counted, whatever
+    # the protocol (AODV/PAODV keep one only with hello_interval set).
+    scenario = _scenario(
+        protocol=protocol, n_nodes=15, hello_interval=hello,
+        telemetry_interval=5.0,
+    )
+    scenario.run()
+    assert all(
+        s["neighbor_entries_total"] > 0 for s in scenario.telemetry.samples
+    )
+    tables = [n.routing.neighbors for n in scenario.network.nodes]
+    assert sum(len(t) for t in tables) > 0
+
+
 def test_ring_buffer_bounds_samples():
     scenario = _scenario()
     rec = TelemetryRecorder(

@@ -207,7 +207,7 @@ class TestHelloMode:
         sim, net = make_net([(0, 0), (150, 0)], mac="ideal", hello_interval=1.0)
         sim.run(until=3.0)
         agent = net.nodes[0].routing
-        assert agent._neighbors.is_neighbor(1, sim.now)
+        assert agent.neighbors.is_neighbor(1, sim.now)
 
     def test_hello_routes_installed(self):
         sim, net = make_net([(0, 0), (150, 0)], mac="ideal", hello_interval=1.0)

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.routing.cbrp import (
-    HEAD,
-    MEMBER,
-    UNDECIDED,
-    Cbrp,
-    CbrpHello,
-    CbrpRerr,
-)
+from repro.routing.cbrp import HEAD, MEMBER, Cbrp
 from tests.routing.conftest import collect_deliveries, make_static_network
 
 CHAIN4 = [(0, 0), (200, 0), (400, 0), (600, 0)]
@@ -173,11 +166,3 @@ class TestShorteningAndRepair:
         before = agent2.stats.control_packets
         agent2.link_failed(victim, next_hop=9)
         assert agent2.stats.control_packets == before + 1  # the RERR
-
-    def test_rerr_cleans_cache(self):
-        sim, net = make_net(CHAIN4)
-        agent0 = net.nodes[0].routing
-        agent0.cache.add((0, 1, 2, 3), now=0.0)
-        rerr = agent0.make_control(CbrpRerr(2, 3, 0), 16, dst=0)
-        agent0._on_rerr(rerr, rerr.payload)
-        assert agent0.cache.get(3, sim.now) is None

@@ -51,6 +51,29 @@ class TestGateway:
         assert not agent.is_gateway()
 
 
+class TestRelayPredicate:
+    def test_plain_member_does_not_relay(self):
+        sim, agent = make_agent()
+        agent.role = MEMBER
+        add_neighbor(agent, 5, sim.now, role=HEAD, head=5)
+        assert not agent.relays_rreq()
+
+    def test_heads_and_gateways_relay(self):
+        sim, agent = make_agent()
+        agent.role = HEAD
+        assert agent.relays_rreq()
+        agent.role = MEMBER
+        add_neighbor(agent, 5, sim.now, role=HEAD, head=5)
+        add_neighbor(agent, 7, sim.now, role=HEAD, head=7)
+        assert agent.relays_rreq()
+
+    def test_blind_flooding_relays_everywhere(self):
+        sim, agent = make_agent()
+        agent.prune_flood = False
+        agent.role = MEMBER
+        assert agent.relays_rreq()
+
+
 class TestRoleUpdate:
     def test_hears_head_becomes_member(self):
         sim, agent = make_agent()

@@ -1,8 +1,12 @@
-"""DSR: cache semantics, discovery, source routing, errors, salvage."""
+"""DSR: cache semantics, discovery, source routing, salvage.
+
+RERR handling shared with CBRP is tested in ``test_source_route.py``.
+"""
 
 import pytest
 
-from repro.routing.dsr import Dsr, RouteCache
+from repro.routing.dsr import Dsr
+from repro.routing.source_route import RouteCache
 from tests.routing.conftest import collect_deliveries, make_static_network
 
 CHAIN4 = [(0, 0), (200, 0), (400, 0), (600, 0)]
@@ -154,31 +158,6 @@ class TestDiscoveryAndDelivery:
 
 
 class TestErrorsAndSalvage:
-    def test_rerr_removes_link_at_receiver(self):
-        from repro.routing.dsr import DsrRerr
-
-        sim, net = make_net(CHAIN4)
-        agent0 = net.nodes[0].routing
-        agent0.cache.add((0, 1, 2, 3), now=0.0)
-        rerr = agent0.make_control(DsrRerr(2, 3, 0), 16, dst=0)
-        agent0._on_rerr(rerr, rerr.payload)
-        assert agent0.cache.get(3, sim.now) is None
-        assert agent0.cache.get(2, sim.now) == (0, 1, 2)
-
-    def test_rerr_relayed_toward_source(self):
-        from repro.routing.dsr import DsrRerr
-
-        sim, net = make_net(CHAIN4)
-        agent1 = net.nodes[1].routing
-        agent1.cache.add((1, 2, 3), now=0.0)
-        # RERR in transit 2 -> 1 -> 0: node 1 must strip the link and relay.
-        rerr = agent1.make_control(DsrRerr(2, 3, 0), 16, dst=0)
-        rerr.route = [2, 1, 0]
-        before = agent1.stats.control_packets
-        agent1._on_rerr(rerr, rerr.payload)
-        assert agent1.cache.get(3, sim.now) is None
-        assert agent1.stats.control_packets == before + 1
-
     def test_salvage_uses_alternate_route(self):
         sim, net = make_net(CHAIN4)
         agent1 = net.nodes[1].routing

@@ -26,7 +26,7 @@ class TestLinkCacheUnit:
         assert c.get(7, 1.0) == (0, 1, 2, 7)
 
     def test_path_cache_cannot_compose(self):
-        from repro.routing.dsr import RouteCache
+        from repro.routing.source_route import RouteCache
 
         c = RouteCache(owner=0)
         c.add((0, 1, 2), now=0.0)

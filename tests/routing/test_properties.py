@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.routing.dsr import RouteCache
+from repro.routing.source_route import RouteCache
 from repro.routing.neighbors import NeighborTable
 
 node_ids = st.integers(min_value=0, max_value=30)
