@@ -39,9 +39,10 @@ pool — a sweep through the fabric can stall, degrade, or fall back,
 but never silently lose points.
 
 An HTTP shim rides on the same port: ``POST /sweep`` with scenario
-JSON streams NDJSON progress/point/done lines (plain-JSON headline
-metrics, no pickles), ``GET /healthz`` reports the fleet counters —
-this is the ``repro serve`` surface for non-Python clients.
+JSON streams NDJSON progress/point/done lines (each point's
+``metrics`` holds the summary's ``HEADLINE_FIELDS``), ``GET /healthz``
+reports the fleet counters — this is the ``repro serve`` surface for
+non-Python clients.
 """
 
 from __future__ import annotations
@@ -54,14 +55,13 @@ from collections import deque
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..core.errors import ConfigurationError
+from ..stats.metrics import HEADLINE_FIELDS, MetricsSummary
 from .protocol import (
     MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
     FabricProtocolError,
     decode_frame,
-    decode_summary,
     encode_frame,
-    encode_summary,
 )
 from .store import ResultStore
 
@@ -396,18 +396,22 @@ class Broker:
             stats = self.per_worker.setdefault(wid, {"jobs": 0, "busy_s": 0.0})
             stats["jobs"] += 1
             stats["busy_s"] += time.monotonic() - lease.issued
+        summary = None
         if msg.get("ok"):
+            try:
+                summary = MetricsSummary.from_dict(msg.get("summary"))
+            except ConfigurationError as exc:
+                # The job failed: dropping the frame would strand it as
+                # "leased" with no lease left for the reaper to expire.
+                msg = {"kind": "exception", "error": f"undecodable result: {exc}"}
+        if summary is not None:
             # A result is a result even when its lease expired and the
             # job was reassigned: publish it, and complete the job if
             # the replacement has not beaten it to the finish line.
-            try:
-                summary = decode_summary(msg["summary"])
-            except (KeyError, FabricProtocolError):
-                return
-            flight = getattr(summary, "flight", None)
+            flight = summary.flight
             if isinstance(flight, dict) and flight.get("events"):
                 # Park the (possibly large) causal trace beside the
-                # result instead of inside the pickled summary, so
+                # result instead of inside the stored summary, so
                 # cached sweep answers stay small; `repro obs trace`
                 # can fetch it from the store by key.
                 from ..obs.flight import flight_jsonl_str
@@ -528,7 +532,7 @@ class Broker:
                 self.counters["results_from_peer_cache"] += 1
                 immediate.append({
                     "type": "point", "index": index, "cached": True,
-                    "summary": encode_summary(cached),
+                    "summary": cached.to_dict(),
                 })
                 continue
             job = self.jobs.get(key)
@@ -744,9 +748,9 @@ class Broker:
 
         async def emit(msg: dict) -> None:
             if msg.get("type") == "point":
-                msg = dict(msg, summary=None,
-                           metrics=_headline(decode_summary(msg["summary"])))
-                del msg["summary"]
+                msg = dict(msg)
+                summary = msg.pop("summary")
+                msg["metrics"] = {f: summary.get(f) for f in HEADLINE_FIELDS}
             writer.write((json.dumps(msg, sort_keys=True) + "\n").encode())
             await writer.drain()
 
@@ -777,18 +781,6 @@ def _http_sweep_specs(body: dict) -> Tuple[List[dict], dict]:
             "config": config_to_dict(cfg),
         })
     return specs, dict(body.get("options") or {})
-
-
-def _headline(summary) -> dict:
-    """Plain-JSON headline metrics for HTTP consumers (no pickles)."""
-    fields = (
-        "protocol", "duration", "data_sent", "data_received", "pdr",
-        "avg_delay", "p95_delay", "avg_hops", "throughput_bps",
-        "routing_overhead_packets", "normalized_routing_load",
-        "normalized_mac_load", "drops_no_route", "drops_buffer",
-        "drops_ifq", "drops_retry", "mac_collisions",
-    )
-    return {f: getattr(summary, f, None) for f in fields}
 
 
 class BrokerThread:

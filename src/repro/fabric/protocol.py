@@ -3,11 +3,11 @@
 Every fabric connection — worker→broker, client→broker — speaks the
 same framing: one JSON object per ``\\n``-terminated line, UTF-8, with
 a hard frame-size cap so a corrupt peer cannot balloon memory.
-Summaries travel as base64-wrapped pickles (the fabric is a trusted
-fleet sharing one result store; the same trust boundary as the on-disk
-cache), configs as the canonical JSON dicts from
-:mod:`repro.scenario.io`, so the sha256 config key means the same
-thing on every host.
+Configs travel as the canonical JSON dicts from :mod:`repro.scenario.io`,
+so the sha256 config key means the same thing on every host; summaries
+as :meth:`~repro.stats.metrics.MetricsSummary.to_dict` objects, which
+every receiver validates with ``MetricsSummary.from_dict`` — nothing a
+peer sends is ever executed.
 
 Message vocabulary (``type`` field):
 
@@ -34,9 +34,7 @@ Message vocabulary (``type`` field):
 
 from __future__ import annotations
 
-import base64
 import json
-import pickle
 import socket
 from typing import Optional, Tuple
 
@@ -50,13 +48,12 @@ __all__ = [
     "FabricConnectionLost",
     "encode_frame",
     "decode_frame",
-    "encode_summary",
-    "decode_summary",
     "parse_address",
     "LineChannel",
 ]
 
-PROTOCOL_VERSION = 1
+#: 2: summaries travel as JSON objects instead of base64 pickles.
+PROTOCOL_VERSION = 2
 
 #: Hard cap on one frame; a sweep message carries every config, so the
 #: ceiling is generous, but a peer that exceeds it is broken by fiat.
@@ -88,25 +85,11 @@ def encode_frame(msg: dict) -> bytes:
 def decode_frame(line: bytes) -> dict:
     try:
         msg = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON/UTF-8, deep nesting
         raise FabricProtocolError(f"undecodable frame: {exc}") from None
     if not isinstance(msg, dict):
         raise FabricProtocolError(f"frame is not an object: {type(msg).__name__}")
     return msg
-
-
-def encode_summary(summary) -> str:
-    """Pickle + base64: a summary as a JSON-safe string."""
-    return base64.b64encode(
-        pickle.dumps(summary, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
-
-
-def decode_summary(text: str):
-    try:
-        return pickle.loads(base64.b64decode(text.encode("ascii")))
-    except Exception as exc:
-        raise FabricProtocolError(f"undecodable summary payload: {exc}") from None
 
 
 def parse_address(address: str) -> Tuple[str, int]:

@@ -2,40 +2,39 @@
 
 One entry per simulation: the sha256 content hash of a canonical
 :class:`~repro.scenario.config.ScenarioConfig` (see
-:func:`~repro.scenario.executor.config_cache_key`) names a pickled
-:class:`~repro.stats.metrics.MetricsSummary` under
-``<root>/sweep/<k[:2]>/<k>.pkl`` — the same layout the local sweep
-cache has always used, so a broker, its workers, and every local
-:class:`~repro.scenario.executor.SweepExecutor` pointed at the same
-directory share results transparently.
+:func:`~repro.scenario.executor.config_cache_key`) names a
+:class:`~repro.stats.metrics.MetricsSummary` stored as the JSON of
+:meth:`~repro.stats.metrics.MetricsSummary.to_dict` under
+``<root>/sweep/<k[:2]>/<k>.json``. A broker, its workers, and every
+local :class:`~repro.scenario.executor.SweepExecutor` pointed at the
+same directory share results transparently.
 
 The store is designed for **many concurrent writers that can die at any
 instruction**:
 
-* Publishes are atomic: each ``put`` writes a *uniquely named* tmp file
-  (pid + per-process token + counter, so two workers — or two hosts on
-  a shared filesystem — publishing the same key can never collide),
-  flushes and ``fsync``\\ s it, then ``os.replace``\\ s it over the final
-  name. Readers observe the old entry or the new one, never a torn one.
-* Reads are self-healing: any deserialization failure (truncated
-  pickle, disk damage, version skew) is treated as a miss **and the
-  damaged entry is unlinked**, so the next writer republishes a good
-  copy instead of every reader tripping on the same corpse forever.
+* Publishes are atomic: a *uniquely named* tmp file (pid + per-process
+  token + counter, so writers on hosts sharing a filesystem never
+  collide) is fsync'd, then ``os.replace``\\ d over the final name.
+  Readers observe the old entry or the new one, never a torn one.
+* Reads are validated and self-healing: an entry that is not JSON or
+  fails ``MetricsSummary.from_dict`` (torn write, disk damage, schema
+  skew) is a miss **and is unlinked**, so the next writer republishes a
+  good copy. Reading an entry never executes anything it contains.
 * Crashed writers leave only ``*.tmp`` litter; :meth:`sweep_tmp_litter`
   reaps stale tmp files without ever touching live entries.
-
-Entries are pickles: only share a store directory with processes you
-trust (the same caveat as the local sweep cache).
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import json
 import os
-import pickle
 import secrets
 from pathlib import Path
 from typing import List, Optional, Union
+
+from ..stats.metrics import MetricsSummary
 
 __all__ = ["ResultStore"]
 
@@ -61,21 +60,18 @@ def _fsync_dir(path: Path) -> None:
 
 
 class ResultStore:
-    """Pickled summaries under ``<root>/sweep/<k[:2]>/<k>.pkl``."""
+    """JSON summaries under ``<root>/sweep/<k[:2]>/<k>.json``."""
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root) / "sweep"
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / (key + ".pkl")
-
-    def _trace_path(self, key: str) -> Path:
-        return self.root / key[:2] / (key + ".trace.jsonl")
+    def _path(self, key: str, suffix: str = ".json") -> Path:
+        return self.root / key[:2] / (key + suffix)
 
     # ---------------------------------------------------------------- reads
 
-    def get(self, key: str, heal: bool = True):
-        """Deserialized entry for *key*, or ``None`` on miss.
+    def get(self, key: str, heal: bool = True) -> Optional[MetricsSummary]:
+        """The summary stored under *key*, or ``None`` on miss.
 
         *Any* failure to load is a miss; with ``heal`` (the default) a
         present-but-unreadable entry is also unlinked so it gets
@@ -83,20 +79,16 @@ class ResultStore:
         """
         path = self._path(key)
         try:
-            with open(path, "rb") as fh:
-                return pickle.load(fh)
+            return MetricsSummary.from_dict(json.loads(path.read_bytes()))
         except FileNotFoundError:
             return None
         except Exception:
-            # Truncated or corrupted pickles can surface as almost any
-            # exception type (ValueError, IndexError, AttributeError,
-            # ImportError...); a cache must never turn disk damage into
-            # a crash, so every deserialization failure is a miss.
+            # Torn JSON, schema mismatch, nesting deep enough to raise
+            # RecursionError, disk damage: a cache must never turn any
+            # of them into a crash, so every failure is a miss.
             if heal:
-                try:
+                with contextlib.suppress(OSError):
                     path.unlink()
-                except OSError:
-                    pass
             return None
 
     def __contains__(self, key: str) -> bool:
@@ -104,51 +96,29 @@ class ResultStore:
 
     # --------------------------------------------------------------- writes
 
-    def put(self, key: str, summary) -> bool:
+    def put(self, key: str, summary: MetricsSummary) -> bool:
         """Atomically publish *summary* under *key*; True on success.
 
-        Write → flush → fsync → rename: a writer killed at any point
-        leaves either the previous entry or the new one under the real
-        name, plus at worst one uniquely named tmp file (reaped by
-        :meth:`sweep_tmp_litter`). Failures are swallowed — a cache
-        write must never sink the computation it is caching.
+        Failures (including a summary JSON cannot encode) are swallowed:
+        a cache write must never sink the computation it is caching.
         """
-        path = self._path(key)
-        tmp = path.parent / (
-            f"{key}.{os.getpid()}.{_PROCESS_TOKEN}.{next(_TMP_SEQ)}.tmp"
-        )
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "wb") as fh:
-                pickle.dump(summary, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-            _fsync_dir(path.parent)
-            return True
-        except Exception:
-            # Serialization failures surface as PicklingError but also
-            # AttributeError/TypeError (unpicklable members); any of
-            # them — or an OSError — means "not cached", never a crash.
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+            text = json.dumps(summary.to_dict(), separators=(",", ":"))
+        except (AttributeError, TypeError, ValueError):
             return False
-
-    # --------------------------------------------------------------- traces
+        return self._publish(self._path(key), text)
 
     def put_trace(self, key: str, text: str) -> bool:
-        """Atomically publish a flight-trace JSONL document beside *key*.
+        """Atomically publish a flight-trace JSONL document beside *key*
+        (a trace is telemetry, never worth sinking the result for)."""
+        return self._publish(self._path(key, ".trace.jsonl"), text)
 
-        Same unique-tmp → fsync → rename discipline as :meth:`put`, so
-        concurrent workers publishing the same key's trace can never
-        tear each other. Failures are swallowed (a trace is telemetry,
-        never worth sinking the result for).
-        """
-        path = self._trace_path(key)
+    def _publish(self, path: Path, text: str) -> bool:
+        """Write → fsync → rename via a unique tmp name: a writer killed
+        at any point leaves the old entry or the new one, plus at worst
+        one tmp file for :meth:`sweep_tmp_litter`."""
         tmp = path.parent / (
-            f"{key}.{os.getpid()}.{_PROCESS_TOKEN}.{next(_TMP_SEQ)}.tmp"
+            f"{path.name}.{os.getpid()}.{_PROCESS_TOKEN}.{next(_TMP_SEQ)}.tmp"
         )
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -160,17 +130,16 @@ class ResultStore:
             _fsync_dir(path.parent)
             return True
         except Exception:
-            try:
+            with contextlib.suppress(OSError):
                 tmp.unlink()
-            except OSError:
-                pass
             return False
+
+    # --------------------------------------------------------------- traces
 
     def get_trace(self, key: str) -> Optional[str]:
         """The flight-trace JSONL text for *key*, or ``None`` on miss."""
         try:
-            with open(self._trace_path(key)) as fh:
-                return fh.read()
+            return self._path(key, ".trace.jsonl").read_text()
         except OSError:
             return None
 

@@ -28,9 +28,8 @@ without perturbing the simulation result.
 
 from __future__ import annotations
 
-import base64
+import contextlib
 import os
-import pickle
 import socket
 import time
 from typing import Optional
@@ -40,27 +39,26 @@ from .protocol import LineChannel, PROTOCOL_VERSION, parse_address
 __all__ = ["run_worker"]
 
 
+def _run_job(config_dict: dict) -> dict:
+    """Run one sweep point; its summary as a JSON-ready dict."""
+    from ..scenario.io import config_from_dict
+    from ..scenario.run import run_scenario
+
+    return run_scenario(config_from_dict(config_dict)).to_dict()
+
+
 def _job_child(config_dict: dict, chaos_sleep: float, conn) -> None:
     """Run one sweep point and report through the pipe; never raises."""
     try:
         if chaos_sleep > 0.0:
             time.sleep(chaos_sleep)
-        from ..scenario.io import config_from_dict
-        from ..scenario.run import run_scenario
-
-        summary = run_scenario(config_from_dict(config_dict))
-        payload = pickle.dumps(summary, protocol=pickle.HIGHEST_PROTOCOL)
-        conn.send(("ok", payload))
+        conn.send(("ok", _run_job(config_dict)))
     except BaseException as exc:  # noqa: BLE001 - typed report, then exit
-        try:
+        with contextlib.suppress(OSError, ValueError):
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except (OSError, ValueError):
-            pass
     finally:
-        try:
+        with contextlib.suppress(OSError):
             conn.close()
-        except OSError:
-            pass
 
 
 def _run_lease(chan: LineChannel, lease_msg: dict, chaos_sleep: float) -> dict:
@@ -79,15 +77,10 @@ def _run_lease(chan: LineChannel, lease_msg: dict, chaos_sleep: float) -> dict:
         # No child isolation available: run inline (no preemption),
         # exactly like the executor's inline mode.
         try:
-            from ..scenario.io import config_from_dict
-            from ..scenario.run import run_scenario
-
-            summary = run_scenario(config_from_dict(config_dict))
+            return report(True, summary=_run_job(config_dict))
         except Exception as exc:  # noqa: BLE001
             return report(False, kind="exception",
                           error=f"{type(exc).__name__}: {exc}")
-        payload = pickle.dumps(summary, protocol=pickle.HIGHEST_PROTOCOL)
-        return report(True, summary=base64.b64encode(payload).decode("ascii"))
 
     import multiprocessing as mp
 
@@ -106,30 +99,26 @@ def _run_lease(chan: LineChannel, lease_msg: dict, chaos_sleep: float) -> dict:
     payload = None
     try:
         while True:
-            if parent_conn.poll(hb_interval):
-                try:
-                    payload = parent_conn.recv()
-                except (EOFError, OSError):
-                    payload = None
-                break
-            # Heartbeat between polls; a dead broker socket aborts the
-            # lease (the broker will reassign it anyway).
-            chan.send({"type": "heartbeat", "lease": lease_id})
-            if deadline is not None and time.monotonic() > deadline:
-                proc.kill()
-                proc.join(5.0)
-                return report(
-                    False, kind="timeout",
-                    error=f"exceeded job timeout of {job_timeout}s",
-                )
-            if not proc.is_alive():
+            ready = parent_conn.poll(hb_interval)
+            if not ready:
+                # Heartbeat between polls; a dead broker socket aborts
+                # the lease (the broker will reassign it anyway).
+                chan.send({"type": "heartbeat", "lease": lease_id})
+                if deadline is not None and time.monotonic() > deadline:
+                    proc.kill()
+                    proc.join(5.0)
+                    return report(
+                        False, kind="timeout",
+                        error=f"exceeded job timeout of {job_timeout}s",
+                    )
+                if proc.is_alive():
+                    continue
                 # Child exited; drain any message that raced the exit.
-                if parent_conn.poll(0.1):
-                    try:
-                        payload = parent_conn.recv()
-                    except (EOFError, OSError):
-                        payload = None
-                break
+                ready = parent_conn.poll(0.1)
+            if ready:
+                with contextlib.suppress(EOFError, OSError):
+                    payload = parent_conn.recv()
+            break
     finally:
         proc.join(5.0)
         parent_conn.close()
@@ -142,7 +131,7 @@ def _run_lease(chan: LineChannel, lease_msg: dict, chaos_sleep: float) -> dict:
         )
     status, body = payload
     if status == "ok":
-        return report(True, summary=base64.b64encode(body).decode("ascii"))
+        return report(True, summary=body)
     return report(False, kind="exception", error=str(body))
 
 

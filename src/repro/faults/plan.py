@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
 from ..core.errors import ConfigurationError
+from ..core.schema import from_json
 
 __all__ = ["FaultPlanConfig"]
 
@@ -144,16 +145,5 @@ class FaultPlanConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlanConfig":
-        """Rebuild a plan; unknown keys raise (typo protection)."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(f"unknown fault plan keys: {sorted(unknown)}")
-        fixed = {}
-        for key, value in data.items():
-            if isinstance(value, list):
-                value = tuple(
-                    tuple(w) if isinstance(w, list) else w for w in value
-                )
-            fixed[key] = value
-        return cls(**fixed)
+        """Rebuild a plan; unknown keys and wrong types raise."""
+        return from_json(cls, data, "fault plan")

@@ -178,7 +178,7 @@ class ScenarioConfig:
             )
         if self.faults is not None:
             if isinstance(self.faults, dict):
-                # JSON round-trips hand the nested plan back as a dict.
+                # A plan given as a plain dict is decoded like JSON.
                 object.__setattr__(
                     self, "faults", FaultPlanConfig.from_dict(self.faults)
                 )

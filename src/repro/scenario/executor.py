@@ -40,7 +40,7 @@ re-run sweeps report honest rates.
 The disk cache is exact: a :class:`~repro.scenario.config.ScenarioConfig`
 pins a simulation bit-for-bit (frozen primitives + deterministic
 kernel), so the sha256 of its canonical JSON — salted with a cache
-version — keys the pickled :class:`~repro.stats.metrics.MetricsSummary`.
+version — keys the stored :class:`~repro.stats.metrics.MetricsSummary`.
 The cache *is* the fabric's content-addressed
 :class:`~repro.fabric.store.ResultStore`: writes are atomic (uniquely
 named tmp file + fsync + ``os.replace``) so concurrent writers — local
@@ -491,12 +491,9 @@ class SweepExecutor:
         list on a clean fabric run. Never raises: every fabric failure
         mode degrades to local execution with a warning.
         """
+        from ..core.errors import ConfigurationError, FabricError
         from ..fabric.client import FabricClient
-        from ..fabric.protocol import (
-            FabricConnectionLost,
-            FabricUnavailable,
-            decode_summary,
-        )
+        from ..fabric.protocol import FabricProtocolError, FabricUnavailable
         from .io import config_to_dict
 
         fab: Dict[str, object] = {
@@ -552,11 +549,17 @@ class SweepExecutor:
             })
             for msg in client.events():
                 mtype = msg.get("type")
-                if mtype == "point":
-                    job = unresolved.pop(msg["index"], None)
-                    if job is None:
+                if mtype in ("point", "point_failed"):
+                    index = msg.get("index")
+                    if type(index) is not int:
+                        raise FabricProtocolError(f"{mtype} frame without an index")
+                    if index not in unresolved:
                         continue
-                    summary = decode_summary(msg["summary"])
+                if mtype == "point":
+                    # Decode before resolving: a point whose summary does
+                    # not decode stays unresolved and runs locally.
+                    summary = MetricsSummary.from_dict(msg.get("summary"))
+                    job = unresolved.pop(index)
                     results[job.index] = summary
                     if msg.get("cached"):
                         fab["results_from_peer_cache"] += 1
@@ -564,9 +567,7 @@ class SweepExecutor:
                         fab["points_executed"] += 1
                     self._record_ok(job, summary)
                 elif mtype == "point_failed":
-                    job = unresolved.pop(msg["index"], None)
-                    if job is None:
-                        continue
+                    job = unresolved.pop(index)
                     job.last_kind = str(msg.get("kind", "exception"))
                     job.last_error = str(msg.get("error", ""))
                     job.attempts = int(msg.get("attempts", 1))
@@ -588,10 +589,12 @@ class SweepExecutor:
                         fab[name] = counters.get(name, 0)
                     fab["fleet_counters"] = counters
                     fab["counters_complete"] = True
-        except (FabricConnectionLost, OSError) as exc:
+        except (FabricError, ConfigurationError, OSError) as exc:
+            # A lost connection and a frame that does not decode end the
+            # stream alike: whatever is unresolved runs locally.
             fab["error"] = str(exc)
             warnings.warn(
-                f"sweep fabric: connection to {address} lost "
+                f"sweep fabric: stream from {address} lost "
                 f"({exc}); running {len(unresolved)} remaining point(s) "
                 f"on the local pool",
                 RuntimeWarning,

@@ -15,7 +15,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Union
 
 from ..core.errors import ConfigurationError
-from ..stats.metrics import MetricsSummary
+from ..core.schema import from_json
+from ..stats.metrics import HEADLINE_FIELDS, MetricsSummary
 from .config import ScenarioConfig
 from .sweep import SweepResult
 
@@ -43,19 +44,12 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    """Rebuild a config; unknown keys raise (typo protection)."""
-    known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    fixed = {}
-    for key, value in data.items():
-        if key == "faults":
-            pass  # nested dict; ScenarioConfig rebuilds the plan itself
-        elif isinstance(value, list):
-            value = tuple(value)
-        fixed[key] = value
-    return ScenarioConfig(**fixed)
+    """Rebuild a config from decoded JSON.
+
+    Unknown keys (typo protection), wrong value types and invalid
+    values all raise :class:`ConfigurationError` naming the key.
+    """
+    return from_json(ScenarioConfig, data, "config")
 
 
 def save_config(cfg: ScenarioConfig, path: PathLike) -> None:
@@ -63,34 +57,11 @@ def save_config(cfg: ScenarioConfig, path: PathLike) -> None:
 
 
 def load_config(path: PathLike) -> ScenarioConfig:
-    return config_from_dict(json.loads(Path(path).read_text()))
-
-
-_SUMMARY_COLUMNS = [
-    "protocol",
-    "duration",
-    "data_sent",
-    "data_received",
-    "pdr",
-    "avg_delay",
-    "p95_delay",
-    "avg_hops",
-    "throughput_bps",
-    "routing_overhead_packets",
-    "routing_overhead_bytes",
-    "normalized_routing_load",
-    "mac_overhead_frames",
-    "normalized_mac_load",
-    "drops_no_route",
-    "drops_buffer",
-    "drops_ifq",
-    "drops_retry",
-    "mac_collisions",
-    "fault_crashes",
-    "fault_downtime",
-    "fault_recovery_latency",
-    "fault_packets_lost",
-]
+    try:
+        data = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:
+        raise ConfigurationError(f"{path}: not a JSON config: {exc}") from None
+    return config_from_dict(data)
 
 
 def _perf_profile_columns(rows: List[MetricsSummary]):
@@ -98,8 +69,8 @@ def _perf_profile_columns(rows: List[MetricsSummary]):
 
     Perf counters come out in canonical registry order (prefixed
     ``perf_``); profile layers become ``profile_<layer>_s`` self-time
-    seconds, sorted by name. Rows lacking a counter/layer (cached
-    summaries from an older run, unprofiled runs) report 0.
+    seconds, sorted by name. Rows lacking a counter/layer (unprofiled
+    runs, summaries from an older engine) report 0.
     """
     from ..core.perfcounters import registered_counters
     from ..obs.profiler import profile_layer_seconds
@@ -129,18 +100,16 @@ def _drops_columns(rows: List[MetricsSummary]):
 
     One ``drop_<reason>`` column per reason seen anywhere in the rows
     (sorted union), so every row lines up regardless of which reasons
-    it hit. ``getattr`` with a default keeps cached summaries pickled
-    before the field existed loadable — they report 0 everywhere.
+    it hit.
     """
     seen = set()
     for s in rows:
-        seen.update(getattr(s, "drops_by_reason", None) or {})
+        seen.update(s.drops_by_reason)
     reasons = sorted(seen)
     header = [f"drop_{r}" for r in reasons]
 
     def values(_i: int, s: MetricsSummary) -> List:
-        by_reason = getattr(s, "drops_by_reason", None) or {}
-        return [by_reason.get(r, 0) for r in reasons]
+        return [s.drops_by_reason.get(r, 0) for r in reasons]
 
     return header, values
 
@@ -178,12 +147,12 @@ def summaries_to_csv(
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            list(extra) + _SUMMARY_COLUMNS + obs_header + drops_header
+            list(extra) + list(HEADLINE_FIELDS) + obs_header + drops_header
         )
         for i, s in enumerate(rows):
             writer.writerow(
                 [extra[k][i] for k in extra]
-                + [getattr(s, col) for col in _SUMMARY_COLUMNS]
+                + [getattr(s, col) for col in HEADLINE_FIELDS]
                 + (obs_values(i, s) if obs_values is not None else [])
                 + (drops_values(i, s) if drops_values is not None else [])
             )

@@ -17,15 +17,28 @@ time; totals from layer stats objects are read once at :meth:`finish`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..core.schema import from_json
 from ..net.packet import Packet
 from ..net.stack import Network
 
-__all__ = ["MetricsCollector", "MetricsSummary", "FlowStats"]
+__all__ = ["MetricsCollector", "MetricsSummary", "FlowStats", "HEADLINE_FIELDS"]
+
+#: The scalar results of a run, in table order: the sweep CSV columns
+#: and the ``metrics`` object of the broker's HTTP point lines.
+HEADLINE_FIELDS = (
+    "protocol", "duration", "data_sent", "data_received", "pdr",
+    "avg_delay", "p95_delay", "avg_hops", "throughput_bps",
+    "routing_overhead_packets", "routing_overhead_bytes",
+    "normalized_routing_load", "mac_overhead_frames",
+    "normalized_mac_load", "drops_no_route", "drops_buffer", "drops_ifq",
+    "drops_retry", "mac_collisions", "fault_crashes", "fault_downtime",
+    "fault_recovery_latency", "fault_packets_lost",
+)
 
 # Prime NumPy's quantile machinery: its lazy first-call setup costs
 # ~20 ms, which would otherwise land inside the first measured run.
@@ -101,6 +114,18 @@ class MetricsSummary:
     #: Excluded from equality so recorder on/off summaries compare
     #: bit-identical (the recorder must never change results).
     flight: Optional[dict] = field(default=None, compare=False)
+
+    # The one result codec: the result store, the fabric's result and
+    # point frames, and the HTTP shim all carry a summary as this dict.
+
+    def to_dict(self) -> dict:
+        """JSON-ready dict (``json.dumps`` turns flow ids into strings)."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "MetricsSummary":
+        """Validate decoded JSON and rebuild; raises ConfigurationError."""
+        return from_json(cls, data, "summary")
 
     def row(self) -> Dict[str, float]:
         """Flat dict of the headline metrics (for tables/aggregation)."""

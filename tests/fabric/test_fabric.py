@@ -168,61 +168,65 @@ class TestFleetFailureTaxonomy:
             ex.close()
 
     def test_worker_exception_maps_to_failed_run(
-        self, tmp_path, broker_factory, thread_worker, stub_scenario
+        self, tmp_path, broker_factory, thread_worker, stub_scenario,
+        make_summary,
     ):
         def stub(cfg):
             if cfg.seed == 5:
                 raise ValueError("cursed point")
-            return cfg.seed
+            return make_summary(cfg.seed)
 
         stub_scenario(stub)
         broker = broker_factory(cache_dir=str(tmp_path / "fleet"))
         thread_worker(broker.address)
         out = self._run(tmp_path, broker, max_retries=0)
-        assert out[0] == 1 and out[2] == 2
+        assert out[0] == make_summary(1) and out[2] == make_summary(2)
         assert isinstance(out[1], FailedRun)
         assert out[1].kind == "exception"
         assert "cursed point" in out[1].error
 
     def test_dead_job_child_maps_to_worker_lost(
-        self, tmp_path, broker_factory, thread_worker, stub_scenario
+        self, tmp_path, broker_factory, thread_worker, stub_scenario,
+        make_summary,
     ):
         import os as _os
 
         def stub(cfg):
             if cfg.seed == 5:
                 _os._exit(13)  # the job child dies without reporting
-            return cfg.seed
+            return make_summary(cfg.seed)
 
         stub_scenario(stub)
         broker = broker_factory(cache_dir=str(tmp_path / "fleet"))
         thread_worker(broker.address)
         out = self._run(tmp_path, broker, max_retries=0)
-        assert out[0] == 1 and out[2] == 2
+        assert out[0] == make_summary(1) and out[2] == make_summary(2)
         assert isinstance(out[1], FailedRun)
         assert out[1].kind == "worker_lost"
         assert "exit code 13" in out[1].error
 
     def test_hung_job_times_out_fleet_side(
-        self, tmp_path, broker_factory, thread_worker, stub_scenario
+        self, tmp_path, broker_factory, thread_worker, stub_scenario,
+        make_summary,
     ):
         import time as _time
 
         def stub(cfg):
             if cfg.seed == 5:
                 _time.sleep(60)
-            return cfg.seed
+            return make_summary(cfg.seed)
 
         stub_scenario(stub)
         broker = broker_factory(cache_dir=str(tmp_path / "fleet"))
         thread_worker(broker.address)
         out = self._run(tmp_path, broker, max_retries=0, job_timeout=0.5)
-        assert out[0] == 1 and out[2] == 2
+        assert out[0] == make_summary(1) and out[2] == make_summary(2)
         assert isinstance(out[1], FailedRun)
         assert out[1].kind == "timeout"
 
     def test_fleet_retries_transient_failures(
-        self, tmp_path, broker_factory, thread_worker, stub_scenario
+        self, tmp_path, broker_factory, thread_worker, stub_scenario,
+        make_summary,
     ):
         marker = tmp_path / "raised-once"
 
@@ -230,10 +234,10 @@ class TestFleetFailureTaxonomy:
             if cfg.seed == 5 and not marker.exists():
                 marker.touch()
                 raise RuntimeError("transient")
-            return cfg.seed
+            return make_summary(cfg.seed)
 
         stub_scenario(stub)
         broker = broker_factory(cache_dir=str(tmp_path / "fleet"))
         thread_worker(broker.address)
         out = self._run(tmp_path, broker, max_retries=2)
-        assert out == [1, 5, 2]
+        assert out == [make_summary(s) for s in (1, 5, 2)]

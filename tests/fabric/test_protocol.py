@@ -4,17 +4,16 @@ import socket
 
 import pytest
 
-from repro.core.errors import FabricError
+from repro.core.errors import ConfigurationError, FabricError
 from repro.fabric.protocol import (
     MAX_FRAME_BYTES,
     FabricProtocolError,
     LineChannel,
     decode_frame,
-    decode_summary,
     encode_frame,
-    encode_summary,
     parse_address,
 )
+from repro.stats.metrics import MetricsSummary
 
 
 class TestFrames:
@@ -37,14 +36,31 @@ class TestFrames:
             decode_frame(b"[1, 2, 3]\n")  # frames must be objects
 
 
+    @pytest.mark.parametrize("line", [
+        b"[" * 200000 + b"\n",          # nesting bomb (RecursionError)
+        b'{"a": ' * 200000 + b"\n",
+        b"\xff\xfe\x00garbage\n",       # not UTF-8
+        b"",
+    ])
+    def test_hostile_bytes_are_protocol_errors(self, line):
+        with pytest.raises(FabricProtocolError):
+            decode_frame(line)
+
+
 class TestSummaryPayloads:
-    def test_round_trip_arbitrary_object(self):
-        payload = {"pdr": 0.93, "delays": (0.01, 0.02)}
-        assert decode_summary(encode_summary(payload)) == payload
+    """Summaries ride inside frames as ``MetricsSummary.to_dict()``."""
+
+    def test_summary_round_trips_through_a_frame(self, make_summary):
+        summary = make_summary(4, normalized_mac_load=float("inf"))
+        frame = encode_frame({"type": "point", "summary": summary.to_dict()})
+        back = MetricsSummary.from_dict(decode_frame(frame)["summary"])
+        assert back == summary
+        assert back.flows[4].delays == summary.flows[4].delays
 
     def test_corrupt_payload_is_typed_error(self):
-        with pytest.raises(FabricProtocolError):
-            decode_summary("definitely-not-base64-pickle!")
+        for payload in ("definitely-not-base64-pickle!", None, [], {"pdr": 0.9}):
+            with pytest.raises(ConfigurationError):
+                MetricsSummary.from_dict(payload)
 
 
 class TestParseAddress:

@@ -44,8 +44,8 @@ class TestDiskCache:
                       cache_dir=str(tmp_path))
         first = run_sweep(base, "pause_time", [0.0], ["aodv"], **kwargs)
         assert first.cache_misses == 1
-        (entry,) = (tmp_path / "sweep").rglob("*.pkl")
-        entry.write_bytes(b"not a pickle")
+        (entry,) = (tmp_path / "sweep").rglob("*.json")
+        entry.write_bytes(b"not a summary")
         again = run_sweep(base, "pause_time", [0.0], ["aodv"], **kwargs)
         assert (again.cache_hits, again.cache_misses) == (0, 1)
         assert again.raw == first.raw

@@ -184,7 +184,7 @@ class TestTimeout:
 
 class TestRerun:
     def test_rerun_executes_only_unfinished_points(
-        self, monkeypatch, executor_factory, tmp_path
+        self, monkeypatch, executor_factory, tmp_path, make_summary
     ):
         # First pass: the killer config breaks its worker and fails.
         # Second pass (killer now behaves), no flag: the store answers
@@ -194,7 +194,7 @@ class TestRerun:
         def stub(cfg):
             if cfg.seed == KILLER and not marker.exists():
                 os._exit(13)
-            return cfg.seed
+            return make_summary(cfg.seed)
 
         monkeypatch.setattr(exmod, "run_scenario", stub)
         ex = executor_factory(
@@ -206,7 +206,7 @@ class TestRerun:
 
         marker.touch()
         second = ex.run(cfgs(1, 2, KILLER, 3))
-        assert second == [1, 2, KILLER, 3]
+        assert second == [make_summary(s) for s in (1, 2, KILLER, 3)]
         assert ex.last_cache_hits == 3  # finished points came from the store
         manifest = json.loads(ex.last_manifest_path.read_text())
         assert manifest["jobs_executed"] == 1  # only the failed point re-ran
@@ -222,8 +222,8 @@ class TestCacheCorruption:
         )
         first = run_sweep(base, "pause_time", [0.0], ["aodv"], **kwargs)
         assert first.cache_misses == 1
-        (entry,) = (tmp_path / "sweep").rglob("*.pkl")
-        # Truncate mid-pickle (a torn write survived a crash).
+        (entry,) = (tmp_path / "sweep").rglob("*.json")
+        # Truncate mid-document (a torn write survived a crash).
         blob = entry.read_bytes()
         entry.write_bytes(blob[: len(blob) // 2])
         again = run_sweep(base, "pause_time", [0.0], ["aodv"], **kwargs)

@@ -38,6 +38,44 @@ class TestConfigRoundtrip:
         with pytest.raises(ConfigurationError):
             config_from_dict({"protocoll": "aodv"})
 
+    @pytest.mark.parametrize("data, key", [
+        ({"n_nodes": "50"}, "n_nodes"),
+        ({"n_nodes": 50.0}, "n_nodes"),
+        ({"field_size": 5}, "field_size"),
+        ({"field_size": [1500.0]}, "field_size"),
+        ({"field_size": [1500.0, "300"]}, "field_size"),
+        ({"use_rtscts": 1}, "use_rtscts"),
+        ({"duration": True}, "duration"),
+        ({"hello_interval": "1"}, "hello_interval"),
+        ({"faults": [0.1]}, "faults"),
+        ({"faults": {"blackouts": [[1.0]]}}, "blackouts"),
+        ({"faults": {"churn_rate": "0.1"}}, "churn_rate"),
+    ])
+    def test_wrong_value_type_names_the_key(self, data, key):
+        with pytest.raises(ConfigurationError, match=key):
+            config_from_dict(data)
+
+    def test_json_numbers_and_lists_are_accepted(self):
+        cfg = config_from_dict({
+            "duration": 30, "field_size": [400, 300.0], "hello_interval": None,
+            "faults": {"blackouts": [[1.0, 2.0]]},
+        })
+        assert cfg.field_size == (400, 300.0)
+        assert cfg.faults.blackouts == ((1.0, 2.0),)
+
+    @pytest.mark.parametrize("text", ["{", "[", "{\"seed\": 1,}", "\xff"])
+    def test_malformed_file_names_the_file(self, tmp_path, text):
+        path = tmp_path / "broken.json"
+        path.write_text(text, encoding="latin-1")
+        with pytest.raises(ConfigurationError, match="broken.json"):
+            load_config(path)
+
+    def test_non_object_file_is_typed_error(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigurationError, match="JSON object"):
+            load_config(path)
+
     def test_loaded_config_reproduces_run(self, tmp_path):
         from repro.scenario import run_scenario
 
@@ -174,33 +212,6 @@ class TestCsvExport:
         header = path.read_text().splitlines()[0].split(",")
         drop_cols = [c for c in header if c.startswith("drop_")]
         assert drop_cols == sorted(drop_cols)
-
-    def test_drops_columns_tolerate_old_pickles(self, tmp_path):
-        # Summaries unpickled from a pre-taxonomy cache have no
-        # drops_by_reason attribute at all; the exporter treats them
-        # as all-zero rather than crashing the whole export.
-        class Legacy:
-            def __init__(self, summary):
-                for col in ("protocol", "duration", "data_sent",
-                            "data_received", "pdr", "avg_delay"):
-                    setattr(self, col, getattr(summary, col))
-
-            def __getattr__(self, name):
-                if name == "drops_by_reason":
-                    raise AttributeError(name)
-                return 0
-
-        import dataclasses
-
-        cfg = ScenarioConfig(protocol="aodv", seed=2, **SMALL)
-        (modern,) = run_replications(cfg, 1)
-        modern = dataclasses.replace(
-            modern, drops_by_reason={"link_lost": 1}
-        )
-        path = tmp_path / "mixed.csv"
-        summaries_to_csv([modern, Legacy(modern)], path, include_drops=True)
-        rows = list(csv.DictReader(open(path)))
-        assert [r["drop_link_lost"] for r in rows] == ["1", "0"]
 
     def test_sweep_csv_drops_flag(self, tmp_path):
         base = ScenarioConfig(seed=3, **SMALL)

@@ -109,3 +109,10 @@ def test_environment_is_read_in_three_modules_only():
         r"|uid_base|record_times|merge_\w+_partials",
         set(),
     ) == []
+    # One result codec (MetricsSummary.to_dict/from_dict): no pickle or
+    # base64 on the wire or on disk, no second headline field list.
+    assert _offenders(
+        r"\bimport (pickle|base64)\b|\bfrom (pickle|base64) import"
+        r"|encode_summary|decode_summary|_headline",
+        set(),
+    ) == []

@@ -77,6 +77,74 @@ class TestSummaryInvariants:
         }
 
 
+def _digest(summary) -> str:
+    """sha256 of the results (what benchmarks/perf/child.py digests)."""
+    import dataclasses
+    import hashlib
+    import json
+
+    fields = dataclasses.asdict(summary)
+    for engine_side in ("perf", "profile", "flight"):
+        fields.pop(engine_side)
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
+
+
+class TestSummaryCodec:
+    @pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
+    @pytest.mark.parametrize("protocol", ["dsdv", "dsr", "aodv", "paodv", "cbrp"])
+    def test_json_round_trip_is_exact(self, protocol, trace):
+        import json
+
+        from repro.stats.metrics import MetricsSummary
+
+        s = run_small(protocol, flight_trace=trace)
+        back = MetricsSummary.from_dict(json.loads(json.dumps(s.to_dict())))
+        assert back == s
+        assert all(type(fid) is int for fid in back.flows)
+        assert _digest(back) == _digest(s)
+        assert (back.perf, back.flight) == (s.perf, s.flight)
+
+    def test_absent_defaulted_fields_take_their_defaults(self):
+        from repro.stats.metrics import MetricsSummary
+
+        s = run_small()
+        data = s.to_dict()
+        for name in ("fault_crashes", "flows", "perf", "flight"):
+            del data[name]
+        back = MetricsSummary.from_dict(data)
+        assert (back.fault_crashes, back.flows, back.flight) == (0, {}, None)
+
+    @pytest.mark.parametrize("change, needle", [
+        ({"bogus": 1}, "bogus"),
+        ({"data_sent": "10"}, "data_sent"),
+        ({"data_sent": 10.0}, "data_sent"),
+        ({"pdr": True}, "pdr"),
+        ({"flows": {"x": {}}}, "flows"),
+        ({"flows": {"01": {"flow_id": 1, "src": 0, "dst": 1}}}, "flows"),
+        ({"flows": {"1": {"flow_id": 1, "src": 0}}}, "dst"),
+        ({"flows": {"1": {"flow_id": 1, "src": 0, "dst": 1,
+                          "delays": ["0.1"]}}}, "flows"),
+        ({"perf": {"events": 1.5}}, "perf"),
+        ({"flight": []}, "flight"),
+    ])
+    def test_invalid_input_is_a_configuration_error(self, change, needle):
+        from repro.core import ConfigurationError
+        from repro.stats.metrics import MetricsSummary
+
+        data = dict(run_small().to_dict(), **change)
+        with pytest.raises(ConfigurationError, match=needle):
+            MetricsSummary.from_dict(data)
+
+    def test_missing_required_field_is_named(self):
+        from repro.core import ConfigurationError
+        from repro.stats.metrics import MetricsSummary
+
+        data = run_small().to_dict()
+        del data["avg_delay"]
+        with pytest.raises(ConfigurationError, match="avg_delay"):
+            MetricsSummary.from_dict(data)
+
+
 class TestCollectorUnit:
     def test_duplicate_deliveries_counted_once(self):
         from repro.core import Simulator
