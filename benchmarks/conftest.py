@@ -53,8 +53,10 @@ SEED_BASELINE_MEANS = {
     # A vector merge pays ~4.5 us of fixed cost per receive where the
     # loop paid ~1.5 us, and wins end to end only because such adverts
     # are 4-6 % of receives at 30-50 nodes (DESIGN.md, "The
-    # small-advert trap"). The row exists so that fixed cost cannot
-    # grow unnoticed; its speedup_vs_seed says nothing about the loop.
+    # small-advert trap"). Packing each row's (seq, metric) into one
+    # key cut that fixed cost to ~2 us (~2x on this row). The row
+    # exists so that fixed cost cannot grow unnoticed; its
+    # speedup_vs_seed says nothing about the loop.
     "test_perf_dsdv_short_updates": 190.0e-6,
     # PR-15 benches: one fan-out memo miss on a moving field, means
     # measured at the parent commit (f2832eb: grid list -> array ->

@@ -30,6 +30,7 @@ import contextlib
 import itertools
 import json
 import os
+import re
 import secrets
 from pathlib import Path
 from typing import List, Optional, Union
@@ -59,8 +60,27 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+#: The shape of a config key (a sha256 hex digest).
+_KEY = re.compile(r"[0-9a-f]{64}")
+
+
+def _valid_key(key) -> bool:
+    """Whether *key* is shaped like a config key: 64 lowercase hex digits.
+
+    Keys arrive from fabric peers nobody vouches for; only this shape
+    may name a file, so no key can climb out of the store root.
+    """
+    return isinstance(key, str) and _KEY.fullmatch(key) is not None
+
+
 class ResultStore:
-    """JSON summaries under ``<root>/sweep/<k[:2]>/<k>.json``."""
+    """JSON summaries under ``<root>/sweep/<k[:2]>/<k>.json``.
+
+    Only a config key (64 lowercase hex digits, as
+    :func:`~repro.scenario.executor.config_cache_key` makes) names an
+    entry: any other key is a miss on read, refused on write, and never
+    touches the filesystem.
+    """
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root) / "sweep"
@@ -77,6 +97,8 @@ class ResultStore:
         present-but-unreadable entry is also unlinked so it gets
         recomputed exactly once instead of shadowing the key forever.
         """
+        if not _valid_key(key):
+            return None
         path = self._path(key)
         try:
             return MetricsSummary.from_dict(json.loads(path.read_bytes()))
@@ -92,7 +114,7 @@ class ResultStore:
             return None
 
     def __contains__(self, key: str) -> bool:
-        return self._path(key).exists()
+        return _valid_key(key) and self._path(key).exists()
 
     # --------------------------------------------------------------- writes
 
@@ -102,6 +124,8 @@ class ResultStore:
         Failures (including a summary JSON cannot encode) are swallowed:
         a cache write must never sink the computation it is caching.
         """
+        if not _valid_key(key):
+            return False
         try:
             text = json.dumps(summary.to_dict(), separators=(",", ":"))
         except (AttributeError, TypeError, ValueError):
@@ -111,6 +135,8 @@ class ResultStore:
     def put_trace(self, key: str, text: str) -> bool:
         """Atomically publish a flight-trace JSONL document beside *key*
         (a trace is telemetry, never worth sinking the result for)."""
+        if not _valid_key(key):
+            return False
         return self._publish(self._path(key, ".trace.jsonl"), text)
 
     def _publish(self, path: Path, text: str) -> bool:
@@ -138,6 +164,8 @@ class ResultStore:
 
     def get_trace(self, key: str) -> Optional[str]:
         """The flight-trace JSONL text for *key*, or ``None`` on miss."""
+        if not _valid_key(key):
+            return None
         try:
             return self._path(key, ".trace.jsonl").read_text()
         except OSError:

@@ -20,12 +20,16 @@ link break and the arrival of the repaired route's next update, data
 keeps flowing into the stale/invalidated route and is dropped — there
 is no discovery to fall back on.
 
-The table is four NumPy columns indexed by destination id (layout,
-sentinels and the own-row rule are in DESIGN.md, "DSDV table layout"):
-an advert names each destination once, so merging it is independent per
-destination and runs as one gather, a few mask operations and one
-scatter. The per-entry statement of the same rules lives in
-``tests/routing/dsdv_reference.py`` and is compared step by step.
+The table is three NumPy columns indexed by destination id (layout,
+key encoding, sentinels and the own-row rule are in DESIGN.md, "DSDV
+table layout"). The adoption rule is a lexicographic order on
+(sequence, −metric), so each row holds it as one packed int64 key and
+"newer sequence, or equal sequence and shorter metric" is one integer
+``>``. An advert names each destination once, so merging it is
+independent per destination and runs as one gather, one comparison
+and one scatter per column. The per-entry statement of the same rules
+lives in ``tests/routing/dsdv_reference.py`` and is compared step by
+step.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.drops import DropReason
+from ..core.errors import ProtocolError
 from ..net.packet import BROADCAST, Packet
 from .base import RoutingProtocol
 
@@ -48,12 +53,41 @@ ENTRY_SIZE = 12
 #: Fixed update-message header bytes.
 HEADER_SIZE = 8
 
-#: Column dtypes: 13 bytes a row. Hop counts and ∞ are exact in
-#: float32, node ids fit int32, and an int32 sequence number allows
-#: 2³⁰ own adverts (each adds 2) per destination.
+#: Column dtypes: 13 bytes a row (int32 next hop, int64 key, bool).
 NEXT_HOP_DTYPE = np.int32
-METRIC_DTYPE = np.float32
-SEQ_DTYPE = np.int32
+KEY_DTYPE = np.int64
+
+#: A row key is ``seq << 32 | low`` with ``low = LOW - metric`` for a
+#: finite metric and 0 for ∞, so integer order is DSDV's adoption order
+#: (newer sequence, then shorter metric). -1 marks an unknown row.
+LOW = (1 << 32) - 1
+UNKNOWN = -1
+#: Sequence numbers stay below 2³¹ (2³⁰ own adverts, each adding 2),
+#: so every key is a non-negative int64.
+MAX_SEQ = (1 << 31) - 1
+#: A finite metric counts the hops one sequence number travelled along a
+#: simple path (an equal sequence is adopted only with a shorter
+#: metric), so it stays below the number of node ids (int32). The merge
+#: adds a hop unchecked; this bound keeps every such sum clear of the
+#: low half's ∞ code.
+MAX_METRIC = (1 << 31) - 1
+
+
+def _encode(metric: float, seq: int) -> int:
+    """The row key of (*metric*, *seq*); ProtocolError when out of range."""
+    if not (0 <= seq <= MAX_SEQ and seq == int(seq)):
+        raise ProtocolError(f"DSDV sequence number {seq!r} is not in [0, 2**31)")
+    if metric == INFINITY:
+        return int(seq) << 32
+    if not (0 <= metric <= MAX_METRIC and metric == int(metric)):
+        raise ProtocolError(f"DSDV metric {metric!r} is not a hop count or ∞")
+    return int(seq) << 32 | (LOW - int(metric))
+
+
+def _decode(key: int) -> Tuple[float, int]:
+    """(metric, seq) of a known row's key."""
+    low = key & LOW
+    return (float(LOW - low) if low else INFINITY), key >> 32
 
 
 class DsdvRoute(NamedTuple):
@@ -71,39 +105,57 @@ class DsdvRoute(NamedTuple):
 
 
 class _Advert:
-    """Payload of a DSDV update packet: (dst, metric, seq) columns.
+    """Payload of a DSDV update packet: destinations and their keys.
 
     Built once by the sender and read by every receiver of the
     broadcast, so everything a receiver needs that depends only on the
-    advert (``metric + 1``, the highest destination id, whether any
-    metric is infinite) is computed here.
+    advert is computed here: ``key1`` is each entry's key with the
+    metric already one hop longer (``key - 1`` on a finite entry, the
+    key itself on an ∞ one), beside the highest destination id and the
+    mask of finite entries (``None`` when all of them are).
     """
 
-    __slots__ = ("dst", "metric", "seq", "metric1", "max_dst", "finite")
+    __slots__ = ("dst", "key1", "finite", "max_dst")
 
     def __init__(self, entries: Sequence[Tuple[int, float, int]]):
-        dst, metric, seq = zip(*entries) if entries else ((), (), ())
+        dst = [entry[0] for entry in entries]
+        keys = [_encode(metric, seq) for _, metric, seq in entries]
         self._set(
             np.array(dst, dtype=np.intp),
-            np.array(metric, dtype=METRIC_DTYPE),
-            np.array(seq, dtype=SEQ_DTYPE),
+            np.array(keys, dtype=KEY_DTYPE),
+            max(dst, default=-1),
         )
 
     @classmethod
-    def from_columns(cls, dst, metric, seq) -> "_Advert":
+    def from_rows(cls, rows: np.ndarray, keys: np.ndarray) -> "_Advert":
+        """The advert of table *rows* (ascending, non-empty) and their keys."""
         advert = cls.__new__(cls)
-        advert._set(dst, metric, seq)
+        advert._set(rows, keys, int(rows[-1]))
         return advert
 
-    def _set(self, dst, metric, seq) -> None:
+    def _set(self, dst, keys, max_dst: int) -> None:
         self.dst = dst
-        self.metric = metric
-        self.seq = seq
-        self.metric1 = metric + 1.0
-        self.max_dst = int(dst.max()) if len(dst) else -1
-        finite = metric < INFINITY
-        #: Mask of finite-metric entries, or None when all of them are.
-        self.finite = None if finite.all() else finite
+        self.max_dst = max_dst
+        finite = (keys & LOW) != 0
+        if finite.all():
+            self.key1 = keys - 1
+            self.finite = None
+        else:
+            self.key1 = keys - finite
+            self.finite = finite
+
+    @property
+    def seq(self) -> np.ndarray:
+        """Advertised sequence numbers."""
+        return self.key1 >> 32
+
+    @property
+    def metric(self) -> np.ndarray:
+        """Advertised metrics (before the receiver's extra hop)."""
+        metric = (LOW - 1 - (self.key1 & LOW)).astype(np.float64)
+        if self.finite is not None:
+            metric[~self.finite] = INFINITY
+        return metric
 
 
 class _TableView:
@@ -120,25 +172,22 @@ class _TableView:
 
     def __contains__(self, dst: int) -> bool:
         agent = self._agent
-        return dst != agent.addr and 0 <= dst < len(agent._seq) and agent._seq[dst] >= 0
+        return dst != agent.addr and 0 <= dst < len(agent._key) and agent._key[dst] >= 0
 
     def __iter__(self) -> Iterator[int]:
         agent = self._agent
-        return (d for d in np.flatnonzero(agent._seq >= 0).tolist() if d != agent.addr)
+        return (d for d in np.flatnonzero(agent._key >= 0).tolist() if d != agent.addr)
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._agent._seq >= 0)) - 1
+        return int(np.count_nonzero(self._agent._key >= 0)) - 1
 
     def __getitem__(self, dst: int) -> DsdvRoute:
         if dst not in self:
             raise KeyError(dst)
         agent = self._agent
+        metric, seq = _decode(int(agent._key[dst]))
         return DsdvRoute(
-            dst,
-            int(agent._next_hop[dst]),
-            float(agent._metric[dst]),
-            int(agent._seq[dst]),
-            bool(agent._changed[dst]),
+            dst, int(agent._next_hop[dst]), metric, seq, bool(agent._changed[dst])
         )
 
     def get(self, dst: int, default=None) -> Optional[DsdvRoute]:
@@ -149,11 +198,11 @@ class _TableView:
 
     def __setitem__(self, dst: int, route: DsdvRoute) -> None:
         agent = self._agent
-        if dst >= len(agent._seq):
+        key = _encode(route.metric, route.seq)
+        if dst >= len(agent._key):
             agent._grow(dst + 1)
         agent._next_hop[dst] = route.next_hop
-        agent._metric[dst] = route.metric
-        agent._seq[dst] = route.seq
+        agent._key[dst] = key
         agent._changed[dst] = route.changed
 
 
@@ -185,8 +234,8 @@ class Dsdv(RoutingProtocol):
         #: Own even sequence number, bumped at every advertisement.
         self.seq = 0
         self._trigger_pending = False
-        # Table columns indexed by destination id; ``seq == -1`` marks
-        # a destination never heard of. The node's own row is an
+        # Table columns indexed by destination id; ``key == UNKNOWN``
+        # marks a destination never heard of. The node's own row is an
         # ordinary one (next hop itself, metric 0, seq mirroring
         # ``self.seq``, never flagged changed at rest). ``empty`` +
         # ``fill`` rather than ``np.full``: a 1000-node build runs this
@@ -194,22 +243,17 @@ class Dsdv(RoutingProtocol):
         rows = node_id + 1
         self._next_hop = np.empty(rows, dtype=NEXT_HOP_DTYPE)
         self._next_hop.fill(-1)
-        self._metric = np.empty(rows, dtype=METRIC_DTYPE)
-        self._metric.fill(INFINITY)
-        self._seq = self._next_hop.astype(SEQ_DTYPE)
+        self._key = self._next_hop.astype(KEY_DTYPE)
         self._changed = np.zeros(rows, dtype=np.bool_)
         self._next_hop[node_id] = node_id
-        self._metric[node_id] = 0.0
-        self._seq[node_id] = 0
+        self._key[node_id] = LOW  # seq 0, metric 0
         self.table = _TableView(self)
 
     def _grow(self, need: int) -> None:
         """Extend the columns to at least *need* rows (geometric)."""
-        old = len(self._seq)
+        old = len(self._key)
         cap = max(need, 2 * old)
-        for name, fill in (
-            ("_next_hop", -1), ("_metric", INFINITY), ("_seq", -1), ("_changed", False),
-        ):
+        for name, fill in (("_next_hop", -1), ("_key", UNKNOWN), ("_changed", False)):
             column = getattr(self, name)
             grown = np.full(cap, fill, dtype=column.dtype)
             grown[:old] = column
@@ -241,11 +285,11 @@ class Dsdv(RoutingProtocol):
 
     def _broadcast_update(self, full: bool) -> None:
         self.seq += 2
-        seq = self._seq
+        key = self._key
         changed = self._changed
-        seq[self.addr] = self.seq
+        key[self.addr] = self.seq << 32 | LOW
         if full:
-            rows = np.flatnonzero(seq >= 0)
+            rows = np.flatnonzero(key >= 0)
             changed[:] = False
         else:
             if not changed.any() and self.sim.now > 0:
@@ -255,7 +299,7 @@ class Dsdv(RoutingProtocol):
             changed[self.addr] = True
             rows = np.flatnonzero(changed)
             changed[rows] = False
-        advert = _Advert.from_columns(rows, self._metric[rows], seq[rows])
+        advert = _Advert.from_rows(rows, key[rows])
         size = HEADER_SIZE + ENTRY_SIZE * len(rows)
         self.send_control(self.make_control(advert, size), BROADCAST)
 
@@ -263,25 +307,23 @@ class Dsdv(RoutingProtocol):
 
     def on_control(self, packet: Packet, prev_hop: int, rx_power: float) -> None:
         advert: _Advert = packet.payload
-        if advert.max_dst >= len(self._seq):
+        if advert.max_dst >= len(self._key):
             self._grow(advert.max_dst + 1)
         dst = advert.dst
-        new_seq = advert.seq
-        new_metric = advert.metric1
-        cur_seq = self._seq[dst]
+        key = self._key
+        new = advert.key1
+        cur = key[dst]
         # Newer sequence wins; an equal one only with a shorter metric.
-        adopt = new_seq > cur_seq
-        adopt |= (new_seq == cur_seq) & (new_metric < self._metric[dst])
+        adopt = new > cur
         if advert.finite is not None:
             # A destination never heard of is not learned from a break.
-            adopt &= advert.finite | (cur_seq >= 0)
+            adopt &= advert.finite | (cur >= 0)
         rows = dst[adopt]
         adopted = len(rows)
         if not adopted:
             return
         self._next_hop[rows] = prev_hop
-        self._metric[rows] = new_metric[adopt]
-        self._seq[rows] = new_seq[adopt]
+        key[rows] = new[adopt]
         self._changed[rows] = True
         addr = self.addr
         if self._changed[addr]:
@@ -289,14 +331,13 @@ class Dsdv(RoutingProtocol):
             # sequence about us newer than our own. If it is an odd
             # (broken) one, answer with a fresh even one so the network
             # relearns the route quickly; either way the row is ours.
-            heard = int(self._seq[addr])
+            heard = int(key[addr]) >> 32
             adopted -= 1
             if heard % 2 == 1 and heard > self.seq:
                 self.seq = heard + 1
                 adopted += 1
             self._next_hop[addr] = addr
-            self._metric[addr] = 0.0
-            self._seq[addr] = self.seq
+            key[addr] = self.seq << 32 | LOW
             self._changed[addr] = False
         if adopted:
             self._schedule_trigger()
@@ -305,10 +346,13 @@ class Dsdv(RoutingProtocol):
 
     def _route(self, packet: Packet, forwarded: bool) -> None:
         dst = packet.dst
-        metric = self._metric
-        if 0 <= dst < len(metric) and metric[dst] < INFINITY and dst != self.addr:
-            self.send_data(packet, int(self._next_hop[dst]), forwarded=forwarded)
-            return
+        key = self._key
+        if 0 <= dst < len(key) and dst != self.addr:
+            row = int(key[dst])
+            # Valid: a known row (key >= 0) with a finite metric (low half).
+            if row >= 0 and row & LOW:
+                self.send_data(packet, int(self._next_hop[dst]), forwarded=forwarded)
+                return
         self.drop_no_route(packet)
 
     def originate(self, packet: Packet) -> None:
@@ -321,12 +365,14 @@ class Dsdv(RoutingProtocol):
 
     def link_failed(self, packet: Packet, next_hop: int) -> None:
         """Mark every route through *next_hop* broken (metric ∞, odd seq)."""
+        key = self._key
         broken = np.flatnonzero(
-            (self._next_hop == next_hop) & (self._metric < INFINITY)
+            (self._next_hop == next_hop) & (key >= 0) & (key & LOW != 0)
         )
         if len(broken):
-            self._metric[broken] = INFINITY
-            self._seq[broken] += 1  # odd: flagged by the destination's owner rule
+            # Metric ∞ (low half 0) and the next, odd, sequence number:
+            # flagged by the destination's owner rule.
+            key[broken] = ((key[broken] >> 32) + 1) << 32
             self._changed[broken] = True
         # Purge queued packets toward the dead neighbor: without a valid
         # route they would only burn retries. DSDV has no discovery to

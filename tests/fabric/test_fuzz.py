@@ -125,17 +125,32 @@ def test_decode_frame_raises_only_fabric_errors(line):
     assert isinstance(msg, dict)
 
 
+#: Store keys: the real one, near misses of its shape, and paths.
+store_keys = (
+    st.just(KEY)
+    | st.text(alphabet="0123456789abcdefABCDEF./\\\n", min_size=62, max_size=66)
+    | st.text(max_size=70)
+    | st.sampled_from(["../" + KEY, KEY[:2] + "/../" + KEY[6:], "..", "/"])
+)
+
+
 @FUZZ
 @given(
     st.binary(max_size=64)
-    | summary_inputs.map(lambda v: json.dumps(v).encode())
+    | summary_inputs.map(lambda v: json.dumps(v).encode()),
+    store_keys,
 )
-def test_store_answers_garbage_with_a_miss(tmp_path, blob):
+def test_store_answers_garbage_with_a_miss(tmp_path, blob, key):
     store = ResultStore(tmp_path)
     entry = store._path(KEY)
     entry.parent.mkdir(parents=True, exist_ok=True)
     entry.write_bytes(blob)
-    got = store.get(KEY)
+    got = store.get(key)
+    if key != KEY:
+        # Not a config key: a miss that reads and heals nothing.
+        assert got is None
+        assert entry.read_bytes() == blob
+        return
     try:
         want = MetricsSummary.from_dict(json.loads(blob))
     except (ValueError, ConfigurationError):

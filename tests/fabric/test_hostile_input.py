@@ -2,6 +2,8 @@
 
 * a worker whose result does not decode fails its job (the broker must
   not strand it as "leased" with no lease);
+* a client's or a worker's key that would name a file outside the
+  result store touches nothing there;
 * a broker that streams an undecodable point, a point without an
   index, or a nesting bomb is treated like a lost stream: the executor
   warns and finishes the sweep on its local pool;
@@ -86,6 +88,68 @@ class TestBrokerRejectsBadResults:
         assert failed["kind"] == "exception"
         assert "undecodable result" in failed["error"]
         assert broker.jobs[config_cache_key(CFG)].state == "failed"
+
+
+#: A key that, joined onto the store root unchecked, names
+#: ``<cache_dir>/../outside/victim.json``.
+ESCAPING_KEY = "../outside/victim"
+
+
+def _plant_victim(tmp_path):
+    """A file outside the broker's cache directory the escaping key names."""
+    victim = tmp_path / "outside" / "victim.json"
+    victim.parent.mkdir()
+    victim.write_text("not yours")
+    return victim
+
+
+class TestHostileKeysStayInTheStore:
+    def test_client_sweep_with_an_escaping_key(
+        self, tmp_path, broker_factory, thread_worker
+    ):
+        victim = _plant_victim(tmp_path)
+        broker = broker_factory(cache_dir=str(tmp_path / "fleet"))
+        thread_worker(broker.address)
+        client = FabricClient(broker.address)
+        try:
+            client.connect()
+            client.submit([{"index": 0, "key": ESCAPING_KEY,
+                            "config": config_to_dict(CFG)}])
+            points = [m for m in client.events() if m["type"] == "point"]
+        finally:
+            client.close()
+        assert [p["cached"] for p in points] == [False]
+        assert victim.read_text() == "not yours"
+
+    def test_worker_result_with_an_escaping_key(
+        self, tmp_path, broker_factory, make_summary
+    ):
+        victim = _plant_victim(tmp_path)
+        broker = broker_factory(
+            cache_dir=str(tmp_path / "fleet"), no_worker_grace=60.0
+        )
+        worker = _connect(broker.address)
+        client = FabricClient(broker.address)
+        try:
+            worker.send({"type": "hello", "role": "worker", "worker": "liar"})
+            client.connect()
+            client.submit([{"index": 0, "key": config_cache_key(CFG),
+                            "config": config_to_dict(CFG)}])
+            worker.send({"type": "request", "poll": 5.0})
+            lease = worker.recv(timeout=10.0)
+            assert lease["type"] == "lease"
+            worker.send({
+                "type": "result", "lease": lease["lease"], "key": ESCAPING_KEY,
+                "ok": True, "summary": make_summary().to_dict(),
+            })
+            # The broker handles one connection's frames in order: its
+            # answer to the next request means the result was handled.
+            worker.send({"type": "request", "poll": 0.1})
+            assert worker.recv(timeout=10.0)["type"] == "idle"
+        finally:
+            client.close()
+            worker.close()
+        assert victim.read_text() == "not yours"
 
 
 class _FakeBroker:

@@ -55,6 +55,41 @@ class TestBasics:
         assert KEY not in store
 
 
+class TestHostileKeys:
+    """Only a config key names a file; nothing else touches the disk."""
+
+    def test_escaping_key_leaves_the_file_it_names_alone(
+        self, tmp_path, make_summary
+    ):
+        store = ResultStore(tmp_path / "store")
+        assert store.put(KEY, make_summary())  # <root>/sweep exists
+        key = "../outside/victim"
+        victim = tmp_path / "outside" / "victim.json"
+        assert (store.root / key[:2] / (key + ".json")).resolve() == victim
+        victim.parent.mkdir()
+        victim.write_text("not yours")
+        assert store.get(key) is None
+        assert key not in store
+        assert store.put(key, make_summary()) is False
+        assert store.put_trace(key, "x\n") is False
+        assert store.get_trace(key) is None
+        assert victim.read_text() == "not yours"
+        assert sorted(p.name for p in victim.parent.iterdir()) == ["victim.json"]
+
+    @pytest.mark.parametrize("key", [
+        "", "ab", KEY.upper(), KEY + "\n", KEY[:63], KEY + "0", "/" + KEY[1:],
+        "ab/" + "0" * 61, "١" * 64, None, 12,
+    ])
+    def test_malformed_key_is_a_miss_and_refused(self, tmp_path, make_summary, key):
+        store = ResultStore(tmp_path)
+        assert store.get(key) is None
+        assert key not in store
+        assert store.put(key, make_summary()) is False
+        assert store.put_trace(key, "x\n") is False
+        assert store.get_trace(key) is None
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSelfHealing:
     def test_torn_entry_is_a_miss_and_unlinked(self, tmp_path, make_summary):
         store = ResultStore(tmp_path)

@@ -5,6 +5,12 @@ production agent and to ``ReferenceDsdv``; after every step the two
 must hold the same table, the same own sequence number, have made the
 same trigger decision, and have emitted the same dump (as a set: dump
 order is not part of the protocol, entry count and so packet size is).
+
+The inputs reach the edges of the packed row key: sequence numbers near
+2**30 as well as near 0, hop counts up to the id range (a network's
+diameter is below its node count), odd sequence numbers about the
+receiver itself, and adverts that mix ∞ and finite entries about
+destinations the receiver has never heard of.
 """
 
 import math
@@ -21,8 +27,11 @@ ADDR = 3
 #: equal-and-worse, newer, broken and unknown-and-broken entries all
 #: occur by collision; the receiver's own id is inside the id range.
 NEIGHBOURS = st.integers(0, 11).filter(lambda n: n != ADDR)
-METRICS = st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, math.inf])
+FINITE = st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0]) | st.integers(5, 200).map(float)
+METRICS = FINITE | st.just(math.inf)
 SEQS = st.integers(0, 9)
+#: Added to every advertised sequence number of one example.
+SEQ_BASES = st.sampled_from([0, 2**30 - 5])
 
 
 def adverts(max_dst, min_size, max_size):
@@ -36,11 +45,34 @@ def adverts(max_dst, min_size, max_size):
     )
 
 
+def about_me():
+    """An entry about the receiver, odd (broken) or even."""
+    return st.tuples(
+        st.just("advert"), NEIGHBOURS, st.tuples(st.tuples(st.just(ADDR), METRICS, SEQS)),
+    )
+
+
+def mixed_about_unknowns():
+    """∞ and finite entries side by side, about ids no other step names."""
+    return st.lists(st.integers(201, 240), min_size=2, max_size=8, unique=True).flatmap(
+        lambda dsts: st.tuples(
+            st.just("advert"),
+            NEIGHBOURS,
+            st.tuples(*(
+                st.tuples(st.just(d), metric, SEQS)
+                for d, metric in zip(dsts, [st.just(math.inf), FINITE] + [METRICS] * 6)
+            )),
+        )
+    )
+
+
 STEPS = st.lists(
     st.one_of(
         adverts(11, 0, 3),       # triggered-update sized
         adverts(11, 4, 12),
         adverts(200, 65, 120),   # full dump of a large table; regrows columns
+        about_me(),
+        mixed_about_unknowns(),
         st.tuples(st.just("link_failed"), NEIGHBOURS),
         st.tuples(st.just("dump"), st.booleans()),
         st.tuples(st.just("advance")),
@@ -61,8 +93,8 @@ def table_of(agent):
 
 
 @settings(max_examples=200, deadline=None)
-@given(STEPS)
-def test_agent_matches_reference_step_by_step(steps):
+@given(STEPS, SEQ_BASES)
+def test_agent_matches_reference_step_by_step(steps, seq_base):
     sim = Simulator(seed=1)
     agent = Dsdv(sim, ADDR, _SinkMac(), sim.rng.stream("dsdv"))
     ref = ReferenceDsdv(ADDR)
@@ -74,6 +106,7 @@ def test_agent_matches_reference_step_by_step(steps):
         del triggers[:], sent[:]
         if step[0] == "advert":
             _, prev_hop, entries = step
+            entries = [(dst, metric, seq + seq_base) for dst, metric, seq in entries]
             packet = agent.make_control(_Advert(entries), HEADER_SIZE)
             agent.on_control(packet, prev_hop, 1e-9)
             assert bool(triggers) == ref.receive(entries, prev_hop)

@@ -3,8 +3,12 @@
 import math
 
 import numpy as np
+import pytest
 
-from repro.routing.dsdv import ENTRY_SIZE, HEADER_SIZE, Dsdv, DsdvRoute, _Advert
+from repro.core.errors import ProtocolError
+from repro.routing.dsdv import (
+    ENTRY_SIZE, HEADER_SIZE, LOW, MAX_METRIC, MAX_SEQ, Dsdv, DsdvRoute, _Advert,
+)
 from repro.scenario import ScenarioConfig
 from repro.scenario.build import build_scenario
 from tests.routing.conftest import make_static_network
@@ -99,10 +103,10 @@ class TestInvalidationDetails:
 
 
 class TestNarrowLayout:
-    """The table is 13 bytes a row: int32, float32, int32, bool."""
+    """The table is 13 bytes a row: int32 next hop, int64 key, bool."""
 
-    COLUMNS = ("_next_hop", "_metric", "_seq", "_changed")
-    DTYPES = (np.int32, np.float32, np.int32, np.bool_)
+    COLUMNS = ("_next_hop", "_key", "_changed")
+    DTYPES = (np.int32, np.int64, np.bool_)
 
     def column_dtypes(self, agent):
         return tuple(getattr(agent, name).dtype for name in self.COLUMNS)
@@ -110,31 +114,37 @@ class TestNarrowLayout:
     def test_dtypes_after_init_and_grow(self):
         sim, agent = make_agent()
         assert self.column_dtypes(agent) == self.DTYPES
+        assert agent._key[agent.addr] == LOW  # own row: seq 0, metric 0
         agent._grow(500)
-        assert len(agent._seq) == 500
+        assert len(agent._key) == 500
         assert self.column_dtypes(agent) == self.DTYPES
+        assert agent._next_hop[2:].tolist() == [-1] * 498
+        assert agent._key[2:].tolist() == [-1] * 498
+        assert not agent._changed[2:].any()
         agent.on_control(
             agent.make_control(_Advert([(2000, 3.0, 8)]), 20), prev_hop=1, rx_power=1.0
         )
         assert self.column_dtypes(agent) == self.DTYPES
         assert agent.table[2000] == DsdvRoute(2000, 1, 4.0, 8, changed=True)
+        assert agent._key[2000] == 8 << 32 | (LOW - 4)
 
     def test_advert_dtypes_match_across_constructors(self):
         sim, agent = make_agent()
         agent.table[5] = DsdvRoute(5, 1, 2, 10)
+        agent.table[7] = DsdvRoute(7, 1, math.inf, 11)
         sent = []
         agent.send_control = lambda packet, next_hop: sent.append(packet.payload)
         agent._broadcast_update(full=True)
         (dumped,) = sent
-        listed = _Advert([(0, 0.0, 2), (5, 2.0, 10)])
+        listed = _Advert([(0, 0.0, 2), (5, 2.0, 10), (7, math.inf, 11)])
         for advert in (dumped, listed):
-            assert (advert.dst.dtype, advert.metric.dtype, advert.seq.dtype) == (
-                np.intp, np.float32, np.int32,
-            )
-            assert advert.metric1.dtype == np.float32
+            assert (advert.dst.dtype, advert.key1.dtype) == (np.intp, np.int64)
+            assert advert.max_dst == 7
+            assert advert.finite.tolist() == [True, True, False]
         assert dumped.dst.tolist() == listed.dst.tolist()
-        assert dumped.metric.tolist() == listed.metric.tolist()
-        assert dumped.seq.tolist() == listed.seq.tolist()
+        assert dumped.key1.tolist() == listed.key1.tolist()
+        assert dumped.metric.tolist() == [0.0, 2.0, math.inf]
+        assert dumped.seq.tolist() == [2, 10, 11]
 
     def test_columns_cost_13_bytes_a_row_in_a_300_node_run(self):
         scenario = build_scenario(ScenarioConfig(
@@ -144,8 +154,45 @@ class TestNarrowLayout:
         ))
         scenario.run()
         agents = [node.routing for node in scenario.network.nodes]
-        assert sum(len(a._seq) > a.addr + 1 for a in agents) > 100  # regrown
+        assert sum(len(a._key) > a.addr + 1 for a in agents) > 100  # regrown
         for agent in agents:
             nbytes = sum(getattr(agent, name).nbytes for name in self.COLUMNS)
-            assert nbytes == 13 * len(agent._seq)
+            assert nbytes == 13 * len(agent._key)
             assert self.column_dtypes(agent) == self.DTYPES
+
+
+class TestRowEncoding:
+    """``Dsdv.table`` accepts only rows the packed key can hold."""
+
+    @pytest.mark.parametrize("metric", [2.5, -1, math.nan, MAX_METRIC + 1])
+    def test_metric_that_is_not_a_hop_count_is_refused(self, metric):
+        sim, agent = make_agent()
+        with pytest.raises(ProtocolError, match="hop count"):
+            agent.table[5] = DsdvRoute(5, 1, metric, 10)
+        assert 5 not in agent.table
+
+    @pytest.mark.parametrize("seq", [-2, MAX_SEQ + 1, 3.5])
+    def test_sequence_outside_the_key_is_refused(self, seq):
+        sim, agent = make_agent()
+        with pytest.raises(ProtocolError, match="sequence"):
+            agent.table[5] = DsdvRoute(5, 1, 2, seq)
+        with pytest.raises(ProtocolError):
+            _Advert([(5, 2.0, seq)])
+
+    @pytest.mark.parametrize("metric", [0, 1, 7, MAX_METRIC, math.inf])
+    @pytest.mark.parametrize("seq", [0, 1, 2**30, MAX_SEQ])
+    def test_rows_round_trip(self, metric, seq):
+        sim, agent = make_agent()
+        agent.table[5] = DsdvRoute(5, 1, metric, seq, changed=True)
+        assert agent.table[5] == DsdvRoute(5, 1, float(metric), seq, changed=True)
+        assert agent.table[5].valid == (metric != math.inf)
+
+    def test_link_failure_makes_metric_infinite_and_seq_odd(self):
+        sim, agent = make_agent()
+        agent.table[5] = DsdvRoute(5, 1, 3, 2**30)
+        agent.table[6] = DsdvRoute(6, 2, 3, 12)
+        agent.table[7] = DsdvRoute(7, 1, math.inf, 13)  # already broken
+        agent.link_failed(None, next_hop=1)
+        assert agent.table[5] == DsdvRoute(5, 1, math.inf, 2**30 + 1, changed=True)
+        assert agent.table[6] == DsdvRoute(6, 2, 3.0, 12)
+        assert agent.table[7] == DsdvRoute(7, 1, math.inf, 13)
