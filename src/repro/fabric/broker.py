@@ -2,11 +2,12 @@
 
 The broker is the only stateful service in the fabric, and its state is
 deliberately reconstructible: finished results live in the
-content-addressed :class:`~repro.fabric.store.ResultStore` and every
-lifecycle event lands in the append-only journal, so a broker that is
-killed and restarted over the same cache directory answers previously
-computed sweeps entirely from the store — re-running a sweep resumes
-it across broker restarts for free.
+content-addressed :class:`~repro.fabric.store.ResultStore`, so a broker
+that is killed and restarted over the same cache directory answers
+previously computed sweeps entirely from the store — re-running a
+sweep resumes it across broker restarts for free. The append-only
+journal (``journal.jsonl``) is a diagnostic log of lifecycle events;
+nothing reads it back to decide what runs.
 
 Scheduling model
 ----------------
@@ -19,12 +20,14 @@ heartbeats arrive; the reaper task expires silent leases
 (``lease_ttl``) and requeues their jobs, so a SIGKILLed worker costs
 one lease reassignment, never a lost sweep point.
 
-Failure taxonomy (extends the executor's ``FailedRun`` kinds):
+Failure taxonomy (the executor's ``FailedRun`` kinds):
 
-* worker-reported: ``exception`` (the job raised), ``timeout`` (the
-  worker killed its job child at the job timeout), ``worker_lost``
-  (the job's child process died without reporting) — these consume the
-  job's retry budget (``max_retries``).
+* worker-reported, straight from the worker's job slot (the same
+  :class:`~repro.scenario.slot.JobSlot` the local pool runs):
+  ``exception`` (the job raised), ``timeout`` (the slot killed its job
+  child at the job timeout), ``worker_lost`` (the job's child process
+  died without reporting; the error names its exit code) — these
+  consume the job's retry budget (``max_retries``).
 * broker-observed: ``lease_expired`` (heartbeats stopped),
   ``connection_reset`` (the worker's socket died mid-lease) — these
   consume the separate *death budget*, so a config that keeps killing

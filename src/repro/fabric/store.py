@@ -5,9 +5,11 @@ One entry per simulation: the sha256 content hash of a canonical
 :func:`~repro.scenario.executor.config_cache_key`) names a
 :class:`~repro.stats.metrics.MetricsSummary` stored as the JSON of
 :meth:`~repro.stats.metrics.MetricsSummary.to_dict` under
-``<root>/sweep/<k[:2]>/<k>.json``. A broker, its workers, and every
-local :class:`~repro.scenario.executor.SweepExecutor` pointed at the
-same directory share results transparently.
+``<root>/sweep/<k[:2]>/<k>.json``; the file's first line is the sha256
+hex digest of that JSON (the payload), the rest is the payload. A
+broker, its workers, and every local
+:class:`~repro.scenario.executor.SweepExecutor` pointed at the same
+directory share results transparently.
 
 The store is designed for **many concurrent writers that can die at any
 instruction**:
@@ -16,10 +18,13 @@ instruction**:
   token + counter, so writers on hosts sharing a filesystem never
   collide) is fsync'd, then ``os.replace``\\ d over the final name.
   Readers observe the old entry or the new one, never a torn one.
-* Reads are validated and self-healing: an entry that is not JSON or
-  fails ``MetricsSummary.from_dict`` (torn write, disk damage, schema
-  skew) is a miss **and is unlinked**, so the next writer republishes a
-  good copy. Reading an entry never executes anything it contains.
+* Reads are validated and self-healing: an entry whose payload does not
+  match its hash line, is not JSON, or fails ``MetricsSummary.from_dict``
+  (torn write, a flipped digit on disk, schema skew, an entry from
+  before the hash line) is a miss **and is unlinked**, so the next
+  writer republishes a good copy. The hash is checked before the JSON
+  is parsed, so damage that still parses is caught too. Reading an
+  entry never executes anything it contains.
 * Crashed writers leave only ``*.tmp`` litter; :meth:`sweep_tmp_litter`
   reaps stale tmp files without ever touching live entries.
 """
@@ -27,6 +32,7 @@ instruction**:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import itertools
 import json
 import os
@@ -74,7 +80,7 @@ def _valid_key(key) -> bool:
 
 
 class ResultStore:
-    """JSON summaries under ``<root>/sweep/<k[:2]>/<k>.json``.
+    """Hashed JSON summaries under ``<root>/sweep/<k[:2]>/<k>.json``.
 
     Only a config key (64 lowercase hex digits, as
     :func:`~repro.scenario.executor.config_cache_key` makes) names an
@@ -93,7 +99,8 @@ class ResultStore:
     def get(self, key: str, heal: bool = True) -> Optional[MetricsSummary]:
         """The summary stored under *key*, or ``None`` on miss.
 
-        *Any* failure to load is a miss; with ``heal`` (the default) a
+        *Any* failure to load — a payload that does not match its hash
+        line first of all — is a miss; with ``heal`` (the default) a
         present-but-unreadable entry is also unlinked so it gets
         recomputed exactly once instead of shadowing the key forever.
         """
@@ -101,13 +108,17 @@ class ResultStore:
             return None
         path = self._path(key)
         try:
-            return MetricsSummary.from_dict(json.loads(path.read_bytes()))
+            digest, _, payload = path.read_bytes().partition(b"\n")
+            if hashlib.sha256(payload).hexdigest().encode() != digest:
+                raise ValueError("entry does not match its content hash")
+            return MetricsSummary.from_dict(json.loads(payload))
         except FileNotFoundError:
             return None
         except Exception:
-            # Torn JSON, schema mismatch, nesting deep enough to raise
-            # RecursionError, disk damage: a cache must never turn any
-            # of them into a crash, so every failure is a miss.
+            # A hash mismatch, torn JSON, schema mismatch, nesting deep
+            # enough to raise RecursionError, disk damage: a cache must
+            # never turn any of them into a crash, so every failure is
+            # a miss.
             if heal:
                 with contextlib.suppress(OSError):
                     path.unlink()
@@ -130,7 +141,8 @@ class ResultStore:
             text = json.dumps(summary.to_dict(), separators=(",", ":"))
         except (AttributeError, TypeError, ValueError):
             return False
-        return self._publish(self._path(key), text)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        return self._publish(self._path(key), f"{digest}\n{text}")
 
     def put_trace(self, key: str, text: str) -> bool:
         """Atomically publish a flight-trace JSONL document beside *key*
@@ -148,7 +160,7 @@ class ResultStore:
         )
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "w") as fh:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
                 fh.flush()
                 os.fsync(fh.fileno())

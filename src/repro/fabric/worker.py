@@ -1,138 +1,59 @@
-"""The fabric worker: leased execution with a sacrificial job child.
+"""The fabric worker: leased execution in a killable job slot.
 
 A worker is a plain synchronous process (the broker is the only
 asyncio piece of the fabric): it dials the broker, long-polls for
-leases, and runs each leased sweep point in a **forked child process**
-— the same crash-isolation discipline the local pool uses. The child
-can segfault, OOM, or hang without taking the worker down:
+leases, and runs each leased point in its one
+:class:`~repro.scenario.slot.JobSlot`, the same killable child the
+local pool uses. The slot's outcome is the lease's result
+(``exception``, ``timeout``, ``worker_lost``); a SIGKILLed *worker*
+stops heartbeating and the broker's reaper reassigns its lease
+(``lease_expired``). While the child runs, the worker only waits on the
+slot and heartbeats, so a live worker never loses a lease to heartbeat
+starvation however hot the simulation loop is.
 
-* job raises → typed ``exception`` failure report;
-* job exceeds the lease's ``job_timeout`` → child is SIGKILLed and a
-  ``timeout`` failure is reported (the existing per-job timeout
-  machinery, enforced fleet-side);
-* child dies without reporting → ``worker_lost`` failure report;
-* the *worker itself* is SIGKILLed → heartbeats stop and the broker's
-  reaper reassigns the lease (``lease_expired``), which is exactly the
-  chaos scenario the fabric tests pin.
-
-While the child runs, the worker's main loop does nothing but poll the
-result pipe and send heartbeats — it is always responsive, so a live
-worker never loses a lease to heartbeat starvation no matter how hot
-the simulation loop is.
-
-``chaos_sleep`` is a fault-injection affordance (the fabric analogue of
-:mod:`repro.faults`): it stretches every job by a fixed pre-sleep so
-chaos tests get a deterministic mid-lease window to SIGKILL into,
-without perturbing the simulation result.
+``chaos_sleep`` is a fault-injection affordance: the job function
+sleeps that long before every job, so chaos tests get a deterministic
+mid-lease window to SIGKILL into without perturbing the result.
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import os
 import socket
 import time
 from typing import Optional
 
+from ..scenario.slot import JobSlot, wait_any
 from .protocol import LineChannel, PROTOCOL_VERSION, parse_address
 
 __all__ = ["run_worker"]
 
 
-def _run_job(config_dict: dict) -> dict:
+def _run_job(config_dict: dict, chaos_sleep: float = 0.0) -> dict:
     """Run one sweep point; its summary as a JSON-ready dict."""
     from ..scenario.io import config_from_dict
     from ..scenario.run import run_scenario
 
+    time.sleep(chaos_sleep)
     return run_scenario(config_from_dict(config_dict)).to_dict()
 
 
-def _job_child(config_dict: dict, chaos_sleep: float, conn) -> None:
-    """Run one sweep point and report through the pipe; never raises."""
-    try:
-        if chaos_sleep > 0.0:
-            time.sleep(chaos_sleep)
-        conn.send(("ok", _run_job(config_dict)))
-    except BaseException as exc:  # noqa: BLE001 - typed report, then exit
-        with contextlib.suppress(OSError, ValueError):
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-    finally:
-        with contextlib.suppress(OSError):
-            conn.close()
-
-
-def _run_lease(chan: LineChannel, lease_msg: dict, chaos_sleep: float) -> dict:
-    """Execute one lease; returns the result frame to send."""
-    lease_id = lease_msg["lease"]
-    key = lease_msg.get("key")
-    config_dict = lease_msg.get("config") or {}
-    hb_interval = float(lease_msg.get("heartbeat_interval") or 0.5)
-    job_timeout = lease_msg.get("job_timeout")
-
-    def report(ok: bool, **extra) -> dict:
-        return {"type": "result", "lease": lease_id, "key": key,
-                "ok": ok, **extra}
-
-    if not hasattr(os, "fork"):  # pragma: no cover - non-POSIX fallback
-        # No child isolation available: run inline (no preemption),
-        # exactly like the executor's inline mode.
-        try:
-            return report(True, summary=_run_job(config_dict))
-        except Exception as exc:  # noqa: BLE001
-            return report(False, kind="exception",
-                          error=f"{type(exc).__name__}: {exc}")
-
-    import multiprocessing as mp
-
-    ctx = mp.get_context("fork")
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_job_child, args=(config_dict, chaos_sleep, child_conn)
-    )
-    proc.start()
-    child_conn.close()
-    deadline = (
-        time.monotonic() + float(job_timeout)
-        if job_timeout is not None and float(job_timeout) > 0
-        else None
-    )
-    payload = None
-    try:
-        while True:
-            ready = parent_conn.poll(hb_interval)
-            if not ready:
-                # Heartbeat between polls; a dead broker socket aborts
-                # the lease (the broker will reassign it anyway).
-                chan.send({"type": "heartbeat", "lease": lease_id})
-                if deadline is not None and time.monotonic() > deadline:
-                    proc.kill()
-                    proc.join(5.0)
-                    return report(
-                        False, kind="timeout",
-                        error=f"exceeded job timeout of {job_timeout}s",
-                    )
-                if proc.is_alive():
-                    continue
-                # Child exited; drain any message that raced the exit.
-                ready = parent_conn.poll(0.1)
-            if ready:
-                with contextlib.suppress(EOFError, OSError):
-                    payload = parent_conn.recv()
-            break
-    finally:
-        proc.join(5.0)
-        parent_conn.close()
-
-    if payload is None:
-        return report(
-            False, kind="worker_lost",
-            error=f"job process died without a result "
-                  f"(exit code {proc.exitcode})",
-        )
-    status, body = payload
-    if status == "ok":
-        return report(True, summary=body)
-    return report(False, kind="exception", error=str(body))
+def _run_lease(chan: LineChannel, slot: JobSlot, lease: dict) -> dict:
+    """Execute one lease in *slot*, heartbeating; returns the result frame."""
+    hb_interval = float(lease.get("heartbeat_interval") or 0.5)
+    timeout = float(lease.get("job_timeout") or 0.0)
+    slot.start(lease.get("config") or {}, timeout if timeout > 0 else None)
+    while (outcome := slot.outcome()) is None:
+        if not wait_any([slot], hb_interval):
+            # A dead broker socket aborts the lease here (the broker
+            # will reassign it anyway).
+            chan.send({"type": "heartbeat", "lease": lease["lease"]})
+    kind, body = outcome
+    frame = {"type": "result", "lease": lease["lease"], "key": lease.get("key"),
+             "ok": kind == "ok"}
+    frame.update({"summary": body} if kind == "ok" else {"kind": kind, "error": body})
+    return frame
 
 
 def run_worker(
@@ -153,6 +74,7 @@ def run_worker(
     sock = socket.create_connection((host, port), timeout=connect_timeout)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     chan = LineChannel(sock)
+    slot = JobSlot(functools.partial(_run_job, chaos_sleep=chaos_sleep))
     wid = worker_id or f"w{os.getpid()}"
     jobs = 0
     try:
@@ -174,7 +96,7 @@ def run_worker(
             if msg.get("type") != "lease":
                 continue
             jobs += 1
-            chan.send(_run_lease(chan, msg, chaos_sleep))
+            chan.send(_run_lease(chan, slot, msg))
         try:
             chan.send({"type": "bye"})
         except OSError:
@@ -182,5 +104,6 @@ def run_worker(
     except OSError:
         pass  # broker went away: an orderly end of a worker's life
     finally:
+        slot.close()
         chan.close()
     return jobs

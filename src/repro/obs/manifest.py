@@ -4,7 +4,7 @@ A *manifest* is the provenance record of one sweep execution: what was
 run (a content hash over every job key), on what toolchain (git SHA,
 python/numpy versions, platform), under which resolved
 :class:`~repro.scenario.options.EngineOptions`, and how it went
-(per-job wall times, retry/timeout/broken-pool counts, worker
+(per-job wall times, retry/timeout/pool-restart counts, worker
 utilization, executed/cached accounting). The
 executor writes it as ``manifest.json`` at the root of the result
 store, so a campaign directory is self-describing and two sweeps are

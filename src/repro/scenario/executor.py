@@ -1,27 +1,22 @@
-"""Resilient persistent sweep execution: pool + content-addressed store.
+"""Resilient persistent sweep execution: job slots + content-addressed store.
 
 Sweeps are embarrassingly parallel, but a production campaign has to
 survive more than parallelism: a worker segfaulting, a pathological
 config hanging forever, a kill -9 mid-sweep, a truncated cache file.
-The :class:`SweepExecutor` therefore layers four defences over a
-long-lived :class:`concurrent.futures.ProcessPoolExecutor`:
+The :class:`SweepExecutor` runs each point alone in a killable child,
+one of ``processes`` long-lived :class:`~repro.scenario.slot.JobSlot`
+children (a fleet worker drives the same slot), so a child that dies
+costs its own job alone, and layers three defences on it:
 
 * **Typed failure records** — a run that cannot be completed yields a
-  :class:`FailedRun` in its result slot instead of an escaping worker
+  :class:`FailedRun` in its place instead of an escaping worker
   exception, so one bad point never discards a multi-hour sweep.
 * **Per-job wall-clock timeout** — ``job_timeout`` (or
-  ``MANETSIM_JOB_TIMEOUT``) bounds every dispatched job; expired jobs
-  are abandoned (their worker is presumed hung) and retried or failed.
-* **Bounded retry with exponential backoff** — transient failures get
+  ``MANETSIM_JOB_TIMEOUT``) bounds every dispatched job; the slot kills
+  an expired job's child and forks a fresh one for the next job.
+* **Bounded retry with exponential backoff** — every failure gets
   ``max_retries`` (``MANETSIM_JOB_RETRIES``) further attempts, delayed
   by ``retry_backoff * 2**attempt`` seconds.
-* **Broken-pool isolation** — when a worker dies (``os._exit``,
-  segfault, OOM-kill) every in-flight future reports
-  ``BrokenProcessPool`` without naming the culprit. The executor
-  recreates the pool and re-runs the casualties **one at a time**, so
-  the config that kills its worker is identified exactly (and
-  quarantined after its retries), while innocent bystanders complete
-  untouched.
 
 The store is the checkpoint: every finished point is published under
 its config's content hash the moment it completes, so re-running an
@@ -45,9 +40,9 @@ The cache *is* the fabric's content-addressed
 :class:`~repro.fabric.store.ResultStore`: writes are atomic (uniquely
 named tmp file + fsync + ``os.replace``) so concurrent writers — local
 workers, fleet workers, other users sharing the directory — can never
-publish a torn entry or collide, and reads treat *any* deserialization
-failure as a miss (unlinking the damaged entry so it is recomputed
-once, not tripped over forever).
+publish a torn entry or collide, and reads treat a hash mismatch or
+*any* deserialization failure as a miss (unlinking the damaged entry so
+it is recomputed once, not tripped over forever).
 
 Beyond the local pool, ``run(..., fabric="host:port")`` ships cache
 misses to a :mod:`repro.fabric` broker fleet. Every fabric failure
@@ -73,15 +68,12 @@ from __future__ import annotations
 import atexit
 import hashlib
 import json
-import multiprocessing as mp
 import os
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..fabric.store import ResultStore
 from ..obs.manifest import ProgressLine, build_manifest, write_manifest
@@ -89,6 +81,7 @@ from ..stats.metrics import MetricsSummary
 from .config import ScenarioConfig
 from .options import EngineOptions, env_number
 from .run import run_scenario
+from .slot import JobSlot, wait_any
 
 __all__ = [
     "FailedRun",
@@ -118,9 +111,6 @@ _CACHE_SALT = "manetsim-sweep-v9"
 #: Default cache root, resolved against the working directory.
 _CACHE_DIR = ".manetsim-cache"
 
-#: Seconds between bookkeeping passes of the dispatch loop.
-_POLL_TICK = 0.05
-
 #: Cap on any single retry-backoff delay (s).
 _MAX_BACKOFF = 30.0
 
@@ -144,12 +134,12 @@ class FailedRun:
 
     index: int
     config: ScenarioConfig
-    #: Local kinds: ``"exception"`` (worker raised), ``"timeout"``
-    #: (wall clock exceeded), ``"broken-pool"`` (the job's worker
-    #: died). Fabric kinds: ``"worker_lost"`` (a fleet worker's job
-    #: child died), ``"lease_expired"`` (heartbeats stopped; the job
-    #: kept killing its workers past the death budget), and
-    #: ``"connection_reset"`` (worker sockets kept dying mid-lease).
+    #: From the job slot, local or fleet: ``"exception"`` (the job
+    #: raised), ``"timeout"`` (its child was killed at the deadline),
+    #: ``"worker_lost"`` (its child died; the error names the exit
+    #: code). Seen by the broker: ``"lease_expired"`` (heartbeats
+    #: stopped; the job kept killing its workers past the death
+    #: budget), ``"connection_reset"`` (worker sockets kept dying).
     kind: str
     error: str
     attempts: int
@@ -159,11 +149,6 @@ class FailedRun:
         return True
 
 
-def _worker(job: Tuple[int, ScenarioConfig]) -> Tuple[int, MetricsSummary]:
-    index, cfg = job
-    return index, run_scenario(cfg)
-
-
 @dataclass
 class _Job:
     """Dispatch-side state of one pending sweep point."""
@@ -171,13 +156,10 @@ class _Job:
     index: int
     config: ScenarioConfig
     key: Optional[str]
-    #: Failures attributed to this job (exception, timeout, or a pool
-    #: breakage while it ran *alone*).
+    #: Failures of this job (exception, timeout, or its child's death).
     attempts: int = 0
     #: Monotonic time before which the job must not be resubmitted.
     not_before: float = 0.0
-    #: Re-run this job with no pool siblings (post-breakage forensics).
-    isolate: bool = False
     last_error: str = ""
     last_kind: str = "exception"
     #: Monotonic time of the most recent dispatch (manifest wall times).
@@ -215,14 +197,14 @@ def _resolve_retries(max_retries: Optional[int]) -> int:
 
 
 class SweepExecutor:
-    """Runs batches of scenario configs on a persistent worker pool.
+    """Runs batches of scenario configs on persistent job slots.
 
     Parameters
     ----------
     processes:
         Worker count; ``None`` consults ``MANETSIM_PROCESSES`` then
         ``os.cpu_count()``. ``1`` executes inline in this process (no
-        pool), which is still logged — never a silent fallback.
+        slot), which is still logged — never a silent fallback.
     cache_dir:
         Root of the on-disk result store; ``None`` uses
         ``.manetsim-cache`` in the working directory.
@@ -257,17 +239,13 @@ class SweepExecutor:
         self.job_timeout = _resolve_timeout(job_timeout)
         self.max_retries = _resolve_retries(max_retries)
         self.retry_backoff = retry_backoff
-        self._pool: Optional[ProcessPoolExecutor] = None
-        #: Futures whose jobs timed out; their workers may still be
-        #: busy (or hung), so capacity is presumed reduced until the
-        #: pool is recycled.
-        self._abandoned = 0
+        self._slots: List[JobSlot] = []
         #: Store hits / misses and failed points of the most recent
         #: :meth:`run`; everything else about it is in the manifest.
         self.last_cache_hits = 0
         self.last_cache_misses = 0
         self.last_failures: List[FailedRun] = []
-        #: Times the worker pool had to be rebuilt (crash/hang recovery).
+        #: Slot children replaced after a death or a timeout.
         self.pool_restarts = 0
         #: The running sweep's per-job wall seconds (index -> s) and
         #: retry / timeout counts, on their way into the manifest.
@@ -291,37 +269,11 @@ class SweepExecutor:
     def manifest_path(self) -> Path:
         return self._cache_root / "manifest.json"
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is not None:
-            return self._pool
-        # fork is fine: workers only compute, and the parent holds no
-        # threads while forking. spawn would re-import the world.
-        ctx = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
-        self._pool = ProcessPoolExecutor(self.processes, mp_context=ctx)
-        self._abandoned = 0
-        return self._pool
-
     def close(self) -> None:
-        """Tear the pool down hard and forget it (idempotent; the next
-        dispatch rebuilds it)."""
-        pool = self._pool
-        self._pool = None
-        self._abandoned = 0
-        if pool is None:
-            return
-        procs = list(getattr(pool, "_processes", {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for p in procs:
-            if p.is_alive():
-                p.terminate()
-        for p in procs:
-            p.join(timeout=5.0)
-
-    def _recycle_pool(self) -> None:
-        """Crash/hang recovery: :meth:`close`, counted as a restart."""
-        if self._pool is not None:
-            self.pool_restarts += 1
-            self.close()
+        """Kill and reap every slot's child; the next dispatch forks anew."""
+        for slot in self._slots:
+            slot.close()
+        self._slots = []
 
     # ------------------------------------------------------------ execution
 
@@ -333,7 +285,7 @@ class SweepExecutor:
     ) -> List[Union[MetricsSummary, FailedRun]]:
         """Execute every config; results align with the input order.
 
-        Each slot holds the run's :class:`MetricsSummary`, or a
+        Each entry holds the run's :class:`MetricsSummary`, or a
         :class:`FailedRun` when the point exhausted its retries —
         worker exceptions never escape this method.
 
@@ -388,8 +340,8 @@ class SweepExecutor:
                     local = self._run_fabric(fabric, pending, results)
                 # Inline only when serial execution was *requested*. A
                 # one-job batch on a multi-process executor still goes
-                # through the pool: a crashing or hanging job must take
-                # a worker down, never this process.
+                # through a slot: a crashing or hanging job must take
+                # a child down, never this process.
                 if local and self.processes == 1:
                     self._run_inline(local, results)
                 elif local:
@@ -463,12 +415,12 @@ class SweepExecutor:
 
     def _run_inline(self, pending, results) -> None:
         """Serial execution (requested, not a fallback): same code path
-        as the workers, minus the IPC — and minus preemption, so jobs
+        as the slots, minus the IPC — and minus preemption, so jobs
         get a single attempt and no timeout."""
         for job in pending:
             job.last_start = time.monotonic()
             try:
-                _index, summary = _worker((job.index, job.config))
+                summary = run_scenario(job.config)
             except Exception as exc:  # noqa: BLE001 - typed record below
                 job.attempts += 1
                 job.last_kind = "exception"
@@ -608,150 +560,60 @@ class SweepExecutor:
 
     # --------------------------------------------------------- pool dispatch
 
-    def _backoff(self, attempts: int) -> float:
-        return min(self.retry_backoff * (2.0 ** max(attempts - 1, 0)), _MAX_BACKOFF)
-
     def _run_pool(self, pending, results) -> None:
+        """One job per slot until every job has a result or a FailedRun."""
         queue: List[_Job] = list(pending)
-        inflight: Dict[Future, _Job] = {}
-        deadlines: Dict[Future, float] = {}
-
-        def requeue(job: _Job, kind: str, error: str, *, penalize: bool) -> None:
-            job.last_kind = kind
-            job.last_error = error
-            if penalize:
-                job.attempts += 1
-                if job.attempts > self.max_retries:
-                    results[job.index] = self._record_failed(job)
-                    return
-                job.not_before = time.monotonic() + self._backoff(job.attempts)
-            self._retries += 1
-            queue.append(job)
-
-        while queue or inflight:
-            now = time.monotonic()
-            # Isolation first: while any breakage casualty is waiting,
-            # run jobs one at a time so the next crash names its config.
-            isolating = any(j.isolate for j in queue) or any(
-                j.isolate for j in inflight.values()
-            )
-            capacity = 1 if isolating else self.processes * 2
-            if len(inflight) < capacity and queue:
+        while len(self._slots) < min(self.processes, len(queue)):
+            self._slots.append(JobSlot(run_scenario))
+        busy: Dict[JobSlot, _Job] = {}
+        try:
+            while queue or busy:
+                now = time.monotonic()
                 # Innocent-first ordering: fewest attempts, then input
                 # order, keeps a repeat offender from starving others.
                 queue.sort(key=lambda j: (j.attempts, j.index))
-                remaining: List[_Job] = []
-                for job in queue:
-                    if len(inflight) >= capacity or job.not_before > now:
-                        remaining.append(job)
+                idle = [s for s in self._slots if s not in busy]
+                for slot, job in zip(idle, [j for j in queue if j.not_before <= now]):
+                    queue.remove(job)
+                    job.last_start = now
+                    slot.start(job.config, self.job_timeout)
+                    busy[slot] = job
+                # Wake for the first backed-off job; due ones wait for a slot.
+                wake = min((j.not_before for j in queue if j.not_before > now), default=None)
+                timeout = None if wake is None else max(wake - time.monotonic(), 0.0)
+                if not busy:
+                    time.sleep(timeout)
+                    continue
+                wait_any(busy, timeout)
+                for slot in list(busy):
+                    outcome = slot.outcome()
+                    if outcome is None:
                         continue
-                    pool = self._ensure_pool()
-                    try:
-                        fut = pool.submit(_worker, (job.index, job.config))
-                    except Exception:  # pool broken between batches
-                        self._recycle_pool()
-                        remaining.append(job)
+                    job, (kind, body) = busy.pop(slot), outcome
+                    if kind == "ok":
+                        results[job.index] = body
+                        self._record_ok(job, body)
                         continue
-                    job.last_start = time.monotonic()
-                    inflight[fut] = job
-                    if self.job_timeout is not None:
-                        deadlines[fut] = now + self.job_timeout
-                queue = remaining
-
-            if not inflight:
-                # Everything queued is backing off; sleep to the nearest
-                # release time.
-                wake = min(j.not_before for j in queue)
-                time.sleep(max(min(wake - time.monotonic(), _MAX_BACKOFF), 0.0))
-                continue
-
-            done, _ = wait(
-                list(inflight), timeout=_POLL_TICK, return_when=FIRST_COMPLETED
-            )
-            broken = False
-            for fut in done:
-                job = inflight.pop(fut)
-                was_isolated = job.isolate
-                job.isolate = False
-                deadlines.pop(fut, None)
-                try:
-                    exc = fut.exception()
-                except BaseException as hard:  # pragma: no cover - paranoia
-                    exc = hard
-                if exc is None:
-                    _index, summary = fut.result()
-                    results[job.index] = summary
-                    self._record_ok(job, summary)
-                elif isinstance(exc, BrokenProcessPool):
-                    broken = True
-                    # Alone in the pool -> this config killed its
-                    # worker; in company -> ambiguous, re-run isolated
-                    # at no cost to its retry budget.
-                    job.isolate = True
-                    requeue(
-                        job,
-                        "broken-pool",
-                        f"worker died while running this config: {exc}",
-                        penalize=was_isolated,
-                    )
-                else:
-                    requeue(
-                        job,
-                        "exception",
-                        f"{type(exc).__name__}: {exc}",
-                        penalize=True,
-                    )
-            if broken:
-                # Every other in-flight job died with the pool through
-                # no fault of its own: recycle the pool and re-run them
-                # in isolation without touching their retry budgets.
-                self._recycle_pool()
-                for fut, job in inflight.items():
-                    job.isolate = True
-                    requeue(
-                        job, "broken-pool",
-                        "worker pool died while this job was in flight",
-                        penalize=False,
-                    )
-                inflight.clear()
-                deadlines.clear()
-                continue
-
-            # Wall-clock deadlines: abandon expired jobs. cancel() stops
-            # queued-but-unstarted work; a running worker cannot be
-            # preempted, so it is presumed hung and written off — once
-            # every slot is written off, the pool is recycled.
-            if deadlines:
-                now = time.monotonic()
-                expired = [f for f, dl in deadlines.items() if dl <= now]
-                for fut in expired:
-                    job = inflight.pop(fut)
-                    deadlines.pop(fut, None)
-                    if not fut.cancel():
-                        self._abandoned += 1
-                    self._timeouts += 1
-                    requeue(
-                        job,
-                        "timeout",
-                        f"exceeded job timeout of {self.job_timeout}s",
-                        penalize=True,
-                    )
-                if self._abandoned >= self.processes:
-                    # All workers presumed hung: survivors (if any) are
-                    # casualties of the recycle, not failures.
-                    for fut, job in inflight.items():
-                        requeue(
-                            job, "broken-pool",
-                            "pool recycled while this job was in flight",
-                            penalize=False,
-                        )
-                    inflight.clear()
-                    deadlines.clear()
-                    self._recycle_pool()
+                    if kind != "exception":  # its slot forks a new child
+                        self.pool_restarts += 1
+                    self._timeouts += kind == "timeout"
+                    job.attempts += 1
+                    job.last_kind, job.last_error = kind, str(body)
+                    if job.attempts > self.max_retries:
+                        results[job.index] = self._record_failed(job)
+                        continue
+                    backoff = self.retry_backoff * 2.0 ** (job.attempts - 1)
+                    job.not_before = time.monotonic() + min(backoff, _MAX_BACKOFF)
+                    self._retries += 1
+                    queue.append(job)
+        finally:
+            # Interrupted: a busy child must not answer a later job.
+            for slot in busy:
+                slot.close()
 
 
-# One shared executor per process: pool forks are expensive, and every
-# sweep in a campaign can reuse the same workers.
+# One shared executor per process: forks are expensive, and every sweep
+# in a campaign can reuse the same slots.
 _DEFAULT: Optional[SweepExecutor] = None
 
 

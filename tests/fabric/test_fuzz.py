@@ -9,7 +9,9 @@ and the store answers a garbage entry with a miss.
 """
 
 import dataclasses
+import hashlib
 import json
+import re
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -134,16 +136,23 @@ store_keys = (
 )
 
 
+def _sealed(payload: bytes) -> bytes:
+    """*payload* as the store lays it down: its sha256 line, then it."""
+    return hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload
+
+
 @FUZZ
 @given(
     st.binary(max_size=64)
     | summary_inputs.map(lambda v: json.dumps(v).encode()),
+    st.booleans(),
     store_keys,
 )
-def test_store_answers_garbage_with_a_miss(tmp_path, blob, key):
+def test_store_answers_garbage_with_a_miss(tmp_path, payload, sealed, key):
     store = ResultStore(tmp_path)
     entry = store._path(KEY)
     entry.parent.mkdir(parents=True, exist_ok=True)
+    blob = _sealed(payload) if sealed else payload
     entry.write_bytes(blob)
     got = store.get(key)
     if key != KEY:
@@ -152,9 +161,31 @@ def test_store_answers_garbage_with_a_miss(tmp_path, blob, key):
         assert entry.read_bytes() == blob
         return
     try:
-        want = MetricsSummary.from_dict(json.loads(blob))
+        if not sealed:
+            raise ValueError("no hash line")
+        want = MetricsSummary.from_dict(json.loads(payload))
     except (ValueError, ConfigurationError):
         assert got is None
         assert not entry.exists()  # healed
     else:
         assert _canon(got.to_dict()) == _canon(want.to_dict())
+
+
+@FUZZ
+@given(st.data())
+def test_store_heals_an_entry_with_a_flipped_digit(tmp_path, data):
+    store = ResultStore(tmp_path)
+    assert store.put(KEY, MetricsSummary.from_dict(SUMMARY))
+    entry = store._path(KEY)
+    digest, payload = entry.read_bytes().split(b"\n", 1)
+    # Digits of the numbers: a JSON number follows ':', ',' or '['.
+    digits = [
+        i for m in re.finditer(rb"[:,\[](-?[0-9.eE+-]+)", payload)
+        for i in range(m.start(1), m.end(1)) if payload[i:i + 1].isdigit()
+    ]
+    i = data.draw(st.sampled_from(digits))
+    new = data.draw(st.sampled_from(
+        [d for d in b"0123456789" if d != payload[i]]))
+    entry.write_bytes(digest + b"\n" + payload[:i] + bytes([new]) + payload[i + 1:])
+    assert store.get(KEY) is None
+    assert not entry.exists()  # healed

@@ -1,5 +1,6 @@
 """ResultStore: atomic publish, validated self-healing reads, concurrent writers."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import time
 import pytest
 
 from repro.fabric.store import ResultStore
+from repro.scenario import ScenarioConfig, SweepExecutor
 
 KEY = "ab" + "0" * 62  # shaped like a sha256 config key
 
@@ -18,6 +20,18 @@ pytestmark = pytest.mark.skipif(
 
 def _entry(root):
     return root / "sweep" / KEY[:2] / (KEY + ".json")
+
+
+def _sealed(payload: bytes) -> bytes:
+    """*payload* as the store lays it down: its sha256 line, then it."""
+    return hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload
+
+
+def _payload(entry) -> bytes:
+    """The JSON of a stored entry, after checking its hash line."""
+    digest, payload = entry.read_bytes().split(b"\n", 1)
+    assert digest == hashlib.sha256(payload).hexdigest().encode()
+    return payload
 
 
 class TestBasics:
@@ -35,7 +49,7 @@ class TestBasics:
     def test_sharded_layout_matches_legacy_cache(self, tmp_path, make_summary):
         store = ResultStore(tmp_path)
         store.put(KEY, make_summary())
-        data = json.loads(_entry(tmp_path).read_text())  # plain JSON
+        data = json.loads(_payload(_entry(tmp_path)))  # plain JSON
         assert data["protocol"] == "aodv"
         assert data["flows"]["1"]["delays"] == [0.01]
 
@@ -109,7 +123,7 @@ class TestSelfHealing:
         store = ResultStore(tmp_path)
         entry = _entry(tmp_path)
         entry.parent.mkdir(parents=True)
-        entry.write_text(text)
+        entry.write_bytes(_sealed(text.encode()))
         assert store.get(KEY) is None
         assert not entry.exists()
 
@@ -117,10 +131,49 @@ class TestSelfHealing:
         store = ResultStore(tmp_path)
         store.put(KEY, make_summary())
         entry = _entry(tmp_path)
-        data = json.loads(entry.read_text())
+        data = json.loads(_payload(entry))
         data["data_sent"] = "10"
-        entry.write_text(json.dumps(data))
+        entry.write_bytes(_sealed(json.dumps(data).encode()))
         assert store.get(KEY) is None
+
+    def test_entry_without_a_hash_line_heals(self, tmp_path, make_summary):
+        # An entry written before entries carried their hash.
+        store = ResultStore(tmp_path)
+        store.put(KEY, make_summary())
+        entry = _entry(tmp_path)
+        entry.write_bytes(_payload(entry))
+        assert store.get(KEY) is None
+        assert not entry.exists()
+
+    def test_flipped_digit_is_a_miss_healed_and_recomputed_once(
+        self, tmp_path, monkeypatch, make_summary
+    ):
+        # Damage that still parses as a valid summary: only the hash
+        # line can tell it from the real thing.
+        import repro.scenario.executor as exmod
+
+        runs = []
+
+        def stub(cfg):
+            runs.append(cfg.seed)
+            return make_summary(cfg.seed)
+
+        monkeypatch.setattr(exmod, "run_scenario", stub)
+        ex = SweepExecutor(processes=1, cache_dir=str(tmp_path), use_cache=True)
+        configs = [ScenarioConfig(seed=3)]
+        assert ex.run(configs) == [make_summary(3)]
+        (entry,) = (tmp_path / "sweep").rglob("*.json")
+        digest, payload = entry.read_bytes().split(b"\n", 1)
+        flipped = payload.replace(b'"data_received":3,', b'"data_received":4,')
+        assert flipped != payload
+        entry.write_bytes(digest + b"\n" + flipped)
+        key = entry.stem
+        assert ResultStore(tmp_path).get(key) is None
+        assert not entry.exists()  # healed
+        assert ex.run(configs) == [make_summary(3)]  # recomputed ...
+        assert ex.run(configs) == [make_summary(3)]
+        assert ex.last_cache_hits == 1
+        assert runs == [3, 3]  # ... exactly once
 
     def test_heal_false_leaves_the_entry(self, tmp_path, make_summary):
         store = ResultStore(tmp_path)

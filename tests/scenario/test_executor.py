@@ -92,7 +92,7 @@ class TestDispatch:
         configs = [ScenarioConfig(seed=s, **SMALL) for s in range(1, 10)]
         out = ex.run(configs)
         assert out == list(range(1, 10))  # input order preserved
-        assert ex._pool is None  # processes=1 ran inline, no pool forked
+        assert ex._slots == []  # processes=1 ran inline, no slot forked
         # ... and the manifest says so: never a silent fallback.
         manifest = ex.last_manifest
         assert manifest["workers"] == 1
@@ -104,9 +104,11 @@ class TestDispatch:
         try:
             configs = [ScenarioConfig(seed=s, **SMALL) for s in (1, 2)]
             ex.run(configs)
-            pool = ex._pool
-            assert pool is not None
+            slots = list(ex._slots)
+            pids = [slot._proc.pid for slot in slots]
+            assert len(slots) == 2 and None not in pids
             ex.run(configs)
-            assert ex._pool is pool  # same workers, no refork
+            assert ex._slots == slots  # same slots ...
+            assert [slot._proc.pid for slot in slots] == pids  # ... no refork
         finally:
             ex.close()

@@ -2,13 +2,17 @@
 
 These tests stub ``repro.scenario.executor.run_scenario`` with cheap
 functions so they exercise pure dispatch mechanics. The stub reaches
-forked workers because the pool is created *after* the monkeypatch (fork
-inherits parent memory), so every test uses a fresh ``SweepExecutor``.
+forked slot children because the slots are created *after* the
+monkeypatch (fork inherits parent memory), so every test uses a fresh
+``SweepExecutor``.
 """
 
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -66,11 +70,32 @@ class TestWorkerCrash:
         assert [out[i] for i in (0, 1, 3, 4)] == [1, 2, 3, 4]
         failed = out[2]
         assert isinstance(failed, FailedRun)
-        assert failed.kind == "broken-pool"
+        assert failed.kind == "worker_lost"
+        assert "exit code 13" in failed.error
         assert failed.config.seed == KILLER
         assert ex.last_failures == [failed]
-        # The pool was recycled (rebuilt on demand at the next submit).
-        assert ex.pool_restarts >= 1
+        # Exactly one slot child was lost, and its slot forks anew.
+        assert ex.pool_restarts == 1
+
+    def test_worker_death_reruns_nobody_else(
+        self, monkeypatch, executor_factory, tmp_path
+    ):
+        def stub(cfg):
+            if cfg.seed == KILLER:
+                os._exit(13)
+            with open(tmp_path / f"ran-{cfg.seed}", "a") as fh:
+                fh.write("x")
+            return cfg.seed
+
+        monkeypatch.setattr(exmod, "run_scenario", stub)
+        ex = executor_factory(processes=2, max_retries=0)
+        out = ex.run(cfgs(1, 2, KILLER, 3, 4))
+        assert [out[i] for i in (0, 1, 3, 4)] == [1, 2, 3, 4]
+        assert ex.last_manifest["retries"] == 0
+        # Every bystander ran exactly once: the death was charged to
+        # the killer alone, so nothing was re-queued to find it.
+        for seed in (1, 2, 3, 4):
+            assert (tmp_path / f"ran-{seed}").read_text() == "x"
 
     def test_pool_keeps_working_after_crash(self, monkeypatch, executor_factory):
         def stub(cfg):
@@ -166,6 +191,25 @@ class TestTimeout:
         assert isinstance(out[1], FailedRun)
         assert out[1].kind == "timeout"
 
+    def test_timed_out_job_process_is_gone(
+        self, monkeypatch, executor_factory, tmp_path
+    ):
+        pidfile = tmp_path / "hung.pid"
+
+        def stub(cfg):
+            if cfg.seed == 9:
+                pidfile.write_text(str(os.getpid()))
+                time.sleep(60)
+            return cfg.seed
+
+        monkeypatch.setattr(exmod, "run_scenario", stub)
+        ex = executor_factory(processes=2, job_timeout=0.5, max_retries=0)
+        out = ex.run(cfgs(1, 9, 2))
+        assert out[1].kind == "timeout"
+        # The hung child was killed and reaped, not left burning a core.
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pidfile.read_text()), 0)
+
     def test_env_knobs_resolve(self, monkeypatch):
         monkeypatch.setenv("MANETSIM_JOB_TIMEOUT", "12.5")
         monkeypatch.setenv("MANETSIM_JOB_RETRIES", "7")
@@ -180,6 +224,46 @@ class TestTimeout:
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
             SweepExecutor(processes=1, use_cache=False, max_retries=-1)
+
+
+class TestOrphanedSlot:
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists(), reason="reads /proc"
+    )
+    def test_slot_child_exits_when_its_parent_is_killed(self):
+        # A SIGKILLed parent runs no cleanup: its idle slot child must
+        # notice the hang-up on its pipe and exit by itself.
+        script = (
+            "import time\n"
+            "from repro.scenario.slot import JobSlot, wait_any\n"
+            "slot = JobSlot(abs)\n"
+            "slot.start(-1)\n"
+            "wait_any([slot])\n"
+            "assert slot.outcome() == ('ok', 1)\n"
+            "print(slot._proc.pid, flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE
+        )
+        try:
+            child = int(parent.stdout.readline())
+        finally:
+            parent.kill()
+            parent.wait(timeout=10.0)
+            parent.stdout.close()
+        stat = Path(f"/proc/{child}/stat")
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            try:
+                state = stat.read_text().rsplit(")", 1)[1].split()[0]
+            except (OSError, IndexError):
+                return  # gone (and reaped)
+            if state == "Z":
+                return  # exited; waiting for its new parent to reap it
+            time.sleep(0.05)
+        pytest.fail(f"orphaned slot child {child} is still running")
 
 
 class TestRerun:
