@@ -24,7 +24,7 @@ except ImportError:  # not on Windows
 
 from .analysis.tables import render_kv_table, render_series_table
 from .faults.plan import FaultPlanConfig
-from .scenario import PROTOCOLS, ScenarioConfig, run_scenario, run_sweep
+from .scenario import MOBILITY_MODELS, PROTOCOLS, ScenarioConfig, run_scenario, run_sweep
 from .scenario.build import build_scenario
 from .scenario.io import load_config, save_config, sweep_to_csv
 
@@ -45,7 +45,7 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pause", type=float, default=0.0, help="waypoint pause s")
     p.add_argument(
         "--mobility", default="waypoint",
-        choices=["waypoint", "walk", "direction", "gauss_markov", "manhattan", "rpgm", "static"],
+        choices=MOBILITY_MODELS,
     )
     p.add_argument("--mac", default="dcf", choices=["dcf", "ideal"])
     p.add_argument("--no-rtscts", action="store_true", help="disable RTS/CTS")

@@ -1,7 +1,6 @@
 """Mobility models: analytic piecewise-linear node trajectories."""
 
 from .base import Field, Leg, LegBasedModel, MobilityModel
-from .gauss_markov import GaussMarkov
 from .manager import MobilityManager
 from .manhattan import ManhattanGrid
 from .rpgm import GroupCenter, GroupMember, make_groups
@@ -11,7 +10,6 @@ from .static import (
     line_placement,
     uniform_placement,
 )
-from .walk import RandomDirection, RandomWalk, reflect
 from .waypoint import RandomWaypoint
 
 __all__ = [
@@ -19,7 +17,6 @@ __all__ = [
     "Leg",
     "LegBasedModel",
     "MobilityModel",
-    "GaussMarkov",
     "MobilityManager",
     "ManhattanGrid",
     "GroupCenter",
@@ -29,8 +26,5 @@ __all__ = [
     "grid_placement",
     "line_placement",
     "uniform_placement",
-    "RandomDirection",
-    "RandomWalk",
-    "reflect",
     "RandomWaypoint",
 ]

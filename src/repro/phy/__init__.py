@@ -3,8 +3,6 @@
 from .channel import Channel, ChannelStats
 from .propagation import (
     WAVELAN_914MHZ,
-    FreeSpace,
-    LogDistance,
     PropagationModel,
     RadioParams,
     TwoRayGround,
@@ -17,8 +15,6 @@ __all__ = [
     "Channel",
     "ChannelStats",
     "WAVELAN_914MHZ",
-    "FreeSpace",
-    "LogDistance",
     "PropagationModel",
     "RadioParams",
     "TwoRayGround",

@@ -21,9 +21,7 @@ from ..core.units import SPEED_OF_LIGHT
 
 __all__ = [
     "PropagationModel",
-    "FreeSpace",
     "TwoRayGround",
-    "LogDistance",
     "UnitDisk",
     "WAVELAN_914MHZ",
     "RadioParams",
@@ -37,39 +35,24 @@ class PropagationModel:
         """Received power (W) at *distance* meters for *tx_power* watts."""
         raise NotImplementedError
 
-    def rx_power_vec(self, tx_power: float, distances) -> np.ndarray:
-        """Vectorized :meth:`rx_power` over a NumPy array of distances.
-
-        The base implementation loops; hot models override it with
-        closed-form NumPy expressions (the channel calls this once per
-        transmission).
-        """
-        d = np.asarray(distances, dtype=np.float64)
-        out = np.empty_like(d)
-        for i, di in enumerate(d.ravel()):
-            out.flat[i] = self.rx_power(tx_power, float(di))
-        return out
-
     def rx_power_d2_vec(self, tx_power: float, d2) -> np.ndarray:
         """Vectorized received power from *squared* distances.
 
-        The channel's fan-out works from ``dx² + dy²`` directly; models
-        whose closed form only needs even powers of distance (Friis,
-        two-ray ground, unit disk) override this to skip the square
-        root entirely. The base implementation takes the root and
-        defers to :meth:`rx_power_vec`.
+        The channel's fan-out works from ``dx² + dy²`` directly; every
+        model here needs only even powers of distance, so none takes a
+        square root.
         """
-        return self.rx_power_vec(tx_power, np.sqrt(np.asarray(d2, dtype=np.float64)))
+        raise NotImplementedError
 
     def rx_power_d2(self, tx_power: float, d2: float) -> float:
         """Scalar counterpart of :meth:`rx_power_d2_vec`.
 
         The channel uses this below its vectorization threshold, where
-        a Python loop beats NumPy dispatch. Overrides must evaluate the
-        exact same float64 expression as the vector form so results do
-        not depend on which path ran.
+        a Python loop beats NumPy dispatch. Implementations must
+        evaluate the exact same float64 expression as the vector form
+        so results do not depend on which path ran.
         """
-        return self.rx_power(tx_power, math.sqrt(d2))
+        raise NotImplementedError
 
     def range_for_threshold(self, tx_power: float, threshold: float) -> float:
         """Largest distance at which rx power still meets *threshold*.
@@ -93,63 +76,12 @@ class PropagationModel:
         return lo
 
 
-class FreeSpace(PropagationModel):
-    """Friis free-space model: ``Pr = Pt·Gt·Gr·λ² / ((4π·d)²·L)``."""
-
-    def __init__(
-        self,
-        frequency: float = 914e6,
-        gain_tx: float = 1.0,
-        gain_rx: float = 1.0,
-        system_loss: float = 1.0,
-    ):
-        if frequency <= 0:
-            raise ConfigurationError(f"frequency must be > 0, got {frequency}")
-        if system_loss < 1.0:
-            raise ConfigurationError(f"system loss must be >= 1, got {system_loss}")
-        self.wavelength = SPEED_OF_LIGHT / frequency
-        self.gain_tx = gain_tx
-        self.gain_rx = gain_rx
-        self.system_loss = system_loss
-        # Pr = tx * coeff / d²; hoisted so the vector path is one
-        # multiply and one divide per element.
-        self._d2_coeff = (
-            gain_tx * gain_rx * self.wavelength * self.wavelength
-            / (16.0 * math.pi * math.pi * system_loss)
-        )
-
-    def rx_power(self, tx_power: float, distance: float) -> float:
-        if distance <= 0:
-            return tx_power
-        lam = self.wavelength
-        return (
-            tx_power
-            * self.gain_tx
-            * self.gain_rx
-            * lam
-            * lam
-            / ((4.0 * math.pi * distance) ** 2 * self.system_loss)
-        )
-
-    def rx_power_d2_vec(self, tx_power: float, d2):
-        d2 = np.asarray(d2, dtype=np.float64)
-        safe = np.where(d2 > 0.0, d2, 1.0)
-        out = (tx_power * self._d2_coeff) / safe
-        out[d2 <= 0.0] = tx_power
-        return out
-
-    def rx_power_d2(self, tx_power: float, d2: float) -> float:
-        if d2 <= 0.0:
-            return tx_power
-        return (tx_power * self._d2_coeff) / d2
-
-
 class TwoRayGround(PropagationModel):
     """Two-ray ground-reflection model with free-space crossover.
 
     Below the crossover distance ``dc = 4π·ht·hr/λ`` the direct path
-    dominates and Friis applies; above it,
-    ``Pr = Pt·Gt·Gr·ht²·hr² / (d⁴·L)``.
+    dominates and Friis applies, ``Pr = Pt·Gt·Gr·λ² / ((4π·d)²·L)``;
+    above it, ``Pr = Pt·Gt·Gr·ht²·hr² / (d⁴·L)``.
     """
 
     def __init__(
@@ -161,18 +93,26 @@ class TwoRayGround(PropagationModel):
         gain_rx: float = 1.0,
         system_loss: float = 1.0,
     ):
+        if frequency <= 0:
+            raise ConfigurationError(f"frequency must be > 0, got {frequency}")
+        if system_loss < 1.0:
+            raise ConfigurationError(f"system loss must be >= 1, got {system_loss}")
         if height_tx <= 0 or height_rx <= 0:
             raise ConfigurationError("antenna heights must be > 0")
-        self._friis = FreeSpace(frequency, gain_tx, gain_rx, system_loss)
+        self.wavelength = SPEED_OF_LIGHT / frequency
         self.height_tx = height_tx
         self.height_rx = height_rx
         self.gain_tx = gain_tx
         self.gain_rx = gain_rx
         self.system_loss = system_loss
-        self.crossover = (
-            4.0 * math.pi * height_tx * height_rx / self._friis.wavelength
+        self.crossover = 4.0 * math.pi * height_tx * height_rx / self.wavelength
+        # Pr = tx * coeff / d² below the crossover and tx * coeff / d⁴
+        # beyond it; hoisted so the vector path is one multiply and one
+        # divide per element.
+        self._d2_coeff = (
+            gain_tx * gain_rx * self.wavelength * self.wavelength
+            / (16.0 * math.pi * math.pi * system_loss)
         )
-        # Pr = tx * coeff / d⁴ beyond the crossover.
         self._d4_coeff = gain_tx * gain_rx * (height_tx * height_rx) ** 2 / system_loss
         self._cross2 = self.crossover * self.crossover
 
@@ -180,7 +120,15 @@ class TwoRayGround(PropagationModel):
         if distance <= 0:
             return tx_power
         if distance < self.crossover:
-            return self._friis.rx_power(tx_power, distance)
+            lam = self.wavelength
+            return (
+                tx_power
+                * self.gain_tx
+                * self.gain_rx
+                * lam
+                * lam
+                / ((4.0 * math.pi * distance) ** 2 * self.system_loss)
+            )
         h2 = (self.height_tx * self.height_rx) ** 2
         return (
             tx_power * self.gain_tx * self.gain_rx * h2
@@ -188,6 +136,7 @@ class TwoRayGround(PropagationModel):
         )
 
     def rx_power_vec(self, tx_power: float, distances):
+        """:meth:`rx_power` over a NumPy array of distances."""
         d = np.asarray(distances, dtype=np.float64)
         return self.rx_power_d2_vec(tx_power, d * d)
 
@@ -199,11 +148,11 @@ class TwoRayGround(PropagationModel):
             # so the same two quotients go through one ``where``.
             return np.where(
                 d2 < self._cross2,
-                (tx_power * self._friis._d2_coeff) / d2,
+                (tx_power * self._d2_coeff) / d2,
                 (tx_power * self._d4_coeff) / (d2 * d2),
             )
         safe = np.where(d2 > 0.0, d2, 1.0)
-        friis = (tx_power * self._friis._d2_coeff) / safe
+        friis = (tx_power * self._d2_coeff) / safe
         tworay = (tx_power * self._d4_coeff) / (safe * safe)
         out = np.where(d2 < self._cross2, friis, tworay)
         out[d2 <= 0.0] = tx_power
@@ -213,36 +162,8 @@ class TwoRayGround(PropagationModel):
         if d2 <= 0.0:
             return tx_power
         if d2 < self._cross2:
-            return (tx_power * self._friis._d2_coeff) / d2
+            return (tx_power * self._d2_coeff) / d2
         return (tx_power * self._d4_coeff) / (d2 * d2)
-
-
-class LogDistance(PropagationModel):
-    """Log-distance path loss: Friis to ``d0``, then ``(d0/d)^n`` beyond.
-
-    ``exponent`` values of 2 (free space) to 4 (heavy multipath) are
-    typical; used in the propagation-sensitivity ablation.
-    """
-
-    def __init__(
-        self,
-        exponent: float = 3.0,
-        reference_distance: float = 1.0,
-        frequency: float = 914e6,
-    ):
-        if exponent < 1.0:
-            raise ConfigurationError(f"path-loss exponent must be >= 1, got {exponent}")
-        if reference_distance <= 0:
-            raise ConfigurationError("reference distance must be > 0")
-        self.exponent = exponent
-        self.d0 = reference_distance
-        self._friis = FreeSpace(frequency)
-
-    def rx_power(self, tx_power: float, distance: float) -> float:
-        if distance <= self.d0:
-            return self._friis.rx_power(tx_power, distance)
-        p0 = self._friis.rx_power(tx_power, self.d0)
-        return p0 * (self.d0 / distance) ** self.exponent
 
 
 class UnitDisk(PropagationModel):

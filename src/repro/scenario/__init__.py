@@ -2,7 +2,7 @@
 
 from ..faults.plan import FaultPlanConfig
 from .build import Scenario, build_scenario
-from .config import PROTOCOLS, ScenarioConfig
+from .config import MOBILITY_MODELS, PROTOCOLS, ScenarioConfig
 from .executor import FailedRun, SweepExecutor, config_cache_key, default_executor
 from .run import run_replications, run_scenario
 from .sweep import SweepResult, run_sweep, sweep_configs
@@ -11,6 +11,7 @@ __all__ = [
     "Scenario",
     "build_scenario",
     "PROTOCOLS",
+    "MOBILITY_MODELS",
     "ScenarioConfig",
     "FaultPlanConfig",
     "FailedRun",

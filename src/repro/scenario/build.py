@@ -12,22 +12,13 @@ from ..mac.dcf import DcfMac
 from ..mac.ideal import IdealMac
 from ..mobility import (
     Field,
-    GaussMarkov,
     ManhattanGrid,
-    RandomDirection,
-    RandomWalk,
     RandomWaypoint,
     StaticPosition,
     make_groups,
 )
 from ..net.stack import Network, build_network
-from ..phy.propagation import (
-    WAVELAN_914MHZ,
-    FreeSpace,
-    LogDistance,
-    TwoRayGround,
-    UnitDisk,
-)
+from ..phy.propagation import WAVELAN_914MHZ, TwoRayGround
 from ..routing import (
     Aodv,
     Cbrp,
@@ -40,7 +31,7 @@ from ..routing import (
     default_preempt_threshold,
 )
 from ..stats.metrics import MetricsCollector
-from ..traffic import CbrSource, OnOffSource, generate_connections
+from ..traffic import CbrSource, generate_connections
 from .config import ScenarioConfig
 from .options import EngineOptions
 
@@ -88,16 +79,6 @@ class Scenario:
             flight.scan_residuals(self.network.nodes)
             summary.flight = flight.summary_dict()
         return summary
-
-
-def _make_propagation(cfg: ScenarioConfig):
-    if cfg.propagation == "tworay":
-        return TwoRayGround()
-    if cfg.propagation == "freespace":
-        return FreeSpace()
-    if cfg.propagation == "logdistance":
-        return LogDistance()
-    return UnitDisk(cfg.radio_range)
 
 
 def _cluster_point(cfg: ScenarioConfig, field: Field, i: int, x: float, y: float):
@@ -148,18 +129,6 @@ def _make_mobility(cfg: ScenarioConfig, streams: "RngStreams"):
                 min_speed=cfg.min_speed,
                 pause_time=cfg.pause_time,
             )
-        elif cfg.mobility == "walk":
-            m = RandomWalk(field, rng, max_speed=cfg.max_speed, min_speed=cfg.min_speed)
-        elif cfg.mobility == "direction":
-            m = RandomDirection(
-                field,
-                rng,
-                max_speed=cfg.max_speed,
-                min_speed=cfg.min_speed,
-                pause_time=cfg.pause_time,
-            )
-        elif cfg.mobility == "gauss_markov":
-            m = GaussMarkov(field, rng, mean_speed=max(cfg.max_speed / 2.0, 0.5))
         elif cfg.mobility == "manhattan":
             m = ManhattanGrid(field, rng, max_speed=cfg.max_speed, min_speed=cfg.min_speed)
         else:  # static
@@ -272,7 +241,7 @@ def build_scenario(
         sim.flight = FlightRecorder(
             sim, trace=cfg.flight_trace, sample=options.trace_sample
         )
-    propagation = _make_propagation(cfg)
+    propagation = TwoRayGround()
     params = WAVELAN_914MHZ
     models = _make_mobility(cfg, sim.rng)
     network = build_network(
@@ -326,21 +295,8 @@ def build_scenario(
     sources = []
     for conn in connections:
         collector.flow(conn.flow_id, conn.src, conn.dst)
-        if cfg.traffic_model == "onoff":
-            src = OnOffSource(
-                sim,
-                network.nodes[conn.src],
-                conn.dst,
-                rate=cfg.rate,
-                size=cfg.packet_size,
-                flow_id=conn.flow_id,
-                rng=sim.rng.stream(f"traffic.{conn.flow_id}"),
-                start=conn.start,
-                stop=cfg.duration,
-                on_send=collector.on_send,
-            )
-        else:
-            src = CbrSource(
+        sources.append(
+            CbrSource(
                 sim,
                 network.nodes[conn.src],
                 conn.dst,
@@ -352,5 +308,5 @@ def build_scenario(
                 rng=sim.rng.stream(f"traffic.{conn.flow_id}"),
                 on_send=collector.on_send,
             )
-        sources.append(src)
+        )
     return Scenario(cfg, sim, network, sources, collector, faults, telemetry)

@@ -14,13 +14,13 @@ from typing import Optional, Tuple
 from ..core.errors import ConfigurationError
 from ..faults.plan import FaultPlanConfig
 
-__all__ = ["ScenarioConfig", "PROTOCOLS"]
+__all__ = ["ScenarioConfig", "PROTOCOLS", "MOBILITY_MODELS"]
 
 #: Protocols the harness can instantiate by name.
 PROTOCOLS = ("dsdv", "dsr", "aodv", "paodv", "cbrp", "olsr", "flooding", "oracle")
 
-MOBILITY_MODELS = ("waypoint", "walk", "direction", "gauss_markov", "manhattan", "rpgm", "static")
-PROPAGATION_MODELS = ("tworay", "freespace", "unitdisk", "logdistance")
+#: Mobility models the harness can instantiate by name.
+MOBILITY_MODELS = ("waypoint", "manhattan", "rpgm", "static")
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class ScenarioConfig:
     rate: float = 4.0  # packets per second per source
     packet_size: int = 64
     traffic_start_window: Tuple[float, float] = (0.0, 180.0)
-    traffic_model: str = "cbr"  # or "onoff"
 
     # --- time ----------------------------------------------------------------
     duration: float = 900.0
@@ -68,8 +67,7 @@ class ScenarioConfig:
     measure_from: float = 0.0
 
     # --- PHY / MAC ------------------------------------------------------------
-    propagation: str = "tworay"
-    radio_range: float = 250.0  # used by unitdisk + oracle reference
+    radio_range: float = 250.0  # oracle routing's reference range
     mac: str = "dcf"  # or "ideal"
     use_rtscts: bool = True
     ifq_capacity: int = 50
@@ -130,11 +128,6 @@ class ScenarioConfig:
         if self.mobility not in MOBILITY_MODELS:
             raise ConfigurationError(
                 f"unknown mobility {self.mobility!r}; choose from {MOBILITY_MODELS}"
-            )
-        if self.propagation not in PROPAGATION_MODELS:
-            raise ConfigurationError(
-                f"unknown propagation {self.propagation!r}; "
-                f"choose from {PROPAGATION_MODELS}"
             )
         if self.mac not in ("dcf", "ideal"):
             raise ConfigurationError(f"unknown mac {self.mac!r}")

@@ -1,17 +1,11 @@
-"""Traffic generation: CBR sources, on/off sources, connection patterns."""
+"""Traffic generation: CBR sources and connection patterns."""
 
 from .cbr import CbrSource, FlowPayload
-from .onoff import OnOffSource
 from .patterns import Connection, generate_connections
-from .reliable import ReliableSegment, ReliableSink, ReliableSource
 
 __all__ = [
     "CbrSource",
     "FlowPayload",
-    "OnOffSource",
     "Connection",
     "generate_connections",
-    "ReliableSegment",
-    "ReliableSink",
-    "ReliableSource",
 ]

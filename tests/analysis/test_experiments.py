@@ -6,20 +6,36 @@ from repro.analysis import base_config, current_scale
 from repro.analysis.experiments import DEFAULT, FULL, QUICK, save_result
 
 
+#: Values that leave a scale switch off: unset, "0" and empty.
+OFF = (None, "0", "")
+
+
+def _set(monkeypatch, name, value):
+    if value is None:
+        monkeypatch.delenv(name, raising=False)
+    else:
+        monkeypatch.setenv(name, value)
+
+
 class TestScaleSelection:
     def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv("MANETSIM_FULL", raising=False)
-        monkeypatch.delenv("MANETSIM_QUICK", raising=False)
-        assert current_scale() is DEFAULT
+        for full in OFF:
+            for quick in OFF:
+                _set(monkeypatch, "MANETSIM_FULL", full)
+                _set(monkeypatch, "MANETSIM_QUICK", quick)
+                assert current_scale() is DEFAULT, (full, quick)
 
     def test_full_env(self, monkeypatch):
         monkeypatch.setenv("MANETSIM_FULL", "1")
-        assert current_scale() is FULL
+        for quick in OFF:
+            _set(monkeypatch, "MANETSIM_QUICK", quick)
+            assert current_scale() is FULL, quick
 
     def test_quick_env(self, monkeypatch):
-        monkeypatch.delenv("MANETSIM_FULL", raising=False)
         monkeypatch.setenv("MANETSIM_QUICK", "1")
-        assert current_scale() is QUICK
+        for full in OFF:
+            _set(monkeypatch, "MANETSIM_FULL", full)
+            assert current_scale() is QUICK, full
 
     def test_full_beats_quick(self, monkeypatch):
         monkeypatch.setenv("MANETSIM_FULL", "1")

@@ -1,13 +1,11 @@
-"""Gauss-Markov, Manhattan, static placements, and the manager."""
+"""Manhattan, static placements, and the manager."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core import ConfigurationError, RngStreams
 from repro.mobility import (
     Field,
-    GaussMarkov,
     ManhattanGrid,
     MobilityManager,
     StaticPosition,
@@ -17,47 +15,6 @@ from repro.mobility import (
 )
 
 FIELD = Field(600.0, 600.0)
-
-
-class TestGaussMarkov:
-    def make(self, seed=0, alpha=0.75):
-        rng = RngStreams(seed).stream("gm")
-        return GaussMarkov(FIELD, rng, mean_speed=10.0, alpha=alpha)
-
-    def test_stays_in_field(self):
-        m = self.make(seed=2)
-        for t in np.linspace(0.0, 3000.0, 500):
-            x, y = m.position(float(t))
-            assert FIELD.contains(x, y)
-
-    def test_alpha_one_keeps_speed_process_constant(self):
-        m = self.make(seed=4, alpha=1.0)
-        m.position(200.0)
-        # With alpha=1 there is no innovation: the internal speed process
-        # never changes (boundary clamping may still shorten individual
-        # legs' effective displacement).
-        assert m._speed == pytest.approx(10.0)
-        unclamped = [
-            leg.speed
-            for leg in m._legs[1:]
-            if 0 < leg.x1 < FIELD.width and 0 < leg.y1 < FIELD.height
-        ]
-        assert any(s == pytest.approx(10.0) for s in unclamped)
-
-    def test_invalid_params(self):
-        rng = RngStreams(0).stream("g")
-        with pytest.raises(ConfigurationError):
-            GaussMarkov(FIELD, rng, mean_speed=10.0, alpha=1.5)
-        with pytest.raises(ConfigurationError):
-            GaussMarkov(FIELD, rng, mean_speed=0.0)
-        with pytest.raises(ConfigurationError):
-            GaussMarkov(FIELD, rng, mean_speed=5.0, update_interval=0.0)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 300), t=st.floats(0.0, 1000.0))
-    def test_property_in_field(self, seed, t):
-        x, y = self.make(seed=seed).position(t)
-        assert FIELD.contains(x, y)
 
 
 class TestManhattan:

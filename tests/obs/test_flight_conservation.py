@@ -256,7 +256,7 @@ def test_island_conservation_10k():
     one protocol otherwise)."""
     import os
 
-    protocols = PROTOCOLS if os.environ.get("MANETSIM_FULL") else ["aodv"]
+    protocols = PROTOCOLS if os.environ.get("MANETSIM_FULL") == "1" else ["aodv"]
     for protocol in protocols:
         cfg = _island_cfg(
             protocol, n_nodes=10_000, seed=11,

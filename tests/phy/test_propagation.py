@@ -9,40 +9,10 @@ from hypothesis import given, strategies as st
 from repro.core import ConfigurationError
 from repro.phy import (
     WAVELAN_914MHZ,
-    FreeSpace,
-    LogDistance,
     RadioParams,
     TwoRayGround,
     UnitDisk,
 )
-
-
-class TestFreeSpace:
-    def test_inverse_square_law(self):
-        m = FreeSpace()
-        p1 = m.rx_power(1.0, 100.0)
-        p2 = m.rx_power(1.0, 200.0)
-        assert p1 / p2 == pytest.approx(4.0)
-
-    def test_zero_distance_full_power(self):
-        assert FreeSpace().rx_power(0.5, 0.0) == 0.5
-
-    def test_linear_in_tx_power(self):
-        m = FreeSpace()
-        assert m.rx_power(2.0, 50.0) == pytest.approx(2 * m.rx_power(1.0, 50.0))
-
-    def test_invalid_params(self):
-        with pytest.raises(ConfigurationError):
-            FreeSpace(frequency=0.0)
-        with pytest.raises(ConfigurationError):
-            FreeSpace(system_loss=0.5)
-
-    def test_vec_matches_scalar(self):
-        m = FreeSpace()
-        d = np.array([0.0, 10.0, 100.0, 1000.0])
-        vec = m.rx_power_vec(1.0, d)
-        for i, di in enumerate(d):
-            assert vec[i] == pytest.approx(m.rx_power(1.0, float(di)))
 
 
 class TestTwoRayGround:
@@ -53,9 +23,11 @@ class TestTwoRayGround:
 
     def test_matches_friis_below_crossover(self):
         m = TwoRayGround()
-        f = FreeSpace()
+        lam = 2.99792458e8 / 914e6
         d = m.crossover * 0.5
-        assert m.rx_power(1.0, d) == pytest.approx(f.rx_power(1.0, d))
+        friis = lam**2 / (4 * math.pi * d) ** 2
+        assert m.rx_power(1.0, d) == pytest.approx(friis)
+        assert m.rx_power_d2(1.0, d * d) == pytest.approx(friis)
 
     def test_fourth_power_law_above_crossover(self):
         m = TwoRayGround()
@@ -87,22 +59,11 @@ class TestTwoRayGround:
         with pytest.raises(ConfigurationError):
             TwoRayGround(height_tx=0.0)
 
-
-class TestLogDistance:
-    def test_friis_within_reference(self):
-        m = LogDistance(exponent=3.5, reference_distance=10.0)
-        f = FreeSpace()
-        assert m.rx_power(1.0, 5.0) == pytest.approx(f.rx_power(1.0, 5.0))
-
-    def test_exponent_beyond_reference(self):
-        m = LogDistance(exponent=3.0, reference_distance=1.0)
-        assert m.rx_power(1.0, 10.0) / m.rx_power(1.0, 100.0) == pytest.approx(1000.0)
-
-    def test_invalid(self):
+    def test_invalid_friis_params(self):
         with pytest.raises(ConfigurationError):
-            LogDistance(exponent=0.5)
+            TwoRayGround(frequency=0.0)
         with pytest.raises(ConfigurationError):
-            LogDistance(reference_distance=0.0)
+            TwoRayGround(system_loss=0.5)
 
 
 class TestUnitDisk:

@@ -24,11 +24,8 @@ from hypothesis import strategies as st
 from repro.core.rng import RngStreams
 from repro.mobility import (
     Field,
-    GaussMarkov,
     ManhattanGrid,
     MobilityManager,
-    RandomDirection,
-    RandomWalk,
     RandomWaypoint,
     StaticPosition,
     make_groups,
@@ -45,9 +42,6 @@ SMALL = dict(
 
 MODEL_KINDS = [
     "waypoint",
-    "walk",
-    "direction",
-    "gauss_markov",
     "manhattan",
     "rpgm",
     "static",
@@ -429,12 +423,6 @@ def _build_models(kind: str, seed: int):
         rng = streams.stream(f"m{i}")
         if kind == "waypoint":
             m = RandomWaypoint(field, rng, max_speed=15.0, pause_time=2.0)
-        elif kind == "walk":
-            m = RandomWalk(field, rng, max_speed=15.0)
-        elif kind == "direction":
-            m = RandomDirection(field, rng, max_speed=15.0, pause_time=1.0)
-        elif kind == "gauss_markov":
-            m = GaussMarkov(field, rng, mean_speed=8.0)
         elif kind == "manhattan":
             m = ManhattanGrid(field, rng, max_speed=15.0)
         else:

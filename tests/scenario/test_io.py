@@ -50,6 +50,10 @@ class TestConfigRoundtrip:
         ({"faults": [0.1]}, "faults"),
         ({"faults": {"blackouts": [[1.0]]}}, "blackouts"),
         ({"faults": {"churn_rate": "0.1"}}, "churn_rate"),
+        # Deleted options and model values.
+        ({"propagation": "tworay"}, "propagation"),
+        ({"traffic_model": "cbr"}, "traffic_model"),
+        ({"mobility": "walk"}, "walk"),
     ])
     def test_wrong_value_type_names_the_key(self, data, key):
         with pytest.raises(ConfigurationError, match=key):

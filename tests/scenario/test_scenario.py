@@ -36,8 +36,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ScenarioConfig(mobility="teleport")
         with pytest.raises(ConfigurationError):
-            ScenarioConfig(propagation="magic")
-        with pytest.raises(ConfigurationError):
             ScenarioConfig(mac="tdma")
         with pytest.raises(ConfigurationError):
             ScenarioConfig(n_nodes=1)
@@ -66,25 +64,14 @@ class TestBuild:
         assert s.protocol == protocol
         assert s.data_sent > 0
 
-    @pytest.mark.parametrize("mobility", ["waypoint", "walk", "direction", "gauss_markov", "manhattan", "static"])
+    @pytest.mark.parametrize("mobility", ["waypoint", "manhattan", "static"])
     def test_every_mobility_builds(self, mobility):
         cfg = ScenarioConfig(mobility=mobility, seed=3, **SMALL)
         s = run_scenario(cfg)
         assert s.data_sent > 0
 
-    @pytest.mark.parametrize("propagation", ["tworay", "freespace", "unitdisk", "logdistance"])
-    def test_every_propagation_builds(self, propagation):
-        cfg = ScenarioConfig(propagation=propagation, seed=4, **SMALL)
-        s = run_scenario(cfg)
-        assert s.data_sent > 0
-
     def test_ideal_mac_builds(self):
         cfg = ScenarioConfig(mac="ideal", protocol="olsr", seed=5, **SMALL)
-        s = run_scenario(cfg)
-        assert s.data_sent > 0
-
-    def test_onoff_traffic_builds(self):
-        cfg = ScenarioConfig(traffic_model="onoff", seed=6, **SMALL)
         s = run_scenario(cfg)
         assert s.data_sent > 0
 

@@ -1,4 +1,4 @@
-"""CBR/on-off sources and connection-pattern generation."""
+"""CBR sources and connection-pattern generation."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.mobility import line_placement
 from repro.net import build_network
 from repro.phy import RadioParams, UnitDisk
 from repro.routing.oracle import OracleRouting
-from repro.traffic import CbrSource, OnOffSource, generate_connections
+from repro.traffic import CbrSource, generate_connections
 
 
 def make_pair():
@@ -98,28 +98,6 @@ class TestCbrSource:
         src.begin()
         with pytest.raises(ConfigurationError):
             src.begin()
-
-
-class TestOnOffSource:
-    def test_produces_packets_at_bounded_rate(self):
-        sim, net = make_pair()
-        sent = []
-        rng = RngStreams(5).stream("onoff")
-        src = OnOffSource(sim, net.nodes[0], 1, rate=10.0, size=64, flow_id=0,
-                          rng=rng, on_mean=1.0, off_mean=1.0, stop=20.0,
-                          on_send=sent.append)
-        src.begin()
-        sim.run(until=25.0)
-        assert 0 < len(sent) < 10.0 * 20.0  # strictly less than full rate
-
-    def test_validation(self):
-        sim, net = make_pair()
-        rng = RngStreams(5).stream("x")
-        with pytest.raises(ConfigurationError):
-            OnOffSource(sim, net.nodes[0], 1, rate=-1.0, size=64, flow_id=0, rng=rng)
-        with pytest.raises(ConfigurationError):
-            OnOffSource(sim, net.nodes[0], 1, rate=1.0, size=64, flow_id=0,
-                        rng=rng, on_mean=0.0)
 
 
 class TestPatterns:
