@@ -88,10 +88,6 @@ HIT_RATIO_BASELINE = {
     # the ratio reads > 0.99, would pass against this baseline too.
     "fanout_cache": 0.5272,
     "batch_positions": 1.0,
-    # Fraction of PHY arrivals resolved by the batched engine (the
-    # remainder fell back to the per-pair path). 1.0 on the probe
-    # scenario: DCF is batch-safe, so every fan-out batches.
-    "phy_batch": 1.0,
     # Fraction of medium edges the contention arena classified as
     # provable no-ops (never dispatched into a MAC). Decay means MACs
     # stopped qualifying for the inline verdicts and fell back to the
@@ -127,9 +123,6 @@ def _measure_hit_ratios():
         ),
         "batch_positions": ratio(
             perf["batch_position_evals"], perf["scalar_position_evals"]
-        ),
-        "phy_batch": ratio(
-            perf["phy_batch_arrivals"], perf["phy_legacy_arrivals"]
         ),
         "mac_edge_suppression": (
             scenario.sim.perf.mac_edge_suppression_ratio()

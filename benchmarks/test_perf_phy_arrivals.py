@@ -1,9 +1,9 @@
-"""Arrival-pipeline microbenchmark: the batched PHY engine in isolation.
+"""Arrival-pipeline microbenchmark: the PHY engine in isolation.
 
 ``test_perf_large_scenario`` pays the whole stack; this bench strips
-the MAC and routing layers down to a no-op batch-safe stub so the
-timed region is almost entirely the channel's fan-out resolution and
-end-of-frame batch resolve — the batched arrival engine.
+the MAC and routing layers down to a no-op stub so the timed region is
+almost entirely the channel's fan-out resolution and end-of-frame
+resolve on the arrival ledger.
 
 Topology: 150 static nodes on a dense grid, every node within carrier
 sense of dozens of others, sources striding across the field so both
@@ -11,7 +11,7 @@ the quiet-channel fast path and the interference ledger's general path
 are exercised.
 
 The two ``test_perf_fanout_miss_*`` rows time what happens *before* that
-pipeline when the memo misses: one ``Channel._build_targets_batched``
+pipeline when the memo misses: one ``Channel._build_targets``
 call on a moving field, 25 sources per 5 ms position epoch (the miss
 density of a 1000-node AODV flood), so the snapshot and the grid update
 are paid once per 25 calls as they are in a run.
@@ -34,9 +34,8 @@ FRAME_TIME = 0.5e-3  # 500 byte-ish frame at 2 Mb/s
 
 
 class _SinkMac(MacLayer):
-    """Batch-safe MAC that swallows everything (PHY cost only)."""
+    """MAC that swallows everything (PHY cost only)."""
 
-    batch_safe = True
     batch_overhear = True
 
     def on_frame_received(self, frame, rx_power):
@@ -60,7 +59,6 @@ def _build():
         channel.attach(radio)
         _SinkMac(sim, radio)
         radios.append(radio)
-    assert channel.enable_batched()
     return sim, channel, radios
 
 
@@ -99,7 +97,7 @@ def _miss_bench(benchmark, n_nodes: int, field: Field) -> None:
 
     def miss():
         k = next(calls)
-        return channel._build_targets_batched(
+        return channel._build_targets(
             (k * 37) % n_nodes, 1.0 + (k // 25) * 0.005
         )
 

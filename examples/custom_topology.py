@@ -64,7 +64,7 @@ print(f"\nPhase 2: kill node {active_first_hop} (the active path) mid-session")
 # Simulate a dead node by making its radio deaf and mute.
 dead = net.nodes[active_first_hop]
 dead.mac.send = lambda *a, **k: None
-dead.radio.begin_arrival = lambda *a, **k: None
+dead.radio.power_off()
 
 send_burst(5)
 sim.run(until=20.0)

@@ -19,12 +19,8 @@ a cache whose hit ratio dropped more than ``--ratio-drop`` (default
 20%) below its recorded baseline fails the gate even if wall time is
 still inside the noise floor — ratios decay before timings do, and
 they are deterministic (fixed-seed probe scenario), so no noise
-allowance is needed.  Alongside the position/fan-out cache ratios this
-includes ``phy_batch``, the fraction of PHY arrivals the batched
-engine resolved (vs per-pair fallbacks): a drop means stacks silently
-stopped qualifying for batching (e.g. a MAC lost ``batch_safe``),
-which costs wall time long before the timing gate notices.  The DCF
-contention arena contributes two more: ``mac_edge_suppression`` (the
+allowance is needed.  Alongside the position/fan-out cache ratios, the
+DCF contention arena contributes two: ``mac_edge_suppression`` (the
 fraction of medium edges proven no-ops and never dispatched into a
 MAC) and ``mac_timer_coalescing`` (the fraction of DCF timers the
 shared wheel folded into an existing same-deadline heap sentinel).

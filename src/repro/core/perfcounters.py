@@ -68,12 +68,11 @@ register_counter("grid_incremental_updates",
                  "spatial grid refreshed by re-binning only moved nodes")
 register_counter("heap_compactions", "lazy-cancel heap dead-entry purges")
 register_counter("events_pooled", "event objects recycled through the freelist")
-register_counter("arrivals_pooled",
-                 "radio arrival records recycled through the per-radio freelist")
 register_counter("phy_batch_arrivals",
-                 "receiver arrivals resolved by the batched PHY engine")
+                 "receiver arrivals resolved on the channel's arrival ledger")
 register_counter("phy_legacy_arrivals",
-                 "receiver arrivals resolved by the per-pair engine")
+                 "always 0 (the per-pair PHY is gone); kept because the "
+                 "benchmark harness reads it by name")
 register_counter("mac_timer_events",
                  "DCF timers routed through the contention arena's wheel")
 register_counter("mac_wheel_sentinels",
@@ -108,12 +107,6 @@ class PerfCounters:
         """Fraction of transmissions whose geometry came from the memo."""
         total = self.fanout_cache_hits + self.fanout_cache_misses
         return self.fanout_cache_hits / total if total else 0.0
-
-    def phy_batch_ratio(self) -> float:
-        """Fraction of receiver arrivals resolved by the batched engine."""
-        batch = getattr(self, "phy_batch_arrivals", 0)
-        total = batch + getattr(self, "phy_legacy_arrivals", 0)
-        return batch / total if total else 0.0
 
     def mac_timer_coalescing_ratio(self) -> float:
         """Fraction of wheel timers that piggybacked on an existing

@@ -1,5 +1,5 @@
 """MAC layer: 802.11 DCF, ideal MAC, frames, interface queue, and the
-shared contention arena the batched engine drives."""
+shared contention arena the channel drives."""
 
 from .arena import ContentionArena
 from .base import MacLayer, MacStats, UpperLayer

@@ -1,8 +1,8 @@
 """Cross-node DCF contention arena: shared timer wheel + busy-edge loop.
 
 One :class:`ContentionArena` is shared by every :class:`~repro.mac.dcf.DcfMac`
-on a channel running the batched arrival engine. It attacks the two
-per-node costs that dominate saturated collision domains:
+on a channel. It attacks the two per-node costs that dominate saturated
+collision domains:
 
 * **Timer churn** — every contention round schedules (and mostly
   cancels) DIFS/backoff/NAV/SIFS timers across the whole cell. The
@@ -11,7 +11,7 @@ per-node costs that dominate saturated collision domains:
   are slot-quantized by construction (all third parties of one
   reservation compute the same ``frame_end + nav`` double), so whole
   cells wake on a single event.
-* **Edge dispatch** — the batched channel used to call
+* **Edge dispatch** — the channel used to call
   ``medium_changed()`` on every waiting MAC at every carrier edge.
   :meth:`ContentionArena.busy_edges` resolves a whole idle→busy fan-out
   in one inlined loop over the MACs' own scalar fields and touches only

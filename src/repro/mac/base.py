@@ -75,16 +75,9 @@ class MacStats:
 class MacLayer:
     """Abstract MAC. Subclasses implement the channel-access discipline."""
 
-    #: Whether this MAC is safe under the channel's batched arrival
-    #: engine: it must never call ``radio.transmit`` synchronously from
-    #: ``on_frame_received``/``medium_changed`` (a mid-batch fan-out
-    #: would interleave with the batch being resolved). Conservative
-    #: default; opt in per subclass.
-    batch_safe = False
-
-    #: Whether the batched engine may deliver frames addressed to other
-    #: nodes via ``overhear_nav(until)`` (virtual carrier sense only)
-    #: instead of :meth:`on_frame_received`. Requires that an overheard
+    #: Whether the channel may deliver frames addressed to other nodes
+    #: via ``overhear_nav(until)`` (virtual carrier sense only) instead
+    #: of :meth:`on_frame_received`. Requires that an overheard
     #: non-broadcast frame has no effect beyond the NAV update.
     batch_overhear = False
 

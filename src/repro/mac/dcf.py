@@ -47,9 +47,8 @@ class DcfMac(MacLayer):
     """802.11 DCF channel access for one node.
 
     DCF never transmits synchronously from a delivery or carrier-edge
-    callback (responses go through a SIFS timer), so the channel's
-    batched arrival engine can resolve a whole fan-out without this MAC
-    re-entering it mid-batch.
+    callback (responses go through a SIFS timer), so the channel can
+    resolve a whole fan-out without this MAC re-entering it mid-pass.
 
     Parameters
     ----------
@@ -68,10 +67,6 @@ class DcfMac(MacLayer):
         Deliver overheard data frames to ``upper.snoop`` (DSR uses this
         for route-cache learning).
     """
-
-    #: Safe under the batched arrival engine: every transmission is
-    #: timer-driven, never synchronous from a radio callback.
-    batch_safe = True
 
     #: Eligible for the shared contention arena (inlined busy-edge
     #: resolution + coalesced timer wheel; see ``repro.mac.arena``).
@@ -97,7 +92,7 @@ class DcfMac(MacLayer):
 
         self._state = _IDLE
         #: Mirror of ``_WAIT_MEDIUM <= _state <= _BACKOFF``, pushed to
-        #: the radio so the batched engine only generates
+        #: the radio so the channel only generates
         #: ``medium_changed`` edges this MAC can react to.
         self._waiting = False
         self._current: Optional[Tuple[Packet, int]] = None
@@ -168,7 +163,7 @@ class DcfMac(MacLayer):
     def _set_state(self, state: int) -> None:
         """Transition the service state, mirroring the waiting flag.
 
-        The radio hint lets the batched arrival engine skip
+        The radio hint lets the channel skip
         ``medium_changed`` notifications while we are in a state that
         ignores them (see :meth:`medium_changed`'s range check — the
         gate and this mirror encode the same condition).
@@ -186,10 +181,7 @@ class DcfMac(MacLayer):
         radio = self.radio
         if radio._tx_end is not None:
             return True
-        led = radio._led
-        if led is not None:
-            return led.counts[radio.node_id] > 0
-        return bool(radio._arrivals)
+        return radio._led.counts[radio.node_id] > 0
 
     def _medium_busy(self) -> bool:
         return self.sim._now < self._nav or self._phys_busy()
@@ -256,7 +248,7 @@ class DcfMac(MacLayer):
         """DCF's reaction to a carrier edge, physical busy-ness given.
 
         *phys_busy* is :meth:`_phys_busy` (:meth:`medium_changed` reads
-        it per call; the batched channel gathers it once per resolve
+        it per call; the channel gathers it once per resolve
         pass, during which it is frozen); the NAV term is re-read from
         the live scalar because a delivery earlier in the same pass may
         have raised it.

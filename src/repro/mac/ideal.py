@@ -25,12 +25,6 @@ __all__ = ["IdealMac"]
 class IdealMac(MacLayer):
     """FIFO transmit queue straight onto the radio."""
 
-    #: NOT batch-safe: ``on_frame_received`` can synchronously start the
-    #: next queued transmission (via ``send`` → ``_try_next``), which
-    #: would re-enter the channel inside a batch resolve. The ideal MAC
-    #: therefore always runs on the per-pair reference PHY path.
-    batch_safe = False
-
     #: Gap between back-to-back frames (s). Keeps consecutive arrivals
     #: strictly ordered at receivers (a zero gap makes the end of frame
     #: k and the start of frame k+1 float-arithmetic ties).
@@ -48,7 +42,15 @@ class IdealMac(MacLayer):
             if self._flight is not None:
                 self._flight.drop(packet, DropReason.IFQ_FULL, self.address)
             return
-        self._try_next()
+        if not self._busy:
+            # Start from a zero-delay event, never synchronously: send
+            # can run inside the channel's end-of-frame pass (a relay
+            # forwarding from its delivery callback). A transmission
+            # started there would collide with the ending frame at the
+            # receivers the pass has not reached yet, and would reach
+            # that frame's sender while it still counts as transmitting.
+            self._busy = True
+            self.sim.schedule(0.0, self._release)
 
     # -------------------------------------------------------------- engine
 

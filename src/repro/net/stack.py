@@ -58,24 +58,14 @@ def build_network(
     propagation: Optional[PropagationModel] = None,
     radio_params: Optional[RadioParams] = None,
     position_quantum: float = 0.0,
-    batched_phy: bool = False,
 ) -> Network:
     """Assemble the full stack for ``len(mobility_models)`` nodes.
 
     ``position_quantum`` is the channel's geometry sample period (see
-    :class:`~repro.phy.channel.Channel`).
-
-    ``batched_phy`` requests the batched arrival engine
-    (:meth:`~repro.phy.channel.Channel.enable_batched`); it is honored
-    only when every MAC is ``batch_safe`` and PHY tracing is off, and
-    defaults to off so direct callers (unit tests that monkeypatch
-    ``Radio.begin_arrival``) keep the per-pair reference path. The
-    shared DCF contention arena
-    (:meth:`~repro.phy.channel.Channel.enable_arena`: coalescing timer
-    wheel + inlined medium-edge resolution) follows it: attached
-    whenever the batched engine is active and every MAC is
-    ``arena_safe``. The scenario builder asks for both whenever the
-    config allows them.
+    :class:`~repro.phy.channel.Channel`). Receptions resolve on the
+    channel's arrival ledger. DCF keeps per-node timers: the shared
+    contention arena (:meth:`~repro.phy.channel.Channel.enable_arena`)
+    is attached by ``build_scenario``, not here.
     """
     propagation = propagation if propagation is not None else TwoRayGround()
     params = radio_params if radio_params is not None else WAVELAN_914MHZ
@@ -98,6 +88,4 @@ def build_network(
         node = Node(sim, i, radio, mac, routing)
         routing.node = node
         nodes.append(node)
-    if batched_phy and channel.enable_batched():
-        channel.enable_arena()
     return Network(sim, nodes, channel, mobility)

@@ -2,10 +2,11 @@
 
 One :class:`Channel` connects every radio in the scenario. A
 transmission is fanned out to every other radio whose received power
-clears the carrier-sense threshold; each such radio gets a synchronous
-``begin_arrival`` call (propagation delay inside the 550 m carrier-sense
-range is < 2 us — far below every MAC constant — so it is not modelled)
-and applies its own reception rules (see :mod:`repro.phy.radio`).
+clears the carrier-sense threshold, and its arrivals begin at once
+(propagation delay inside the 550 m carrier-sense range is < 2 us — far
+below every MAC constant — so it is not modelled). The channel resolves
+the reception rules of :mod:`repro.phy.radio` for the whole fan-out in
+one pass over the radios' shared :class:`~repro.phy.radio.ArrivalLedger`.
 
 Receiver discovery is O(N) with one vectorized power computation per
 transmission; above ``grid_threshold`` nodes a uniform spatial grid
@@ -56,7 +57,7 @@ class _BatchTargets:
 
 
 class _TxBatch:
-    """One in-flight transmission as tracked by the batched engine.
+    """One in-flight transmission as tracked on the ledger.
 
     ``added``/``added_pw`` are the receivers whose arrival actually
     began (powered-off radios excluded) and their powers — the rows the
@@ -166,8 +167,7 @@ class Channel:
         #: The fan-out memo, so the RTS/CTS/DATA/ACK burst of one
         #: exchange computes geometry once. src id -> ``(sample time,
         #: targets, valid until)``: *targets* is the ``_BatchTargets``
-        #: both engines walk, built from the position snapshot at
-        #: *sample time*; *valid
+        #: built from the position snapshot at *sample time*; *valid
         #: until* is the mobility manager's ``static_until`` read right
         #: after that snapshot. The entry is a hit at its own epoch and
         #: at any later one before *valid until* (-inf while anything
@@ -179,16 +179,23 @@ class Channel:
         #: past the floor drops the entries that can never hit again.
         self._memo_tq = -math.inf
         self._memo_floor = math.inf
-        #: Batched arrival engine (see :meth:`enable_batched`). Off by
-        #: default: direct ``build_network`` users (unit tests that
-        #: monkeypatch ``begin_arrival`` etc.) keep the per-pair path.
-        self._batched = False
-        self._ledger: Optional[ArrivalLedger] = None
+        #: Interference state of every radio; attach joins each one.
+        self._ledger = ArrivalLedger(len(mobility))
+        #: Node ids still without a radio: while any remain, each fan-out
+        #: miss checks that its receivers have one.
+        self._unattached = len(mobility)
         #: Shared DCF contention arena (see :meth:`enable_arena`).
         self._arena = None
-        #: Every MAC supports ``overhear_nav`` (virtual carrier sense
-        #: applied by the batch instead of a full delivery walk).
-        self._overhear_ok = False
+        #: Whether every MAC supports ``overhear_nav`` (virtual carrier
+        #: sense applied directly instead of a full delivery walk).
+        #: Decided at the first frame end, once every MAC is attached.
+        self._overhear_ok: Optional[bool] = None
+        # Flight recorder with PHY verdicts requested, frozen at
+        # construction like each radio's.
+        flight = sim.flight
+        self._flight_phy = (
+            flight if flight is not None and flight.trace_phy else None
+        )
         self.perf = sim.perf
         #: Optional span profiler (None = no instrumentation). Only the
         #: fan-out *miss* path checks it — the memoized hit path, which
@@ -212,65 +219,31 @@ class Channel:
         if self.radios[nid] is not None:
             raise ConfigurationError(f"node id {nid} already has a radio")
         radio.channel = self
+        radio._led = self._ledger
         self.radios[nid] = radio
+        self._unattached -= 1
 
     @property
     def max_range(self) -> float:
         """Carrier-sense range (m): the fan-out radius."""
         return self._max_range
 
-    # ------------------------------------------------------- batched engine
-
-    def enable_batched(self) -> bool:
-        """Switch this channel to the batched arrival engine.
-
-        Called after every radio *and* MAC is attached (the stack
-        builder does this when ``batched_phy`` is requested). The
-        engine is only safe for MACs that never transmit synchronously
-        from a delivery callback (``batch_safe``) — reentrant MACs like
-        :class:`~repro.mac.ideal.IdealMac` would interleave a new
-        fan-out inside the batch resolve, so they keep the per-pair
-        path.
-
-        Returns whether batched mode is now active.
-        """
-        for radio in self.radios:
-            if radio is None:
-                return False
-            mac = radio.mac
-            if mac is not None and not getattr(mac, "batch_safe", False):
-                return False
-        ledger = ArrivalLedger(len(self.radios))
-        for radio in self.radios:
-            ledger.down[radio.node_id] = radio._down
-            ledger.txing[radio.node_id] = radio._tx_end is not None
-            radio._led = ledger
-        ledger.n_down = int(ledger.down.sum())
-        ledger.n_txing = int(ledger.txing.sum())
-        self._ledger = ledger
-        self._batched = True
-        self._overhear_ok = all(
-            radio.mac is None or getattr(radio.mac, "batch_overhear", False)
-            for radio in self.radios
-        )
-        return True
+    # ------------------------------------------------------ contention arena
 
     def enable_arena(self) -> bool:
         """Attach the shared DCF contention arena (see repro.mac.arena).
 
-        Requires the batched arrival engine (the arena's busy-edge loop
-        is gated on the shared ledger) and that every MAC opted in via
-        ``arena_safe`` (the loop works on DCF's waiting-state fields).
+        Requires every radio attached and every MAC opted in via
+        ``arena_safe`` (the arena's loops work on DCF's waiting-state
+        fields).
         Carrier-edge resolution then runs through the arena's inlined
         loops and DCF contention timers through its coalescing wheel —
         bit-identical outcomes, fewer Python dispatches.
 
         Returns whether the arena is now active.
         """
-        if not self._batched:
-            return False
         for radio in self.radios:
-            mac = radio.mac
+            mac = radio.mac if radio is not None else None
             if mac is None or not getattr(mac, "arena_safe", False):
                 return False
         from ..mac.arena import ContentionArena
@@ -282,13 +255,11 @@ class Channel:
         return True
 
     def flush_phy_stats(self) -> None:
-        """Fold batched-mode stat deltas into per-radio RadioStats.
+        """Fold the ledger's stat deltas into per-radio RadioStats.
 
-        Must run before radio counters are read for metrics; a no-op
-        on the per-pair path (stats are updated in place there).
+        Must run before radio counters are read for metrics.
         """
-        if self._ledger is not None:
-            self._ledger.flush(self.radios)
+        self._ledger.flush(self.radios)
 
     # ------------------------------------------------------------ transmit
 
@@ -296,11 +267,7 @@ class Channel:
         """Fan *frame* out from *src* to every detectable receiver."""
         self.stats.transmissions += 1
         self.stats.airtime += duration
-        targets = self._targets(src.node_id)
-        if self._batched:
-            self._fan_out_batched(src, frame, duration, targets)
-        else:
-            self._fan_out(src, frame, duration, targets)
+        self._fan_out(src, frame, duration, self._targets(src.node_id))
 
     def _targets(self, src_id: int) -> _BatchTargets:
         """Memoized fan-out of *src_id* at the current position epoch."""
@@ -321,7 +288,16 @@ class Channel:
             self._memo_tq = tq
             if tq >= self._memo_floor:
                 self._evict(tq)
-        targets = self._build_targets_batched(src_id, tq)
+        targets = self._build_targets(src_id, tq)
+        if self._unattached:
+            # Memo entries are only built here, and radios are never
+            # detached, so checking misses covers every fan-out.
+            radios = self.radios
+            for nid in targets.ids_list:
+                if radios[nid] is None:
+                    raise SimulationError(
+                        f"node {nid} is in range but has no radio"
+                    )
         until = self.mobility.static_until
         self._memo[src_id] = (tq, targets, until)
         if until < self._memo_floor:
@@ -342,7 +318,7 @@ class Channel:
         self._memo = live
         self._memo_floor = min([e[2] for e in live.values()]) if live else math.inf
 
-    def _build_targets_batched(self, src_id: int, tq: float) -> _BatchTargets:
+    def _build_targets(self, src_id: int, tq: float) -> _BatchTargets:
         """Fan-out memo entry of *src_id* at sample time *tq*.
 
         One pass from the position snapshot to the entry: candidate ids
@@ -352,19 +328,19 @@ class Channel:
         survivors, and the exact ``power >= cs_threshold`` mask. At or
         below ``_scalar_threshold`` nodes the scalar loop feeds the
         entry instead. Ids (in order) and powers are bit-equal to the
-        per-pair list form kept as ``reference_fanout`` in
+        list form kept as ``reference_fanout`` in
         ``tests/phy/test_fanout_fused.py``.
         """
         prof = self.profiler
         if prof is not None:
             prof.begin("channel.fanout")
             try:
-                return self._build_targets_batched_inner(src_id, tq)
+                return self._build_targets_inner(src_id, tq)
             finally:
                 prof.end()
-        return self._build_targets_batched_inner(src_id, tq)
+        return self._build_targets_inner(src_id, tq)
 
-    def _build_targets_batched_inner(self, src_id: int, tq: float):
+    def _build_targets_inner(self, src_id: int, tq: float):
         positions = self.mobility.positions(tq)
         n = len(positions)
         if n <= self._scalar_threshold:
@@ -446,56 +422,13 @@ class Channel:
             if perf is not None:
                 perf.grid_incremental_updates += 1
 
-    def _fan_out(
-        self, src: Radio, frame: Frame, duration: float, mb: _BatchTargets
-    ) -> None:
-        # Arrivals begin synchronously: the speed-of-light delay inside
-        # the carrier-sense range (< 2 µs) is far below every MAC timing
-        # constant (SIFS = 10 µs), so modelling it would only multiply
-        # event count ~25x for no behavioural difference. One event per
-        # *transmission* ends every receiver's arrival and completes the
-        # sender's transmit (receivers first, preserving the order the
-        # two separate events used to fire in).
-        now = self.sim._now
-        ids = mb.ids_list
-        powers = mb.pw_list
-        hook = self.fault_hook
-        if hook is not None:
-            keep = hook.filter_targets_array(src.node_id, mb.ids, now)
-            if keep is not None:
-                ids = mb.ids[keep].tolist()
-                powers = mb.powers[keep].tolist()
-        radios = self.radios
-        ended: list = []
-        append = ended.append
-        end = now + duration
-        for nid, p in zip(ids, powers):
-            radio = radios[nid]
-            if radio is None:
-                raise SimulationError(f"node {nid} is in range but has no radio")
-            entry = radio.begin_arrival(frame, p, duration, end)
-            if entry is not None:
-                append((radio, entry))
-        self.stats.deliveries_attempted += len(ids)
-        perf = self.perf
-        if perf is not None:
-            perf.phy_legacy_arrivals += len(ids)
-        self.sim.schedule(duration, self._end_transmission, src, frame, ended)
+    # A whole fan-out resolves with NumPy gathers over the shared
+    # ArrivalLedger, and one end event per *transmission* (not per
+    # receiver) ends every arrival and completes the sender's transmit.
+    # Every mask below is one reception rule of repro.phy.radio; see
+    # DESIGN.md "Batched arrival engine".
 
-    def _end_transmission(self, src: Radio, frame: Frame, ended) -> None:
-        for radio, entry in ended:
-            radio.end_arrival(entry)
-        src._transmit_done(frame)
-
-    # The batched engine resolves a whole fan-out with NumPy gathers
-    # over the shared ArrivalLedger instead of one begin_arrival call
-    # per receiver, and one end event per *transmission* instead of per
-    # (transmission, receiver) pair. Every mask below evaluates the
-    # same comparison, on the same float64 values, as the corresponding
-    # branch in Radio.begin_arrival — see DESIGN.md "Batched arrival
-    # engine" for the case-by-case equivalence argument.
-
-    def _fan_out_batched(self, src, frame, duration, mb: _BatchTargets) -> None:
+    def _fan_out(self, src, frame, duration, mb: _BatchTargets) -> None:
         led = self._ledger
         radios = self.radios
         now = self.sim._now
@@ -526,10 +459,13 @@ class Channel:
                     r._rx_frame = frame
                     r._rx_corrupt = False
                     r.stats.airtime_rx += duration
+                if self._flight_phy is not None:
+                    for nid in mb.dec_ids_list:
+                        radios[nid]._fnote("phy_decode_start", frame)
                 batch = _TxBatch(frame, ids, powers, mb.ids_list,
                                  mb.dec_list, mb.pw_list, now + duration)
                 led.active.append(batch)
-                self.sim.schedule(duration, self._end_transmission_batched,
+                self.sim.schedule(duration, self._end_transmission,
                                   src, frame, batch)
                 arena = self._arena
                 if arena is not None:
@@ -572,9 +508,13 @@ class Channel:
         # the capture margin over the strongest pre-existing arrival.
         m_idle_rx = open_rx & ~decoding & dec
         m_win = m_idle_rx & (powers >= ratio * led.strongest[ids])
-        led.d_collisions[ids[m_kill | (m_idle_rx & ~m_win)]] += 1
+        m_lost = m_idle_rx & ~m_win
+        led.d_collisions[ids[m_kill | m_lost]] += 1
         # Carrier edge: the medium flips idle -> busy for these.
         was_idle = open_rx & (led.counts[ids] == 0)
+        if self._flight_phy is not None:
+            self._note_verdicts(frame, ids.tolist(), down, m_half,
+                                m_capture, m_kill, m_lost, m_win)
 
         for nid in ids[m_kill].tolist():
             radios[nid]._rx_corrupt = True
@@ -593,7 +533,7 @@ class Channel:
                          m_win[alive].tolist(), added_pw.tolist(),
                          now + duration)
         led.active.append(batch)
-        self.sim.schedule(duration, self._end_transmission_batched, src,
+        self.sim.schedule(duration, self._end_transmission, src,
                           frame, batch)
         # Notify idle->busy edges last (ledger state is final), in
         # receiver order, and only where the MAC is parked in a
@@ -609,7 +549,32 @@ class Channel:
             if mac is not None:
                 mac.medium_changed()
 
-    def _end_transmission_batched(self, src, frame, batch: _TxBatch) -> None:
+    def _note_verdicts(self, frame, ids, down, m_half, m_capture, m_kill,
+                       m_lost, m_win) -> None:
+        """Trace each receiver's verdict on *frame*, in fan-out order.
+
+        Runs before the resolve touches decode state, so a collision
+        victim's ``_rx_frame`` is still the frame whose decode it kills
+        (traced second, after the newcomer).
+        """
+        radios = self.radios
+        for k, nid in enumerate(ids):
+            r = radios[nid]
+            if down[k]:
+                r._fnote("phy_rx_down", frame)
+            elif m_half[k]:
+                r._fnote("phy_halfduplex", frame)
+            elif m_capture[k]:
+                r._fnote("phy_capture", frame)
+            elif m_kill[k]:
+                r._fnote("phy_collision", frame)
+                r._fnote("phy_collision", r._rx_frame)
+            elif m_lost[k]:
+                r._fnote("phy_collision", frame)
+            elif m_win[k]:
+                r._fnote("phy_decode_start", frame)
+
+    def _end_transmission(self, src, frame, batch: _TxBatch) -> None:
         led = self._ledger
         active = led.active
         active.remove(batch)
@@ -638,7 +603,14 @@ class Channel:
         # skips the MAC's per-frame dispatch. Promiscuous MACs still
         # take the full path for DATA (they snoop overheard payloads).
         frame_dst = frame.dst
-        if self._overhear_ok and frame_dst != BROADCAST:
+        overhear = self._overhear_ok
+        if overhear is None:
+            overhear = self._overhear_ok = all(
+                r is None or r.mac is None
+                or getattr(r.mac, "batch_overhear", False)
+                for r in radios
+            )
+        if overhear and frame_dst != BROADCAST:
             bulk = True
             ftype = frame.ftype
             data_frame = ftype == FrameType.DATA
@@ -653,9 +625,8 @@ class Channel:
         # One ordered pass over the receivers whose arrival began:
         # winners deliver (unless stomped/corrupted) and always get the
         # carrier edge; bystanders get the edge only when this was
-        # their last overlapping arrival and their MAC is waiting —
-        # exactly the calls the per-pair end_arrival path makes, minus
-        # provable no-ops.
+        # their last overlapping arrival and their MAC is waiting (the
+        # carrier edge is a provable no-op for any other MAC).
         arena = self._arena
         if arena is not None:
             # Arena mode: freeze/credit/resume verdicts are derived

@@ -1,6 +1,7 @@
 """Per-node radio interface: transmit/receive state machine.
 
-The radio implements the ns-2 wireless PHY reception rules:
+The radios of one channel share an :class:`ArrivalLedger`, on which the
+channel resolves every reception with the ns-2 wireless PHY rules:
 
 * **Half duplex** — anything arriving while this radio transmits is lost.
 * **Carrier sense** — arrivals with power ≥ the carrier-sense threshold
@@ -18,7 +19,7 @@ flipped, so the MAC can re-evaluate deferral/backoff).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -59,29 +60,16 @@ class RadioStats:
         self.down_rx_drops = 0
 
 
-class _Arrival:
-    """One in-flight frame as seen by this receiver."""
-
-    __slots__ = ("frame", "power", "end", "corrupted")
-
-    def __init__(self, frame: Frame, power: float, end: float):
-        self.frame = frame
-        self.power = power
-        self.end = end
-        self.corrupted = False
-
-
 class ArrivalLedger:
-    """Array-backed interference state for the batched arrival engine.
+    """Array-backed interference state of one channel's radios.
 
-    One ledger is shared by every radio on a channel running in batched
-    mode (see ``Channel.enable_batched``). Instead of one ``_Arrival``
-    object per (transmission, receiver) pair, the channel keeps per-node
-    vectors — overlap counts, strongest in-flight power, decode power —
-    and resolves a whole transmission fan-out with NumPy gathers and
-    scatters. The per-receiver reception *rules* are unchanged; only
-    their evaluation is batched, so outcomes are bit-identical with the
-    per-pair path (the engine of ``mac="ideal"`` and PHY-traced runs).
+    The channel creates one ledger and joins every radio to it in
+    ``Channel.attach``. Instead of one arrival object per (transmission,
+    receiver) pair it keeps per-node vectors — overlap counts, strongest
+    in-flight power, decode power — and resolves a whole transmission
+    fan-out with NumPy gathers and scatters. The brute-force model in
+    ``tests/phy/test_phy_oracle.py`` is the reference these rules are
+    checked against.
 
     Stat deltas (collisions, capture, half-duplex, down-rx) accumulate
     in int arrays and are folded into each radio's :class:`RadioStats`
@@ -158,6 +146,10 @@ class ArrivalLedger:
 class Radio:
     """Radio NIC of one node.
 
+    Reception state lives in the channel's :class:`ArrivalLedger`,
+    which ``Channel.attach`` joins this radio to; the channel's fan-out
+    and end-of-frame passes apply the reception rules.
+
     Parameters
     ----------
     sim:
@@ -175,35 +167,21 @@ class Radio:
         self.channel = None  # set by Channel.attach
         self.mac = None  # set by the MAC layer
         self.stats = RadioStats()
-        # Threshold constants, flattened out of RadioParams: the arrival
-        # path reads them once per fanned-out frame.
-        self._cs_threshold = params.cs_threshold
-        self._rx_threshold = params.rx_threshold
-        self._capture_ratio = params.capture_ratio
-        self._arrivals: List[_Arrival] = []
-        #: Retired arrival entries, recycled by begin_arrival. Bounded
-        #: by the peak number of concurrent arrivals at this radio.
-        self._free: List[_Arrival] = []
         #: Powered off by fault injection: mute and deaf until power_on.
         self._down = False
-        self._rx: Optional[_Arrival] = None
         self._tx_end: Optional[float] = None
-        #: Shared ArrivalLedger when the channel runs the batched
-        #: arrival engine; None selects the per-pair path.
+        #: The channel's shared ArrivalLedger (set by Channel.attach).
         self._led: Optional[ArrivalLedger] = None
-        #: Batched-mode decode state (the ledger's object-free analogue
-        #: of ``_rx``): the frame being decoded and whether interference
-        #: has already corrupted it.
+        #: Decode state: the frame being decoded and whether
+        #: interference has already corrupted it.
         self._rx_frame: Optional[Frame] = None
         self._rx_corrupt = False
         # Flight recorder with PHY verdicts requested, frozen at
-        # construction. Only the per-pair arrival path emits verdicts
-        # (the builder selects it when trace_phy is on).
+        # construction.
         flight = sim.flight
         self._flight_phy = (
             flight if flight is not None and flight.trace_phy else None
         )
-        self.perf = sim.perf
 
     # -------------------------------------------------------------- faults
 
@@ -223,19 +201,15 @@ class Radio:
         if self._down:
             return
         self._down = True
-        if self._rx is not None:
-            self._rx.corrupted = True
-            self._rx = None
         led = self._led
-        if led is not None:
-            led.down[self.node_id] = True
-            led.n_down += 1
-            if self._rx_frame is not None:
-                # The interference power of the dying decode stays in
-                # the ledger (the energy is still on the air); only the
-                # decode itself is lost, as in the per-pair path.
-                self._rx_frame = None
-                led.rx_power[self.node_id] = 0.0
+        led.down[self.node_id] = True
+        led.n_down += 1
+        if self._rx_frame is not None:
+            # The interference power of the dying decode stays in the
+            # ledger (the energy is still on the air); only the decode
+            # itself is lost.
+            self._rx_frame = None
+            led.rx_power[self.node_id] = 0.0
 
     def power_on(self) -> None:
         """Recover from a crash fault: resume normal PHY behaviour."""
@@ -243,9 +217,8 @@ class Radio:
             return
         self._down = False
         led = self._led
-        if led is not None:
-            led.down[self.node_id] = False
-            led.n_down -= 1
+        led.down[self.node_id] = False
+        led.n_down -= 1
 
     # ------------------------------------------------------------- queries
 
@@ -255,44 +228,28 @@ class Radio:
 
     def carrier_busy(self) -> bool:
         """Physical carrier sense: transmitting or detectable energy."""
-        if self._tx_end is not None:
-            return True
-        led = self._led
-        if led is not None:
-            return led.counts[self.node_id] > 0
-        return bool(self._arrivals)
+        return self._tx_end is not None or bool(self._led.counts[self.node_id])
 
     def active_arrival_count(self) -> int:
         """In-flight arrivals currently detected at this radio."""
-        led = self._led
-        if led is not None:
-            return int(led.counts[self.node_id])
-        return len(self._arrivals)
+        return int(self._led.counts[self.node_id])
 
     def busy_until(self) -> float:
         """Latest known end of the current busy period (now if idle)."""
         t = self.sim.now
         if self._tx_end is not None:
             t = max(t, self._tx_end)
-        led = self._led
-        if led is not None:
-            nid = self.node_id
-            for batch in led.active:
-                if batch.end > t and nid in batch.added_list:
-                    t = batch.end
-            return t
-        for a in self._arrivals:
-            if a.end > t:
-                t = a.end
+        nid = self.node_id
+        for batch in self._led.active:
+            if batch.end > t and nid in batch.added_list:
+                t = batch.end
         return t
 
     def set_mac_waiting(self, waiting: bool) -> None:
         """MAC hint: it is parked in a contention state and needs
-        ``medium_changed`` edges. Only consulted by the batched engine
-        (gating calls that would provably no-op); a no-op otherwise."""
-        led = self._led
-        if led is not None:
-            led.wants_medium[self.node_id] = waiting
+        ``medium_changed`` edges (the channel skips the calls that
+        would provably no-op)."""
+        self._led.wants_medium[self.node_id] = waiting
 
     # -------------------------------------------------------------- sending
 
@@ -305,33 +262,23 @@ class Radio:
                 f"radio {self.node_id} asked to transmit while transmitting"
             )
         led = self._led
+        duration = frame.airtime(self.params.bitrate)
+        self._tx_end = self.sim.now + duration
+        # Half duplex, and it survives a crash: should a powered-off
+        # radio recover mid-"transmission", arrivals are still lost.
+        led.txing[self.node_id] = True
+        led.n_txing += 1
         if self._down:
             # Powered off: the frame goes nowhere, but the MAC's transmit
             # cycle completes normally so its state machine stays sound.
-            duration = frame.airtime(self.params.bitrate)
-            self._tx_end = self.sim.now + duration
-            if led is not None:
-                # Half duplex survives the crash: should this radio
-                # recover mid-"transmission", arrivals are still lost.
-                led.txing[self.node_id] = True
-                led.n_txing += 1
             self.stats.down_tx_drops += 1
             self.sim.schedule(duration, self._transmit_done, frame)
             return duration
-        # Transmitting stomps any reception in progress (half duplex).
-        if led is not None:
-            led.txing[self.node_id] = True
-            led.n_txing += 1
-            if self._rx_frame is not None:
-                self._rx_frame = None
-                led.rx_power[self.node_id] = 0.0
-                self.stats.halfduplex_drops += 1
-        elif self._rx is not None:
-            self._rx.corrupted = True
+        # Transmitting stomps any reception in progress.
+        if self._rx_frame is not None:
+            self._rx_frame = None
+            led.rx_power[self.node_id] = 0.0
             self.stats.halfduplex_drops += 1
-            self._rx = None
-        duration = frame.airtime(self.params.bitrate)
-        self._tx_end = self.sim.now + duration
         self.stats.frames_sent += 1
         self.stats.airtime_tx += duration
         if self._flight_phy is not None:
@@ -345,111 +292,15 @@ class Radio:
     def _transmit_done(self, frame: Frame) -> None:
         self._tx_end = None
         led = self._led
-        if led is not None:
-            led.txing[self.node_id] = False
-            led.n_txing -= 1
+        led.txing[self.node_id] = False
+        led.n_txing -= 1
         if self.mac is not None:
             self.mac.on_transmit_done(frame)
             self.mac.medium_changed()
 
-    # ------------------------------------------------------------ receiving
-
-    def begin_arrival(
-        self,
-        frame: Frame,
-        power: float,
-        duration: float,
-        end: Optional[float] = None,
-    ):
-        """Channel callback: *frame* starts arriving with *power* watts.
-
-        Returns the arrival entry (the channel ends it via
-        :meth:`end_arrival` when the frame's airtime elapses), or
-        ``None`` for undetectable signals. *end* is the precomputed
-        arrival end time (``now + duration``), shared by every receiver
-        of one transmission; ``None`` (direct unit-test callers) means
-        "compute it here". ``None`` — not a negative float — is the
-        sentinel, so every real timestamp is representable.
-        """
-        fp = self._flight_phy
-        if self._down:
-            self.stats.down_rx_drops += 1
-            if fp is not None:
-                self._fnote("phy_rx_down", frame)
-            return None  # powered off: deaf to everything
-        if power < self._cs_threshold:
-            if fp is not None:
-                self._fnote("phy_below_cs", frame)
-            return None  # undetectable: below the noise visibility floor
-        stats = self.stats
-        arrivals = self._arrivals
-        if end is None:
-            end = self.sim._now + duration
-        free = self._free
-        if free:
-            entry = free.pop()
-            entry.frame = frame
-            entry.power = power
-            entry.end = end
-            entry.corrupted = False
-            perf = self.perf
-            if perf is not None:
-                perf.arrivals_pooled += 1
-        else:
-            entry = _Arrival(frame, power, end)
-        tx_end = self._tx_end
-        # The MAC only needs a notification when the carrier may have
-        # flipped idle -> busy; overlapping arrivals leave it busy.
-        was_idle = tx_end is None and not arrivals
-
-        rx = self._rx
-        if tx_end is not None:
-            # Arrivals during our own transmission are unreceivable.
-            entry.corrupted = True
-            stats.halfduplex_drops += 1
-            if fp is not None:
-                self._fnote("phy_halfduplex", frame)
-        elif rx is not None:
-            # Already decoding: capture or mutual corruption.
-            if rx.power >= self._capture_ratio * power:
-                stats.capture_ignored += 1
-                if fp is not None:
-                    self._fnote("phy_capture", frame)
-            else:
-                rx.corrupted = True
-                entry.corrupted = True
-                stats.collisions += 1
-                if fp is not None:
-                    self._fnote("phy_collision", frame)
-                    self._fnote("phy_collision", rx.frame)
-        elif power >= self._rx_threshold:
-            # Candidate decode; pre-existing interference may already
-            # bury it.
-            strongest = 0.0
-            for a in arrivals:
-                if a.power > strongest:
-                    strongest = a.power
-            if power >= self._capture_ratio * strongest:
-                self._rx = entry
-                stats.airtime_rx += duration
-                if fp is not None:
-                    self._fnote("phy_decode_start", frame)
-            else:
-                entry.corrupted = True
-                stats.collisions += 1
-                if fp is not None:
-                    self._fnote("phy_collision", frame)
-        # else: detectable but too weak to decode -> busy only.
-
-        arrivals.append(entry)
-        if was_idle:
-            mac = self.mac
-            if mac is not None:
-                mac.medium_changed()
-        return entry
-
     def _fnote(self, ev: str, frame: Frame) -> None:
-        """Trace a PHY verdict for the data packet *frame* carries.
+        """Trace a PHY event at this radio for the data packet *frame*
+        carries.
 
         Control frames (RTS/CTS/ACK, routing floods) have no per-packet
         identity worth tracing; only DATA frames wrapping measured data
@@ -458,30 +309,3 @@ class Radio:
         pkt = frame.payload
         if pkt is not None and pkt.is_data:
             self._flight_phy.note(ev, pkt.origin_uid, self.node_id)
-
-    def end_arrival(self, entry: _Arrival) -> None:
-        self._arrivals.remove(entry)
-        mac = self.mac
-        if entry is self._rx:
-            self._rx = None
-            corrupted = entry.corrupted
-            frame = entry.frame
-            power = entry.power
-            # Recycle before the MAC callback: the entry is out of
-            # _arrivals and fully read, so reentrant begin_arrival
-            # (synchronous responses) may reuse it immediately.
-            entry.frame = None
-            self._free.append(entry)
-            if not corrupted:
-                self.stats.frames_received += 1
-                if mac is not None:
-                    mac.on_frame_received(frame, power)
-        else:
-            entry.frame = None
-            self._free.append(entry)
-            if self._arrivals or self._tx_end is not None:
-                # Carrier still busy and nothing was delivered: the MAC
-                # has nothing to react to.
-                return
-        if mac is not None:
-            mac.medium_changed()

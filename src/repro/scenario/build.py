@@ -208,10 +208,10 @@ def build_scenario(
 ) -> Scenario:
     """Wire up every layer for *cfg* (deterministic in ``cfg.run_seed``).
 
-    The engine is a function of the config: the batched PHY with the
-    DCF contention arena whenever ``cfg.mac == "dcf"`` and no PHY
-    tracing is asked for (``flight_trace``), the per-pair PHY with
-    per-node DCF timers otherwise. Both produce bit-identical results.
+    Every run resolves receptions on one PHY engine. DCF runs attach
+    the contention arena unless PHY tracing is asked for
+    (``flight_trace``), which keeps per-node DCF timers; both produce
+    bit-identical results.
 
     *options* (default: resolved from the environment) can attach the
     flight recorder and thin its trace; it never changes results.
@@ -233,9 +233,9 @@ def build_scenario(
 
         sim.profiler = Profiler()
     if cfg.flight or cfg.flight_trace or options.flight:
-        # Attached before the stack builds: radios freeze their PHY
-        # trace hook at construction, and the batched-engine decision
-        # below consults trace_phy.
+        # Attached before the stack builds: the channel and radios
+        # freeze their PHY trace hook at construction, and the arena
+        # decision below consults trace_phy.
         from ..obs.flight import FlightRecorder
 
         sim.flight = FlightRecorder(
@@ -252,11 +252,9 @@ def build_scenario(
         propagation=propagation,
         radio_params=params,
         position_quantum=cfg.position_quantum,
-        batched_phy=(
-            cfg.mac == "dcf"
-            and not (sim.flight is not None and sim.flight.trace_phy)
-        ),
     )
+    if not (sim.flight is not None and sim.flight.trace_phy):
+        network.channel.enable_arena()
     if cfg.protocol == "oracle":
         for node in network.nodes:
             node.routing.mobility = network.mobility

@@ -115,9 +115,9 @@ class ScenarioConfig:
     #: accounting + conservation report on ``MetricsSummary.flight``).
     #: Off by default: ``sim.flight`` stays None and no hook fires.
     flight: bool = False
-    #: Additionally record the per-packet causal event trace (implies
-    #: ``flight``); PHY arrival verdicts select the per-pair arrival
-    #: engine in single-process runs.
+    #: Additionally record the per-packet causal event trace, PHY
+    #: arrival verdicts included (implies ``flight``; DCF then keeps
+    #: per-node timers instead of the contention arena).
     flight_trace: bool = False
 
     def __post_init__(self) -> None:

@@ -106,7 +106,9 @@ __all__ = [
 #: canonical config dict and MetricsSummary grew drops_by_reason/
 #: flight — pre-taxonomy pickles lack the per-reason breakdown.
 #: v8, v9: fields entered, then left, the canonical config dict.
-_CACHE_SALT = "manetsim-sweep-v9"
+#: v10: the ideal MAC starts a transmission from a zero-delay event
+#: instead of inside the delivery that asked for it; its summaries moved.
+_CACHE_SALT = "manetsim-sweep-v10"
 
 #: Default cache root, resolved against the working directory.
 _CACHE_DIR = ".manetsim-cache"

@@ -19,7 +19,6 @@ KERNEL_ORDER = (
     "grid_incremental_updates",
     "heap_compactions",
     "events_pooled",
-    "arrivals_pooled",
 )
 
 

@@ -31,7 +31,13 @@ def build(positions_or_models, proto_cls, seed=1, promiscuous=False, **proto_kw)
 def kill(node):
     """Make a node deaf and mute (crash fault)."""
     node.mac.send = lambda *a, **k: None
-    node.radio.begin_arrival = lambda *a, **k: None
+    node.radio.power_off()
+
+
+def assert_killed(net, node):
+    """The crash took effect: the dead radio swallowed arrivals."""
+    net.channel.flush_phy_stats()
+    assert node.radio.stats.down_rx_drops > 0
 
 
 DIAMOND = [
@@ -61,6 +67,7 @@ def test_reactive_protocols_survive_relay_death(proto_cls, kwargs):
     for _ in range(3):
         net.nodes[0].send(3, 64)
     sim.run(until=30.0)
+    assert_killed(net, net.nodes[active_relay])
     assert len(got) == 6, f"{proto_cls.__name__} lost packets after relay death"
 
 
@@ -74,12 +81,14 @@ def test_dsdv_recovers_via_periodic_updates():
     assert len(got) == 1
 
     route = net.nodes[0].routing.table[3]
-    kill(net.nodes[route.next_hop])
+    dead = net.nodes[route.next_hop]
+    kill(dead)
     # DSDV needs link failure + triggered/periodic updates to reroute:
     # keep offering traffic and allow two full update periods.
     for i in range(10):
         sim.schedule(3.0 * i, net.nodes[0].send, 3, 64)
     sim.run(until=90.0)
+    assert_killed(net, dead)
     assert len(got) >= 2, "DSDV never rerouted after relay death"
 
 

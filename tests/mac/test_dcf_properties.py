@@ -75,8 +75,8 @@ def test_backoff_freeze_preserves_slots():
     tb.sim.schedule(4 * Dot11.SLOT, lambda: None)
     tb.sim.run()
     mac._timer = tb.sim.schedule(6 * Dot11.SLOT, lambda: None)  # placeholder
-    tb.radios[0]._arrivals.append(object())  # fake detectable energy
+    tb.radios[0]._led.counts[0] = 1  # fake detectable energy
     mac.medium_changed()
     assert mac._state == _WAIT_MEDIUM
     assert mac._backoff_slots == 6  # 10 - 4 consumed
-    tb.radios[0]._arrivals.clear()
+    tb.radios[0]._led.counts[0] = 0

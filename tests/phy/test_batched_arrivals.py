@@ -1,10 +1,10 @@
-"""Unit tests for the batched PHY arrival engine.
+"""Unit tests for the PHY arrival engine on the shared ledger.
 
-Scenario-level bit-identity with the per-pair path lives in
-``tests/scenario/test_determinism.py``; these tests pin the engine's
-unit-level contracts: when batching may switch on, reception outcomes
-on hand-built topologies, the NAV-only overhear shortcut, the ledger's
-scalar bookkeeping, and the ``begin_arrival`` end-time sentinel.
+The brute-force reference for the reception rules is
+``tests/phy/test_phy_oracle.py``; these tests pin the engine's
+unit-level contracts: reception outcomes on hand-built topologies (with
+PHY tracing off and on, which must not change them), the NAV-only
+overhear shortcut, and the ledger's scalar bookkeeping.
 """
 
 import pytest
@@ -13,13 +13,13 @@ from repro.core import Simulator
 from repro.mac.frames import Frame, FrameType
 from repro.mobility import MobilityManager, line_placement
 from repro.net.packet import BROADCAST, Packet, PacketKind
+from repro.obs.flight import FlightRecorder
 from repro.phy import Channel, Radio, RadioParams, UnitDisk
 
 
 class BatchFakeMac:
-    """Batch-safe callback recorder (quacks like a DCF for the engine)."""
+    """Callback recorder that overhears by NAV, as DCF does."""
 
-    batch_safe = True
     batch_overhear = True
     promiscuous = False
 
@@ -42,8 +42,10 @@ class BatchFakeMac:
         self.navs.append(until)
 
 
-def build(spacing, n, radius=250.0, batched=True, mac_cls=BatchFakeMac):
+def build(spacing, n, radius=250.0, mac_cls=BatchFakeMac, traced=False):
     sim = Simulator(seed=1)
+    if traced:
+        sim.flight = FlightRecorder(sim, trace=True)
     mob = MobilityManager(line_placement(spacing, n))
     params = RadioParams()
     chan = Channel(sim, mob, UnitDisk(radius), params)
@@ -55,8 +57,6 @@ def build(spacing, n, radius=250.0, batched=True, mac_cls=BatchFakeMac):
         chan.attach(r)
         radios.append(r)
         macs.append(m)
-    if batched:
-        assert chan.enable_batched()
     return sim, chan, radios, macs
 
 
@@ -65,58 +65,47 @@ def data_frame(src, dst, size=64):
     return Frame.data(src, dst, pkt)
 
 
-# --------------------------------------------------------------- gating
-
-
-def test_enable_batched_refuses_non_batch_safe_mac():
-    class Reentrant(BatchFakeMac):
-        batch_safe = False
-
-    sim, chan, radios, macs = build(200.0, 2, batched=False, mac_cls=Reentrant)
-    assert not chan.enable_batched()
-    # The stack stays functional on the per-pair path.
-    f = data_frame(0, 1)
-    radios[0].transmit(f)
-    sim.run()
-    assert len(macs[1].received) == 1
-
-
-def test_enable_batched_refuses_missing_radio():
-    sim = Simulator(seed=1)
-    mob = MobilityManager(line_placement(200.0, 3))
-    params = RadioParams()
-    chan = Channel(sim, mob, UnitDisk(250.0), params)
-    r = Radio(sim, 0, params)
-    r.mac = BatchFakeMac()
-    chan.attach(r)  # ids 1 and 2 have no radio
-    assert not chan.enable_batched()
-
-
 # ------------------------------------------------------------ reception
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_broadcast_reaches_all_in_range(batched):
-    sim, chan, radios, macs = build(200.0, 3, batched=batched)
-    f = Frame(FrameType.RTS, 0, BROADCAST, 44)
+def phy_notes(sim):
+    """``(ev, origin, node)`` of every traced PHY verdict, in order."""
+    return [(e["ev"], e["origin"], e["node"]) for e in sim.flight.events
+            if e["ev"].startswith("phy_") and e["ev"] != "phy_tx"]
+
+
+@pytest.mark.parametrize("traced", [True, False])
+def test_broadcast_reaches_all_in_range(traced):
+    sim, chan, radios, macs = build(200.0, 3, traced=traced)
+    f = data_frame(0, BROADCAST)
     radios[0].transmit(f)
     sim.run()
     chan.flush_phy_stats()
     assert len(macs[1].received) == 1  # 200 m: in range
     assert len(macs[2].received) == 0  # 400 m: out of range
     assert macs[0].tx_done == [f]
+    if traced:
+        uid = f.payload.origin_uid
+        assert phy_notes(sim) == [("phy_decode_start", uid, 1)]
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_collision_corrupts_both(batched):
-    sim, chan, radios, macs = build(200.0, 3, batched=batched)
-    sim.schedule(0.0, radios[0].transmit, Frame(FrameType.RTS, 0, BROADCAST, 44))
-    sim.schedule(0.0, radios[2].transmit, Frame(FrameType.RTS, 2, BROADCAST, 44))
+@pytest.mark.parametrize("traced", [True, False])
+def test_collision_corrupts_both(traced):
+    sim, chan, radios, macs = build(200.0, 3, traced=traced)
+    first, second = data_frame(0, BROADCAST), data_frame(2, BROADCAST)
+    sim.schedule(0.0, radios[0].transmit, first)
+    sim.schedule(0.0, radios[2].transmit, second)
     sim.run()
     chan.flush_phy_stats()
     # Equal powers at the middle node: neither captures.
     assert macs[1].received == []
     assert radios[1].stats.collisions > 0
+    if traced:
+        # The newcomer's verdict first, then the decode it kills.
+        a, b = first.payload.origin_uid, second.payload.origin_uid
+        assert phy_notes(sim) == [("phy_decode_start", a, 1),
+                                  ("phy_collision", b, 1),
+                                  ("phy_collision", a, 1)]
 
 
 def test_powered_off_receiver_is_deaf_batched():
@@ -196,20 +185,3 @@ def test_ledger_scalar_twins_track_state():
     assert led.n_txing == 1
     sim.run()
     assert led.n_txing == 0
-
-
-# ----------------------------------------------------- begin_arrival API
-
-
-def test_begin_arrival_end_sentinel_is_none():
-    """Omitted *end* means "compute now + duration" — ``None``, not a
-    negative float, is the sentinel, so every real timestamp (including
-    0.0) is representable as an explicit end time."""
-    sim, chan, radios, macs = build(200.0, 2, batched=False)
-    f = Frame(FrameType.RTS, 0, BROADCAST, 44)
-    entry = radios[1].begin_arrival(f, 1e-6, duration=2.0)
-    assert entry is not None
-    assert entry.end == pytest.approx(sim.now + 2.0)
-    f2 = Frame(FrameType.RTS, 0, BROADCAST, 44)
-    entry2 = radios[1].begin_arrival(f2, 1e-6, duration=2.0, end=0.0)
-    assert entry2.end == 0.0

@@ -1,6 +1,6 @@
 """The fan-out miss path against its list-form reference.
 
-``Channel._build_targets_batched`` goes from the position snapshot to a
+``Channel._build_targets`` goes from the position snapshot to a
 ``_BatchTargets`` in one array pass (grid candidates from the cached
 cell block, one squared-distance vector, source struck out before the
 path-loss model runs); both arrival engines walk that entry.
@@ -83,7 +83,7 @@ def reference_fanout(channel: Channel, src: int, tq: float):
 
 
 def assert_same_fanout(fused: Channel, oracle: Channel, src: int, tq: float):
-    bt = fused._build_targets_batched(src, tq)
+    bt = fused._build_targets(src, tq)
     pairs = reference_fanout(oracle, src, tq)
     assert bt.ids.dtype == np.intp
     assert bt.ids.tolist() == [radio.node_id for radio, _ in pairs]

@@ -9,10 +9,13 @@ can still hit: the rest are dropped, also invisibly.
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import RngStreams
+from repro.faults.manager import FaultManager
+from repro.faults.plan import FaultPlanConfig
 from repro.mac.frames import Frame, FrameType
 from repro.mobility import Field, MobilityManager, RandomWaypoint, line_placement
 from repro.net.packet import BROADCAST
@@ -66,12 +69,18 @@ def test_static_field_computes_each_source_once():
     assert all(until == math.inf for _tq, _targets, until in channel._memo.values())
 
 
-def build_channel(models, batched):
+def build_channel(models, faulted=False):
     chan = make_channel(models)
     for radio in chan.radios:
         radio.mac = BatchFakeMac()
-    if batched:
-        assert chan.enable_batched()
+    if faulted:
+        # Link loss filters each fan-out after the memo lookup.
+        FaultManager(
+            chan.sim,
+            SimpleNamespace(nodes=chan.radios, channel=chan,
+                            mobility=chan.mobility),
+            FaultPlanConfig(link_loss=0.5), duration=1.0,
+        )
     return chan.sim, chan, chan.radios
 
 
@@ -81,12 +90,13 @@ def broadcast_every(sim, radio, period, count):
         sim.schedule(0.001 + k * period, radio.transmit, frame)
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_one_moving_node_closes_the_window(batched):
+@pytest.mark.parametrize("faulted", [True, False])
+def test_one_moving_node_closes_the_window(faulted):
     def misses(models):
-        sim, chan, radios = build_channel(models, batched)
+        sim, chan, radios = build_channel(models, faulted)
         broadcast_every(sim, radios[0], 0.02, 10)  # ten distinct epochs
         sim.run()
+        assert not faulted or chan.fault_hook.stats.link_drops > 0
         return sim.perf.fanout_cache_misses, sim.perf.fanout_cache_hits
 
     still = line_placement(100.0, 5)
@@ -121,7 +131,7 @@ def test_results_identical_with_the_window_forced_off(cfg, monkeypatch):
 
 def record_misses(monkeypatch):
     """Log ``(src, tq, valid until)`` of every memo miss, in order."""
-    build = Channel._build_targets_batched
+    build = Channel._build_targets
     misses = []
 
     def logged(self, src_id, tq):
@@ -129,7 +139,7 @@ def record_misses(monkeypatch):
         misses.append((src_id, tq, self.mobility.static_until))
         return targets
 
-    monkeypatch.setattr(Channel, "_build_targets_batched", logged)
+    monkeypatch.setattr(Channel, "_build_targets", logged)
     return misses
 
 
@@ -174,7 +184,7 @@ def test_settled_field_keeps_its_static_entries(monkeypatch):
 
 
 def test_sweep_drops_exactly_the_dead_entries():
-    _sim, chan, _radios = build_channel(line_placement(100.0, 2), batched=True)
+    _sim, chan, _radios = build_channel(line_placement(100.0, 2))
     chan._memo = {
         0: (0.0, "moved", -math.inf),        # earlier epoch, window shut
         1: (0.0, "resting", 0.02),           # earlier epoch, window open

@@ -1,12 +1,13 @@
-"""PHY resolver oracle: both arrival engines against a brute-force model.
+"""PHY resolver oracle: the arrival engine against a brute-force model.
 
 The model follows the split of LoRaMesh's ``checkcollision``: a timing
 part (which frames are on the air at a receiver when a new one starts)
 and a power part (does the frame being decoded capture the newcomer by
 the 10 dB capture ratio, or do both die). It re-derives every verdict
 from pairwise comparisons over the whole schedule, with no ledger and
-no arrival objects, and must predict the per-pair ``Radio`` path and
-the batched ``ArrivalLedger`` path counter for counter.
+no arrival objects, and must predict the channel's ``ArrivalLedger``
+resolve counter for counter, and the flight recorder's PHY notes with
+PHY tracing on.
 """
 
 import numpy as np
@@ -16,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import Simulator
 from repro.mac.frames import Frame, FrameType
 from repro.mobility import MobilityManager, StaticPosition
-from repro.net.packet import BROADCAST
+from repro.net.packet import BROADCAST, Packet, PacketKind
+from repro.obs.flight import FlightRecorder
 from repro.phy import Channel, PropagationModel, Radio, RadioParams
 
 #: The ns-2 capture threshold, 10 dB, held here independently of the
@@ -28,6 +30,9 @@ PARAMS = RadioParams(tx_power=1.0, rx_threshold=1 / 64.5, cs_threshold=1 / 200.5
 FIELDS = ("frames_received", "collisions", "capture_ignored",
           "halfduplex_drops", "down_rx_drops")
 SLOT = 50e-6
+#: Traced PHY note -> the oracle count it must equal, per radio.
+NOTES = {"phy_capture": "capture_ignored", "phy_rx_down": "down_rx_drops",
+         "phy_decode_start": "decodes_begun"}
 
 
 class InverseSquare(PropagationModel):
@@ -46,7 +51,7 @@ class InverseSquare(PropagationModel):
 class QuietMac:
     """A MAC that only listens (the counters under test live below it)."""
 
-    batch_safe = batch_overhear = True
+    batch_overhear = True
     promiscuous = False
 
     def on_frame_received(self, frame, power):
@@ -133,13 +138,21 @@ def oracle(coords, actions):
             any(on_air(d, y[0]) and not cut(d, y[0]) for d in decodes) for y in own
         )
         c["frames_received"] = sum(not d[3] and not cut(d, d[1]) for d in decodes)
+        c["decodes_begun"] = len(decodes)
         out.append(c)
     return out
 
 
-def engine(coords, actions, batched):
-    """Per-radio counters from one engine running *actions*."""
+def engine(coords, actions, traced=False):
+    """Per-radio counters from the engine running *actions*, and with
+    *traced* the per-radio counts of the PHY notes in ``NOTES``.
+
+    Every frame is a DATA frame carrying a data packet, the frames the
+    flight recorder traces.
+    """
     sim = Simulator(seed=1)
+    if traced:
+        sim.flight = FlightRecorder(sim, trace=True)
     mob = MobilityManager([StaticPosition(x, y) for x, y in coords])
     chan = Channel(sim, mob, InverseSquare(), PARAMS)
     radios = []
@@ -148,24 +161,34 @@ def engine(coords, actions, batched):
         radio.mac = QuietMac()
         chan.attach(radio)
         radios.append(radio)
-    assert chan.enable_batched() if batched else True
     for t, kind, node, size in sorted(actions, key=lambda a: a[0]):
         radio = radios[node]
         if kind == "tx":
-            fn, args = radio.transmit, (Frame(FrameType.RTS, node, BROADCAST, size),)
+            pkt = Packet(PacketKind.DATA, "test", node, BROADCAST, size, created=t)
+            fn, args = radio.transmit, (Frame(FrameType.DATA, node, BROADCAST, size, pkt),)
         else:
             fn, args = (radio.power_off if kind == "off" else radio.power_on), ()
         sim.schedule_at(t, sim.schedule, 0.0, fn, *args)
     sim.run()
     chan.flush_phy_stats()
-    return [{f: getattr(r.stats, f) for f in FIELDS} for r in radios]
+    counters = [{f: getattr(r.stats, f) for f in FIELDS} for r in radios]
+    if not traced:
+        return counters
+    notes = [dict.fromkeys(NOTES, 0) for _ in radios]
+    for e in sim.flight.events:
+        if e["ev"] in NOTES:
+            notes[e["node"]][e["ev"]] += 1
+    return counters, notes
 
 
 def check(coords, actions):
     want = oracle(coords, actions)
-    assert engine(coords, actions, batched=False) == want, "per-pair Radio path"
-    assert engine(coords, actions, batched=True) == want, "batched ArrivalLedger path"
-    return want
+    counters = [{f: c[f] for f in FIELDS} for c in want]
+    assert engine(coords, actions) == counters
+    assert engine(coords, actions, traced=True) == (
+        counters, [{ev: c[n] for ev, n in NOTES.items()} for c in want]
+    ), "PHY notes (or tracing changed a verdict)"
+    return counters
 
 
 @st.composite

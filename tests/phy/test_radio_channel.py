@@ -1,15 +1,10 @@
 """Radio reception rules and channel fan-out."""
 
-from types import SimpleNamespace
-
-import numpy as np
 import pytest
 
 from repro.core import ConfigurationError, SimulationError, Simulator
-from repro.faults.manager import FaultManager
-from repro.faults.plan import FaultPlanConfig
 from repro.mac.frames import Frame
-from repro.mobility import MobilityManager, StaticPosition, line_placement
+from repro.mobility import MobilityManager, line_placement
 from repro.net.packet import Packet, PacketKind
 from repro.phy import Channel, Radio, RadioParams, TwoRayGround, UnitDisk
 
@@ -91,6 +86,7 @@ def test_collision_two_simultaneous_senders():
     radios[0].transmit(data_frame(0, 1))
     radios[2].transmit(data_frame(2, 1))
     sim.run()
+    chan.flush_phy_stats()
     assert macs[1].received == []
     assert radios[1].stats.collisions >= 1
 
@@ -116,6 +112,7 @@ def test_capture_stronger_frame_survives():
     radios[1].transmit(strong)
     radios[2].transmit(weak)
     sim.run()
+    chan.flush_phy_stats()
     assert [f for f, _ in macs[0].received] == [strong]
     assert radios[0].stats.capture_ignored == 1
 
@@ -125,6 +122,7 @@ def test_half_duplex_no_rx_while_tx():
     radios[0].transmit(data_frame(0, 1, size=512))
     radios[1].transmit(data_frame(1, 0, size=512))  # same instant
     sim.run()
+    chan.flush_phy_stats()
     assert macs[0].received == []
     assert macs[1].received == []
     assert radios[0].stats.halfduplex_drops + radios[1].stats.halfduplex_drops >= 2
@@ -211,7 +209,7 @@ def test_channel_stats_counters():
     assert chan.stats.airtime > 0
 
 
-def test_per_pair_fanout_without_radio_raises():
+def test_fanout_without_radio_raises():
     sim = Simulator(seed=1)
     params = RadioParams()
     chan = Channel(sim, MobilityManager(line_placement(200.0, 2)),
@@ -221,56 +219,3 @@ def test_per_pair_fanout_without_radio_raises():
     chan.attach(r)  # id 1 is in range but has no radio
     with pytest.raises(SimulationError, match="node 1 .* no radio"):
         r.transmit(data_frame(0, -1))
-
-
-class OrderMac(FakeMac):
-    """Batch-safe; logs ``(src, receiver, power)`` into a shared list."""
-
-    batch_safe = True
-
-    def __init__(self, nid, calls):
-        super().__init__()
-        self.nid = nid
-        self.calls = calls
-
-    def on_frame_received(self, frame, power):
-        self.calls.append((frame.src, self.nid, power))
-
-
-@pytest.mark.parametrize("link_loss", [0.0, 0.5])
-def test_both_engines_call_receivers_in_the_same_order(link_loss):
-    """One geometry memo and one fault filter behind both engines: the
-    per-pair and the batched channel deliver to the same receivers in
-    the same order and count the same arrivals."""
-    points = np.random.default_rng(5).uniform((0, 0), (600, 600), size=(40, 2))
-
-    def run(batched):
-        sim = Simulator(seed=3)
-        params = RadioParams()
-        mob = MobilityManager([StaticPosition(x, y) for x, y in points])
-        chan = Channel(sim, mob, TwoRayGround(), params)
-        calls = []
-        radios = []
-        for i in range(len(points)):
-            r = Radio(sim, i, params)
-            r.mac = OrderMac(i, calls)
-            chan.attach(r)
-            radios.append(r)
-        if link_loss:
-            FaultManager(
-                sim, SimpleNamespace(nodes=radios, channel=chan, mobility=mob),
-                FaultPlanConfig(link_loss=link_loss), duration=1.0,
-            )
-        if batched:
-            assert chan.enable_batched()
-        for k, src in enumerate((0, 7, 19, 33)):
-            sim.schedule(0.01 * k, radios[src].transmit, data_frame(src, -1))
-        sim.run()
-        return calls, sim.perf
-
-    per_pair, perf_pp = run(batched=False)
-    batch, perf_b = run(batched=True)
-    assert per_pair and per_pair == batch
-    assert perf_pp.phy_batch_arrivals == perf_b.phy_legacy_arrivals == 0
-    assert perf_pp.phy_legacy_arrivals == perf_b.phy_batch_arrivals > 0
-    assert perf_pp.fanout_cache_misses == perf_b.fanout_cache_misses == 4

@@ -26,7 +26,13 @@ def make_net(local_repair, seed=1):
 
 def kill(node):
     node.mac.send = lambda *a, **k: None
-    node.radio.begin_arrival = lambda *a, **k: None
+    node.radio.power_off()
+
+
+def assert_killed(net, node):
+    """The crash took effect: the dead radio swallowed arrivals."""
+    net.channel.flush_phy_stats()
+    assert node.radio.stats.down_rx_drops > 0
 
 
 def active_relay(net):
@@ -45,6 +51,7 @@ class TestLocalRepair:
         kill(net.nodes[relay])
         net.nodes[0].send(4, 64)
         sim.run(until=30.0)
+        assert_killed(net, net.nodes[relay])
         agent1 = net.nodes[1].routing
         assert agent1.repairs_attempted >= 1
         assert agent1.repairs_succeeded >= 1
@@ -59,6 +66,7 @@ class TestLocalRepair:
         kill(net.nodes[relay])
         net.nodes[0].send(4, 64)
         sim.run(until=30.0)
+        assert_killed(net, net.nodes[relay])
         agent1 = net.nodes[1].routing
         assert agent1.repairs_attempted == 0
         # The in-flight packet died at node 1 (counted as no-route drop);
@@ -79,6 +87,7 @@ class TestLocalRepair:
         kill(net.nodes[2])
         net.nodes[0].send(3, 64)
         sim.run(until=30.0)
+        assert_killed(net, net.nodes[2])
         agent1 = net.nodes[1].routing
         assert agent1.repairs_attempted >= 1
         assert agent1.repairs_succeeded == 0

@@ -1,15 +1,14 @@
 """Determinism guarantees of the hot-path engine.
 
-The engine that runs a config is a function of the config: the batched
-PHY with the DCF contention arena whenever the MAC is DCF and no PHY
-tracing is asked for, the per-pair PHY with per-node DCF timers
-otherwise. Both are *evaluation strategies*, never model changes:
-``cfg.with_(flight_trace=True)`` selects the per-pair engine for the
-same simulation, and the two must produce bit-identical metrics for
-every protocol, faulted or not, on arbitrary topologies. The batch
-``positions(t)`` evaluation must likewise match every mobility model's
-scalar ``position(t)``, and committed golden digests (bottom of this
-file) pin what both engines compute.
+Every run resolves receptions on one PHY engine. DCF's contention is a
+function of the config: the shared contention arena unless PHY tracing
+is asked for, per-node DCF timers otherwise. Both are *evaluation
+strategies*, never model changes: ``cfg.with_(flight_trace=True)``
+selects per-node DCF for the same simulation, and the two must produce
+bit-identical metrics for every protocol, faulted or not, on arbitrary
+topologies. The batch ``positions(t)`` evaluation must likewise match
+every mobility model's scalar ``position(t)``, and committed golden
+digests (bottom of this file) pin what both compute.
 """
 
 import dataclasses
@@ -49,13 +48,11 @@ MODEL_KINDS = [
 
 
 def _run_both_engines(cfg):
-    """*cfg* on the batched engine and on the per-pair one.
+    """*cfg* with the contention arena and with per-node DCF timers.
 
-    ``flight_trace`` records PHY arrival verdicts, which only the
-    per-pair path emits, so the builder selects per-pair PHY + per-node
-    DCF for it; the recorder itself is read-only. Perf counters are
-    excluded from summary equality, so they prove which engine each
-    side really ran.
+    ``build_scenario`` keeps per-node DCF for ``flight_trace`` runs; the
+    recorder itself is read-only. Perf counters are excluded from
+    summary equality, so they prove which engine each side really ran.
     """
     fast = run_scenario(cfg)
     per_pair = run_scenario(cfg.with_(flight_trace=True))
@@ -99,26 +96,6 @@ def test_vectorized_matches_legacy_end_to_end(protocol, monkeypatch):
     _assert_bit_identical(fast, reference)
 
 
-@pytest.mark.parametrize("protocol", ["aodv", "dsr", "dsdv", "cbrp", "paodv"])
-def test_batched_phy_matches_legacy(protocol):
-    """Full-scenario A/B: batched arrival engine vs per-pair, same seed.
-
-    The batched engine resolves a transmission's whole fan-out in one
-    vector pass and defers interference bookkeeping to frame end; the
-    per-pair path walks ``begin_arrival``/``end_arrival`` per receiver.
-    Identical physics, different evaluation order — results must be
-    bit-identical for every protocol.
-    """
-    fast, per_pair = _run_both_engines(
-        ScenarioConfig(protocol=protocol, seed=7, **SMALL)
-    )
-    assert fast.perf["phy_batch_arrivals"] > 0
-    assert fast.perf["phy_legacy_arrivals"] == 0
-    assert per_pair.perf["phy_batch_arrivals"] == 0
-    assert per_pair.perf["phy_legacy_arrivals"] > 0
-    _assert_bit_identical(fast, per_pair)
-
-
 #: One collision domain wider than any array/scalar cutoff the engines
 #: have had (128 receivers): every frame fans out to all 149 others.
 LARGE_CELL = dict(
@@ -144,7 +121,7 @@ def test_dcf_arena_matches_legacy(protocol, scenario):
     per-node path keeps heap timers and ``medium_changed`` callbacks.
     Identical protocol, different dispatch machinery — results must be
     bit-identical everywhere, large fan-outs included. A seed of its
-    own, so this is not the PHY test's run again.
+    own, so this is not the ``flight_trace`` golden run again.
     """
     fast, per_pair = _run_both_engines(
         ScenarioConfig(protocol=protocol, seed=8, **scenario)
@@ -173,24 +150,6 @@ class TestFaultDeterminism:
         assert fast.fault_crashes > 0
         assert fast.perf["mac_timer_events"] > 0
         assert per_pair.perf["mac_timer_events"] == 0
-        _assert_bit_identical(fast, per_pair)
-
-    def test_faulted_batched_phy_matches_legacy(self):
-        # The fault hook filters a fan-out *after* the geometry memo,
-        # in deterministic target order, on both engines — so a faulted
-        # run must stay bit-identical across the two PHY engines too.
-        from repro.faults.plan import FaultPlanConfig
-
-        fast, per_pair = _run_both_engines(ScenarioConfig(
-            seed=11,
-            faults=FaultPlanConfig(churn_rate=0.04, mean_downtime=3.0,
-                                   link_loss=0.08),
-            **SMALL,
-        ))
-        assert fast.fault_crashes > 0
-        assert fast.perf["phy_batch_arrivals"] > 0
-        assert per_pair.perf["phy_batch_arrivals"] == 0
-        assert per_pair.perf["phy_legacy_arrivals"] > 0
         _assert_bit_identical(fast, per_pair)
 
     def test_no_fault_config_is_bit_identical_with_zero_fault_fields(self):
@@ -331,7 +290,7 @@ class TestObservabilityDeterminism:
         )
 
 
-#: Node counts for the two engine-equivalence properties below: small
+#: Node counts for the engine-equivalence property below: small
 #: fields (the channel's scalar fan-out loop), plus one count above
 #: ``Channel._scalar_threshold`` and one above ``grid_threshold`` so
 #: the vector and grid miss paths are compared end to end as well.
@@ -368,39 +327,16 @@ def _assume_on_air(summary):
     protocol=st.sampled_from(["aodv", "dsdv", "dsr"]),
 )
 @example(n_nodes=5, seed=5, protocol="dsdv")
-@example(n_nodes=40, seed=1, protocol="aodv")
-@example(n_nodes=140, seed=1, protocol="dsdv")
-@settings(max_examples=10, deadline=None)
-def test_batched_phy_property_random_topologies(n_nodes, seed, protocol):
-    """Property: batched ≡ per-pair PHY on arbitrary topologies.
-
-    Hypothesis drives node count, seed, and protocol; every example
-    runs both engines in this process (the engine is chosen by the
-    config, nothing global is touched) and must produce bit-identical
-    summaries and per-flow delay lists.
-    """
-    fast, per_pair = _run_both_engines(_ab_cfg(n_nodes, seed, protocol))
-    _assume_on_air(fast)
-    assert fast.perf["phy_batch_arrivals"] > 0
-    assert per_pair.perf["phy_batch_arrivals"] == 0
-    assert per_pair.perf["phy_legacy_arrivals"] > 0
-    _assert_bit_identical(fast, per_pair)
-
-
-@given(
-    n_nodes=_AB_NODE_COUNTS,
-    seed=st.integers(min_value=0, max_value=2**20),
-    protocol=st.sampled_from(["aodv", "dsdv", "dsr"]),
-)
-@example(n_nodes=5, seed=5, protocol="dsdv")
 @example(n_nodes=40, seed=1, protocol="dsr")
 @example(n_nodes=140, seed=1, protocol="aodv")
 @settings(max_examples=10, deadline=None)
 def test_dcf_arena_property_random_topologies(n_nodes, seed, protocol):
     """Property: arena ≡ per-node DCF on arbitrary topologies.
 
-    Same construction as the PHY property, with its own pinned examples
-    and the contention-engine counters as the proof of which side ran.
+    Hypothesis drives node count, seed, and protocol; every example
+    runs both in this process (the engine is chosen by the config,
+    nothing global is touched), with the contention-engine counters as
+    the proof of which side ran.
     """
     fast, per_pair = _run_both_engines(_ab_cfg(n_nodes, seed, protocol))
     _assume_on_air(fast)
@@ -483,7 +419,7 @@ def _island_cfg(protocol, n_nodes, seed, n_clusters=4, **over):
 # against, so behaviour is pinned by committed digests instead:
 # golden.json holds, for each of the paper's five protocols, a plain
 # run, a faulted run, a 120-node island run and a ``flight_trace`` run
-# (the per-pair PHY + per-node DCF engine), plus DSDV's 300-node field.
+# (per-node DCF timers), plus DSDV's 300-node field.
 # DSDV's first four were recorded at 242138d (the last commit with its
 # per-entry twin); everything else at d7c9e92, the last commit whose
 # four layers still had environment-selected twins, with every
@@ -540,10 +476,9 @@ def _check_golden(protocol: str, case: str) -> None:
     summary = _golden_run(protocol, case)
     assert summary.data_sent > 0
     if case == "flight_trace":
-        # The run really took the per-pair engine, and observing it
-        # changed nothing: same digest as the batched plain run.
-        assert summary.perf["phy_legacy_arrivals"] > 0
-        assert summary.perf["phy_batch_arrivals"] == 0
+        # The run really took per-node DCF, and observing it changed
+        # nothing: same digest as the arena's plain run.
+        assert summary.perf["mac_timer_events"] == 0
         assert _GOLDEN[protocol][case] == _GOLDEN[protocol]["small_plain"]
     assert _summary_digest(summary) == _GOLDEN[protocol][case]
 
