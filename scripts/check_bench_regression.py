@@ -48,6 +48,12 @@ report's own ``conserved`` verdict true.  An unbalanced ledger in CI
 means a code path started discarding data packets without telling the
 recorder — a taxonomy leak the drop-site meta-test should have caught.
 
+With ``--profile PATH`` the script validates a span profile (``repro
+run --profile-out``): each span's self time is folded into its
+innermost layer, and ``mac`` and ``routing`` must both have booked
+some. A profiler that charges DCF or routing work to the event loop or
+the channel leaves one of them at zero.
+
 Usage::
 
     python scripts/check_bench_regression.py [--floor 0.90]
@@ -55,6 +61,7 @@ Usage::
     python scripts/check_bench_regression.py --manifest runs/manifest.json
         [--expect-cached]
     python scripts/check_bench_regression.py --conservation flight.json
+    python scripts/check_bench_regression.py --profile profile.json
 """
 
 from __future__ import annotations
@@ -253,6 +260,23 @@ def check_conservation(path: pathlib.Path) -> int:
     return 0
 
 
+def check_profile(path: pathlib.Path) -> int:
+    """Require nonzero self time in the mac and routing layers."""
+    layers: dict = {}
+    for span, stat in json.loads(path.read_text()).items():
+        layer = span.rsplit("/", 1)[-1]
+        layers[layer] = layers.get(layer, 0.0) + float(stat.get("self_s", 0.0))
+    total = sum(layers.values()) or 1.0
+    for layer, self_s in sorted(layers.items(), key=lambda kv: -kv[1]):
+        print(f"  {layer:<10} {self_s:10.4f} s  {100.0 * self_s / total:5.1f} %")
+    missing = [layer for layer in ("mac", "routing") if layers.get(layer, 0.0) <= 0.0]
+    if missing:
+        print(f"PROFILE MISATTRIBUTED: no self time in {missing}", file=sys.stderr)
+        return 1
+    print("mac and routing carry their own time")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -297,7 +321,20 @@ def main(argv=None) -> int:
         help="validate a flight report JSON's packet-conservation "
              "identity instead of checking bench timings",
     )
+    parser.add_argument(
+        "--profile",
+        type=pathlib.Path,
+        default=None,
+        metavar="PATH",
+        help="validate a span profile JSON's layer attribution "
+             "instead of checking bench timings",
+    )
     args = parser.parse_args(argv)
+    if args.profile is not None:
+        if not args.profile.exists():
+            print(f"error: {args.profile} not found", file=sys.stderr)
+            return 2
+        return check_profile(args.profile)
     if args.conservation is not None:
         if not args.conservation.exists():
             print(f"error: {args.conservation} not found", file=sys.stderr)

@@ -481,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--perf", action="store_true",
                        help="also print hot-path engine counters")
     p_run.add_argument("--profile", action="store_true",
-                       help="profile the event loop and print a span table")
+                       help="time the run by layer and print a span table")
     p_run.add_argument("--profile-out", metavar="JSON",
                        help="write the span profile to a JSON file "
                             "(implies profiling; view with 'repro obs report')")

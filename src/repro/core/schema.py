@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import typing
 
 from .errors import ConfigurationError
 
-__all__ = ["from_json"]
+__all__ = ["check_finite", "from_json"]
 
 _hints = functools.lru_cache(maxsize=None)(typing.get_type_hints)
 
@@ -73,3 +74,19 @@ def from_json(cls, data, what: str):
         name: _convert(value, hints[name], f"{what} key {name!r}")
         for name, value in data.items()
     })
+
+
+def _finite(value) -> bool:
+    if isinstance(value, (tuple, list)):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def check_finite(obj) -> None:
+    """Reject NaN and ±inf in any field of dataclass *obj*, tuples
+    (field sizes, windows) included. Range checks cannot: every
+    comparison with NaN is false."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not _finite(value):
+            raise ConfigurationError(f"{f.name} must be finite, got {value!r}")

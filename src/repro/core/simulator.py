@@ -48,11 +48,6 @@ class Simulator:
         #: Hot-path instrumentation shared with every attached layer.
         self.perf = PerfCounters()
         self._queue.perf = self.perf
-        #: Optional :class:`repro.obs.profiler.Profiler`. ``None`` (the
-        #: default) keeps the original uninstrumented run loop — the
-        #: profiled loop is a separate code path, so disabled profiling
-        #: costs nothing per event.
-        self.profiler = None
         #: Optional :class:`repro.obs.flight.FlightRecorder`. ``None``
         #: (the default) leaves every per-packet lifecycle hook dead —
         #: layers test ``is not None`` on cold drop paths only, so a
@@ -116,55 +111,20 @@ class Simulator:
         recycle = queue._recycle
         processed = 0
         try:
-            if self.profiler is not None:
-                processed = self._run_profiled(until)
-            else:
-                while not self._stopped:
-                    ev = queue.pop_due(until)
-                    if ev is None:
-                        break
-                    self._now = ev.time
-                    processed += 1
-                    ev.fn(*ev.args)
-                    # Fired and no handle retained anywhere -> safe to reuse.
-                    recycle(ev)
-            if until is not None and not self._stopped and self._now < until:
-                self._now = until
-        finally:
-            self.events_processed += processed
-            self._running = False
-
-    def _run_profiled(self, until: Optional[float]) -> int:
-        """The run loop with per-event layer spans (profiler attached).
-
-        Identical event semantics to the plain loop; every fired event
-        is additionally wrapped in a span named for the layer owning its
-        callback, all nested under one ``event-loop`` span.
-        """
-        queue = self._queue
-        recycle = queue._recycle
-        prof = self.profiler
-        begin = prof.begin
-        end = prof.end
-        layer_of = prof.layer_of
-        processed = 0
-        begin("event-loop")
-        try:
             while not self._stopped:
                 ev = queue.pop_due(until)
                 if ev is None:
                     break
                 self._now = ev.time
                 processed += 1
-                begin(layer_of(ev.fn))
-                try:
-                    ev.fn(*ev.args)
-                finally:
-                    end()
+                ev.fn(*ev.args)
+                # Fired and no handle retained anywhere -> safe to reuse.
                 recycle(ev)
+            if until is not None and not self._stopped and self._now < until:
+                self._now = until
         finally:
-            end()  # event-loop
-        return processed
+            self.events_processed += processed
+            self._running = False
 
     def stop(self) -> None:
         """Request the event loop to stop after the current event."""

@@ -53,6 +53,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import math
 import time
 from collections import deque
 from pathlib import Path
@@ -513,7 +514,7 @@ class Broker:
     # -------------------------------------------------------------- clients
 
     def _register_jobs(
-        self, specs: List[dict], opts: dict, queue: asyncio.Queue
+        self, specs: List[dict], opts, queue: asyncio.Queue
     ) -> Tuple[List[dict], Dict[int, str]]:
         """Resolve cached specs immediately; enqueue the rest.
 
@@ -521,10 +522,9 @@ class Broker:
         """
         immediate: List[dict] = []
         unresolved: Dict[int, str] = {}
-        max_retries = opts.get("max_retries")
+        max_retries, job_timeout = _sweep_options(opts)
         if max_retries is None:
             max_retries = self.max_retries
-        job_timeout = opts.get("job_timeout")
         if job_timeout is None:
             job_timeout = self.job_timeout
         for spec in specs:
@@ -544,8 +544,7 @@ class Broker:
             # is a fresh chance, not an instant replay of old bad luck.
             if job is None or job.state in ("done", "failed"):
                 job = _FabricJob(
-                    key, spec.get("config") or {}, int(max_retries),
-                    job_timeout,
+                    key, spec.get("config") or {}, max_retries, job_timeout,
                 )
                 self.jobs[key] = job
                 self.pending.append(key)
@@ -627,7 +626,7 @@ class Broker:
         it may raise to abort (client went away).
         """
         specs = list(sweep.get("jobs") or [])
-        opts = sweep.get("options") or {}
+        opts = sweep.get("options")
         queue: asyncio.Queue = asyncio.Queue()
         total = len(specs)
         immediate, unresolved = self._register_jobs(specs, opts, queue)
@@ -783,7 +782,25 @@ def _http_sweep_specs(body: dict) -> Tuple[List[dict], dict]:
             "key": config_cache_key(cfg),
             "config": config_to_dict(cfg),
         })
-    return specs, dict(body.get("options") or {})
+    _sweep_options(body.get("options"))
+    return specs, body.get("options")
+
+
+def _sweep_options(opts) -> Tuple[Optional[int], Optional[float]]:
+    """``(max_retries, job_timeout)`` of a sweep's ``options``: each null
+    (the broker's default), an int >= 0 and a finite number > 0; a worker
+    leasing the job reads them unguarded, so anything else is refused."""
+    opts = {} if opts is None else opts
+    if not isinstance(opts, dict):
+        raise FabricProtocolError("options must be a JSON object")
+    retries, timeout = opts.get("max_retries"), opts.get("job_timeout")
+    if retries is not None and (type(retries) is not int or retries < 0):
+        raise FabricProtocolError(f"max_retries must be an int >= 0: {retries!r:.40}")
+    if timeout is not None and not (
+        type(timeout) in (int, float) and math.isfinite(timeout) and timeout > 0
+    ):
+        raise FabricProtocolError(f"job_timeout must be finite and > 0: {timeout!r:.40}")
+    return retries, timeout
 
 
 class BrokerThread:

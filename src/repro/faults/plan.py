@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
 from ..core.errors import ConfigurationError
-from ..core.schema import from_json
+from ..core.schema import check_finite, from_json
 
 __all__ = ["FaultPlanConfig"]
 
@@ -83,6 +83,7 @@ class FaultPlanConfig:
     overload_capacity: int = 2
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.churn_rate < 0:
             raise ConfigurationError(f"churn_rate must be >= 0, got {self.churn_rate}")
         if self.mean_downtime <= 0:

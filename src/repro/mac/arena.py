@@ -23,8 +23,8 @@ wheel/heap insertion order — and therefore every ``(time, seq)``
 tie-break downstream — is identical to the per-node path. The
 suppressed calls are exactly the ones ``medium_changed`` would have
 no-opped; bit-identical metrics against per-node DCF timers (the engine
-of ``flight_trace`` runs) are pinned by
-``tests/scenario/test_determinism.py``.
+of ``build_network``; ``build_scenario`` attaches the arena to every DCF
+run) are pinned by ``tests/scenario/test_determinism.py``.
 """
 
 from __future__ import annotations

@@ -52,9 +52,6 @@ class MobilityManager:
         self.models: List[MobilityModel] = list(models)
         #: Optional shared PerfCounters (set by the owning network stack).
         self.perf = None
-        #: Optional span profiler (set by the stack builder alongside
-        #: ``perf``); only the recompute path consults it.
-        self.profiler = None
         n = len(self.models)
         self._cache_t = -1.0
         self._cache = np.zeros((n, 2), dtype=np.float64)
@@ -94,13 +91,6 @@ class MobilityManager:
             t == self._cache_t or self._cache_t < t < self.static_until
         ):
             return self._cache
-        prof = self.profiler
-        if prof is not None:
-            prof.begin("mobility.batch")
-            try:
-                return self._positions_compute(t)
-            finally:
-                prof.end()
         return self._positions_compute(t)
 
     def _positions_compute(self, t: float) -> np.ndarray:

@@ -71,7 +71,6 @@ def build_network(
     params = radio_params if radio_params is not None else WAVELAN_914MHZ
     mobility = MobilityManager(mobility_models)
     mobility.perf = sim.perf
-    mobility.profiler = sim.profiler
     channel = Channel(
         sim,
         mobility,

@@ -3,10 +3,10 @@
 Four pillars, all pay-for-what-you-use (zero hooks installed and zero
 hot-path cost when disabled):
 
-* :class:`Profiler` — hierarchical monotonic-clock spans around the
-  event loop and per-layer dispatch, aggregated into a wall-time +
-  call-count profile (``MetricsSummary.profile``, ``repro run
-  --profile``, ``repro obs report``).
+* :class:`Profiler` — wall-time spans from class-level wrappers on one
+  table of layer entry points and the schedulers, charged to the
+  ``repro`` package the code lives in (``MetricsSummary.profile``,
+  ``repro run --profile``, ``repro obs report``); profiled runs only.
 * :class:`TelemetryRecorder` — time-series probes sampling simulator
   state (queue depths, routing-state sizes, in-flight arrivals, energy,
   perf-counter deltas, faulted nodes) at a configurable sim-time
@@ -32,7 +32,7 @@ from .flight import (
     write_flight_jsonl,
 )
 from .manifest import ProgressLine, build_manifest, manifest_summary_pairs
-from .profiler import LAYERS, Profiler, profile_layer_seconds
+from .profiler import Profiler, profile_layer_seconds
 from .report import render_manifest_report, render_profile_table
 from .telemetry import (
     TELEMETRY_SCHEMA,
@@ -42,7 +42,6 @@ from .telemetry import (
 )
 
 __all__ = [
-    "LAYERS",
     "Profiler",
     "profile_layer_seconds",
     "TELEMETRY_SCHEMA",

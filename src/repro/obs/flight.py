@@ -70,9 +70,6 @@ class FlightRecorder:
             raise ValueError(f"trace sample must be >= 1, got {sample}")
         self.sim = sim
         self.trace = trace
-        #: Whether PHY arrival verdicts are traced (keeps per-node DCF
-        #: timers instead of the contention arena; see ``build_scenario``).
-        self.trace_phy = trace
         self.sample = sample
         #: Measured data packets injected by traffic sources.
         self.offered = 0

@@ -1,162 +1,190 @@
-"""Hierarchical wall-time spans for the simulation kernel.
+"""Where a run's wall time goes, measured from outside the engine.
 
-A :class:`Profiler` keeps a stack of open spans and aggregates closed
-ones by their ``/``-joined path, recording call count, inclusive wall
-time, and *self* time (inclusive minus child spans) from the monotonic
-``time.perf_counter`` clock.
-
-Two span sources exist:
-
-* **Event-loop dispatch** — when a profiler is attached to a
-  :class:`~repro.core.simulator.Simulator`, its run loop classifies
-  every fired event into a layer (``mobility``, ``phy``, ``mac``,
-  ``routing``, ``traffic``, ``faults``, ...) by the callback's module
-  and times it. The classification is memoized per underlying function,
-  so the steady-state cost is one dict lookup per event.
-* **Explicit spans** — hot helpers that run *inside* another layer's
-  event (the channel fan-out rebuild, the mobility batch refresh) open
-  nested spans via :meth:`Profiler.begin` / :meth:`Profiler.end` or the
-  :meth:`Profiler.span` context manager, so their cost is carved out of
-  the enclosing layer's self time.
-
-When no profiler is attached (the default), none of this code runs: the
-simulator keeps its original loop and the instrumented call sites are
-behind a single ``is None`` check.
+A :class:`Profiler` replaces the :func:`entry_points` methods, at class
+level, with wrappers timing each call as a span of the
+``repro.<package>`` the method lives in (``repro.mac.dcf`` -> ``mac``).
+The wrapped schedulers store each callback behind a span of its owner's
+package, so DCF timers count as ``mac``, not as the event loop's; they
+leave ``(time, seq)`` alone, so firing order cannot change. Re-entering
+the layer on top opens no span. Spans aggregate by layer path
+(``core/phy/mac``) into calls, wall time and *self* time (wall minus
+child spans). No engine module refers to this one.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from functools import lru_cache, wraps
 from time import perf_counter
-from typing import Any, Callable, Dict, List
+from typing import Dict, Optional
 
-__all__ = ["Profiler", "LAYERS", "profile_layer_seconds"]
+from ..core.errors import ConfigurationError
 
-#: Module-prefix -> layer tag, first match wins (most specific first).
-_LAYER_PREFIXES = (
-    ("repro.mobility", "mobility"),
-    ("repro.phy", "phy"),
-    ("repro.mac", "mac"),
-    ("repro.routing", "routing"),
-    ("repro.traffic", "traffic"),
-    ("repro.faults", "faults"),
-    ("repro.net", "net"),
-    ("repro.obs", "obs"),
-    ("repro.stats", "stats"),
-    ("repro.core", "kernel"),
+__all__ = ["Profiler", "entry_points", "profile_layer_seconds"]
+
+#: DCF's public methods plus the four private ones other layers reach
+#: directly: the channel's resolve loop calls ``_ensure_nav_wake`` /
+#: ``_begin_contention`` / ``_resume_contention`` inline, and the arena
+#: arms ``_nav_wake_fired`` on the wheel without ``TimerWheel.schedule``.
+_MAC_NAMES = (
+    "send", "on_frame_received", "on_transmit_done", "medium_changed",
+    "medium_edge", "purge_next_hop", "overhear_nav",
+    "_ensure_nav_wake", "_begin_contention", "_resume_contention",
+    "_nav_wake_fired",
 )
 
-#: The layer tags event dispatch can produce (plus "other").
-LAYERS = tuple(layer for _prefix, layer in _LAYER_PREFIXES) + ("other",)
+
+def entry_points():
+    """``([(class, method names)], [(class, scheduler name)])``; a name
+    is wrapped on each subclass too, where that class defines it."""
+    from ..core.events import EventQueue, TimerWheel
+    from ..core.simulator import Simulator
+    from ..mac.arena import ContentionArena
+    from ..mac.base import MacLayer
+    from ..mobility.manager import MobilityManager
+    from ..net.node import Node
+    from ..phy.channel import Channel
+    from ..phy.radio import Radio
+    from ..routing.base import RoutingProtocol
+    from ..stats.metrics import MetricsCollector
+
+    table = [
+        (Simulator, ("run",)),
+        (MobilityManager, ("positions", "position", "distance", "distances_from")),
+        (Channel, ("transmit", "flush_phy_stats")),
+        (Radio, ("transmit",)),
+        (MacLayer, _MAC_NAMES),
+        (ContentionArena, ("busy_edges",)),
+        (RoutingProtocol, ("originate", "deliver", "link_failed", "start")),
+        (Node, ("send", "deliver_local")),
+        (MetricsCollector, ("on_send", "on_receive", "finish")),
+    ]
+    schedulers = [(EventQueue, "push"), (EventQueue, "push_at_seq"),
+                  (TimerWheel, "schedule")]
+    return table, schedulers
 
 
-def _classify(fn: Callable) -> str:
-    module = getattr(fn, "__module__", "") or ""
-    for prefix, layer in _LAYER_PREFIXES:
-        if module.startswith(prefix):
-            return layer
-    return "other"
+@lru_cache(maxsize=256)
+def _layer_of(fn) -> str:
+    """Package of ``repro`` defining *fn*; ``core`` for anything else."""
+    parts = (getattr(fn, "__module__", None) or "").split(".")
+    return parts[1] if len(parts) > 1 and parts[0] == "repro" else "core"
 
 
-class _SpanStat:
-    """Aggregate for one span path."""
+def _with_subclasses(cls):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _with_subclasses(sub)
 
-    __slots__ = ("calls", "wall", "self_wall")
 
-    def __init__(self) -> None:
+class _Span:
+    """One node of the layer-path tree: the aggregate for its path."""
+
+    __slots__ = ("layer", "calls", "wall", "child_wall", "children")
+
+    def __init__(self, layer: Optional[str]) -> None:
+        self.layer = layer
         self.calls = 0
         self.wall = 0.0
-        self.self_wall = 0.0
+        self.child_wall = 0.0
+        self.children: Dict[str, "_Span"] = {}
 
 
 class Profiler:
-    """Aggregating span timer (monotonic clock, hierarchical paths)."""
+    """Outside-in span profiler over the :func:`entry_points` table."""
 
-    __slots__ = ("_stack", "_stats", "_layer_cache")
+    #: Wrappers are process-wide: two installed would unwind out of order.
+    _installed: Optional["Profiler"] = None
 
     def __init__(self) -> None:
-        #: Open spans: [path, start, accumulated child wall time].
-        self._stack: List[list] = []
-        self._stats: Dict[str, _SpanStat] = {}
-        #: Underlying function object -> layer tag memo.
-        self._layer_cache: Dict[Any, str] = {}
+        #: Open spans, innermost last; the root never closes.
+        self._stack = [_Span(None)]
+        self._patched: list = []
 
-    # ---------------------------------------------------------------- spans
-
-    def begin(self, name: str) -> None:
-        """Open a span named *name* nested under the current span."""
+    def _span(self, layer: str, fn, args, kwargs={}):
+        """``fn(*args, **kwargs)`` inside a span of *layer*."""
         stack = self._stack
-        path = stack[-1][0] + "/" + name if stack else name
-        stack.append([path, perf_counter(), 0.0])
-
-    def end(self) -> None:
-        """Close the innermost open span and fold it into the profile."""
-        path, start, child = self._stack.pop()
-        elapsed = perf_counter() - start
-        stack = self._stack
-        if stack:
-            stack[-1][2] += elapsed
-        stat = self._stats.get(path)
-        if stat is None:
-            stat = self._stats[path] = _SpanStat()
-        stat.calls += 1
-        stat.wall += elapsed
-        stat.self_wall += elapsed - child
-
-    @contextmanager
-    def span(self, name: str):
-        """``with profiler.span("channel.fanout"): ...``"""
-        self.begin(name)
+        top = stack[-1]
+        if top.layer == layer:
+            return fn(*args, **kwargs)
+        node = top.children.get(layer)
+        if node is None:
+            node = top.children[layer] = _Span(layer)
+        stack.append(node)
+        t0 = perf_counter()
         try:
-            yield self
+            return fn(*args, **kwargs)
         finally:
-            self.end()
+            dt = perf_counter() - t0
+            stack.pop()
+            node.calls += 1
+            node.wall += dt
+            top.child_wall += dt
 
-    # --------------------------------------------------------- event dispatch
+    def _wrap(self, fn):
+        span, layer = self._span, _layer_of(fn)
 
-    def layer_of(self, fn: Callable) -> str:
-        """Layer tag for event callback *fn* (memoized per function)."""
-        key = getattr(fn, "__func__", fn)
-        layer = self._layer_cache.get(key)
-        if layer is None:
-            layer = self._layer_cache[key] = _classify(key)
-        return layer
+        # wraps() keeps fn's __module__: a wrapped method handed to a
+        # scheduler as a callback is still owned by its own layer.
+        @wraps(fn)
+        def spanned(*args, **kwargs):
+            return span(layer, fn, args, kwargs)
 
-    # -------------------------------------------------------------- results
+        return spanned
+
+    def _wrap_scheduler(self, fn):
+        span = self._span
+
+        @wraps(fn)
+        def scheduling(self_, when, callback, args=(), *rest):
+            layer = _layer_of(getattr(callback, "__func__", callback))
+            return fn(self_, when, span, (layer, callback, args), *rest)
+
+        return scheduling
+
+    def install(self) -> None:
+        """Wrap every entry point and scheduler until :meth:`remove`."""
+        if Profiler._installed is not None:
+            raise ConfigurationError("a profiled scenario is already built "
+                                     "and has not run; run it first")
+        Profiler._installed = self
+        table, schedulers = entry_points()
+        rows = [(cls, name, self._wrap) for base, names in table
+                for cls in _with_subclasses(base) for name in names
+                if name in cls.__dict__]
+        rows += [(cls, name, self._wrap_scheduler) for cls, name in schedulers]
+        for cls, name, wrap in rows:
+            original = cls.__dict__[name]
+            self._patched.append((cls, name, original))
+            setattr(cls, name, wrap(original))
+
+    def remove(self) -> None:
+        """Restore every patched class attribute (reverse order)."""
+        while self._patched:
+            cls, name, original = self._patched.pop()
+            setattr(cls, name, original)
+        if Profiler._installed is self:
+            Profiler._installed = None
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """``{path: {calls, wall_s, self_s}}``, hottest self time first."""
-        items = sorted(
-            self._stats.items(), key=lambda kv: kv[1].self_wall, reverse=True
-        )
-        return {
-            path: {
-                "calls": stat.calls,
-                "wall_s": stat.wall,
-                "self_s": stat.self_wall,
-            }
-            for path, stat in items
-        }
-
-    def clear(self) -> None:
-        """Drop every aggregate (open spans are left alone)."""
-        self._stats.clear()
+        rows, todo = {}, [("", self._stack[0])]
+        while todo:
+            prefix, node = todo.pop()
+            for layer, child in node.children.items():
+                rows[prefix + layer] = {
+                    "calls": child.calls, "wall_s": child.wall,
+                    "self_s": child.wall - child.child_wall,
+                }
+                todo.append((prefix + layer + "/", child))
+        return dict(sorted(rows.items(), key=lambda kv: -kv[1]["self_s"]))
 
 
 def profile_layer_seconds(profile: Dict[str, Dict[str, float]]) -> Dict[str, float]:
-    """Fold a profile dict into per-layer *self* seconds.
-
-    Groups every span path by its component directly under the event
-    loop (``event-loop/mac/...`` -> ``mac``); top-level spans group
-    under their own first component. Used for the sweep CSV's compact
-    ``profile_<layer>_s`` columns.
-    """
+    """Fold a profile into per-layer *self* seconds: each span's self
+    time goes to its innermost layer (``core/phy/mac`` -> ``mac``).
+    Used for the sweep CSV's ``profile_<layer>_s`` columns."""
     out: Dict[str, float] = {}
     for path, stat in profile.items():
-        parts = path.split("/")
-        if parts[0] == "event-loop" and len(parts) > 1:
-            layer = parts[1]
-        else:
-            layer = parts[0]
+        layer = path.rsplit("/", 1)[-1]
         out[layer] = out.get(layer, 0.0) + float(stat.get("self_s", 0.0))
     return out

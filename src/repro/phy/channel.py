@@ -194,13 +194,9 @@ class Channel:
         # construction like each radio's.
         flight = sim.flight
         self._flight_phy = (
-            flight if flight is not None and flight.trace_phy else None
+            flight if flight is not None and flight.trace else None
         )
         self.perf = sim.perf
-        #: Optional span profiler (None = no instrumentation). Only the
-        #: fan-out *miss* path checks it — the memoized hit path, which
-        #: dominates, is untouched either way.
-        self.profiler = sim.profiler
         #: Fault-injection filter (see repro.faults.manager.FaultManager):
         #: consulted per transmission, after the geometry memo, so the
         #: memo stays exact. None (the default) leaves the fan-out path
@@ -331,16 +327,6 @@ class Channel:
         list form kept as ``reference_fanout`` in
         ``tests/phy/test_fanout_fused.py``.
         """
-        prof = self.profiler
-        if prof is not None:
-            prof.begin("channel.fanout")
-            try:
-                return self._build_targets_inner(src_id, tq)
-            finally:
-                prof.end()
-        return self._build_targets_inner(src_id, tq)
-
-    def _build_targets_inner(self, src_id: int, tq: float):
         positions = self.mobility.positions(tq)
         n = len(positions)
         if n <= self._scalar_threshold:
@@ -595,7 +581,6 @@ class Channel:
         radios = self.radios
         win_l = batch.win_list
         pw_l = batch.pw_list
-        prof = self.profiler
         # Overhear classification, once per frame instead of once per
         # receiver: a non-broadcast frame's only effect on a receiver it
         # is not addressed to is the NAV update (virtual carrier sense),
@@ -706,14 +691,7 @@ class Channel:
                             else:
                                 n_supp += 1
                             continue
-                        if prof is not None:
-                            prof.begin("mac.deliver")
-                            try:
-                                mac.on_frame_received(frame, pw_l[k])
-                            finally:
-                                prof.end()
-                        else:
-                            mac.on_frame_received(frame, pw_l[k])
+                        mac.on_frame_received(frame, pw_l[k])
                     n_disp += 1
                     mac.medium_edge(phys)
                 else:
@@ -781,14 +759,7 @@ class Channel:
                             if wants_l[k]:
                                 mac.medium_changed()
                             continue
-                        if prof is not None:
-                            prof.begin("mac.deliver")
-                            try:
-                                mac.on_frame_received(frame, pw_l[k])
-                            finally:
-                                prof.end()
-                        else:
-                            mac.on_frame_received(frame, pw_l[k])
+                        mac.on_frame_received(frame, pw_l[k])
                 if mac is not None:
                     mac.medium_changed()
             elif wants_l[k] and not txing_l[k] and (

@@ -180,7 +180,7 @@ class Radio:
         # construction.
         flight = sim.flight
         self._flight_phy = (
-            flight if flight is not None and flight.trace_phy else None
+            flight if flight is not None and flight.trace else None
         )
 
     # -------------------------------------------------------------- faults

@@ -18,6 +18,7 @@ from ..mobility import (
     make_groups,
 )
 from ..net.stack import Network, build_network
+from ..obs.profiler import Profiler
 from ..phy.propagation import WAVELAN_914MHZ, TwoRayGround
 from ..routing import (
     Aodv,
@@ -54,26 +55,32 @@ class Scenario:
     faults: Optional[FaultManager] = None
     #: Present only when ``config.telemetry_interval > 0``.
     telemetry: Optional["TelemetryRecorder"] = None
+    #: Present only when ``config.profile``: installed by the build, removed by run.
+    profiler: Optional[Profiler] = None
 
     def run(self):
         """Execute to ``config.duration`` and return the metrics summary."""
-        self.network.start_routing()
-        for src in self.sources:
-            src.begin()
-        if self.faults is not None:
-            self.faults.start()
-        if self.telemetry is not None:
-            self.telemetry.start()
-        self.sim.run(until=self.config.duration)
-        # Batched-engine stat deltas live in ledger arrays until read
-        # time; fold them into RadioStats before any consumer looks.
-        self.network.channel.flush_phy_stats()
-        summary = self.collector.finish(self.network, self.config.duration)
+        try:
+            self.network.start_routing()
+            for src in self.sources:
+                src.begin()
+            if self.faults is not None:
+                self.faults.start()
+            if self.telemetry is not None:
+                self.telemetry.start()
+            self.sim.run(until=self.config.duration)
+            # Batched-engine stat deltas live in ledger arrays until read
+            # time; fold them into RadioStats before any consumer looks.
+            self.network.channel.flush_phy_stats()
+            summary = self.collector.finish(self.network, self.config.duration)
+        finally:
+            if self.profiler is not None:
+                self.profiler.remove()
         if self.faults is not None:
             self.faults.apply(summary, self.config.duration)
         summary.perf = self.sim.perf.as_dict()
-        if self.sim.profiler is not None:
-            summary.profile = self.sim.profiler.as_dict()
+        if self.profiler is not None:
+            summary.profile = self.profiler.as_dict()
         flight = self.sim.flight
         if flight is not None:
             flight.scan_residuals(self.network.nodes)
@@ -208,14 +215,25 @@ def build_scenario(
 ) -> Scenario:
     """Wire up every layer for *cfg* (deterministic in ``cfg.run_seed``).
 
-    Every run resolves receptions on one PHY engine. DCF runs attach
-    the contention arena unless PHY tracing is asked for
-    (``flight_trace``), which keeps per-node DCF timers; both produce
-    bit-identical results.
-
-    *options* (default: resolved from the environment) can attach the
-    flight recorder and thin its trace; it never changes results.
+    Every run resolves receptions on one PHY engine, and every DCF run
+    contends through the contention arena, observed or not. A profiled
+    config installs the profiler's wrappers before anything is built,
+    so bound methods cached on the way are wrapped too; :meth:`Scenario.run`
+    removes them. *options* (default: resolved from the environment) can
+    attach the flight recorder and thin its trace; neither changes results.
     """
+    profiler = Profiler() if cfg.profile else None
+    if profiler is not None:
+        profiler.install()
+    try:
+        return _build(cfg, options, profiler)
+    except BaseException:
+        if profiler is not None:
+            profiler.remove()
+        raise
+
+
+def _build(cfg: ScenarioConfig, options, profiler) -> Scenario:
     from ..mac.frames import reset_frame_uids
     from ..net.packet import reset_packet_uids
 
@@ -226,16 +244,9 @@ def build_scenario(
     reset_packet_uids()
     reset_frame_uids()
     sim = Simulator(seed=cfg.run_seed)
-    if cfg.profile:
-        # Attached before the stack builds so every layer that caches
-        # sim.profiler (channel, mobility manager) picks it up.
-        from ..obs.profiler import Profiler
-
-        sim.profiler = Profiler()
     if cfg.flight or cfg.flight_trace or options.flight:
         # Attached before the stack builds: the channel and radios
-        # freeze their PHY trace hook at construction, and the arena
-        # decision below consults trace_phy.
+        # freeze their PHY trace hook at construction.
         from ..obs.flight import FlightRecorder
 
         sim.flight = FlightRecorder(
@@ -253,8 +264,7 @@ def build_scenario(
         radio_params=params,
         position_quantum=cfg.position_quantum,
     )
-    if not (sim.flight is not None and sim.flight.trace_phy):
-        network.channel.enable_arena()
+    network.channel.enable_arena()
     if cfg.protocol == "oracle":
         for node in network.nodes:
             node.routing.mobility = network.mobility
@@ -307,4 +317,4 @@ def build_scenario(
                 on_send=collector.on_send,
             )
         )
-    return Scenario(cfg, sim, network, sources, collector, faults, telemetry)
+    return Scenario(cfg, sim, network, sources, collector, faults, telemetry, profiler)

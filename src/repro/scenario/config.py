@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from ..core.errors import ConfigurationError
+from ..core.schema import check_finite
 from ..faults.plan import FaultPlanConfig
 
 __all__ = ["ScenarioConfig", "PROTOCOLS", "MOBILITY_MODELS"]
@@ -104,9 +105,9 @@ class ScenarioConfig:
     faults: Optional[FaultPlanConfig] = None
 
     # --- observability -----------------------------------------------------
-    #: Attach a span profiler to the run (per-layer wall-time profile on
-    #: ``MetricsSummary.profile``). Off by default: the unprofiled event
-    #: loop is a separate code path with zero added cost.
+    #: Time the run by layer (``MetricsSummary.profile``). The profiler
+    #: wraps layer entry points from outside for this run only, so the
+    #: engine runs the same code either way; off, nothing is wrapped.
     profile: bool = False
     #: Sim-time seconds between telemetry probe sweeps; 0 disables the
     #: recorder entirely (no hooks installed, no events scheduled).
@@ -116,11 +117,12 @@ class ScenarioConfig:
     #: Off by default: ``sim.flight`` stays None and no hook fires.
     flight: bool = False
     #: Additionally record the per-packet causal event trace, PHY
-    #: arrival verdicts included (implies ``flight``; DCF then keeps
-    #: per-node timers instead of the contention arena).
+    #: arrival verdicts included (implies ``flight``). The run takes the
+    #: same engines as an untraced one, the contention arena included.
     flight_trace: bool = False
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.protocol not in PROTOCOLS:
             raise ConfigurationError(
                 f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}"

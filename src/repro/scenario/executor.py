@@ -68,6 +68,7 @@ from __future__ import annotations
 import atexit
 import hashlib
 import json
+import math
 import os
 import time
 import warnings
@@ -108,7 +109,9 @@ __all__ = [
 #: v8, v9: fields entered, then left, the canonical config dict.
 #: v10: the ideal MAC starts a transmission from a zero-delay event
 #: instead of inside the delivery that asked for it; its summaries moved.
-_CACHE_SALT = "manetsim-sweep-v10"
+#: v11: profiled summaries name their spans by package (``core/mac``),
+#: not ``event-loop``/``kernel``.
+_CACHE_SALT = "manetsim-sweep-v11"
 
 #: Default cache root, resolved against the working directory.
 _CACHE_DIR = ".manetsim-cache"
@@ -183,6 +186,8 @@ def _resolve_timeout(job_timeout: Optional[float]) -> Optional[float]:
         job_timeout = env_number(
             os.environ, "MANETSIM_JOB_TIMEOUT", None, float
         )
+    if job_timeout is not None and not math.isfinite(job_timeout):
+        raise ValueError(f"job_timeout must be finite, got {job_timeout!r}")
     if job_timeout is not None and job_timeout <= 0:
         return None
     return job_timeout

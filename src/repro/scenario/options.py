@@ -11,6 +11,7 @@ downstream takes the resolved object as an argument.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -25,8 +26,8 @@ def env_number(
 ):
     """``parse(environ[name])``; *default* when unset or empty.
 
-    A value *parse* rejects, or one below *minimum*, is a
-    :class:`ConfigurationError` naming the variable and the value,
+    A value *parse* rejects, a NaN or infinity, or one below *minimum*,
+    is a :class:`ConfigurationError` naming the variable and the value,
     never a bare ``ValueError``.
     """
     raw = environ.get(name, "")
@@ -38,6 +39,8 @@ def env_number(
         raise ConfigurationError(
             f"{name} must be {parse.__name__}-valued, got {raw!r}"
         ) from None
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {raw!r}")
     if minimum is not None and value < minimum:
         raise ConfigurationError(f"{name} must be >= {minimum}, got {raw!r}")
     return value

@@ -10,19 +10,23 @@ and the store answers a garbage entry with a miss.
 
 import dataclasses
 import hashlib
+import http.client
 import json
 import re
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError, FabricError
-from repro.fabric.protocol import decode_frame
+from repro.fabric.broker import _sweep_options
+from repro.fabric.protocol import FabricProtocolError, decode_frame
 from repro.fabric.store import ResultStore
 from repro.faults.plan import FaultPlanConfig
 from repro.scenario import ScenarioConfig
 from repro.scenario.io import config_from_dict, config_to_dict
 from repro.stats.metrics import FlowStats, MetricsSummary
+from tests.fabric.conftest import SMALL
 
 KEY = "cd" + "0" * 62
 
@@ -75,7 +79,7 @@ SUMMARY = MetricsSummary(
     normalized_mac_load=3.0, drops_no_route=1, drops_buffer=0,
     drops_ifq=0, drops_retry=0, mac_collisions=2,
     flows={0: FlowStats(0, 1, 2, 4, 3, [0.01, 0.02, 0.03])},
-    perf={"events": 10}, profile={"event-loop": {"calls": 1, "self_s": 0.1}},
+    perf={"events": 10}, profile={"core": {"calls": 1, "self_s": 0.1}},
     drops_by_reason={"no_route": 1}, flight={"offered": 4},
 ).to_dict()
 
@@ -189,3 +193,53 @@ def test_store_heals_an_entry_with_a_flipped_digit(tmp_path, data):
     entry.write_bytes(digest + b"\n" + payload[:i] + bytes([new]) + payload[i + 1:])
     assert store.get(KEY) is None
     assert not entry.exists()  # healed
+
+
+@pytest.mark.parametrize("options", [
+    {"job_timeout": "soon"}, {"job_timeout": 0}, {"job_timeout": -1.5},
+    {"job_timeout": float("nan")}, {"job_timeout": float("inf")},
+    {"job_timeout": True}, {"max_retries": "2"}, {"max_retries": -1},
+    {"max_retries": 1.5}, {"max_retries": True}, [1], "fast",
+])
+def test_sweep_options_refuse_what_a_worker_cannot_read(options):
+    with pytest.raises(FabricProtocolError):
+        _sweep_options(options)
+
+
+def test_sweep_options_accept_null_and_sane_values():
+    assert _sweep_options(None) == (None, None)
+    assert _sweep_options({"job_timeout": None, "max_retries": None}) == (None, None)
+    assert _sweep_options({"job_timeout": 2, "max_retries": 0}) == (0, 2)
+
+
+def _post_sweep(broker, body: dict):
+    conn = http.client.HTTPConnection(broker.host, broker.port, timeout=60.0)
+    try:
+        conn.request("POST", "/sweep", json.dumps(body).encode(),
+                     {"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        return resp.status, resp.read()
+    finally:
+        conn.close()
+
+
+def test_post_sweep_with_a_string_timeout_is_400_and_spares_the_worker(
+    tmp_path, broker_factory, thread_worker
+):
+    broker = broker_factory(cache_dir=str(tmp_path / "fleet"))
+    worker = thread_worker(broker.address)
+    config = config_to_dict(ScenarioConfig(**SMALL))
+    status, raw = _post_sweep(
+        broker, {"config": config, "options": {"job_timeout": "soon"}}
+    )
+    assert status == 400
+    assert "job_timeout" in json.loads(raw)["error"]
+    assert not broker.jobs  # nothing was queued for a worker to lease
+    status, raw = _post_sweep(
+        broker, {"config": config, "options": {"job_timeout": 60}}
+    )
+    assert status == 200
+    lines = [json.loads(line) for line in raw.splitlines()]
+    assert [m["type"] for m in lines if m["type"] == "point"] == ["point"]
+    assert broker.counters["jobs_executed"] == 1
+    assert worker.is_alive()

@@ -101,7 +101,7 @@ def test_run_profile_flag(capsys):
     assert main(["run", "--protocol", "aodv", "--profile", *FAST]) == 0
     out = capsys.readouterr().out
     assert "Profile (wall time)" in out
-    assert "event-loop" in out
+    assert "core/mac" in out
 
 
 def test_run_profile_out_and_obs_report(tmp_path, capsys):
@@ -113,7 +113,7 @@ def test_run_profile_out_and_obs_report(tmp_path, capsys):
     capsys.readouterr()
     assert main(["obs", "report", str(prof)]) == 0
     out = capsys.readouterr().out
-    assert "event-loop" in out and "self %" in out
+    assert "core/mac" in out and "self %" in out
 
 
 def test_run_telemetry_export(tmp_path, capsys):
