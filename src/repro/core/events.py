@@ -9,16 +9,15 @@ scheduling order (deterministic FIFO semantics).
 Cancellation is lazy: :meth:`Event.cancel` flags the event and the queue
 discards flagged entries when they reach the top. This makes cancel O(1),
 which matters because timers (retransmit, route timeout, backoff) are
-cancelled far more often than they fire. Two hygiene mechanisms keep the
-lazy scheme honest under the 80 %-cancelled retransmit-timer pattern:
+cancelled far more often than they fire. **Compaction** keeps the lazy
+scheme honest under the 80 %-cancelled retransmit-timer pattern: when
+dead (cancelled but still heaped) entries exceed half the heap, the
+heap is rebuilt without them, bounding memory at ~2x the live count
+instead of growing with total cancellations.
 
-* **Compaction** — when dead (cancelled but still heaped) entries exceed
-  half the heap, the heap is rebuilt without them, bounding memory at
-  ~2x the live count instead of growing with total cancellations.
-* **Freelist** — popped events with no remaining external references
-  (verified via ``sys.getrefcount``, so a held timer handle is never
-  recycled out from under its owner) are reset and reused by the next
-  ``push``, avoiding allocator churn on the schedule/cancel treadmill.
+Every :class:`Event` (and every :class:`WheelTimer`) is allocated once
+and never reused, so a handle a layer keeps always describes the event
+it was given, however long it is held.
 
 Cancellation is idempotent and self-accounting: an event knows its
 queue, so ``Event.cancel()`` keeps ``len(queue)`` correct whether it is
@@ -36,8 +35,9 @@ re-push protocol that makes the coalescing order-transparent.
 from __future__ import annotations
 
 import heapq
-from sys import getrefcount
 from typing import Any, Callable, Optional
+
+from .perfcounters import PerfCounters
 
 __all__ = ["Event", "EventQueue", "TimerWheel", "WheelTimer"]
 
@@ -113,20 +113,20 @@ class EventQueue:
     guarantees comparisons never reach the event object, so ordering is
     resolved entirely by C-level float/int comparisons (profiling showed
     Python-level ``Event.__lt__`` dominating the kernel otherwise).
+
+    *perf* is the owning simulator's counter block; a queue built on its
+    own counts into a fresh one.
     """
 
-    __slots__ = ("_heap", "_seq", "_live", "_dead", "_pool", "perf")
+    __slots__ = ("_heap", "_seq", "_live", "_dead", "perf")
 
-    def __init__(self) -> None:
+    def __init__(self, perf: Optional[PerfCounters] = None) -> None:
         self._heap: list = []
         self._seq = 0
         self._live = 0
         #: Cancelled entries still sitting in the heap.
         self._dead = 0
-        #: Recycled Event objects awaiting reuse.
-        self._pool: list = []
-        #: Optional shared PerfCounters (set by the owning Simulator).
-        self.perf = None
+        self.perf = perf or PerfCounters()
 
     def __len__(self) -> int:
         """Number of live (non-cancelled) events still queued."""
@@ -135,54 +135,24 @@ class EventQueue:
     def push(self, time: float, fn: Callable[..., Any], args: tuple = ()) -> Event:
         """Schedule ``fn(*args)`` at absolute *time* and return the event."""
         seq = self._seq
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev._cancelled = False
-            ev._fired = False
-        else:
-            ev = Event(time, seq, fn, args)
+        ev = Event(time, seq, fn, args)
         ev._queue = self
         heapq.heappush(self._heap, (time, seq, ev))
         self._seq = seq + 1
         self._live += 1
         return ev
 
-    def alloc_seq(self) -> int:
-        """Claim the next sequence number without pushing an event.
-
-        :class:`TimerWheel` assigns each coalesced timer a seq from the
-        same counter heap events draw from, so a wheel timer and a heap
-        event scheduled at the same instant keep the exact relative
-        order they would have had as two heap events.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        return seq
-
     def push_at_seq(
         self, time: float, fn: Callable[..., Any], args: tuple, seq: int
     ) -> Event:
-        """Push an event carrying a pre-allocated *seq* (see :meth:`alloc_seq`).
+        """Push an event carrying a pre-claimed *seq*.
 
-        The caller guarantees *seq* is unique (claimed from this queue's
-        counter); the global ``_seq`` is not advanced.
+        The caller guarantees *seq* is unique: it was claimed from this
+        queue's counter by advancing ``_seq`` itself, as
+        :meth:`TimerWheel.schedule` does. The counter is not advanced
+        here.
         """
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev._cancelled = False
-            ev._fired = False
-        else:
-            ev = Event(time, seq, fn, args)
+        ev = Event(time, seq, fn, args)
         ev._queue = self
         heapq.heappush(self._heap, (time, seq, ev))
         self._live += 1
@@ -202,24 +172,7 @@ class EventQueue:
         self._heap = [entry for entry in self._heap if not entry[2]._cancelled]
         heapq.heapify(self._heap)
         self._dead = 0
-        if self.perf is not None:
-            self.perf.heap_compactions += 1
-
-    def _recycle(self, ev: Event) -> None:
-        """Return *ev* to the freelist if nobody else can see it.
-
-        The baseline count is 3: the caller's reference, this method's
-        parameter, and getrefcount's own argument. Anything above that
-        means a MAC/routing layer still holds the timer handle, so reuse
-        would alias and the event is left to the garbage collector.
-        """
-        if getrefcount(ev) == 3 and len(self._pool) < 256:
-            ev.fn = None
-            ev.args = ()
-            ev._queue = None
-            self._pool.append(ev)
-            if self.perf is not None:
-                self.perf.events_pooled += 1
+        self.perf.heap_compactions += 1
 
     # --------------------------------------------------------------- popping
 
@@ -236,7 +189,6 @@ class EventQueue:
                 ev._fired = True
                 return ev
             self._dead -= 1
-            self._recycle(ev)
         return None
 
     def pop_due(self, until: Optional[float]) -> Optional[Event]:
@@ -253,7 +205,6 @@ class EventQueue:
             if entry[2]._cancelled:
                 heapq.heappop(heap)
                 self._dead -= 1
-                self._recycle(entry[2])
                 continue
             if until is not None and entry[0] > until:
                 return None
@@ -268,9 +219,8 @@ class EventQueue:
         """Firing time of the next live event, or ``None`` if empty."""
         heap = self._heap
         while heap and heap[0][2]._cancelled:
-            ev = heapq.heappop(heap)[2]
+            heapq.heappop(heap)
             self._dead -= 1
-            self._recycle(ev)
         return heap[0][0] if heap else None
 
     def peek_entry(self) -> Optional[tuple]:
@@ -281,9 +231,8 @@ class EventQueue:
         """
         heap = self._heap
         while heap and heap[0][2]._cancelled:
-            ev = heapq.heappop(heap)[2]
+            heapq.heappop(heap)
             self._dead -= 1
-            self._recycle(ev)
         if not heap:
             return None
         entry = heap[0]
@@ -310,11 +259,11 @@ class WheelTimer:
 
     __slots__ = ("time", "seq", "fn", "args", "_cancelled", "_fired")
 
-    def __init__(self) -> None:
-        self.time = 0.0
-        self.seq = 0
-        self.fn: Optional[Callable[..., Any]] = None
-        self.args: tuple = ()
+    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple):
+        self.time = time
+        self.seq = seq
+        self.fn = fn
+        self.args = args
         self._cancelled = False
         self._fired = False
 
@@ -371,15 +320,14 @@ class TimerWheel:
     append to a bucket that is already being drained.
     """
 
-    __slots__ = ("_queue", "_buckets", "_pool", "perf")
+    __slots__ = ("_queue", "_buckets", "perf")
 
     def __init__(self, queue: EventQueue) -> None:
         self._queue = queue
         #: deadline -> list of WheelTimer in schedule (= seq) order.
         self._buckets: dict = {}
-        self._pool: list = []
-        #: Optional shared PerfCounters (set by the owning arena).
-        self.perf = None
+        #: The queue's counter block (the owning simulator's).
+        self.perf = queue.perf
 
     def __len__(self) -> int:
         """Number of pending (non-cancelled) timers across all buckets."""
@@ -395,42 +343,16 @@ class TimerWheel:
         queue = self._queue
         seq = queue._seq
         queue._seq = seq + 1
-        pool = self._pool
-        if pool:
-            timer = pool.pop()
-            timer._cancelled = False
-            timer._fired = False
-        else:
-            timer = WheelTimer()
-        timer.time = time
-        timer.seq = seq
-        timer.fn = fn
-        timer.args = args
+        timer = WheelTimer(time, seq, fn, args)
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [timer]
             queue.push_at_seq(time, self._fire, (time,), seq)
-            perf = self.perf
-            if perf is not None:
-                perf.mac_timer_events += 1
-                perf.mac_wheel_sentinels += 1
+            self.perf.mac_wheel_sentinels += 1
         else:
             bucket.append(timer)
-            if self.perf is not None:
-                self.perf.mac_timer_events += 1
+        self.perf.mac_timer_events += 1
         return timer
-
-    def _recycle(self, timer: WheelTimer) -> None:
-        """Pool *timer* unless a MAC still holds the handle (refcount).
-
-        Baseline is 4, one more than the queue's: the bucket list entry
-        is still alive in ``_fire``'s frame, plus the caller's local,
-        this parameter, and getrefcount's own argument.
-        """
-        if getrefcount(timer) == 4 and len(self._pool) < 256:
-            timer.fn = None
-            timer.args = ()
-            self._pool.append(timer)
 
     def _fire(self, time: float) -> None:
         """Sentinel callback: drain the bucket for *time* in seq order."""
@@ -443,7 +365,6 @@ class TimerWheel:
             timer = bucket[i]
             if timer._cancelled:
                 i += 1
-                self._recycle(timer)
                 continue
             # Cheap pre-check before the purging peek: the sim already
             # drained everything ordered before this sentinel, so the
@@ -462,10 +383,8 @@ class TimerWheel:
                     # timer's own seq.
                     self._buckets[time] = bucket[i:]
                     queue.push_at_seq(time, self._fire, (time,), timer.seq)
-                    if self.perf is not None:
-                        self.perf.mac_wheel_sentinels += 1
+                    self.perf.mac_wheel_sentinels += 1
                     return
             i += 1
             timer._fired = True
             timer.fn(*timer.args)
-            self._recycle(timer)

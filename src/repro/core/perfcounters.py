@@ -1,107 +1,65 @@
 """Hot-path instrumentation counters.
 
-Every optimisation layer added by the vectorized engine (batch mobility
-kinematics, the channel fan-out cache, spatial-grid incremental updates,
-event-heap compaction and pooling) increments a counter here, so a
+Every optimisation layer of the engine (batch mobility kinematics, the
+channel fan-out cache, spatial-grid incremental updates, event-heap
+compaction, the DCF timer wheel) increments a counter here, so a
 regression in any cache's hit ratio is visible in
 ``MetricsSummary.perf``, the CLI, and ``BENCH_kernel.json`` without
 re-profiling.
 
-One :class:`PerfCounters` instance lives on each :class:`Simulator`;
-layers share it by reference. Counting is plain integer addition — cheap
-enough to stay on unconditionally.
+One :class:`PerfCounters` block lives on each :class:`Simulator`, which
+hands it to every layer at construction; a layer built on its own (as
+in tests) makes a fresh block. Counting is plain integer addition on a
+slot — cheap enough to stay on unconditionally, so no counter site
+tests for ``None``.
 
-Counter names are **registry-backed**: the kernel counters below are
-registered at import time, and any subsystem (the ``repro.obs``
-telemetry probes, future caches) can add its own with
-:func:`register_counter` without editing this module. ``as_dict()``
-iterates in registration order, so the kernel counters keep their
-historical positions in ``BENCH_kernel.json`` and new counters append
-after them.
+:data:`COUNTERS` is the one list of names: it fixes the slots, the
+``as_dict()`` order and the sweep CSV's ``perf_*`` column order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
-__all__ = ["PerfCounters", "register_counter", "registered_counters"]
+__all__ = ["COUNTERS", "PerfCounters"]
 
-#: Ordered registry: counter name -> one-line description. Insertion
-#: order is the canonical ``as_dict()`` order.
-_REGISTRY: Dict[str, str] = {}
-
-
-def register_counter(name: str, doc: str = "") -> str:
-    """Register a counter *name* (idempotent); returns the name.
-
-    Registered counters initialise to 0 on every new
-    :class:`PerfCounters` and appear in :meth:`PerfCounters.as_dict` in
-    registration order. Increment sites stay plain attribute additions
-    (``perf.my_counter += 1``); instances created *before* a late
-    registration report 0 for the new name until they increment it.
-    """
-    if not name.isidentifier():
-        raise ValueError(f"counter name must be an identifier, got {name!r}")
-    _REGISTRY.setdefault(name, doc)
-    return name
-
-
-def registered_counters() -> Tuple[str, ...]:
-    """All registered counter names, in canonical (registration) order."""
-    return tuple(_REGISTRY)
-
-
-# The kernel counter set. Order matters: BENCH_kernel.json and the CLI
-# tables present counters in this sequence, so additions go at the end
-# (or come from register_counter, which always appends).
-register_counter("fanout_cache_hits",
-                 "channel geometry served from the per-(src, epoch) memo")
-register_counter("fanout_cache_misses", "channel geometry computed fresh")
-register_counter("batch_position_evals",
-                 "positions(t) calls answered by the fused NumPy expression")
-register_counter("scalar_position_evals",
-                 "per-node position(t) fallback evaluations")
-register_counter("segment_refreshes",
-                 "mobility segments re-published into the manager's arrays")
-register_counter("grid_rebuilds", "spatial grid built from scratch")
-register_counter("grid_incremental_updates",
-                 "spatial grid refreshed by re-binning only moved nodes")
-register_counter("heap_compactions", "lazy-cancel heap dead-entry purges")
-register_counter("events_pooled", "event objects recycled through the freelist")
-register_counter("phy_batch_arrivals",
-                 "receiver arrivals resolved on the channel's arrival ledger")
-register_counter("phy_legacy_arrivals",
-                 "always 0 (the per-pair PHY is gone); kept because the "
-                 "benchmark harness reads it by name")
-register_counter("mac_timer_events",
-                 "DCF timers routed through the contention arena's wheel")
-register_counter("mac_wheel_sentinels",
-                 "heap sentinel events the timer wheel actually pushed")
-register_counter("mac_edges_dispatched",
-                 "medium-edge MAC transitions the arena had to dispatch")
-register_counter("mac_edges_suppressed",
-                 "medium-edge MAC callbacks proven no-ops and skipped")
+#: Every counter, in canonical order. BENCH_kernel.json and the CLI
+#: tables present counters in this sequence, so additions go at the end.
+COUNTERS = (
+    "fanout_cache_hits",  # channel geometry served from the per-(src, epoch) memo
+    "fanout_cache_misses",  # channel geometry computed fresh
+    "batch_position_evals",  # positions(t) rows answered by the fused expression
+    "scalar_position_evals",  # per-node position(t) fallback evaluations
+    "segment_refreshes",  # mobility segments re-published into the manager's arrays
+    "grid_rebuilds",  # spatial grid built from scratch
+    "grid_incremental_updates",  # spatial grid refreshed by re-binning only moved nodes
+    "heap_compactions",  # lazy-cancel heap dead-entry purges
+    # events_pooled and phy_legacy_arrivals always read 0 (events are
+    # never reused; the per-pair PHY is gone): the benchmark harness
+    # reads both by name.
+    "events_pooled",
+    "phy_batch_arrivals",  # receiver arrivals resolved on the channel's arrival ledger
+    "phy_legacy_arrivals",
+    "mac_timer_events",  # DCF timers routed through the contention arena's wheel
+    "mac_wheel_sentinels",  # heap sentinel events the timer wheel actually pushed
+    "mac_edges_dispatched",  # medium-edge MAC transitions the arena had to dispatch
+    "mac_edges_suppressed",  # medium-edge MAC callbacks proven no-ops and skipped
+    "telemetry_samples",  # telemetry probe sweeps recorded
+)
 
 
 class PerfCounters:
-    """Mutable counter block for one simulation (or one sweep session).
+    """Fixed, slotted counter block for one simulation: ``perf.<name> += n``."""
 
-    Attribute access is ordinary instance-``__dict__`` access (no
-    ``__slots__``), so dynamically registered counters work exactly like
-    the kernel set: ``perf.<name> += 1``.
-    """
+    __slots__ = COUNTERS
 
     def __init__(self) -> None:
-        for name in _REGISTRY:
+        for name in COUNTERS:
             setattr(self, name, 0)
 
-    def incr(self, name: str, n: int = 1) -> None:
-        """Increment a (possibly late-registered) counter by *n*."""
-        setattr(self, name, getattr(self, name, 0) + n)
-
     def as_dict(self) -> Dict[str, int]:
-        """Counter snapshot in canonical registry order."""
-        return {name: getattr(self, name, 0) for name in _REGISTRY}
+        """Counter snapshot in :data:`COUNTERS` order."""
+        return {name: getattr(self, name) for name in COUNTERS}
 
     def fanout_hit_ratio(self) -> float:
         """Fraction of transmissions whose geometry came from the memo."""
@@ -111,15 +69,14 @@ class PerfCounters:
     def mac_timer_coalescing_ratio(self) -> float:
         """Fraction of wheel timers that piggybacked on an existing
         sentinel instead of pushing their own heap event."""
-        timers = getattr(self, "mac_timer_events", 0)
-        sentinels = getattr(self, "mac_wheel_sentinels", 0)
-        return (timers - sentinels) / timers if timers else 0.0
+        timers = self.mac_timer_events
+        return (timers - self.mac_wheel_sentinels) / timers if timers else 0.0
 
     def mac_edge_suppression_ratio(self) -> float:
         """Fraction of medium-edge MAC notifications the arena proved
         to be no-ops and skipped entirely."""
-        suppressed = getattr(self, "mac_edges_suppressed", 0)
-        total = suppressed + getattr(self, "mac_edges_dispatched", 0)
+        suppressed = self.mac_edges_suppressed
+        total = suppressed + self.mac_edges_dispatched
         return suppressed / total if total else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -38,16 +38,16 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._queue = EventQueue()
+        #: Hot-path instrumentation; every layer built on this simulator
+        #: receives it at construction.
+        self.perf = PerfCounters()
+        self._queue = EventQueue(self.perf)
         self._now = 0.0
         self._running = False
         self._stopped = False
         self.rng = RngStreams(seed)
         #: Count of events actually fired; useful for performance reporting.
         self.events_processed = 0
-        #: Hot-path instrumentation shared with every attached layer.
-        self.perf = PerfCounters()
-        self._queue.perf = self.perf
         #: Optional :class:`repro.obs.flight.FlightRecorder`. ``None``
         #: (the default) leaves every per-packet lifecycle hook dead —
         #: layers test ``is not None`` on cold drop paths only, so a
@@ -108,7 +108,6 @@ class Simulator:
         self._running = True
         self._stopped = False
         queue = self._queue
-        recycle = queue._recycle
         processed = 0
         try:
             while not self._stopped:
@@ -118,8 +117,6 @@ class Simulator:
                 self._now = ev.time
                 processed += 1
                 ev.fn(*ev.args)
-                # Fired and no handle retained anywhere -> safe to reuse.
-                recycle(ev)
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
         finally:

@@ -62,7 +62,6 @@ class ContentionArena:
     def __init__(self, sim, ledger, radios):
         self.sim = sim
         self.wheel = TimerWheel(sim._queue)
-        self.wheel.perf = sim.perf
         self.perf = sim.perf
         self._ledger = ledger
         self._macs = [r.mac for r in radios]
@@ -100,8 +99,7 @@ class ContentionArena:
         w = self._ledger.wants_medium[ids]
         nw = int(w.sum())
         if nw == 0:
-            if perf is not None:
-                perf.mac_edges_suppressed += n
+            perf.mac_edges_suppressed += n
             return
         if nw < n:
             ids = ids[w]
@@ -111,7 +109,6 @@ class ContentionArena:
         floor = math.floor
         wheel = self.wheel
         buckets = wheel._buckets
-        pool = wheel._pool
         queue = wheel._queue
         disp = 0
         armed = 0
@@ -154,16 +151,7 @@ class ContentionArena:
             # protocol as TimerWheel.schedule).
             seq = queue._seq
             queue._seq = seq + 1
-            if pool:
-                timer = pool.pop()
-                timer._cancelled = False
-                timer._fired = False
-            else:
-                timer = WheelTimer()
-            timer.time = wake_t
-            timer.seq = seq
-            timer.fn = mac._nav_wake_fired
-            timer.args = ()
+            timer = WheelTimer(wake_t, seq, mac._nav_wake_fired, ())
             bucket = buckets.get(wake_t)
             if bucket is None:
                 buckets[wake_t] = [timer]
@@ -172,8 +160,7 @@ class ContentionArena:
             else:
                 bucket.append(timer)
             armed += 1
-        if perf is not None:
-            perf.mac_edges_dispatched += disp
-            perf.mac_edges_suppressed += n - disp
-            perf.mac_timer_events += armed
-            perf.mac_wheel_sentinels += sentinels
+        perf.mac_edges_dispatched += disp
+        perf.mac_edges_suppressed += n - disp
+        perf.mac_timer_events += armed
+        perf.mac_wheel_sentinels += sentinels

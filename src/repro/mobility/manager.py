@@ -27,11 +27,12 @@ there is no fused multiply-add). The segment window is half-open because at
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..core.errors import ConfigurationError
+from ..core.perfcounters import PerfCounters
 from .base import MobilityModel
 
 __all__ = ["MobilityManager"]
@@ -44,14 +45,16 @@ class MobilityManager:
     ----------
     models:
         One mobility model per node.
+    perf:
+        The simulator's counter block; a fresh one if not given.
     """
 
-    def __init__(self, models: Sequence[MobilityModel]):
+    def __init__(self, models: Sequence[MobilityModel],
+                 perf: Optional[PerfCounters] = None):
         if not models:
             raise ConfigurationError("MobilityManager needs at least one model")
         self.models: List[MobilityModel] = list(models)
-        #: Optional shared PerfCounters (set by the owning network stack).
-        self.perf = None
+        self.perf = perf or PerfCounters()
         n = len(self.models)
         self._cache_t = -1.0
         self._cache = np.zeros((n, 2), dtype=np.float64)
@@ -119,9 +122,8 @@ class MobilityManager:
         scalar_idx = self._scalar_idx
         for i in scalar_idx:
             buf[i, 0], buf[i, 1] = models[i].position(t)
-        if perf is not None:
-            perf.batch_position_evals += len(models) - len(scalar_idx)
-            perf.scalar_position_evals += len(scalar_idx)
+        perf.batch_position_evals += len(models) - len(scalar_idx)
+        perf.scalar_position_evals += len(scalar_idx)
         self._cache_t = t
         self._cache_valid = True
         return buf
@@ -172,8 +174,7 @@ class MobilityManager:
         self.static_until = (
             -math.inf if seg_dp.any() else float(seg_t1.min())
         )
-        if self.perf is not None:
-            self.perf.segment_refreshes += refreshed
+        self.perf.segment_refreshes += refreshed
 
     # -------------------------------------------------------- scalar helpers
 

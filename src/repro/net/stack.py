@@ -69,8 +69,7 @@ def build_network(
     """
     propagation = propagation if propagation is not None else TwoRayGround()
     params = radio_params if radio_params is not None else WAVELAN_914MHZ
-    mobility = MobilityManager(mobility_models)
-    mobility.perf = sim.perf
+    mobility = MobilityManager(mobility_models, sim.perf)
     channel = Channel(
         sim,
         mobility,

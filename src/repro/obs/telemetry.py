@@ -32,7 +32,6 @@ from collections import deque
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..core.perfcounters import register_counter
 from ..stats.energy import EnergyParams
 
 __all__ = [
@@ -63,9 +62,6 @@ TELEMETRY_SCHEMA: Dict[str, type] = {
     "drops_total": int,
     "perf": dict,
 }
-
-#: Samples the recorder actually took (visible in MetricsSummary.perf).
-register_counter("telemetry_samples", "telemetry probe sweeps recorded")
 
 
 def validate_sample(sample: dict) -> None:
@@ -237,7 +233,7 @@ class TelemetryRecorder:
         if len(self.samples) == self.capacity:
             self.dropped += 1
         self.samples.append(sample)
-        sim.perf.incr("telemetry_samples")
+        sim.perf.telemetry_samples += 1
         return sample
 
     # --------------------------------------------------------------- export

@@ -277,8 +277,7 @@ class Channel:
         # Simulation time never runs backwards, so an entry is only
         # ever asked about its own epoch or a later one.
         if hit is not None and (hit[0] == tq or tq < hit[2]):
-            if perf is not None:
-                perf.fanout_cache_hits += 1
+            perf.fanout_cache_hits += 1
             return hit[1]
         if tq != self._memo_tq:
             self._memo_tq = tq
@@ -298,8 +297,7 @@ class Channel:
         self._memo[src_id] = (tq, targets, until)
         if until < self._memo_floor:
             self._memo_floor = until
-        if perf is not None:
-            perf.fanout_cache_misses += 1
+        perf.fanout_cache_misses += 1
         return targets
 
     def _evict(self, tq: float) -> None:
@@ -400,13 +398,11 @@ class Channel:
             self._grid = SpatialIndex(cell_size=self._max_range)
             self._grid.rebuild(positions)
             self._grid_time = tq
-            if perf is not None:
-                perf.grid_rebuilds += 1
+            perf.grid_rebuilds += 1
         elif self._grid_time != tq:
             self._grid.update(positions)
             self._grid_time = tq
-            if perf is not None:
-                perf.grid_incremental_updates += 1
+            perf.grid_incremental_updates += 1
 
     # A whole fan-out resolves with NumPy gathers over the shared
     # ArrivalLedger, and one end event per *transmission* (not per
@@ -428,8 +424,7 @@ class Channel:
             powers = mb.powers
             n = ids.shape[0]
             self.stats.deliveries_attempted += n
-            if perf is not None:
-                perf.phy_batch_arrivals += n
+            perf.phy_batch_arrivals += n
             if not led.active and led.n_txing == 1 and led.n_down == 0:
                 # Quiet channel — the common case at the paper's
                 # densities: nothing else is on the air (the only
@@ -471,8 +466,7 @@ class Channel:
             dec = mb.dec[keep]
             n = ids.shape[0]
             self.stats.deliveries_attempted += n
-            if perf is not None:
-                perf.phy_batch_arrivals += n
+            perf.phy_batch_arrivals += n
 
         ratio = self.params.capture_ratio
         down = led.down[ids]
@@ -730,9 +724,8 @@ class Channel:
                         else:
                             n_supp += 1
             perf = self.perf
-            if perf is not None:
-                perf.mac_edges_dispatched += n_disp
-                perf.mac_edges_suppressed += n_supp
+            perf.mac_edges_dispatched += n_disp
+            perf.mac_edges_suppressed += n_supp
             src._transmit_done(frame)
             return
         counts_l = led.counts[added].tolist() if active else None

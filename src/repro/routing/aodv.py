@@ -15,9 +15,13 @@ Like the paper's ns-2 configuration, link failures are detected by
 link-layer feedback (MAC retry exhaustion) by default; periodic HELLO
 beacons can be enabled for MACs without feedback (``hello_interval``).
 
+Local repair (RFC 3561 §6.12) is an extension, off by default to match
+the paper, whose AODV predates its wide use: with ``local_repair=True``
+an upstream node that loses the next hop of transit data buffers it and
+repairs the route in place instead of erroring upstream (DESIGN.md S23).
+
 Simplifications (documented in DESIGN.md): no gratuitous RREPs, no
-local repair (the paper's extended version predates its wide use),
-no RREP-ACK/blacklists.
+RREP-ACK/blacklists.
 """
 
 from __future__ import annotations

@@ -67,19 +67,20 @@ def load_config(path: PathLike) -> ScenarioConfig:
 def _perf_profile_columns(rows: List[MetricsSummary]):
     """Extra (header, per-row getter) pairs for perf + profile data.
 
-    Perf counters come out in canonical registry order (prefixed
-    ``perf_``); profile layers become ``profile_<layer>_s`` self-time
-    seconds, sorted by name. Rows lacking a counter/layer (unprofiled
-    runs, summaries from an older engine) report 0.
+    Perf counters come out in :data:`~repro.core.perfcounters.COUNTERS`
+    order (prefixed ``perf_``); profile layers become
+    ``profile_<layer>_s`` self-time seconds, sorted by name. Rows
+    lacking a counter/layer (unprofiled runs, summaries from an older
+    engine) report 0.
     """
-    from ..core.perfcounters import registered_counters
+    from ..core.perfcounters import COUNTERS
     from ..obs.profiler import profile_layer_seconds
 
     seen = set()
     for s in rows:
         seen.update(s.perf)
-    perf_names = [n for n in registered_counters() if n in seen]
-    perf_names += sorted(seen - set(registered_counters()))
+    perf_names = [n for n in COUNTERS if n in seen]
+    perf_names += sorted(seen - set(COUNTERS))
 
     layer_rows = [profile_layer_seconds(s.profile) for s in rows]
     layers = sorted({layer for row in layer_rows for layer in row})

@@ -2,9 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.core.events import Event, EventQueue, TimerWheel
-from repro.core.perfcounters import PerfCounters
-from repro.core.simulator import Simulator
+from repro.core.events import Event, EventQueue
 
 
 def test_push_pop_single():
@@ -131,7 +129,6 @@ def test_event_ordering_dunder():
 def test_compaction_purges_dead_entries():
     """Mass-cancelling must shrink the physical heap, not just len()."""
     q = EventQueue()
-    q.perf = PerfCounters()
     events = [q.push(1.0 + i * 1e-3, lambda: None) for i in range(1000)]
     for i, ev in enumerate(events):
         if i % 5 != 0:
@@ -145,28 +142,13 @@ def test_compaction_purges_dead_entries():
     assert fired == 200
 
 
-def test_freelist_recycles_unreferenced_events():
-    q = EventQueue()
-    q.perf = PerfCounters()
-    for _ in range(10):
-        q.push(1.0, lambda: None).cancel()
-    while q.pop() is not None:
-        pass
-    q.peek_time()  # drains remaining dead entries
-    assert q.perf.events_pooled > 0
-    # Reused objects must behave like fresh ones.
-    ev = q.push(3.0, lambda: None)
-    assert not ev.cancelled and not ev.fired
-    assert q.pop() is ev
-
-
 def test_freelist_never_steals_held_handles():
     q = EventQueue()
     held = q.push(1.0, lambda: None)
     held.cancel()
     assert q.pop() is None  # discards the dead entry
     fresh = q.push(2.0, lambda: None)
-    assert fresh is not held  # we still hold `held`: must not be recycled
+    assert fresh is not held  # every push allocates a fresh event
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), max_size=200))
@@ -207,45 +189,3 @@ def test_cancellation_never_loses_live_events(entries):
             break
         popped.append(ev)
     assert set(id(e) for e in popped) == set(id(e) for e in live)
-
-
-# The two pools key on exact ``sys.getrefcount`` baselines (3 for the
-# queue, 4 for the wheel). An interpreter that counts references
-# differently must turn these red, not hand a live timer handle to the
-# next ``push``.
-
-
-def test_handle_held_across_run_loop_recycle_is_never_pooled():
-    sim = Simulator(seed=0)
-    fired = []
-    sim.schedule(1.0, fired.append, "a")
-    held = sim.schedule(2.0, fired.append, "held")
-    sim.schedule(3.0, fired.append, "b")
-    sim.run()
-    assert fired == ["a", "held", "b"] and held.fired
-    pool = sim._queue._pool
-    assert len(pool) == 2 and sim.perf.events_pooled == 2  # unheld siblings
-    assert all(ev is not held for ev in pool)
-    reused = [sim.schedule(1.0, fired.append, i) for i in range(3)]
-    assert all(ev is not held for ev in reused)
-    assert held.fired and held.args == ("held",)  # not reset under its owner
-
-
-def test_wheel_handle_held_across_fire_is_never_pooled():
-    sim = Simulator(seed=0)
-    wheel = TimerWheel(sim._queue)
-    fired = []
-    wheel.schedule(1.0, fired.append, ("a",))
-    held = wheel.schedule(1.0, fired.append, ("held",))
-    wheel.schedule(1.0, fired.append, ("dropped",)).cancel()
-    held_dropped = wheel.schedule(1.0, fired.append, ("held-dropped",))
-    held_dropped.cancel()
-    sim.run()
-    assert fired == ["a", "held"]
-    pool = wheel._pool
-    assert len(pool) == 2  # the fired and the cancelled unheld sibling
-    assert all(t is not held and t is not held_dropped for t in pool)
-    reused = [wheel.schedule(2.0, fired.append, (i,)) for i in range(3)]
-    assert all(t is not held and t is not held_dropped for t in reused)
-    assert held.fired and held.args == ("held",)
-    assert held_dropped.cancelled and not held_dropped.fired

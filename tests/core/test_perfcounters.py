@@ -1,12 +1,12 @@
-"""Registry-backed perf counters: ordering, registration, increments."""
+"""The fixed perf-counter block: ordering, increments, and that every
+layer built on its own counts into a block of its own."""
 
 import pytest
 
-from repro.core.perfcounters import (
-    PerfCounters,
-    register_counter,
-    registered_counters,
-)
+from repro.core.events import EventQueue, TimerWheel
+from repro.core.perfcounters import COUNTERS, PerfCounters
+from repro.mobility.manager import MobilityManager
+from repro.mobility.static import StaticPosition
 
 #: BENCH_kernel.json and the CLI tables rely on this exact prefix order.
 KERNEL_ORDER = (
@@ -23,29 +23,9 @@ KERNEL_ORDER = (
 
 
 def test_kernel_counters_keep_historical_order():
-    names = registered_counters()
-    assert names[: len(KERNEL_ORDER)] == KERNEL_ORDER
-    assert tuple(PerfCounters().as_dict())[: len(KERNEL_ORDER)] == KERNEL_ORDER
-
-
-def test_new_counters_append_after_kernel_set():
-    register_counter("zz_test_counter_append")
-    names = registered_counters()
-    assert names.index("zz_test_counter_append") >= len(KERNEL_ORDER)
-    assert list(PerfCounters().as_dict())[-1] != "fanout_cache_hits"
-
-
-def test_registration_is_idempotent():
-    before = registered_counters()
-    register_counter("fanout_cache_hits", "attempted re-registration")
-    assert registered_counters() == before
-
-
-def test_invalid_names_rejected():
-    with pytest.raises(ValueError):
-        register_counter("not a name")
-    with pytest.raises(ValueError):
-        register_counter("hyphen-ated")
+    assert COUNTERS[: len(KERNEL_ORDER)] == KERNEL_ORDER
+    assert len(COUNTERS) == 16 and COUNTERS[-1] == "telemetry_samples"
+    assert tuple(PerfCounters().as_dict()) == COUNTERS
 
 
 def test_counters_initialise_to_zero_and_add():
@@ -57,10 +37,25 @@ def test_counters_initialise_to_zero_and_add():
     assert perf.fanout_hit_ratio() == pytest.approx(0.75)
 
 
-def test_incr_tolerates_late_registration():
-    perf = PerfCounters()  # created before the registration below
-    register_counter("zz_test_counter_late")
-    assert perf.as_dict()["zz_test_counter_late"] == 0
-    perf.incr("zz_test_counter_late")
-    perf.incr("zz_test_counter_late", 4)
-    assert perf.as_dict()["zz_test_counter_late"] == 5
+def test_block_is_fixed():
+    with pytest.raises(AttributeError):
+        PerfCounters().not_a_counter = 1
+
+
+def test_standalone_layers_count_without_wiring():
+    queue = EventQueue()
+    events = [queue.push(1.0 + i, lambda: None) for i in range(200)]
+    for ev in events:
+        ev.cancel()
+    assert queue.perf.heap_compactions >= 1
+
+    wheel = TimerWheel(EventQueue())
+    wheel.schedule(1.0, lambda: None)
+    wheel.schedule(1.0, lambda: None)
+    assert wheel.perf.mac_timer_events == 2
+    assert wheel.perf.mac_wheel_sentinels == 1
+
+    mobility = MobilityManager([StaticPosition(0.0, 0.0), StaticPosition(5.0, 0.0)])
+    mobility.positions(0.0)
+    assert mobility.perf.batch_position_evals == 2
+    assert mobility.perf.segment_refreshes == 2

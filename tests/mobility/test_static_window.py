@@ -10,7 +10,6 @@ for (a moving row, a pinned or scalar row, the legacy loop, an
 import math
 
 from repro.core import RngStreams
-from repro.core.perfcounters import PerfCounters
 from repro.mobility import (
     Field,
     Leg,
@@ -38,18 +37,12 @@ class PauseThenWalk(LegBasedModel):
         return Leg(prev.t1, prev.t1 + 50.0, prev.x1, prev.y1, prev.x1 + 50.0, prev.y1)
 
 
-def counted(models):
-    mgr = MobilityManager(models)
-    mgr.perf = PerfCounters()
-    return mgr
-
-
 def evals(mgr):
     return mgr.perf.batch_position_evals + mgr.perf.scalar_position_evals
 
 
 def test_static_field_is_evaluated_once():
-    mgr = counted(line_placement(100.0, 6))
+    mgr = MobilityManager(line_placement(100.0, 6))
     first = mgr.positions(0.0)
     assert mgr.static_until == math.inf
     for k in range(1, 200):
@@ -63,7 +56,7 @@ def test_one_moving_node_forbids_reuse():
     models = line_placement(100.0, 5) + [
         RandomWaypoint(FIELD, rng, max_speed=10.0, steady_state=False)
     ]
-    mgr = counted(models)
+    mgr = MobilityManager(models)
     for k in range(1, 11):
         mgr.positions(k * 0.5)
         assert mgr.static_until == -math.inf
@@ -74,7 +67,7 @@ def test_all_paused_window_ends_at_earliest_segment_end():
     models = [PauseThenWalk(10.0, 10.0, until=10.0),
               PauseThenWalk(20.0, 20.0, until=7.0),
               StaticPosition(30.0, 30.0)]
-    mgr = counted(models)
+    mgr = MobilityManager(models)
     # t = 0 lands on the zero-length placeholder legs: pinned rows.
     mgr.positions(0.0)
     assert mgr.static_until == -math.inf
@@ -91,7 +84,7 @@ def test_all_paused_window_ends_at_earliest_segment_end():
     assert mgr.static_until == -math.inf
     assert mgr.positions(8.0)[1].tolist() == [21.0, 20.0]
     # A time before the snapshot is never answered from the window.
-    mgr2 = counted([PauseThenWalk(10.0, 10.0, until=10.0)])
+    mgr2 = MobilityManager([PauseThenWalk(10.0, 10.0, until=10.0)])
     mgr2.positions(5.0)
     mgr2.positions(2.0)
     assert evals(mgr2) == 2
@@ -100,12 +93,12 @@ def test_all_paused_window_ends_at_earliest_segment_end():
 def test_scalar_rows_and_invalidate_read_minus_inf():
     groups = make_groups(FIELD, RngStreams(3).stream, 6, n_groups=2,
                          max_speed=5.0, pause_time=1e6, radius=40.0)
-    rpgm = counted(groups)
+    rpgm = MobilityManager(groups)
     rpgm.positions(1.0)
     assert rpgm._scalar_idx  # group members have no linear segment
     assert rpgm.static_until == -math.inf
 
-    mgr = counted(line_placement(100.0, 4))
+    mgr = MobilityManager(line_placement(100.0, 4))
     mgr.positions(1.0)
     assert mgr.static_until == math.inf
     mgr.invalidate()
@@ -122,7 +115,7 @@ def test_reuse_is_exact_on_long_pause_waypoints():
                                min_speed=5.0, pause_time=60.0)
                 for i in range(4)]
 
-    mgr, ref = counted(models()), models()
+    mgr, ref = MobilityManager(models()), models()
     steps = 800
     for k in range(steps):
         t = 0.25 * k
