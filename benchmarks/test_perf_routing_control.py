@@ -32,8 +32,14 @@ class _SinkMac:
 
 
 def _warmed_dsdv(sim, node_id, n_dests=N_DESTS):
-    """A DSDV agent whose table holds *n_dests* one-hop-learned routes."""
-    agent = Dsdv(sim, node_id, _SinkMac(), sim.rng.stream(f"dsdv.{node_id}"))
+    """A DSDV agent whose table holds *n_dests* one-hop-learned routes.
+
+    Its id space holds the two agents' ids 0 and 1 and the routes'
+    destinations 2 … n_dests + 1.
+    """
+    agent = Dsdv(
+        sim, node_id, _SinkMac(), sim.rng.stream(f"dsdv.{node_id}"), n_ids=n_dests + 2
+    )
     entries = [
         (d, 1.0, 100)
         for d in range(2, n_dests + 2)

@@ -9,7 +9,9 @@ nodes (tracked in per-route precursor lists).
 
 Loop freedom comes from destination sequence numbers: a route is only
 replaced by one with a higher destination sequence number, or an equal
-one and fewer hops.
+one and fewer hops. One known deviation: ``_update_route`` lets an
+invalid route adopt any sequence number, an older one included
+(RFC 3561 §6.5, §6.7), pinned by ``tests/routing/test_aodv_invariants.py``.
 
 Like the paper's ns-2 configuration, link failures are detected by
 link-layer feedback (MAC retry exhaustion) by default; periodic HELLO

@@ -20,16 +20,16 @@ link break and the arrival of the repaired route's next update, data
 keeps flowing into the stale/invalidated route and is dropped — there
 is no discovery to fall back on.
 
-The table is three NumPy columns indexed by destination id (layout,
-key encoding, sentinels and the own-row rule are in DESIGN.md, "DSDV
-table layout"). The adoption rule is a lexicographic order on
-(sequence, −metric), so each row holds it as one packed int64 key and
-"newer sequence, or equal sequence and shorter metric" is one integer
-``>``. An advert names each destination once, so merging it is
-independent per destination and runs as one gather, one comparison
-and one scatter per column. The per-entry statement of the same rules
-lives in ``tests/routing/dsdv_reference.py`` and is compared step by
-step.
+The table is three NumPy columns indexed by destination id, allocated
+once at the size of the network's id space (layout, key encoding,
+sentinels and the own-row rule are in DESIGN.md, "DSDV table layout").
+The adoption rule is a lexicographic order on (sequence, −metric), so
+each row holds it as one packed int64 key and "newer sequence, or
+equal sequence and shorter metric" is one integer ``>``. An advert
+names each destination once, so merging it is independent per
+destination and runs as one gather, one comparison and one scatter per
+column. The per-entry statement of the same rules lives in
+``tests/routing/dsdv_reference.py`` and is compared step by step.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.drops import DropReason
-from ..core.errors import ProtocolError
+from ..core.errors import ConfigurationError, ProtocolError
 from ..net.packet import BROADCAST, Packet
 from .base import RoutingProtocol
 
@@ -53,9 +53,12 @@ ENTRY_SIZE = 12
 #: Fixed update-message header bytes.
 HEADER_SIZE = 8
 
-#: Column dtypes: 13 bytes a row (int32 next hop, int64 key, bool).
-NEXT_HOP_DTYPE = np.int32
+#: Column dtypes: 11 bytes a row (int16 next hop, int64 key, bool).
+NEXT_HOP_DTYPE = np.int16
 KEY_DTYPE = np.int64
+#: Largest id space a table can index: the int16 next hop's range. A
+#: network of that many DSDV nodes would hold 32,767² rows, about 11.8 GB.
+MAX_IDS = (1 << 15) - 1
 
 #: A row key is ``seq << 32 | low`` with ``low = LOW - metric`` for a
 #: finite metric and 0 for ∞, so integer order is DSDV's adoption order
@@ -67,9 +70,9 @@ UNKNOWN = -1
 MAX_SEQ = (1 << 31) - 1
 #: A finite metric counts the hops one sequence number travelled along a
 #: simple path (an equal sequence is adopted only with a shorter
-#: metric), so it stays below the number of node ids (int32). The merge
-#: adds a hop unchecked; this bound keeps every such sum clear of the
-#: low half's ∞ code.
+#: metric), so it stays below the number of node ids (``MAX_IDS``). The
+#: merge adds a hop unchecked; this bound keeps every such sum clear of
+#: the low half's ∞ code.
 MAX_METRIC = (1 << 31) - 1
 
 
@@ -111,31 +114,28 @@ class _Advert:
     broadcast, so everything a receiver needs that depends only on the
     advert is computed here: ``key1`` is each entry's key with the
     metric already one hop longer (``key - 1`` on a finite entry, the
-    key itself on an ∞ one), beside the highest destination id and the
-    mask of finite entries (``None`` when all of them are).
+    key itself on an ∞ one), beside the mask of finite entries (``None``
+    when all of them are).
     """
 
-    __slots__ = ("dst", "key1", "finite", "max_dst")
+    __slots__ = ("dst", "key1", "finite")
 
     def __init__(self, entries: Sequence[Tuple[int, float, int]]):
-        dst = [entry[0] for entry in entries]
         keys = [_encode(metric, seq) for _, metric, seq in entries]
         self._set(
-            np.array(dst, dtype=np.intp),
+            np.array([entry[0] for entry in entries], dtype=np.intp),
             np.array(keys, dtype=KEY_DTYPE),
-            max(dst, default=-1),
         )
 
     @classmethod
     def from_rows(cls, rows: np.ndarray, keys: np.ndarray) -> "_Advert":
-        """The advert of table *rows* (ascending, non-empty) and their keys."""
+        """The advert of table *rows* and their keys."""
         advert = cls.__new__(cls)
-        advert._set(rows, keys, int(rows[-1]))
+        advert._set(rows, keys)
         return advert
 
-    def _set(self, dst, keys, max_dst: int) -> None:
+    def _set(self, dst, keys) -> None:
         self.dst = dst
-        self.max_dst = max_dst
         finite = (keys & LOW) != 0
         if finite.all():
             self.key1 = keys - 1
@@ -199,8 +199,9 @@ class _TableView:
     def __setitem__(self, dst: int, route: DsdvRoute) -> None:
         agent = self._agent
         key = _encode(route.metric, route.seq)
-        if dst >= len(agent._key):
-            agent._grow(dst + 1)
+        n_ids = len(agent._key)
+        if not 0 <= dst < n_ids:
+            raise ProtocolError(f"DSDV destination {dst!r} is not in [0, {n_ids})")
         agent._next_hop[dst] = route.next_hop
         agent._key[dst] = key
         agent._changed[dst] = route.changed
@@ -211,6 +212,9 @@ class Dsdv(RoutingProtocol):
 
     Parameters
     ----------
+    n_ids:
+        Size of the network's id space: every node id is below it, and
+        the table holds one row per id.
     update_interval:
         Period of full-table dumps (ns-2 default 15 s).
     trigger_delay:
@@ -225,39 +229,34 @@ class Dsdv(RoutingProtocol):
         node_id,
         mac,
         rng,
+        n_ids: int,
         update_interval: float = 15.0,
         trigger_delay: float = 1.0,
     ):
+        if not node_id < n_ids <= MAX_IDS:
+            raise ConfigurationError(
+                f"DSDV id space {n_ids!r} must exceed node id {node_id} "
+                f"and be at most {MAX_IDS}"
+            )
         super().__init__(sim, node_id, mac, rng)
         self.update_interval = update_interval
         self.trigger_delay = trigger_delay
         #: Own even sequence number, bumped at every advertisement.
         self.seq = 0
         self._trigger_pending = False
-        # Table columns indexed by destination id; ``key == UNKNOWN``
-        # marks a destination never heard of. The node's own row is an
-        # ordinary one (next hop itself, metric 0, seq mirroring
-        # ``self.seq``, never flagged changed at rest). ``empty`` +
-        # ``fill`` rather than ``np.full``: a 1000-node build runs this
-        # a thousand times.
-        rows = node_id + 1
-        self._next_hop = np.empty(rows, dtype=NEXT_HOP_DTYPE)
+        # Table columns indexed by destination id, one row per id and
+        # never resized; ``key == UNKNOWN`` marks a destination never
+        # heard of. The node's own row is an ordinary one (next hop
+        # itself, metric 0, seq mirroring ``self.seq``, never flagged
+        # changed at rest). ``empty`` + ``fill`` rather than
+        # ``np.full``: a 1000-node build runs this a thousand times.
+        self._next_hop = np.empty(n_ids, dtype=NEXT_HOP_DTYPE)
         self._next_hop.fill(-1)
         self._key = self._next_hop.astype(KEY_DTYPE)
-        self._changed = np.zeros(rows, dtype=np.bool_)
+        self._changed = np.zeros(n_ids, dtype=np.bool_)
         self._next_hop[node_id] = node_id
         self._key[node_id] = LOW  # seq 0, metric 0
         self.table = _TableView(self)
-
-    def _grow(self, need: int) -> None:
-        """Extend the columns to at least *need* rows (geometric)."""
-        old = len(self._key)
-        cap = max(need, 2 * old)
-        for name, fill in (("_next_hop", -1), ("_key", UNKNOWN), ("_changed", False)):
-            column = getattr(self, name)
-            grown = np.full(cap, fill, dtype=column.dtype)
-            grown[:old] = column
-            setattr(self, name, grown)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -307,8 +306,6 @@ class Dsdv(RoutingProtocol):
 
     def on_control(self, packet: Packet, prev_hop: int, rx_power: float) -> None:
         advert: _Advert = packet.payload
-        if advert.max_dst >= len(self._key):
-            self._grow(advert.max_dst + 1)
         dst = advert.dst
         key = self._key
         new = advert.key1

@@ -151,7 +151,7 @@ def _routing_factory(cfg: ScenarioConfig, propagation, params):
     name = cfg.protocol
 
     if name == "dsdv":
-        return lambda sim, nid, mac, rng: Dsdv(sim, nid, mac, rng)
+        return lambda sim, nid, mac, rng: Dsdv(sim, nid, mac, rng, n_ids=cfg.n_nodes)
     if name == "dsr":
         return lambda sim, nid, mac, rng: Dsr(
             sim,

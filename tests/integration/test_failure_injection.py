@@ -72,7 +72,7 @@ def test_reactive_protocols_survive_relay_death(proto_cls, kwargs):
 
 
 def test_dsdv_recovers_via_periodic_updates():
-    sim, net = build(DIAMOND, Dsdv)
+    sim, net = build(DIAMOND, Dsdv, n_ids=len(DIAMOND))
     got = []
     net.nodes[3].register_receiver(lambda p, prev: got.append(p))
     sim.run(until=40.0)  # converge

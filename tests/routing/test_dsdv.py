@@ -10,14 +10,12 @@ from tests.routing.conftest import collect_deliveries, make_static_network
 CHAIN4 = [(0, 0), (200, 0), (400, 0), (600, 0)]
 
 
-def dsdv_factory(sim, node_id, mac, rng, **kwargs):
-    return Dsdv(sim, node_id, mac, rng, **kwargs)
-
-
-def make_net(positions, mac="dcf", seed=1, **kwargs):
+def make_net(positions, mac="dcf", seed=1, n_ids=None, **kwargs):
+    """A static DSDV network; its id space defaults to its node count."""
+    n_ids = len(positions) if n_ids is None else n_ids
     return make_static_network(
         positions,
-        lambda s, n, m, r: dsdv_factory(s, n, m, r, **kwargs),
+        lambda s, n, m, r: Dsdv(s, n, m, r, n_ids=n_ids, **kwargs),
         mac=mac,
         seed=seed,
     )
@@ -77,7 +75,8 @@ class TestDataPath:
 
 class TestSequenceRules:
     def make_agent(self):
-        sim, net = make_net([(0, 0), (150, 0)])
+        # Rows up to 9 in a 2-node network: the id space is wider.
+        sim, net = make_net([(0, 0), (150, 0)], n_ids=10)
         return sim, net.nodes[0].routing
 
     def test_newer_seq_wins(self):

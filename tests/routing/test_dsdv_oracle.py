@@ -23,6 +23,8 @@ from repro.routing.dsdv import ENTRY_SIZE, HEADER_SIZE, Dsdv, _Advert
 from tests.routing.dsdv_reference import ReferenceDsdv
 
 ADDR = 3
+#: The agent's id space: step ids reach 240.
+N_IDS = 241
 #: Small id, sequence and metric ranges so that stale, equal-and-better,
 #: equal-and-worse, newer, broken and unknown-and-broken entries all
 #: occur by collision; the receiver's own id is inside the id range.
@@ -70,7 +72,7 @@ STEPS = st.lists(
     st.one_of(
         adverts(11, 0, 3),       # triggered-update sized
         adverts(11, 4, 12),
-        adverts(200, 65, 120),   # full dump of a large table; regrows columns
+        adverts(200, 65, 120),   # full dump of a large table
         about_me(),
         mixed_about_unknowns(),
         st.tuples(st.just("link_failed"), NEIGHBOURS),
@@ -96,7 +98,7 @@ def table_of(agent):
 @given(STEPS, SEQ_BASES)
 def test_agent_matches_reference_step_by_step(steps, seq_base):
     sim = Simulator(seed=1)
-    agent = Dsdv(sim, ADDR, _SinkMac(), sim.rng.stream("dsdv"))
+    agent = Dsdv(sim, ADDR, _SinkMac(), sim.rng.stream("dsdv"), n_ids=N_IDS)
     ref = ReferenceDsdv(ADDR)
     triggers, sent = [], []
     agent._schedule_trigger = lambda: triggers.append(True)

@@ -1,23 +1,29 @@
 """DSDV advertisement mechanics."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core.errors import ProtocolError
+from repro.core import Simulator
+from repro.core.errors import ConfigurationError, ProtocolError
 from repro.routing.dsdv import (
-    ENTRY_SIZE, HEADER_SIZE, LOW, MAX_METRIC, MAX_SEQ, Dsdv, DsdvRoute, _Advert,
+    ENTRY_SIZE, HEADER_SIZE, LOW, MAX_IDS, MAX_METRIC, MAX_SEQ, Dsdv, DsdvRoute, _Advert,
 )
 from repro.scenario import ScenarioConfig
 from repro.scenario.build import build_scenario
 from tests.routing.conftest import make_static_network
 
 
+#: Id space of ``make_agent``'s 2-node network: tests write rows up to 9.
+N_IDS = 10
+
+
 def make_agent(seed=1):
     sim, net = make_static_network(
         [(0, 0), (150, 0)],
-        lambda s, n, m, r: Dsdv(s, n, m, r),
+        lambda s, n, m, r: Dsdv(s, n, m, r, n_ids=N_IDS),
         mac="ideal",
         seed=seed,
     )
@@ -103,30 +109,31 @@ class TestInvalidationDetails:
 
 
 class TestNarrowLayout:
-    """The table is 13 bytes a row: int32 next hop, int64 key, bool."""
+    """The table is 11 bytes a row: int16 next hop, int64 key, bool."""
 
     COLUMNS = ("_next_hop", "_key", "_changed")
-    DTYPES = (np.int32, np.int64, np.bool_)
+    DTYPES = (np.int16, np.int64, np.bool_)
 
     def column_dtypes(self, agent):
         return tuple(getattr(agent, name).dtype for name in self.COLUMNS)
 
-    def test_dtypes_after_init_and_grow(self):
+    def test_dtypes_after_init_and_adverts(self):
         sim, agent = make_agent()
         assert self.column_dtypes(agent) == self.DTYPES
+        assert len(agent._key) == N_IDS
         assert agent._key[agent.addr] == LOW  # own row: seq 0, metric 0
-        agent._grow(500)
-        assert len(agent._key) == 500
-        assert self.column_dtypes(agent) == self.DTYPES
-        assert agent._next_hop[2:].tolist() == [-1] * 498
-        assert agent._key[2:].tolist() == [-1] * 498
-        assert not agent._changed[2:].any()
+        assert agent._next_hop[2:].tolist() == [-1] * (N_IDS - 2)
+        assert agent._key[2:].tolist() == [-1] * (N_IDS - 2)
+        assert not agent._changed.any()
         agent.on_control(
-            agent.make_control(_Advert([(2000, 3.0, 8)]), 20), prev_hop=1, rx_power=1.0
+            agent.make_control(_Advert([(9, 3.0, 8), (4, math.inf, 5)]), 20),
+            prev_hop=1, rx_power=1.0,
         )
         assert self.column_dtypes(agent) == self.DTYPES
-        assert agent.table[2000] == DsdvRoute(2000, 1, 4.0, 8, changed=True)
-        assert agent._key[2000] == 8 << 32 | (LOW - 4)
+        assert len(agent._key) == N_IDS
+        assert agent.table[9] == DsdvRoute(9, 1, 4.0, 8, changed=True)
+        assert agent._key[9] == 8 << 32 | (LOW - 4)
+        assert 4 not in agent.table  # not learned from a break
 
     def test_advert_dtypes_match_across_constructors(self):
         sim, agent = make_agent()
@@ -139,26 +146,56 @@ class TestNarrowLayout:
         listed = _Advert([(0, 0.0, 2), (5, 2.0, 10), (7, math.inf, 11)])
         for advert in (dumped, listed):
             assert (advert.dst.dtype, advert.key1.dtype) == (np.intp, np.int64)
-            assert advert.max_dst == 7
             assert advert.finite.tolist() == [True, True, False]
         assert dumped.dst.tolist() == listed.dst.tolist()
         assert dumped.key1.tolist() == listed.key1.tolist()
         assert dumped.metric.tolist() == [0.0, 2.0, math.inf]
         assert dumped.seq.tolist() == [2, 10, 11]
 
-    def test_columns_cost_13_bytes_a_row_in_a_300_node_run(self):
+    def test_columns_cost_11_bytes_a_row_in_a_300_node_run(self):
         scenario = build_scenario(ScenarioConfig(
             protocol="dsdv", n_nodes=300, field_size=(3000.0, 1000.0),
             duration=1.0, n_connections=10, traffic_start_window=(0.0, 0.5),
             seed=1,
         ))
-        scenario.run()
         agents = [node.routing for node in scenario.network.nodes]
-        assert sum(len(a._key) > a.addr + 1 for a in agents) > 100  # regrown
-        for agent in agents:
+        before = [[getattr(a, name) for name in self.COLUMNS] for a in agents]
+        scenario.run()
+        assert sum(len(a.table) for a in agents) > 300  # the run learned routes
+        for agent, columns in zip(agents, before):
             nbytes = sum(getattr(agent, name).nbytes for name in self.COLUMNS)
-            assert nbytes == 13 * len(agent._key)
+            assert nbytes == 11 * 300
             assert self.column_dtypes(agent) == self.DTYPES
+            # Allocated once: the same arrays before and after the run.
+            assert all(
+                getattr(agent, name) is column
+                for name, column in zip(self.COLUMNS, columns)
+            )
+
+
+class TestIdSpace:
+    """The table has one row per id of the network's id space, no more."""
+
+    @pytest.mark.parametrize("dst", [-1, N_IDS, 2000])
+    def test_write_outside_the_id_space_is_refused(self, dst):
+        sim, agent = make_agent()
+        with pytest.raises(ProtocolError, match="not in"):
+            agent.table[dst] = DsdvRoute(dst, 1, 2, 10)
+        assert len(agent._key) == N_IDS
+        assert len(agent.table) == 0
+
+    @pytest.mark.parametrize("node_id,n_ids", [(0, 2**15), (3, 3), (3, 2), (0, 0)])
+    def test_id_space_that_cannot_hold_the_node_is_refused(self, node_id, n_ids):
+        sim = Simulator(seed=1)
+        with pytest.raises(ConfigurationError, match="id space"):
+            Dsdv(sim, node_id, None, sim.rng.stream("dsdv"), n_ids=n_ids)
+
+    def test_largest_id_space_is_accepted(self):
+        sim = Simulator(seed=1)
+        mac = SimpleNamespace(upper=None)
+        agent = Dsdv(sim, MAX_IDS - 1, mac, sim.rng.stream("dsdv"), n_ids=MAX_IDS)
+        assert agent._next_hop[MAX_IDS - 1] == MAX_IDS - 1
+        assert agent.table.get(0) is None
 
 
 class TestRowEncoding:

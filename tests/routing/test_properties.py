@@ -108,7 +108,7 @@ class TestDsdvSequenceProperties:
 
         sim, net = make_static_network(
             [(0, 0), (150, 0)],
-            lambda s, n, m, r: Dsdv(s, n, m, r),
+            lambda s, n, m, r: Dsdv(s, n, m, r, n_ids=10),  # writes row 9
             mac="ideal",
         )
         agent = net.nodes[0].routing
