@@ -14,12 +14,6 @@ from .experiments import (
 )
 from .optimality import OptimalitySummary, PathOptimalityProbe
 from .tables import fmt, render_ascii_chart, render_kv_table, render_series_table
-from .telemetry import (
-    load_telemetry_jsonl,
-    render_telemetry_chart,
-    telemetry_series,
-    telemetry_summary,
-)
 from .topology import render_network, render_topology
 
 __all__ = [
@@ -41,8 +35,4 @@ __all__ = [
     "render_series_table",
     "render_network",
     "render_topology",
-    "load_telemetry_jsonl",
-    "render_telemetry_chart",
-    "telemetry_series",
-    "telemetry_summary",
 ]

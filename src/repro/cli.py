@@ -167,8 +167,6 @@ def cmd_run(args) -> int:
         cfg = cfg.with_(profile=True)
     if args.flight or args.flight_trace or args.flight_report:
         cfg = cfg.with_(flight=True, flight_trace=bool(args.flight_trace))
-    if args.telemetry:
-        cfg = cfg.with_(telemetry_interval=args.telemetry_interval)
     scenario = build_scenario(cfg)
     summary = scenario.run()
     print(render_kv_table(f"{args.protocol.upper()} results", _summary_pairs(summary)))
@@ -183,12 +181,6 @@ def cmd_run(args) -> int:
             json.dump(summary.profile, fh, indent=2)
             fh.write("\n")
         print(f"[wrote {args.profile_out}]")
-    if args.telemetry and scenario.telemetry is not None:
-        scenario.telemetry.write_jsonl(args.telemetry)
-        print(
-            f"[wrote {len(scenario.telemetry.samples)} telemetry "
-            f"sample(s) to {args.telemetry}]"
-        )
     flight = summary.flight
     if flight:
         print(render_kv_table("Packet conservation", _flight_pairs(flight)))
@@ -485,12 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--profile-out", metavar="JSON",
                        help="write the span profile to a JSON file "
                             "(implies profiling; view with 'repro obs report')")
-    p_run.add_argument("--telemetry", metavar="JSONL",
-                       help="sample sim state over time and write JSONL")
-    p_run.add_argument("--telemetry-interval", type=float, default=1.0,
-                       metavar="S",
-                       help="telemetry sample period in sim seconds "
-                            "(default 1.0; used with --telemetry)")
     p_run.add_argument("--flight", action="store_true",
                        help="run the packet flight recorder and print the "
                             "conservation ledger (offered == delivered + "

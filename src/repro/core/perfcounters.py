@@ -44,7 +44,6 @@ COUNTERS = (
     "mac_wheel_sentinels",  # heap sentinel events the timer wheel actually pushed
     "mac_edges_dispatched",  # medium-edge MAC transitions the arena had to dispatch
     "mac_edges_suppressed",  # medium-edge MAC callbacks proven no-ops and skipped
-    "telemetry_samples",  # telemetry probe sweeps recorded
 )
 
 

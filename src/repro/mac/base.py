@@ -47,7 +47,6 @@ class MacStats:
         "drops_retry_limit",
         "drops_ifq_full",
         "duplicates_suppressed",
-        "responses_abandoned",
     )
 
     def __init__(self) -> None:
@@ -60,11 +59,6 @@ class MacStats:
         self.drops_retry_limit = 0
         self.drops_ifq_full = 0
         self.duplicates_suppressed = 0
-        #: SIFS responses (third-party CTS/ACK) silently dropped because
-        #: the radio was already transmitting when the timer fired — the
-        #: peer sees a timeout, not a collision, so without this count
-        #: saturated collision domains are indistinguishable from loss.
-        self.responses_abandoned = 0
 
     @property
     def control_frames_sent(self) -> int:
@@ -106,12 +100,6 @@ class MacLayer:
     def purge_next_hop(self, next_hop: int) -> list:
         """Drop queued packets for *next_hop*; returns them for salvage."""
         return self.ifq.remove_for_next_hop(next_hop)
-
-    # -------------------------------------------------------- introspection
-
-    def queue_depth(self) -> int:
-        """Current interface-queue occupancy (telemetry probe)."""
-        return len(self.ifq)
 
     # ------------------------------------------------------ radio callbacks
 

@@ -430,16 +430,12 @@ class DcfMac(MacLayer):
     def _fire_response(self, frame: Frame, own_exchange: bool) -> None:
         if self.radio.is_transmitting:
             # Radio stolen by another response. A third-party CTS/ACK is
-            # simply abandoned; our own granted DATA must not deadlock
-            # the service loop, so treat it as a failed attempt.
+            # simply abandoned (the peer will time out and retry); our own
+            # granted DATA must not deadlock the service loop, so treat it
+            # as a failed attempt.
             if own_exchange:
                 self._tx_frame = None
                 self._retry()
-            else:
-                # Silent CTS/ACK loss: the peer will time out and retry.
-                # Counted so saturated collision domains can be told
-                # apart from propagation loss when diagnosing delay.
-                self.stats.responses_abandoned += 1
             return
         if not own_exchange:
             if frame.ftype == FrameType.CTS:

@@ -230,10 +230,6 @@ class Radio:
         """Physical carrier sense: transmitting or detectable energy."""
         return self._tx_end is not None or bool(self._led.counts[self.node_id])
 
-    def active_arrival_count(self) -> int:
-        """In-flight arrivals currently detected at this radio."""
-        return int(self._led.counts[self.node_id])
-
     def busy_until(self) -> float:
         """Latest known end of the current busy period (now if idle)."""
         t = self.sim.now

@@ -160,33 +160,6 @@ class RoutingProtocol:
     def on_data_arrived(self, packet: Packet, prev_hop: int, rx_power: float) -> None:
         """Hook before local delivery (PAODV uses the rx power)."""
 
-    # -------------------------------------------------------- introspection
-
-    def state_sizes(self) -> dict:
-        """Sizes of this agent's routing state, for telemetry probes.
-
-        Duck-typed over the conventional attribute names (``table``,
-        ``cache``, ``neighbors``, ``buffer``), so a protocol must keep
-        its state under exactly these names to be observed; protocols with
-        differently shaped state can override. Read-only — must never
-        mutate protocol state (the telemetry determinism test pins
-        this).
-        """
-        sizes = {"routes": 0, "cache": 0, "neighbors": 0, "buffer": 0}
-        table = getattr(self, "table", None)
-        if table is not None:
-            sizes["routes"] = len(table)
-        cache = getattr(self, "cache", None)
-        if cache is not None:
-            sizes["cache"] = len(cache)
-        neighbors = getattr(self, "neighbors", None)
-        if neighbors is not None:
-            sizes["neighbors"] = len(neighbors)
-        buffer = getattr(self, "buffer", None)
-        if buffer is not None:
-            sizes["buffer"] = len(buffer)
-        return sizes
-
     # --------------------------------------------------------------- helpers
 
     def drop_no_route(self, packet: Packet) -> None:

@@ -161,8 +161,8 @@ class _Advert:
 class _TableView:
     """Mapping view of a :class:`Dsdv` agent's columns, minus its own row.
 
-    For tests and telemetry, not for the protocol: reads build a
-    :class:`DsdvRoute` snapshot, item assignment writes the row.
+    For tests, not for the protocol: reads build a :class:`DsdvRoute`
+    snapshot, item assignment writes the row.
     """
 
     __slots__ = ("_agent",)

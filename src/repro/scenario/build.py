@@ -53,8 +53,6 @@ class Scenario:
     collector: MetricsCollector
     #: Present only when the config carries a fault plan.
     faults: Optional[FaultManager] = None
-    #: Present only when ``config.telemetry_interval > 0``.
-    telemetry: Optional["TelemetryRecorder"] = None
     #: Present only when ``config.profile``: installed by the build, removed by run.
     profiler: Optional[Profiler] = None
 
@@ -66,8 +64,6 @@ class Scenario:
                 src.begin()
             if self.faults is not None:
                 self.faults.start()
-            if self.telemetry is not None:
-                self.telemetry.start()
             self.sim.run(until=self.config.duration)
             # Batched-engine stat deltas live in ledger arrays until read
             # time; fold them into RadioStats before any consumer looks.
@@ -292,14 +288,6 @@ def _build(cfg: ScenarioConfig, options, profiler) -> Scenario:
     if cfg.faults is not None:
         faults = FaultManager(sim, network, cfg.faults, cfg.duration)
 
-    telemetry = None
-    if cfg.telemetry_interval > 0:
-        from ..obs.telemetry import TelemetryRecorder
-
-        telemetry = TelemetryRecorder(
-            sim, network, cfg.telemetry_interval, faults=faults
-        )
-
     sources = []
     for conn in connections:
         collector.flow(conn.flow_id, conn.src, conn.dst)
@@ -317,4 +305,4 @@ def _build(cfg: ScenarioConfig, options, profiler) -> Scenario:
                 on_send=collector.on_send,
             )
         )
-    return Scenario(cfg, sim, network, sources, collector, faults, telemetry, profiler)
+    return Scenario(cfg, sim, network, sources, collector, faults, profiler)

@@ -109,9 +109,6 @@ class ScenarioConfig:
     #: wraps layer entry points from outside for this run only, so the
     #: engine runs the same code either way; off, nothing is wrapped.
     profile: bool = False
-    #: Sim-time seconds between telemetry probe sweeps; 0 disables the
-    #: recorder entirely (no hooks installed, no events scheduled).
-    telemetry_interval: float = 0.0
     #: Attach the packet flight recorder (per-packet drop-reason
     #: accounting + conservation report on ``MetricsSummary.flight``).
     #: Off by default: ``sim.flight`` stays None and no hook fires.
@@ -162,10 +159,6 @@ class ScenarioConfig:
         if self.position_quantum < 0:
             raise ConfigurationError(
                 f"position_quantum must be >= 0, got {self.position_quantum}"
-            )
-        if self.telemetry_interval < 0:
-            raise ConfigurationError(
-                f"telemetry_interval must be >= 0, got {self.telemetry_interval}"
             )
         if not 0.0 <= self.measure_from < self.duration:
             raise ConfigurationError(

@@ -24,7 +24,7 @@ KERNEL_ORDER = (
 
 def test_kernel_counters_keep_historical_order():
     assert COUNTERS[: len(KERNEL_ORDER)] == KERNEL_ORDER
-    assert len(COUNTERS) == 16 and COUNTERS[-1] == "telemetry_samples"
+    assert len(COUNTERS) == 15 and COUNTERS[-1] == "mac_edges_suppressed"
     assert tuple(PerfCounters().as_dict()) == COUNTERS
 
 

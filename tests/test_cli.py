@@ -116,19 +116,6 @@ def test_run_profile_out_and_obs_report(tmp_path, capsys):
     assert "core/mac" in out and "self %" in out
 
 
-def test_run_telemetry_export(tmp_path, capsys):
-    from repro.obs.telemetry import load_telemetry_jsonl
-
-    tele = tmp_path / "tele.jsonl"
-    assert main([
-        "run", "--protocol", "aodv", "--telemetry", str(tele),
-        "--telemetry-interval", "5", *FAST,
-    ]) == 0
-    samples = load_telemetry_jsonl(tele)  # validates every line
-    assert len(samples) == 4  # duration 20 at interval 5
-    assert "telemetry sample(s)" in capsys.readouterr().out
-
-
 def test_sweep_progress_and_manifest(tmp_path, capsys, monkeypatch):
     # The manifest is published at the root of the result store, so
     # this test opts back into the cache (hermetic: cwd is a tmp dir).
