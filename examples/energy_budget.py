@@ -2,8 +2,8 @@
 """Domain scenario: sensor-relief deployment on an energy budget.
 
 Battery-powered nodes care about joules, not just packets. This example
-runs the five protocols on a group-mobility (RPGM) scenario — rescue
-teams sweeping an area — and reports each protocol's radio energy bill
+runs the five protocols on a random-waypoint scenario — relief workers
+criss-crossing an area at walking-to-driving pace — and reports each protocol's radio energy bill
 next to its delivery ratio, including millijoules per delivered packet,
 using the WaveLAN power-draw model.
 
@@ -19,19 +19,17 @@ from repro.stats import account_energy
 PROTOCOLS = ["dsdv", "dsr", "aodv", "paodv", "cbrp"]
 
 base = ScenarioConfig(
-    mobility="rpgm",            # 4 teams, tethered members
-    rpgm_groups=4,
-    rpgm_radius=120.0,
+    mobility="waypoint",
     n_nodes=24,
     field_size=(1200.0, 600.0),
-    max_speed=10.0,             # team movement pace
+    max_speed=10.0,             # relief-worker movement pace
     duration=120.0,
     n_connections=6,
     traffic_start_window=(0.0, 20.0),
     seed=13,
 )
 
-print("Relief teams: 24 nodes in 4 RPGM groups, 1.2x0.6 km, 120 s\n")
+print("Relief workers: 24 nodes, random waypoint up to 10 m/s, 1.2x0.6 km, 120 s\n")
 
 results = {}
 energies = {}

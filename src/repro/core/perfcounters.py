@@ -29,7 +29,10 @@ COUNTERS = (
     "fanout_cache_hits",  # channel geometry served from the per-(src, epoch) memo
     "fanout_cache_misses",  # channel geometry computed fresh
     "batch_position_evals",  # positions(t) rows answered by the fused expression
-    "scalar_position_evals",  # per-node position(t) fallback evaluations
+    # scalar_position_evals always reads 0 (every mobility model is
+    # piecewise-linear, so the manager has no per-node fallback): the
+    # benchmark harness reads it by name.
+    "scalar_position_evals",
     "segment_refreshes",  # mobility segments re-published into the manager's arrays
     "grid_rebuilds",  # spatial grid built from scratch
     "grid_incremental_updates",  # spatial grid refreshed by re-binning only moved nodes

@@ -2,8 +2,6 @@
 
 from .base import Field, Leg, LegBasedModel, MobilityModel
 from .manager import MobilityManager
-from .manhattan import ManhattanGrid
-from .rpgm import GroupCenter, GroupMember, make_groups
 from .static import (
     StaticPosition,
     grid_placement,
@@ -18,10 +16,6 @@ __all__ = [
     "LegBasedModel",
     "MobilityModel",
     "MobilityManager",
-    "ManhattanGrid",
-    "GroupCenter",
-    "GroupMember",
-    "make_groups",
     "StaticPosition",
     "grid_placement",
     "line_placement",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..core.errors import ConfigurationError
 
@@ -98,8 +98,8 @@ class MobilityModel:
         """Instantaneous speed at time *t* (m/s)."""
         raise NotImplementedError
 
-    def segment(self, t: float) -> Optional[Tuple[float, float, float, float, float, float]]:
-        """Current linear trajectory segment, or ``None`` if non-linear.
+    def segment(self, t: float) -> Tuple[float, float, float, float, float, float]:
+        """Current linear trajectory segment.
 
         Returns ``(t0, t1, x0, y0, x1, y1)`` such that for every
         ``t0 <= s < t1`` the node's position is exactly
@@ -107,11 +107,10 @@ class MobilityModel:
         floating-point expression :meth:`Leg.position` evaluates. The
         :class:`~repro.mobility.manager.MobilityManager` publishes these
         segments into NumPy arrays so ``positions(t)`` is one fused
-        expression instead of N Python calls. Models whose trajectory is
-        not piecewise-linear return ``None`` and are evaluated through
-        the per-node :meth:`position` fallback.
+        expression instead of N Python calls; every model is
+        piecewise-linear, so every model implements this.
         """
-        return None
+        raise NotImplementedError
 
 
 class LegBasedModel(MobilityModel):

@@ -9,11 +9,6 @@ whose segment has expired (``t`` left the ``[t0, t1)`` window) pay a
 Python-level refresh; between waypoints — i.e. for almost every
 transmission — the whole fleet is evaluated in a handful of NumPy ops.
 
-Models without a linear segment (e.g. RPGM group members, whose
-trajectory composes a center path with a drifting offset) return
-``None`` from ``segment()`` and are evaluated through the scalar
-``position(t)`` fallback, overwriting their rows after the batch pass.
-
 Bit-determinism: the batch expression evaluates exactly the same
 floating-point operations, in the same order, as ``Leg.position`` —
 ``frac = (t - t0) / (t1 - t0)`` then ``x0 + frac * (x1 - x0)`` — so the
@@ -65,14 +60,11 @@ class MobilityManager:
         self._seg_dur = np.ones(n, dtype=np.float64)
         self._seg_p0 = np.zeros((n, 2), dtype=np.float64)
         self._seg_dp = np.zeros((n, 2), dtype=np.float64)
-        # Rows evaluated through the scalar fallback (non-linear models).
-        self._linear = np.ones(n, dtype=bool)
-        self._scalar_idx: List[int] = []
         self._frac = np.empty(n, dtype=np.float64)
         #: Time until which no position can change: the earliest
         #: ``seg_t1`` while every published segment is a pause
-        #: (``dp == 0``), else -inf. Pinned and scalar rows publish
-        #: ``seg_t1 = -inf``, so they read -inf here. Inside ``[snapshot time, static_until)``
+        #: (``dp == 0``), else -inf. Pinned rows publish ``seg_t1 = -inf``,
+        #: so they read -inf here. Inside ``[snapshot time, static_until)``
         #: the fused expression is ``p0 + frac * 0 == p0`` for every row
         #: and every ``frac``, so ``positions`` returns its snapshot and
         #: the channel keeps fan-out memo entries built from it.
@@ -99,13 +91,11 @@ class MobilityManager:
     def _positions_compute(self, t: float) -> np.ndarray:
         """Recompute the position snapshot for *t* (cache-miss path)."""
         buf = self._cache
-        models = self.models
-        perf = self.perf
 
         # Refresh rows whose published segment no longer covers t.
         t0 = self._seg_t0
         t1 = self._seg_t1
-        stale = np.nonzero(self._linear & ((t < t0) | (t >= t1)))[0]
+        stale = np.nonzero((t < t0) | (t >= t1))[0]
         if stale.size:
             self._refresh_segments(stale, t)
             t0 = self._seg_t0
@@ -119,11 +109,7 @@ class MobilityManager:
         np.multiply(self._seg_dp, frac[:, None], out=buf)
         np.add(buf, self._seg_p0, out=buf)
 
-        scalar_idx = self._scalar_idx
-        for i in scalar_idx:
-            buf[i, 0], buf[i, 1] = models[i].position(t)
-        perf.batch_position_evals += len(models) - len(scalar_idx)
-        perf.scalar_position_evals += len(scalar_idx)
+        self.perf.batch_position_evals += len(self.models)
         self._cache_t = t
         self._cache_valid = True
         return buf
@@ -138,16 +124,7 @@ class MobilityManager:
         seg_dp = self._seg_dp
         refreshed = 0
         for i in stale.tolist():
-            seg = models[i].segment(t)
-            if seg is None:
-                # Permanently non-linear: route through the scalar loop.
-                self._linear[i] = False
-                self._scalar_idx.append(i)
-                seg_t1[i] = -math.inf
-                seg_dp[i, 0] = 0.0
-                seg_dp[i, 1] = 0.0
-                continue
-            s0, s1, x0, y0, x1, y1 = seg
+            s0, s1, x0, y0, x1, y1 = models[i].segment(t)
             refreshed += 1
             if s1 <= s0 or t >= s1 or t < s0:
                 # Cases where Leg.position clamps instead of interpolating
@@ -203,5 +180,3 @@ class MobilityManager:
         self._cache_valid = False
         self.static_until = -math.inf
         self._seg_t1.fill(-math.inf)
-        self._linear.fill(True)
-        self._scalar_idx.clear()

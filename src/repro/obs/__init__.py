@@ -11,7 +11,7 @@ hot-path cost when disabled):
   (config hash, toolchain versions, per-job wall time, failure taxonomy,
   worker utilization) plus the single-line sweep progress display.
 * :class:`FlightRecorder` — per-packet lifecycle ledger and causal
-  event trace: every measured data packet from injection to delivery,
+  event trace: every injected data packet from injection to delivery,
   a terminal :class:`~repro.core.drops.DropReason`, or end-of-run
   in-flight residue, closing into the conservation report ``repro obs
   why`` checks and the Chrome-traceable flight JSONL ``repro obs

@@ -2,7 +2,7 @@
 
 A :class:`FlightRecorder` rides on the simulator (``sim.flight``; the
 default ``None`` keeps every hook dead, the same zero-overhead
-discipline as the profiler) and follows each *measured* data
+discipline as the profiler) and follows each injected data
 packet from traffic-source injection to its fate:
 
 * **Accounting** (always on when the recorder exists): a per-packet
@@ -100,14 +100,9 @@ class FlightRecorder:
             entry.update(info)
         self.events.append(entry)
 
-    def inject(self, packet, measured: bool = True) -> None:
+    def inject(self, packet) -> None:
         """A traffic source originated *packet* (metrics on_send hook)."""
         origin = packet.origin_uid
-        if not measured:
-            # Warm-up traffic: not part of the ledger; discard any
-            # parked pre-injection verdict so the buffer stays bounded.
-            self._predrop.pop(origin, None)
-            return
         self.offered += 1
         self._state[origin] = self._predrop.pop(origin, _LIVE)
         if self.trace and origin % self.sample == 0:
@@ -132,7 +127,7 @@ class FlightRecorder:
 
         Tolerates ``None`` and control packets (link-failure victim
         loops pass whatever they purged); only terminal reasons on a
-        still-live measured packet consume it in the ledger.
+        still-live injected packet consume it in the ledger.
         """
         if packet is None or not packet.is_data:
             return

@@ -299,7 +299,7 @@ class Radio:
         carries.
 
         Control frames (RTS/CTS/ACK, routing floods) have no per-packet
-        identity worth tracing; only DATA frames wrapping measured data
+        identity worth tracing; only DATA frames wrapping data
         packets land in the flight trace.
         """
         pkt = frame.payload

@@ -17,13 +17,10 @@ Like the paper's ns-2 configuration, link failures are detected by
 link-layer feedback (MAC retry exhaustion) by default; periodic HELLO
 beacons can be enabled for MACs without feedback (``hello_interval``).
 
-Local repair (RFC 3561 §6.12) is an extension, off by default to match
-the paper, whose AODV predates its wide use: with ``local_repair=True``
-an upstream node that loses the next hop of transit data buffers it and
-repairs the route in place instead of erroring upstream (DESIGN.md S23).
-
 Simplifications (documented in DESIGN.md): no gratuitous RREPs, no
-RREP-ACK/blacklists.
+RREP-ACK/blacklists, and no local repair (RFC 3561 §6.12) — the paper's
+AODV predates its wide use, so a transit node that loses its next hop
+drops the packet and errors upstream.
 """
 
 from __future__ import annotations
@@ -144,7 +141,6 @@ class Aodv(RoutingProtocol):
         mac,
         rng,
         hello_interval: Optional[float] = None,
-        local_repair: bool = False,
     ):
         super().__init__(sim, node_id, mac, rng)
         self.seq = 0
@@ -154,12 +150,6 @@ class Aodv(RoutingProtocol):
         self._pending: Dict[int, _Pending] = {}
         self._seen_rreq = SeenCache(horizon=2 * NET_TRAVERSAL_TIME)
         self.hello_interval = hello_interval
-        #: RFC 3561 §6.12 local repair (extension; the paper's AODV
-        #: predates its wide use, so it defaults off).
-        self.local_repair = local_repair
-        #: Local repairs attempted / succeeded (ablation metrics).
-        self.repairs_attempted = 0
-        self.repairs_succeeded = 0
         self.neighbors = (
             NeighborTable(ALLOWED_HELLO_LOSS * hello_interval)
             if hello_interval
@@ -413,8 +403,6 @@ class Aodv(RoutingProtocol):
             pending = self._pending.pop(msg.dst, None)
             if pending is not None:
                 self.sim.cancel(pending.timer)
-                if pending.retries < 0:  # this discovery was a local repair
-                    self.repairs_succeeded += 1
             self._flush_buffer(msg.dst)
             return
         # Forward along the reverse route; maintain precursors.
@@ -455,67 +443,26 @@ class Aodv(RoutingProtocol):
 
     def link_failed(self, packet: Packet, next_hop: int) -> None:
         affected: List[Tuple[int, int]] = []
-        repair_hops: Dict[int, int] = {}
         for r in self.table.values():
             if r.valid and r.next_hop == next_hop:
                 r.valid = False
                 r.dst_seq += 1
-                repair_hops[r.dst] = r.hops
                 if r.precursors:
                     affected.append((r.dst, r.dst_seq))
         victims = [(packet, next_hop)] if packet is not None else []
         victims.extend(self.mac.purge_next_hop(next_hop))
 
-        repaired_dsts = set()
         for pkt, _nh in victims:
             if not pkt.is_data:
                 continue
             if pkt.src == self.addr:
                 self.buffer.add(pkt, self.sim.now)
                 self._start_discovery(pkt.dst)
-            elif self.local_repair:
-                # RFC 3561 §6.12: buffer transit data and repair in place
-                # instead of erroring upstream immediately.
-                self.buffer.add(pkt, self.sim.now)
-                self._start_repair(pkt.dst, repair_hops.get(pkt.dst, 1))
-                repaired_dsts.add(pkt.dst)
             else:
                 self.drop_no_route(pkt)
 
-        # Destinations under repair defer their RERR until the repair
-        # verdict; everything else errors upstream now.
-        affected = [(d, s) for d, s in affected if d not in repaired_dsts]
         if affected:
             self._send_rerr(affected)
-
-    # ------------------------------------------------------- local repair
-
-    def _start_repair(self, dst: int, last_hops: int) -> None:
-        if dst in self._pending:
-            return
-        self.repairs_attempted += 1
-        self.stats.discoveries += 1
-        # Small-radius search: the destination was last_hops away, so a
-        # slightly larger ring usually finds the detour.
-        ttl = min(max(last_hops, 2) + TTL_INCREMENT, NET_DIAMETER)
-        self._send_rreq(dst, ttl)
-        timer = self.sim.schedule(ring_traversal_time(ttl), self._repair_timeout, dst)
-        self._pending[dst] = _Pending(retries=-1, ttl=ttl, timer=timer)
-
-    def _repair_timeout(self, dst: int) -> None:
-        pending = self._pending.pop(dst, None)
-        if pending is None:
-            return
-        route = self._route(dst)
-        if route is not None:
-            self.repairs_succeeded += 1
-            self._flush_buffer(dst)
-            return
-        # Repair failed: drop the buffered transit data and error upstream.
-        self.drop_buffered(dst)
-        stale = self.table.get(dst)
-        seq = stale.dst_seq if stale is not None else 0
-        self._send_rerr([(dst, seq)])
 
     # ---------------------------------------------------------------- hello
 

@@ -76,9 +76,8 @@ class Paodv(Aodv):
     NAME = "paodv"
 
     def __init__(self, sim, node_id, mac, rng, preempt_threshold: float = None,
-                 hello_interval=None, local_repair: bool = False):
-        super().__init__(sim, node_id, mac, rng, hello_interval=hello_interval,
-                         local_repair=local_repair)
+                 hello_interval=None):
+        super().__init__(sim, node_id, mac, rng, hello_interval=hello_interval)
         self.preempt_threshold = (
             preempt_threshold
             if preempt_threshold is not None

@@ -10,13 +10,7 @@ from ..core.simulator import Simulator
 from ..faults.manager import FaultManager
 from ..mac.dcf import DcfMac
 from ..mac.ideal import IdealMac
-from ..mobility import (
-    Field,
-    ManhattanGrid,
-    RandomWaypoint,
-    StaticPosition,
-    make_groups,
-)
+from ..mobility import Field, RandomWaypoint, StaticPosition
 from ..net.stack import Network, build_network
 from ..obs.profiler import Profiler
 from ..phy.propagation import WAVELAN_914MHZ, TwoRayGround
@@ -111,16 +105,6 @@ def _cluster_point(cfg: ScenarioConfig, field: Field, i: int, x: float, y: float
 def _make_mobility(cfg: ScenarioConfig, streams: "RngStreams"):
     """Per-node mobility models from the named RNG *streams*."""
     field = Field(*cfg.field_size)
-    if cfg.mobility == "rpgm":
-        return make_groups(
-            field,
-            streams.stream,
-            cfg.n_nodes,
-            n_groups=min(cfg.rpgm_groups, cfg.n_nodes),
-            max_speed=cfg.max_speed,
-            pause_time=cfg.pause_time,
-            radius=cfg.rpgm_radius,
-        )
     models = []
     for i in range(cfg.n_nodes):
         rng = streams.stream(f"mobility.{i}")
@@ -132,8 +116,6 @@ def _make_mobility(cfg: ScenarioConfig, streams: "RngStreams"):
                 min_speed=cfg.min_speed,
                 pause_time=cfg.pause_time,
             )
-        elif cfg.mobility == "manhattan":
-            m = ManhattanGrid(field, rng, max_speed=cfg.max_speed, min_speed=cfg.min_speed)
         else:  # static
             x, y = field.random_point(rng)
             if cfg.placement == "clusters":
@@ -164,7 +146,6 @@ def _routing_factory(cfg: ScenarioConfig, propagation, params):
             mac,
             rng,
             hello_interval=cfg.hello_interval,
-            local_repair=cfg.aodv_local_repair,
         )
     if name == "paodv":
         threshold = default_preempt_threshold(propagation, params, cfg.preempt_ratio)
@@ -175,7 +156,6 @@ def _routing_factory(cfg: ScenarioConfig, propagation, params):
             rng,
             preempt_threshold=threshold,
             hello_interval=cfg.hello_interval,
-            local_repair=cfg.aodv_local_repair,
         )
     if name == "cbrp":
         return lambda sim, nid, mac, rng: Cbrp(
@@ -274,7 +254,7 @@ def _build(cfg: ScenarioConfig, options, profiler) -> Scenario:
                 buf.flight = sim.flight
                 buf.addr = node.node_id
 
-    collector = MetricsCollector(cfg.protocol, measure_from=cfg.measure_from)
+    collector = MetricsCollector(cfg.protocol)
     collector.flight = sim.flight
     collector.attach(network)
 

@@ -21,7 +21,7 @@ __all__ = ["ScenarioConfig", "PROTOCOLS", "MOBILITY_MODELS"]
 PROTOCOLS = ("dsdv", "dsr", "aodv", "paodv", "cbrp", "olsr", "flooding", "oracle")
 
 #: Mobility models the harness can instantiate by name.
-MOBILITY_MODELS = ("waypoint", "manhattan", "rpgm", "static")
+MOBILITY_MODELS = ("waypoint", "static")
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,6 @@ class ScenarioConfig:
     max_speed: float = 20.0
     min_speed: float = 0.0
     pause_time: float = 0.0
-    #: RPGM: number of groups and member tether radius (m).
-    rpgm_groups: int = 4
-    rpgm_radius: float = 100.0
 
     #: Static-placement layout: "uniform" scatters nodes over the whole
     #: field; "clusters" remaps the same per-node draws into
@@ -63,9 +60,6 @@ class ScenarioConfig:
 
     # --- time ----------------------------------------------------------------
     duration: float = 900.0
-    #: Packets created before this time are excluded from metrics
-    #: (warm-up cut; 0 = measure everything).
-    measure_from: float = 0.0
 
     # --- PHY / MAC ------------------------------------------------------------
     radio_range: float = 250.0  # oracle routing's reference range
@@ -87,8 +81,6 @@ class ScenarioConfig:
     olsr_use_mpr: bool = True
     #: AODV/PAODV hello period; None = link-layer detection only.
     hello_interval: Optional[float] = None
-    #: AODV local repair (RFC 3561 §6.12) — extension feature.
-    aodv_local_repair: bool = False
 
     # --- performance -------------------------------------------------------
     #: Channel geometry sample period (s): transmissions sample node
@@ -120,6 +112,12 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         check_finite(self)
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if self.replication < 0:
+            raise ConfigurationError(
+                f"replication must be >= 0, got {self.replication}"
+            )
         if self.protocol not in PROTOCOLS:
             raise ConfigurationError(
                 f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}"
@@ -156,13 +154,13 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"dsr_cache must be 'path' or 'link', got {self.dsr_cache!r}"
             )
+        if self.hello_interval is not None and self.hello_interval <= 0:
+            raise ConfigurationError(
+                f"hello_interval must be > 0 or None, got {self.hello_interval}"
+            )
         if self.position_quantum < 0:
             raise ConfigurationError(
                 f"position_quantum must be >= 0, got {self.position_quantum}"
-            )
-        if not 0.0 <= self.measure_from < self.duration:
-            raise ConfigurationError(
-                f"measure_from must be in [0, duration), got {self.measure_from}"
             )
         if self.faults is not None:
             if isinstance(self.faults, dict):

@@ -205,10 +205,8 @@ class MetricsCollector:
     #: unless the scenario builder wires one).
     flight = None
 
-    def __init__(self, protocol: str, measure_from: float = 0.0):
+    def __init__(self, protocol: str):
         self.protocol = protocol
-        #: Packets created before this time are excluded (warm-up cut).
-        self.measure_from = measure_from
         self.flows: Dict[int, FlowStats] = {}
         self.data_sent = 0
         self.data_received = 0
@@ -237,15 +235,12 @@ class MetricsCollector:
 
     def on_send(self, packet: Packet) -> None:
         """Hook for traffic sources (CbrSource ``on_send``)."""
-        measured = packet.created >= self.measure_from
         flight = self.flight
         if flight is not None:
             # Sources invoke on_send *after* the synchronous originate
             # path, so the recorder may already hold a pre-injection
             # drop verdict for this packet; inject claims it.
-            flight.inject(packet, measured)
-        if not measured:
-            return  # warm-up traffic is not measured
+            flight.inject(packet)
         self.data_sent += 1
         payload = packet.payload
         if payload is not None and hasattr(payload, "flow_id"):
@@ -256,8 +251,6 @@ class MetricsCollector:
         """Node receive callback: a data packet reached its destination."""
         if not packet.is_data or packet.proto != "cbr":
             return
-        if packet.created < self.measure_from:
-            return  # counterpart of the on_send warm-up cut
         if packet.origin_uid in self._seen_deliveries:
             return  # duplicate delivery (should be rare; MAC dedups)
         self._seen_deliveries.add(packet.origin_uid)

@@ -1,4 +1,4 @@
-"""Manhattan, static placements, and the manager."""
+"""Static placements and the manager."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.core import ConfigurationError, RngStreams
 from repro.mobility import (
     Field,
-    ManhattanGrid,
     MobilityManager,
     StaticPosition,
     grid_placement,
@@ -15,30 +14,6 @@ from repro.mobility import (
 )
 
 FIELD = Field(600.0, 600.0)
-
-
-class TestManhattan:
-    def make(self, seed=0):
-        rng = RngStreams(seed).stream("mh")
-        return ManhattanGrid(FIELD, rng, max_speed=15.0, min_speed=5.0, blocks_x=4, blocks_y=4)
-
-    def test_stays_on_streets(self):
-        m = self.make(seed=1)
-        bw = FIELD.width / 4
-        bh = FIELD.height / 4
-        for t in np.linspace(0.0, 2000.0, 400):
-            x, y = m.position(float(t))
-            assert FIELD.contains(x, y)
-            on_v = min(abs(x - k * bw) for k in range(5)) < 1e-6
-            on_h = min(abs(y - k * bh) for k in range(5)) < 1e-6
-            assert on_v or on_h, (x, y)
-
-    def test_invalid_params(self):
-        rng = RngStreams(0).stream("m")
-        with pytest.raises(ConfigurationError):
-            ManhattanGrid(FIELD, rng, max_speed=10.0, blocks_x=0)
-        with pytest.raises(ConfigurationError):
-            ManhattanGrid(FIELD, rng, max_speed=0.0)
 
 
 class TestPlacements:

@@ -3,8 +3,7 @@
 While every published segment is a pause the fused expression is
 ``p0 + frac * 0``, so the manager hands back its snapshot instead of
 re-evaluating, up to the earliest segment end. Anything it cannot vouch
-for (a moving row, a pinned or scalar row, the legacy loop, an
-``invalidate()``) must read -inf.
+for (a moving row, a pinned row, an ``invalidate()``) must read -inf.
 """
 
 import math
@@ -18,7 +17,6 @@ from repro.mobility import (
     RandomWaypoint,
     StaticPosition,
     line_placement,
-    make_groups,
 )
 
 FIELD = Field(600.0, 600.0)
@@ -38,7 +36,7 @@ class PauseThenWalk(LegBasedModel):
 
 
 def evals(mgr):
-    return mgr.perf.batch_position_evals + mgr.perf.scalar_position_evals
+    return mgr.perf.batch_position_evals
 
 
 def test_static_field_is_evaluated_once():
@@ -90,14 +88,7 @@ def test_all_paused_window_ends_at_earliest_segment_end():
     assert evals(mgr2) == 2
 
 
-def test_scalar_rows_and_invalidate_read_minus_inf():
-    groups = make_groups(FIELD, RngStreams(3).stream, 6, n_groups=2,
-                         max_speed=5.0, pause_time=1e6, radius=40.0)
-    rpgm = MobilityManager(groups)
-    rpgm.positions(1.0)
-    assert rpgm._scalar_idx  # group members have no linear segment
-    assert rpgm.static_until == -math.inf
-
+def test_invalidate_reads_minus_inf():
     mgr = MobilityManager(line_placement(100.0, 4))
     mgr.positions(1.0)
     assert mgr.static_until == math.inf

@@ -3,8 +3,7 @@
 The recorder's state machine is the foundation the conservation gate
 stands on, so its edge rules are pinned directly: delivery beats any
 drop, the first terminal reason beats later ones, verdicts observed
-before injection are parked and claimed, unmeasured traffic never
-enters the ledger, and sampling thins the *trace* without ever
+before injection are parked and claimed, and sampling thins the *trace* without ever
 touching the *accounting*.
 """
 
@@ -76,16 +75,6 @@ class TestLedgerRules:
         assert report["offered"] == 1
         assert report["drops_by_reason"] == {"no_route": 1}
         assert report["conserved"] is True
-
-    def test_unmeasured_inject_discards_predrop(self):
-        rec = FlightRecorder()
-        p = _pkt()
-        rec.drop(p, DropReason.NO_ROUTE, node=0)
-        rec.inject(p, measured=False)
-        report = rec.report()
-        assert report["offered"] == 0
-        assert report["drops_by_reason"] == {}
-        assert not rec._predrop
 
     def test_control_and_none_packets_ignored(self):
         rec = FlightRecorder()

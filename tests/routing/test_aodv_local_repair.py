@@ -1,27 +1,20 @@
-"""AODV local repair (RFC 3561 §6.12 extension)."""
+"""AODV link breaks at a transit node, and the route trace.
 
-import pytest
+The paper's AODV has no local repair (RFC 3561 §6.12): a relay that
+loses its next hop drops the transit packet and errors upstream.
+"""
 
 from repro.routing.aodv import Aodv
 from tests.routing.conftest import collect_deliveries, make_static_network
 
-# Diamond with a long tail: 0 - 1 - {2a,2b} - 3; repair happens at 1.
+# Diamond with a long tail: 0 - 1 - {2a,2b} - 3; the break is seen at 1.
 TOPO = [
     (0.0, 0.0),      # 0 source
-    (200.0, 0.0),    # 1 repairing node
+    (200.0, 0.0),    # 1 relay that loses its next hop
     (400.0, 80.0),   # 2 upper relay
     (400.0, -80.0),  # 3 lower relay
     (600.0, 0.0),    # 4 destination
 ]
-
-
-def make_net(local_repair, seed=1):
-    return make_static_network(
-        TOPO,
-        lambda s, n, m, r: Aodv(s, n, m, r, local_repair=local_repair),
-        mac="dcf",
-        seed=seed,
-    )
 
 
 def kill(node):
@@ -29,72 +22,31 @@ def kill(node):
     node.radio.power_off()
 
 
-def assert_killed(net, node):
-    """The crash took effect: the dead radio swallowed arrivals."""
-    net.channel.flush_phy_stats()
-    assert node.radio.stats.down_rx_drops > 0
-
-
-def active_relay(net):
-    return net.nodes[1].routing.table[4].next_hop
-
-
-class TestLocalRepair:
-    def test_repair_bridges_broken_relay(self):
-        sim, net = make_net(local_repair=True)
+class TestTransitLinkBreak:
+    def test_transit_packet_dropped_no_route_and_rerr_upstream(self):
+        sim, net = make_static_network(TOPO, Aodv, mac="dcf", seed=1)
         log = collect_deliveries(net)
         net.nodes[0].send(4, 64)
         sim.run(until=3.0)
         assert len(log) == 1
+        agent1 = net.nodes[1].routing
+        relay = agent1.table[4].next_hop
+        rerrs = []
+        send_rerr = agent1._send_rerr
+        agent1._send_rerr = lambda dests: (rerrs.append(dests), send_rerr(dests))
 
-        relay = active_relay(net)
         kill(net.nodes[relay])
         net.nodes[0].send(4, 64)
         sim.run(until=30.0)
-        assert_killed(net, net.nodes[relay])
-        agent1 = net.nodes[1].routing
-        assert agent1.repairs_attempted >= 1
-        assert agent1.repairs_succeeded >= 1
-        assert len(log) == 2, "repaired route must deliver the second packet"
-
-    def test_without_repair_transit_packet_dropped(self):
-        sim, net = make_net(local_repair=False)
-        log = collect_deliveries(net)
-        net.nodes[0].send(4, 64)
-        sim.run(until=3.0)
-        relay = active_relay(net)
-        kill(net.nodes[relay])
-        net.nodes[0].send(4, 64)
-        sim.run(until=30.0)
-        assert_killed(net, net.nodes[relay])
-        agent1 = net.nodes[1].routing
-        assert agent1.repairs_attempted == 0
-        # The in-flight packet died at node 1 (counted as no-route drop);
-        # the *source* may re-discover later packets, but this one is gone
-        # unless the RERR beat it back (it cannot: it was already at 1).
+        # The crash took effect: the dead radio swallowed arrivals.
+        net.channel.flush_phy_stats()
+        assert net.nodes[relay].radio.stats.down_rx_drops > 0
+        # The in-flight packet died at node 1 as a no-route drop, and
+        # node 1 errored the destination upstream to its precursor 0.
+        assert len(log) == 1
         assert agent1.stats.drops_no_route >= 1
-
-    def test_failed_repair_sends_rerr_and_drops(self):
-        # No alternate relay: kill the only path.
-        sim, net = make_static_network(
-            [(0.0, 0.0), (200.0, 0.0), (400.0, 0.0), (600.0, 0.0)],
-            lambda s, n, m, r: Aodv(s, n, m, r, local_repair=True),
-            seed=3,
-        )
-        log = collect_deliveries(net)
-        net.nodes[0].send(3, 64)
-        sim.run(until=3.0)
-        kill(net.nodes[2])
-        net.nodes[0].send(3, 64)
-        sim.run(until=30.0)
-        assert_killed(net, net.nodes[2])
-        agent1 = net.nodes[1].routing
-        assert agent1.repairs_attempted >= 1
-        assert agent1.repairs_succeeded == 0
-        assert agent1.stats.drops_buffer >= 1
-        # Source learned the route is dead.
-        r0 = net.nodes[0].routing.table.get(3)
-        assert r0 is None or not r0.valid or r0.next_hop != 1 or len(log) == 1
+        assert any(dst == 4 for dests in rerrs for dst, _seq in dests)
+        assert not net.nodes[0].routing.table[4].valid
 
 
 class TestTraceIntegration:

@@ -23,11 +23,9 @@ from hypothesis import strategies as st
 from repro.core.rng import RngStreams
 from repro.mobility import (
     Field,
-    ManhattanGrid,
     MobilityManager,
     RandomWaypoint,
     StaticPosition,
-    make_groups,
 )
 from repro.phy.channel import Channel
 from repro.scenario import ScenarioConfig, run_scenario
@@ -42,8 +40,6 @@ SMALL = dict(
 
 MODEL_KINDS = [
     "waypoint",
-    "manhattan",
-    "rpgm",
     "static",
 ]
 
@@ -333,18 +329,11 @@ def _build_models(kind: str, seed: int):
     """A fresh, deterministic model set of one mobility kind."""
     streams = RngStreams(seed)
     field = Field(500.0, 400.0)
-    if kind == "rpgm":
-        return make_groups(
-            field, streams.stream, 6, n_groups=2,
-            max_speed=15.0, pause_time=1.0, radius=50.0,
-        )
     models = []
     for i in range(5):
         rng = streams.stream(f"m{i}")
         if kind == "waypoint":
             m = RandomWaypoint(field, rng, max_speed=15.0, pause_time=2.0)
-        elif kind == "manhattan":
-            m = ManhattanGrid(field, rng, max_speed=15.0)
         else:
             m = StaticPosition(*field.random_point(rng))
         models.append(m)

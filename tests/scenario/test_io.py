@@ -54,6 +54,15 @@ class TestConfigRoundtrip:
         ({"propagation": "tworay"}, "propagation"),
         ({"traffic_model": "cbr"}, "traffic_model"),
         ({"mobility": "walk"}, "walk"),
+        ({"mobility": "rpgm"}, "rpgm"),
+        ({"rpgm_radius": 100.0}, "rpgm_radius"),
+        ({"aodv_local_repair": False}, "aodv_local_repair"),
+        ({"measure_from": 0.0}, "measure_from"),
+        # Out of range: these used to pass here and crash at build time.
+        ({"seed": -1}, "seed"),
+        ({"replication": -1}, "replication"),
+        ({"hello_interval": -1.0}, "hello_interval"),
+        ({"hello_interval": 0.0}, "hello_interval"),
     ])
     def test_wrong_value_type_names_the_key(self, data, key):
         with pytest.raises(ConfigurationError, match=key):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ConfigurationError
 from repro.scenario import (
+    MOBILITY_MODELS,
     ScenarioConfig,
     build_scenario,
     run_replications,
@@ -64,7 +65,7 @@ class TestBuild:
         assert s.protocol == protocol
         assert s.data_sent > 0
 
-    @pytest.mark.parametrize("mobility", ["waypoint", "manhattan", "static"])
+    @pytest.mark.parametrize("mobility", MOBILITY_MODELS)
     def test_every_mobility_builds(self, mobility):
         cfg = ScenarioConfig(mobility=mobility, seed=3, **SMALL)
         s = run_scenario(cfg)

@@ -231,29 +231,3 @@ class TestAggregation:
         arr = np.asarray(values)
         assert e.mean == pytest.approx(float(arr.mean()), abs=1e-6, rel=1e-6)
         assert e.half_width >= 0 or math.isnan(e.half_width)
-
-
-class TestWarmupCut:
-    def test_measure_from_excludes_early_traffic(self):
-        from repro.scenario import ScenarioConfig, run_scenario
-
-        base = dict(
-            protocol="aodv", n_nodes=12, field_size=(600.0, 300.0),
-            duration=40.0, n_connections=4, traffic_start_window=(0.0, 5.0),
-            seed=11,
-        )
-        full = run_scenario(ScenarioConfig(**base))
-        cut = run_scenario(ScenarioConfig(**base, measure_from=20.0))
-        assert cut.data_sent < full.data_sent
-        assert cut.data_received <= cut.data_sent
-
-    def test_measure_from_validation(self):
-        import pytest as _pytest
-
-        from repro.core import ConfigurationError
-        from repro.scenario import ScenarioConfig
-
-        with _pytest.raises(ConfigurationError):
-            ScenarioConfig(duration=10.0, measure_from=10.0)
-        with _pytest.raises(ConfigurationError):
-            ScenarioConfig(measure_from=-1.0)
