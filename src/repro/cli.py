@@ -23,6 +23,7 @@ except ImportError:  # not on Windows
     resource = None
 
 from .analysis.tables import render_kv_table, render_series_table
+from .core.errors import ConfigurationError
 from .faults.plan import FaultPlanConfig
 from .scenario import MOBILITY_MODELS, PROTOCOLS, ScenarioConfig, run_scenario, run_sweep
 from .scenario.build import build_scenario
@@ -454,7 +455,6 @@ def cmd_protocols(_args) -> int:
         "paodv": "AODV + signal-strength preemptive maintenance",
         "cbrp": "cluster-based routing with pruned floods",
         "olsr": "proactive link state with MPRs, RFC 3626 (extension)",
-        "flooding": "blind flooding baseline",
         "oracle": "global-knowledge shortest path baseline",
     }
     print(render_kv_table("Available protocols", info))
@@ -608,7 +608,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        # A refused config value is a usage error, reported like argparse's.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -75,8 +75,6 @@ class DropReason(str, Enum):
     RADIO_DOWN_RX = "radio_down_rx"
     #: Fault injection: random per-link loss ate the arrival.
     FAULT_LINK = "fault_link"
-    #: Fault injection: a blackout window suppressed the fan-out.
-    FAULT_BLACKOUT = "fault_blackout"
     #: Fault injection: receiver on the far side of a partition.
     FAULT_PARTITION = "fault_partition"
 

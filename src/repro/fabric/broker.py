@@ -412,18 +412,6 @@ class Broker:
             # A result is a result even when its lease expired and the
             # job was reassigned: publish it, and complete the job if
             # the replacement has not beaten it to the finish line.
-            flight = summary.flight
-            if isinstance(flight, dict) and flight.get("events"):
-                # Park the (possibly large) causal trace beside the
-                # result instead of inside the stored summary, so
-                # cached sweep answers stay small; `repro obs trace`
-                # can fetch it from the store by key.
-                from ..obs.flight import flight_jsonl_str
-
-                self.store.put_trace(key, flight_jsonl_str(flight))
-                summary.flight = {
-                    k: v for k, v in flight.items() if k != "events"
-                }
             self.store.put(key, summary)
             if job is not None and job.state != "done":
                 job.state = "done"
@@ -567,44 +555,6 @@ class Broker:
         }
         return counters
 
-    def _prometheus_metrics(self) -> str:
-        """Prometheus text exposition (0.0.4) of the fleet's state.
-
-        The ``/healthz`` counters plus live gauges (lease, queue and
-        worker occupancy) under the ``manetsim_fabric_`` prefix;
-        per-worker totals carry a ``worker`` label.
-        """
-        lines: List[str] = []
-        for name in _COUNTER_NAMES:
-            metric = f"manetsim_fabric_{name}_total"
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {self.counters[name]}")
-        gauges = {
-            "workers_connected": len(self.workers),
-            "workers_seen": len(self.per_worker),
-            "leases_active": len(self.leases),
-            "leases_stale": sum(1 for l in self.leases.values() if l.stale),
-            "jobs_pending": len(self.pending),
-            "jobs_known": len(self.jobs),
-        }
-        for name, value in gauges.items():
-            metric = f"manetsim_fabric_{name}"
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {value}")
-        lines.append("# TYPE manetsim_fabric_worker_jobs counter")
-        lines.append("# TYPE manetsim_fabric_worker_busy_seconds counter")
-        for wid, stats in sorted(self.per_worker.items()):
-            esc = wid.replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(
-                f'manetsim_fabric_worker_jobs{{worker="{esc}"}} '
-                f'{int(stats["jobs"])}'
-            )
-            lines.append(
-                f'manetsim_fabric_worker_busy_seconds{{worker="{esc}"}} '
-                f'{stats["busy_s"]:.6f}'
-            )
-        return "\n".join(lines) + "\n"
-
     async def _handle_client(self, reader, writer, sweep: Optional[dict]) -> None:
         if sweep is None:
             line = await reader.readline()
@@ -712,15 +662,6 @@ class Broker:
             writer.write(
                 b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
                 b"Connection: close\r\n\r\n" + body.encode()
-            )
-            await writer.drain()
-            return
-        if method == "GET" and path.startswith("/metrics"):
-            body = self._prometheus_metrics()
-            writer.write(
-                b"HTTP/1.1 200 OK\r\nContent-Type: text/plain; "
-                b"version=0.0.4; charset=utf-8\r\nConnection: close\r\n\r\n"
-                + body.encode()
             )
             await writer.drain()
             return

@@ -91,8 +91,8 @@ class ResultStore:
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root) / "sweep"
 
-    def _path(self, key: str, suffix: str = ".json") -> Path:
-        return self.root / key[:2] / (key + suffix)
+    def _path(self, key: str) -> Path:
+        return self.root / key[:2] / (key + ".json")
 
     # ---------------------------------------------------------------- reads
 
@@ -134,6 +134,9 @@ class ResultStore:
 
         Failures (including a summary JSON cannot encode) are swallowed:
         a cache write must never sink the computation it is caching.
+        Write → fsync → rename via a unique tmp name: a writer killed at
+        any point leaves the old entry or the new one, plus at worst one
+        tmp file for :meth:`sweep_tmp_litter`.
         """
         if not _valid_key(key):
             return False
@@ -142,26 +145,14 @@ class ResultStore:
         except (AttributeError, TypeError, ValueError):
             return False
         digest = hashlib.sha256(text.encode()).hexdigest()
-        return self._publish(self._path(key), f"{digest}\n{text}")
-
-    def put_trace(self, key: str, text: str) -> bool:
-        """Atomically publish a flight-trace JSONL document beside *key*
-        (a trace is telemetry, never worth sinking the result for)."""
-        if not _valid_key(key):
-            return False
-        return self._publish(self._path(key, ".trace.jsonl"), text)
-
-    def _publish(self, path: Path, text: str) -> bool:
-        """Write → fsync → rename via a unique tmp name: a writer killed
-        at any point leaves the old entry or the new one, plus at worst
-        one tmp file for :meth:`sweep_tmp_litter`."""
+        path = self._path(key)
         tmp = path.parent / (
             f"{path.name}.{os.getpid()}.{_PROCESS_TOKEN}.{next(_TMP_SEQ)}.tmp"
         )
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(tmp, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.write(f"{digest}\n{text}")
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -171,17 +162,6 @@ class ResultStore:
             with contextlib.suppress(OSError):
                 tmp.unlink()
             return False
-
-    # --------------------------------------------------------------- traces
-
-    def get_trace(self, key: str) -> Optional[str]:
-        """The flight-trace JSONL text for *key*, or ``None`` on miss."""
-        if not _valid_key(key):
-            return None
-        try:
-            return self._path(key, ".trace.jsonl").read_text()
-        except OSError:
-            return None
 
     # ------------------------------------------------------------- hygiene
 

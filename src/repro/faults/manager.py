@@ -5,9 +5,7 @@ carries a fault plan. At :meth:`start` it pre-draws every churn schedule
 from named RNG streams (``faults.churn.<node>``) and registers the
 corresponding crash/recover events with the simulator; link impairment
 is applied synchronously inside the channel's fan-out through the
-``fault_hook`` interface, and energy-depletion death is a periodic check
-against the radios' airtime counters using the standard
-:class:`~repro.stats.energy.EnergyParams` draws.
+``fault_hook`` interface.
 
 Crash semantics
 ---------------
@@ -23,13 +21,12 @@ it crashed with, as a rebooted router would.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Set
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from ..core.drops import DropReason
 from ..core.errors import FaultInjectionError
-from ..stats.energy import EnergyParams
 from .plan import FaultPlanConfig
 
 if TYPE_CHECKING:  # type-only: avoid import cycles with the stack builder
@@ -45,9 +42,7 @@ class FaultStats:
     __slots__ = (
         "crashes",
         "recoveries",
-        "energy_deaths",
         "link_drops",
-        "blackout_drops",
         "partition_drops",
         "down_rx_drops",
         "crash_queue_drops",
@@ -55,15 +50,11 @@ class FaultStats:
     )
 
     def __init__(self) -> None:
-        #: Crash events executed (churn + energy deaths).
+        #: Crash events executed.
         self.crashes = 0
         self.recoveries = 0
-        #: Permanent deaths from an exhausted energy budget.
-        self.energy_deaths = 0
         #: Arrivals eaten by per-link random loss.
         self.link_drops = 0
-        #: Arrivals suppressed by a blackout window.
-        self.blackout_drops = 0
         #: Arrivals cut by an active partition window.
         self.partition_drops = 0
         #: Arrivals suppressed because the receiver was down.
@@ -78,7 +69,6 @@ class FaultStats:
         """Receiver-side arrivals suppressed by any injected fault."""
         return (
             self.link_drops
-            + self.blackout_drops
             + self.partition_drops
             + self.down_rx_drops
         )
@@ -96,9 +86,6 @@ class FaultManager:
     duration:
         Scenario duration — churn schedules and downtime accounting
         are bounded by it.
-    energy_params:
-        Power draws used for energy-depletion death (defaults to the
-        WaveLAN numbers in :mod:`repro.stats.energy`).
     """
 
     def __init__(
@@ -107,23 +94,19 @@ class FaultManager:
         network: "Network",
         plan: FaultPlanConfig,
         duration: float,
-        energy_params: EnergyParams = EnergyParams(),
     ):
         self.sim = sim
         self.network = network
         self.plan = plan
         self.duration = duration
-        self.energy_params = energy_params
         self.stats = FaultStats()
         n = len(network.nodes)
         self._down = [False] * n
         self._down_since = [0.0] * n
-        self._permanently_down: Set[int] = set()
         self._link_rng = sim.rng.stream("faults.link") if plan.link_loss > 0 else None
         self._started = False
         # The channel consults us on every fan-out once attached.
         network.channel.fault_hook = self
-        self._ifq_caps: Optional[List[int]] = None
 
     # ------------------------------------------------------------ lifecycle
 
@@ -132,30 +115,20 @@ class FaultManager:
         if self._started:
             raise FaultInjectionError("fault manager already started")
         self._started = True
-        plan = self.plan
-        sim = self.sim
-        if plan.churn_rate > 0.0:
+        if self.plan.churn_rate > 0.0:
             self._schedule_churn()
-        if plan.energy_budget_j > 0.0:
-            sim.schedule(plan.energy_check_interval, self._energy_check)
-        for start, stop in plan.overload_windows:
-            if start < self.duration:
-                sim.schedule_at(start, self._overload_begin)
-                sim.schedule_at(min(stop, self.duration), self._overload_end)
 
     def _schedule_churn(self) -> None:
         """Pre-draw each node's crash/recover timeline (deterministic)."""
         plan = self.plan
         sim = self.sim
-        stop = plan.churn_stop if plan.churn_stop is not None else self.duration
-        stop = min(stop, self.duration)
         mean_gap = 1.0 / plan.churn_rate
         for i in range(len(self.network.nodes)):
             rng = sim.rng.stream(f"faults.churn.{i}")
-            t = plan.churn_start + float(rng.exponential(mean_gap))
-            while t < stop:
+            t = float(rng.exponential(mean_gap))
+            while t < self.duration:
                 downtime = float(rng.exponential(plan.mean_downtime))
-                sim.schedule_at(t, self._crash, i, False)
+                sim.schedule_at(t, self._crash, i)
                 recover_at = t + downtime
                 if recover_at < self.duration:
                     sim.schedule_at(recover_at, self._recover, i)
@@ -163,18 +136,14 @@ class FaultManager:
 
     # --------------------------------------------------------- churn events
 
-    def _crash(self, node_id: int, permanent: bool) -> None:
+    def _crash(self, node_id: int) -> None:
         if not 0 <= node_id < len(self._down):
             raise FaultInjectionError(f"no such node to crash: {node_id}")
         if self._down[node_id]:
-            if permanent:
-                self._permanently_down.add(node_id)
-            return  # already down (energy death raced a churn crash)
+            return
         node = self.network.nodes[node_id]
         self._down[node_id] = True
         self._down_since[node_id] = self.sim.now
-        if permanent:
-            self._permanently_down.add(node_id)
         node.radio.power_off()
         routing = node.routing
         routing.alive = False
@@ -193,8 +162,8 @@ class FaultManager:
         self.stats.crashes += 1
 
     def _recover(self, node_id: int) -> None:
-        if not self._down[node_id] or node_id in self._permanently_down:
-            return  # never recovered: energy death is final
+        if not self._down[node_id]:
+            return
         node = self.network.nodes[node_id]
         self._down[node_id] = False
         node.radio.power_on()
@@ -207,64 +176,7 @@ class FaultManager:
         self.stats.recoveries += 1
         self.stats.recovery_latencies.append(latency)
 
-    # --------------------------------------------------------------- energy
-
-    def _energy_check(self) -> None:
-        """Kill nodes whose cumulative radio energy exceeds the budget."""
-        budget = self.plan.energy_budget_j
-        params = self.energy_params
-        now = self.sim.now
-        for i, node in enumerate(self.network.nodes):
-            if self._down[i]:
-                continue
-            s = node.radio.stats
-            tx_t = min(s.airtime_tx, now)
-            rx_t = min(s.airtime_rx, now - tx_t)
-            idle_t = max(now - tx_t - rx_t, 0.0)
-            joules = (
-                tx_t * params.tx_power_w
-                + rx_t * params.rx_power_w
-                + idle_t * params.idle_power_w
-            )
-            if joules >= budget:
-                self.stats.energy_deaths += 1
-                self._crash(i, True)
-        if now + self.plan.energy_check_interval < self.duration:
-            self.sim.schedule(self.plan.energy_check_interval, self._energy_check)
-
-    # ------------------------------------------------------- queue overload
-
-    def _overload_begin(self) -> None:
-        if self._ifq_caps is not None:
-            return  # overlapping windows: already clamped
-        caps = []
-        clamp = self.plan.overload_capacity
-        for node in self.network.nodes:
-            ifq = node.mac.ifq
-            caps.append(ifq.capacity)
-            ifq.set_capacity(min(ifq.capacity, clamp))
-        self._ifq_caps = caps
-
-    def _overload_end(self) -> None:
-        caps = self._ifq_caps
-        if caps is None:
-            return
-        # Still inside another overlapping window? Keep the clamp.
-        now = self.sim.now
-        for start, stop in self.plan.overload_windows:
-            if start < now < stop:
-                return
-        for node, cap in zip(self.network.nodes, caps):
-            node.mac.ifq.set_capacity(cap)
-        self._ifq_caps = None
-
     # ------------------------------------------- channel fault-hook interface
-
-    def _in_window(self, windows, now: float) -> bool:
-        for w in windows:
-            if w[0] <= now < w[1]:
-                return True
-        return False
 
     def _active_partition(self, now: float) -> Optional[float]:
         for start, stop, x_split in self.plan.partitions:
@@ -284,10 +196,6 @@ class FaultManager:
         """
         stats = self.stats
         plan = self.plan
-        n = ids.shape[0]
-        if plan.blackouts and self._in_window(plan.blackouts, now):
-            stats.blackout_drops += n
-            return np.zeros(n, dtype=bool)
         x_split = self._active_partition(now) if plan.partitions else None
         loss = plan.link_loss
         down = self._down
@@ -297,7 +205,7 @@ class FaultManager:
             positions = self.network.mobility.positions(now)
             src_side = positions[src_id, 0] < x_split
         rng = self._link_rng
-        keep = np.ones(n, dtype=bool)
+        keep = np.ones(ids.shape[0], dtype=bool)
         for k, nid in enumerate(ids.tolist()):
             if down[nid]:
                 stats.down_rx_drops += 1

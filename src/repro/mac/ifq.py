@@ -47,17 +47,6 @@ class InterfaceQueue:
     def __len__(self) -> int:
         return len(self._control) + len(self._data)
 
-    def set_capacity(self, capacity: int) -> None:
-        """Re-bound the queue (fault injection's overload windows).
-
-        Entries already queued above the new bound are kept — the clamp
-        only rejects *new* pushes, matching a router whose buffer pool
-        shrinks under pressure without discarding accepted packets.
-        """
-        if capacity < 1:
-            raise ConfigurationError(f"IFQ capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-
     @property
     def is_empty(self) -> bool:
         return not self._control and not self._data

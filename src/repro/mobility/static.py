@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..core.errors import ConfigurationError
 from .base import Field, MobilityModel
@@ -72,8 +72,3 @@ def line_placement(spacing: float, n: int, y: float = 0.0) -> List[StaticPositio
     if spacing <= 0:
         raise ConfigurationError(f"spacing must be > 0, got {spacing}")
     return [StaticPosition(i * spacing, y) for i in range(n)]
-
-
-def positions_of(models: Sequence[MobilityModel], t: float = 0.0) -> List[Tuple[float, float]]:
-    """Convenience: evaluate every model's position at time *t*."""
-    return [m.position(t) for m in models]

@@ -1,17 +1,16 @@
-"""Routing protocols: the paper's five contenders plus baselines.
+"""Routing protocols: the paper's five contenders plus a baseline.
 
-==========  =========================================  ==========
-Protocol    Class                                      Category
-==========  =========================================  ==========
-DSDV        :class:`~repro.routing.dsdv.Dsdv`          proactive
-DSR         :class:`~repro.routing.dsr.Dsr`            reactive
-AODV        :class:`~repro.routing.aodv.Aodv`          reactive
-PAODV       :class:`~repro.routing.paodv.Paodv`        reactive
-CBRP        :class:`~repro.routing.cbrp.Cbrp`          reactive
-OLSR        :class:`~repro.routing.olsr.Olsr`          proactive (ext.)
-Flooding    :class:`~repro.routing.flooding.Flooding`  baseline
+==========  ============================================  ================
+Protocol    Class                                         Category
+==========  ============================================  ================
+DSDV        :class:`~repro.routing.dsdv.Dsdv`             proactive
+DSR         :class:`~repro.routing.dsr.Dsr`               reactive
+AODV        :class:`~repro.routing.aodv.Aodv`             reactive
+PAODV       :class:`~repro.routing.paodv.Paodv`           reactive
+CBRP        :class:`~repro.routing.cbrp.Cbrp`             reactive
+OLSR        :class:`~repro.routing.olsr.Olsr`             proactive (ext.)
 Oracle      :class:`~repro.routing.oracle.OracleRouting`  baseline
-==========  =========================================  ==========
+==========  ============================================  ================
 """
 
 from .aodv import Aodv
@@ -19,7 +18,6 @@ from .base import RoutingProtocol, RoutingStats
 from .cbrp import Cbrp
 from .dsdv import Dsdv
 from .dsr import Dsr
-from .flooding import Flooding
 from .neighbors import NeighborTable
 from .olsr import Olsr
 from .oracle import OracleRouting, shortest_hop_path
@@ -32,7 +30,6 @@ __all__ = [
     "Cbrp",
     "Dsdv",
     "Dsr",
-    "Flooding",
     "NeighborTable",
     "Olsr",
     "OracleRouting",

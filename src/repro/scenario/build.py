@@ -8,10 +8,13 @@ from typing import List, Optional
 from ..core.errors import ConfigurationError
 from ..core.simulator import Simulator
 from ..faults.manager import FaultManager
+
+# net before mac: mac.frames imports net.packet, and the net package's
+# __init__ imports the stack, whose PHY imports mac.frames back.
+from ..net.stack import Network, build_network  # isort: skip
 from ..mac.dcf import DcfMac
 from ..mac.ideal import IdealMac
 from ..mobility import Field, RandomWaypoint, StaticPosition
-from ..net.stack import Network, build_network
 from ..obs.profiler import Profiler
 from ..phy.propagation import WAVELAN_914MHZ, TwoRayGround
 from ..routing import (
@@ -19,7 +22,6 @@ from ..routing import (
     Cbrp,
     Dsdv,
     Dsr,
-    Flooding,
     Olsr,
     OracleRouting,
     Paodv,
@@ -163,12 +165,8 @@ def _routing_factory(cfg: ScenarioConfig, propagation, params):
         )
     if name == "olsr":
         return lambda sim, nid, mac, rng: Olsr(sim, nid, mac, rng, use_mpr=cfg.olsr_use_mpr)
-    if name == "flooding":
-        return lambda sim, nid, mac, rng: Flooding(sim, nid, mac, rng)
     # oracle: mobility wired post-build (needs the manager)
-    return lambda sim, nid, mac, rng: OracleRouting(
-        sim, nid, mac, rng, radio_range=cfg.radio_range
-    )
+    return lambda sim, nid, mac, rng: OracleRouting(sim, nid, mac, rng)
 
 
 def _mac_factory(cfg: ScenarioConfig):

@@ -18,7 +18,7 @@ from ..faults.plan import FaultPlanConfig
 __all__ = ["ScenarioConfig", "PROTOCOLS", "MOBILITY_MODELS"]
 
 #: Protocols the harness can instantiate by name.
-PROTOCOLS = ("dsdv", "dsr", "aodv", "paodv", "cbrp", "olsr", "flooding", "oracle")
+PROTOCOLS = ("dsdv", "dsr", "aodv", "paodv", "cbrp", "olsr", "oracle")
 
 #: Mobility models the harness can instantiate by name.
 MOBILITY_MODELS = ("waypoint", "static")
@@ -62,7 +62,6 @@ class ScenarioConfig:
     duration: float = 900.0
 
     # --- PHY / MAC ------------------------------------------------------------
-    radio_range: float = 250.0  # oracle routing's reference range
     mac: str = "dcf"  # or "ideal"
     use_rtscts: bool = True
     ifq_capacity: int = 50
@@ -91,9 +90,9 @@ class ScenarioConfig:
     position_quantum: float = 0.005
 
     # --- fault injection ---------------------------------------------------
-    #: Deterministic fault plan (node churn, link impairment, energy
-    #: death, queue overload); ``None`` bypasses the fault subsystem
-    #: entirely — the bit-identical pre-fault code path.
+    #: Deterministic fault plan (node churn, link impairment); ``None``
+    #: bypasses the fault subsystem entirely — the bit-identical
+    #: pre-fault code path.
     faults: Optional[FaultPlanConfig] = None
 
     # --- observability -----------------------------------------------------

@@ -50,10 +50,6 @@ class EnergyReport:
     def total_joules(self) -> float:
         return self.tx_joules + self.rx_joules + self.idle_joules
 
-    @property
-    def mean_node_joules(self) -> float:
-        return self.total_joules / len(self.per_node_joules)
-
     def joules_per_delivered(self, delivered: int) -> float:
         """Energy cost per successfully delivered data packet."""
         return self.total_joules / delivered if delivered else float("inf")

@@ -6,7 +6,9 @@ through the fabric — whatever got reassigned, cached, or degraded
 along the way — must reproduce the local-pool result exactly.
 """
 
+import json
 import threading
+import urllib.request
 
 import pytest
 
@@ -14,7 +16,14 @@ import repro.scenario.executor as exmod
 import repro.scenario.run as runmod
 from repro.fabric.broker import BrokerThread
 from repro.fabric.client import FabricClient
-from repro.scenario import FailedRun, ScenarioConfig, SweepExecutor, run_sweep
+from repro.fabric.store import ResultStore
+from repro.scenario import (
+    FailedRun,
+    ScenarioConfig,
+    SweepExecutor,
+    run_scenario,
+    run_sweep,
+)
 from repro.scenario.executor import config_cache_key
 from repro.scenario.io import config_to_dict
 
@@ -67,6 +76,47 @@ class TestCleanFleetRun:
         assert second.fabric["points_executed"] == 0
         assert second.manifest["jobs_executed"] == 0
         assert second.manifest["jobs_from_cache"] == 4
+
+    def test_healthz_counts_fleet_work(
+        self, tmp_path, broker_factory, thread_worker
+    ):
+        broker = broker_factory(cache_dir=str(tmp_path / "fleet"))
+        thread_worker(broker.address)
+        result = run_sweep(
+            BASE, "pause_time", [0.0], ["aodv"], replications=1, processes=1,
+            cache_dir=str(tmp_path / "client"), fabric=broker.address,
+        )
+        assert result.ok
+        with urllib.request.urlopen(
+            f"http://{broker.address}/healthz", timeout=5.0
+        ) as resp:
+            assert resp.headers["Content-Type"] == "application/json"
+            counters = json.loads(resp.read())
+        assert counters["jobs_executed"] == 1
+        assert counters["workers_seen"] == 1
+        (worker,) = counters["per_worker"].values()
+        assert worker["jobs"] == 1
+
+    def test_flight_trace_is_stored_whole(
+        self, tmp_path, broker_factory, thread_worker
+    ):
+        # The fleet's store keeps a traced summary whole, as the local
+        # pool's cache does: causal events included.
+        base = BASE.with_(flight=True, flight_trace=True)
+        broker = broker_factory(cache_dir=str(tmp_path / "fleet"))
+        thread_worker(broker.address)
+        result = run_sweep(
+            base, "pause_time", [0.0], ["aodv"], replications=1, processes=1,
+            cache_dir=str(tmp_path / "client"), fabric=broker.address,
+        )
+        assert result.ok
+        assert result.fabric["points_executed"] == 1
+        cfg = base.with_(pause_time=0.0, replication=0)
+        stored = ResultStore(tmp_path / "fleet").get(config_cache_key(cfg))
+        expected = run_scenario(cfg)
+        assert stored.flight["events"]
+        assert stored.flight == expected.flight
+        assert stored == expected
 
     def test_resume_works_across_a_broker_restart(self, tmp_path, thread_worker):
         fleet_dir = str(tmp_path / "fleet")

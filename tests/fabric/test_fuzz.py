@@ -69,7 +69,7 @@ def _mutated(base: dict, names):
 
 
 CONFIG = config_to_dict(ScenarioConfig(
-    faults=FaultPlanConfig(churn_rate=0.01, blackouts=((1.0, 2.0),))
+    faults=FaultPlanConfig(churn_rate=0.01, partitions=((1.0, 2.0, 750.0),))
 ))
 SUMMARY = MetricsSummary(
     protocol="aodv", duration=5.0, data_sent=4, data_received=3, pdr=0.75,

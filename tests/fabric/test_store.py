@@ -61,6 +61,19 @@ class TestBasics:
         assert list(tmp_path.rglob("*.tmp")) == []
         assert store.get(KEY) is None
 
+    def test_no_tmp_litter_after_publish(self, tmp_path, make_summary):
+        store = ResultStore(tmp_path)
+        assert store.put(KEY, make_summary())
+        assert not list((tmp_path / "sweep").rglob("*.tmp"))
+
+    def test_unwritable_root_reports_failure(self, tmp_path, make_summary):
+        target = tmp_path / "blocked"
+        target.write_text("")  # a *file* where the store wants a dir
+        store = ResultStore(target)
+        assert store.put(KEY, make_summary()) is False
+        assert store.get(KEY) is None
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     @pytest.mark.parametrize("bad", ["summary", 1, None, {"pdr": 0.9}])
     def test_non_summary_put_is_refused(self, tmp_path, bad):
         store = ResultStore(tmp_path)
@@ -85,8 +98,6 @@ class TestHostileKeys:
         assert store.get(key) is None
         assert key not in store
         assert store.put(key, make_summary()) is False
-        assert store.put_trace(key, "x\n") is False
-        assert store.get_trace(key) is None
         assert victim.read_text() == "not yours"
         assert sorted(p.name for p in victim.parent.iterdir()) == ["victim.json"]
 
@@ -99,8 +110,6 @@ class TestHostileKeys:
         assert store.get(key) is None
         assert key not in store
         assert store.put(key, make_summary()) is False
-        assert store.put_trace(key, "x\n") is False
-        assert store.get_trace(key) is None
         assert list(tmp_path.iterdir()) == []
 
 

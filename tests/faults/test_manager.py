@@ -73,14 +73,14 @@ class TestChurn:
         mgr = scn.faults
         node = scn.network.nodes[0]
         scn.network.start_routing()
-        mgr._crash(0, False)
+        mgr._crash(0)
         assert mgr.node_down(0)
         assert node.radio.is_down
         assert not node.routing.alive
         assert len(node.mac.ifq) == 0
         # Idempotent: a second crash of a down node changes nothing.
         crashes = mgr.stats.crashes
-        mgr._crash(0, False)
+        mgr._crash(0)
         assert mgr.stats.crashes == crashes
         # Recovery restores liveness and records the latency.
         scn.sim._now = 4.0
@@ -90,43 +90,29 @@ class TestChurn:
         assert node.routing.alive
         assert mgr.stats.recovery_latencies == [4.0]
 
-    def test_permanent_death_never_recovers(self):
-        scn = build_scenario(faulted())
-        mgr = scn.faults
-        mgr._crash(0, True)
-        mgr._recover(0)
-        assert mgr.node_down(0)
-        assert scn.network.nodes[0].radio.is_down
-
     def test_crash_of_unknown_node_rejected(self):
         scn = build_scenario(faulted())
         with pytest.raises(FaultInjectionError):
-            scn.faults._crash(99, False)
+            scn.faults._crash(99)
 
     def test_churn_window_respected(self, monkeypatch):
-        plan = CHURN.with_(churn_start=5.0, churn_stop=10.0, mean_downtime=1.0)
+        # Churn runs over the whole scenario and never past its end.
+        plan = CHURN.with_(churn_rate=0.2, mean_downtime=1.0)
         scn = build_scenario(faulted(plan=plan))
         crash_times = []
         real_crash = scn.faults._crash
 
-        def spy(node_id, permanent):
+        def spy(node_id):
             crash_times.append(scn.sim.now)
-            real_crash(node_id, permanent)
+            real_crash(node_id)
 
         monkeypatch.setattr(scn.faults, "_crash", spy)
         summary = scn.run()
         assert summary.fault_crashes == len(crash_times) > 0
-        assert all(5.0 <= t < 10.0 for t in crash_times)
+        assert all(0.0 < t < SMALL["duration"] for t in crash_times)
 
 
 class TestLinkImpairment:
-    def test_blackout_silences_the_channel(self):
-        # A blackout covering the whole run delivers nothing.
-        plan = FaultPlanConfig(blackouts=((0.0, SMALL["duration"]),))
-        s = run_scenario(faulted(plan=plan))
-        assert s.data_received == 0
-        assert s.fault_packets_lost > 0
-
     def test_link_loss_degrades_delivery(self):
         clean = run_scenario(ScenarioConfig(seed=7, **SMALL))
         lossy = run_scenario(faulted(plan=FaultPlanConfig(link_loss=0.3)))
@@ -170,26 +156,6 @@ class TestLinkImpairment:
         ]
         assert kept == expected
         assert mgr._link_rng.random() == draws.random()
-
-
-class TestEnergyAndOverload:
-    def test_energy_budget_kills_permanently(self):
-        # Tiny budget: idle draw alone exceeds it within a second.
-        plan = FaultPlanConfig(energy_budget_j=0.5, energy_check_interval=0.5)
-        s = run_scenario(faulted(plan=plan))
-        assert s.fault_crashes == SMALL["n_nodes"]
-        # Permanent deaths never recover.
-        assert s.fault_recovery_latency == 0.0
-
-    def test_overload_clamps_and_restores(self):
-        plan = FaultPlanConfig(overload_windows=((2.0, 4.0),), overload_capacity=1)
-        scn = build_scenario(faulted(plan=plan))
-        scn.faults.start()
-        caps = [n.mac.ifq.capacity for n in scn.network.nodes]
-        scn.sim.run(until=3.0)
-        assert all(n.mac.ifq.capacity == 1 for n in scn.network.nodes)
-        scn.sim.run(until=5.0)
-        assert [n.mac.ifq.capacity for n in scn.network.nodes] == caps
 
 
 class TestSummaryAccounting:

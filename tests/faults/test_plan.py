@@ -9,7 +9,9 @@ from repro.faults.plan import FaultPlanConfig
 class TestValidation:
     def test_defaults_are_a_noop_plan(self):
         plan = FaultPlanConfig()
-        assert not plan.any_enabled
+        assert plan.churn_rate == 0.0
+        assert plan.link_loss == 0.0
+        assert plan.partitions == ()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -17,37 +19,18 @@ class TestValidation:
             dict(churn_rate=-0.1),
             dict(mean_downtime=0.0),
             dict(mean_downtime=-1.0),
-            dict(churn_start=-1.0),
-            dict(churn_rate=0.1, churn_start=10.0, churn_stop=10.0),
-            dict(energy_budget_j=-5.0),
-            dict(energy_check_interval=0.0),
             dict(link_loss=-0.01),
             dict(link_loss=1.5),
-            dict(blackouts=((5.0, 5.0),)),
-            dict(blackouts=((-1.0, 5.0),)),
-            dict(blackouts=((5.0, 2.0),)),
+            dict(partitions=((5.0, 5.0, 750.0),)),
+            dict(partitions=((-1.0, 5.0, 750.0),)),
+            dict(partitions=((5.0, 2.0, 750.0),)),
             dict(partitions=((5.0, 10.0),)),  # missing x_split
-            dict(overload_windows=((1.0, 2.0, 3.0),)),  # extra element
-            dict(overload_capacity=0),
+            dict(partitions=((1.0, 2.0, 3.0, 4.0),)),  # extra element
         ],
     )
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             FaultPlanConfig(**kwargs)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(churn_rate=0.01),
-            dict(energy_budget_j=10.0),
-            dict(link_loss=0.05),
-            dict(blackouts=((1.0, 2.0),)),
-            dict(partitions=((1.0, 2.0, 750.0),)),
-            dict(overload_windows=((1.0, 2.0),)),
-        ],
-    )
-    def test_each_axis_flips_any_enabled(self, kwargs):
-        assert FaultPlanConfig(**kwargs).any_enabled
 
 
 class TestRoundTrip:
@@ -55,18 +38,12 @@ class TestRoundTrip:
         plan = FaultPlanConfig(
             churn_rate=0.02,
             mean_downtime=12.5,
-            churn_start=10.0,
-            churn_stop=200.0,
-            energy_budget_j=50.0,
             link_loss=0.1,
-            blackouts=((5.0, 7.0), (30.0, 31.0)),
-            partitions=((40.0, 60.0, 750.0),),
-            overload_windows=((80.0, 90.0),),
-            overload_capacity=3,
+            partitions=((5.0, 7.0, 750.0), (40.0, 60.0, 500.0)),
         )
         data = plan.to_dict()
         # JSON-ready: every window is a plain list.
-        assert data["blackouts"] == [[5.0, 7.0], [30.0, 31.0]]
+        assert data["partitions"] == [[5.0, 7.0, 750.0], [40.0, 60.0, 500.0]]
         assert FaultPlanConfig.from_dict(data) == plan
 
     def test_unknown_key_rejected(self):

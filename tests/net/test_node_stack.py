@@ -7,11 +7,11 @@ from repro.mac import IdealMac
 from repro.mobility import line_placement
 from repro.net import Network, build_network
 from repro.phy import RadioParams, UnitDisk
-from repro.routing import Flooding
+from repro.routing import OracleRouting
 
 
-def flooding_factory(sim, nid, mac, rng):
-    return Flooding(sim, nid, mac, rng)
+def oracle_factory(sim, nid, mac, rng):
+    return OracleRouting(sim, nid, mac, rng)
 
 
 def ideal_factory(sim, radio, rng):
@@ -23,11 +23,13 @@ def make_net(n=3, spacing=100.0):
     net = build_network(
         sim,
         line_placement(spacing, n),
-        routing_factory=flooding_factory,
+        routing_factory=oracle_factory,
         mac_factory=ideal_factory,
         propagation=UnitDisk(250.0),
         radio_params=RadioParams(),
     )
+    for node in net.nodes:
+        node.routing.mobility = net.mobility
     return sim, net
 
 
@@ -47,7 +49,7 @@ class TestBuildNetwork:
         net = build_network(
             sim,
             line_placement(100.0, 2),
-            routing_factory=flooding_factory,
+            routing_factory=oracle_factory,
             mac_factory=ideal_factory,
         )
         # Defaults: two-ray ground at WaveLAN constants -> 250 m range.

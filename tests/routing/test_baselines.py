@@ -1,18 +1,12 @@
-"""Flooding and oracle baselines + base-class plumbing."""
+"""Oracle baseline + base-class plumbing."""
 
 import numpy as np
 import pytest
 
-from repro.net import BROADCAST
-from repro.routing.flooding import Flooding
 from repro.routing.oracle import OracleRouting, shortest_hop_path
 from tests.routing.conftest import collect_deliveries, make_static_network
 
 CHAIN5 = [(0, 0), (200, 0), (400, 0), (600, 0), (800, 0)]
-
-
-def flooding_factory(sim, node_id, mac, rng):
-    return Flooding(sim, node_id, mac, rng)
 
 
 class TestShortestHopPath:
@@ -37,46 +31,6 @@ class TestShortestHopPath:
         pos = np.array([[0, 0], [200, 0], [100, 100], [250, 100], [400, 0]], dtype=float)
         path = shortest_hop_path(pos, 0, 4, 250.0)
         assert path == [0, 1, 4]
-
-
-class TestFlooding:
-    def test_multi_hop_delivery(self):
-        sim, net = make_static_network(CHAIN5, flooding_factory, mac="dcf")
-        log = collect_deliveries(net)
-        net.nodes[0].send(4, 64)
-        sim.run(until=5.0)
-        assert [(nid, p.src) for nid, p, _ in log] == [(4, 0)]
-
-    def test_duplicate_suppression(self):
-        # Dense clique: every node rebroadcasts at most once.
-        positions = [(0, 0), (50, 0), (0, 50), (50, 50)]
-        sim, net = make_static_network(positions, flooding_factory, mac="dcf")
-        log = collect_deliveries(net)
-        net.nodes[0].send(3, 64)
-        sim.run(until=5.0)
-        assert len(log) == 1
-        total_tx = sum(n.routing.stats.data_forwarded for n in net.nodes)
-        assert total_tx <= len(positions)  # each node forwards <= once
-
-    def test_broadcast_data_delivered_everywhere(self):
-        sim, net = make_static_network(CHAIN5, flooding_factory, mac="dcf")
-        log = collect_deliveries(net)
-        net.nodes[2].send(BROADCAST, 32)
-        sim.run(until=5.0)
-        assert sorted(nid for nid, _, _ in log) == [0, 1, 3, 4]
-
-    def test_partition_blocks_delivery(self):
-        sim, net = make_static_network([(0, 0), (1000, 0)], flooding_factory)
-        log = collect_deliveries(net)
-        net.nodes[0].send(1, 64)
-        sim.run(until=5.0)
-        assert log == []
-
-    def test_no_control_overhead(self):
-        sim, net = make_static_network(CHAIN5, flooding_factory)
-        net.nodes[0].send(4, 64)
-        sim.run(until=5.0)
-        assert all(n.routing.stats.control_packets == 0 for n in net.nodes)
 
 
 class TestOracle:

@@ -1,6 +1,6 @@
-"""Property tests for the bounded duplicate-suppression caches.
+"""Property tests for the bounded duplicate-suppression cache.
 
-The seen-caches guard every flooding protocol's relay decision; their
+The seen-cache guards every flooding protocol's relay decision; its
 bound invariants must hold for *any* mark sequence, not just the ones
 the protocol tests happen to produce — exactly the job for hypothesis.
 """
@@ -8,48 +8,10 @@ the protocol tests happen to produce — exactly the job for hypothesis.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing.seen import SeenCache, SeenSet
+from repro.routing.seen import SeenCache
 
 # Small key space forces duplicates; small caps force evictions.
 _KEYS = st.integers(min_value=0, max_value=50)
-
-
-class TestSeenSetProperties:
-    @given(keys=st.lists(_KEYS, max_size=200), cap=st.integers(1, 8))
-    def test_never_exceeds_capacity(self, keys, cap):
-        s = SeenSet(cap=cap)
-        for k in keys:
-            s.mark(k)
-            assert len(s) <= cap
-
-    @given(keys=st.lists(_KEYS, max_size=200), cap=st.integers(1, 8))
-    def test_fifo_eviction_keeps_newest(self, keys, cap):
-        # After any sequence, the cache holds exactly the last `cap`
-        # distinct keys in insertion order (uids are monotone in real
-        # use; here we just compare against the reference semantics).
-        s = SeenSet(cap=cap)
-        inserted = []
-        for k in keys:
-            if s.mark(k):
-                inserted.append(k)
-        expected = set(inserted[-cap:])
-        assert set(s._seen) == expected
-
-    @given(keys=st.lists(_KEYS, max_size=200), cap=st.integers(1, 8))
-    def test_mark_is_duplicate_detection(self, keys, cap):
-        # mark() returns False iff the key is currently held.
-        s = SeenSet(cap=cap)
-        for k in keys:
-            held = k in s
-            assert s.mark(k) == (not held)
-
-    def test_membership_after_eviction(self):
-        s = SeenSet(cap=2)
-        s.mark(1)
-        s.mark(2)
-        s.mark(3)  # evicts 1
-        assert 1 not in s
-        assert 2 in s and 3 in s
 
 
 class TestSeenCacheProperties:

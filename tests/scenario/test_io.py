@@ -5,6 +5,7 @@ import csv
 import pytest
 
 from repro.core import ConfigurationError
+from repro.faults.plan import FaultPlanConfig
 from repro.scenario import ScenarioConfig, run_replications, run_sweep
 from repro.scenario.io import (
     config_from_dict,
@@ -63,18 +64,33 @@ class TestConfigRoundtrip:
         ({"replication": -1}, "replication"),
         ({"hello_interval": -1.0}, "hello_interval"),
         ({"hello_interval": 0.0}, "hello_interval"),
+        ({"faults": {"partitions": [[1.0]]}}, "partitions"),
+        # Deleted config field, protocol and fault-plan keys.
+        ({"radio_range": 250.0}, "radio_range"),
+        ({"protocol": "flooding"}, "flooding"),
+        ({"faults": {"energy_budget_j": 5.0}}, "energy_budget_j"),
+        ({"faults": {"energy_check_interval": 1.0}}, "energy_check_interval"),
+        ({"faults": {"overload_windows": [[1.0, 2.0]]}}, "overload_windows"),
+        ({"faults": {"overload_capacity": 2}}, "overload_capacity"),
+        ({"faults": {"churn_start": 0.0}}, "churn_start"),
+        ({"faults": {"churn_stop": None}}, "churn_stop"),
     ])
     def test_wrong_value_type_names_the_key(self, data, key):
         with pytest.raises(ConfigurationError, match=key):
             config_from_dict(data)
+        plan = data.get("faults")
+        if isinstance(plan, dict):
+            # A --faults file reaches the plan decoder directly.
+            with pytest.raises(ConfigurationError, match=key):
+                FaultPlanConfig.from_dict(plan)
 
     def test_json_numbers_and_lists_are_accepted(self):
         cfg = config_from_dict({
             "duration": 30, "field_size": [400, 300.0], "hello_interval": None,
-            "faults": {"blackouts": [[1.0, 2.0]]},
+            "faults": {"partitions": [[1.0, 2.0, 750]]},
         })
         assert cfg.field_size == (400, 300.0)
-        assert cfg.faults.blackouts == ((1.0, 2.0),)
+        assert cfg.faults.partitions == ((1.0, 2.0, 750),)
 
     @pytest.mark.parametrize("text", ["{", "[", "{\"seed\": 1,}", "\xff"])
     def test_malformed_file_names_the_file(self, tmp_path, text):

@@ -21,9 +21,7 @@ BASE = config_to_dict(ScenarioConfig(
     hello_interval=1.0,
     traffic_start_window=(0.0, 10.0),
     faults=FaultPlanConfig(
-        churn_rate=0.01, churn_stop=50.0, energy_budget_j=5.0,
-        link_loss=0.1, blackouts=((1.0, 2.0),),
-        partitions=((3.0, 4.0, 750.0),), overload_windows=((5.0, 6.0),),
+        churn_rate=0.01, link_loss=0.1, partitions=((3.0, 4.0, 750.0),),
     ),
 ))
 
@@ -57,8 +55,7 @@ def test_every_float_field_is_covered():
     fields = {p[1] if p[0] == "faults" else p[0] for p in SLOTS}
     assert {"duration", "rate", "max_speed", "position_quantum",
             "field_size", "traffic_start_window", "hello_interval",
-            "churn_stop", "blackouts", "partitions",
-            "overload_windows"} <= fields
+            "churn_rate", "mean_downtime", "link_loss", "partitions"} <= fields
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -72,7 +69,7 @@ def test_non_finite_config_value_is_refused(path, token):
 
 
 def test_base_config_itself_is_accepted():
-    assert config_from_dict(json.loads(json.dumps(BASE))).faults.blackouts
+    assert config_from_dict(json.loads(json.dumps(BASE))).faults.partitions
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "Infinity"])

@@ -5,6 +5,7 @@ import pytest
 from repro.core import ConfigurationError
 from repro.scenario import (
     MOBILITY_MODELS,
+    PROTOCOLS,
     ScenarioConfig,
     build_scenario,
     run_replications,
@@ -58,7 +59,7 @@ class TestConfig:
 
 
 class TestBuild:
-    @pytest.mark.parametrize("protocol", ["dsdv", "dsr", "aodv", "paodv", "cbrp", "olsr", "flooding", "oracle"])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_every_protocol_builds_and_runs(self, protocol):
         cfg = ScenarioConfig(protocol=protocol, seed=2, **SMALL)
         s = run_scenario(cfg)

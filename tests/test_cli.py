@@ -53,6 +53,22 @@ def test_unknown_protocol_rejected(capsys):
         main(["run", "--protocol", "rip"])
 
 
+def test_refused_config_value_is_a_one_line_usage_error(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text('{"seed": -5}')
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"blackouts": [[1.0, 2.0]]}')
+    for args, key in (
+        (["--duration", "-5"], "duration"),
+        (["--config", str(config)], "seed"),
+        (["--faults", str(plan), *FAST], "blackouts"),
+    ):
+        assert main(["run", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and key in err
+        assert len(err.splitlines()) == 1
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
