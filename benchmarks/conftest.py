@@ -93,10 +93,6 @@ HIT_RATIO_BASELINE = {
     # stopped qualifying for the inline verdicts and fell back to the
     # medium_changed chain.
     "mac_edge_suppression": 0.9510,
-    # Fraction of DCF timers the shared wheel coalesced into an
-    # already-pushed heap sentinel (1 - sentinels/timers). Sparse on
-    # the probe field; saturated cells run ~0.7.
-    "mac_timer_coalescing": 0.1686,
 }
 
 
@@ -126,9 +122,6 @@ def _measure_hit_ratios():
         ),
         "mac_edge_suppression": (
             scenario.sim.perf.mac_edge_suppression_ratio()
-        ),
-        "mac_timer_coalescing": (
-            scenario.sim.perf.mac_timer_coalescing_ratio()
         ),
     }
 

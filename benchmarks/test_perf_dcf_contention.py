@@ -3,7 +3,7 @@
 ``test_perf_large_scenario`` pays routing and a sparse multi-cell
 field; this bench does the opposite — one saturated collision domain,
 so nearly every simulated microsecond is spent in the contention
-machine the arena replaces: freeze/credit on busy edges, NAV wake
+machine the arena inlines: freeze/credit on busy edges, NAV wake
 timers, DIFS/backoff resumes, and end-of-frame medium resolution.
 
 Topology: ~20 nodes inside a single 200 m × 200 m cell (everyone
@@ -33,7 +33,7 @@ def _run():
 
 
 def test_perf_dcf_contention(benchmark):
-    """Arena engine: wheel timers + batched medium-edge resolution."""
+    """Arena engine: heap timers + batched medium-edge resolution."""
     summary = benchmark.pedantic(_run, rounds=3, iterations=1)
     assert summary.data_sent > 0
     # The cell is overloaded by construction; if delivery were clean

@@ -20,11 +20,9 @@ a cache whose hit ratio dropped more than ``--ratio-drop`` (default
 still inside the noise floor — ratios decay before timings do, and
 they are deterministic (fixed-seed probe scenario), so no noise
 allowance is needed.  Alongside the position/fan-out cache ratios, the
-DCF contention arena contributes two: ``mac_edge_suppression`` (the
+DCF contention arena contributes ``mac_edge_suppression`` (the
 fraction of medium edges proven no-ops and never dispatched into a
-MAC) and ``mac_timer_coalescing`` (the fraction of DCF timers the
-shared wheel folded into an existing same-deadline heap sentinel).
-Either decaying means the arena is silently degenerating to per-node
+MAC); its decay means the arena is silently degenerating to per-node
 dispatch.
 
 With ``--manifest PATH`` the script instead validates a sweep

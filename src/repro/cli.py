@@ -27,7 +27,7 @@ from .core.errors import ConfigurationError
 from .faults.plan import FaultPlanConfig
 from .scenario import MOBILITY_MODELS, PROTOCOLS, ScenarioConfig, run_scenario, run_sweep
 from .scenario.build import build_scenario
-from .scenario.io import load_config, save_config, sweep_to_csv
+from .scenario.io import load_config, read_json, save_config, sweep_to_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -77,9 +77,8 @@ def _config_from(args, protocol: str) -> ScenarioConfig:
     else:
         cfg = _config_from_flags(args, protocol)
     if getattr(args, "faults", None):
-        with open(args.faults) as fh:
-            plan = FaultPlanConfig.from_dict(json.load(fh))
-        cfg = cfg.with_(faults=plan)
+        plan = read_json(args.faults, "fault plan")
+        cfg = cfg.with_(faults=FaultPlanConfig.from_dict(plan))
     if getattr(args, "save_config", None):
         save_config(cfg, args.save_config)
     return cfg

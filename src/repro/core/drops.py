@@ -10,10 +10,10 @@ reasons split into two classes:
   ``repro obs why`` checks) and the keys that appear in
   ``MetricsSummary.drops_by_reason``.
 * **Frame-level** reasons — a single MAC/PHY transmission attempt was
-  lost (collision, capture, half-duplex, a faulted link). The packet
+  lost (retry exhaustion, collision, capture, half duplex). The packet
   usually survives: the MAC retries, or the routing layer salvages.
-  They exist so causal traces can show *why* a hop needed retries, and
-  must never be counted against packet conservation.
+  They are the verdicts causal traces note to show *why* a hop needed
+  retries, and must never be counted against packet conservation.
 
 The enum values are short stable strings (they appear in JSONL traces,
 CSV columns, and reports), so renaming one is a schema change.
@@ -66,17 +66,7 @@ class DropReason(str, Enum):
     #: A weaker arrival was ignored while decoding a stronger one.
     PHY_CAPTURE = "phy_capture"
     #: Arrived while the receiver was transmitting (half duplex).
-    PHY_HALF_DUPLEX = "phy_half_duplex"
-    #: Arrived detectable but below the receive threshold.
-    PHY_BELOW_SENSITIVITY = "phy_below_sensitivity"
-    #: The transmitting radio was powered off (frame went nowhere).
-    RADIO_DOWN_TX = "radio_down_tx"
-    #: The receiving radio was powered off (deaf).
-    RADIO_DOWN_RX = "radio_down_rx"
-    #: Fault injection: random per-link loss ate the arrival.
-    FAULT_LINK = "fault_link"
-    #: Fault injection: receiver on the far side of a partition.
-    FAULT_PARTITION = "fault_partition"
+    PHY_HALF_DUPLEX = "phy_halfduplex"
 
     def __str__(self) -> str:  # "no_route", not "DropReason.NO_ROUTE"
         return self.value

@@ -24,12 +24,15 @@ queue, so ``Event.cancel()`` keeps ``len(queue)`` correct whether it is
 called directly or through ``Simulator.cancel``, and calling it twice
 (or on an already-fired event) is a no-op.
 
-:class:`TimerWheel` sits on top of the queue for high-churn timer
-populations (the 802.11 DCF's DIFS/backoff/NAV/SIFS timers): timers
-sharing one exact deadline are coalesced into a bucket backed by a
-single sentinel heap event, while preserving the queue's exact
-``(time, seq)`` total order — see the class docstring for the
-re-push protocol that makes the coalescing order-transparent.
+:class:`TimerWheel` can sit on top of the queue for high-churn timer
+populations: timers sharing one exact deadline are coalesced into a
+bucket backed by a single sentinel heap event, while preserving the
+queue's exact ``(time, seq)`` total order — see the class docstring
+for the re-push protocol that makes the coalescing order-transparent.
+No engine path uses it: DCF's timers are plain heap events, which
+measured faster end to end. It stays, with :meth:`EventQueue.push_at_seq`
+and :meth:`EventQueue.peek_entry`, because ``benchmarks/perf/trace.py``
+imports and wraps it by name.
 """
 
 from __future__ import annotations
@@ -284,10 +287,10 @@ class WheelTimer:
 class TimerWheel:
     """Deadline-bucketed timer store feeding one sentinel per bucket.
 
-    High-churn timer populations (every DCF contention round schedules
-    and mostly cancels DIFS/backoff/NAV timers across the whole
-    collision domain) pay two heap costs per timer: the O(log n) push
-    and the lazy-cancel garbage it leaves behind. The wheel replaces
+    High-churn timer populations (a DCF contention round schedules and
+    mostly cancels DIFS/backoff/NAV timers across a whole collision
+    domain) pay two heap costs per timer: the O(log n) push and the
+    lazy-cancel garbage it leaves behind. The wheel replaces
     both with a dict keyed by the **exact** float deadline: timers for
     the same instant append to one list, and only the bucket's first
     timer pushes a heap event (the sentinel) that later drains the
@@ -313,9 +316,9 @@ class TimerWheel:
       seq, the sentinel is re-pushed at the entry's seq and dispatch
       resumes after the foreign event runs.
 
-    Contract: deadlines must be strictly in the future (every DCF wheel
-    timer is ≥ SIFS = 10 µs away, which double precision keeps distinct
-    from ``now`` at any simulated timescale). Scheduling *at* the
+    Contract: deadlines must be strictly in the future (every DCF
+    contention timer is ≥ SIFS = 10 µs away, which double precision
+    keeps distinct from ``now`` at any simulated timescale). Scheduling *at* the
     current instant while that instant's bucket is mid-dispatch would
     append to a bucket that is already being drained.
     """

@@ -2,7 +2,7 @@
 
 Every optimisation layer of the engine (batch mobility kinematics, the
 channel fan-out cache, spatial-grid incremental updates, event-heap
-compaction, the DCF timer wheel) increments a counter here, so a
+compaction, the DCF contention arena) increments a counter here, so a
 regression in any cache's hit ratio is visible in
 ``MetricsSummary.perf``, the CLI, and ``BENCH_kernel.json`` without
 re-profiling.
@@ -43,8 +43,12 @@ COUNTERS = (
     "events_pooled",
     "phy_batch_arrivals",  # receiver arrivals resolved on the channel's arrival ledger
     "phy_legacy_arrivals",
-    "mac_timer_events",  # DCF timers routed through the contention arena's wheel
-    "mac_wheel_sentinels",  # heap sentinel events the timer wheel actually pushed
+    # mac_timer_events and mac_wheel_sentinels count only a standalone
+    # TimerWheel's timers and sentinels; no engine path uses one (DCF
+    # timers are heap events), so in a run both read 0: the benchmark
+    # harness reads both by name.
+    "mac_timer_events",
+    "mac_wheel_sentinels",
     "mac_edges_dispatched",  # medium-edge MAC transitions the arena had to dispatch
     "mac_edges_suppressed",  # medium-edge MAC callbacks proven no-ops and skipped
 )
@@ -67,12 +71,6 @@ class PerfCounters:
         """Fraction of transmissions whose geometry came from the memo."""
         total = self.fanout_cache_hits + self.fanout_cache_misses
         return self.fanout_cache_hits / total if total else 0.0
-
-    def mac_timer_coalescing_ratio(self) -> float:
-        """Fraction of wheel timers that piggybacked on an existing
-        sentinel instead of pushing their own heap event."""
-        timers = self.mac_timer_events
-        return (timers - self.mac_wheel_sentinels) / timers if timers else 0.0
 
     def mac_edge_suppression_ratio(self) -> float:
         """Fraction of medium-edge MAC notifications the arena proved

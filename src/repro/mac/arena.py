@@ -1,29 +1,21 @@
-"""Cross-node DCF contention arena: shared timer wheel + busy-edge loop.
+"""Cross-node DCF contention arena: the inlined busy-edge loop.
 
 One :class:`ContentionArena` is shared by every :class:`~repro.mac.dcf.DcfMac`
-on a channel. It attacks the two per-node costs that dominate saturated
-collision domains:
-
-* **Timer churn** — every contention round schedules (and mostly
-  cancels) DIFS/backoff/NAV/SIFS timers across the whole cell. The
-  arena owns a :class:`~repro.core.events.TimerWheel` that coalesces
-  same-deadline timers behind one sentinel heap event; 802.11 deadlines
-  are slot-quantized by construction (all third parties of one
-  reservation compute the same ``frame_end + nav`` double), so whole
-  cells wake on a single event.
-* **Edge dispatch** — the channel used to call
-  ``medium_changed()`` on every waiting MAC at every carrier edge.
-  :meth:`ContentionArena.busy_edges` resolves a whole idle→busy fan-out
-  in one inlined loop over the MACs' own scalar fields and touches only
-  the nodes whose transition provably acts.
+on a channel. The channel used to call ``medium_changed()`` on every
+waiting MAC at every carrier edge; :meth:`ContentionArena.busy_edges`
+resolves a whole idle→busy fan-out in one inlined loop over the MACs'
+own scalar fields and touches only the nodes whose transition provably
+acts. The channel's end-of-frame pass inlines the busy→idle half the
+same way (``Channel._end_transmission``). DCF timers are plain heap
+events either way.
 
 **Exactness.** The arena holds no MAC state: every read and write goes
-to the ``DcfMac`` scalars, in the channel's per-receiver order, so
-wheel/heap insertion order — and therefore every ``(time, seq)``
-tie-break downstream — is identical to the per-node path. The
-suppressed calls are exactly the ones ``medium_changed`` would have
-no-opped; bit-identical metrics against per-node DCF timers (the engine
-of ``build_network``; ``build_scenario`` attaches the arena to every DCF
+to the ``DcfMac`` scalars, in the channel's per-receiver order, so heap
+insertion order — and therefore every ``(time, seq)`` tie-break
+downstream — is identical to the per-node path. The suppressed calls
+are exactly the ones ``medium_changed`` would have no-opped;
+bit-identical metrics against the per-node path (the engine of
+``build_network``; ``build_scenario`` attaches the arena to every DCF
 run) are pinned by ``tests/scenario/test_determinism.py``.
 """
 
@@ -31,7 +23,8 @@ from __future__ import annotations
 
 import math
 
-from ..core.events import TimerWheel, WheelTimer
+import numpy as np
+
 from .frames import Dot11
 
 __all__ = ["ContentionArena"]
@@ -43,7 +36,7 @@ _BACKOFF = 3
 
 
 class ContentionArena:
-    """Shared timer wheel + busy-edge resolve for one channel's DCF MACs.
+    """Busy-edge resolve for one channel's DCF MACs.
 
     Parameters
     ----------
@@ -57,11 +50,10 @@ class ContentionArena:
         arena-safe DCF for every node.
     """
 
-    __slots__ = ("sim", "wheel", "_ledger", "_macs", "perf")
+    __slots__ = ("sim", "_ledger", "_macs", "perf")
 
     def __init__(self, sim, ledger, radios):
         self.sim = sim
-        self.wheel = TimerWheel(sim._queue)
         self.perf = sim.perf
         self._ledger = ledger
         self._macs = [r.mac for r in radios]
@@ -85,19 +77,22 @@ class ContentionArena:
         mutates that node).
 
         The loop inlines ``DcfMac.medium_edge(True)`` and
-        ``TimerWheel.schedule``: the same stores, in the same per-node
-        order, without the Python call overhead that dominates
-        saturated cells. No callback runs inside it, so the wheel/queue
-        locals (including the seq counter) stay coherent throughout.
+        ``_ensure_nav_wake``: the same stores and the same heap pushes,
+        in the same per-node order, without the Python call overhead
+        that dominates saturated cells.
         """
         n = ids.shape[0]
         perf = self.perf
+        led = self._ledger
         # Cut the loop to the waiting members via the ledger's
         # wants_medium flag (it mirrors the 1..3 state band exactly).
-        # A fully-waiting fan-out — the saturated-cell shape — skips
-        # the mask copy and walks ids directly.
-        w = self._ledger.wants_medium[ids]
-        nw = int(w.sum())
+        # Nobody waiting anywhere skips the gather; a fully-waiting
+        # fan-out — the saturated-cell shape — skips the mask copy.
+        if not led.n_waiting:
+            perf.mac_edges_suppressed += n
+            return
+        w = led.wants_medium[ids]
+        nw = np.count_nonzero(w)
         if nw == 0:
             perf.mac_edges_suppressed += n
             return
@@ -107,12 +102,8 @@ class ContentionArena:
         macs = self._macs
         slot = Dot11.SLOT
         floor = math.floor
-        wheel = self.wheel
-        buckets = wheel._buckets
-        queue = wheel._queue
+        push = self.sim._queue.push
         disp = 0
-        armed = 0
-        sentinels = 0
         for nid in ids.tolist():
             mac = macs[nid]
             s = mac._state
@@ -124,8 +115,8 @@ class ContentionArena:
             elif s == _DIFS or s == _BACKOFF:
                 disp += 1
                 t = mac._timer
-                if t is not None and not t._fired:
-                    t._cancelled = True
+                if t is not None:
+                    t.cancel()
                 mac._timer = None
                 if s == _BACKOFF:
                     credit = int(floor((now - mac._backoff_start)
@@ -146,21 +137,6 @@ class ContentionArena:
             # can round one ulp below nav, and _nav_wake_fired's
             # residual re-arm depends on reproducing that exact double
             # (see dcf).
-            wake_t = now + (nav - now)
-            # Inline wheel arm (same seq claim + bucket/sentinel
-            # protocol as TimerWheel.schedule).
-            seq = queue._seq
-            queue._seq = seq + 1
-            timer = WheelTimer(wake_t, seq, mac._nav_wake_fired, ())
-            bucket = buckets.get(wake_t)
-            if bucket is None:
-                buckets[wake_t] = [timer]
-                queue.push_at_seq(wake_t, wheel._fire, (wake_t,), seq)
-                sentinels += 1
-            else:
-                bucket.append(timer)
-            armed += 1
+            push(now + (nav - now), mac._nav_wake_fired, ())
         perf.mac_edges_dispatched += disp
         perf.mac_edges_suppressed += n - disp
-        perf.mac_timer_events += armed
-        perf.mac_wheel_sentinels += sentinels

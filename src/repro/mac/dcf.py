@@ -68,8 +68,8 @@ class DcfMac(MacLayer):
         for route-cache learning).
     """
 
-    #: Eligible for the shared contention arena (inlined busy-edge
-    #: resolution + coalesced timer wheel; see ``repro.mac.arena``).
+    #: Eligible for the shared contention arena (inlined carrier-edge
+    #: resolution; see ``repro.mac.arena``).
     arena_safe = True
 
     def __init__(
@@ -107,28 +107,6 @@ class DcfMac(MacLayer):
         self._responses: set[int] = set()  # uids of CTS/ACK/DATA responses
         self._pending_data: Optional[Frame] = None  # DATA awaiting CTS grant
         self._seen: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
-        #: Shared contention arena (None on the per-node path): its
-        #: wheel takes this MAC's contention timers, and its busy-edge
-        #: loop reads and writes the waiting-state fields above.
-        self._arena = None
-
-    def attach_arena(self, arena) -> None:
-        """Join the shared contention arena."""
-        self._arena = arena
-
-    def _sched(self, delay: float, fn, *args):
-        """Schedule a contention-plane timer (DIFS/backoff/NAV/SIFS).
-
-        Routed through the arena's coalescing timer wheel when attached
-        — same ``(time, seq)`` ordering as a heap event, one sentinel
-        per distinct deadline — and through the plain heap otherwise.
-        Exchange timeouts (CTS/ACK) stay on the heap: they are per-node
-        and rarely share deadlines.
-        """
-        arena = self._arena
-        if arena is not None:
-            return arena.wheel.schedule(self.sim._now + delay, fn, args)
-        return self.sim.schedule(delay, fn, *args)
 
     # ---------------------------------------------------------------- sizes
 
@@ -192,7 +170,7 @@ class DcfMac(MacLayer):
             self._ensure_nav_wake()
             return
         self._set_state(_DIFS)
-        self._timer = self._sched(Dot11.DIFS, self._difs_done)
+        self._timer = self.sim.schedule(Dot11.DIFS, self._difs_done)
 
     def _resume_contention(self) -> None:
         """End-of-frame resume of a parked bystander: the medium is
@@ -209,9 +187,7 @@ class DcfMac(MacLayer):
         the radio wants_medium flag is untouched.
         """
         self._state = _DIFS
-        self._timer = self._arena.wheel.schedule(
-            self.sim._now + Dot11.DIFS, self._difs_done
-        )
+        self._timer = self.sim.schedule(Dot11.DIFS, self._difs_done)
 
     def _ensure_nav_wake(self) -> None:
         """Schedule a wake-up at NAV expiry while we wait on the medium.
@@ -226,7 +202,7 @@ class DcfMac(MacLayer):
         now = self.sim.now
         if now < nav and self._nav_wake < nav:
             self._nav_wake = nav
-            self._sched(nav - now, self._nav_wake_fired)
+            self.sim.schedule(nav - now, self._nav_wake_fired)
 
     def _nav_wake_fired(self) -> None:
         # ``now + (nav - now)`` can round one ulp below ``nav``, leaving
@@ -282,20 +258,13 @@ class DcfMac(MacLayer):
             self._transmit_current()
             return
         # _DIFS -> _BACKOFF stays inside the waiting band (what
-        # _set_state would conclude); inlined because the whole cell's
-        # DIFS expirations drain through one wheel bucket back-to-back.
-        now = self.sim._now
+        # _set_state would conclude); inlined because a whole cell's
+        # DIFS expirations fire back-to-back.
         self._state = _BACKOFF
-        self._backoff_start = now
-        arena = self._arena
-        if arena is not None:
-            self._timer = arena.wheel.schedule(
-                now + self._backoff_slots * Dot11.SLOT, self._backoff_done
-            )
-        else:
-            self._timer = self.sim.schedule(
-                self._backoff_slots * Dot11.SLOT, self._backoff_done
-            )
+        self._backoff_start = self.sim._now
+        self._timer = self.sim.schedule(
+            self._backoff_slots * Dot11.SLOT, self._backoff_done
+        )
 
     def _backoff_done(self) -> None:
         self._timer = None
@@ -425,7 +394,7 @@ class DcfMac(MacLayer):
 
     def _schedule_response(self, frame: Frame, own_exchange: bool = False) -> None:
         """Send *frame* one SIFS from now, bypassing contention."""
-        self._sched(Dot11.SIFS, self._fire_response, frame, own_exchange)
+        self.sim.schedule(Dot11.SIFS, self._fire_response, frame, own_exchange)
 
     def _fire_response(self, frame: Frame, own_exchange: bool) -> None:
         if self.radio.is_transmitting:

@@ -24,7 +24,7 @@ __all__ = ["Profiler", "entry_points", "profile_layer_seconds"]
 #: DCF's public methods plus the four private ones other layers reach
 #: directly: the channel's resolve loop calls ``_ensure_nav_wake`` /
 #: ``_begin_contention`` / ``_resume_contention`` inline, and the arena
-#: arms ``_nav_wake_fired`` on the wheel without ``TimerWheel.schedule``.
+#: pushes ``_nav_wake_fired`` onto the event queue itself.
 _MAC_NAMES = (
     "send", "on_frame_received", "on_transmit_done", "medium_changed",
     "medium_edge", "purge_next_hop", "overhear_nav",
@@ -36,7 +36,7 @@ _MAC_NAMES = (
 def entry_points():
     """``([(class, method names)], [(class, scheduler name)])``; a name
     is wrapped on each subclass too, where that class defines it."""
-    from ..core.events import EventQueue, TimerWheel
+    from ..core.events import EventQueue
     from ..core.simulator import Simulator
     from ..mac.arena import ContentionArena
     from ..mac.base import MacLayer
@@ -58,8 +58,7 @@ def entry_points():
         (Node, ("send", "deliver_local")),
         (MetricsCollector, ("on_send", "on_receive", "finish")),
     ]
-    schedulers = [(EventQueue, "push"), (EventQueue, "push_at_seq"),
-                  (TimerWheel, "schedule")]
+    schedulers = [(EventQueue, "push")]
     return table, schedulers
 
 

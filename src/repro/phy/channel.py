@@ -61,24 +61,26 @@ class _TxBatch:
 
     ``added``/``added_pw`` are the receivers whose arrival actually
     began (powered-off radios excluded) and their powers — the rows the
-    end event must retire from the ledger. ``win_list`` marks decode
-    winners per ``added`` position; ``pw_list`` carries the delivery
-    powers. List twins are kept so the end loop runs on plain Python
-    scalars.
+    end event must retire from the ledger; ``pw_list`` carries the
+    delivery powers as a list twin, so the end loop runs on plain
+    Python scalars. ``epoch`` is the ledger epoch this fan-out stamped
+    (decoders hold it in ``rx_tx``). ``targets`` is the fan-out memo
+    entry when the fan-out took the quiet path, else None.
     """
 
-    __slots__ = ("frame", "added", "added_pw", "added_list", "win_list",
-                 "pw_list", "end")
+    __slots__ = ("frame", "added", "added_pw", "added_list", "pw_list",
+                 "end", "epoch", "targets")
 
-    def __init__(self, frame, added, added_pw, added_list, win_list,
-                 pw_list, end):
+    def __init__(self, frame, added, added_pw, added_list, pw_list, end,
+                 epoch, targets):
         self.frame = frame
         self.added = added
         self.added_pw = added_pw
         self.added_list = added_list
-        self.win_list = win_list
         self.pw_list = pw_list
         self.end = end
+        self.epoch = epoch
+        self.targets = targets
 
 
 class ChannelStats:
@@ -147,14 +149,6 @@ class Channel:
             )
         self._grid: Optional[SpatialIndex] = None
         self._grid_time = -1.0
-        #: Squared-distance prefilter for the vectorized fan-out: every
-        #: propagation model here is monotone in distance, so nodes
-        #: beyond the carrier-sense range (+0.1% float-safety slack)
-        #: can be dropped *before* the path-loss evaluation. The exact
-        #: ``power >= cs_threshold`` mask is still applied to the
-        #: survivors, so results cannot change — the prefilter only
-        #: shrinks the vectors the model math runs on.
-        self._prefilter_d2 = (self._max_range * 1.001) ** 2
         #: The grid path's radius test, ``d2 <= r * r`` (what
         #: ``SpatialIndex.query_radius`` applies).
         self._range_d2 = self._max_range * self._max_range
@@ -187,9 +181,11 @@ class Channel:
         #: Shared DCF contention arena (see :meth:`enable_arena`).
         self._arena = None
         #: Whether every MAC supports ``overhear_nav`` (virtual carrier
-        #: sense applied directly instead of a full delivery walk).
-        #: Decided at the first frame end, once every MAC is attached.
+        #: sense applied directly instead of a full delivery walk), and
+        #: whether any MAC snoops overheard DATA. Decided at the first
+        #: frame end, once every MAC is attached.
         self._overhear_ok: Optional[bool] = None
+        self._promiscuous = False
         # Flight recorder with PHY verdicts requested, frozen at
         # construction like each radio's.
         flight = sim.flight
@@ -231,10 +227,10 @@ class Channel:
 
         Requires every radio attached and every MAC opted in via
         ``arena_safe`` (the arena's loops work on DCF's waiting-state
-        fields).
-        Carrier-edge resolution then runs through the arena's inlined
-        loops and DCF contention timers through its coalescing wheel —
-        bit-identical outcomes, fewer Python dispatches.
+        fields). Carrier-edge resolution then runs through inlined
+        loops, and a clean frame (see :meth:`_end_transmission`) ends
+        on the ledger — bit-identical outcomes, fewer Python
+        dispatches.
 
         Returns whether the arena is now active.
         """
@@ -244,10 +240,7 @@ class Channel:
                 return False
         from ..mac.arena import ContentionArena
 
-        arena = ContentionArena(self.sim, self._ledger, self.radios)
-        for radio in self.radios:
-            radio.mac.attach_arena(arena)
-        self._arena = arena
+        self._arena = ContentionArena(self.sim, self._ledger, self.radios)
         return True
 
     def flush_phy_stats(self) -> None:
@@ -315,11 +308,11 @@ class Channel:
     def _build_targets(self, src_id: int, tq: float) -> _BatchTargets:
         """Fan-out memo entry of *src_id* at sample time *tq*.
 
-        One pass from the position snapshot to the entry: candidate ids
-        (every node, or above ``grid_threshold`` the grid's cached cell
-        block in bucket order), one squared-distance vector, the radius
-        mask with the source struck out, the path-loss model on the
-        survivors, and the exact ``power >= cs_threshold`` mask. At or
+        One pass from the position snapshot to the entry: one
+        squared-distance vector over every node (the source struck out),
+        or above ``grid_threshold`` over the grid's cached cell block in
+        bucket order cut by the radius mask; the path-loss model on it,
+        and the exact ``power >= cs_threshold`` mask. At or
         below ``_scalar_threshold`` nodes the scalar loop feeds the
         entry instead. Ids (in order) and powers are bit-equal to the
         list form kept as ``reference_fanout`` in
@@ -337,9 +330,10 @@ class Channel:
                 np.array(powers, dtype=np.float64),
                 self.params.rx_threshold,
             )
-        sx = positions[src_id, 0]
-        sy = positions[src_id, 1]
+        params = self.params
         if n > self._grid_threshold:
+            sx = positions[src_id, 0]
+            sy = positions[src_id, 1]
             self._sync_grid(positions, tq)
             cand = self._grid.candidates(sx, sy, self._max_range)
             dx = positions[cand, 0] - sx
@@ -347,18 +341,21 @@ class Channel:
             d2 = dx * dx + dy * dy
             near = d2 <= self._range_d2
             near &= cand != src_id
-            ids = cand[near]
-        else:
-            dx = positions[:, 0] - sx
-            dy = positions[:, 1] - sy
-            d2 = dx * dx + dy * dy
-            near = d2 <= self._prefilter_d2
-            near[src_id] = False
-            ids = np.flatnonzero(near)
-        params = self.params
-        pw = self.propagation.rx_power_d2_vec(params.tx_power, d2[near])
+            pw = self.propagation.rx_power_d2_vec(params.tx_power, d2[near])
+            keep = pw >= params.cs_threshold
+            return _BatchTargets(cand[near][keep], pw[keep],
+                                 params.rx_threshold)
+        # Every node: d² in three passes, the source struck out with an
+        # infinite distance (zero power, below any threshold). The
+        # exact ``power >= cs_threshold`` mask does all the selecting.
+        d = positions - positions[src_id]
+        d *= d
+        d2 = d[:, 0] + d[:, 1]
+        d2[src_id] = math.inf
+        pw = self.propagation.rx_power_d2_vec(params.tx_power, d2)
         keep = pw >= params.cs_threshold
-        return _BatchTargets(ids[keep], pw[keep], params.rx_threshold)
+        return _BatchTargets(keep.nonzero()[0], pw[keep],
+                             params.rx_threshold)
 
     def _scalar_fanout(self, positions, src_id: int, tq: float):
         """Eligible ids and rx powers (parallel lists, the source
@@ -414,6 +411,7 @@ class Channel:
         led = self._ledger
         radios = self.radios
         now = self.sim._now
+        led.epoch = epoch = led.epoch + 1
         hook = self.fault_hook
         keep = None
         if hook is not None:
@@ -434,17 +432,15 @@ class Channel:
                 # the above-sensitivity ones decode.
                 led.counts[ids] = 1
                 led.strongest[ids] = powers
-                led.rx_power[mb.dec_idx] = mb.dec_pw
-                for nid in mb.dec_ids_list:
-                    r = radios[nid]
-                    r._rx_frame = frame
-                    r._rx_corrupt = False
-                    r.stats.airtime_rx += duration
+                dec = mb.dec_idx
+                led.rx_power[dec] = mb.dec_pw
+                led.rx_tx[dec] = epoch
+                led.d_airtime_rx[dec] += duration
                 if self._flight_phy is not None:
                     for nid in mb.dec_ids_list:
                         radios[nid]._fnote("phy_decode_start", frame)
-                batch = _TxBatch(frame, ids, powers, mb.ids_list,
-                                 mb.dec_list, mb.pw_list, now + duration)
+                batch = _TxBatch(frame, ids, powers, mb.ids_list, mb.pw_list,
+                                 now + duration, epoch, mb)
                 led.active.append(batch)
                 self.sim.schedule(duration, self._end_transmission,
                                   src, frame, batch)
@@ -496,22 +492,18 @@ class Channel:
             self._note_verdicts(frame, ids.tolist(), down, m_half,
                                 m_capture, m_kill, m_lost, m_win)
 
-        for nid in ids[m_kill].tolist():
-            radios[nid]._rx_corrupt = True
-        led.rx_power[ids[m_win]] = powers[m_win]
-        for nid in ids[m_win].tolist():
-            r = radios[nid]
-            r._rx_frame = frame
-            r._rx_corrupt = False
-            r.stats.airtime_rx += duration
+        led.rx_corrupt[ids[m_kill]] = True
+        win = ids[m_win]
+        led.rx_power[win] = powers[m_win]
+        led.rx_tx[win] = epoch
+        led.d_airtime_rx[win] += duration
         added = ids[alive]
         added_pw = powers[alive]
         led.counts[added] += 1
         led.strongest[added] = np.maximum(led.strongest[added], added_pw)
 
         batch = _TxBatch(frame, added, added_pw, added.tolist(),
-                         m_win[alive].tolist(), added_pw.tolist(),
-                         now + duration)
+                         added_pw.tolist(), now + duration, epoch, None)
         led.active.append(batch)
         self.sim.schedule(duration, self._end_transmission, src,
                           frame, batch)
@@ -534,10 +526,11 @@ class Channel:
         """Trace each receiver's verdict on *frame*, in fan-out order.
 
         Runs before the resolve touches decode state, so a collision
-        victim's ``_rx_frame`` is still the frame whose decode it kills
+        victim's ledger row still names the frame whose decode it kills
         (traced second, after the newcomer).
         """
         radios = self.radios
+        led = self._ledger
         for k, nid in enumerate(ids):
             r = radios[nid]
             if down[k]:
@@ -548,33 +541,36 @@ class Channel:
                 r._fnote("phy_capture", frame)
             elif m_kill[k]:
                 r._fnote("phy_collision", frame)
-                r._fnote("phy_collision", r._rx_frame)
+                victim = led.rx_tx[nid]
+                r._fnote("phy_collision", next(
+                    b.frame for b in led.active if b.epoch == victim))
             elif m_lost[k]:
                 r._fnote("phy_collision", frame)
             elif m_win[k]:
                 r._fnote("phy_decode_start", frame)
 
     def _end_transmission(self, src, frame, batch: _TxBatch) -> None:
+        """End every arrival of *batch*, deliver its intact decodes and
+        resolve the busy->idle carrier edges, in receiver order.
+
+        A frame is *clean* when its fan-out took the quiet path, no
+        other fan-out and no ``power_off``/``power_on`` happened before
+        it ended (the ledger epoch is still its own), and it is unicast
+        with no snooping MAC on a DATA frame. Then every receiver's
+        count is 1 and its strongest arrival is this one, every decoder
+        still decodes it intact, and no receiver is physically busy
+        afterwards, so the ledger returns to idle with array stores and
+        Python walks only the addressee and the MACs parked in a
+        contention state; every other decoder just takes the frame's
+        NAV. Every other frame walks every receiver. Clean frames end
+        this way only with the arena attached: the per-node path always
+        walks every receiver, and is the reference both are checked
+        against.
+        """
         led = self._ledger
         active = led.active
         active.remove(batch)
-        added = batch.added
-        led.counts[added] -= 1
-        # Strongest-arrival recompute: zero the ended receivers and
-        # re-max over the transmissions still on the air. max is
-        # order-independent, so this is exact, and re-maxing radios
-        # outside `added` is idempotent. With no other transmission in
-        # flight every count is back to zero and the recompute (and the
-        # per-receiver count check below) is skipped outright.
-        led.strongest[added] = 0.0
-        if active:
-            for other in active:
-                oa = other.added
-                led.strongest[oa] = np.maximum(led.strongest[oa],
-                                               other.added_pw)
         radios = self.radios
-        win_l = batch.win_list
-        pw_l = batch.pw_list
         # Overhear classification, once per frame instead of once per
         # receiver: a non-broadcast frame's only effect on a receiver it
         # is not addressed to is the NAV update (virtual carrier sense),
@@ -589,6 +585,10 @@ class Channel:
                 or getattr(r.mac, "batch_overhear", False)
                 for r in radios
             )
+            self._promiscuous = any(
+                getattr(r.mac, "promiscuous", False)
+                for r in radios if r is not None
+            )
         if overhear and frame_dst != BROADCAST:
             bulk = True
             ftype = frame.ftype
@@ -601,164 +601,227 @@ class Channel:
             bulk = False
             data_frame = False
             nav_t = None
+        arena = self._arena
+        added = batch.added
+        mb = batch.targets
+        if (
+            arena is not None and mb is not None and led.epoch == batch.epoch
+            and bulk and not (data_frame and self._promiscuous)
+        ):
+            self._end_clean(src, frame, batch, mb, arena, nav_t)
+            return
+        led.counts[added] -= 1
+        # Strongest-arrival recompute: zero the ended receivers and
+        # re-max over the transmissions still on the air. max is
+        # order-independent, so this is exact, and re-maxing radios
+        # outside `added` is idempotent.
+        led.strongest[added] = 0.0
+        for other in active:
+            oa = other.added
+            led.strongest[oa] = np.maximum(led.strongest[oa], other.added_pw)
+        # Decode verdicts, gathered before the walk: a receiver whose
+        # decode is still this frame ends it here, and the reception
+        # counts unless interference corrupted it. The walk cannot
+        # change them: a delivery only mutates its own node, and no MAC
+        # transmits synchronously from one.
+        mine = led.rx_tx[added] == batch.epoch
+        ok = mine & ~led.rx_corrupt[added]
+        ended = added[mine]
+        led.rx_power[ended] = 0.0
+        led.rx_tx[ended] = 0
+        led.rx_corrupt[ended] = False
+        led.d_frames_received[added[ok]] += 1
+        mine_l = mine.tolist()
+        ok_l = ok.tolist()
+        # Physical busy-ness after this frame, frozen for the pass for
+        # the same reason.
+        busy = led.txing[added]
+        if active:
+            busy |= led.counts[added] > 0
+        busy_l = busy.tolist()
+        pw_l = batch.pw_list
         # One ordered pass over the receivers whose arrival began:
-        # winners deliver (unless stomped/corrupted) and always get the
+        # decoders deliver (unless corrupted) and always get the
         # carrier edge; bystanders get the edge only when this was
         # their last overlapping arrival and their MAC is waiting (the
         # carrier edge is a provable no-op for any other MAC).
-        arena = self._arena
         if arena is not None:
-            # Arena mode: freeze/credit/resume verdicts are derived
-            # from the MAC scalars and applied inside this same ordered
-            # loop (so heap/wheel insertion order — and every (time,
-            # seq) tie-break downstream — is untouched). Lazy
-            # per-receiver evaluation is exact: deliveries only mutate
-            # their own node, the ledger half of busy-ness
-            # (counts/txing, gathered up front) is frozen for the pass
-            # because DCF never transmits synchronously from a
-            # delivery, and a winner's own overhear_nav never changes
-            # its waiting-ness — while medium_edge re-reads the live
-            # scalars it depends on.
-            txing_l = led.txing[added].tolist()
-            # With nothing else in flight every post-decrement count is
-            # provably zero — skip the gather.
-            counts_l = led.counts[added].tolist() if active else None
-            now = self.sim._now
-            n_disp = 0
-            n_supp = 0
-            for k, nid in enumerate(batch.added_list):
-                r = radios[nid]
-                if win_l[k] and r._rx_frame is frame:
-                    r._rx_frame = None
-                    led.rx_power[nid] = 0.0
-                    mac = r.mac
-                    phys = txing_l[k] or (
-                        counts_l is not None and counts_l[k] > 0
-                    )
-                    if not r._rx_corrupt:
-                        r.stats.frames_received += 1
-                        if bulk and nid != frame_dst and not (
-                            data_frame and mac.promiscuous
-                        ):
-                            # Inlined overhear: _set_nav's raise +
-                            # self-notify chain plus the trailing
-                            # medium_edge collapse, for a decoder, to
-                            # "raise NAV, ensure the wake covers it" —
-                            # a raised NAV makes busy-ness true
-                            # outright, and once the wake covers nav
-                            # the second notification provably no-ops.
-                            # A decoder can't sit in _DIFS/_BACKOFF at
-                            # its own frame end (its arrival kept the
-                            # medium busy, so it froze on the busy
-                            # edge); the defensive fallback runs the
-                            # un-inlined overhear_nav + medium_edge
-                            # chain if it ever happens.
-                            s = mac._state
-                            if nav_t is not None and nav_t > mac._nav:
-                                if s == 1:  # _WAIT_MEDIUM
-                                    mac._nav = nav_t
-                                    if mac._nav_wake < nav_t:
-                                        mac._ensure_nav_wake()
-                                    n_disp += 1
-                                elif s == 0 or s > 3:  # not waiting
-                                    mac._nav = nav_t
-                                    n_supp += 1
-                                else:  # impossible; exact fallback
-                                    mac.overhear_nav(nav_t)
-                                    n_disp += 1
-                                    mac.medium_edge(phys)
-                            elif s == 1:
-                                # medium_edge, s==_WAIT_MEDIUM branch:
-                                # busy -> _ensure_nav_wake (a no-op
-                                # when the wake already covers nav),
-                                # idle -> _begin_contention.
-                                n_disp += 1
-                                nav = mac._nav
-                                if phys or now < nav:
-                                    if now < nav and mac._nav_wake < nav:
-                                        mac._ensure_nav_wake()
-                                else:
-                                    mac._begin_contention()
-                            elif s == 2 or s == 3:
-                                n_disp += 1
-                                mac.medium_edge(phys)
-                            else:
-                                n_supp += 1
-                            continue
-                        mac.on_frame_received(frame, pw_l[k])
-                    n_disp += 1
-                    mac.medium_edge(phys)
-                else:
-                    # Bystander verdict against live (= pre-pass)
-                    # state, each branch what medium_changed would do:
-                    # not waiting or still physically busy -> nothing
-                    # (medium_changed returns early for these too);
-                    # NAV-busy -> arm a wake unless one covers nav
-                    # (NAV-busy implies _WAIT_MEDIUM, since raising a
-                    # NAV freezes immediately; medium_edge covers the
-                    # impossible remainder defensively); fully idle ->
-                    # _WAIT_MEDIUM begins DIFS, _DIFS/_BACKOFF only
-                    # react to *busy*.
-                    mac = r.mac
-                    s = mac._state
-                    if (
-                        not 1 <= s <= 3
-                        or txing_l[k]
-                        or (counts_l is not None and counts_l[k] > 0)
-                    ):
-                        n_supp += 1
-                    else:
-                        nav = mac._nav
-                        if nav > now:
-                            if mac._nav_wake < nav:
-                                n_disp += 1
-                                if s == 1:
-                                    mac._ensure_nav_wake()
-                                else:
-                                    mac.medium_edge(False)
-                            else:
-                                n_supp += 1
-                        elif s == 1:
-                            n_disp += 1
-                            mac._resume_contention()
-                        else:
-                            n_supp += 1
+            n_disp, n_supp = self._walk_dcf(
+                frame, batch.added_list, range(len(mine_l)), mine_l, ok_l,
+                busy_l, pw_l, arena._macs, bulk, data_frame, nav_t)
             perf = self.perf
             perf.mac_edges_dispatched += n_disp
             perf.mac_edges_suppressed += n_supp
             src._transmit_done(frame)
             return
-        counts_l = led.counts[added].tolist() if active else None
-        txing_l = led.txing[added].tolist()
         wants_l = led.wants_medium[added].tolist()
         for k, nid in enumerate(batch.added_list):
-            r = radios[nid]
-            if win_l[k] and r._rx_frame is frame:
-                r._rx_frame = None
-                led.rx_power[nid] = 0.0
-                mac = r.mac
-                if not r._rx_corrupt:
-                    r.stats.frames_received += 1
-                    if mac is not None:
-                        if bulk and nid != frame_dst and not (
-                            data_frame and mac.promiscuous
-                        ):
-                            # NAV-only reception: same conditional
-                            # notify as _set_nav, then the end-of-
-                            # arrival edge (gated exactly like the
-                            # bystander branch below).
-                            if nav_t is not None:
-                                mac.overhear_nav(nav_t)
-                            if wants_l[k]:
-                                mac.medium_changed()
-                            continue
-                        mac.on_frame_received(frame, pw_l[k])
-                if mac is not None:
-                    mac.medium_changed()
-            elif wants_l[k] and not txing_l[k] and (
-                counts_l is None or counts_l[k] == 0
-            ):
-                mac = r.mac
+            if mine_l[k]:
+                mac = radios[nid].mac
+                if mac is None:
+                    continue
+                if ok_l[k]:
+                    if bulk and nid != frame_dst and not (
+                        data_frame and mac.promiscuous
+                    ):
+                        # NAV-only reception: same conditional notify
+                        # as _set_nav, then the end-of-arrival edge
+                        # (gated exactly like the bystander branch).
+                        if nav_t is not None:
+                            mac.overhear_nav(nav_t)
+                        if wants_l[k]:
+                            mac.medium_changed()
+                        continue
+                    mac.on_frame_received(frame, pw_l[k])
+                mac.medium_changed()
+            elif wants_l[k] and not busy_l[k]:
+                mac = radios[nid].mac
                 if mac is not None:
                     mac.medium_changed()
         src._transmit_done(frame)
+
+    def _end_clean(self, src, frame, batch, mb, arena, nav_t) -> None:
+        """:meth:`_end_transmission` of a clean frame (arena attached)."""
+        led = self._ledger
+        added = batch.added
+        led.counts[added] = 0
+        led.strongest[added] = 0.0
+        dec = mb.dec_idx
+        led.rx_power[dec] = 0.0
+        led.rx_tx[dec] = 0
+        led.d_frames_received[dec] += 1
+        macs = arena._macs
+        dst = frame.dst
+        added_l = batch.added_list
+        try:
+            at = added_l.index(dst)
+        except ValueError:
+            at = -1
+        if led.n_waiting:
+            walk = led.wants_medium[added]
+            if at >= 0:
+                walk[at] = True
+            ks = walk.nonzero()[0].tolist()
+        else:
+            ks = [at] if at >= 0 else []
+        # Decoders outside the walk are neither addressed nor waiting:
+        # the frame's NAV is all they take (what _set_nav does there).
+        if nav_t is not None:
+            for nid in mb.dec_ids_list:
+                mac = macs[nid]
+                if nav_t > mac._nav and not mac._waiting and nid != dst:
+                    mac._nav = nav_t
+        n_disp, n_supp = self._walk_dcf(
+            frame, added_l, ks, mb.dec_list, mb.dec_list, None,
+            batch.pw_list, macs, True, frame.ftype == FrameType.DATA, nav_t)
+        perf = self.perf
+        perf.mac_edges_dispatched += n_disp
+        # Every receiver outside the walk is a carrier edge proven
+        # to be a no-op.
+        perf.mac_edges_suppressed += n_supp + len(added_l) - len(ks)
+        src._transmit_done(frame)
+
+    def _walk_dcf(self, frame, added_l, ks, mine_l, ok_l, busy_l, pw_l,
+                  macs, bulk, data_frame, nav_t):
+        """Arena-mode receiver walk over positions *ks* of *added_l*;
+        returns ``(dispatched, suppressed)`` edge counts.
+
+        Freeze/credit/resume verdicts are derived from the MAC scalars
+        and applied in receiver order (so heap insertion order — and
+        every ``(time, seq)`` tie-break downstream — is untouched).
+        Lazy per-receiver evaluation is exact: deliveries only mutate
+        their own node, physical busy-ness (*busy_l*, None for all
+        idle) is frozen for the pass because DCF never transmits
+        synchronously from a delivery, and a decoder's own overhear
+        never changes its waiting-ness — while ``medium_edge`` re-reads
+        the live scalars it depends on.
+        """
+        now = self.sim._now
+        frame_dst = frame.dst
+        n_disp = 0
+        n_supp = 0
+        for k in ks:
+            nid = added_l[k]
+            mac = macs[nid]
+            phys = busy_l is not None and busy_l[k]
+            if mine_l[k]:
+                if ok_l[k]:
+                    if bulk and nid != frame_dst and not (
+                        data_frame and mac.promiscuous
+                    ):
+                        # Inlined overhear: _set_nav's raise +
+                        # self-notify chain plus the trailing
+                        # medium_edge collapse, for a decoder, to
+                        # "raise NAV, ensure the wake covers it" — a
+                        # raised NAV makes busy-ness true outright, and
+                        # once the wake covers nav the second
+                        # notification provably no-ops. A decoder can't
+                        # sit in _DIFS/_BACKOFF at its own frame end
+                        # (its arrival kept the medium busy, so it froze
+                        # on the busy edge); the defensive fallback runs
+                        # the un-inlined overhear_nav + medium_edge
+                        # chain if it ever happens.
+                        s = mac._state
+                        if nav_t is not None and nav_t > mac._nav:
+                            if s == 1:  # _WAIT_MEDIUM
+                                mac._nav = nav_t
+                                if mac._nav_wake < nav_t:
+                                    mac._ensure_nav_wake()
+                                n_disp += 1
+                            elif s == 0 or s > 3:  # not waiting
+                                mac._nav = nav_t
+                                n_supp += 1
+                            else:  # impossible; exact fallback
+                                mac.overhear_nav(nav_t)
+                                n_disp += 1
+                                mac.medium_edge(phys)
+                        elif s == 1:
+                            # medium_edge, s==_WAIT_MEDIUM branch: busy
+                            # -> _ensure_nav_wake (a no-op when the wake
+                            # already covers nav), idle ->
+                            # _begin_contention.
+                            n_disp += 1
+                            nav = mac._nav
+                            if phys or now < nav:
+                                if now < nav and mac._nav_wake < nav:
+                                    mac._ensure_nav_wake()
+                            else:
+                                mac._begin_contention()
+                        elif s == 2 or s == 3:
+                            n_disp += 1
+                            mac.medium_edge(phys)
+                        else:
+                            n_supp += 1
+                        continue
+                    mac.on_frame_received(frame, pw_l[k])
+                n_disp += 1
+                mac.medium_edge(phys)
+                continue
+            # Bystander verdict against live (= pre-pass) state, each
+            # branch what medium_changed would do: not waiting or still
+            # physically busy -> nothing (medium_changed returns early
+            # for these too); NAV-busy -> arm a wake unless one covers
+            # nav (NAV-busy implies _WAIT_MEDIUM, since raising a NAV
+            # freezes immediately; medium_edge covers the impossible
+            # remainder defensively); fully idle -> _WAIT_MEDIUM begins
+            # DIFS, _DIFS/_BACKOFF only react to *busy*.
+            s = mac._state
+            if not 1 <= s <= 3 or phys:
+                n_supp += 1
+                continue
+            nav = mac._nav
+            if nav > now:
+                if mac._nav_wake < nav:
+                    n_disp += 1
+                    if s == 1:
+                        mac._ensure_nav_wake()
+                    else:
+                        mac.medium_edge(False)
+                else:
+                    n_supp += 1
+            elif s == 1:
+                n_disp += 1
+                mac._resume_contention()
+            else:
+                n_supp += 1
+        return n_disp, n_supp

@@ -61,21 +61,19 @@ class RadioStats:
 
 
 class ArrivalLedger:
-    """Array-backed interference state of one channel's radios.
+    """Array-backed interference and decode state of one channel's radios.
 
     The channel creates one ledger and joins every radio to it in
     ``Channel.attach``. Instead of one arrival object per (transmission,
     receiver) pair it keeps per-node vectors — overlap counts, strongest
-    in-flight power, decode power — and resolves a whole transmission
-    fan-out with NumPy gathers and scatters. The brute-force model in
-    ``tests/phy/test_phy_oracle.py`` is the reference these rules are
-    checked against.
+    in-flight power, the frame being decoded — and resolves a whole
+    transmission fan-out with NumPy gathers and scatters. The brute-force
+    model in ``tests/phy/test_phy_oracle.py`` is the reference these
+    rules are checked against.
 
-    Stat deltas (collisions, capture, half-duplex, down-rx) accumulate
-    in int arrays and are folded into each radio's :class:`RadioStats`
-    by :meth:`flush` before metrics are read. ``airtime_rx`` stays a
-    per-radio scalar updated at decode start, because the energy model
-    reads it mid-run.
+    Stat deltas (receptions, receive airtime, collisions, capture,
+    half-duplex, down-rx) accumulate in arrays and are folded into each
+    radio's :class:`RadioStats` by :meth:`flush` before metrics are read.
     """
 
     __slots__ = (
@@ -84,14 +82,20 @@ class ArrivalLedger:
         "txing",
         "down",
         "rx_power",
+        "rx_tx",
+        "rx_corrupt",
         "wants_medium",
+        "d_frames_received",
+        "d_airtime_rx",
         "d_collisions",
         "d_capture",
         "d_halfduplex",
         "d_down_rx",
         "active",
+        "epoch",
         "n_txing",
         "n_down",
+        "n_waiting",
     )
 
     def __init__(self, n: int):
@@ -103,12 +107,20 @@ class ArrivalLedger:
         self.txing = np.zeros(n, dtype=bool)
         #: Mirror of each radio's ``_down`` flag (crash faults).
         self.down = np.zeros(n, dtype=bool)
-        #: Power of the frame being decoded; 0.0 when not decoding.
+        #: Decode state. ``rx_power`` is the power of the frame being
+        #: decoded and ``rx_tx`` its transmission's ``epoch`` stamp;
+        #: both read 0 when the radio is not decoding. ``rx_corrupt``
+        #: marks a decode that interference has already killed; it is
+        #: False whenever the radio is not decoding.
         self.rx_power = np.zeros(n, dtype=np.float64)
+        self.rx_tx = np.zeros(n, dtype=np.int64)
+        self.rx_corrupt = np.zeros(n, dtype=bool)
         #: Whether the MAC above is parked in a contention state and
         #: needs ``medium_changed`` edges (DCF states 1..3). Gating on
         #: this skips only calls that are provably no-ops.
         self.wants_medium = np.zeros(n, dtype=bool)
+        self.d_frames_received = np.zeros(n, dtype=np.int64)
+        self.d_airtime_rx = np.zeros(n, dtype=np.float64)
         self.d_collisions = np.zeros(n, dtype=np.int64)
         self.d_capture = np.zeros(n, dtype=np.int64)
         self.d_halfduplex = np.zeros(n, dtype=np.int64)
@@ -116,31 +128,45 @@ class ArrivalLedger:
         #: Transmissions currently on the air (``_TxBatch`` instances);
         #: used to recompute ``strongest`` when one of them ends.
         self.active: list = []
-        #: Scalar twins of ``txing.sum()`` / ``down.sum()``: the quiet-
-        #: channel fast path tests them without touching the arrays.
+        #: Bumped by every fan-out (which stamps its transmission with
+        #: the new value) and by every ``power_off``/``power_on``. A
+        #: transmission that finds the ledger still at its own stamp
+        #: when it ends had the air to itself throughout.
+        self.epoch = 0
+        #: Scalar twins of ``txing.sum()`` / ``down.sum()`` /
+        #: ``wants_medium.sum()``: the fast paths test them without
+        #: touching the arrays.
         self.n_txing = 0
         self.n_down = 0
+        self.n_waiting = 0
 
     def flush(self, radios) -> None:
-        """Fold the accumulated stat deltas into per-radio counters."""
+        """Fold the accumulated stat deltas into per-radio counters.
+
+        Receive airtime is summed per radio in arrival order, exactly as
+        a per-radio float would be, so a single flush at the end of a
+        run reproduces it to the bit.
+        """
+        recv = self.d_frames_received
+        air = self.d_airtime_rx
         cols = self.d_collisions
         caps = self.d_capture
         half = self.d_halfduplex
         dwn = self.d_down_rx
-        touched = np.nonzero(cols | caps | half | dwn)[0]
+        touched = np.flatnonzero((air != 0.0) | (recv | cols | caps | half | dwn))
         for i in touched.tolist():
             radio = radios[i]
             if radio is None:
                 continue
             stats = radio.stats
+            stats.frames_received += int(recv[i])
+            stats.airtime_rx += float(air[i])
             stats.collisions += int(cols[i])
             stats.capture_ignored += int(caps[i])
             stats.halfduplex_drops += int(half[i])
             stats.down_rx_drops += int(dwn[i])
-        cols[touched] = 0
-        caps[touched] = 0
-        half[touched] = 0
-        dwn[touched] = 0
+        for col in (recv, air, cols, caps, half, dwn):
+            col[touched] = 0
 
 
 class Radio:
@@ -170,12 +196,9 @@ class Radio:
         #: Powered off by fault injection: mute and deaf until power_on.
         self._down = False
         self._tx_end: Optional[float] = None
-        #: The channel's shared ArrivalLedger (set by Channel.attach).
+        #: The channel's shared ArrivalLedger (set by Channel.attach),
+        #: which also holds this radio's decode state.
         self._led: Optional[ArrivalLedger] = None
-        #: Decode state: the frame being decoded and whether
-        #: interference has already corrupted it.
-        self._rx_frame: Optional[Frame] = None
-        self._rx_corrupt = False
         # Flight recorder with PHY verdicts requested, frozen at
         # construction.
         flight = sim.flight
@@ -202,14 +225,14 @@ class Radio:
             return
         self._down = True
         led = self._led
-        led.down[self.node_id] = True
+        nid = self.node_id
+        led.down[nid] = True
         led.n_down += 1
-        if self._rx_frame is not None:
-            # The interference power of the dying decode stays in the
-            # ledger (the energy is still on the air); only the decode
-            # itself is lost.
-            self._rx_frame = None
-            led.rx_power[self.node_id] = 0.0
+        led.epoch += 1
+        # The interference power of a dying decode stays in the ledger
+        # (the energy is still on the air); only the decode itself is
+        # lost.
+        _drop_decode(led, nid)
 
     def power_on(self) -> None:
         """Recover from a crash fault: resume normal PHY behaviour."""
@@ -219,6 +242,7 @@ class Radio:
         led = self._led
         led.down[self.node_id] = False
         led.n_down -= 1
+        led.epoch += 1
 
     # ------------------------------------------------------------- queries
 
@@ -242,10 +266,12 @@ class Radio:
         return t
 
     def set_mac_waiting(self, waiting: bool) -> None:
-        """MAC hint: it is parked in a contention state and needs
-        ``medium_changed`` edges (the channel skips the calls that
-        would provably no-op)."""
-        self._led.wants_medium[self.node_id] = waiting
+        """MAC hint, sent when it flips: the MAC is parked in a
+        contention state and needs ``medium_changed`` edges (the channel
+        skips the calls that would provably no-op)."""
+        led = self._led
+        led.wants_medium[self.node_id] = waiting
+        led.n_waiting += 1 if waiting else -1
 
     # -------------------------------------------------------------- sending
 
@@ -271,9 +297,7 @@ class Radio:
             self.sim.schedule(duration, self._transmit_done, frame)
             return duration
         # Transmitting stomps any reception in progress.
-        if self._rx_frame is not None:
-            self._rx_frame = None
-            led.rx_power[self.node_id] = 0.0
+        if _drop_decode(led, self.node_id):
             self.stats.halfduplex_drops += 1
         self.stats.frames_sent += 1
         self.stats.airtime_tx += duration
@@ -305,3 +329,14 @@ class Radio:
         pkt = frame.payload
         if pkt is not None and pkt.is_data:
             self._flight_phy.note(ev, pkt.origin_uid, self.node_id)
+
+
+def _drop_decode(led: ArrivalLedger, nid: int) -> bool:
+    """End radio *nid*'s decode, if any, without a delivery; returns
+    whether there was one."""
+    if not led.rx_tx[nid]:
+        return False
+    led.rx_power[nid] = 0.0
+    led.rx_tx[nid] = 0
+    led.rx_corrupt[nid] = False
+    return True

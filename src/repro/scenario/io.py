@@ -25,6 +25,7 @@ __all__ = [
     "config_from_dict",
     "save_config",
     "load_config",
+    "read_json",
     "summaries_to_csv",
     "sweep_to_csv",
 ]
@@ -56,12 +57,22 @@ def save_config(cfg: ScenarioConfig, path: PathLike) -> None:
     Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
 
 
-def load_config(path: PathLike) -> ScenarioConfig:
+def read_json(path: PathLike, what: str):
+    """The decoded JSON file at *path*; a missing, unreadable or
+    malformed file raises :class:`ConfigurationError` naming it as
+    *what*."""
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigurationError(
+            f"{path}: cannot read {what}: {exc.strerror or exc}"
+        ) from None
     except (ValueError, RecursionError) as exc:
-        raise ConfigurationError(f"{path}: not a JSON config: {exc}") from None
-    return config_from_dict(data)
+        raise ConfigurationError(f"{path}: not a JSON {what}: {exc}") from None
+
+
+def load_config(path: PathLike) -> ScenarioConfig:
+    return config_from_dict(read_json(path, "config"))
 
 
 def _perf_profile_columns(rows: List[MetricsSummary]):

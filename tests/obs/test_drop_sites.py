@@ -94,3 +94,17 @@ def test_every_terminal_reason_has_a_call_site():
         if r.value in TERMINAL_VALUES and f"DropReason.{r.name}" not in text
     ]
     assert not unused, f"terminal DropReasons never raised: {unused}"
+
+
+def test_every_reason_appears_in_the_source():
+    """Frame-level members too: each one is named (``DropReason.X``)
+    or spelled by value (the PHY and MAC trace notes pass plain
+    strings) somewhere in the source tree."""
+    text = "\n".join(
+        p.read_text() for p in SRC.rglob("*.py") if "drops.py" not in p.name
+    )
+    unused = [
+        r.name for r in DropReason
+        if f"DropReason.{r.name}" not in text and f'"{r.value}"' not in text
+    ]
+    assert not unused, f"DropReasons never raised or noted: {unused}"

@@ -66,7 +66,9 @@ def reference_fanout(channel: Channel, src: int, tq: float):
             dx = positions[:, 0] - sx
             dy = positions[:, 1] - sy
         d2 = dx * dx + dy * dy
-        near = d2 <= channel._prefilter_d2
+        # Every model here is monotone in distance: nothing beyond
+        # the carrier-sense range (+0.1 % float slack) can clear it.
+        near = d2 <= (channel.max_range * 1.001) ** 2
         idx = idx[near]
         pw = channel.propagation.rx_power_d2_vec(params.tx_power, d2[near])
         keep = pw >= params.cs_threshold

@@ -2,8 +2,9 @@
 
 Every run resolves receptions on one PHY engine, and every DCF run
 built by ``build_scenario`` contends through the shared contention
-arena. Per-node DCF timers (``DcfMac``'s own methods, the engine of
-``build_network``) are the arena's twin: both are *evaluation
+arena. The per-node path (``DcfMac``'s own ``medium_changed`` for
+every receiver, the engine of ``build_network``) is the arena's twin:
+both are *evaluation
 strategies*, never model changes, and must produce bit-identical
 metrics for every protocol, faulted or not, on arbitrary topologies.
 The batch ``positions(t)`` evaluation must likewise match every
@@ -45,7 +46,7 @@ MODEL_KINDS = [
 
 
 def _run_both_engines(cfg):
-    """*cfg* with the contention arena and with per-node DCF timers.
+    """*cfg* with the contention arena and on the per-node path.
 
     The per-node side declines the arena (``Channel.enable_arena``
     answers ``False``, as it does for a MAC that is not arena-safe).
@@ -116,9 +117,9 @@ LARGE_CELL = dict(
 def test_dcf_arena_matches_legacy(protocol, scenario):
     """Full-scenario A/B: contention arena vs per-node DCF, same seed.
 
-    The arena moves DCF's contention timers onto a coalescing wheel and
-    its carrier-edge reactions into two inlined per-fan-out loops; the
-    per-node path keeps heap timers and ``medium_changed`` callbacks.
+    The arena moves DCF's carrier-edge reactions into inlined
+    per-fan-out loops and ends clean frames on the ledger; the per-node
+    path walks every receiver through ``medium_changed`` callbacks.
     Identical protocol, different dispatch machinery — results must be
     bit-identical everywhere, large fan-outs included. A seed of its
     own, so this is not a golden run again.
@@ -126,9 +127,9 @@ def test_dcf_arena_matches_legacy(protocol, scenario):
     fast, per_pair = _run_both_engines(
         ScenarioConfig(protocol=protocol, seed=8, **scenario)
     )
-    # Only the arena routes DCF timers through the shared wheel.
-    assert fast.perf["mac_timer_events"] > 0
-    assert per_pair.perf["mac_timer_events"] == 0
+    # Only the arena counts the carrier edges it dispatches.
+    assert fast.perf["mac_edges_dispatched"] > 0
+    assert per_pair.perf["mac_edges_dispatched"] == 0
     _assert_bit_identical(fast, per_pair)
 
 
@@ -137,8 +138,8 @@ class TestFaultDeterminism:
 
     def test_faulted_dcf_arena_matches_legacy(self):
         # Node crashes tear radios out of the air mid-reservation and
-        # the fault hook filters fan-outs — the arena's wheel timers
-        # and edge loops must shrug all of it off bit-identically.
+        # the fault hook filters fan-outs — the arena's edge loops and
+        # clean-frame ends must shrug all of it off bit-identically.
         from repro.faults.plan import FaultPlanConfig
 
         fast, per_pair = _run_both_engines(ScenarioConfig(
@@ -148,8 +149,8 @@ class TestFaultDeterminism:
             **SMALL,
         ))
         assert fast.fault_crashes > 0
-        assert fast.perf["mac_timer_events"] > 0
-        assert per_pair.perf["mac_timer_events"] == 0
+        assert fast.perf["mac_edges_dispatched"] > 0
+        assert per_pair.perf["mac_edges_dispatched"] == 0
         _assert_bit_identical(fast, per_pair)
 
     def test_no_fault_config_is_bit_identical_with_zero_fault_fields(self):
@@ -320,8 +321,8 @@ def test_dcf_arena_property_random_topologies(n_nodes, seed, protocol):
     """
     fast, per_pair = _run_both_engines(_ab_cfg(n_nodes, seed, protocol))
     _assume_on_air(fast)
-    assert fast.perf["mac_timer_events"] > 0
-    assert per_pair.perf["mac_timer_events"] == 0
+    assert fast.perf["mac_edges_dispatched"] > 0
+    assert per_pair.perf["mac_edges_dispatched"] == 0
     _assert_bit_identical(fast, per_pair)
 
 
@@ -451,7 +452,7 @@ def _check_golden(protocol: str, case: str) -> None:
     if case == "flight_trace":
         # A traced run contends through the arena like any other, and
         # observing it changed nothing: same digest as the plain run.
-        assert summary.perf["mac_timer_events"] > 0
+        assert summary.perf["mac_edges_dispatched"] > 0
         assert _GOLDEN[protocol][case] == _GOLDEN[protocol]["small_plain"]
     assert _summary_digest(summary) == _GOLDEN[protocol][case]
 

@@ -58,10 +58,16 @@ def test_refused_config_value_is_a_one_line_usage_error(tmp_path, capsys):
     config.write_text('{"seed": -5}')
     plan = tmp_path / "plan.json"
     plan.write_text('{"blackouts": [[1.0, 2.0]]}')
+    torn = tmp_path / "torn.json"
+    torn.write_text('{"churn_rate": 0.01,')
+    missing = tmp_path / "missing.json"
     for args, key in (
         (["--duration", "-5"], "duration"),
         (["--config", str(config)], "seed"),
         (["--faults", str(plan), *FAST], "blackouts"),
+        (["--faults", str(torn), *FAST], "torn.json: not a JSON fault plan"),
+        (["--faults", str(missing), *FAST], "missing.json: cannot read fault plan"),
+        (["--config", str(missing)], "missing.json: cannot read config"),
     ):
         assert main(["run", *args]) == 2
         err = capsys.readouterr().err
