@@ -36,15 +36,10 @@ FRAME_TIME = 0.5e-3  # 500 byte-ish frame at 2 Mb/s
 class _SinkMac(MacLayer):
     """MAC that swallows everything (PHY cost only)."""
 
-    batch_overhear = True
-
     def on_frame_received(self, frame, rx_power):
         pass
 
     def on_transmit_done(self, frame):
-        pass
-
-    def overhear_nav(self, until):
         pass
 
 

@@ -12,7 +12,7 @@ watch the RERR → re-discovery → alternate-path sequence.
 from repro.core import Simulator
 from repro.mac import DcfMac
 from repro.mobility import StaticPosition
-from repro.net import build_network
+from repro.net.stack import build_network
 from repro.phy import RadioParams, UnitDisk
 from repro.routing import Aodv
 

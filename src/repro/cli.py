@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 try:
@@ -293,8 +292,7 @@ def cmd_obs_report(args) -> int:
     """Render a manifest.json or profile JSON as a table."""
     from .obs.report import render_manifest_report, render_profile_table
 
-    with open(args.path) as fh:
-        data = json.load(fh)
+    data = read_json(args.path, "obs artifact")
     if not isinstance(data, dict):
         print(f"error: {args.path} is not an obs artifact", file=sys.stderr)
         return 1
@@ -339,9 +337,9 @@ def cmd_obs_why(args) -> int:
     on. Exit status 1 when the ledger does not balance.
     """
     try:
-        whole = json.loads(Path(args.path).read_text())
-    except json.JSONDecodeError:
-        whole = None  # multi-line JSONL; handled below
+        whole = read_json(args.path, "flight report")
+    except ConfigurationError:
+        whole = None  # multi-line JSONL (load_flight_jsonl names a bad file)
     if isinstance(whole, dict) and "protocol" in whole:
         cfg = load_config(args.path).with_(flight=True)
         flight = run_scenario(cfg).flight or {}

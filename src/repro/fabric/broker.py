@@ -251,12 +251,6 @@ class Broker:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
             self._conn_tasks.clear()
 
-    async def serve_forever(self) -> None:
-        await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
     # ------------------------------------------------------------- dispatch
 
     async def _handle_connection(self, reader, writer) -> None:
@@ -286,11 +280,9 @@ class Broker:
                 return
             hello = decode_frame(first)
             if hello.get("type") == "sweep":
-                await self._handle_client(reader, writer, hello)
+                await self._handle_client(writer, hello)
             elif hello.get("role") == "worker":
                 await self._handle_worker(reader, writer, hello)
-            elif hello.get("role") == "client":
-                await self._handle_client(reader, writer, None)
             else:
                 raise FabricProtocolError(f"unknown hello: {hello!r}")
         except (
@@ -555,15 +547,7 @@ class Broker:
         }
         return counters
 
-    async def _handle_client(self, reader, writer, sweep: Optional[dict]) -> None:
-        if sweep is None:
-            line = await reader.readline()
-            if not line:
-                return
-            sweep = decode_frame(line)
-        if sweep.get("type") != "sweep":
-            raise FabricProtocolError(f"expected sweep, got {sweep.get('type')!r}")
-
+    async def _handle_client(self, writer, sweep: dict) -> None:
         async def emit(msg: dict) -> None:
             await self._send(writer, msg)
 

@@ -41,10 +41,8 @@ class FaultStats:
 
     __slots__ = (
         "crashes",
-        "recoveries",
         "link_drops",
         "partition_drops",
-        "down_rx_drops",
         "crash_queue_drops",
         "recovery_latencies",
     )
@@ -52,13 +50,10 @@ class FaultStats:
     def __init__(self) -> None:
         #: Crash events executed.
         self.crashes = 0
-        self.recoveries = 0
         #: Arrivals eaten by per-link random loss.
         self.link_drops = 0
         #: Arrivals cut by an active partition window.
         self.partition_drops = 0
-        #: Arrivals suppressed because the receiver was down.
-        self.down_rx_drops = 0
         #: Queued data packets destroyed by a crash (IFQ wiped).
         self.crash_queue_drops = 0
         #: Completed crash→recover durations (s).
@@ -66,12 +61,9 @@ class FaultStats:
 
     @property
     def packets_lost(self) -> int:
-        """Receiver-side arrivals suppressed by any injected fault."""
-        return (
-            self.link_drops
-            + self.partition_drops
-            + self.down_rx_drops
-        )
+        """Arrivals cut by link loss or a partition (a down radio's
+        lost frames are counted in its own :class:`RadioStats`)."""
+        return self.link_drops + self.partition_drops
 
 
 class FaultManager:
@@ -100,9 +92,7 @@ class FaultManager:
         self.plan = plan
         self.duration = duration
         self.stats = FaultStats()
-        n = len(network.nodes)
-        self._down = [False] * n
-        self._down_since = [0.0] * n
+        self._down_since = [0.0] * len(network.nodes)
         self._link_rng = sim.rng.stream("faults.link") if plan.link_loss > 0 else None
         self._started = False
         # The channel consults us on every fan-out once attached.
@@ -137,12 +127,12 @@ class FaultManager:
     # --------------------------------------------------------- churn events
 
     def _crash(self, node_id: int) -> None:
-        if not 0 <= node_id < len(self._down):
+        nodes = self.network.nodes
+        if not 0 <= node_id < len(nodes):
             raise FaultInjectionError(f"no such node to crash: {node_id}")
-        if self._down[node_id]:
+        node = nodes[node_id]
+        if node.radio.is_down:
             return
-        node = self.network.nodes[node_id]
-        self._down[node_id] = True
         self._down_since[node_id] = self.sim.now
         node.radio.power_off()
         routing = node.routing
@@ -162,10 +152,9 @@ class FaultManager:
         self.stats.crashes += 1
 
     def _recover(self, node_id: int) -> None:
-        if not self._down[node_id]:
-            return
         node = self.network.nodes[node_id]
-        self._down[node_id] = False
+        if not node.radio.is_down:
+            return
         node.radio.power_on()
         routing = node.routing
         routing.alive = True
@@ -173,7 +162,6 @@ class FaultManager:
         if up_hook is not None:
             up_hook()
         latency = self.sim.now - self._down_since[node_id]
-        self.stats.recoveries += 1
         self.stats.recovery_latencies.append(latency)
 
     # ------------------------------------------- channel fault-hook interface
@@ -188,28 +176,28 @@ class FaultManager:
         """Channel callback: mask fan-out entries eaten by active faults.
 
         Called once per transmission with the fan-out's receiver-id
-        array; returns a keep-mask, or ``None`` when no fault is active
-        (keep everything, so a no-op plan cannot perturb arrival
-        ordering). The checks run in receiver order and the link-loss
-        RNG is drawn once per surviving candidate; both arrival engines
-        call this one filter, so a plan is bit-reproducible across them.
+        array; returns a keep-mask, or ``None`` when no partition or
+        link loss is active (keep everything, so a no-op plan cannot
+        perturb arrival ordering). A powered-off receiver is always
+        kept: the PHY makes it deaf and counts the arrival in its
+        ``RadioStats.down_rx_drops``. The checks run in receiver order
+        and the link-loss RNG is drawn once per surviving candidate
+        that is up, so a plan is bit-reproducible.
         """
         stats = self.stats
         plan = self.plan
         x_split = self._active_partition(now) if plan.partitions else None
         loss = plan.link_loss
-        down = self._down
-        if x_split is None and loss == 0.0 and not any(down):
+        if x_split is None and loss == 0.0:
             return None
         if x_split is not None:
             positions = self.network.mobility.positions(now)
             src_side = positions[src_id, 0] < x_split
         rng = self._link_rng
+        radios = self.network.channel.radios
         keep = np.ones(ids.shape[0], dtype=bool)
         for k, nid in enumerate(ids.tolist()):
-            if down[nid]:
-                stats.down_rx_drops += 1
-                keep[k] = False
+            if radios[nid].is_down:
                 continue
             if x_split is not None and (positions[nid, 0] < x_split) != src_side:
                 stats.partition_drops += 1
@@ -222,24 +210,21 @@ class FaultManager:
 
     # -------------------------------------------------------------- summary
 
-    def node_down(self, node_id: int) -> bool:
-        """Whether *node_id* is currently crashed."""
-        return self._down[node_id]
-
     def apply(self, summary, duration: float) -> None:
         """Fold fault accounting into a finished metrics summary."""
         stats = self.stats
         downtime = sum(stats.recovery_latencies)
-        for i, down in enumerate(self._down):
-            if down:
+        down_drops = 0
+        for i, node in enumerate(self.network.nodes):
+            radio = node.radio
+            if radio.is_down:
                 downtime += duration - self._down_since[i]
+            down_drops += radio.stats.down_rx_drops + radio.stats.down_tx_drops
         lats = stats.recovery_latencies
         summary.fault_crashes = stats.crashes
         summary.fault_downtime = downtime
         summary.fault_recovery_latency = sum(lats) / len(lats) if lats else 0.0
-        summary.fault_packets_lost = stats.packets_lost + sum(
-            node.radio.stats.down_tx_drops for node in self.network.nodes
-        )
+        summary.fault_packets_lost = stats.packets_lost + down_drops
         if stats.crash_queue_drops:
             reasons = dict(summary.drops_by_reason)
             reasons["crash_queue"] = (

@@ -69,12 +69,6 @@ class MacStats:
 class MacLayer:
     """Abstract MAC. Subclasses implement the channel-access discipline."""
 
-    #: Whether the channel may deliver frames addressed to other nodes
-    #: via ``overhear_nav(until)`` (virtual carrier sense only) instead
-    #: of :meth:`on_frame_received`. Requires that an overheard
-    #: non-broadcast frame has no effect beyond the NAV update.
-    batch_overhear = False
-
     def __init__(self, sim: Simulator, radio: Radio, ifq_capacity: int = 50):
         self.sim = sim
         self.radio = radio

@@ -68,10 +68,6 @@ class DcfMac(MacLayer):
         for route-cache learning).
     """
 
-    #: Eligible for the shared contention arena (inlined carrier-edge
-    #: resolution; see ``repro.mac.arena``).
-    arena_safe = True
-
     def __init__(
         self,
         sim: Simulator,
@@ -470,11 +466,3 @@ class DcfMac(MacLayer):
             # expiry wake-up is scheduled lazily (see _ensure_nav_wake)
             # so reservations that nobody waits on cost no events.
             self.medium_changed()
-
-    #: Batched-engine shortcut for frames addressed to another node:
-    #: for a non-promiscuous DCF their only effect is the virtual
-    #: carrier-sense update, so the channel applies the NAV directly
-    #: instead of walking :meth:`on_frame_received`'s dispatch. Same
-    #: code object as ``_set_nav`` — identical behaviour by construction.
-    overhear_nav = _set_nav
-    batch_overhear = True

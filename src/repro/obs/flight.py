@@ -39,6 +39,7 @@ from collections import Counter
 from typing import Dict, List
 
 from ..core.drops import TERMINAL_VALUES, DropReason
+from ..core.errors import ConfigurationError
 
 __all__ = [
     "FLIGHT_SCHEMA_VERSION",
@@ -258,24 +259,42 @@ def load_flight_jsonl(path) -> dict:
 
     Tolerates a missing header (schema 1 assumed) and a missing closing
     report (events-only files), so partial/streamed traces still load.
+    A missing or unreadable file, or a line that is not a JSON object
+    (a torn write), raises :class:`ConfigurationError` naming the file.
     """
     events: List[dict] = []
     report: dict = {}
     schema = FLIGHT_SCHEMA_VERSION
     sample = 1
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            entry = json.loads(line)
-            if "flight_schema" in entry:
-                schema = entry["flight_schema"]
-                sample = entry.get("sample", 1)
-            elif "report" in entry:
-                report = entry["report"]
-            else:
-                events.append(entry)
+    try:
+        with open(path) as fh:
+            for n, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    entry = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise ConfigurationError(
+                        f"{path}: not a flight JSONL: line {n}: {exc}"
+                    ) from None
+                if not isinstance(entry, dict):
+                    raise ConfigurationError(
+                        f"{path}: not a flight JSONL: line {n} is not an object"
+                    )
+                if "flight_schema" in entry:
+                    schema = entry["flight_schema"]
+                    sample = entry.get("sample", 1)
+                elif "report" in entry:
+                    report = entry["report"]
+                else:
+                    events.append(entry)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"{path}: cannot read flight JSONL: {exc.strerror or exc}"
+        ) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not a flight JSONL: {exc}") from None
     out = dict(report)
     out["schema"] = schema
     if sample != 1:

@@ -27,7 +27,7 @@ __all__ = ["Profiler", "entry_points", "profile_layer_seconds"]
 #: pushes ``_nav_wake_fired`` onto the event queue itself.
 _MAC_NAMES = (
     "send", "on_frame_received", "on_transmit_done", "medium_changed",
-    "medium_edge", "purge_next_hop", "overhear_nav",
+    "medium_edge", "purge_next_hop",
     "_ensure_nav_wake", "_begin_contention", "_resume_contention",
     "_nav_wake_fired",
 )

@@ -1,6 +1,6 @@
 """Wireless PHY: propagation models, radios, the shared channel."""
 
-from .channel import Channel, ChannelStats
+from .channel import Channel
 from .propagation import (
     WAVELAN_914MHZ,
     PropagationModel,
@@ -13,7 +13,6 @@ from .spatial import SpatialIndex
 
 __all__ = [
     "Channel",
-    "ChannelStats",
     "WAVELAN_914MHZ",
     "PropagationModel",
     "RadioParams",

@@ -29,7 +29,7 @@ from .propagation import PropagationModel, RadioParams
 from .radio import ArrivalLedger, Radio
 from .spatial import SpatialIndex
 
-__all__ = ["Channel", "ChannelStats"]
+__all__ = ["Channel"]
 
 
 class _BatchTargets:
@@ -69,32 +69,17 @@ class _TxBatch:
     """
 
     __slots__ = ("frame", "added", "added_pw", "added_list", "pw_list",
-                 "end", "epoch", "targets")
+                 "epoch", "targets")
 
-    def __init__(self, frame, added, added_pw, added_list, pw_list, end,
-                 epoch, targets):
+    def __init__(self, frame, added, added_pw, added_list, pw_list, epoch,
+                 targets):
         self.frame = frame
         self.added = added
         self.added_pw = added_pw
         self.added_list = added_list
         self.pw_list = pw_list
-        self.end = end
         self.epoch = epoch
         self.targets = targets
-
-
-class ChannelStats:
-    """Channel-wide counters."""
-
-    __slots__ = ("transmissions", "deliveries_attempted", "airtime")
-
-    def __init__(self) -> None:
-        #: Frames put on the air.
-        self.transmissions = 0
-        #: Receiver arrivals fanned out (≥ CS threshold).
-        self.deliveries_attempted = 0
-        #: Total transmit airtime (s), summed over frames.
-        self.airtime = 0.0
 
 
 class Channel:
@@ -139,7 +124,6 @@ class Channel:
         self.mobility = mobility
         self.propagation = propagation
         self.params = params
-        self.stats = ChannelStats()
         self.radios: List[Optional[Radio]] = [None] * len(mobility)
         self._grid_threshold = grid_threshold
         self._max_range = params.cs_range(propagation)
@@ -180,11 +164,7 @@ class Channel:
         self._unattached = len(mobility)
         #: Shared DCF contention arena (see :meth:`enable_arena`).
         self._arena = None
-        #: Whether every MAC supports ``overhear_nav`` (virtual carrier
-        #: sense applied directly instead of a full delivery walk), and
-        #: whether any MAC snoops overheard DATA. Decided at the first
-        #: frame end, once every MAC is attached.
-        self._overhear_ok: Optional[bool] = None
+        #: Whether any MAC snoops overheard DATA (set with the arena).
         self._promiscuous = False
         # Flight recorder with PHY verdicts requested, frozen at
         # construction like each radio's.
@@ -225,21 +205,21 @@ class Channel:
     def enable_arena(self) -> bool:
         """Attach the shared DCF contention arena (see repro.mac.arena).
 
-        Requires every radio attached and every MAC opted in via
-        ``arena_safe`` (the arena's loops work on DCF's waiting-state
-        fields). Carrier-edge resolution then runs through inlined
-        loops, and a clean frame (see :meth:`_end_transmission`) ends
-        on the ledger — bit-identical outcomes, fewer Python
-        dispatches.
+        Requires every radio attached with a :class:`~repro.mac.dcf.DcfMac`
+        above it (the arena's loops work on DCF's waiting-state fields).
+        Carrier-edge resolution then runs through inlined loops, and a
+        clean frame (see :meth:`_end_transmission`) ends on the ledger —
+        bit-identical outcomes, fewer Python dispatches.
 
         Returns whether the arena is now active.
         """
-        for radio in self.radios:
-            mac = radio.mac if radio is not None else None
-            if mac is None or not getattr(mac, "arena_safe", False):
-                return False
         from ..mac.arena import ContentionArena
+        from ..mac.dcf import DcfMac
 
+        macs = [r.mac if r is not None else None for r in self.radios]
+        if not all(isinstance(mac, DcfMac) for mac in macs):
+            return False
+        self._promiscuous = any(mac.promiscuous for mac in macs)
         self._arena = ContentionArena(self.sim, self._ledger, self.radios)
         return True
 
@@ -254,8 +234,6 @@ class Channel:
 
     def transmit(self, src: Radio, frame: Frame, duration: float) -> None:
         """Fan *frame* out from *src* to every detectable receiver."""
-        self.stats.transmissions += 1
-        self.stats.airtime += duration
         self._fan_out(src, frame, duration, self._targets(src.node_id))
 
     def _targets(self, src_id: int) -> _BatchTargets:
@@ -420,9 +398,7 @@ class Channel:
         if keep is None:
             ids = mb.ids
             powers = mb.powers
-            n = ids.shape[0]
-            self.stats.deliveries_attempted += n
-            perf.phy_batch_arrivals += n
+            perf.phy_batch_arrivals += ids.shape[0]
             if not led.active and led.n_txing == 1 and led.n_down == 0:
                 # Quiet channel — the common case at the paper's
                 # densities: nothing else is on the air (the only
@@ -440,7 +416,7 @@ class Channel:
                     for nid in mb.dec_ids_list:
                         radios[nid]._fnote("phy_decode_start", frame)
                 batch = _TxBatch(frame, ids, powers, mb.ids_list, mb.pw_list,
-                                 now + duration, epoch, mb)
+                                 epoch, mb)
                 led.active.append(batch)
                 self.sim.schedule(duration, self._end_transmission,
                                   src, frame, batch)
@@ -460,9 +436,7 @@ class Channel:
             ids = mb.ids[keep]
             powers = mb.powers[keep]
             dec = mb.dec[keep]
-            n = ids.shape[0]
-            self.stats.deliveries_attempted += n
-            perf.phy_batch_arrivals += n
+            perf.phy_batch_arrivals += ids.shape[0]
 
         ratio = self.params.capture_ratio
         down = led.down[ids]
@@ -503,7 +477,7 @@ class Channel:
         led.strongest[added] = np.maximum(led.strongest[added], added_pw)
 
         batch = _TxBatch(frame, added, added_pw, added.tolist(),
-                         added_pw.tolist(), now + duration, epoch, None)
+                         added_pw.tolist(), epoch, None)
         led.active.append(batch)
         self.sim.schedule(duration, self._end_transmission, src,
                           frame, batch)
@@ -553,63 +527,45 @@ class Channel:
         """End every arrival of *batch*, deliver its intact decodes and
         resolve the busy->idle carrier edges, in receiver order.
 
-        A frame is *clean* when its fan-out took the quiet path, no
-        other fan-out and no ``power_off``/``power_on`` happened before
-        it ended (the ledger epoch is still its own), and it is unicast
-        with no snooping MAC on a DATA frame. Then every receiver's
-        count is 1 and its strongest arrival is this one, every decoder
-        still decodes it intact, and no receiver is physically busy
-        afterwards, so the ledger returns to idle with array stores and
-        Python walks only the addressee and the MACs parked in a
-        contention state; every other decoder just takes the frame's
-        NAV. Every other frame walks every receiver. Clean frames end
-        this way only with the arena attached: the per-node path always
-        walks every receiver, and is the reference both are checked
-        against.
+        Without the arena this is the plain reference walk: every intact
+        decode goes through ``on_frame_received``, and every decoder and
+        every bystander whose carrier went idle gets ``medium_changed``.
+        With the arena every MAC is a DCF, and a frame is *clean* when
+        its fan-out took the quiet path, no other fan-out and no
+        ``power_off``/``power_on`` happened before it ended (the ledger
+        epoch is still its own), and it is unicast with no snooping MAC
+        on a DATA frame. Then every receiver's count is 1 and its
+        strongest arrival is this one, every decoder still decodes it
+        intact, and no receiver is physically busy afterwards, so the
+        ledger returns to idle with array stores and Python walks only
+        the addressee and the MACs parked in a contention state; every
+        other decoder just takes the frame's NAV. Every other frame
+        walks every receiver.
         """
         led = self._ledger
         active = led.active
         active.remove(batch)
-        radios = self.radios
-        # Overhear classification, once per frame instead of once per
-        # receiver: a non-broadcast frame's only effect on a receiver it
-        # is not addressed to is the NAV update (virtual carrier sense),
-        # so the batch applies it directly via ``overhear_nav`` and
-        # skips the MAC's per-frame dispatch. Promiscuous MACs still
-        # take the full path for DATA (they snoop overheard payloads).
-        frame_dst = frame.dst
-        overhear = self._overhear_ok
-        if overhear is None:
-            overhear = self._overhear_ok = all(
-                r is None or r.mac is None
-                or getattr(r.mac, "batch_overhear", False)
-                for r in radios
-            )
-            self._promiscuous = any(
-                getattr(r.mac, "promiscuous", False)
-                for r in radios if r is not None
-            )
-        if overhear and frame_dst != BROADCAST:
-            bulk = True
-            ftype = frame.ftype
-            data_frame = ftype == FrameType.DATA
-            nav_t = (
-                None if ftype == FrameType.ACK
-                else self.sim._now + frame.nav
-            )
-        else:
-            bulk = False
-            data_frame = False
-            nav_t = None
         arena = self._arena
+        if arena is not None:
+            # A DCF's only reaction to an overheard non-broadcast frame
+            # is the NAV update (virtual carrier sense), which the arena
+            # walk applies directly; snooping MACs still take the full
+            # path for DATA.
+            unicast = frame.dst != BROADCAST
+            ftype = frame.ftype
+            data_frame = unicast and ftype == FrameType.DATA
+            nav_t = (
+                self.sim._now + frame.nav
+                if unicast and ftype != FrameType.ACK else None
+            )
+            mb = batch.targets
+            if (
+                unicast and mb is not None and led.epoch == batch.epoch
+                and not (data_frame and self._promiscuous)
+            ):
+                self._end_clean(src, frame, batch, mb, arena, nav_t)
+                return
         added = batch.added
-        mb = batch.targets
-        if (
-            arena is not None and mb is not None and led.epoch == batch.epoch
-            and bulk and not (data_frame and self._promiscuous)
-        ):
-            self._end_clean(src, frame, batch, mb, arena, nav_t)
-            return
         led.counts[added] -= 1
         # Strongest-arrival recompute: zero the ended receivers and
         # re-max over the transmissions still on the air. max is
@@ -642,42 +598,26 @@ class Channel:
         pw_l = batch.pw_list
         # One ordered pass over the receivers whose arrival began:
         # decoders deliver (unless corrupted) and always get the
-        # carrier edge; bystanders get the edge only when this was
-        # their last overlapping arrival and their MAC is waiting (the
-        # carrier edge is a provable no-op for any other MAC).
+        # carrier edge; bystanders get it when this was their last
+        # overlapping arrival.
         if arena is not None:
             n_disp, n_supp = self._walk_dcf(
                 frame, batch.added_list, range(len(mine_l)), mine_l, ok_l,
-                busy_l, pw_l, arena._macs, bulk, data_frame, nav_t)
+                busy_l, pw_l, arena._macs, unicast, data_frame, nav_t)
             perf = self.perf
             perf.mac_edges_dispatched += n_disp
             perf.mac_edges_suppressed += n_supp
             src._transmit_done(frame)
             return
-        wants_l = led.wants_medium[added].tolist()
+        radios = self.radios
         for k, nid in enumerate(batch.added_list):
-            if mine_l[k]:
+            if mine_l[k] or not busy_l[k]:
                 mac = radios[nid].mac
                 if mac is None:
                     continue
                 if ok_l[k]:
-                    if bulk and nid != frame_dst and not (
-                        data_frame and mac.promiscuous
-                    ):
-                        # NAV-only reception: same conditional notify
-                        # as _set_nav, then the end-of-arrival edge
-                        # (gated exactly like the bystander branch).
-                        if nav_t is not None:
-                            mac.overhear_nav(nav_t)
-                        if wants_l[k]:
-                            mac.medium_changed()
-                        continue
                     mac.on_frame_received(frame, pw_l[k])
                 mac.medium_changed()
-            elif wants_l[k] and not busy_l[k]:
-                mac = radios[nid].mac
-                if mac is not None:
-                    mac.medium_changed()
         src._transmit_done(frame)
 
     def _end_clean(self, src, frame, batch, mb, arena, nav_t) -> None:
@@ -722,7 +662,7 @@ class Channel:
         src._transmit_done(frame)
 
     def _walk_dcf(self, frame, added_l, ks, mine_l, ok_l, busy_l, pw_l,
-                  macs, bulk, data_frame, nav_t):
+                  macs, unicast, data_frame, nav_t):
         """Arena-mode receiver walk over positions *ks* of *added_l*;
         returns ``(dispatched, suppressed)`` edge counts.
 
@@ -746,7 +686,7 @@ class Channel:
             phys = busy_l is not None and busy_l[k]
             if mine_l[k]:
                 if ok_l[k]:
-                    if bulk and nid != frame_dst and not (
+                    if unicast and nid != frame_dst and not (
                         data_frame and mac.promiscuous
                     ):
                         # Inlined overhear: _set_nav's raise +
@@ -759,8 +699,8 @@ class Channel:
                         # sit in _DIFS/_BACKOFF at its own frame end
                         # (its arrival kept the medium busy, so it froze
                         # on the busy edge); the defensive fallback runs
-                        # the un-inlined overhear_nav + medium_edge
-                        # chain if it ever happens.
+                        # the un-inlined _set_nav + medium_edge chain if
+                        # it ever happens.
                         s = mac._state
                         if nav_t is not None and nav_t > mac._nav:
                             if s == 1:  # _WAIT_MEDIUM
@@ -772,7 +712,7 @@ class Channel:
                                 mac._nav = nav_t
                                 n_supp += 1
                             else:  # impossible; exact fallback
-                                mac.overhear_nav(nav_t)
+                                mac._set_nav(nav_t)
                                 n_disp += 1
                                 mac.medium_edge(phys)
                         elif s == 1:

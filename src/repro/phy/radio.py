@@ -254,17 +254,6 @@ class Radio:
         """Physical carrier sense: transmitting or detectable energy."""
         return self._tx_end is not None or bool(self._led.counts[self.node_id])
 
-    def busy_until(self) -> float:
-        """Latest known end of the current busy period (now if idle)."""
-        t = self.sim.now
-        if self._tx_end is not None:
-            t = max(t, self._tx_end)
-        nid = self.node_id
-        for batch in self._led.active:
-            if batch.end > t and nid in batch.added_list:
-                t = batch.end
-        return t
-
     def set_mac_waiting(self, waiting: bool) -> None:
         """MAC hint, sent when it flips: the MAC is parked in a
         contention state and needs ``medium_changed`` edges (the channel

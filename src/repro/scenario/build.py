@@ -8,13 +8,10 @@ from typing import List, Optional
 from ..core.errors import ConfigurationError
 from ..core.simulator import Simulator
 from ..faults.manager import FaultManager
-
-# net before mac: mac.frames imports net.packet, and the net package's
-# __init__ imports the stack, whose PHY imports mac.frames back.
-from ..net.stack import Network, build_network  # isort: skip
 from ..mac.dcf import DcfMac
 from ..mac.ideal import IdealMac
 from ..mobility import Field, RandomWaypoint, StaticPosition
+from ..net.stack import Network, build_network
 from ..obs.profiler import Profiler
 from ..phy.propagation import WAVELAN_914MHZ, TwoRayGround
 from ..routing import (

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..stats.aggregate import aggregate_summaries
 from ..stats.metrics import MetricsSummary
 from .build import build_scenario
 from .config import ScenarioConfig
 from .options import EngineOptions
 
-__all__ = ["run_scenario", "run_replications", "summarize"]
+__all__ = ["run_scenario", "run_replications"]
 
 
 def run_scenario(
@@ -32,8 +31,3 @@ def run_replications(cfg: ScenarioConfig, replications: int) -> List[MetricsSumm
     return [
         run_scenario(cfg.with_(replication=r)) for r in range(replications)
     ]
-
-
-def summarize(summaries: List[MetricsSummary]) -> dict:
-    """Aggregate replications into per-metric point estimates."""
-    return aggregate_summaries(summaries)

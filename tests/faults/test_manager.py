@@ -74,7 +74,6 @@ class TestChurn:
         node = scn.network.nodes[0]
         scn.network.start_routing()
         mgr._crash(0)
-        assert mgr.node_down(0)
         assert node.radio.is_down
         assert not node.routing.alive
         assert len(node.mac.ifq) == 0
@@ -85,10 +84,24 @@ class TestChurn:
         # Recovery restores liveness and records the latency.
         scn.sim._now = 4.0
         mgr._recover(0)
-        assert not mgr.node_down(0)
         assert not node.radio.is_down
         assert node.routing.alive
         assert mgr.stats.recovery_latencies == [4.0]
+
+    def test_crashed_receiver_counts_its_lost_arrivals(self):
+        # Deafness lives in the PHY: arrivals at a receiver the manager
+        # crashed reach the ledger, which counts them in the radio's own
+        # RadioStats, and the summary's packets-lost reads the radios.
+        scn = build_scenario(faulted(plan=FaultPlanConfig(), mobility="static"))
+        scn.sim.schedule_at(0.0, scn.faults._crash, 0)
+        summary = scn.run()
+        radios = [node.radio for node in scn.network.nodes]
+        down_rx = sum(r.stats.down_rx_drops for r in radios)
+        assert radios[0].stats.down_rx_drops > 0
+        assert down_rx == radios[0].stats.down_rx_drops
+        assert summary.fault_packets_lost == down_rx + sum(
+            r.stats.down_tx_drops for r in radios
+        )
 
     def test_crash_of_unknown_node_rejected(self):
         scn = build_scenario(faulted())
@@ -143,16 +156,19 @@ class TestLinkImpairment:
     def test_filter_preserves_target_order(self):
         scn = build_scenario(faulted(plan=FaultPlanConfig(link_loss=0.5)))
         mgr = scn.faults
-        mgr._down[3] = True  # a crashed receiver consumes no draw
+        # A crashed receiver is kept (the PHY makes it deaf) and
+        # consumes no draw.
+        mgr._crash(3)
         ids = np.arange(1, 8, dtype=np.intp)
         draws = copy.deepcopy(mgr._link_rng)
         keep = mgr.filter_targets_array(0, ids, 1.0)
         kept = ids[keep].tolist()
         assert kept == sorted(kept)  # order preserved, only thinned
+        assert 3 in kept
         # One draw per surviving candidate, in receiver order.
         expected = [
             nid for nid in ids.tolist()
-            if nid != 3 and not draws.random() < 0.5
+            if nid == 3 or not draws.random() < 0.5
         ]
         assert kept == expected
         assert mgr._link_rng.random() == draws.random()

@@ -5,7 +5,7 @@ import pytest
 from repro.core import Simulator
 from repro.mac import DcfMac
 from repro.mobility import Leg, LegBasedModel, StaticPosition
-from repro.net import build_network
+from repro.net.stack import build_network
 from repro.phy import RadioParams, UnitDisk
 from repro.routing import Aodv, Dsdv, Dsr
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core import ConfigurationError, Simulator
 from repro.mac import IdealMac
 from repro.mobility import line_placement
-from repro.net import Network, build_network
+from repro.net.stack import Network, build_network
 from repro.phy import RadioParams, UnitDisk
 from repro.routing import OracleRouting
 

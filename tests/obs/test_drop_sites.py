@@ -40,7 +40,6 @@ EXEMPT = {
     ("mac/base.py", "drops_retry_limit"),
     # Per-frame RX filters: the sender's MAC never sees an ACK and
     # retries; the packet's fate is decided at retry exhaustion.
-    ("faults/manager.py", "down_rx_drops"),
     ("faults/manager.py", "partition_drops"),
     ("faults/manager.py", "link_drops"),
 }

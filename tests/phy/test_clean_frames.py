@@ -26,7 +26,7 @@ from repro.mac import DcfMac
 from repro.mac.base import MacStats
 from repro.mac.frames import Frame, FrameType, reset_frame_uids
 from repro.mobility import StaticPosition
-from repro.net import build_network
+from repro.net.stack import build_network
 from repro.net.packet import BROADCAST, Packet, PacketKind, reset_packet_uids
 from repro.phy.channel import Channel
 from repro.phy.radio import RadioStats

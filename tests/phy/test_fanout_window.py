@@ -23,7 +23,7 @@ from repro.phy.channel import Channel
 from repro.scenario import ScenarioConfig, run_scenario
 from repro.scenario.build import build_scenario
 
-from .test_batched_arrivals import BatchFakeMac
+from .test_batched_arrivals import FakeMac
 from .test_fanout_fused import make_channel
 
 
@@ -72,7 +72,7 @@ def test_static_field_computes_each_source_once():
 def build_channel(models, faulted=False):
     chan = make_channel(models)
     for radio in chan.radios:
-        radio.mac = BatchFakeMac()
+        radio.mac = FakeMac()
     if faulted:
         # Link loss filters each fan-out after the memo lookup.
         FaultManager(

@@ -51,7 +51,6 @@ class InverseSquare(PropagationModel):
 class QuietMac:
     """A MAC that only listens (the counters under test live below it)."""
 
-    batch_overhear = True
     promiscuous = False
 
     def on_frame_received(self, frame, power):
@@ -61,9 +60,6 @@ class QuietMac:
         pass
 
     def medium_changed(self):
-        pass
-
-    def overhear_nav(self, until):
         pass
 
 

@@ -9,7 +9,7 @@ import pytest
 from repro.core import Simulator
 from repro.mac import DcfMac, IdealMac
 from repro.mobility import StaticPosition
-from repro.net import build_network
+from repro.net.stack import build_network
 from repro.phy import RadioParams, UnitDisk
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core import Simulator
 from repro.mac import DcfMac
 from repro.mobility import Field, StaticPosition
-from repro.net import build_network
+from repro.net.stack import build_network
 from repro.phy import RadioParams, TwoRayGround
 from repro.routing.paodv import (
     Paodv,

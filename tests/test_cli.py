@@ -254,6 +254,26 @@ def test_obs_why_rejects_garbage(tmp_path, capsys):
     assert main(["obs", "why", str(bogus)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["obs", "report", "{missing}"],
+    ["obs", "report", "{torn}"],
+    ["obs", "trace", "{missing}", "-o", "{out}"],
+    ["obs", "trace", "{torn}", "-o", "{out}"],
+    ["obs", "why", "{missing}"],
+    ["obs", "why", "{torn}"],
+])
+def test_obs_unreadable_artifact_is_a_one_line_usage_error(
+        tmp_path, capsys, argv):
+    torn = tmp_path / "torn.json"
+    torn.write_text('{"a":')
+    paths = dict(missing=tmp_path / "absent.jsonl", torn=torn,
+                 out=tmp_path / "chrome.json")
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_sweep_drops_csv_columns(tmp_path):
     csv_path = tmp_path / "sweep.csv"
     assert main([

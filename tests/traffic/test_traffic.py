@@ -5,7 +5,7 @@ import pytest
 from repro.core import ConfigurationError, RngStreams, Simulator
 from repro.mac import IdealMac
 from repro.mobility import line_placement
-from repro.net import build_network
+from repro.net.stack import build_network
 from repro.phy import RadioParams, UnitDisk
 from repro.routing.oracle import OracleRouting
 from repro.traffic import CbrSource, generate_connections
