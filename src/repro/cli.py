@@ -26,7 +26,10 @@ from .core.errors import ConfigurationError
 from .faults.plan import FaultPlanConfig
 from .scenario import MOBILITY_MODELS, PROTOCOLS, ScenarioConfig, run_scenario, run_sweep
 from .scenario.build import build_scenario
-from .scenario.io import load_config, read_json, save_config, sweep_to_csv
+from .scenario.io import (
+    check_output, load_config, read_json, save_config, sweep_to_csv,
+    write_output,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -68,6 +71,17 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
                         "flags are ignored; --protocol still applies)")
     p.add_argument("--save-config", metavar="JSON",
                    help="write the effective scenario to a JSON file")
+
+
+def _check_outputs(*paths) -> None:
+    """Refuse each given output path before any simulation runs."""
+    for path in paths:
+        if path:
+            check_output(path)
+
+
+def _write_json(path, data, **kw) -> None:
+    write_output(path, json.dumps(data, indent=2, **kw) + "\n")
 
 
 def _config_from(args, protocol: str) -> ScenarioConfig:
@@ -161,6 +175,7 @@ def _perf_pairs(perf: dict) -> dict:
 
 
 def cmd_run(args) -> int:
+    _check_outputs(args.profile_out, args.flight_trace, args.flight_report)
     cfg = _config_from(args, args.protocol)
     if args.profile or args.profile_out:
         cfg = cfg.with_(profile=True)
@@ -176,17 +191,15 @@ def cmd_run(args) -> int:
 
         print(render_profile_table(summary.profile))
     if args.profile_out:
-        with open(args.profile_out, "w") as fh:
-            json.dump(summary.profile, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.profile_out, summary.profile)
         print(f"[wrote {args.profile_out}]")
     flight = summary.flight
     if flight:
         print(render_kv_table("Packet conservation", _flight_pairs(flight)))
         if args.flight_trace:
-            from .obs.flight import write_flight_jsonl
+            from .obs.flight import flight_jsonl_str
 
-            write_flight_jsonl(flight, args.flight_trace)
+            write_output(args.flight_trace, flight_jsonl_str(flight))
             print(
                 f"[wrote {len(flight.get('events', ()))} flight event(s) "
                 f"to {args.flight_trace}]"
@@ -196,9 +209,7 @@ def cmd_run(args) -> int:
                 k: v for k, v in flight.items()
                 if k not in ("events", "sample")
             }
-            with open(args.flight_report, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(args.flight_report, report, sort_keys=True)
             print(f"[wrote {args.flight_report}]")
         if not flight.get("conserved"):
             print(
@@ -225,6 +236,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_outputs(args.csv)
     base = _config_from(args, args.protocols[0])
     values = [float(v) if "." in v or args.param != "n_nodes" else int(v)
               for v in args.values]
@@ -316,11 +328,8 @@ def cmd_obs_trace(args) -> int:
     """Convert a flight JSONL into Chrome trace_event JSON."""
     from .obs.flight import flight_to_chrome, load_flight_jsonl
 
-    flight = load_flight_jsonl(args.path)
-    chrome = flight_to_chrome(flight)
-    with open(args.out, "w") as fh:
-        json.dump(chrome, fh)
-        fh.write("\n")
+    chrome = flight_to_chrome(load_flight_jsonl(args.path))
+    write_output(args.out, json.dumps(chrome) + "\n")
     n = sum(1 for e in chrome["traceEvents"] if e.get("ph") == "i")
     print(
         f"[wrote {n} event(s) to {args.out} — open in chrome://tracing "

@@ -32,8 +32,9 @@ from .frames import Dot11, Frame, FrameType
 
 __all__ = ["DcfMac"]
 
-# MAC service states. Small ints: medium_changed fires on every arrival
-# edge and range-checks the three states that can react (1..3).
+# MAC service states, defined here only (repro.mac.arena imports them).
+# Small ints: medium_changed fires on every arrival edge and
+# range-checks the three states that can react (1..3).
 _IDLE = 0
 _WAIT_MEDIUM = 1
 _DIFS = 2
@@ -166,23 +167,6 @@ class DcfMac(MacLayer):
             self._ensure_nav_wake()
             return
         self._set_state(_DIFS)
-        self._timer = self.sim.schedule(Dot11.DIFS, self._difs_done)
-
-    def _resume_contention(self) -> None:
-        """End-of-frame resume of a parked bystander: the medium is
-        provably idle.
-
-        The channel's arena resolve loop already established ``not
-        busy`` for this node (ledger count 0, not transmitting, NAV
-        expired — all frozen for bystanders during the resolve pass),
-        so this is exactly :meth:`_begin_contention`'s idle branch
-        without re-deriving busy-ness per node. Only called with an
-        arena attached; inlined stores because resume storms (every
-        parked node, every reservation end) are a saturated cell's hot
-        loop. _WAIT_MEDIUM -> _DIFS stays inside the waiting band, so
-        the radio wants_medium flag is untouched.
-        """
-        self._state = _DIFS
         self._timer = self.sim.schedule(Dot11.DIFS, self._difs_done)
 
     def _ensure_nav_wake(self) -> None:

@@ -21,15 +21,13 @@ from ..core.errors import ConfigurationError
 
 __all__ = ["Profiler", "entry_points", "profile_layer_seconds"]
 
-#: DCF's public methods plus the four private ones other layers reach
-#: directly: the channel's resolve loop calls ``_ensure_nav_wake`` /
-#: ``_begin_contention`` / ``_resume_contention`` inline, and the arena
-#: pushes ``_nav_wake_fired`` onto the event queue itself.
+#: DCF's public methods. The private ones are called only from inside
+#: ``repro.mac`` (the contention arena's edge loops among them), where a
+#: mac span is already open, and the timers they arm are booked to mac
+#: by the wrapped scheduler.
 _MAC_NAMES = (
     "send", "on_frame_received", "on_transmit_done", "medium_changed",
     "medium_edge", "purge_next_hop",
-    "_ensure_nav_wake", "_begin_contention", "_resume_contention",
-    "_nav_wake_fired",
 )
 
 
@@ -53,7 +51,7 @@ def entry_points():
         (Channel, ("transmit", "flush_phy_stats")),
         (Radio, ("transmit",)),
         (MacLayer, _MAC_NAMES),
-        (ContentionArena, ("busy_edges",)),
+        (ContentionArena, ("busy_edges", "end_edges")),
         (RoutingProtocol, ("originate", "deliver", "link_failed", "start")),
         (Node, ("send", "deliver_local")),
         (MetricsCollector, ("on_send", "on_receive", "finish")),

@@ -164,8 +164,6 @@ class Channel:
         self._unattached = len(mobility)
         #: Shared DCF contention arena (see :meth:`enable_arena`).
         self._arena = None
-        #: Whether any MAC snoops overheard DATA (set with the arena).
-        self._promiscuous = False
         # Flight recorder with PHY verdicts requested, frozen at
         # construction like each radio's.
         flight = sim.flight
@@ -219,7 +217,6 @@ class Channel:
         macs = [r.mac if r is not None else None for r in self.radios]
         if not all(isinstance(mac, DcfMac) for mac in macs):
             return False
-        self._promiscuous = any(mac.promiscuous for mac in macs)
         self._arena = ContentionArena(self.sim, self._ledger, self.radios)
         return True
 
@@ -527,43 +524,36 @@ class Channel:
         """End every arrival of *batch*, deliver its intact decodes and
         resolve the busy->idle carrier edges, in receiver order.
 
-        Without the arena this is the plain reference walk: every intact
-        decode goes through ``on_frame_received``, and every decoder and
-        every bystander whose carrier went idle gets ``medium_changed``.
-        With the arena every MAC is a DCF, and a frame is *clean* when
-        its fan-out took the quiet path, no other fan-out and no
-        ``power_off``/``power_on`` happened before it ended (the ledger
-        epoch is still its own), and it is unicast with no snooping MAC
-        on a DATA frame. Then every receiver's count is 1 and its
-        strongest arrival is this one, every decoder still decodes it
-        intact, and no receiver is physically busy afterwards, so the
-        ledger returns to idle with array stores and Python walks only
-        the addressee and the MACs parked in a contention state; every
-        other decoder just takes the frame's NAV. Every other frame
-        walks every receiver.
+        This is the ledger half: counts, strongest powers and the
+        decode verdicts. Without the arena the MAC half is the plain
+        reference walk: every intact decode goes through
+        ``on_frame_received``, and every decoder and every bystander
+        whose carrier went idle gets ``medium_changed``. With the arena
+        every MAC is a DCF, and the channel hands its verdicts to
+        :meth:`~repro.mac.arena.ContentionArena.end_edges`, which
+        resolves both. A frame is *clean* when its fan-out took the
+        quiet path, no other fan-out and no ``power_off``/``power_on``
+        happened before it ended (the ledger epoch is still its own),
+        and it is unicast with no snooping MAC on a DATA frame. Then
+        every receiver's count is 1 and its strongest arrival is this
+        one, every decoder still decodes it intact, and no receiver is
+        physically busy afterwards, so the ledger returns to idle with
+        array stores (:meth:`_end_clean`) and the arena walks only the
+        addressee and the MACs parked in a contention state. Every
+        other frame walks every receiver.
         """
         led = self._ledger
         active = led.active
         active.remove(batch)
         arena = self._arena
         if arena is not None:
-            # A DCF's only reaction to an overheard non-broadcast frame
-            # is the NAV update (virtual carrier sense), which the arena
-            # walk applies directly; snooping MACs still take the full
-            # path for DATA.
-            unicast = frame.dst != BROADCAST
-            ftype = frame.ftype
-            data_frame = unicast and ftype == FrameType.DATA
-            nav_t = (
-                self.sim._now + frame.nav
-                if unicast and ftype != FrameType.ACK else None
-            )
             mb = batch.targets
             if (
-                unicast and mb is not None and led.epoch == batch.epoch
-                and not (data_frame and self._promiscuous)
+                mb is not None and led.epoch == batch.epoch
+                and frame.dst != BROADCAST
+                and not (arena.snoops and frame.ftype == FrameType.DATA)
             ):
-                self._end_clean(src, frame, batch, mb, arena, nav_t)
+                self._end_clean(src, frame, batch, mb, arena)
                 return
         added = batch.added
         led.counts[added] -= 1
@@ -601,12 +591,8 @@ class Channel:
         # carrier edge; bystanders get it when this was their last
         # overlapping arrival.
         if arena is not None:
-            n_disp, n_supp = self._walk_dcf(
-                frame, batch.added_list, range(len(mine_l)), mine_l, ok_l,
-                busy_l, pw_l, arena._macs, unicast, data_frame, nav_t)
-            perf = self.perf
-            perf.mac_edges_dispatched += n_disp
-            perf.mac_edges_suppressed += n_supp
+            arena.end_edges(frame, batch.added_list, range(len(mine_l)),
+                            mine_l, ok_l, busy_l, pw_l)
             src._transmit_done(frame)
             return
         radios = self.radios
@@ -620,7 +606,7 @@ class Channel:
                 mac.medium_changed()
         src._transmit_done(frame)
 
-    def _end_clean(self, src, frame, batch, mb, arena, nav_t) -> None:
+    def _end_clean(self, src, frame, batch, mb, arena) -> None:
         """:meth:`_end_transmission` of a clean frame (arena attached)."""
         led = self._ledger
         added = batch.added
@@ -630,11 +616,9 @@ class Channel:
         led.rx_power[dec] = 0.0
         led.rx_tx[dec] = 0
         led.d_frames_received[dec] += 1
-        macs = arena._macs
-        dst = frame.dst
         added_l = batch.added_list
         try:
-            at = added_l.index(dst)
+            at = added_l.index(frame.dst)
         except ValueError:
             at = -1
         if led.n_waiting:
@@ -644,124 +628,6 @@ class Channel:
             ks = walk.nonzero()[0].tolist()
         else:
             ks = [at] if at >= 0 else []
-        # Decoders outside the walk are neither addressed nor waiting:
-        # the frame's NAV is all they take (what _set_nav does there).
-        if nav_t is not None:
-            for nid in mb.dec_ids_list:
-                mac = macs[nid]
-                if nav_t > mac._nav and not mac._waiting and nid != dst:
-                    mac._nav = nav_t
-        n_disp, n_supp = self._walk_dcf(
-            frame, added_l, ks, mb.dec_list, mb.dec_list, None,
-            batch.pw_list, macs, True, frame.ftype == FrameType.DATA, nav_t)
-        perf = self.perf
-        perf.mac_edges_dispatched += n_disp
-        # Every receiver outside the walk is a carrier edge proven
-        # to be a no-op.
-        perf.mac_edges_suppressed += n_supp + len(added_l) - len(ks)
+        arena.end_edges(frame, added_l, ks, mb.dec_list, mb.dec_list, None,
+                        batch.pw_list, mb.dec_ids_list)
         src._transmit_done(frame)
-
-    def _walk_dcf(self, frame, added_l, ks, mine_l, ok_l, busy_l, pw_l,
-                  macs, unicast, data_frame, nav_t):
-        """Arena-mode receiver walk over positions *ks* of *added_l*;
-        returns ``(dispatched, suppressed)`` edge counts.
-
-        Freeze/credit/resume verdicts are derived from the MAC scalars
-        and applied in receiver order (so heap insertion order — and
-        every ``(time, seq)`` tie-break downstream — is untouched).
-        Lazy per-receiver evaluation is exact: deliveries only mutate
-        their own node, physical busy-ness (*busy_l*, None for all
-        idle) is frozen for the pass because DCF never transmits
-        synchronously from a delivery, and a decoder's own overhear
-        never changes its waiting-ness — while ``medium_edge`` re-reads
-        the live scalars it depends on.
-        """
-        now = self.sim._now
-        frame_dst = frame.dst
-        n_disp = 0
-        n_supp = 0
-        for k in ks:
-            nid = added_l[k]
-            mac = macs[nid]
-            phys = busy_l is not None and busy_l[k]
-            if mine_l[k]:
-                if ok_l[k]:
-                    if unicast and nid != frame_dst and not (
-                        data_frame and mac.promiscuous
-                    ):
-                        # Inlined overhear: _set_nav's raise +
-                        # self-notify chain plus the trailing
-                        # medium_edge collapse, for a decoder, to
-                        # "raise NAV, ensure the wake covers it" — a
-                        # raised NAV makes busy-ness true outright, and
-                        # once the wake covers nav the second
-                        # notification provably no-ops. A decoder can't
-                        # sit in _DIFS/_BACKOFF at its own frame end
-                        # (its arrival kept the medium busy, so it froze
-                        # on the busy edge); the defensive fallback runs
-                        # the un-inlined _set_nav + medium_edge chain if
-                        # it ever happens.
-                        s = mac._state
-                        if nav_t is not None and nav_t > mac._nav:
-                            if s == 1:  # _WAIT_MEDIUM
-                                mac._nav = nav_t
-                                if mac._nav_wake < nav_t:
-                                    mac._ensure_nav_wake()
-                                n_disp += 1
-                            elif s == 0 or s > 3:  # not waiting
-                                mac._nav = nav_t
-                                n_supp += 1
-                            else:  # impossible; exact fallback
-                                mac._set_nav(nav_t)
-                                n_disp += 1
-                                mac.medium_edge(phys)
-                        elif s == 1:
-                            # medium_edge, s==_WAIT_MEDIUM branch: busy
-                            # -> _ensure_nav_wake (a no-op when the wake
-                            # already covers nav), idle ->
-                            # _begin_contention.
-                            n_disp += 1
-                            nav = mac._nav
-                            if phys or now < nav:
-                                if now < nav and mac._nav_wake < nav:
-                                    mac._ensure_nav_wake()
-                            else:
-                                mac._begin_contention()
-                        elif s == 2 or s == 3:
-                            n_disp += 1
-                            mac.medium_edge(phys)
-                        else:
-                            n_supp += 1
-                        continue
-                    mac.on_frame_received(frame, pw_l[k])
-                n_disp += 1
-                mac.medium_edge(phys)
-                continue
-            # Bystander verdict against live (= pre-pass) state, each
-            # branch what medium_changed would do: not waiting or still
-            # physically busy -> nothing (medium_changed returns early
-            # for these too); NAV-busy -> arm a wake unless one covers
-            # nav (NAV-busy implies _WAIT_MEDIUM, since raising a NAV
-            # freezes immediately; medium_edge covers the impossible
-            # remainder defensively); fully idle -> _WAIT_MEDIUM begins
-            # DIFS, _DIFS/_BACKOFF only react to *busy*.
-            s = mac._state
-            if not 1 <= s <= 3 or phys:
-                n_supp += 1
-                continue
-            nav = mac._nav
-            if nav > now:
-                if mac._nav_wake < nav:
-                    n_disp += 1
-                    if s == 1:
-                        mac._ensure_nav_wake()
-                    else:
-                        mac.medium_edge(False)
-                else:
-                    n_supp += 1
-            elif s == 1:
-                n_disp += 1
-                mac._resume_contention()
-            else:
-                n_supp += 1
-        return n_disp, n_supp

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
+import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Union
 
@@ -26,6 +28,8 @@ __all__ = [
     "save_config",
     "load_config",
     "read_json",
+    "check_output",
+    "write_output",
     "summaries_to_csv",
     "sweep_to_csv",
 ]
@@ -53,8 +57,36 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return from_json(ScenarioConfig, data, "config")
 
 
+def check_output(path: PathLike) -> None:
+    """Refuse *path* as an output file before any work is spent on it:
+    :class:`ConfigurationError` unless its directory exists and takes
+    writes and *path* itself is no directory."""
+    out = Path(path)
+    parent = out.parent
+    if not parent.is_dir():
+        raise ConfigurationError(f"{path}: cannot write: no directory {parent}")
+    if out.is_dir():
+        raise ConfigurationError(f"{path}: cannot write: is a directory")
+    if not os.access(parent, os.W_OK):
+        raise ConfigurationError(
+            f"{path}: cannot write: directory {parent} is not writable"
+        )
+
+
+def write_output(path: PathLike, text: str) -> None:
+    """Write *text* to *path* as is; an OS error raises
+    :class:`ConfigurationError` naming the file."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"{path}: cannot write: {exc.strerror or exc}"
+        ) from None
+
+
 def save_config(cfg: ScenarioConfig, path: PathLike) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
+    write_output(path, json.dumps(config_to_dict(cfg), indent=2) + "\n")
 
 
 def read_json(path: PathLike, what: str):
@@ -156,18 +188,19 @@ def summaries_to_csv(
     drops_values = None
     if include_drops:
         drops_header, drops_values = _drops_columns(rows)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(
+        list(extra) + list(HEADLINE_FIELDS) + obs_header + drops_header
+    )
+    for i, s in enumerate(rows):
         writer.writerow(
-            list(extra) + list(HEADLINE_FIELDS) + obs_header + drops_header
+            [extra[k][i] for k in extra]
+            + [getattr(s, col) for col in HEADLINE_FIELDS]
+            + (obs_values(i, s) if obs_values is not None else [])
+            + (drops_values(i, s) if drops_values is not None else [])
         )
-        for i, s in enumerate(rows):
-            writer.writerow(
-                [extra[k][i] for k in extra]
-                + [getattr(s, col) for col in HEADLINE_FIELDS]
-                + (obs_values(i, s) if obs_values is not None else [])
-                + (drops_values(i, s) if drops_values is not None else [])
-            )
+    write_output(path, buf.getvalue())
 
 
 def sweep_to_csv(

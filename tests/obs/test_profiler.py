@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.simulator import Simulator
+from repro.mac.arena import ContentionArena
 from repro.obs.profiler import Profiler, entry_points, profile_layer_seconds
 from repro.scenario import ScenarioConfig, run_scenario
 from repro.scenario.build import build_scenario
@@ -119,6 +120,28 @@ def test_saturated_cell_books_its_contention_to_mac():
         duration=1.0, traffic_start_window=(0.0, 0.1), profile=True,
     ))
     assert _shares(summary)["mac"] >= 0.2
+
+
+def test_saturated_cell_books_its_frame_ends_to_mac_under_phy(monkeypatch):
+    # The channel's end-of-frame event hands its verdicts to the arena:
+    # that walk is DCF work, so it runs in a mac span under the
+    # channel's phy span, not in phy's self time.
+    paths = []
+    end_edges = ContentionArena.end_edges
+
+    def probe(self, *args, **kwargs):
+        stack = Profiler._installed._stack
+        paths.append("/".join(span.layer for span in stack[1:]))
+        return end_edges(self, *args, **kwargs)
+
+    probe.__module__ = end_edges.__module__
+    monkeypatch.setattr(ContentionArena, "end_edges", probe)
+    run_scenario(ScenarioConfig(
+        protocol="aodv", seed=1, n_nodes=20, field_size=(200.0, 200.0),
+        mobility="static", n_connections=20, rate=80.0, packet_size=256,
+        duration=1.0, traffic_start_window=(0.0, 0.1), profile=True,
+    ))
+    assert paths and set(paths) == {"core/phy/mac"}
 
 
 def test_dsdv_field_books_its_table_dumps_to_routing():

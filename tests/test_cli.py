@@ -274,6 +274,44 @@ def test_obs_unreadable_artifact_is_a_one_line_usage_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--protocol", "aodv", "--profile-out", "{bad}", *FAST],
+    ["run", "--protocol", "aodv", "--flight-trace", "{bad}", *FAST],
+    ["run", "--protocol", "aodv", "--flight-report", "{bad}", *FAST],
+    ["run", "--protocol", "aodv", "--save-config", "{bad}", *FAST],
+    ["obs", "trace", "{trace}", "-o", "{bad}"],
+    ["sweep", "--param", "pause_time", "--values", "0", "--protocols",
+     "aodv", "--processes", "1", "--csv", "{bad}", *FAST],
+    ["sweep", "--param", "pause_time", "--values", "0", "--protocols",
+     "aodv", "--processes", "1", "--save-config", "{bad}", *FAST],
+])
+@pytest.mark.parametrize("bad", ["absent/out.json", "."])
+def test_unwritable_output_is_a_one_line_usage_error(
+        tmp_path, monkeypatch, capsys, argv, bad):
+    # An output path that cannot be written is refused before any
+    # simulation runs: no result table, no sweep cache, no traceback.
+    monkeypatch.chdir(tmp_path)
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("")
+    args = [a.format(bad=tmp_path / bad, trace=trace) for a in argv]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    err = captured.err
+    assert err.startswith(f"repro: error: {tmp_path / bad}: cannot write")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.jsonl"]
+
+
+def test_write_output_failure_is_a_configuration_error(tmp_path):
+    # The write itself, should the directory go away after the check.
+    from repro.core.errors import ConfigurationError
+    from repro.scenario.io import write_output
+
+    with pytest.raises(ConfigurationError, match="cannot write"):
+        write_output(tmp_path / "gone" / "x.csv", "a,b\n")
+
+
 def test_sweep_drops_csv_columns(tmp_path):
     csv_path = tmp_path / "sweep.csv"
     assert main([
