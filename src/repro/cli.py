@@ -22,14 +22,11 @@ except ImportError:  # not on Windows
     resource = None
 
 from .analysis.tables import render_kv_table, render_series_table
-from .core.errors import ConfigurationError
+from .core.errors import ConfigurationError, check_output, write_output
 from .faults.plan import FaultPlanConfig
 from .scenario import MOBILITY_MODELS, PROTOCOLS, ScenarioConfig, run_scenario, run_sweep
 from .scenario.build import build_scenario
-from .scenario.io import (
-    check_output, load_config, read_json, save_config, sweep_to_csv,
-    write_output,
-)
+from .scenario.io import load_config, read_json, save_config, sweep_to_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -197,9 +194,9 @@ def cmd_run(args) -> int:
     if flight:
         print(render_kv_table("Packet conservation", _flight_pairs(flight)))
         if args.flight_trace:
-            from .obs.flight import flight_jsonl_str
+            from .obs.flight import write_flight_jsonl
 
-            write_output(args.flight_trace, flight_jsonl_str(flight))
+            write_flight_jsonl(flight, args.flight_trace)
             print(
                 f"[wrote {len(flight.get('events', ()))} flight event(s) "
                 f"to {args.flight_trace}]"

@@ -3,9 +3,15 @@
 All library errors derive from :class:`SimulationError` so callers can
 catch everything the simulator may raise with a single ``except`` clause
 while still distinguishing configuration mistakes from runtime faults.
+The two output-file guards live here too: every artifact writer checks
+and writes through them, so an unwritable path is one
+:class:`ConfigurationError` naming the file.
 """
 
 from __future__ import annotations
+
+import os
+from pathlib import Path
 
 __all__ = [
     "SimulationError",
@@ -15,6 +21,8 @@ __all__ = [
     "PacketError",
     "FaultInjectionError",
     "FabricError",
+    "check_output",
+    "write_output",
 ]
 
 
@@ -50,3 +58,31 @@ class FabricError(SimulationError):
     speaking garbage; the executor maps all of them onto graceful
     local-pool fallback rather than a failed sweep.
     """
+
+
+def check_output(path) -> None:
+    """Refuse *path* as an output file before any work is spent on it:
+    :class:`ConfigurationError` unless its directory exists and takes
+    writes and *path* itself is no directory."""
+    out = Path(path)
+    parent = out.parent
+    if not parent.is_dir():
+        raise ConfigurationError(f"{path}: cannot write: no directory {parent}")
+    if out.is_dir():
+        raise ConfigurationError(f"{path}: cannot write: is a directory")
+    if not os.access(parent, os.W_OK):
+        raise ConfigurationError(
+            f"{path}: cannot write: directory {parent} is not writable"
+        )
+
+
+def write_output(path, text: str) -> None:
+    """Write *text* to *path* as is; an OS error raises
+    :class:`ConfigurationError` naming the file."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"{path}: cannot write: {exc.strerror or exc}"
+        ) from None

@@ -39,7 +39,7 @@ from collections import Counter
 from typing import Dict, List
 
 from ..core.drops import TERMINAL_VALUES, DropReason
-from ..core.errors import ConfigurationError
+from ..core.errors import ConfigurationError, write_output
 
 __all__ = [
     "FLIGHT_SCHEMA_VERSION",
@@ -249,9 +249,9 @@ def flight_jsonl_str(flight: dict) -> str:
 
 
 def write_flight_jsonl(flight: dict, path) -> None:
-    """Write :func:`flight_jsonl_str` of *flight* to *path*."""
-    with open(path, "w") as fh:
-        fh.write(flight_jsonl_str(flight))
+    """Write :func:`flight_jsonl_str` of *flight* to *path*; an OS error
+    raises :class:`ConfigurationError` naming the file."""
+    write_output(path, flight_jsonl_str(flight))
 
 
 def load_flight_jsonl(path) -> dict:

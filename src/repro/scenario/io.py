@@ -12,11 +12,10 @@ import csv
 import dataclasses
 import io
 import json
-import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Union
 
-from ..core.errors import ConfigurationError
+from ..core.errors import ConfigurationError, write_output
 from ..core.schema import from_json
 from ..stats.metrics import HEADLINE_FIELDS, MetricsSummary
 from .config import ScenarioConfig
@@ -28,8 +27,6 @@ __all__ = [
     "save_config",
     "load_config",
     "read_json",
-    "check_output",
-    "write_output",
     "summaries_to_csv",
     "sweep_to_csv",
 ]
@@ -55,34 +52,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     values all raise :class:`ConfigurationError` naming the key.
     """
     return from_json(ScenarioConfig, data, "config")
-
-
-def check_output(path: PathLike) -> None:
-    """Refuse *path* as an output file before any work is spent on it:
-    :class:`ConfigurationError` unless its directory exists and takes
-    writes and *path* itself is no directory."""
-    out = Path(path)
-    parent = out.parent
-    if not parent.is_dir():
-        raise ConfigurationError(f"{path}: cannot write: no directory {parent}")
-    if out.is_dir():
-        raise ConfigurationError(f"{path}: cannot write: is a directory")
-    if not os.access(parent, os.W_OK):
-        raise ConfigurationError(
-            f"{path}: cannot write: directory {parent} is not writable"
-        )
-
-
-def write_output(path: PathLike, text: str) -> None:
-    """Write *text* to *path* as is; an OS error raises
-    :class:`ConfigurationError` naming the file."""
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigurationError(
-            f"{path}: cannot write: {exc.strerror or exc}"
-        ) from None
 
 
 def save_config(cfg: ScenarioConfig, path: PathLike) -> None:

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.core.drops import TERMINAL_VALUES, DropReason
+from repro.core.errors import ConfigurationError
 from repro.net.packet import Packet, PacketKind
 from repro.obs.flight import (
     FLIGHT_SCHEMA_VERSION,
@@ -179,6 +180,10 @@ class TestExport:
         assert loaded["events"] == flight["events"]
         assert loaded["offered"] == flight["offered"]
         assert loaded["conserved"] is True
+
+    def test_jsonl_unwritable_path_is_a_configuration_error(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot write"):
+            write_flight_jsonl(self._traced(), tmp_path / "gone" / "f.jsonl")
 
     def test_jsonl_str_shape(self):
         lines = flight_jsonl_str(self._traced()).splitlines()

@@ -305,8 +305,7 @@ def test_unwritable_output_is_a_one_line_usage_error(
 
 def test_write_output_failure_is_a_configuration_error(tmp_path):
     # The write itself, should the directory go away after the check.
-    from repro.core.errors import ConfigurationError
-    from repro.scenario.io import write_output
+    from repro.core.errors import ConfigurationError, write_output
 
     with pytest.raises(ConfigurationError, match="cannot write"):
         write_output(tmp_path / "gone" / "x.csv", "a,b\n")
