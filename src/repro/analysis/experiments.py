@@ -95,8 +95,8 @@ QUICK = Scale(
 def current_scale() -> Scale:
     """Pick the scale from the environment (FULL > QUICK > default).
 
-    A switch is on only when set to ``"1"``, as ``MANETSIM_FLIGHT`` is;
-    ``"0"`` and the empty string leave it off.
+    A switch is on only when set to ``"1"``; ``"0"`` and the empty
+    string leave it off.
     """
     if os.environ.get("MANETSIM_FULL") == "1":
         return FULL

@@ -202,10 +202,7 @@ def cmd_run(args) -> int:
                 f"to {args.flight_trace}]"
             )
         if args.flight_report:
-            report = {
-                k: v for k, v in flight.items()
-                if k not in ("events", "sample")
-            }
+            report = {k: v for k, v in flight.items() if k != "events"}
             _write_json(args.flight_report, report, sort_keys=True)
             print(f"[wrote {args.flight_report}]")
         if not flight.get("conserved"):
@@ -218,10 +215,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    # One config (saved once, before any run); each protocol runs it.
+    base = _config_from(args, args.protocols[0])
     rows: dict = {}
     for proto in args.protocols:
-        cfg = _config_from(args, proto)
-        s = run_scenario(cfg)
+        s = run_scenario(base.with_(protocol=proto))
         for key, value in _summary_pairs(s).items():
             rows.setdefault(key, []).append(value)
     print(
@@ -364,9 +362,7 @@ def cmd_obs_why(args) -> int:
         return 1
     conserved = bool(flight.get("conserved"))
     if args.json:
-        report = {
-            k: v for k, v in flight.items() if k not in ("events", "sample")
-        }
+        report = {k: v for k, v in flight.items() if k != "events"}
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(render_kv_table("Packet conservation", _flight_pairs(flight)))
@@ -487,8 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--flight-trace", metavar="JSONL",
                        help="record the per-packet causal event trace and "
                             "write it as flight JSONL (implies --flight; "
-                            "convert with 'repro obs trace'; sample with "
-                            "MANETSIM_TRACE_SAMPLE=N)")
+                            "convert with 'repro obs trace')")
     p_run.add_argument("--flight-report", metavar="JSON",
                        help="write the conservation report as JSON "
                             "(implies --flight; inspect with "

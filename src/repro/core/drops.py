@@ -17,13 +17,21 @@ reasons split into two classes:
 
 The enum values are short stable strings (they appear in JSONL traces,
 CSV columns, and reports), so renaming one is a schema change.
+
+Every terminal drop goes through one :class:`DropLedger` call, which
+counts it and tells the flight recorder. One ledger lives on each
+:class:`~repro.core.simulator.Simulator` (``sim.drops``); a component
+built on its own (a send buffer or interface queue in a test) makes a
+fresh one. Frame-level reasons never reach a ledger: the MAC and the
+fault filters count those in their own stats.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Dict
 
-__all__ = ["DropReason", "TERMINAL", "TERMINAL_VALUES"]
+__all__ = ["DropLedger", "DropReason", "TERMINAL", "TERMINAL_VALUES"]
 
 
 class DropReason(str, Enum):
@@ -93,3 +101,35 @@ TERMINAL = frozenset(
 #: String values of :data:`TERMINAL` (hook sites pass enum members or
 #: plain strings; the recorder compares against this set).
 TERMINAL_VALUES = frozenset(r.value for r in TERMINAL)
+
+
+class DropLedger:
+    """Terminal drops of one simulation, counted by reason.
+
+    ``drop(packet, reason, node)`` is the one call a layer makes when a
+    packet's life ends. It counts every call, control packets included
+    (an IFQ that rejects a routing packet counts it under ``ifq_full``),
+    and hands the event to the flight recorder when one is attached,
+    which keeps only data packets.
+    """
+
+    __slots__ = ("counts", "flight")
+
+    def __init__(self) -> None:
+        #: Calls per terminal reason, in :class:`DropReason` order.
+        self.counts: Dict[DropReason, int] = {
+            r: 0 for r in DropReason if r in TERMINAL
+        }
+        #: Optional :class:`repro.obs.flight.FlightRecorder`.
+        self.flight = None
+
+    def drop(self, packet, reason: DropReason, node: int) -> None:
+        """*packet* was discarded at *node* for the terminal *reason*."""
+        self.counts[reason] += 1
+        flight = self.flight
+        if flight is not None:
+            flight.drop(packet, reason, node)
+
+    def nonzero(self) -> Dict[str, int]:
+        """``{reason value: count}`` of the reasons that occurred."""
+        return {r.value: n for r, n in self.counts.items() if n}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from .drops import DropLedger
 from .errors import SchedulingError
 from .events import Event, EventQueue
 from .perfcounters import PerfCounters
@@ -48,11 +49,21 @@ class Simulator:
         self.rng = RngStreams(seed)
         #: Count of events actually fired; useful for performance reporting.
         self.events_processed = 0
-        #: Optional :class:`repro.obs.flight.FlightRecorder`. ``None``
-        #: (the default) leaves every per-packet lifecycle hook dead —
-        #: layers test ``is not None`` on cold drop paths only, so a
-        #: disabled recorder costs nothing and changes nothing.
-        self.flight = None
+        #: Every terminal packet drop, counted by reason; handed to
+        #: each layer at construction, like ``perf``.
+        self.drops = DropLedger()
+
+    @property
+    def flight(self):
+        """Optional :class:`repro.obs.flight.FlightRecorder`, held by the
+        drop ledger. ``None`` (the default) leaves every per-packet
+        lifecycle hook dead, so a disabled recorder costs nothing and
+        changes nothing."""
+        return self.drops.flight
+
+    @flight.setter
+    def flight(self, recorder) -> None:
+        self.drops.flight = recorder
 
     # ------------------------------------------------------------------ clock
 

@@ -43,7 +43,6 @@ class FaultStats:
         "crashes",
         "link_drops",
         "partition_drops",
-        "crash_queue_drops",
         "recovery_latencies",
     )
 
@@ -54,8 +53,6 @@ class FaultStats:
         self.link_drops = 0
         #: Arrivals cut by an active partition window.
         self.partition_drops = 0
-        #: Queued data packets destroyed by a crash (IFQ wiped).
-        self.crash_queue_drops = 0
         #: Completed crash→recover durations (s).
         self.recovery_latencies: List[float] = []
 
@@ -141,14 +138,8 @@ class FaultManager:
         if down_hook is not None:
             down_hook()
         # Queued traffic dies with the node.
-        lost = node.mac.ifq.clear()
-        if lost:
-            flight = self.sim.flight
-            for pkt, _nh in lost:
-                if pkt.is_data:
-                    self.stats.crash_queue_drops += 1
-                    if flight is not None:
-                        flight.drop(pkt, DropReason.CRASH_QUEUE, node_id)
+        for pkt, _nh in node.mac.ifq.clear():
+            self.sim.drops.drop(pkt, DropReason.CRASH_QUEUE, node_id)
         self.stats.crashes += 1
 
     def _recover(self, node_id: int) -> None:
@@ -225,9 +216,3 @@ class FaultManager:
         summary.fault_downtime = downtime
         summary.fault_recovery_latency = sum(lats) / len(lats) if lats else 0.0
         summary.fault_packets_lost = stats.packets_lost + down_drops
-        if stats.crash_queue_drops:
-            reasons = dict(summary.drops_by_reason)
-            reasons["crash_queue"] = (
-                reasons.get("crash_queue", 0) + stats.crash_queue_drops
-            )
-            summary.drops_by_reason = reasons

@@ -45,7 +45,6 @@ class MacStats:
         "ack_sent",
         "retries",
         "drops_retry_limit",
-        "drops_ifq_full",
         "duplicates_suppressed",
     )
 
@@ -57,7 +56,6 @@ class MacStats:
         self.ack_sent = 0
         self.retries = 0
         self.drops_retry_limit = 0
-        self.drops_ifq_full = 0
         self.duplicates_suppressed = 0
 
     @property
@@ -73,14 +71,9 @@ class MacLayer:
         self.sim = sim
         self.radio = radio
         self.address = radio.node_id
-        self.ifq = InterfaceQueue(ifq_capacity)
+        self.ifq = InterfaceQueue(ifq_capacity, sim.drops, radio.node_id)
         #: Flight recorder, frozen at construction (None = no hooks).
         self._flight = sim.flight
-        if sim.flight is not None:
-            # A disabled recorder leaves the class-attr None defaults
-            # untouched.
-            self.ifq.flight = sim.flight
-            self.ifq.addr = radio.node_id
         self.stats = MacStats()
         self.upper: Optional[UpperLayer] = None
         radio.mac = self

@@ -23,7 +23,6 @@ import math
 from collections import OrderedDict
 from typing import Optional, Tuple
 
-from ..core.drops import DropReason
 from ..core.simulator import Simulator
 from ..net.packet import BROADCAST, Packet
 from ..phy.radio import Radio
@@ -114,9 +113,6 @@ class DcfMac(MacLayer):
 
     def send(self, packet: Packet, next_hop: int) -> None:
         if not self.ifq.push(packet, next_hop):
-            self.stats.drops_ifq_full += 1
-            if self._flight is not None:
-                self._flight.drop(packet, DropReason.IFQ_FULL, self.address)
             return
         if self._state == _IDLE:
             self._service()

@@ -14,7 +14,6 @@ beacons (they all support it) when running over :class:`IdealMac`.
 
 from __future__ import annotations
 
-from ..core.drops import DropReason
 from ..net.packet import BROADCAST, Packet
 from .base import MacLayer
 from .frames import Frame, FrameType
@@ -38,9 +37,6 @@ class IdealMac(MacLayer):
 
     def send(self, packet: Packet, next_hop: int) -> None:
         if not self.ifq.push(packet, next_hop):
-            self.stats.drops_ifq_full += 1
-            if self._flight is not None:
-                self._flight.drop(packet, DropReason.IFQ_FULL, self.address)
             return
         if not self._busy:
             # Start from a zero-delay event, never synchronously: send

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional, Tuple
 
-from ..core.drops import DropReason
+from ..core.drops import DropLedger, DropReason
 from ..core.errors import ConfigurationError
 from ..net.packet import Packet
 
@@ -23,24 +23,25 @@ Entry = Tuple[Packet, int]
 
 
 class InterfaceQueue:
-    """Bounded drop-tail queue with priority for control packets."""
+    """Bounded drop-tail queue with priority for control packets.
 
-    #: Flight recorder + owning node address, wired by the MAC layer
-    #: when packet accounting is on (class attrs keep the default path
-    #: allocation-free).
-    flight = None
-    addr = -1
+    Rejected and evicted packets are counted in *drops* (default: a
+    fresh ledger) as dropped at *addr*, the owning node.
+    """
 
-    def __init__(self, capacity: int = 50):
+    def __init__(
+        self,
+        capacity: int = 50,
+        drops: Optional[DropLedger] = None,
+        addr: int = -1,
+    ):
         if capacity < 1:
             raise ConfigurationError(f"IFQ capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._control: Deque[Entry] = deque()
         self._data: Deque[Entry] = deque()
-        #: Packets rejected because the queue was full.
-        self.drops = 0
-        #: Data packets evicted to admit control (subset of ``drops``).
-        self.evictions = 0
+        self.drops = drops if drops is not None else DropLedger()
+        self.addr = addr
         #: High-water mark of total occupancy.
         self.peak = 0
 
@@ -52,7 +53,7 @@ class InterfaceQueue:
         return not self._control and not self._data
 
     def push(self, packet: Packet, next_hop: int) -> bool:
-        """Enqueue; returns False (and counts a drop) when full.
+        """Enqueue; returns False (and drops *packet*) when full.
 
         Control packets that find the queue full evict the newest data
         packet (ns-2 PriQueue behaviour) so routing traffic is only
@@ -60,13 +61,10 @@ class InterfaceQueue:
         """
         if len(self) >= self.capacity:
             if packet.is_data or not self._data:
-                self.drops += 1
+                self.drops.drop(packet, DropReason.IFQ_FULL, self.addr)
                 return False
             evicted, _ = self._data.pop()  # evict newest data to admit control
-            self.drops += 1
-            self.evictions += 1
-            if self.flight is not None:
-                self.flight.drop(evicted, DropReason.IFQ_EVICTED, self.addr)
+            self.drops.drop(evicted, DropReason.IFQ_EVICTED, self.addr)
         if packet.is_data:
             self._data.append((packet, next_hop))
         else:

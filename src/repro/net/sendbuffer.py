@@ -9,9 +9,9 @@ eviction when full.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Tuple
+from typing import Deque, List, Optional, Tuple
 
-from ..core.drops import DropReason
+from ..core.drops import DropLedger, DropReason
 from ..core.errors import ConfigurationError
 from .packet import Packet
 
@@ -27,15 +27,18 @@ class SendBuffer:
         Maximum buffered packets (ns-2 default 64).
     timeout:
         Seconds a packet may wait before it is dropped (ns-2 default 30).
+    drops, addr:
+        The drop ledger overflow and expiry are counted in, and the
+        owning node's address (default: a fresh ledger, no owner).
     """
 
-    #: Flight recorder + owning node address, wired by the scenario
-    #: builder when packet accounting is on (class attrs keep the
-    #: default path allocation-free).
-    flight = None
-    addr = -1
-
-    def __init__(self, capacity: int = 64, timeout: float = 30.0):
+    def __init__(
+        self,
+        capacity: int = 64,
+        timeout: float = 30.0,
+        drops: Optional[DropLedger] = None,
+        addr: int = -1,
+    ):
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         if timeout <= 0:
@@ -43,10 +46,8 @@ class SendBuffer:
         self.capacity = capacity
         self.timeout = timeout
         self._entries: Deque[Tuple[float, Packet]] = deque()
-        #: Dropped due to overflow.
-        self.drops_full = 0
-        #: Dropped due to waiting longer than *timeout*.
-        self.drops_expired = 0
+        self.drops = drops if drops is not None else DropLedger()
+        self.addr = addr
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -55,9 +56,7 @@ class SendBuffer:
         """Buffer *packet*; evicts the oldest entry when full."""
         if len(self._entries) >= self.capacity:
             _, evicted = self._entries.popleft()
-            self.drops_full += 1
-            if self.flight is not None:
-                self.flight.drop(evicted, DropReason.SEND_BUFFER_FULL, self.addr)
+            self.drops.drop(evicted, DropReason.SEND_BUFFER_FULL, self.addr)
         self._entries.append((now + self.timeout, packet))
 
     def take_for(self, dst: int, now: float) -> List[Packet]:
@@ -70,9 +69,7 @@ class SendBuffer:
         out: List[Packet] = []
         for deadline, pkt in self._entries:
             if deadline <= now:
-                self.drops_expired += 1
-                if self.flight is not None:
-                    self.flight.drop(pkt, DropReason.SEND_BUFFER_EXPIRED, self.addr)
+                self.drops.drop(pkt, DropReason.SEND_BUFFER_EXPIRED, self.addr)
             elif pkt.dst == dst:
                 out.append(pkt)
             else:
@@ -101,9 +98,7 @@ class SendBuffer:
                 kept.append((d, p))
                 continue
             n += 1
-            if self.flight is not None:
-                self.flight.drop(p, DropReason.SEND_BUFFER_EXPIRED, self.addr)
-        self.drops_expired += n
+            self.drops.drop(p, DropReason.SEND_BUFFER_EXPIRED, self.addr)
         self._entries = kept
         return n
 

@@ -22,9 +22,7 @@ packet from traffic-source injection to its fate:
 * **Causal trace** (``trace=True``): JSONL events — inject, route,
   buffer, IFQ, MAC attempts, PHY tx/verdicts, forwards, delivery,
   drops — exportable to Chrome ``trace_event`` format via
-  :func:`flight_to_chrome` / ``repro obs trace``. Sampled by
-  ``origin_uid % sample`` (``MANETSIM_TRACE_SAMPLE``); accounting is
-  always complete regardless of sampling.
+  :func:`flight_to_chrome` / ``repro obs trace``.
 
 Drops may be observed *before* injection: a traffic source originates
 through the routing agent first and invokes the metrics ``on_send``
@@ -66,12 +64,9 @@ def _reason_value(reason) -> str:
 class FlightRecorder:
     """Per-packet lifecycle ledger (and optional causal event trace)."""
 
-    def __init__(self, sim=None, trace: bool = False, sample: int = 1):
-        if sample < 1:
-            raise ValueError(f"trace sample must be >= 1, got {sample}")
+    def __init__(self, sim=None, trace: bool = False):
         self.sim = sim
         self.trace = trace
-        self.sample = sample
         #: Measured data packets injected by traffic sources.
         self.offered = 0
         #: origin_uid -> live | delivered | in_flight | terminal reason.
@@ -88,13 +83,9 @@ class FlightRecorder:
         sim = self.sim
         return sim._now if sim is not None else 0.0
 
-    def sampled(self, origin: int) -> bool:
-        """Whether *origin*'s events are recorded under the sample knob."""
-        return self.trace and origin % self.sample == 0
-
     def note(self, ev: str, origin: int, node: int, **info) -> None:
         """Record a trace event (no accounting effect)."""
-        if not self.trace or origin % self.sample != 0:
+        if not self.trace:
             return
         entry = {"t": self._now(), "ev": ev, "origin": origin, "node": node}
         if info:
@@ -106,7 +97,7 @@ class FlightRecorder:
         origin = packet.origin_uid
         self.offered += 1
         self._state[origin] = self._predrop.pop(origin, _LIVE)
-        if self.trace and origin % self.sample == 0:
+        if self.trace:
             self.events.append({
                 "t": self._now(), "ev": "inject", "origin": origin,
                 "node": packet.src, "dst": packet.dst,
@@ -117,7 +108,7 @@ class FlightRecorder:
         origin = packet.origin_uid
         if origin in self._state:
             self._state[origin] = _DELIVERED
-        if self.trace and origin % self.sample == 0:
+        if self.trace:
             self.events.append({
                 "t": self._now(), "ev": "deliver", "origin": origin,
                 "node": node, "hops": packet.hops,
@@ -126,9 +117,10 @@ class FlightRecorder:
     def drop(self, packet, reason, node: int = -1) -> None:
         """*packet* was discarded at *node* for *reason*.
 
-        Tolerates ``None`` and control packets (link-failure victim
-        loops pass whatever they purged); only terminal reasons on a
-        still-live injected packet consume it in the ledger.
+        Tolerates ``None`` and control packets (the drop ledger hands
+        over every drop, an IFQ-rejected routing packet included); only
+        terminal reasons on a still-live injected packet consume it in
+        the ledger.
         """
         if packet is None or not packet.is_data:
             return
@@ -140,7 +132,7 @@ class FlightRecorder:
                 self._predrop.setdefault(origin, value)
         elif state == _LIVE and value in TERMINAL_VALUES:
             self._state[origin] = value
-        if self.trace and origin % self.sample == 0:
+        if self.trace:
             self.events.append({
                 "t": self._now(), "ev": "drop", "origin": origin,
                 "node": node, "reason": value,
@@ -198,7 +190,6 @@ class FlightRecorder:
         out = self.report()
         if self.trace:
             out["events"] = list(self.events)
-            out["sample"] = self.sample
         return out
 
 
@@ -236,14 +227,10 @@ def flight_jsonl_str(flight: dict) -> str:
     closing conservation report — readable by :func:`load_flight_jsonl`
     and convertible by :func:`flight_to_chrome`.
     """
-    lines = []
-    header = {"flight_schema": FLIGHT_SCHEMA_VERSION}
-    if "sample" in flight:
-        header["sample"] = flight["sample"]
-    lines.append(json.dumps(header))
+    lines = [json.dumps({"flight_schema": FLIGHT_SCHEMA_VERSION})]
     for ev in flight.get("events", ()):
         lines.append(json.dumps(ev))
-    report = {k: v for k, v in flight.items() if k not in ("events", "sample")}
+    report = {k: v for k, v in flight.items() if k != "events"}
     lines.append(json.dumps({"report": report}))
     return "\n".join(lines) + "\n"
 
@@ -257,7 +244,8 @@ def write_flight_jsonl(flight: dict, path) -> None:
 def load_flight_jsonl(path) -> dict:
     """Read a flight JSONL back into a summary-style dict.
 
-    Tolerates a missing header (schema 1 assumed) and a missing closing
+    Tolerates a missing header (schema 1 assumed), header keys it does
+    not know (the ``sample`` older traces carry), and a missing closing
     report (events-only files), so partial/streamed traces still load.
     A missing or unreadable file, or a line that is not a JSON object
     (a torn write), raises :class:`ConfigurationError` naming the file.
@@ -265,7 +253,6 @@ def load_flight_jsonl(path) -> dict:
     events: List[dict] = []
     report: dict = {}
     schema = FLIGHT_SCHEMA_VERSION
-    sample = 1
     try:
         with open(path) as fh:
             for n, line in enumerate(fh, 1):
@@ -284,7 +271,6 @@ def load_flight_jsonl(path) -> dict:
                     )
                 if "flight_schema" in entry:
                     schema = entry["flight_schema"]
-                    sample = entry.get("sample", 1)
                 elif "report" in entry:
                     report = entry["report"]
                 else:
@@ -297,8 +283,6 @@ def load_flight_jsonl(path) -> dict:
         raise ConfigurationError(f"{path}: not a flight JSONL: {exc}") from None
     out = dict(report)
     out["schema"] = schema
-    if sample != 1:
-        out["sample"] = sample
     if events:
         out["events"] = events
     return out

@@ -2,8 +2,7 @@
 
 A *manifest* is the provenance record of one sweep execution: what was
 run (a content hash over every job key), on what toolchain (git SHA,
-python/numpy versions, platform), under which resolved
-:class:`~repro.scenario.options.EngineOptions`, and how it went
+python/numpy versions, platform), and how it went
 (per-job wall times, retry/timeout/pool-restart counts, worker
 utilization, executed/cached accounting). The
 executor writes it as ``manifest.json`` at the root of the result
@@ -92,7 +91,6 @@ def build_manifest(
     wall_time_s: float,
     job_wall_times_s: Dict[int, float],
     cache_salt: str,
-    engine_options: dict,
     fabric: Optional[dict] = None,
 ) -> dict:
     """Assemble the manifest dict for one executor run."""
@@ -129,7 +127,6 @@ def build_manifest(
         "python": sys.version.split()[0],
         "numpy": _numpy_version(),
         "platform": platform.platform(),
-        "engine_options": engine_options,
     }
 
 

@@ -146,7 +146,7 @@ class Aodv(RoutingProtocol):
         self.seq = 0
         self.rreq_id = 0
         self.table: Dict[int, AodvRoute] = {}
-        self.buffer = SendBuffer()
+        self.buffer = SendBuffer(drops=self._drops, addr=node_id)
         self._pending: Dict[int, _Pending] = {}
         self._seen_rreq = SeenCache(horizon=2 * NET_TRAVERSAL_TIME)
         self.hello_interval = hello_interval
@@ -449,12 +449,7 @@ class Aodv(RoutingProtocol):
                 r.dst_seq += 1
                 if r.precursors:
                     affected.append((r.dst, r.dst_seq))
-        victims = [(packet, next_hop)] if packet is not None else []
-        victims.extend(self.mac.purge_next_hop(next_hop))
-
-        for pkt, _nh in victims:
-            if not pkt.is_data:
-                continue
+        for pkt in self.stranded_packets(packet, next_hop):
             if pkt.src == self.addr:
                 self.buffer.add(pkt, self.sim.now)
                 self._start_discovery(pkt.dst)

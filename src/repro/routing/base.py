@@ -25,19 +25,13 @@ __all__ = ["RoutingProtocol", "RoutingStats"]
 
 
 class RoutingStats:
-    """Per-node routing-layer counters."""
+    """Per-node routing-layer counters (drops are in ``sim.drops``)."""
 
     __slots__ = (
         "control_packets",
         "control_bytes",
         "data_forwarded",
-        "drops_no_route",
-        "drops_ttl",
-        "drops_buffer",
         "discoveries",
-        "drops_link",
-        "drops_node_down",
-        "drops_salvage",
     )
 
     def __init__(self) -> None:
@@ -46,20 +40,8 @@ class RoutingStats:
         self.control_bytes = 0
         #: Data packets forwarded on behalf of others.
         self.data_forwarded = 0
-        self.drops_no_route = 0
-        self.drops_ttl = 0
-        #: Data packets dropped from the send buffer (overflow/expiry/give-up).
-        self.drops_buffer = 0
         #: Route discoveries initiated (reactive protocols).
         self.discoveries = 0
-        #: Data lost to a link failure with no salvage/repair path
-        #: (previously silent in DSDV/OLSR-style protocols).
-        self.drops_link = 0
-        #: Data handled while the agent was crashed (``alive = False``).
-        self.drops_node_down = 0
-        #: DSR salvage-limit drops; a subset of ``drops_no_route``
-        #: (which it also increments, preserving the historical count).
-        self.drops_salvage = 0
 
 
 class RoutingProtocol:
@@ -90,7 +72,9 @@ class RoutingProtocol:
         #: agent neither processes arrivals nor counts control overhead
         #: (its timers still fire, but every send is suppressed).
         self.alive = True
-        #: Flight recorder, frozen at construction (None = no hooks).
+        #: Drop ledger and flight recorder, frozen at construction
+        #: (a None recorder means no trace notes).
+        self._drops = sim.drops
         self._flight = sim.flight
         mac.upper = self
 
@@ -126,9 +110,7 @@ class RoutingProtocol:
             # that still reached us (decode completing across the crash
             # instant) dies here.
             if packet.is_data:
-                self.stats.drops_node_down += 1
-                if self._flight is not None:
-                    self._flight.drop(packet, DropReason.NODE_DOWN, self.addr)
+                self._drops.drop(packet, DropReason.NODE_DOWN, self.addr)
             return
         if packet.kind == PacketKind.CONTROL:
             if packet.proto == self.NAME:
@@ -143,9 +125,7 @@ class RoutingProtocol:
     def link_failed(self, packet: Packet, next_hop: int) -> None:
         """MAC retry exhaustion. Default: the packet is lost."""
         if packet is not None and packet.is_data:
-            self.stats.drops_link += 1
-            if self._flight is not None:
-                self._flight.drop(packet, DropReason.LINK_LOST, self.addr)
+            self._drops.drop(packet, DropReason.LINK_LOST, self.addr)
 
     # ------------------------------------------------------ protocol hooks
 
@@ -164,17 +144,27 @@ class RoutingProtocol:
 
     def drop_no_route(self, packet: Packet) -> None:
         """Drop a data packet this node has no route for."""
-        self.stats.drops_no_route += 1
-        if self._flight is not None:
-            self._flight.drop(packet, DropReason.NO_ROUTE, self.addr)
+        self._drops.drop(packet, DropReason.NO_ROUTE, self.addr)
 
     def drop_buffered(self, dst: int) -> None:
         """Give up on *dst*: drop every packet buffered for it."""
-        dropped = self.buffer.drop_for(dst)
-        self.stats.drops_buffer += len(dropped)
-        if self._flight is not None:
-            for pkt in dropped:
-                self._flight.drop(pkt, DropReason.SEND_BUFFER_GIVEUP, self.addr)
+        for pkt in self.buffer.drop_for(dst):
+            self._drops.drop(pkt, DropReason.SEND_BUFFER_GIVEUP, self.addr)
+
+    def stranded_packets(self, packet: Optional[Packet], next_hop: int) -> list:
+        """The data packets a dead link to *next_hop* leaves here: the
+        failed *packet* and every one queued for that neighbour (purged
+        from the MAC, since without the link they would only burn
+        retries)."""
+        victims = [packet] if packet is not None else []
+        victims.extend(pkt for pkt, _nh in self.mac.purge_next_hop(next_hop))
+        return [pkt for pkt in victims if pkt.is_data]
+
+    def drop_stranded(self, packet: Optional[Packet], next_hop: int) -> None:
+        """Lose every :meth:`stranded_packets` (a protocol with no
+        discovery to fall back on)."""
+        for pkt in self.stranded_packets(packet, next_hop):
+            self._drops.drop(pkt, DropReason.LINK_LOST, self.addr)
 
     def make_control(
         self,
@@ -226,17 +216,13 @@ class RoutingProtocol:
         """
         if not self.alive:
             # Crashed mid-pipeline: the packet dies here.
-            self.stats.drops_node_down += 1
-            if self._flight is not None:
-                self._flight.drop(packet, DropReason.NODE_DOWN, self.addr)
+            self._drops.drop(packet, DropReason.NODE_DOWN, self.addr)
             return False
         if forwarded:
             try:
                 packet.decrement_ttl()
             except PacketError:
-                self.stats.drops_ttl += 1
-                if self._flight is not None:
-                    self._flight.drop(packet, DropReason.TTL_EXPIRED, self.addr)
+                self._drops.drop(packet, DropReason.TTL_EXPIRED, self.addr)
                 return False
             self.stats.data_forwarded += 1
         flight = self._flight

@@ -39,7 +39,6 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.drops import DropReason
 from ..core.errors import ConfigurationError, ProtocolError
 from ..net.packet import BROADCAST, Packet
 from .base import RoutingProtocol
@@ -371,16 +370,9 @@ class Dsdv(RoutingProtocol):
             # flagged by the destination's owner rule.
             key[broken] = ((key[broken] >> 32) + 1) << 32
             self._changed[broken] = True
-        # Purge queued packets toward the dead neighbor: without a valid
-        # route they would only burn retries. DSDV has no discovery to
-        # fall back on, so the failed packet and every purged data
-        # packet are lost here (the paper's headline failure mode).
-        victims = [(packet, next_hop)] if packet is not None else []
-        victims.extend(self.mac.purge_next_hop(next_hop))
-        for pkt, _nh in victims:
-            if pkt.is_data:
-                self.stats.drops_link += 1
-                if self._flight is not None:
-                    self._flight.drop(pkt, DropReason.LINK_LOST, self.addr)
+        # DSDV has no discovery to fall back on, so the failed packet
+        # and every data packet queued for the dead neighbor are lost
+        # here (the paper's headline failure mode).
+        self.drop_stranded(packet, next_hop)
         if len(broken):
             self._schedule_trigger()

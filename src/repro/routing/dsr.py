@@ -83,10 +83,7 @@ class Dsr(SourceRouting):
     def _salvage(self, pkt: Packet) -> None:
         """Try to re-route a failed transit packet over our own cache."""
         if pkt.salvage >= MAX_SALVAGE:
-            self.stats.drops_no_route += 1
-            self.stats.drops_salvage += 1
-            if self._flight is not None:
-                self._flight.drop(pkt, DropReason.SALVAGE_LIMIT, self.addr)
+            self._drops.drop(pkt, DropReason.SALVAGE_LIMIT, self.addr)
             return
         alt = self.cache.get(pkt.dst, self.sim.now)
         if alt is None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
-from ..core.drops import DropReason
 from ..net.packet import BROADCAST, Packet
 from .base import RoutingProtocol
 from .neighbors import NeighborTable
@@ -297,12 +296,6 @@ class Olsr(RoutingProtocol):
         self.neighbors.remove(next_hop)
         # Proactive like DSDV: no discovery to fall back on, so the
         # failed packet and the purged queue entries are lost here.
-        victims = [(packet, next_hop)] if packet is not None else []
-        victims.extend(self.mac.purge_next_hop(next_hop))
-        for pkt, _nh in victims:
-            if pkt.is_data:
-                self.stats.drops_link += 1
-                if self._flight is not None:
-                    self._flight.drop(pkt, DropReason.LINK_LOST, self.addr)
+        self.drop_stranded(packet, next_hop)
         self._dirty = True
         self._select_mprs()

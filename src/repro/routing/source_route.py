@@ -147,7 +147,7 @@ class SourceRouting(RoutingProtocol):
     def __init__(self, sim, node_id, mac, rng):
         super().__init__(sim, node_id, mac, rng)
         self.cache = RouteCache(owner=node_id)
-        self.buffer = SendBuffer()
+        self.buffer = SendBuffer(drops=self._drops, addr=node_id)
         self.rreq_id = 0
         self._pending: Dict[int, _Pending] = {}
         self._seen_rreq = SeenCache(horizon=SEEN_RREQ_HORIZON)
@@ -324,10 +324,8 @@ class SourceRouting(RoutingProtocol):
 
     def link_failed(self, packet: Packet, next_hop: int) -> None:
         self.cache.remove_link(self.addr, next_hop)
-        victims = [(packet, next_hop)] if packet is not None else []
-        victims.extend(self.mac.purge_next_hop(next_hop))
-        for pkt, _nh in victims:
-            if not pkt.is_data or self._local_repair(pkt, next_hop):
+        for pkt in self.stranded_packets(packet, next_hop):
+            if self._local_repair(pkt, next_hop):
                 continue
             self._report_break(pkt, next_hop)
             if pkt.src != self.addr:

@@ -27,7 +27,6 @@ from ..routing import (
 from ..stats.metrics import MetricsCollector
 from ..traffic import CbrSource, generate_connections
 from .config import ScenarioConfig
-from .options import EngineOptions
 
 __all__ = ["Scenario", "build_scenario"]
 
@@ -180,49 +179,42 @@ def _mac_factory(cfg: ScenarioConfig):
     )
 
 
-def build_scenario(
-    cfg: ScenarioConfig,
-    options: Optional[EngineOptions] = None,
-) -> Scenario:
+def build_scenario(cfg: ScenarioConfig) -> Scenario:
     """Wire up every layer for *cfg* (deterministic in ``cfg.run_seed``).
 
     Every run resolves receptions on one PHY engine, and every DCF run
     contends through the contention arena, observed or not. A profiled
     config installs the profiler's wrappers before anything is built,
     so bound methods cached on the way are wrapped too; :meth:`Scenario.run`
-    removes them. *options* (default: resolved from the environment) can
-    attach the flight recorder and thin its trace; neither changes results.
+    removes them. ``cfg.flight``/``cfg.flight_trace`` attach the flight
+    recorder, which never changes results.
     """
     profiler = Profiler() if cfg.profile else None
     if profiler is not None:
         profiler.install()
     try:
-        return _build(cfg, options, profiler)
+        return _build(cfg, profiler)
     except BaseException:
         if profiler is not None:
             profiler.remove()
         raise
 
 
-def _build(cfg: ScenarioConfig, options, profiler) -> Scenario:
+def _build(cfg: ScenarioConfig, profiler) -> Scenario:
     from ..mac.frames import reset_frame_uids
     from ..net.packet import reset_packet_uids
 
-    if options is None:
-        options = EngineOptions.from_env()
     # Persistent sweep workers reuse one process for many runs: rewind
     # the uid sources so cached and fresh runs see identical sequences.
     reset_packet_uids()
     reset_frame_uids()
     sim = Simulator(seed=cfg.run_seed)
-    if cfg.flight or cfg.flight_trace or options.flight:
+    if cfg.flight or cfg.flight_trace:
         # Attached before the stack builds: the channel and radios
         # freeze their PHY trace hook at construction.
         from ..obs.flight import FlightRecorder
 
-        sim.flight = FlightRecorder(
-            sim, trace=cfg.flight_trace, sample=options.trace_sample
-        )
+        sim.flight = FlightRecorder(sim, trace=cfg.flight_trace)
     propagation = TwoRayGround()
     params = WAVELAN_914MHZ
     models = _make_mobility(cfg, sim.rng)
@@ -239,15 +231,6 @@ def _build(cfg: ScenarioConfig, options, profiler) -> Scenario:
     if cfg.protocol == "oracle":
         for node in network.nodes:
             node.routing.mobility = network.mobility
-    if sim.flight is not None:
-        # Send buffers are built inside the routing agents (which have
-        # no sim handle at drop time); wire the recorder + owner address
-        # onto each one here. IFQs are wired by MacLayer.__init__.
-        for node in network.nodes:
-            buf = getattr(node.routing, "buffer", None)
-            if buf is not None:
-                buf.flight = sim.flight
-                buf.addr = node.node_id
 
     collector = MetricsCollector(cfg.protocol)
     collector.flight = sim.flight

@@ -26,8 +26,7 @@ interrupted sweep executes exactly the points the store lacks
 Observability: every run builds a manifest (see
 :mod:`repro.obs.manifest`; written to ``<cache>/manifest.json`` when
 caching is on) recording the sweep's content hash, toolchain versions,
-resolved engine options, dispatch counts, per-job wall times, and the
-failure taxonomy; ``run(..., progress=True)`` emits a single-line
+dispatch counts, per-job wall times, and the failure taxonomy; ``run(..., progress=True)`` emits a single-line
 in-place progress display (done/total, failures, jobs/s, ETA) in which
 cached points count as already done — never as fresh completions — so
 re-run sweeps report honest rates.
@@ -72,15 +71,15 @@ import math
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
+from ..core.errors import ConfigurationError
 from ..fabric.store import ResultStore
 from ..obs.manifest import ProgressLine, build_manifest, write_manifest
 from ..stats.metrics import MetricsSummary
 from .config import ScenarioConfig
-from .options import EngineOptions, env_number
 from .run import run_scenario
 from .slot import JobSlot, wait_any
 
@@ -89,6 +88,7 @@ __all__ = [
     "SweepExecutor",
     "config_cache_key",
     "default_executor",
+    "env_number",
 ]
 
 #: Bump when kernel behaviour changes invalidate old cached summaries.
@@ -169,6 +169,31 @@ class _Job:
     last_kind: str = "exception"
     #: Monotonic time of the most recent dispatch (manifest wall times).
     last_start: float = 0.0
+
+
+def env_number(
+    environ: Mapping[str, str], name: str, default, parse=int, minimum=None
+):
+    """``parse(environ[name])``; *default* when unset or empty.
+
+    A value *parse* rejects, a NaN or infinity, or one below *minimum*,
+    is a :class:`ConfigurationError` naming the variable and the value,
+    never a bare ``ValueError``.
+    """
+    raw = environ.get(name, "")
+    if raw == "":
+        return default
+    try:
+        value = parse(raw)
+    except ValueError:
+        raise ConfigurationError(
+            f"{name} must be {parse.__name__}-valued, got {raw!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {raw!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {raw!r}")
+    return value
 
 
 def _resolve_processes(processes: Optional[int]) -> int:
@@ -385,7 +410,6 @@ class SweepExecutor:
             wall_time_s=time.monotonic() - run_t0,
             job_wall_times_s=self._job_walls,
             cache_salt=_CACHE_SALT,
-            engine_options=asdict(EngineOptions.from_env()),
             fabric=self.last_fabric,
         )
         self.last_manifest = manifest

@@ -2,25 +2,18 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..stats.metrics import MetricsSummary
 from .build import build_scenario
 from .config import ScenarioConfig
-from .options import EngineOptions
 
 __all__ = ["run_scenario", "run_replications"]
 
 
-def run_scenario(
-    cfg: ScenarioConfig,
-    options: Optional[EngineOptions] = None,
-) -> MetricsSummary:
-    """Build and execute one simulation; returns its metrics.
-
-    *options* defaults to :meth:`EngineOptions.from_env`.
-    """
-    return build_scenario(cfg, options).run()
+def run_scenario(cfg: ScenarioConfig) -> MetricsSummary:
+    """Build and execute one simulation; returns its metrics."""
+    return build_scenario(cfg).run()
 
 
 def run_replications(cfg: ScenarioConfig, replications: int) -> List[MetricsSummary]:

@@ -12,7 +12,8 @@
 
 Plus: throughput, hop counts, per-flow breakdowns, and drop accounting.
 The collector hooks node receive callbacks and CBR ``on_send`` at build
-time; totals from layer stats objects are read once at :meth:`finish`.
+time; totals from layer stats objects and the simulator's drop ledger
+are read once at :meth:`finish`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..core.drops import DropReason
 from ..core.schema import from_json
 from ..net.packet import Packet
 from ..net.stack import Network
@@ -81,9 +83,19 @@ class MetricsSummary:
     #: Routing control + RTS/CTS/ACK frames.
     mac_overhead_frames: int
     normalized_mac_load: float
+    #: Data packets dropped for want of a route: ``no_route`` +
+    #: ``salvage_limit`` (DSR's salvage limit is a no-route drop too).
     drops_no_route: int
+    #: Packets flushed when route discovery gave up:
+    #: ``send_buffer_giveup`` only (buffer overflow and expiry are in
+    #: ``drops_by_reason``).
     drops_buffer: int
+    #: Packets the interface queue rejected when full, routing control
+    #: included: ``ifq_full`` (evictions are in ``drops_by_reason``).
     drops_ifq: int
+    #: Unicast frames that exhausted their MAC retries; frame-level,
+    #: not a :data:`~repro.core.drops.TERMINAL` reason (routing decides
+    #: the packet's fate).
     drops_retry: int
     mac_collisions: int
     #: Fault-injection accounting (all zero when no fault plan is set;
@@ -104,10 +116,10 @@ class MetricsSummary:
     profile: Dict[str, Dict[str, float]] = field(
         default_factory=dict, compare=False
     )
-    #: Per-:class:`~repro.core.drops.DropReason` packet-drop breakdown
-    #: derived from the always-on layer counters (nonzero keys only).
-    #: A cheap aggregate view — exact conservation against offered load
-    #: needs the flight recorder (``flight`` below / ``repro obs why``).
+    #: Per-:class:`~repro.core.drops.DropReason` counts from the drop
+    #: ledger, every terminal reason that occurred (control packets
+    #: included). Exact conservation against offered load needs the
+    #: flight recorder (``flight`` below / ``repro obs why``).
     drops_by_reason: Dict[str, int] = field(default_factory=dict)
     #: Flight-recorder conservation report (plus trace events when
     #: ``flight_trace``); ``None`` unless the recorder was attached.
@@ -138,64 +150,6 @@ class MetricsSummary:
             "throughput_bps": self.throughput_bps,
             "avg_hops": self.avg_hops,
         }
-
-
-def _layer_totals(nodes) -> tuple:
-    routing_pkts = 0
-    routing_bytes = 0
-    drops_no_route = 0
-    drops_buffer = 0
-    drops_ifq = 0
-    drops_retry = 0
-    mac_ctrl = 0
-    collisions = 0
-    drops_ttl = 0
-    drops_salvage = 0
-    drops_link = 0
-    drops_node_down = 0
-    buf_full = 0
-    buf_expired = 0
-    ifq_evicted = 0
-    for node in nodes:
-        rs = node.routing.stats
-        routing_pkts += rs.control_packets
-        routing_bytes += rs.control_bytes
-        drops_no_route += rs.drops_no_route
-        drops_buffer += rs.drops_buffer
-        drops_ttl += rs.drops_ttl
-        drops_salvage += getattr(rs, "drops_salvage", 0)
-        drops_link += getattr(rs, "drops_link", 0)
-        drops_node_down += getattr(rs, "drops_node_down", 0)
-        buf = getattr(node.routing, "buffer", None)
-        if buf is not None:
-            buf_full += buf.drops_full
-            buf_expired += buf.drops_expired
-        ms = node.mac.stats
-        drops_ifq += ms.drops_ifq_full
-        drops_retry += ms.drops_retry_limit
-        mac_ctrl += ms.control_frames_sent
-        collisions += node.radio.stats.collisions
-        ifq_evicted += getattr(node.mac.ifq, "evictions", 0)
-    # Terminal-reason breakdown (DropReason values); salvage-limit
-    # drops also increment drops_no_route (the historical counter), so
-    # they are carved out rather than double-counted here.
-    raw = {
-        "no_route": drops_no_route - drops_salvage,
-        "salvage_limit": drops_salvage,
-        "ttl_expired": drops_ttl,
-        "send_buffer_giveup": drops_buffer,
-        "send_buffer_full": buf_full,
-        "send_buffer_expired": buf_expired,
-        "ifq_full": drops_ifq,
-        "ifq_evicted": ifq_evicted,
-        "link_lost": drops_link,
-        "node_down": drops_node_down,
-    }
-    reasons = {k: v for k, v in raw.items() if v}
-    return (
-        routing_pkts, routing_bytes, drops_no_route, drops_buffer,
-        drops_ifq, drops_retry, mac_ctrl, collisions, reasons,
-    )
 
 
 class MetricsCollector:
@@ -276,10 +230,18 @@ class MetricsCollector:
     # ------------------------------------------------------------- summary
 
     def finish(self, network: Network, duration: float) -> MetricsSummary:
-        """Fold layer counters into the final summary."""
-        (routing_pkts, routing_bytes, drops_no_route, drops_buffer,
-         drops_ifq, drops_retry, mac_ctrl, collisions,
-         drop_reasons) = _layer_totals(network.nodes)
+        """Fold layer counters and the drop ledger into the final summary."""
+        routing_pkts = routing_bytes = drops_retry = mac_ctrl = collisions = 0
+        for node in network.nodes:
+            rs = node.routing.stats
+            routing_pkts += rs.control_packets
+            routing_bytes += rs.control_bytes
+            ms = node.mac.stats
+            drops_retry += ms.drops_retry_limit
+            mac_ctrl += ms.control_frames_sent
+            collisions += node.radio.stats.collisions
+        ledger = network.sim.drops
+        drops = ledger.counts
         sent = self.data_sent
         received = self.data_received
         if self._delays:
@@ -313,11 +275,13 @@ class MetricsCollector:
                 mac_frames / received if received
                 else float("inf") if mac_frames else 0.0
             ),
-            drops_no_route=drops_no_route,
-            drops_buffer=drops_buffer,
-            drops_ifq=drops_ifq,
+            drops_no_route=(
+                drops[DropReason.NO_ROUTE] + drops[DropReason.SALVAGE_LIMIT]
+            ),
+            drops_buffer=drops[DropReason.SEND_BUFFER_GIVEUP],
+            drops_ifq=drops[DropReason.IFQ_FULL],
             drops_retry=drops_retry,
             mac_collisions=collisions,
             flows=self.flows,
-            drops_by_reason=drop_reasons,
+            drops_by_reason=ledger.nonzero(),
         )

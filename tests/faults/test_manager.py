@@ -182,6 +182,30 @@ class TestSummaryAccounting:
         assert s.fault_recovery_latency == 0.0
         assert s.fault_packets_lost == 0
 
+    def test_crash_queue_counts_each_wiped_packet_once(self, monkeypatch):
+        """A crash wipes the node's interface queue; each data packet
+        in it is one ``crash_queue`` drop, counted by the ledger alone
+        (nothing folds a second count in after the run)."""
+        from repro.mac.ifq import InterfaceQueue
+
+        wiped = []
+        clear = InterfaceQueue.clear
+
+        def counting_clear(ifq):
+            lost = clear(ifq)
+            wiped.extend(lost)
+            return lost
+
+        monkeypatch.setattr(InterfaceQueue, "clear", counting_clear)
+        s = run_scenario(faulted(
+            seed=1, plan=FaultPlanConfig(churn_rate=0.1, mean_downtime=3.0),
+            n_nodes=10, field_size=(600.0, 300.0), duration=10.0,
+            n_connections=8, rate=60.0, packet_size=1024, flight=True,
+        ))
+        assert wiped and all(pkt.is_data for pkt, _nh in wiped)
+        assert s.drops_by_reason["crash_queue"] == len(wiped)
+        assert s.flight["drops_by_reason"]["crash_queue"] <= len(wiped)
+
     def test_io_round_trip_with_faults(self):
         from repro.scenario.io import config_from_dict, config_to_dict
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.drops import DropReason
 from repro.mac.frames import Dot11
 from tests.mac.conftest import Testbed
 
@@ -116,7 +117,7 @@ def test_ifq_overflow_counts_drop():
     for _ in range(60):  # capacity 50 + one in service
         tb.macs[0].send(tb.packet(0, 1), 1)
     tb.sim.run()
-    assert tb.macs[0].stats.drops_ifq_full > 0
+    assert tb.sim.drops.counts[DropReason.IFQ_FULL] > 0
     assert len(tb.uppers[1].delivered) >= 50
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.drops import DropReason
 from tests.mac.conftest import Testbed
 
 
@@ -32,7 +33,7 @@ def test_unicast_conservation(seed, n_nodes, n_packets):
     tb.sim.run(until=60.0)
 
     delivered = sum(len(u.delivered) for u in tb.uppers)
-    ifq_drops = sum(m.stats.drops_ifq_full for m in tb.macs)
+    ifq_drops = tb.sim.drops.counts[DropReason.IFQ_FULL]
     retry_drops = sum(m.stats.drops_retry_limit for m in tb.macs)
     leftovers = sum(len(m.ifq) for m in tb.macs) + sum(
         1 for m in tb.macs if m._current is not None

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import ConfigurationError, PacketError
+from repro.core.drops import DropReason
 from repro.mac import Dot11, Frame, FrameType, InterfaceQueue
 from repro.net import Packet, PacketKind
 
@@ -66,7 +67,7 @@ class TestInterfaceQueue:
         assert q.push(data_pkt(), 1)
         assert q.push(data_pkt(), 1)
         assert not q.push(data_pkt(), 1)
-        assert q.drops == 1
+        assert q.drops.counts[DropReason.IFQ_FULL] == 1
         assert len(q) == 2
 
     def test_control_evicts_data_when_full(self):
@@ -76,7 +77,7 @@ class TestInterfaceQueue:
         q.push(d2, 1)
         c = Packet(PacketKind.CONTROL, "aodv", 0, -1, 24, created=0.0)
         assert q.push(c, -1)
-        assert q.drops == 1
+        assert q.drops.nonzero() == {"ifq_evicted": 1}
         # Control came in; newest data (d2) was evicted.
         assert q.pop() == (c, -1)
         assert q.pop() == (d1, 1)
@@ -88,7 +89,7 @@ class TestInterfaceQueue:
         c2 = Packet(PacketKind.CONTROL, "aodv", 0, -1, 24, created=0.0)
         q.push(c1, -1)
         assert not q.push(c2, -1)
-        assert q.drops == 1
+        assert q.drops.counts[DropReason.IFQ_FULL] == 1
 
     def test_remove_for_next_hop(self):
         q = InterfaceQueue(10)

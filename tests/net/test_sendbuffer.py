@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import ConfigurationError
+from repro.core.drops import DropReason
 from repro.net import Packet, PacketKind, SendBuffer
 
 
@@ -32,7 +33,7 @@ class TestBasics:
         p1, p2, p3 = pkt(), pkt(), pkt()
         for p in (p1, p2, p3):
             b.add(p, now=0.0)
-        assert b.drops_full == 1
+        assert b.drops.nonzero() == {"send_buffer_full": 1}
         assert b.take_for(1, now=1.0) == [p2, p3]
 
     def test_validation(self):
@@ -50,13 +51,14 @@ class TestExpiry:
         b.add(fresh, now=8.0)
         out = b.take_for(1, now=11.0)  # old expired at 10
         assert out == [fresh]
-        assert b.drops_expired == 1
+        assert b.drops.nonzero() == {"send_buffer_expired": 1}
 
     def test_purge_expired(self):
         b = SendBuffer(timeout=5.0)
         b.add(pkt(1), now=0.0)
         b.add(pkt(2), now=4.0)
         assert b.purge_expired(now=6.0) == 1
+        assert b.drops.counts[DropReason.SEND_BUFFER_EXPIRED] == 1
         assert len(b) == 1
 
     def test_drop_for(self):
@@ -81,5 +83,5 @@ def test_property_conservation(dsts):
     for d in dsts:
         b.add(pkt(d), now=0.0)
     taken = sum(len(b.take_for(d, now=1.0)) for d in range(6))
-    assert taken + b.drops_full == len(dsts)
+    assert taken + b.drops.counts[DropReason.SEND_BUFFER_FULL] == len(dsts)
     assert len(b) == 0

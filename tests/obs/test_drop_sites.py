@@ -1,13 +1,14 @@
-"""Meta-test: every packet-drop site feeds the flight recorder.
+"""Meta-test: every terminal packet drop goes through the drop ledger.
 
 Conservation only holds if no code path discards a data packet without
-telling the ledger. Grepping the source for drop-counter increments
-and requiring a flight hook in the surrounding lines turns "someone
-added a drop site and forgot the recorder" from a silent leak (caught
-only if a scenario happens to exercise it) into an immediate, named
-test failure.
+telling the flight recorder. One call does both, ``DropLedger.drop``
+in ``core/drops.py``, so the check is structural: nothing else calls
+the recorder's ``drop``, no layer keeps a drop counter of its own, and
+every terminal reason a layer names is handed to the ledger on that
+line. A new drop site that counts on the side or talks to the recorder
+directly fails here by name, whether or not a scenario exercises it.
 
-Exempted sites are *frame-level* fates: MAC retry exhaustion and the
+Exempted counters are *frame-level* fates: MAC retry exhaustion and the
 fault manager's per-frame RX filters don't consume the packet — the
 MAC retries and, on exhaustion, routing's ``link_failed`` owns the
 verdict (salvage / re-buffer / repair / terminal drop).
@@ -16,22 +17,24 @@ verdict (salvage / re-buffer / repair / terminal drop).
 import re
 from pathlib import Path
 
-from repro.core.drops import TERMINAL_VALUES, DropReason
+from repro.core.drops import TERMINAL, TERMINAL_VALUES, DropReason
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
-#: Layers whose counters track packet discards.
+#: The one module allowed to call the flight recorder's ``drop``.
+LEDGER = "core/drops.py"
+
+#: Layers that discard packets.
 LAYERS = ("routing", "mac", "net", "faults")
 
 #: Matches any drop-counter bump: ``drops_no_route += 1``,
-#: ``self.drops += 1``, ``crash_queue_drops += 1`` ...
-_SITE = re.compile(r"(?:\.|\b)(\w*drops\w*)\s*\+=\s*1")
+#: ``self.drops += n``, ``crash_queue_drops += 1`` ...
+_SITE = re.compile(r"(?:\.|\b)(\w*drops\w*)\s*\+=")
 
-#: A flight hook (or the recorder gate) near the site.
-_HOOK = re.compile(r"flight")
-
-#: How many lines around the increment may carry the hook.
-WINDOW = 10
+#: A terminal reason named in the source.
+_TERMINAL_NAME = re.compile(
+    r"DropReason\.(" + "|".join(sorted(r.name for r in TERMINAL)) + r")\b"
+)
 
 #: (file relative to src/repro, counter) pairs that are frame-level by
 #: design — the packet survives the event, so no ledger verdict here.
@@ -42,55 +45,80 @@ EXEMPT = {
     # retries; the packet's fate is decided at retry exhaustion.
     ("faults/manager.py", "partition_drops"),
     ("faults/manager.py", "link_drops"),
+    # FaultManager.apply sums the radios' frames lost while powered
+    # off (RadioStats) into ``fault_packets_lost``; frame-level too.
+    ("faults/manager.py", "down_drops"),
 }
 
 
+def _lines(layers=None):
+    """``(path relative to src/repro, line number, line)`` of the source."""
+    roots = [SRC / layer for layer in layers] if layers else [SRC]
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(SRC).as_posix()
+            for n, line in enumerate(path.read_text().splitlines(), 1):
+                yield rel, n, line
+
+
 def _drop_sites():
-    for layer in LAYERS:
-        for path in sorted((SRC / layer).glob("*.py")):
-            lines = path.read_text().splitlines()
-            for i, line in enumerate(lines):
-                m = _SITE.search(line)
-                if m:
-                    yield path, i, m.group(1), lines
+    for rel, n, line in _lines(LAYERS):
+        m = _SITE.search(line)
+        if m:
+            yield rel, n, m.group(1)
 
 
-def test_every_drop_site_has_a_flight_hook_nearby():
-    missing = []
-    for path, i, counter, lines in _drop_sites():
-        rel = str(path.relative_to(SRC))
-        if (rel, counter) in EXEMPT:
-            continue
-        lo = max(0, i - WINDOW)
-        hi = min(len(lines), i + WINDOW + 1)
-        if not any(_HOOK.search(lines[j]) for j in range(lo, hi)):
-            missing.append(f"{rel}:{i + 1} ({counter})")
-    assert not missing, (
-        "drop sites without a flight hook within "
-        f"{WINDOW} lines (wire the recorder or add a justified "
-        f"exemption): {missing}"
+def test_flight_drop_is_called_by_the_ledger_only():
+    callers = [
+        f"{rel}:{n}" for rel, n, line in _lines()
+        if "flight.drop(" in line and rel != LEDGER
+    ]
+    assert not callers, (
+        "drop the packet through the DropLedger (sim.drops), which "
+        f"tells the recorder: {callers}"
     )
+
+
+def test_no_drop_counter_outside_the_ledger():
+    counters = [
+        f"{rel}:{n} ({counter})" for rel, n, counter in _drop_sites()
+        if (rel, counter) not in EXEMPT
+    ]
+    assert not counters, (
+        "terminal drops are counted by the DropLedger only (or add a "
+        f"justified frame-level exemption): {counters}"
+    )
+
+
+def test_layers_hand_terminal_reasons_to_the_ledger():
+    """A layer that names a terminal reason is dropping a packet with
+    it, on that line, through the ledger."""
+    stray = [
+        f"{rel}:{n}" for rel, n, line in _lines(LAYERS)
+        if _TERMINAL_NAME.search(line) and ".drop(" not in line
+    ]
+    assert not stray, f"terminal reasons used outside a ledger call: {stray}"
 
 
 def test_exemption_list_stays_honest():
     """Every exemption matches a real site — stale entries rot."""
-    seen = {
-        (str(path.relative_to(SRC)), counter)
-        for path, _i, counter, _lines in _drop_sites()
-    }
+    seen = {(rel, counter) for rel, _n, counter in _drop_sites()}
     stale = EXEMPT - seen
     assert not stale, f"exempted drop sites no longer exist: {stale}"
 
 
 def test_every_terminal_reason_has_a_call_site():
     """The taxonomy carries no dead reasons: each terminal member is
-    raised somewhere in the source tree."""
-    text = "\n".join(
-        p.read_text() for p in SRC.rglob("*.py") if "drops.py" not in p.name
-    )
+    handed to a ledger somewhere in the layers."""
+    raised = {
+        m.group(1)
+        for _rel, _n, line in _lines(LAYERS)
+        if ".drop(" in line
+        for m in _TERMINAL_NAME.finditer(line)
+    }
     unused = [
         r.name for r in DropReason
-        if r.value in TERMINAL_VALUES and f"DropReason.{r.name}" not in text
+        if r.value in TERMINAL_VALUES and r.name not in raised
     ]
     assert not unused, f"terminal DropReasons never raised: {unused}"
 

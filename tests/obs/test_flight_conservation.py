@@ -11,7 +11,8 @@ Two contracts, pinned across all five paper protocols:
 * **See-but-don't-touch**: a seeded run is bit-identical with the
   recorder on or off (``flight`` is excluded from summary equality;
   everything else must match, per-flow delays included), including the
-  traced variant. The recorder must never change results.
+  traced variant and the faulted golden run, whose recorded digest must
+  still be the committed one. The recorder must never change results.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlanConfig
 from repro.scenario import ScenarioConfig, run_scenario
+from tests.scenario.test_determinism import _GOLDEN, _golden_config, _summary_digest
 
 PROTOCOLS = ["dsdv", "dsr", "aodv", "paodv", "cbrp"]
 
@@ -66,11 +68,11 @@ def test_conservation_paper_scale(protocol):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_counter_tier_bounds_flight_ledger(protocol):
-    """Two-tier consistency: counters count drop *events*, the ledger
-    counts packet *fates*. Delivery-wins and first-terminal-wins can
-    absorb later drop events (a lost copy of a delivered packet, a
-    second discard of an already-dead packet), so the ledger is
-    bounded by the counters per reason — never the other way around,
+    """Two-tier consistency: the drop ledger counts drop *events*, the
+    recorder counts packet *fates*. Delivery-wins and first-terminal-wins
+    can absorb later drop events (a lost copy of a delivered packet, a
+    second discard of an already-dead packet), so the recorder is
+    bounded by the ledger per reason — never the other way around,
     which would mean a fate with no counted event behind it."""
     cfg = ScenarioConfig(protocol=protocol, flight=True, seed=5, **PAPER)
     summary = run_scenario(cfg)
@@ -81,33 +83,38 @@ def test_counter_tier_bounds_flight_ledger(protocol):
         assert n <= counters[reason], reason
 
 
+def _assert_observed_run_identical(protocol, **observe):
+    """*observe* on ≡ off, on this file's clean run and on the faulted
+    golden run, whose observed digest must be the committed one."""
+    for cfg in (
+        ScenarioConfig(protocol=protocol, seed=7, **SMALL),
+        _golden_config(protocol, "small_faulted"),
+    ):
+        plain = run_scenario(cfg)
+        observed = run_scenario(cfg.with_(**observe))
+        assert plain.flight is None and observed.flight is not None
+        if observe.get("flight_trace"):
+            assert observed.flight["events"]
+        assert plain == observed
+        assert set(plain.flows) == set(observed.flows)
+        for fid, flow in plain.flows.items():
+            assert flow.delays == observed.flows[fid].delays
+        if cfg.faults is not None:
+            assert plain.fault_crashes > 0
+            assert _summary_digest(observed) == _GOLDEN[protocol]["small_faulted"]
+
+
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_recorder_is_bit_identical(protocol, monkeypatch):
+def test_recorder_is_bit_identical(protocol):
     """Recorder on ≡ off: full metric surface and per-flow delays."""
-    # This test *is* the on/off comparison, so the CI flight leg's
-    # force knob must not quietly attach a recorder to the "off" run.
-    monkeypatch.delenv("MANETSIM_FLIGHT", raising=False)
-    cfg = ScenarioConfig(protocol=protocol, seed=7, **SMALL)
-    plain = run_scenario(cfg)
-    recorded = run_scenario(cfg.with_(flight=True))
-    assert plain.flight is None and recorded.flight is not None
-    assert plain == recorded
-    assert set(plain.flows) == set(recorded.flows)
-    for fid, flow in plain.flows.items():
-        assert flow.delays == recorded.flows[fid].delays
+    _assert_observed_run_identical(protocol, flight=True)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_tracing_is_bit_identical(protocol):
     """Causal tracing on ≡ off (the trace rides the same run that the
     plain config produces — events recorded, results untouched)."""
-    cfg = ScenarioConfig(protocol=protocol, seed=7, **SMALL)
-    plain = run_scenario(cfg)
-    traced = run_scenario(cfg.with_(flight=True, flight_trace=True))
-    assert traced.flight["events"]
-    assert plain == traced
-    for fid, flow in plain.flows.items():
-        assert flow.delays == traced.flows[fid].delays
+    _assert_observed_run_identical(protocol, flight=True, flight_trace=True)
 
 
 def test_trace_events_tell_a_causal_story():
@@ -282,16 +289,16 @@ def test_flight_enters_the_cache_key():
     )
 
 
-def test_disabled_flight_installs_no_hooks(monkeypatch):
+def test_disabled_flight_installs_no_hooks():
     from repro.scenario.build import build_scenario
 
-    monkeypatch.delenv("MANETSIM_FLIGHT", raising=False)
     scenario = build_scenario(ScenarioConfig(seed=7, **SMALL))
     assert scenario.sim.flight is None
+    assert scenario.sim.drops.flight is None
     for node in scenario.network.nodes:
         assert node.routing._flight is None
         assert node.mac._flight is None
-        assert node.mac.ifq.flight is None
+        assert node.mac.ifq.drops is scenario.sim.drops
 
 
 def test_summary_flight_field_excluded_from_equality():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.drops import DropReason
 from repro.routing.aodv import (
     RREQ_RETRIES,
     TTL_START,
@@ -73,7 +74,7 @@ class TestDiscovery:
         sim.run(until=60.0)
         assert log == []
         r = net.nodes[0].routing
-        assert r.stats.drops_buffer == 1
+        assert sim.drops.counts[DropReason.SEND_BUFFER_GIVEUP] == 1
         assert r.stats.discoveries == 1  # retries are within one discovery
         assert 2 not in r._pending
 

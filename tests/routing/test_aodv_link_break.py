@@ -4,6 +4,7 @@ The paper's AODV has no local repair (RFC 3561 §6.12): a relay that
 loses its next hop drops the transit packet and errors upstream.
 """
 
+from repro.obs.flight import FlightRecorder
 from repro.routing.aodv import Aodv
 from tests.routing.conftest import collect_deliveries, make_static_network
 
@@ -35,6 +36,7 @@ class TestTransitLinkBreak:
         send_rerr = agent1._send_rerr
         agent1._send_rerr = lambda dests: (rerrs.append(dests), send_rerr(dests))
 
+        sim.flight = flight = FlightRecorder(sim, trace=True)
         kill(net.nodes[relay])
         net.nodes[0].send(4, 64)
         sim.run(until=30.0)
@@ -44,7 +46,8 @@ class TestTransitLinkBreak:
         # The in-flight packet died at node 1 as a no-route drop, and
         # node 1 errored the destination upstream to its precursor 0.
         assert len(log) == 1
-        assert agent1.stats.drops_no_route >= 1
+        assert any(e["ev"] == "drop" and e["node"] == 1 and e["reason"] == "no_route"
+                   for e in flight.events)
         assert any(dst == 4 for dests in rerrs for dst, _seq in dests)
         assert not net.nodes[0].routing.table[4].valid
 
@@ -71,7 +74,6 @@ class TestTraceIntegration:
 
     def test_no_trace_by_default(self):
         from repro.scenario import ScenarioConfig, build_scenario
-        from repro.scenario.options import EngineOptions
 
         cfg = ScenarioConfig(
             protocol="aodv",
@@ -82,8 +84,7 @@ class TestTraceIntegration:
             traffic_start_window=(0.0, 2.0),
             seed=5,
         )
-        # Explicit options: MANETSIM_FLIGHT=1 (a CI leg) attaches one.
-        scen = build_scenario(cfg, EngineOptions())
+        scen = build_scenario(cfg)
         summary = scen.run()
         assert scen.sim.flight is None
         assert summary.flight is None

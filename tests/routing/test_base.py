@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.drops import DropReason
 from repro.net import BROADCAST, Packet, PacketKind
 from repro.routing.base import RoutingProtocol, RoutingStats
 from tests.routing.conftest import make_static_network
@@ -110,7 +111,7 @@ class TestDataDispatch:
         pkt = Packet(PacketKind.DATA, "cbr", 0, 1, 64, created=0.0, ttl=0)
         ok = agent.send_data(pkt, 1, forwarded=True)
         assert not ok
-        assert agent.stats.drops_ttl == 1
+        assert sim.drops.counts[DropReason.TTL_EXPIRED] == 1
 
     def test_stats_slots(self):
         s = RoutingStats()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.drops import DropReason
 from repro.routing.oracle import OracleRouting, shortest_hop_path
 from tests.routing.conftest import collect_deliveries, make_static_network
 
@@ -60,7 +61,7 @@ class TestOracle:
         net.nodes[0].send(1, 64)
         sim.run(until=5.0)
         assert log == []
-        assert net.nodes[0].routing.stats.drops_no_route == 1
+        assert sim.drops.counts[DropReason.NO_ROUTE] == 1
 
     def test_intermediate_forwards(self):
         sim, net = self.make(CHAIN5)
@@ -76,4 +77,4 @@ class TestOracle:
         net.nodes[0].send(4, 64, ttl=2)  # needs 4 hops
         sim.run(until=5.0)
         assert log == []
-        assert any(n.routing.stats.drops_ttl == 1 for n in net.nodes)
+        assert sim.drops.counts[DropReason.TTL_EXPIRED] == 1

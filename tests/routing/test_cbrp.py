@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.drops import DropReason
 from repro.routing.cbrp import HEAD, MEMBER, Cbrp
 from tests.routing.conftest import collect_deliveries, make_static_network
 
@@ -109,7 +110,7 @@ class TestDiscoveryAndData:
         net.nodes[0].send(1, 64)
         sim.run(until=60.0)
         assert log == []
-        assert net.nodes[0].routing.stats.drops_buffer == 1
+        assert sim.drops.counts[DropReason.SEND_BUFFER_GIVEUP] == 1
 
 
 class TestShorteningAndRepair:

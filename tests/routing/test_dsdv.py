@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core.drops import DropReason
 from repro.routing.dsdv import Dsdv, DsdvRoute, _Advert
 from tests.routing.conftest import collect_deliveries, make_static_network
 
@@ -61,7 +62,7 @@ class TestDataPath:
         net.nodes[0].send(3, 64)  # t=0: no routes yet
         sim.run(until=1.0)
         assert log == []
-        assert net.nodes[0].routing.stats.drops_no_route == 1
+        assert sim.drops.counts[DropReason.NO_ROUTE] == 1
 
     def test_bidirectional_traffic(self):
         sim, net = make_net(CHAIN4)

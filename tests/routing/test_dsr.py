@@ -5,6 +5,7 @@ RERR handling shared with CBRP is tested in ``test_source_route.py``.
 
 import pytest
 
+from repro.core.drops import DropReason
 from repro.routing.dsr import Dsr
 from repro.routing.source_route import RouteCache
 from tests.routing.conftest import collect_deliveries, make_static_network
@@ -149,7 +150,7 @@ class TestDiscoveryAndDelivery:
         net.nodes[0].send(1, 64)
         sim.run(until=30.0)
         assert log == []
-        assert net.nodes[0].routing.stats.drops_buffer == 1
+        assert sim.drops.counts[DropReason.SEND_BUFFER_GIVEUP] == 1
 
     def test_no_periodic_overhead(self):
         sim, net = make_net(CHAIN4)
@@ -183,9 +184,9 @@ class TestErrorsAndSalvage:
         sim.run(until=6.0)
         pkt2.route = [0, 1, 9]
         pkt2.salvage = 2  # already salvaged twice elsewhere
-        before = agent1.stats.drops_no_route
+        before = sim.drops.counts[DropReason.SALVAGE_LIMIT]
         agent1.link_failed(pkt2, next_hop=9)
-        assert agent1.stats.drops_no_route == before + 1
+        assert sim.drops.counts[DropReason.SALVAGE_LIMIT] == before + 1
 
 
 class TestSnooping:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.drops import DropReason
 from repro.routing.olsr import MPR, SYM, Olsr, OlsrHello, OlsrTc
 from tests.routing.conftest import collect_deliveries, make_static_network
 
@@ -148,14 +149,14 @@ class TestRouting:
         net.nodes[0].send(3, 64)  # t = 0, no hellos exchanged yet
         sim.run(until=0.5)
         assert log == []
-        assert net.nodes[0].routing.stats.drops_no_route == 1
+        assert sim.drops.counts[DropReason.NO_ROUTE] == 1
 
     def test_partitioned_no_route(self):
         sim, net = make_net([(0, 0), (2000, 0)])
         sim.run(until=30.0)
         net.nodes[0].send(1, 64)
         sim.run(until=35.0)
-        assert net.nodes[0].routing.stats.drops_no_route == 1
+        assert sim.drops.counts[DropReason.NO_ROUTE] == 1
 
 
 class TestMprAblation:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.drops import DropReason
 from repro.obs.flight import FlightRecorder
 from repro.routing.cbrp import Cbrp
 from repro.routing.dsr import Dsr
@@ -28,7 +29,7 @@ def make_net(protocol, positions):
 def test_discovery_schedule_then_give_up(protocol):
     sim, net = make_net(protocol, [(0, 0), (5000, 0)])
     agent = net.nodes[0].routing
-    agent._flight = flight = FlightRecorder(sim, trace=True)
+    sim.flight = agent._flight = flight = FlightRecorder(sim, trace=True)
     rreqs = []
     send_control = agent.send_control
 
@@ -49,7 +50,7 @@ def test_discovery_schedule_then_give_up(protocol):
         (data.origin_uid, "send_buffer_giveup")
     ]
     assert drops[0]["t"] == pytest.approx(give_up)
-    assert agent.stats.drops_buffer == 1
+    assert sim.drops.counts[DropReason.SEND_BUFFER_GIVEUP] == 1
     assert agent.stats.discoveries == 1
     assert not agent._pending and len(agent.buffer) == 0
 

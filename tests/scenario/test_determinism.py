@@ -238,10 +238,8 @@ class TestObservabilityDeterminism:
 
     def test_disabled_obs_installs_no_hooks(self):
         from repro.scenario.build import build_scenario
-        from repro.scenario.options import EngineOptions
 
-        # Explicit options: MANETSIM_FLIGHT=1 (a CI leg) attaches one.
-        scenario = build_scenario(ScenarioConfig(seed=7, **SMALL), EngineOptions())
+        scenario = build_scenario(ScenarioConfig(seed=7, **SMALL))
         assert scenario.profiler is None
         assert scenario.sim.flight is None
 
@@ -417,37 +415,37 @@ def _summary_digest(summary) -> str:
     ).hexdigest()
 
 
-def _golden_run(protocol: str, case: str):
+def _golden_config(protocol: str, case: str) -> ScenarioConfig:
     from repro.faults.plan import FaultPlanConfig
 
     if case == "small_plain":
-        return run_scenario(ScenarioConfig(protocol=protocol, seed=7, **SMALL))
+        return ScenarioConfig(protocol=protocol, seed=7, **SMALL)
     if case == "small_faulted":
-        return run_scenario(ScenarioConfig(
+        return ScenarioConfig(
             protocol=protocol, seed=11,
             faults=FaultPlanConfig(churn_rate=0.04, mean_downtime=3.0,
                                    link_loss=0.08),
             **SMALL,
-        ))
+        )
     if case == "islands":
-        return run_scenario(_island_cfg(protocol, n_nodes=120, seed=13))
+        return _island_cfg(protocol, n_nodes=120, seed=13)
     if case == "flight_trace":
-        return run_scenario(ScenarioConfig(
+        return ScenarioConfig(
             protocol=protocol, seed=7, flight_trace=True, **SMALL
-        ))
+        )
     if case == "field_300":
         # 300 mobile nodes: above the channel's grid threshold, and low
         # node ids keep learning higher ones, so the columns regrow.
-        return run_scenario(ScenarioConfig(
+        return ScenarioConfig(
             protocol=protocol, seed=5, n_nodes=300,
             field_size=(3000.0, 1000.0), duration=2.0, n_connections=10,
             traffic_start_window=(0.0, 1.0),
-        ))
+        )
     raise KeyError(case)
 
 
 def _check_golden(protocol: str, case: str) -> None:
-    summary = _golden_run(protocol, case)
+    summary = run_scenario(_golden_config(protocol, case))
     assert summary.data_sent > 0
     if case == "flight_trace":
         # A traced run contends through the arena like any other, and

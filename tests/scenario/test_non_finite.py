@@ -14,7 +14,7 @@ from repro.core.errors import ConfigurationError
 from repro.faults.plan import FaultPlanConfig
 from repro.scenario import ScenarioConfig, SweepExecutor
 from repro.scenario.io import config_from_dict, config_to_dict
-from repro.scenario.options import env_number
+from repro.scenario.executor import env_number
 
 #: Every float field set (optional ones and fault windows included).
 BASE = config_to_dict(ScenarioConfig(

@@ -1,4 +1,10 @@
-"""EngineOptions: the one place run switches are read from the environment."""
+"""Environment settings: read in two modules, typed on the way in.
+
+Nothing that changes a result is taken from the environment; what is
+left (pool and deployment settings, figure-bench scale) is parsed by
+``executor.env_number``, so a bad value is a typed error naming the
+variable.
+"""
 
 import pathlib
 import re
@@ -7,51 +13,26 @@ import pytest
 
 import repro
 from repro.core import ConfigurationError
-from repro.scenario.options import EngineOptions
+from repro.scenario.executor import env_number
 
 
 def test_defaults_when_nothing_is_set():
-    assert EngineOptions.from_env({}) == EngineOptions()
-    assert EngineOptions() == EngineOptions(flight=False, trace_sample=1)
-
-
-def test_reads_the_two_switches():
-    options = EngineOptions.from_env({
-        "MANETSIM_FLIGHT": "1",
-        "MANETSIM_TRACE_SAMPLE": "8",
-        "MANETSIM_PROCESSES": "3",  # not an engine option: ignored here
-    })
-    assert options == EngineOptions(flight=True, trace_sample=8)
+    assert env_number({}, "MANETSIM_PROCESSES", 4, minimum=1) == 4
+    assert env_number({}, "MANETSIM_JOB_TIMEOUT", None, float) is None
 
 
 def test_empty_string_means_unset():
-    # The CI matrix sets unused switches to "".
-    assert EngineOptions.from_env(
-        {"MANETSIM_TRACE_SAMPLE": "", "MANETSIM_FLIGHT": ""}
-    ) == EngineOptions()
+    # A CI matrix may set an unused variable to "".
+    assert env_number({"MANETSIM_JOB_RETRIES": ""}, "MANETSIM_JOB_RETRIES", 2) == 2
 
 
 def test_default_source_is_the_process_environment(monkeypatch):
-    monkeypatch.setenv("MANETSIM_TRACE_SAMPLE", "3")
-    assert EngineOptions.from_env().trace_sample == 3
+    from repro.scenario import SweepExecutor
 
-
-@pytest.mark.parametrize("name, value", [
-    ("MANETSIM_TRACE_SAMPLE", "x"),
-    ("MANETSIM_TRACE_SAMPLE", "2.5"),
-    ("MANETSIM_TRACE_SAMPLE", "0"),
-    ("MANETSIM_TRACE_SAMPLE", "-5"),
-])
-def test_malformed_integer_is_a_typed_error(monkeypatch, name, value):
-    with pytest.raises(ConfigurationError) as err:
-        EngineOptions.from_env({name: value})
-    assert name in str(err.value) and repr(value) in str(err.value)
-    # ... and that is what every entry point sees, not a bare ValueError.
-    from repro.scenario import ScenarioConfig, run_scenario
-
-    monkeypatch.setenv(name, value)
-    with pytest.raises(ConfigurationError, match=name):
-        run_scenario(ScenarioConfig(duration=1.0, traffic_start_window=(0.0, 0.5)))
+    monkeypatch.setenv("MANETSIM_PROCESSES", "3")
+    monkeypatch.setenv("MANETSIM_JOB_RETRIES", "5")
+    executor = SweepExecutor(use_cache=False)
+    assert (executor.processes, executor.max_retries) == (3, 5)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -72,7 +53,6 @@ def test_malformed_pool_setting_is_a_typed_error(monkeypatch, name, value):
 
 #: Modules allowed to read the process environment, and why.
 _ENV_READERS = {
-    "scenario/options.py",      # the two run switches, resolved once
     "scenario/executor.py",     # pool/deployment settings
     "analysis/experiments.py",  # bench scale selectors + results dir
 }
@@ -91,12 +71,16 @@ def _offenders(pattern, exempt):
     )
 
 
-def test_environment_is_read_in_three_modules_only():
+def test_environment_is_read_in_two_modules_only():
     """Nothing below ``scenario/`` may take configuration from the
     environment: an engine that consults ``os.environ`` has an input
     the config, the cache key and the manifest do not record."""
     assert _offenders(
         r"\bos\.environ\b|\bos\.getenv\b|\bfrom os import\b", _ENV_READERS
+    ) == []
+    # The run switches that used to be read there are gone for good.
+    assert _offenders(
+        r"MANETSIM_FLIGHT|MANETSIM_TRACE_SAMPLE|EngineOptions", set()
     ) == []
     # One trace (the flight recorder), one checkpoint (the result
     # store), one stats collector, one event loop: the retired twins

@@ -181,7 +181,10 @@ class TestCollectorUnit:
     def test_finish_without_deliveries_is_zero(self):
         from types import SimpleNamespace
 
-        s = MetricsCollector("test").finish(SimpleNamespace(nodes=[]), 10.0)
+        from repro.core.simulator import Simulator
+
+        network = SimpleNamespace(nodes=[], sim=Simulator())
+        s = MetricsCollector("test").finish(network, 10.0)
         assert (s.data_sent, s.data_received) == (0, 0)
         assert (s.pdr, s.avg_delay, s.p95_delay, s.avg_hops) == (0, 0, 0, 0)
         assert s.normalized_routing_load == 0.0

@@ -93,6 +93,32 @@ def test_save_and_reload_config(tmp_path, capsys):
     assert "DSDV results" in out
 
 
+def test_compare_saves_one_config_that_reproduces_the_table(
+    tmp_path, capsys, monkeypatch
+):
+    import json
+
+    import repro.cli as cli
+
+    events = []
+    save, run = cli.save_config, cli.run_scenario
+    monkeypatch.setattr(
+        cli, "save_config", lambda *a: (events.append("save"), save(*a))
+    )
+    monkeypatch.setattr(
+        cli, "run_scenario", lambda cfg: (events.append("run"), run(cfg))[1]
+    )
+    cfg_path = tmp_path / "c.json"
+    argv = ["compare", "--protocols", "dsdv", "aodv"]
+    assert main([*argv, "--save-config", str(cfg_path), *FAST]) == 0
+    # Written once, before the first run.
+    assert events == ["save", "run", "run"]
+    assert json.loads(cfg_path.read_text())["protocol"] == "dsdv"
+    table = capsys.readouterr().out
+    assert main([*argv, "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out == table
+
+
 def test_sweep_csv_export(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     assert main([
